@@ -3,7 +3,9 @@
 Pipeline: pairwise rigid alignment (closed-form least squares inside an ICP
 loop), a transformation graph over the cameras, propagation of poses from a
 reference camera, and a damped least-squares refinement of the total
-matching cost.
+matching cost. The refinement solves blockwise normal equations: J^T J and
+J^T r are summed edge by edge from per-camera 6-column Jacobian blocks, so
+memory is O((6N)^2) for N cameras, independent of the landmark count.
 
 Frame conventions (used consistently everywhere in this module):
     - An edge (i, j) stores the pose of camera j expressed in camera i's
@@ -315,58 +317,47 @@ def loop_closure_error(graph: TransformGraph, poses: dict[int, RigidTransform]) 
     return out
 
 
-def _residuals_and_jacobian(
+def _normal_equations(
     graph: TransformGraph,
     poses: dict[int, RigidTransform],
     index: dict[int, int],
-):
-    """Stacked residual vector and its Jacobian w.r.t. the free pose
+) -> tuple[np.ndarray, np.ndarray]:
+    """J^T J and J^T r of the stacked residuals w.r.t. the free pose
     parameters (per camera: axis-angle rotation increment, then translation,
-    both applied as R <- R Exp(delta), t <- t + delta)."""
-    n_params = 6 * len(index)
-    rows = sum(3 * len(edge.correspondences) for edge in graph.edges)
-    residuals = np.zeros(rows)
-    jacobian = np.zeros((rows, n_params))
-    row = 0
+    both applied as R <- R Exp(delta), t <- t + delta).
+
+    Accumulated one edge at a time: the edge's (3n, 6) Jacobian block for
+    each free camera it touches is formed from all its landmarks at once,
+    and the block products are added into the camera pair's 6x6 slots.
+    """
+    jtj = np.zeros((6 * len(index), 6 * len(index)))
+    jtr = np.zeros(6 * len(index))
     for edge in graph.edges:
         g_i, g_j = poses[edge.camera_i], poses[edge.camera_j]
-        r_i, t_i = g_i.rotation, g_i.translation
-        r_j, t_j = g_j.rotation, g_j.translation
-        for k in range(len(edge.correspondences)):
-            p_j = edge.correspondences.points_j[k]
-            p_i = edge.correspondences.points_i[k]
-            q = r_j @ p_j + t_j  # landmark in the reference frame
-            s = q - t_i
-            res = r_i.T @ s - p_i
-            residuals[row : row + 3] = res
-            if edge.camera_j in index:
-                col = 6 * index[edge.camera_j]
-                jacobian[row : row + 3, col : col + 3] = -(r_i.T @ r_j) @ _skew(p_j)
-                jacobian[row : row + 3, col + 3 : col + 6] = r_i.T
-            if edge.camera_i in index:
-                col = 6 * index[edge.camera_i]
-                jacobian[row : row + 3, col : col + 3] = _skew(r_i.T @ s)
-                jacobian[row : row + 3, col + 3 : col + 6] = -r_i.T
-            row += 3
-    return residuals, jacobian
-
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+        p_i, p_j = edge.correspondences.points_i, edge.correspondences.points_j
+        r_i_t = np.broadcast_to(g_i.rotation.T, (len(p_j), 3, 3))
+        # Landmarks seen by camera j, brought into camera i's frame.
+        in_i = (p_j @ g_j.rotation.T + g_j.translation - g_i.translation) @ g_i.rotation
+        residuals = (in_i - p_i).reshape(-1)
+        blocks = []  # (parameter slot, Jacobian block); the pinned reference has none
+        if edge.camera_j in index:
+            jac_j = np.concatenate([-(g_i.rotation.T @ g_j.rotation) @ geom.skew(p_j), r_i_t], axis=2)
+            blocks.append((6 * index[edge.camera_j], jac_j.reshape(-1, 6)))
+        if edge.camera_i in index:
+            jac_i = np.concatenate([geom.skew(in_i), -r_i_t], axis=2)
+            blocks.append((6 * index[edge.camera_i], jac_i.reshape(-1, 6)))
+        for a, jac_a in blocks:
+            jtr[a : a + 6] += jac_a.T @ residuals
+            for b, jac_b in blocks:
+                jtj[a : a + 6, b : b + 6] += jac_a.T @ jac_b
+    return jtj, jtr
 
 
 def cost_gradient(graph: TransformGraph, poses: dict[int, RigidTransform]) -> np.ndarray:
     """Analytic gradient of the total cost w.r.t. the free pose parameters
     (all cameras except the reference, ordered by id)."""
     index = {node: i for i, node in enumerate(n for n in sorted(poses) if n != graph.reference)}
-    residuals, jacobian = _residuals_and_jacobian(graph, poses, index)
-    return 2.0 * jacobian.T @ residuals
+    return 2.0 * _normal_equations(graph, poses, index)[1]
 
 
 def refine(
@@ -380,8 +371,11 @@ def refine(
 
     The reference pose is pinned to fix the gauge. Accepted steps strictly
     decrease the cost; the damping factor shrinks tenfold on success and
-    grows tenfold on rejection. Returns the refined poses and the trace of
-    accepted costs (starting with the initial cost).
+    grows tenfold on rejection. Each step solves (J^T J + damping I) delta
+    = -J^T r, with J^T J and J^T r accumulated edge by edge; only these
+    (6N)^2 and 6N arrays are held, never the full Jacobian. Returns the
+    refined poses and the trace of accepted costs (starting with the initial
+    cost).
     """
     for node in graph.nodes:
         if node not in initial:
@@ -397,17 +391,13 @@ def refine(
 
     damping = 1e-3
     for _ in range(max_iterations):
-        residuals, jacobian = _residuals_and_jacobian(graph, poses, index)
-        gradient = 2.0 * jacobian.T @ residuals
-        if float(np.max(np.abs(gradient))) < gradient_tol:
+        hessian, jtr = _normal_equations(graph, poses, index)
+        if float(np.max(np.abs(2.0 * jtr))) < gradient_tol:
             break
-        hessian = jacobian.T @ jacobian
         stepped = False
         while damping < 1e12:
             try:
-                delta = np.linalg.solve(
-                    hessian + damping * np.eye(len(gradient)), -jacobian.T @ residuals
-                )
+                delta = np.linalg.solve(hessian + damping * np.eye(len(jtr)), -jtr)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue

@@ -602,6 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        print(f"argument error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_PARSE
     handlers = {
         "plan": cmd_plan,
         "calibrate": cmd_calibrate,

@@ -77,13 +77,6 @@ class RigidTransform:
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
 
-    def matrix(self) -> np.ndarray:
-        """The 4x4 homogeneous form."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
     def is_close(self, other: "RigidTransform", rot_tol: float = 1e-9, tra_tol: float = 1e-9) -> bool:
         # Frobenius norm on the rotation difference: acos-based geodesic
         # distance bottoms out near 1.5e-8 and cannot express tight tolerances.
@@ -142,21 +135,22 @@ def rotation_from_axis_angle(vec) -> np.ndarray:
     """
     v = np.asarray(vec, dtype=float).reshape(3)
     angle = float(np.linalg.norm(v))
-    k = _skew(v)
+    k = skew(v)
     if angle < 1e-12:
         return np.eye(3) + k + 0.5 * (k @ k)
     k = k / angle
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+def skew(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrix: skew(v) @ w == cross(v, w). Batched over the
+    leading axes, so an (n, 3) input gives (n, 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
+    return out
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:

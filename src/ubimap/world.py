@@ -511,6 +511,13 @@ def _parse_int(line_no: int, key: str, value: str) -> int:
         raise ScenarioSyntaxError(line_no, f"'{key}' must be an integer, got '{value}'") from None
 
 
+def _parse_id(line_no: int, key: str, value: str) -> int:
+    number = _parse_int(line_no, key, value)
+    if number < 0:
+        raise ScenarioSyntaxError(line_no, f"'{key}' must be >= 0, got {number}")
+    return number
+
+
 def _require(line_no: int, section: str, kv: dict[str, str], keys: set[str]) -> None:
     missing = keys - kv.keys()
     if missing:
@@ -530,7 +537,7 @@ def _convert_camera(line_no: int, kv: dict[str, str]) -> CameraSpec:
     _require(line_no, "camera", kv, _SECTION_KEYS["camera"])
     try:
         return CameraSpec(
-            id=_parse_int(line_no, "id", kv["id"]),
+            id=_parse_id(line_no, "id", kv["id"]),
             x=_parse_number(line_no, "x", kv["x"]),
             y=_parse_number(line_no, "y", kv["y"]),
             height=_parse_number(line_no, "h", kv["h"]),
@@ -548,11 +555,11 @@ def _convert_camera(line_no: int, kv: dict[str, str]) -> CameraSpec:
 def _convert_robot(line_no: int, kv: dict[str, str]) -> Robot:
     _require(line_no, "robot", kv, _SECTION_KEYS["robot"])
     return Robot(
-        id=_parse_int(line_no, "id", kv["id"]),
+        id=_parse_id(line_no, "id", kv["id"]),
         x=_parse_number(line_no, "x", kv["x"]),
         y=_parse_number(line_no, "y", kv["y"]),
         theta=0.0,
-        tag=_parse_int(line_no, "tag", kv["tag"]),
+        tag=_parse_id(line_no, "tag", kv["tag"]),
     )
 
 
@@ -560,13 +567,13 @@ def _convert_obstacle(line_no: int, kv: dict[str, str], cell_size: float) -> Obs
     _require(line_no, "obstacle", kv, _SECTION_KEYS["obstacle"])
     x = _parse_number(line_no, "x", kv["x"])
     y = _parse_number(line_no, "y", kv["y"])
-    return Obstacle(id=_parse_int(line_no, "id", kv["id"]), cell=CellIndex(int(x // cell_size), int(y // cell_size)))
+    return Obstacle(id=_parse_id(line_no, "id", kv["id"]), cell=CellIndex(int(x // cell_size), int(y // cell_size)))
 
 
 def _convert_landmark(line_no: int, kv: dict[str, str]) -> Landmark:
     _require(line_no, "landmark", kv, _SECTION_KEYS["landmark"])
     return Landmark(
-        id=_parse_int(line_no, "id", kv["id"]),
+        id=_parse_id(line_no, "id", kv["id"]),
         position=Point3(
             _parse_number(line_no, "x", kv["x"]),
             _parse_number(line_no, "y", kv["y"]),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,3 +399,71 @@ def test_gradient_matches_central_differences():
             fd[p] = (up - down) / (2 * h)
         # Zero-gradient components carry only FD roundoff; compare vector-wise.
         assert np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-8) < 1e-5
+
+
+# -- blockwise normal equations against the dense Jacobian -------------------
+
+
+def dense_residuals_and_jacobian(graph, poses, index):
+    """Reference: the stacked residual vector and the full Jacobian w.r.t.
+    the free pose parameters, filled one landmark at a time."""
+    rows = sum(3 * len(edge.correspondences) for edge in graph.edges)
+    residuals = np.zeros(rows)
+    jacobian = np.zeros((rows, 6 * len(index)))
+    row = 0
+    for edge in graph.edges:
+        g_i, g_j = poses[edge.camera_i], poses[edge.camera_j]
+        r_i, t_i = g_i.rotation, g_i.translation
+        r_j, t_j = g_j.rotation, g_j.translation
+        for k in range(len(edge.correspondences)):
+            p_j = edge.correspondences.points_j[k]
+            p_i = edge.correspondences.points_i[k]
+            s = r_j @ p_j + t_j - t_i
+            residuals[row : row + 3] = r_i.T @ s - p_i
+            if edge.camera_j in index:
+                col = 6 * index[edge.camera_j]
+                jacobian[row : row + 3, col : col + 3] = -(r_i.T @ r_j) @ geom.skew(p_j)
+                jacobian[row : row + 3, col + 3 : col + 6] = r_i.T
+            if edge.camera_i in index:
+                col = 6 * index[edge.camera_i]
+                jacobian[row : row + 3, col : col + 3] = geom.skew(r_i.T @ s)
+                jacobian[row : row + 3, col + 3 : col + 6] = -r_i.T
+            row += 3
+    return residuals, jacobian
+
+
+@pytest.mark.parametrize("n_cameras, cycle", [(4, True), (2, False)])
+def test_normal_equations_match_dense_jacobian(n_cameras, cycle):
+    rng = np.random.default_rng(32)
+    _, pairwise = synthetic_rig(n_cameras, rng, noise=0.01, cycle=cycle)
+    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    if cycle:
+        # The pinned reference sits on both sides of an edge.
+        assert any(e.camera_i == 0 for e in graph.edges)
+        assert any(e.camera_j == 0 for e in graph.edges)
+    free = [n for n in graph.nodes if n != graph.reference]
+    index = {node: i for i, node in enumerate(free)}
+    # Step off the propagated poses so no gradient component is ~0.
+    poses = calib._apply_step(propagate(graph), index, rng.normal(0, 0.05, 6 * len(free)))
+    jtj, jtr = calib._normal_equations(graph, poses, index)
+    residuals, jacobian = dense_residuals_and_jacobian(graph, poses, index)
+    for blockwise, dense in ((jtj, jacobian.T @ jacobian), (jtr, jacobian.T @ residuals)):
+        np.testing.assert_allclose(blockwise, dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(dense)))
+    assert np.array_equal(cost_gradient(graph, poses), 2.0 * jtr)
+
+
+def test_refine_memory_stays_below_one_dense_jacobian():
+    rng = np.random.default_rng(33)
+    _, pairwise = synthetic_rig(40, rng, noise=0.01, cycle=True, landmarks_per_zone=24)
+    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    initial = propagate(graph)
+    rows = sum(3 * len(edge.correspondences) for edge in graph.edges)
+    dense_bytes = rows * 6 * (len(graph.nodes) - 1) * 8
+    tracemalloc.start()
+    try:
+        _, trace = refine(graph, initial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace[-1] < trace[0]
+    assert peak < dense_bytes, (peak, dense_bytes)

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from ubimap import cli, coverage, world as worldmod
 from ubimap.cli import EXIT_CALIBRATION, EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, render_map
 from ubimap.fusion import CellState, GridMap
@@ -320,3 +322,21 @@ def test_render_ground_truth(tmp_path):
     assert pixels.count((0, 0, 0)) == 4
     assert pixels.count((220, 0, 0)) == 2
     assert pixels.count((0, 200, 0)) == 3
+
+
+@pytest.mark.parametrize("sigma", ["0", "0.01"])
+def test_calibrate_negative_camera_id_exits_1(tmp_path, capsys, sigma):
+    text = DEMO_ROOM.read_text(encoding="ascii").replace("  id = 4\n", "  id = -4\n", 1)
+    path = write(tmp_path, text)
+    code = cli.main(["calibrate", path, "--noise-sigma", sigma, "--out", str(tmp_path / "out")])
+    assert code == EXIT_PARSE
+    assert "line 53" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["0", "0.01"])
+def test_calibrate_negative_seed_exits_1(tmp_path, sigma):
+    code = cli.main(
+        ["calibrate", str(DEMO_ROOM), "--noise-sigma", sigma, "--seed", "-3", "--out", str(tmp_path / "out")]
+    )
+    assert code == EXIT_PARSE
+    assert not (tmp_path / "out").exists()

@@ -111,6 +111,24 @@ def test_parse_rejects_duplicate_ids():
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        "section camera\n  id = -1\n  x = 1.0\n  y = 0.0\n  h = 2.0\n  yaw_deg = 0\n"
+        "  hfov_deg = 60\n  vfov_deg = 90\n  range = 10\nend\n",
+        "section robot\n  id = -1\n  x = 0.5\n  y = 0.5\n  tag = 1\nend\n",
+        "section robot\n  id = 1\n  x = 0.5\n  y = 0.5\n  tag = -1\nend\n",
+        "section obstacle\n  id = -1\n  x = 0.5\n  y = 0.5\nend\n",
+        "section landmark\n  id = -1\n  x = 0.5\n  y = 0.5\n  z = 1.0\nend\n",
+    ],
+)
+def test_parse_rejects_negative_ids_with_line_number(block):
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(MINIMAL + block)
+    assert err.value.line_no == MINIMAL.count("\n") + 1
+    assert "must be >= 0" in str(err.value)
+
+
 # -- footprint math --------------------------------------------------------
 
 
