@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -147,8 +148,8 @@ def calibrate_scenario(scenario: Scenario, sigma: float, seed: int) -> Calibrati
         raise ValueError("scenario has no cameras to calibrate")
     reference = cams[0].id
     observations = {
-        cam.id: {obs.landmark_id: obs.point.as_array() for obs in sensim.observe_landmarks(cam, scenario.world, sigma, seed)}
-        for cam in cams
+        cam_id: {obs.landmark_id: obs.point.as_array() for obs in seen}
+        for cam_id, seen in sensim.observe_landmarks(cams, scenario.world, sigma, seed).items()
     }
     pairwise = []
     for a in range(len(cams)):
@@ -308,12 +309,19 @@ def _robot_local_map(world: GridWorld, robot, sense_radius: float) -> GridMap:
     occupied = {ob.cell for ob in world.obstacles}
     others = {world.cell_of(r.x, r.y) for r in world.robots if r.id != robot.id}
     own = world.cell_of(robot.x, robot.y)
-    for cell in world.all_cells():
-        center = world.cell_center(cell)
-        if math.dist(center, (robot.x, robot.y)) > sense_radius:
-            continue
-        if not line_of_sight(world, (robot.x, robot.y), center):
-            continue
+    # Cells outside the sensing disc's bounding box, widened by a cell, are out of range.
+    span = world.width + world.height
+    if sense_radius / world.cell_size < span:
+        span = int(sense_radius / world.cell_size) + 1
+    box = (
+        worldmod.CellIndex(col, row)
+        for row in range(max(own.row - span, 0), min(own.row + span + 1, world.height))
+        for col in range(max(own.col - span, 0), min(own.col + span + 1, world.width))
+    )
+    in_range = [cell for cell in box if not math.dist(world.cell_center(cell), (robot.x, robot.y)) > sense_radius]
+    centers = np.array([world.cell_center(cell) for cell in in_range]).reshape(-1, 2)
+    visible = line_of_sight(world, (robot.x, robot.y), centers)
+    for cell in itertools.compress(in_range, visible):
         if cell in world.walls:
             state = CellState.WALL
         elif cell in occupied or cell in others:
@@ -520,7 +528,7 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
                 upload_seqs[robot.id] += 1
                 send(msg, 0, t)
 
-        handle_deliveries(netsim.network_step(net, t))
+        handle_deliveries(net.deliver_due(t))
 
     # Quiescence: let in-flight traffic (and the ACKs it spawns) land.
     while net.pending():

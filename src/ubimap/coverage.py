@@ -69,9 +69,13 @@ def objective(plan: PlacementPlan, problem: CoverageProblem) -> int:
 
 def check_overlap(plan: PlacementPlan, problem: CoverageProblem) -> list[tuple[CellIndex, int]]:
     """Target cells whose coverage multiplicity falls outside [m, k]."""
+    return _overlap_violations(plan.per_cell_multiplicity, problem)
+
+
+def _overlap_violations(multiplicity: dict[CellIndex, int], problem: CoverageProblem) -> list[tuple[CellIndex, int]]:
     out = []
     for cell in sorted(problem.target_cells):
-        count = plan.per_cell_multiplicity.get(cell, 0)
+        count = multiplicity.get(cell, 0)
         if count < problem.min_overlap or count > problem.max_overlap:
             out.append((cell, count))
     return out
@@ -87,19 +91,12 @@ def build_plan(problem: CoverageProblem, selected_ids: tuple[int, ...]) -> Place
         for cell in cells:
             multiplicity[cell] = multiplicity.get(cell, 0) + 1
     ratio = len(covered & problem.target_cells) / len(problem.target_cells) if problem.target_cells else 1.0
-    plan = PlacementPlan(
+    return PlacementPlan(
         selected=tuple(selected_ids),
         covered=frozenset(covered),
         per_cell_multiplicity=multiplicity,
         coverage_ratio=ratio,
-        violations=(),
-    )
-    return PlacementPlan(
-        selected=plan.selected,
-        covered=plan.covered,
-        per_cell_multiplicity=plan.per_cell_multiplicity,
-        coverage_ratio=plan.coverage_ratio,
-        violations=tuple(check_overlap(plan, problem)),
+        violations=tuple(_overlap_violations(multiplicity, problem)),
     )
 
 

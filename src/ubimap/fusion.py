@@ -102,15 +102,6 @@ class GridMap:
         self.cells = np.frombuffer(payload, dtype=np.uint8).reshape(self.height, self.width).copy()
         self.revision = revision
 
-    def copy(self) -> "GridMap":
-        dup = GridMap(self.width, self.height, self.cell_size, self.known_walls, self.tag_registry)
-        dup.cells = self.cells.copy()
-        dup.robot_poses = dict(self.robot_poses)
-        dup.revision = self.revision
-        dup._last_occupied = dict(self._last_occupied)
-        dup._robot_cells = dict(self._robot_cells)
-        return dup
-
 
 def _camera_ground_frame(pose: RigidTransform) -> tuple[float, float, float]:
     """Ground-plane origin and yaw of a camera from its 3D pose.

@@ -211,11 +211,6 @@ class SimulatedNetwork:
         return self.deliver_due(max(item[0] for item in self._queue))
 
 
-def network_step(net: SimulatedNetwork, now: float) -> list[Delivery]:
-    """Release every delivery due at the given virtual time."""
-    return net.deliver_due(now)
-
-
 # -- client and server state machines ----------------------------------------
 
 
@@ -255,6 +250,8 @@ def client_apply(cs: ClientState, msg: Message) -> ClientState:
     elif msg.kind == MessageKind.ROBOT_POSE:
         cs.last_pose = decode_pose_payload(msg.payload)
     elif msg.kind == MessageKind.ACK:
+        if len(msg.payload) != _ACK_PAYLOAD.size:
+            raise MalformedFrameError(0, f"ack payload must be {_ACK_PAYLOAD.size} bytes")
         (acked,) = _ACK_PAYLOAD.unpack(msg.payload)
         cs.acks_received.append(acked)
     return cs

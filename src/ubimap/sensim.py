@@ -13,6 +13,7 @@ half the footprint depth, which centers the view on the footprint.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,41 +60,62 @@ def camera_world_pose(cam: CameraSpec) -> RigidTransform:
     return RigidTransform(rotation, (cam.x, cam.y, cam.height))
 
 
-def _in_frustum(cam: CameraSpec, p_cam: np.ndarray) -> bool:
-    px, py, pz = p_cam
-    if pz <= 0:
-        return False
-    if float(np.linalg.norm(p_cam)) > cam.max_range:
-        return False
-    return abs(math.atan2(px, pz)) <= cam.hfov / 2.0 and abs(math.atan2(py, pz)) <= cam.vfov / 2.0
+def _in_frustum(cam: CameraSpec, p_cam: np.ndarray) -> np.ndarray:
+    """Which of the (n, 3) optical-frame points the camera sees, ignoring walls.
+
+    The range test rounds as ``np.linalg.norm`` does per point, and the
+    angle tests use ``math.atan2``, so every decision matches a per-point
+    evaluation exactly.
+    """
+    dist = np.sqrt((p_cam[:, None, :] @ p_cam[:, :, None])[:, 0, 0])
+    near = np.flatnonzero((p_cam[:, 2] > 0) & ~(dist > cam.max_range))
+    out = np.zeros(len(p_cam), dtype=bool)
+    out[near] = [
+        abs(math.atan2(px, pz)) <= cam.hfov / 2.0 and abs(math.atan2(py, pz)) <= cam.vfov / 2.0
+        for px, py, pz in p_cam[near].tolist()
+    ]
+    return out
 
 
 def observe_landmarks(
-    cam: CameraSpec, world: GridWorld, sigma: float, seed: int
-) -> list[LandmarkObservation]:
-    """Landmarks visible in the camera frustum, expressed in its optical frame.
+    cameras: Sequence[CameraSpec], world: GridWorld, sigma: float, seed: int
+) -> dict[int, list[LandmarkObservation]]:
+    """Landmarks visible to each camera, expressed in its optical frame.
 
-    Noise is isotropic Gaussian with the given sigma; the generator is
-    seeded per (seed, camera, landmark), so a stream is reproducible
-    regardless of which other cameras or landmarks are evaluated.
+    Returns ``{camera id: observations}`` in camera order, each list in
+    landmark id order. Noise is isotropic Gaussian with the given sigma;
+    the generator is seeded per (seed, camera, landmark), so a stream is
+    reproducible regardless of which other cameras or landmarks are
+    evaluated.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    world_from_cam = camera_world_pose(cam)
-    cam_from_world = geom.invert(world_from_cam)
-    out: list[LandmarkObservation] = []
-    for lm in sorted(world.landmarks, key=lambda lm: lm.id):
-        p_cam = cam_from_world.rotation @ lm.position.as_array() + cam_from_world.translation
-        if not _in_frustum(cam, p_cam):
-            continue
-        if not line_of_sight(world, (cam.x, cam.y), (lm.position.x, lm.position.y)):
-            continue
-        if sigma > 0:
-            rng = np.random.default_rng((seed, cam.id, lm.id))
-            p_cam = p_cam + rng.normal(0.0, sigma, size=3)
-        out.append(
-            LandmarkObservation(camera_id=cam.id, landmark_id=lm.id, point=Point3.from_array(p_cam))
-        )
+    landmarks = sorted(world.landmarks, key=lambda lm: lm.id)
+    positions = np.array([lm.position.as_array() for lm in landmarks]).reshape(-1, 3)
+    candidates = []  # (camera, landmark indices, optical-frame points) per camera
+    sights, targets = [np.empty((0, 2))], [np.empty((0, 2))]
+    for cam in cameras:
+        cam_from_world = geom.invert(camera_world_pose(cam))
+        # A stack of 3x3 @ 3x1 products rounds exactly as one matvec per point.
+        p_cam = (cam_from_world.rotation @ positions[:, :, None])[:, :, 0] + cam_from_world.translation
+        in_view = np.flatnonzero(_in_frustum(cam, p_cam))
+        candidates.append((cam, in_view, p_cam[in_view]))
+        sights.append(np.broadcast_to((cam.x, cam.y), (len(in_view), 2)))
+        targets.append(positions[in_view, :2])
+    visible = iter(line_of_sight(world, np.concatenate(sights), np.concatenate(targets)).tolist())
+    out: dict[int, list[LandmarkObservation]] = {}
+    for cam, idx, points in candidates:
+        observations = out[cam.id] = []
+        for i, p_cam in zip(idx.tolist(), points):
+            if not next(visible):
+                continue
+            lm = landmarks[i]
+            if sigma > 0:
+                rng = np.random.default_rng((seed, cam.id, lm.id))
+                p_cam = p_cam + rng.normal(0.0, sigma, size=3)
+            observations.append(
+                LandmarkObservation(camera_id=cam.id, landmark_id=lm.id, point=Point3.from_array(p_cam))
+            )
     return out
 
 

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .geom import Point3
 
@@ -76,12 +79,13 @@ class GroundFootprint:
     depth: float
     width: float
 
-    def contains(self, px: float, py: float) -> bool:
+    def contains(self, px, py):
+        """Whether a point, or each of arrays of points, lies in the footprint."""
         lx, ly = self.to_local(px, py)
-        return -self.width / 2 <= lx <= self.width / 2 and 0 <= ly <= self.depth
+        return (-self.width / 2 <= lx) & (lx <= self.width / 2) & (0 <= ly) & (ly <= self.depth)
 
-    def to_local(self, px: float, py: float) -> tuple[float, float]:
-        """World point -> footprint-local ground frame (x lateral, y forward)."""
+    def to_local(self, px, py):
+        """World point(s) -> footprint-local ground frame (x lateral, y forward)."""
         dx, dy = px - self.x, py - self.y
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         return c * dx + s * dy, -s * dx + c * dy
@@ -191,6 +195,26 @@ class GridWorld:
             if cell not in self.walls:
                 yield cell
 
+    @cached_property
+    def wall_mask(self) -> np.ndarray:
+        """Read-only (height, width) bool array, True on wall cells."""
+        mask = np.zeros((self.height, self.width), dtype=bool)
+        if self.walls:
+            cols, rows = np.array(list(self.walls)).T
+            mask[rows, cols] = True
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (height, width) arrays of the cell centers' x and y."""
+        xs = (np.arange(self.width) + 0.5) * self.cell_size
+        ys = (np.arange(self.height) + 0.5) * self.cell_size
+        centers_x, centers_y = np.meshgrid(xs, ys)
+        centers_x.setflags(write=False)
+        centers_y.setflags(write=False)
+        return centers_x, centers_y
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -218,75 +242,94 @@ def covered_cells(cam: CameraSpec, world: GridWorld) -> set[CellIndex]:
     """
     if not world.point_in_bounds(cam.x, cam.y):
         raise ValueError(f"camera {cam.id} ground point outside world bounds")
-    fp = ground_footprint(cam)
-    out: set[CellIndex] = set()
-    for cell in world.all_cells():
-        cx, cy = world.cell_center(cell)
-        if fp.contains(cx, cy) and line_of_sight(world, (cam.x, cam.y), (cx, cy)):
-            out.add(cell)
-    return out
+    centers_x, centers_y = world.cell_centers
+    rows, cols = np.nonzero(ground_footprint(cam).contains(centers_x, centers_y))
+    targets = np.column_stack([centers_x[rows, cols], centers_y[rows, cols]])
+    visible = line_of_sight(world, (cam.x, cam.y), targets)
+    return {CellIndex(col, row) for col, row in zip(cols[visible].tolist(), rows[visible].tolist())}
 
 
-def line_of_sight(world: GridWorld, a: tuple[float, float], b: tuple[float, float]) -> bool:
+# Cell codes of the padded grid that line_of_sight walks; free cells are 0.
+_WALL, _OUTSIDE = 1, 2
+
+
+# Infinities and NaNs (no crossing along an axis) follow IEEE rules, as the
+# Python floats of a one-segment walk do.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def line_of_sight(
+    world: GridWorld, a: tuple[float, float] | np.ndarray, b: tuple[float, float] | np.ndarray
+) -> bool | np.ndarray:
     """True iff the open segment a->b crosses no wall cell.
+
+    ``a`` and ``b`` are points ``(x, y)`` or ``(n, 2)`` arrays of points,
+    broadcast against each other; two single points give a ``bool``, any
+    array an ``(n,)`` bool array, one entry per segment.
 
     The cells containing the endpoints never block (a camera mounted over a
     wall cell can still see out of it, and a target is visible from within
-    its own cell). Traversal is a supercover DDA: every cell the segment
-    passes through is visited, and an exact corner crossing visits both
-    side cells, so blocking is conservative.
+    its own cell). Traversal is a supercover DDA (Amanatides & Woo 1987)
+    run in lockstep over all segments: every cell a segment passes through
+    is visited, and an exact corner crossing visits both side cells, so
+    blocking is conservative.
     """
-    if not (world.point_in_bounds(*a) and world.point_in_bounds(*b)):
+    single = np.ndim(a) == 1 and np.ndim(b) == 1
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float).reshape(-1, 2), np.asarray(b, dtype=float).reshape(-1, 2))
+    cs, width, height = world.cell_size, world.width, world.height
+    limit = (width * cs, height * cs)
+    if not ((a >= 0) & (a <= limit) & (b >= 0) & (b <= limit)).all():
         raise ValueError("line_of_sight endpoints must be inside world bounds")
-    if a == b:
-        return True
-    exclude = {world.cell_of(*a), world.cell_of(*b)}
-    for cell in _supercover_cells(world, a, b):
-        if cell not in exclude and cell in world.walls:
-            return False
-    return True
+    visible = np.ones(len(a), dtype=bool)
 
+    # Cells as in GridWorld.cell_of, and the parametric distance along each
+    # segment to its next vertical (x) and horizontal (y) grid line.
+    start = np.minimum(a // cs, (width - 1, height - 1)).astype(np.int64)
+    end = np.minimum(b // cs, (width - 1, height - 1)).astype(np.int64)
+    delta = b / cs - a / cs
+    step = np.where(delta > 0, 1, -1)
+    moving = delta != 0
+    t_max = np.where(moving, (start + (step > 0) - a / cs) / delta, np.inf)
+    t_delta = np.where(moving, np.abs(1.0 / delta), np.inf)
 
-def _supercover_cells(world: GridWorld, a: tuple[float, float], b: tuple[float, float]) -> Iterator[CellIndex]:
-    cs = world.cell_size
-    ax, ay = a[0] / cs, a[1] / cs
-    bx, by = b[0] / cs, b[1] / cs
-    col, row = world.cell_of(*a)
-    end_col, end_row = world.cell_of(*b)
-    dx, dy = bx - ax, by - ay
-    step_col = 1 if dx > 0 else -1
-    step_row = 1 if dy > 0 else -1
-    # Parametric distance along the segment to the next grid line.
-    t_max_x = ((col + (step_col > 0)) - ax) / dx if dx != 0 else math.inf
-    t_max_y = ((row + (step_row > 0)) - ay) / dy if dy != 0 else math.inf
-    t_delta_x = abs(1.0 / dx) if dx != 0 else math.inf
-    t_delta_y = abs(1.0 / dy) if dy != 0 else math.inf
+    # Cells are flat indices into the wall mask padded by a ring of outside
+    # cells, so one lookup tells wall, free and off the grid apart.
+    stride = width + 2
+    grid = np.full((height + 2, stride), _OUTSIDE, dtype=np.int8)
+    grid[1:-1, 1:-1] = world.wall_mask
+    grid = grid.ravel()
+    first = (start[:, 1] + 1) * stride + start[:, 0] + 1
+    last = (end[:, 1] + 1) * stride + end[:, 0] + 1
+    live = np.flatnonzero(first != last)  # a segment within one cell is visible
+    # One row per state variable, so dropping finished segments is one
+    # indexing per dtype. The walk moves monotonically away from its start
+    # cell, so only the end cell needs excluding.
+    ints = np.stack([live, first[live], last[live], step[live, 0], step[live, 1] * stride])
+    floats = np.stack([t_max[live, 0], t_max[live, 1], t_delta[live, 0], t_delta[live, 1]])
 
-    yield CellIndex(col, row)
-    guard = 2 * (world.width + world.height) + 4
-    while (col, row) != (end_col, end_row) and guard > 0:
-        guard -= 1
-        if abs(t_max_x - t_max_y) < 1e-12:
-            # Exact corner crossing: include both side cells, then the diagonal.
-            side_a = CellIndex(col + step_col, row)
-            side_b = CellIndex(col, row + step_row)
-            if world.in_bounds(side_a):
-                yield side_a
-            if world.in_bounds(side_b):
-                yield side_b
-            col += step_col
-            row += step_row
-            t_max_x += t_delta_x
-            t_max_y += t_delta_y
-        elif t_max_x < t_max_y:
-            col += step_col
-            t_max_x += t_delta_x
-        else:
-            row += step_row
-            t_max_y += t_delta_y
-        if not (0 <= col < world.width and 0 <= row < world.height):
-            return
-        yield CellIndex(col, row)
+    for _ in range(2 * (width + height) + 4):
+        if not ints.shape[1]:
+            break
+        live, cell, last, step_x, step_y = ints
+        t_max_x, t_max_y, t_delta_x, t_delta_y = floats
+        corner = np.abs(t_max_x - t_max_y) < 1e-12
+        along_x = corner | (t_max_x < t_max_y)
+        along_y = corner | ~along_x
+        blocked = np.zeros(len(cell), dtype=bool)
+        if corner.any():
+            # Exact corner crossing: both side cells, then the diagonal.
+            at = np.flatnonzero(corner)
+            for side in (cell[at] + step_x[at], cell[at] + step_y[at]):
+                blocked[at] |= (grid[side] == _WALL) & (side != last[at])
+        cell += step_x * along_x + step_y * along_y
+        np.copyto(t_max_x, t_max_x + t_delta_x, where=along_x)
+        np.copyto(t_max_y, t_max_y + t_delta_y, where=along_y)
+        code = grid[cell]
+        arrived = cell == last
+        blocked |= (code == _WALL) & ~arrived
+        done = blocked | arrived | (code == _OUTSIDE)
+        if done.any():
+            visible[live[blocked]] = False
+            ints, floats = ints[:, ~done], floats[:, ~done]
+    return bool(visible[0]) if single else visible
 
 
 # -- scenario document ----------------------------------------------------
@@ -554,8 +597,12 @@ def _convert_camera(line_no: int, kv: dict[str, str]) -> CameraSpec:
 
 def _convert_robot(line_no: int, kv: dict[str, str]) -> Robot:
     _require(line_no, "robot", kv, _SECTION_KEYS["robot"])
+    robot_id = _parse_id(line_no, "id", kv["id"])
+    if not 1 <= robot_id < 2**16:
+        # Robots are addressed on the network by id; address 0 is the map server.
+        raise ScenarioSyntaxError(line_no, f"robot 'id' must be in 1..65535, got {robot_id}")
     return Robot(
-        id=_parse_id(line_no, "id", kv["id"]),
+        id=robot_id,
         x=_parse_number(line_no, "x", kv["x"]),
         y=_parse_number(line_no, "y", kv["y"]),
         theta=0.0,

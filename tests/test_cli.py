@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from ubimap import cli, coverage, world as worldmod
 from ubimap.cli import EXIT_CALIBRATION, EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, render_map
 from ubimap.fusion import CellState, GridMap
+
+from test_world import reference_line_of_sight
 
 DEMO_ROOM = Path(__file__).resolve().parent.parent / "scenarios" / "demo_room.scenario"
 
@@ -340,3 +343,53 @@ def test_calibrate_negative_seed_exits_1(tmp_path, sigma):
     )
     assert code == EXIT_PARSE
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "plan"])
+@pytest.mark.parametrize("robot_id", ["0", "70000"])
+def test_robot_id_outside_network_addresses_exits_1(tmp_path, capsys, command, robot_id):
+    text = DEMO_ROOM.read_text(encoding="ascii").replace("section robot\n  id = 2\n", f"section robot\n  id = {robot_id}\n", 1)
+    path = write(tmp_path, text)
+    code = cli.main([command, path, "--out", str(tmp_path / "out")])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "line 71" in err and "1..65535" in err
+
+
+def reference_robot_local_map(world, robot, sense_radius):
+    """Reference onboard map: every cell of the grid tested one by one."""
+    fragment = GridMap(world.width, world.height, world.cell_size)
+    if sense_radius <= 0:
+        return fragment
+    occupied = {ob.cell for ob in world.obstacles}
+    others = {world.cell_of(r.x, r.y) for r in world.robots if r.id != robot.id}
+    for cell in world.all_cells():
+        center = world.cell_center(cell)
+        if math.dist(center, (robot.x, robot.y)) > sense_radius:
+            continue
+        if not reference_line_of_sight(world, (robot.x, robot.y), center):
+            continue
+        if cell in world.walls:
+            state = CellState.WALL
+        elif cell in occupied or cell in others:
+            state = CellState.OBSTACLE
+        else:
+            state = CellState.EXPLORED
+        fragment.cells[cell.row, cell.col] = int(state)
+    own = world.cell_of(robot.x, robot.y)
+    fragment.cells[own.row, own.col] = int(CellState.EXPLORED)
+    return fragment
+
+
+@pytest.mark.parametrize("sense_radius", [0.3, 0.5, 1.0, 2.0, 2.75, 2.95, 4.0, 100.0, math.inf, math.nan])
+def test_robot_local_map_matches_full_grid_reference(sense_radius):
+    world = cli._load_scenario(str(DEMO_ROOM)).world
+    # Off-centre robots reach the far edge of the disc's bounding box.
+    extra = [
+        worldmod.Robot(id=7, x=1.475, y=1.475, theta=0.0, tag=97),
+        worldmod.Robot(id=8, x=4.525, y=3.525, theta=0.0, tag=98),
+        worldmod.Robot(id=9, x=world.width * world.cell_size, y=0.0, theta=0.0, tag=99),
+    ]
+    for robot in (*world.robots, *extra):
+        got = cli._robot_local_map(world, robot, sense_radius)
+        assert (got.cells == reference_robot_local_map(world, robot, sense_radius).cells).all(), robot

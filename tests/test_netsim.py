@@ -20,7 +20,6 @@ from ubimap.netsim import (
     decode,
     encode,
     encode_map_payload,
-    network_step,
 )
 
 messages = st.builds(
@@ -112,7 +111,7 @@ def test_zero_loss_zero_latency_is_fifo():
     net = SimulatedNetwork(NetworkParams())
     for seq in range(5):
         net.send(Message(MessageKind.MAP_UPDATE, seq, 0), dest=1, now=0.0)
-    out = network_step(net, 0.0)
+    out = net.deliver_due(0.0)
     assert [d.message.seq for d in out] == [0, 1, 2, 3, 4]
     assert net.dropped == 0
 
@@ -121,7 +120,7 @@ def test_total_loss_delivers_nothing():
     net = SimulatedNetwork(NetworkParams(loss_probability=1.0, seed=3))
     for seq in range(10):
         net.send(Message(MessageKind.MAP_UPDATE, seq, 0), dest=1, now=0.0)
-    assert network_step(net, 100.0) == []
+    assert net.deliver_due(100.0) == []
     assert net.dropped == 10
 
 
@@ -196,6 +195,20 @@ def test_client_rejects_sensor_upload():
     upload = Message(MessageKind.SENSOR_UPLOAD, 0, 1, encode_map_payload(GridMap(1, 1, 1.0)))
     with pytest.raises(WrongDirectionError):
         client_apply(client, upload)
+
+
+@pytest.mark.parametrize("length", [0, 3, 5])
+def test_client_rejects_ack_payload_of_wrong_length(length):
+    client = ClientState(robot_id=1, cell_size=1.0)
+    with pytest.raises(MalformedFrameError):
+        client_apply(client, Message(MessageKind.ACK, 0, 0, bytes(length)))
+    assert client.acks_received == []
+
+
+def test_client_records_ack():
+    client = ClientState(robot_id=1, cell_size=1.0)
+    client_apply(client, Message(MessageKind.ACK, 0, 0, netsim._ACK_PAYLOAD.pack(7)))
+    assert client.acks_received == [7]
 
 
 def test_client_stores_robot_pose():

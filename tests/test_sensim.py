@@ -16,6 +16,8 @@ from ubimap.world import (
     line_of_sight,
 )
 
+from test_world import reference_line_of_sight
+
 
 def make_camera(x, y, *, width, depth, yaw=0.0, cid=1, height=2.0, max_range=100.0):
     hfov = 2.0 * math.atan(width / (2.0 * height))
@@ -52,7 +54,7 @@ def test_noise_free_landmark_matches_ground_truth():
     lm = Landmark(id=1, position=Point3(4.0, 3.5, 0.4))
     cam = make_camera(4.0, 2.0, width=4.0, depth=4.0)
     world = room_with_landmarks([lm])
-    obs = sensim.observe_landmarks(cam, world, sigma=0.0, seed=0)
+    obs = sensim.observe_landmarks([cam], world, sigma=0.0, seed=0)[cam.id]
     assert len(obs) == 1
     pose = sensim.camera_world_pose(cam)
     recovered = geom.apply(pose, obs[0].point)
@@ -70,7 +72,7 @@ def test_landmark_behind_wall_absent():
     # Independent oracle: the far landmark has no line of sight.
     assert line_of_sight(world, (cam.x, cam.y), (near.position.x, near.position.y))
     assert not line_of_sight(world, (cam.x, cam.y), (far.position.x, far.position.y))
-    obs = sensim.observe_landmarks(cam, world, sigma=0.0, seed=0)
+    obs = sensim.observe_landmarks([cam], world, sigma=0.0, seed=0)[cam.id]
     assert [o.landmark_id for o in obs] == [1]
 
 
@@ -78,10 +80,10 @@ def test_landmark_observation_deterministic():
     lms = [Landmark(id=i, position=Point3(3.0 + 0.3 * i, 3.0, 0.3)) for i in range(5)]
     cam = make_camera(4.0, 2.0, width=6.0, depth=5.0)
     world = room_with_landmarks(lms)
-    a = sensim.observe_landmarks(cam, world, sigma=0.05, seed=9)
-    b = sensim.observe_landmarks(cam, world, sigma=0.05, seed=9)
+    a = sensim.observe_landmarks([cam], world, sigma=0.05, seed=9)[cam.id]
+    b = sensim.observe_landmarks([cam], world, sigma=0.05, seed=9)[cam.id]
     assert a == b
-    c = sensim.observe_landmarks(cam, world, sigma=0.05, seed=10)
+    c = sensim.observe_landmarks([cam], world, sigma=0.05, seed=10)[cam.id]
     assert a != c
 
 
@@ -89,7 +91,7 @@ def test_landmark_outside_frustum_excluded():
     behind = Landmark(id=1, position=Point3(4.0, 1.0, 0.2))  # behind the camera
     cam = make_camera(4.0, 2.0, width=4.0, depth=4.0)
     world = room_with_landmarks([behind])
-    assert sensim.observe_landmarks(cam, world, sigma=0.0, seed=0) == []
+    assert sensim.observe_landmarks([cam], world, sigma=0.0, seed=0)[cam.id] == []
 
 
 def test_tags_empty_when_robot_outside_every_footprint():
@@ -179,6 +181,60 @@ def test_visibility_soundness_randomized():
     world = GridWorld(cell_size=1.0, width=8, height=8, walls=walls, landmarks=tuple(lms))
     for yaw in (0.0, 1.2, 2.8, 4.4):
         cam = make_camera(4.2, 3.4, width=6.0, depth=6.0, yaw=yaw)
-        for obs in sensim.observe_landmarks(cam, world, sigma=0.0, seed=1):
+        for obs in sensim.observe_landmarks([cam], world, sigma=0.0, seed=1)[cam.id]:
             lm = next(l for l in lms if l.id == obs.landmark_id)
             assert line_of_sight(world, (cam.x, cam.y), (lm.position.x, lm.position.y))
+
+
+def reference_observe_landmarks(cam, world, sigma, seed):
+    """Reference: one camera, each landmark tested on its own."""
+    cam_from_world = geom.invert(sensim.camera_world_pose(cam))
+    out = []
+    for lm in sorted(world.landmarks, key=lambda lm: lm.id):
+        p_cam = cam_from_world.rotation @ lm.position.as_array() + cam_from_world.translation
+        px, py, pz = p_cam
+        if pz <= 0 or float(np.linalg.norm(p_cam)) > cam.max_range:
+            continue
+        if abs(math.atan2(px, pz)) > cam.hfov / 2.0 or abs(math.atan2(py, pz)) > cam.vfov / 2.0:
+            continue
+        if not reference_line_of_sight(world, (cam.x, cam.y), (lm.position.x, lm.position.y)):
+            continue
+        if sigma > 0:
+            rng = np.random.default_rng((seed, cam.id, lm.id))
+            p_cam = p_cam + rng.normal(0.0, sigma, size=3)
+        out.append(sensim.LandmarkObservation(camera_id=cam.id, landmark_id=lm.id, point=Point3.from_array(p_cam)))
+    return out
+
+
+def bits(observations):
+    return [(o.camera_id, o.landmark_id, o.point.x.hex(), o.point.y.hex(), o.point.z.hex()) for o in observations]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_observe_landmarks_matches_per_camera_reference_bit_for_bit(sigma):
+    rng = np.random.default_rng(31)
+    walls = frozenset({CellIndex(c, 9) for c in range(4, 16)} | {CellIndex(10, r) for r in range(0, 6)})
+    lms = [
+        Landmark(id=int(i), position=Point3(float(rng.uniform(0, 10)), float(rng.uniform(0, 10)), float(rng.uniform(0, 2))))
+        for i in rng.permutation(300)
+    ]
+    world = GridWorld(cell_size=0.5, width=20, height=20, walls=walls, landmarks=tuple(lms))
+    cameras = [
+        make_camera(
+            float(rng.uniform(0, 10)), float(rng.uniform(0, 10)), width=float(rng.uniform(1, 8)),
+            depth=float(rng.uniform(1, 8)), yaw=float(rng.uniform(-math.pi, math.pi)), cid=cid,
+            height=float(rng.uniform(0.5, 3)), max_range=float(rng.uniform(2, 12)),
+        )
+        for cid in (7, 3, 12, 5, 1, 9)
+    ]
+    got = sensim.observe_landmarks(cameras, world, sigma=sigma, seed=4)
+    assert list(got) == [cam.id for cam in cameras]
+    assert sum(len(obs) for obs in got.values()) > 50
+    for cam in cameras:
+        assert bits(got[cam.id]) == bits(reference_observe_landmarks(cam, world, sigma, 4))
+
+
+def test_observe_landmarks_without_cameras_or_landmarks():
+    cam = make_camera(4.0, 2.0, width=4.0, depth=4.0)
+    assert sensim.observe_landmarks([], room_with_landmarks([]), sigma=0.0, seed=0) == {}
+    assert sensim.observe_landmarks([cam], room_with_landmarks([]), sigma=0.1, seed=0) == {cam.id: []}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ubimap import world as w
 from ubimap.world import (
@@ -129,6 +130,21 @@ def test_parse_rejects_negative_ids_with_line_number(block):
     assert "must be >= 0" in str(err.value)
 
 
+@pytest.mark.parametrize("robot_id", [0, 65536, 70000])
+def test_parse_rejects_robot_ids_outside_network_addresses(robot_id):
+    block = f"section robot\n  id = {robot_id}\n  x = 0.5\n  y = 0.5\n  tag = 1\nend\n"
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(MINIMAL + block)
+    assert err.value.line_no == MINIMAL.count("\n") + 1
+    assert "1..65535" in str(err.value)
+
+
+@pytest.mark.parametrize("robot_id", [1, 65535])
+def test_parse_accepts_robot_ids_at_network_address_limits(robot_id):
+    block = f"section robot\n  id = {robot_id}\n  x = 0.5\n  y = 0.5\n  tag = 1\nend\n"
+    assert parse_scenario(MINIMAL + block).world.robots[0].id == robot_id
+
+
 # -- footprint math --------------------------------------------------------
 
 
@@ -182,6 +198,181 @@ def sampled_line_of_sight(world, a, b, samples=4001):
         if cell not in exclude and world.is_wall(cell):
             return False
     return True
+
+
+def reference_supercover_cells(world, a, b):
+    """Reference walk: the scalar supercover DDA, one cell at a time."""
+    cs = world.cell_size
+    ax, ay = a[0] / cs, a[1] / cs
+    bx, by = b[0] / cs, b[1] / cs
+    col, row = world.cell_of(*a)
+    end_col, end_row = world.cell_of(*b)
+    dx, dy = bx - ax, by - ay
+    step_col = 1 if dx > 0 else -1
+    step_row = 1 if dy > 0 else -1
+    t_max_x = ((col + (step_col > 0)) - ax) / dx if dx != 0 else math.inf
+    t_max_y = ((row + (step_row > 0)) - ay) / dy if dy != 0 else math.inf
+    t_delta_x = abs(1.0 / dx) if dx != 0 else math.inf
+    t_delta_y = abs(1.0 / dy) if dy != 0 else math.inf
+
+    yield CellIndex(col, row)
+    guard = 2 * (world.width + world.height) + 4
+    while (col, row) != (end_col, end_row) and guard > 0:
+        guard -= 1
+        if abs(t_max_x - t_max_y) < 1e-12:
+            side_a = CellIndex(col + step_col, row)
+            side_b = CellIndex(col, row + step_row)
+            if world.in_bounds(side_a):
+                yield side_a
+            if world.in_bounds(side_b):
+                yield side_b
+            col += step_col
+            row += step_row
+            t_max_x += t_delta_x
+            t_max_y += t_delta_y
+        elif t_max_x < t_max_y:
+            col += step_col
+            t_max_x += t_delta_x
+        else:
+            row += step_row
+            t_max_y += t_delta_y
+        if not (0 <= col < world.width and 0 <= row < world.height):
+            return
+        yield CellIndex(col, row)
+
+
+def reference_line_of_sight(world, a, b):
+    """Reference occlusion test: the scalar walk over one segment."""
+    if not (world.point_in_bounds(*a) and world.point_in_bounds(*b)):
+        raise ValueError("line_of_sight endpoints must be inside world bounds")
+    if a == b:
+        return True
+    exclude = {world.cell_of(*a), world.cell_of(*b)}
+    for cell in reference_supercover_cells(world, a, b):
+        if cell not in exclude and cell in world.walls:
+            return False
+    return True
+
+
+def reference_covered_cells(cam, world):
+    """Reference cover set: every footprint cell's center tested one by one."""
+    return {
+        cell
+        for cell in brute_force_rect_cells(world, cam)
+        if reference_line_of_sight(world, (cam.x, cam.y), world.cell_center(cell))
+    }
+
+
+def assert_matches_reference(world, segments):
+    a = np.array([seg[0] for seg in segments], dtype=float).reshape(-1, 2)
+    b = np.array([seg[1] for seg in segments], dtype=float).reshape(-1, 2)
+    expected = [reference_line_of_sight(world, tuple(p), tuple(q)) for p, q in zip(a.tolist(), b.tolist())]
+    got = line_of_sight(world, a, b)
+    assert got.dtype == bool and got.shape == (len(segments),)
+    assert got.tolist() == expected
+    for (p, q), want in zip(zip(a.tolist(), b.tolist()), expected):
+        single = line_of_sight(world, tuple(p), tuple(q))
+        assert type(single) is bool and single == want, (p, q)
+
+
+@st.composite
+def walled_grids_with_segments(draw):
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cell_size = draw(st.sampled_from([0.25, 0.3, 0.5, 1.0, 1.7]))
+    cells = [CellIndex(c, r) for r in range(height) for c in range(width)]
+    walls = frozenset(draw(st.sets(st.sampled_from(cells), max_size=len(cells))))
+    grid = GridWorld(cell_size=cell_size, width=width, height=height, walls=walls)
+
+    def coordinate(extent):
+        # Grid lines and half cells hit corners, edges and the far bound
+        # exactly; arbitrary floats cover the rest.
+        return st.one_of(
+            st.floats(0.0, extent * cell_size),
+            st.integers(0, 2 * extent).map(lambda k: k * cell_size / 2),
+        )
+
+    point = st.tuples(coordinate(width), coordinate(height))
+    return grid, draw(st.lists(st.tuples(point, point), min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walled_grids_with_segments())
+def test_line_of_sight_batched_matches_reference_walk(case):
+    grid, segments = case
+    assert_matches_reference(grid, segments)
+
+
+def test_line_of_sight_exact_diagonal_corner_crossings():
+    # Each diagonal passes exactly through a cell corner; either side cell blocks it.
+    for walls in ({CellIndex(2, 1)}, {CellIndex(1, 2)}, {CellIndex(2, 2)}, set()):
+        grid = GridWorld(cell_size=1.0, width=5, height=5, walls=frozenset(walls))
+        segments = [((0.5, 0.5), (3.5, 3.5)), ((3.5, 3.5), (0.5, 0.5)), ((1.5, 1.5), (2.5, 2.5)), ((0.5, 4.5), (4.5, 0.5))]
+        assert_matches_reference(grid, segments)
+    grid = GridWorld(cell_size=1.0, width=5, height=5, walls=frozenset({CellIndex(2, 1)}))
+    assert not line_of_sight(grid, (1.5, 1.5), (2.5, 2.5))
+
+
+def test_line_of_sight_endpoints_on_the_far_bounds():
+    walls = frozenset({CellIndex(2, 1), CellIndex(1, 3)})
+    grid = GridWorld(cell_size=0.5, width=4, height=4, walls=walls)
+    edge = 4 * 0.5
+    segments = [
+        ((edge, 0.25), (0.25, 0.25)), ((edge, 0.75), (0.25, 0.75)), ((0.25, edge), (0.25, 0.25)),
+        ((edge, edge), (0.0, 0.0)), ((0.0, edge), (edge, 0.0)), ((edge, 0.75), (edge, edge)),
+    ]
+    assert_matches_reference(grid, segments)
+    assert not line_of_sight(grid, (edge, 0.75), (0.25, 0.75))
+    # The clamped end cell (1, 2) is a side cell of the last corner crossing, so it cannot block.
+    grid = GridWorld(cell_size=1.0, width=2, height=3, walls=frozenset({CellIndex(1, 2)}))
+    assert_matches_reference(grid, [((0.5, 0.5), (2.0, 2.0))])
+    assert line_of_sight(grid, (0.5, 0.5), (2.0, 2.0))
+
+
+def test_line_of_sight_degenerate_segment_is_visible_even_in_a_wall():
+    grid = GridWorld(cell_size=1.0, width=3, height=3, walls=frozenset({CellIndex(1, 1)}))
+    assert line_of_sight(grid, (1.5, 1.5), (1.5, 1.5)) is True
+    assert line_of_sight(grid, [[1.5, 1.5], [0.5, 0.5]], [[1.5, 1.5], [0.5, 0.5]]).tolist() == [True, True]
+
+
+def test_line_of_sight_axis_aligned_segments():
+    walls = frozenset({CellIndex(2, 1), CellIndex(3, 3)})
+    grid = GridWorld(cell_size=1.0, width=6, height=5, walls=walls)
+    segments = [
+        ((0.5, 1.5), (5.5, 1.5)), ((5.5, 1.5), (0.5, 1.5)), ((2.5, 0.5), (2.5, 4.5)),
+        ((0.0, 2.0), (6.0, 2.0)), ((3.0, 0.0), (3.0, 5.0)), ((0.5, 3.0), (5.5, 3.0)),
+        ((4.0, 4.5), (4.0, 0.5)), ((0.5, 3.5), (5.5, 3.5)),
+    ]
+    assert_matches_reference(grid, segments)
+    assert not line_of_sight(grid, (0.5, 1.5), (5.5, 1.5))
+
+
+def test_line_of_sight_broadcasts_one_point_against_many():
+    grid = GridWorld(cell_size=1.0, width=6, height=6, walls=frozenset(CellIndex(c, 2) for c in range(6)))
+    targets = np.array([[2.5, 1.5], [2.5, 4.5], [5.5, 0.5], [0.5, 5.5]])
+    assert line_of_sight(grid, (2.5, 0.5), targets).tolist() == [True, False, True, False]
+    assert line_of_sight(grid, (2.5, 0.5), np.empty((0, 2))).shape == (0,)
+
+
+def test_line_of_sight_rejects_any_endpoint_out_of_bounds():
+    grid = empty_world(4, 4)
+    with pytest.raises(ValueError):
+        line_of_sight(grid, (0.5, 0.5), (4.5, 0.5))
+    with pytest.raises(ValueError):
+        line_of_sight(grid, [[0.5, 0.5], [1.5, 1.5]], [[1.5, 0.5], [1.5, -0.1]])
+    with pytest.raises(ValueError):
+        line_of_sight(grid, (math.nan, 0.5), (1.5, 0.5))
+
+
+def test_covered_cells_matches_reference_in_walled_room():
+    rng = np.random.default_rng(5)
+    walls = frozenset({CellIndex(c, 6) for c in range(3, 14)} | {CellIndex(9, r) for r in range(0, 5)})
+    grid = GridWorld(cell_size=0.5, width=18, height=12, walls=walls)
+    for cid in range(40):
+        cam = make_camera(
+            float(rng.uniform(0, 9)), float(rng.uniform(0, 6)), width=float(rng.uniform(0.5, 6)),
+            depth=float(rng.uniform(0.5, 6)), yaw=float(rng.uniform(-math.pi, math.pi)), cid=cid,
+        )
+        assert covered_cells(cam, grid) == reference_covered_cells(cam, grid)
 
 
 def test_covered_cells_degenerate_range_empty():
