@@ -352,7 +352,8 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "final_map.ppm").write_bytes(render_map(outputs.server_map))
-    (out_dir / "capture.hex").write_bytes("".join(f"{frame.hex()}\n" for frame in outputs.capture).encode("ascii"))
+    with open(out_dir / "capture.hex", "wb") as fh:
+        fh.writelines(f"{frame.hex()}\n".encode("ascii") for frame in outputs.capture)
     if args.dump_observations:
         _write_csv(
             out_dir / "observations.csv",
@@ -598,7 +599,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--jitter-ms", type=float, default=0.0)
     simulate.add_argument("--broadcast-ms", type=float, default=100.0)
     simulate.add_argument("--upload-ms", type=float, default=500.0)
-    simulate.add_argument("--sense-radius", type=float, default=2.0)
+    simulate.add_argument(
+        "--sense-radius", type=float, default=2.0,
+        help="robot onboard sensing range in meters; inf senses every cell in line of sight, <= 0 none",
+    )
     simulate.add_argument("--plan-budget", type=int, default=None, help="greedy-plan cameras before running")
     simulate.add_argument("--dump-observations", action="store_true", help="write raw observation streams as CSV")
 
@@ -608,10 +612,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numeric_flag_error(args) -> str | None:
+    """The first numeric flag outside its valid range, described; None if
+    every flag the subcommand has is in range."""
+    if args.seed is not None and args.seed < 0:
+        return f"--seed must be >= 0, got {args.seed}"
+    dt = getattr(args, "dt", 1.0)
+    if not (math.isfinite(dt) and dt > 0):
+        return f"--dt must be finite and > 0, got {dt}"
+    for flag in ("duration", "broadcast_ms", "upload_ms", "latency_ms", "jitter_ms", "noise_sigma"):
+        value = getattr(args, flag, None)
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            return f"--{flag.replace('_', '-')} must be finite and >= 0, got {value}"
+    if math.isnan(getattr(args, "sense_radius", 0.0)):
+        return "--sense-radius must not be NaN"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is not None and args.seed < 0:
-        print(f"argument error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+    error = _numeric_flag_error(args)
+    if error is not None:
+        print(f"argument error: {error}", file=sys.stderr)
         return EXIT_PARSE
     handlers = {
         "plan": cmd_plan,

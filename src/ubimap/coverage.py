@@ -100,15 +100,39 @@ def build_plan(problem: CoverageProblem, selected_ids: tuple[int, ...]) -> Place
     )
 
 
-def _target_cover_sets(problem: CoverageProblem) -> dict[int, frozenset[CellIndex]]:
-    return {
-        cam.id: frozenset(covered_cells(cam, problem.world) & problem.target_cells)
-        for cam in problem.candidates
+def _cell_bits(cells, world: GridWorld) -> int:
+    """Bitset of the in-grid cells, bit ``row * width + col``; cells off the
+    grid are never covered, so they are left out."""
+    bits = 0
+    for col, row in cells:
+        if 0 <= col < world.width and 0 <= row < world.height:
+            bits |= 1 << (row * world.width + col)
+    return bits
+
+
+def _target_cover_bits(problem: CoverageProblem) -> tuple[int, dict[int, int]]:
+    """The target bitset, and each candidate's target cover set as a bitset
+    keyed by candidate id in ascending order."""
+    target = _cell_bits(problem.target_cells, problem.world)
+    cover = {
+        cam.id: _cell_bits(covered_cells(cam, problem.world), problem.world) & target
+        for cam in sorted(problem.candidates, key=lambda c: c.id)
     }
+    return target, cover
 
 
-def _k_feasible(cover: frozenset[CellIndex], multiplicity: dict[CellIndex, int], k: int) -> bool:
-    return all(multiplicity.get(cell, 0) + 1 <= k for cell in cover)
+def _level(levels: list[int], m: int) -> int:
+    return levels[m] if m < len(levels) else 0
+
+
+def _add_cover(levels: list[int], cover: int) -> None:
+    """Count one more camera over ``cover``; ``levels[m]`` holds the cells
+    covered at least m times, so one selection adds one level. The update
+    runs from the top level down, so each level reads the level below as it
+    was before this camera."""
+    levels.append(0)
+    for m in range(len(levels) - 1, 0, -1):
+        levels[m] |= levels[m - 1] & cover
 
 
 def plan_greedy(problem: CoverageProblem) -> PlacementPlan:
@@ -122,53 +146,25 @@ def plan_greedy(problem: CoverageProblem) -> PlacementPlan:
     """
     if not problem.candidates:
         raise ValueError("plan_greedy requires a nonempty candidate pool")
-    cover = _target_cover_sets(problem)
-    ordered_ids = sorted(cover)
+    target, cover = _target_cover_bits(problem)
     selected: list[int] = []
-    covered: set[CellIndex] = set()
-    multiplicity: dict[CellIndex, int] = {}
-
-    def select(cid: int) -> None:
-        selected.append(cid)
-        covered.update(cover[cid])
-        for cell in cover[cid]:
-            multiplicity[cell] = multiplicity.get(cell, 0) + 1
-
-    while len(selected) < problem.budget and covered != problem.target_cells:
-        best_id, best_gain = None, 0
-        for cid in ordered_ids:
-            if cid in selected:
-                continue
-            if not _k_feasible(cover[cid], multiplicity, problem.max_overlap):
-                continue
-            gain = len(cover[cid] - covered)
-            if gain > best_gain:
-                best_id, best_gain = cid, gain
-        if best_id is None:
-            break
-        select(best_id)
-
-    if problem.min_overlap >= 1:
-        while len(selected) < problem.budget:
-            deficit = {
-                cell: problem.min_overlap - multiplicity.get(cell, 0)
-                for cell in problem.target_cells
-                if multiplicity.get(cell, 0) < problem.min_overlap
-            }
-            if not deficit:
-                break
-            best_id, best_fix = None, 0
-            for cid in ordered_ids:
-                if cid in selected:
+    levels = [target]
+    # Cover every target cell once, then repair up to min_overlap: each pass
+    # scores a candidate by the target cells it lifts toward ``need``.
+    for need in (1, problem.min_overlap):
+        while len(selected) < problem.budget and _level(levels, need) != target:
+            short, full = ~_level(levels, need), _level(levels, problem.max_overlap)
+            best_id, best_score = None, 0
+            for cid, bits in cover.items():
+                if cid in selected or bits & full:
                     continue
-                if not _k_feasible(cover[cid], multiplicity, problem.max_overlap):
-                    continue
-                fix = sum(1 for cell in cover[cid] if cell in deficit)
-                if fix > best_fix:
-                    best_id, best_fix = cid, fix
+                score = (bits & short).bit_count()
+                if score > best_score:
+                    best_id, best_score = cid, score
             if best_id is None:
                 break
-            select(best_id)
+            selected.append(best_id)
+            _add_cover(levels, cover[best_id])
 
     return build_plan(problem, tuple(selected))
 
@@ -188,28 +184,22 @@ def plan_exhaustive(problem: CoverageProblem) -> PlacementPlan:
     if total > 2**20:
         raise ProblemTooLargeError(f"{total} subsets exceed the enumeration cap of 2^20")
 
-    cover = _target_cover_sets(problem)
-    ordered_ids = sorted(cover)
+    target, cover = _target_cover_bits(problem)
     best_ids: tuple[int, ...] = ()
     best_obj = -1
+    # Subsets come by size, then in lexicographic id order, so the first
+    # subset to reach an objective wins its ties.
     for size in range(min(problem.budget, n) + 1):
-        for combo in itertools.combinations(ordered_ids, size):
-            multiplicity: dict[CellIndex, int] = {}
-            feasible = True
+        for combo in itertools.combinations(cover, size):
+            levels = [target]
             for cid in combo:
-                for cell in cover[cid]:
-                    multiplicity[cell] = multiplicity.get(cell, 0) + 1
-                    if multiplicity[cell] > problem.max_overlap:
-                        feasible = False
-                        break
-                if not feasible:
+                if cover[cid] & _level(levels, problem.max_overlap):
                     break
-            if not feasible:
-                continue
-            obj = len(multiplicity)
-            if obj > best_obj or (obj == best_obj and (len(combo), combo) < (len(best_ids), best_ids)):
-                best_obj = obj
-                best_ids = combo
+                _add_cover(levels, cover[cid])
+            else:
+                obj = _level(levels, 1).bit_count()
+                if obj > best_obj:
+                    best_obj, best_ids = obj, combo
     return build_plan(problem, best_ids)
 
 

@@ -393,3 +393,29 @@ def test_robot_local_map_matches_full_grid_reference(sense_radius):
     for robot in (*world.robots, *extra):
         got = cli._robot_local_map(world, robot, sense_radius)
         assert (got.cells == reference_robot_local_map(world, robot, sense_radius).cells).all(), robot
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--dt", "0"), ("--dt", "-0.1"), ("--dt", "nan"), ("--dt", "inf"),
+        ("--duration", "-1"), ("--duration", "nan"), ("--duration", "inf"),
+        ("--broadcast-ms", "nan"), ("--broadcast-ms", "-100"),
+        ("--upload-ms", "nan"), ("--upload-ms", "inf"),
+        ("--latency-ms", "nan"), ("--latency-ms", "-5"),
+        ("--jitter-ms", "nan"), ("--jitter-ms", "-1"),
+        ("--noise-sigma", "nan"), ("--noise-sigma", "-0.01"), ("--noise-sigma", "inf"),
+        ("--sense-radius", "nan"),
+    ],
+)
+def test_simulate_rejects_out_of_range_numeric_flags(tmp_path, capsys, flag, value):
+    code = cli.main(["simulate", str(DEMO_ROOM), "--duration", "0.2", f"{flag}={value}", "--out", str(tmp_path / "out")])
+    assert code == EXIT_PARSE
+    assert f"argument error: {flag} must" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("radius", ["inf", "0", "-1"])
+def test_simulate_accepts_unbounded_or_empty_sense_radius(tmp_path, radius):
+    code = cli.main(["simulate", str(DEMO_ROOM), "--duration", "0.2", f"--sense-radius={radius}", "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK

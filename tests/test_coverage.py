@@ -1,7 +1,10 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ubimap.coverage import (
     CoverageProblem,
@@ -275,3 +278,176 @@ def test_lattice_candidates_eight_yaws_per_site():
     yaws = {round(cam.yaw, 9) for cam in cams}
     assert len(yaws) == 8
     assert len({cam.id for cam in cams}) == len(cams)
+
+
+# -- set-based reference planners ---------------------------------------------
+# The planners as they were written on frozensets of cells, kept as the
+# oracles that the bitset planners must match plan for plan.
+
+
+def reference_target_cover_sets(problem):
+    return {
+        cam.id: frozenset(covered_cells(cam, problem.world) & problem.target_cells)
+        for cam in problem.candidates
+    }
+
+
+def _reference_k_feasible(cover, multiplicity, k):
+    return all(multiplicity.get(cell, 0) + 1 <= k for cell in cover)
+
+
+def reference_plan_greedy(problem):
+    cover = reference_target_cover_sets(problem)
+    ordered_ids = sorted(cover)
+    selected = []
+    covered = set()
+    multiplicity = {}
+
+    def select(cid):
+        selected.append(cid)
+        covered.update(cover[cid])
+        for cell in cover[cid]:
+            multiplicity[cell] = multiplicity.get(cell, 0) + 1
+
+    while len(selected) < problem.budget and covered != problem.target_cells:
+        best_id, best_gain = None, 0
+        for cid in ordered_ids:
+            if cid in selected:
+                continue
+            if not _reference_k_feasible(cover[cid], multiplicity, problem.max_overlap):
+                continue
+            gain = len(cover[cid] - covered)
+            if gain > best_gain:
+                best_id, best_gain = cid, gain
+        if best_id is None:
+            break
+        select(best_id)
+
+    if problem.min_overlap >= 1:
+        while len(selected) < problem.budget:
+            deficit = {
+                cell: problem.min_overlap - multiplicity.get(cell, 0)
+                for cell in problem.target_cells
+                if multiplicity.get(cell, 0) < problem.min_overlap
+            }
+            if not deficit:
+                break
+            best_id, best_fix = None, 0
+            for cid in ordered_ids:
+                if cid in selected:
+                    continue
+                if not _reference_k_feasible(cover[cid], multiplicity, problem.max_overlap):
+                    continue
+                fix = sum(1 for cell in cover[cid] if cell in deficit)
+                if fix > best_fix:
+                    best_id, best_fix = cid, fix
+            if best_id is None:
+                break
+            select(best_id)
+
+    return build_plan(problem, tuple(selected))
+
+
+def reference_plan_exhaustive(problem):
+    cover = reference_target_cover_sets(problem)
+    ordered_ids = sorted(cover)
+    best_ids = ()
+    best_obj = -1
+    for size in range(min(problem.budget, len(ordered_ids)) + 1):
+        for combo in itertools.combinations(ordered_ids, size):
+            multiplicity = {}
+            feasible = True
+            for cid in combo:
+                for cell in cover[cid]:
+                    multiplicity[cell] = multiplicity.get(cell, 0) + 1
+                    if multiplicity[cell] > problem.max_overlap:
+                        feasible = False
+                        break
+                if not feasible:
+                    break
+            if not feasible:
+                continue
+            obj = len(multiplicity)
+            if obj > best_obj or (obj == best_obj and (len(combo), combo) < (len(best_ids), best_ids)):
+                best_obj = obj
+                best_ids = combo
+    return build_plan(problem, best_ids)
+
+
+@st.composite
+def placement_problems(draw):
+    """Random walled grids with a small pool in which some cameras appear
+    twice under different ids (equal cover sets, so ties), overlap bounds
+    that reach the repair pass, and budgets from 1 past the pool size."""
+    width, height = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    cells = [CellIndex(col, row) for row in range(height) for col in range(width)]
+    walls = frozenset(draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 3)))
+    world = GridWorld(cell_size=1.0, width=width, height=height, walls=walls)
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, float(width)),
+                st.floats(0.0, float(height)),
+                st.floats(0.5, float(width)),
+                st.floats(0.5, float(height)),
+                st.sampled_from([0.0, 0.5, math.pi / 2, 3.0, 4.5]),
+                st.integers(1, 2),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    layout = [spec[:5] for spec in specs for _ in range(spec[5])]
+    ids = draw(st.permutations(range(1, len(layout) + 1)))
+    cams = tuple(
+        make_camera(x, y, width=w, depth=d, yaw=yaw, cid=cid)
+        for (x, y, w, d, yaw), cid in zip(layout, ids)
+    )
+    # Off-grid targets are never covered; wall cells may be covered.
+    off_grid = [CellIndex(-1, 0), CellIndex(width, 0), CellIndex(0, height)]
+    target = draw(st.one_of(st.none(), st.frozensets(st.sampled_from(cells + off_grid), min_size=1)))
+    max_overlap = draw(st.integers(1, 5))
+    min_overlap = draw(st.integers(0, min(3, max_overlap)))
+    return CoverageProblem(
+        world=world,
+        candidates=cams,
+        target_cells=target,
+        min_overlap=min_overlap,
+        max_overlap=max_overlap,
+        budget=draw(st.integers(1, len(cams) + 2)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(placement_problems())
+def test_bitset_planners_match_set_references(problem):
+    assert plan_greedy(problem) == reference_plan_greedy(problem)
+    assert plan_exhaustive(problem) == reference_plan_exhaustive(problem)
+
+
+def test_greedy_peak_memory_below_cover_set_dict():
+    # The plan that build_plan assembles holds the selected cameras' cells,
+    # so the budget is kept small against the pool.
+    world = GridWorld(
+        cell_size=0.5, width=30, height=20, walls=frozenset(CellIndex(15, row) for row in range(4, 20))
+    )
+    cams = lattice_candidates(
+        world, spacing_cells=4, height=2.5, hfov=math.radians(90), vfov=math.radians(70), max_range=8.0
+    )
+    assert len(cams) >= 200
+    problem = CoverageProblem(world=world, candidates=cams, min_overlap=2, max_overlap=4, budget=20)
+    tracemalloc.start()
+    try:
+        cover = reference_target_cover_sets(problem)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del cover
+    tracemalloc.start()
+    try:
+        plan = plan_greedy(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan == reference_plan_greedy(problem)
+    assert peak < held / 4, (peak, held)
