@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -32,25 +31,20 @@ EXIT_CONSTRAINT = 2
 EXIT_CALIBRATION = 3
 EXIT_RUNTIME = 4
 
-# Map palette: wall black, unexplored dark gray, explored light gray,
-# obstacles red, robots green.
-PALETTE = {
-    CellState.WALL: (0, 0, 0),
-    CellState.UNEXPLORED: (96, 96, 96),
-    CellState.EXPLORED: (200, 200, 200),
-    CellState.OBSTACLE: (220, 0, 0),
-    CellState.ROBOT: (0, 200, 0),
-}
+# Map palette, one row per cell state: unexplored dark gray, explored light
+# gray, wall black, obstacles red, robots green.
+PALETTE = np.array([(96, 96, 96), (200, 200, 200), (0, 0, 0), (220, 0, 0), (0, 200, 0)], dtype=np.uint8)
+
+
+def _ppm(image: np.ndarray) -> bytes:
+    """Binary portable-pixmap of an (height, width, 3) uint8 image, row 0 first."""
+    height, width = image.shape[:2]
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + image.tobytes()
 
 
 def render_map(grid_map: GridMap) -> bytes:
     """Binary portable-pixmap of the map, row 0 first, 3 bytes per cell."""
-    header = f"P6\n{grid_map.width} {grid_map.height}\n255\n".encode("ascii")
-    body = bytearray()
-    for row in range(grid_map.height):
-        for col in range(grid_map.width):
-            body.extend(PALETTE[CellState(int(grid_map.cells[row, col]))])
-    return header + bytes(body)
+    return _ppm(PALETTE[grid_map.cells])
 
 
 @dataclass
@@ -93,21 +87,23 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_bytes(buffer.getvalue().encode("ascii"))
 
 
-def _ground_truth_state(world: GridWorld, cell) -> CellState:
-    if cell in world.walls:
-        return CellState.WALL
-    if any(ob.cell == cell for ob in world.obstacles):
-        return CellState.OBSTACLE
-    if any(world.cell_of(r.x, r.y) == cell for r in world.robots):
-        return CellState.ROBOT
-    return CellState.EXPLORED
+def _truth_cells(world: GridWorld) -> np.ndarray:
+    """Ground-truth (height, width) cell states: a wall beats an obstacle,
+    which beats a robot; every other cell is explored."""
+    cells = np.full((world.height, world.width), CellState.EXPLORED, dtype=np.uint8)
+    for robot in world.robots:
+        cell = world.cell_of(robot.x, robot.y)
+        cells[cell.row, cell.col] = CellState.ROBOT
+    for ob in world.obstacles:
+        cells[ob.cell.row, ob.cell.col] = CellState.OBSTACLE
+    cells[world.wall_mask] = CellState.WALL
+    return cells
 
 
 def ground_truth_map(world: GridWorld) -> GridMap:
     """A fully revealed map of the ground truth (the renderer's demo input)."""
     truth = GridMap(world.width, world.height, world.cell_size, known_walls=world.walls)
-    for cell in world.all_cells():
-        truth.cells[cell.row, cell.col] = int(_ground_truth_state(world, cell))
+    truth.cells = _truth_cells(world)
     truth.revision = 1
     return truth
 
@@ -243,19 +239,15 @@ def cmd_plan(args) -> int:
 
 
 def _coverage_heatmap(problem: coverage.CoverageProblem, plan: coverage.PlacementPlan) -> bytes:
-    w, h = problem.world.width, problem.world.height
-    top = max([1] + list(plan.per_cell_multiplicity.values()))
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    body = bytearray()
-    for row in range(h):
-        for col in range(w):
-            cell = worldmod.CellIndex(col, row)
-            if cell in problem.world.walls:
-                body.extend((0, 0, 0))
-            else:
-                level = int(255 * plan.per_cell_multiplicity.get(cell, 0) / top)
-                body.extend((level, level, 64))
-    return header + bytes(body)
+    """Cells shaded by coverage multiplicity relative to the most covered one; walls black."""
+    world = problem.world
+    counts = np.zeros((world.height, world.width), dtype=np.int64)
+    cols, rows = np.array([*plan.per_cell_multiplicity], dtype=np.int64).reshape(-1, 2).T
+    counts[rows, cols] = [*plan.per_cell_multiplicity.values()]
+    level = (255 * counts // max(1, counts.max())).astype(np.uint8)
+    image = np.stack([level, level, np.full_like(level, 64)], axis=-1)
+    image[world.wall_mask] = 0
+    return _ppm(image)
 
 
 def cmd_calibrate(args) -> int:
@@ -306,8 +298,6 @@ def _robot_local_map(world: GridWorld, robot, sense_radius: float) -> GridMap:
     fragment = GridMap(world.width, world.height, world.cell_size)
     if sense_radius <= 0:
         return fragment
-    occupied = {ob.cell for ob in world.obstacles}
-    others = {world.cell_of(r.x, r.y) for r in world.robots if r.id != robot.id}
     own = world.cell_of(robot.x, robot.y)
     # Cells outside the sensing disc's bounding box, widened by a cell, are out of range.
     span = world.width + world.height
@@ -321,15 +311,11 @@ def _robot_local_map(world: GridWorld, robot, sense_radius: float) -> GridMap:
     in_range = [cell for cell in box if not math.dist(world.cell_center(cell), (robot.x, robot.y)) > sense_radius]
     centers = np.array([world.cell_center(cell) for cell in in_range]).reshape(-1, 2)
     visible = line_of_sight(world, (robot.x, robot.y), centers)
-    for cell in itertools.compress(in_range, visible):
-        if cell in world.walls:
-            state = CellState.WALL
-        elif cell in occupied or cell in others:
-            state = CellState.OBSTACLE
-        else:
-            state = CellState.EXPLORED
-        fragment.cells[cell.row, cell.col] = int(state)
-    fragment.cells[own.row, own.col] = int(CellState.EXPLORED)
+    cols, rows = np.array(in_range, dtype=np.int64).reshape(-1, 2)[visible].T
+    labels = _truth_cells(world)
+    labels[labels == CellState.ROBOT] = CellState.OBSTACLE
+    fragment.cells[rows, cols] = labels[rows, cols]
+    fragment.cells[own.row, own.col] = CellState.EXPLORED
     return fragment
 
 
@@ -420,9 +406,9 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
     camera_poses = calibration.estimated_world_poses(sensim.camera_world_pose(reference_cam))
 
     footprints = {cam.id: worldmod.covered_cells(cam, world) for cam in cameras}
-    covered = set().union(*footprints.values()) if footprints else set()
-    free_cells = set(world.free_cells())
-    coverage_ratio = len(covered & free_cells) / len(free_cells) if free_cells else 1.0
+    covered = worldmod.cell_mask(world.width, world.height, set().union(*footprints.values()))
+    free_count = int((~world.wall_mask).sum())
+    coverage_ratio = int((covered & ~world.wall_mask).sum()) / free_count if free_count else 1.0
 
     server_map = GridMap(
         world.width,
@@ -535,10 +521,8 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
     while net.pending():
         handle_deliveries(net.drain())
 
-    matches = sum(
-        1 for cell in covered if server_map.state(cell) == _ground_truth_state(world, cell)
-    )
-    report.map_accuracy = matches / len(covered) if covered else 1.0
+    matches = int((covered & (server_map.cells == _truth_cells(world))).sum())
+    report.map_accuracy = matches / int(covered.sum()) if covered.any() else 1.0
     report.messages_sent = net.sent
     report.messages_delivered = net.delivered
     report.messages_dropped = net.dropped
@@ -626,6 +610,19 @@ def _numeric_flag_error(args) -> str | None:
             return f"--{flag.replace('_', '-')} must be finite and >= 0, got {value}"
     if math.isnan(getattr(args, "sense_radius", 0.0)):
         return "--sense-radius must not be NaN"
+    loss = getattr(args, "loss", None)
+    if loss is not None and not 0.0 <= loss <= 1.0:
+        return f"--loss must be in [0, 1], got {loss}"
+    for flag in ("budget", "plan_budget"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            return f"--{flag.replace('_', '-')} must be >= 1, got {value}"
+    min_overlap = getattr(args, "min_overlap", 0)
+    if min_overlap < 0:
+        return f"--min-overlap must be >= 0, got {min_overlap}"
+    max_overlap = getattr(args, "max_overlap", None)
+    if max_overlap is not None and max_overlap < max(min_overlap, 1):
+        return f"--max-overlap must be >= max(--min-overlap, 1), got {max_overlap}"
     return None
 
 

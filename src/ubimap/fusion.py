@@ -29,7 +29,7 @@ import numpy as np
 
 from .geom import RigidTransform
 from .sensim import ObstacleEvidence, TagDetection
-from .world import CellIndex
+from .world import CellIndex, cell_mask
 
 OBSTACLE_CLEAR_SECONDS = 2.0
 
@@ -53,9 +53,11 @@ class CellState(IntEnum):
 class GridMap:
     """The shared occupancy map. Single-writer: one fusion step at a time.
 
-    known_walls is the static structure the map server is configured with;
-    tag_registry maps visual tag ids to robot ids. Client-side copies
-    decoded from the wire carry neither.
+    known_walls is the static structure the map server is configured with
+    (cells off the grid are ignored); tag_registry maps visual tag ids to
+    robot ids. Client-side copies decoded from the wire carry neither.
+    cells holds the (height, width) state bytes; every fusion rule reads
+    and writes it as whole-grid arrays.
     """
 
     def __init__(
@@ -77,7 +79,8 @@ class GridMap:
         self.robot_poses: dict[int, tuple[float, float, float]] = {}
         self.revision = 0
         self.faults: list[str] = []
-        self._last_occupied: dict[CellIndex, float] = {}
+        self._wall_mask = cell_mask(width, height, known_walls)
+        self._last_occupied = np.full((height, width), -np.inf)
         self._robot_cells: dict[int, CellIndex] = {}
 
     # -- access -----------------------------------------------------------
@@ -137,23 +140,23 @@ def fuse_frame(
     """Fuse one frame of all cameras' evidence into the map.
 
     Evidence from cameras without a calibrated pose is rejected and logged
-    as a fault. The revision increments exactly when some cell changed, so
+    as a fault. Each cell's final state is computed before the map is
+    written, and the revision increments exactly when some cell changed, so
     re-applying an identical frame is a no-op.
     """
-    observed: set[CellIndex] = set()
-    occupied: set[CellIndex] = set()
-    for ev in sorted(evidence, key=lambda e: (e.camera_id, e.cell)):
+    observed = np.zeros(grid_map.cells.shape, dtype=bool)
+    occupied = np.zeros_like(observed)
+    for ev in evidence:
+        cell = ev.cell
         if ev.camera_id not in camera_poses:
             grid_map.faults.append(f"t={t}: evidence from unknown camera {ev.camera_id}")
-            continue
-        cell = ev.cell
-        if not (0 <= cell.col < grid_map.width and 0 <= cell.row < grid_map.height):
+        elif not (0 <= cell.col < grid_map.width and 0 <= cell.row < grid_map.height):
             grid_map.faults.append(f"t={t}: evidence for out-of-bounds cell {cell}")
-            continue
-        observed.add(cell)
-        if ev.occupied:
-            occupied.add(cell)
-            grid_map._last_occupied[cell] = t
+        else:
+            observed[cell.row, cell.col] = True
+            if ev.occupied:
+                occupied[cell.row, cell.col] = True
+    grid_map._last_occupied[occupied] = t
 
     detections: dict[int, list[TagDetection]] = {}
     for det in tags:
@@ -172,40 +175,27 @@ def fuse_frame(
         grid_map.robot_poses[robot_id] = (float(mean[0]), float(mean[1]), spread)
         robot_cells[robot_id] = grid_map.cell_of(float(mean[0]), float(mean[1]))
 
-    changed = False
-
-    def put(cell: CellIndex, new_state: CellState) -> None:
-        nonlocal changed
-        if grid_map.state(cell) == CellState.WALL:
-            return  # walls never change
-        if grid_map.state(cell) != new_state:
-            grid_map.cells[cell.row, cell.col] = int(new_state)
-            changed = True
-
-    for cell in sorted(observed):
-        if cell in grid_map.known_walls:
-            put(cell, CellState.WALL)
-        elif cell in occupied:
-            put(cell, CellState.OBSTACLE)
-        else:
-            if grid_map.state(cell) == CellState.OBSTACLE:
-                # Seen free: decays only after the clear window elapses.
-                last = grid_map._last_occupied.get(cell, -math.inf)
-                if t - last > OBSTACLE_CLEAR_SECONDS:
-                    put(cell, CellState.EXPLORED)
-            else:
-                put(cell, CellState.EXPLORED)
+    cells = grid_map.cells
+    new = cells.copy()
+    new[occupied] = CellState.OBSTACLE
+    # Seen free: an obstacle decays only after the clear window elapses.
+    decayed = t - grid_map._last_occupied > OBSTACLE_CLEAR_SECONDS
+    new[observed & ~occupied & ((cells != CellState.OBSTACLE) | decayed)] = CellState.EXPLORED
+    new[observed & grid_map._wall_mask] = CellState.WALL
+    new[cells == CellState.WALL] = CellState.WALL  # walls never change
 
     # Robots: clear stale cells for robots that moved, then place new ones.
     for robot_id, cell in robot_cells.items():
         old = grid_map._robot_cells.get(robot_id)
-        if old is not None and old != cell and grid_map.state(old) == CellState.ROBOT:
-            put(old, CellState.EXPLORED)
-    for robot_id, cell in sorted(robot_cells.items()):
-        put(cell, CellState.ROBOT)
+        if old is not None and old != cell and new[old.row, old.col] == CellState.ROBOT:
+            new[old.row, old.col] = CellState.EXPLORED
+    for robot_id, cell in robot_cells.items():
+        if new[cell.row, cell.col] != CellState.WALL:
+            new[cell.row, cell.col] = CellState.ROBOT
         grid_map._robot_cells[robot_id] = cell
 
-    if changed:
+    if (new != cells).any():
+        grid_map.cells = new
         grid_map.revision += 1
     return grid_map
 
@@ -230,25 +220,13 @@ def merge_robot_map(
             f"global {global_map.width}x{global_map.height}@{global_map.cell_size} vs "
             f"local {local_map.width}x{local_map.height}@{local_map.cell_size}"
         )
-    changed = False
-    for row in range(global_map.height):
-        for col in range(global_map.width):
-            g = CellState(int(global_map.cells[row, col]))
-            l = CellState(int(local_map.cells[row, col]))
-            if l == CellState.UNEXPLORED or g == l:
-                continue
-            if g == CellState.WALL:
-                continue
-            if g == CellState.UNEXPLORED:
-                new = l
-            elif weight_robot > weight_fixed:
-                new = l
-            else:
-                new = g
-            if new != g:
-                global_map.cells[row, col] = int(new)
-                changed = True
-    if changed:
+    g, l = global_map.cells, local_map.cells
+    adopt = (l != CellState.UNEXPLORED) & (g != CellState.WALL) & (
+        (g == CellState.UNEXPLORED) | (weight_robot > weight_fixed)
+    )
+    merged = np.where(adopt, l, g)
+    if (merged != g).any():
+        global_map.cells = merged
         global_map.revision += 1
     return global_map
 
@@ -473,10 +451,7 @@ def bayes_grid_step(
                     predicted[row, col, heading] *= math.exp(-0.5 * float(diff @ r_inv @ diff))
 
     if grid_map is not None:
-        for row in range(rows):
-            for col in range(cols):
-                if grid_map.state(CellIndex(col, row)) == CellState.WALL:
-                    predicted[row, col, :] = 0.0
+        predicted[grid_map.cells == CellState.WALL] = 0.0
 
     total = float(predicted.sum())
     if not math.isfinite(total) or total <= 0.0:

@@ -10,7 +10,7 @@ Kinds: HELLO=1, MAP_UPDATE=2, ROBOT_POSE=3, SENSOR_UPLOAD=4, ACK=5.
 MAP_UPDATE / SENSOR_UPLOAD payload:
     revision (u32) | width (u16) | height (u16) | cell states, one byte
     each, row-major (Unexplored=0, Explored=1, Wall=2, Obstacle=3, Robot=4).
-ROBOT_POSE payload: robot_id (u16) | x, y, theta (f64 each).
+ROBOT_POSE payload: robot_id (u16) | x, y, theta (f64 each, finite).
 ACK payload: the acknowledged upload's seq (u32).
 
 Delivery model: each message is independently dropped with the configured
@@ -23,10 +23,13 @@ clock; identical seeds give identical schedules.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+
+import numpy as np
 
 from .fusion import GridMap, merge_robot_map
 
@@ -131,7 +134,7 @@ def decode_map_payload(payload: bytes) -> tuple[int, int, int, bytes]:
         raise MalformedFrameError(4, "map dimensions must be positive")
     if len(cells) != width * height:
         raise MalformedFrameError(_MAP_HEADER.size, f"expected {width * height} cells, got {len(cells)}")
-    if any(b > 4 for b in cells):
+    if np.frombuffer(cells, np.uint8).max() > 4:
         raise MalformedFrameError(_MAP_HEADER.size, "cell byte outside the state range 0..4")
     return revision, width, height, bytes(cells)
 
@@ -143,7 +146,10 @@ def encode_pose_payload(robot_id: int, x: float, y: float, theta: float) -> byte
 def decode_pose_payload(payload: bytes) -> tuple[int, float, float, float]:
     if len(payload) != _POSE_PAYLOAD.size:
         raise MalformedFrameError(0, f"pose payload must be {_POSE_PAYLOAD.size} bytes")
-    return _POSE_PAYLOAD.unpack(payload)
+    robot_id, x, y, theta = _POSE_PAYLOAD.unpack(payload)
+    if not all(map(math.isfinite, (x, y, theta))):
+        raise MalformedFrameError(2, "pose x, y and theta must be finite")
+    return robot_id, x, y, theta
 
 
 # -- simulated network --------------------------------------------------------

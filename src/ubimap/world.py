@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -182,9 +182,6 @@ class GridWorld:
     def cell_center(self, cell: CellIndex) -> tuple[float, float]:
         return (cell.col + 0.5) * self.cell_size, (cell.row + 0.5) * self.cell_size
 
-    def is_wall(self, cell: CellIndex) -> bool:
-        return cell in self.walls
-
     def all_cells(self) -> Iterator[CellIndex]:
         for row in range(self.height):
             for col in range(self.width):
@@ -198,10 +195,7 @@ class GridWorld:
     @cached_property
     def wall_mask(self) -> np.ndarray:
         """Read-only (height, width) bool array, True on wall cells."""
-        mask = np.zeros((self.height, self.width), dtype=bool)
-        if self.walls:
-            cols, rows = np.array(list(self.walls)).T
-            mask[rows, cols] = True
+        mask = cell_mask(self.width, self.height, self.walls)
         mask.setflags(write=False)
         return mask
 
@@ -214,6 +208,15 @@ class GridWorld:
         centers_x.setflags(write=False)
         centers_y.setflags(write=False)
         return centers_x, centers_y
+
+
+def cell_mask(width: int, height: int, cells: Iterable[CellIndex]) -> np.ndarray:
+    """(height, width) bool array, True on those of the cells that lie on the grid."""
+    mask = np.zeros((height, width), dtype=bool)
+    cols, rows = np.array([*cells], dtype=np.int64).reshape(-1, 2).T
+    on_grid = (0 <= cols) & (cols < width) & (0 <= rows) & (rows < height)
+    mask[rows[on_grid], cols[on_grid]] = True
+    return mask
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ubimap import cli, coverage, world as worldmod
 from ubimap.cli import EXIT_CALIBRATION, EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, render_map
 from ubimap.fusion import CellState, GridMap
+from ubimap.world import CellIndex
 
 from test_world import reference_line_of_sight
 
@@ -406,6 +408,8 @@ def test_robot_local_map_matches_full_grid_reference(sense_radius):
         ("--jitter-ms", "nan"), ("--jitter-ms", "-1"),
         ("--noise-sigma", "nan"), ("--noise-sigma", "-0.01"), ("--noise-sigma", "inf"),
         ("--sense-radius", "nan"),
+        ("--loss", "nan"), ("--loss", "1.5"), ("--loss", "-0.1"),
+        ("--plan-budget", "0"),
     ],
 )
 def test_simulate_rejects_out_of_range_numeric_flags(tmp_path, capsys, flag, value):
@@ -419,3 +423,171 @@ def test_simulate_rejects_out_of_range_numeric_flags(tmp_path, capsys, flag, val
 def test_simulate_accepts_unbounded_or_empty_sense_radius(tmp_path, radius):
     code = cli.main(["simulate", str(DEMO_ROOM), "--duration", "0.2", f"--sense-radius={radius}", "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "flags",
+    ["--budget=0", "--budget=-2", "--min-overlap=-1", "--max-overlap=0", "--min-overlap=3 --max-overlap=2"],
+)
+def test_plan_rejects_out_of_range_numeric_flags(tmp_path, capsys, flags):
+    code = cli.main(["plan", str(DEMO_ROOM), *flags.split(), "--out", str(tmp_path / "out")])
+    assert code == EXIT_PARSE
+    rejected = flags.split()[-1].split("=")[0]
+    assert f"argument error: {rejected} must" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# -- whole-grid rules against their cell-by-cell references ------------------------
+
+REFERENCE_PALETTE = {
+    CellState.WALL: (0, 0, 0),
+    CellState.UNEXPLORED: (96, 96, 96),
+    CellState.EXPLORED: (200, 200, 200),
+    CellState.OBSTACLE: (220, 0, 0),
+    CellState.ROBOT: (0, 200, 0),
+}
+
+
+def reference_render_map(grid_map):
+    header = f"P6\n{grid_map.width} {grid_map.height}\n255\n".encode("ascii")
+    body = bytearray()
+    for row in range(grid_map.height):
+        for col in range(grid_map.width):
+            body.extend(REFERENCE_PALETTE[CellState(int(grid_map.cells[row, col]))])
+    return header + bytes(body)
+
+
+def reference_ground_truth_state(world, cell):
+    if cell in world.walls:
+        return CellState.WALL
+    if any(ob.cell == cell for ob in world.obstacles):
+        return CellState.OBSTACLE
+    if any(world.cell_of(r.x, r.y) == cell for r in world.robots):
+        return CellState.ROBOT
+    return CellState.EXPLORED
+
+
+def reference_ground_truth_map(world):
+    truth = GridMap(world.width, world.height, world.cell_size, known_walls=world.walls)
+    for cell in world.all_cells():
+        truth.cells[cell.row, cell.col] = int(reference_ground_truth_state(world, cell))
+    truth.revision = 1
+    return truth
+
+
+def reference_coverage_heatmap(problem, plan):
+    w, h = problem.world.width, problem.world.height
+    top = max([1] + list(plan.per_cell_multiplicity.values()))
+    header = f"P6\n{w} {h}\n255\n".encode("ascii")
+    body = bytearray()
+    for row in range(h):
+        for col in range(w):
+            cell = CellIndex(col, row)
+            if cell in problem.world.walls:
+                body.extend((0, 0, 0))
+            else:
+                level = int(255 * plan.per_cell_multiplicity.get(cell, 0) / top)
+                body.extend((level, level, 64))
+    return header + bytes(body)
+
+
+def reference_map_accuracy(server_map, world, covered):
+    matches = sum(1 for cell in covered if server_map.state(cell) == reference_ground_truth_state(world, cell))
+    return matches / len(covered) if covered else 1.0
+
+
+def random_walled_world(seed):
+    """A small world with random walls, obstacles and robots; one obstacle
+    shares a robot's cell."""
+    rng = np.random.default_rng(seed)
+    width, height = (int(n) for n in rng.integers(2, 10, size=2))
+    cells = [CellIndex(col, row) for row in range(height) for col in range(width)]
+    walls = frozenset(cell for cell in cells if rng.random() < 0.25)
+    free = [cell for cell in cells if cell not in walls] or [cells[0]]
+    walls -= {free[0]}
+    picks = [free[int(i)] for i in rng.integers(len(free), size=6)]
+    robots = tuple(
+        worldmod.Robot(id=i + 1, x=cell.col + float(rng.random()), y=cell.row + float(rng.random()), theta=0.0, tag=i + 1)
+        for i, cell in enumerate(picks[:3])
+    )
+    obstacles = tuple(worldmod.Obstacle(id=i + 1, cell=cell) for i, cell in enumerate([picks[0], *picks[3:]]))
+    return worldmod.GridWorld(cell_size=1.0, width=width, height=height, walls=walls, obstacles=obstacles, robots=robots)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_truth_render_and_local_maps_match_reference_on_random_worlds(seed):
+    world = random_walled_world(seed)
+    truth = cli.ground_truth_map(world)
+    assert truth.state_bytes() == reference_ground_truth_map(world).state_bytes()
+    assert render_map(truth) == reference_render_map(truth)
+    rng = np.random.default_rng(seed)
+    scrambled = GridMap(world.width, world.height, 1.0)
+    scrambled.cells[:] = rng.integers(0, 5, size=scrambled.cells.shape)
+    assert render_map(scrambled) == reference_render_map(scrambled)
+    for robot in world.robots:
+        for radius in (1.5, 3.0, math.inf):
+            got = cli._robot_local_map(world, robot, radius)
+            assert (got.cells == reference_robot_local_map(world, robot, radius).cells).all(), (robot, radius)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_coverage_heatmap_matches_reference_on_random_plans(seed):
+    world = random_walled_world(seed)
+    rng = np.random.default_rng(1000 + seed)
+    cameras = tuple(
+        worldmod.CameraSpec(
+            id=i + 1, x=float(rng.uniform(0, world.width)), y=float(rng.uniform(0, world.height)),
+            height=2.0, yaw=float(rng.uniform(-math.pi, math.pi)), hfov=1.2, vfov=1.6, max_range=10.0,
+        )
+        for i in range(int(rng.integers(1, 8)))
+    )
+    problem = coverage.CoverageProblem(
+        world=world, candidates=cameras, budget=int(rng.integers(1, len(cameras) + 1)),
+        max_overlap=int(rng.integers(1, 5)),
+    )
+    plan = coverage.plan_greedy(problem)
+    assert cli._coverage_heatmap(problem, plan) == reference_coverage_heatmap(problem, plan)
+    # Multiplicities up to 20 against every cell, for every truncation of 255 * m / top.
+    counts = {cell: int(rng.integers(0, 21)) for cell in world.all_cells() if rng.random() < 0.7}
+    arbitrary = coverage.PlacementPlan((), frozenset(counts), counts, 0.0, ())
+    assert cli._coverage_heatmap(problem, arbitrary) == reference_coverage_heatmap(problem, arbitrary)
+
+
+def test_truth_render_and_heatmap_match_reference_on_demo_room(tmp_path):
+    assert cli.main(["render", str(DEMO_ROOM), "--out", str(tmp_path / "r")]) == EXIT_OK
+    assert cli.main(["plan", str(DEMO_ROOM), "--heatmap", "--out", str(tmp_path / "p")]) == EXIT_OK
+    scenario = cli._load_scenario(str(DEMO_ROOM))
+    truth = cli.ground_truth_map(scenario.world)
+    assert truth.state_bytes() == reference_ground_truth_map(scenario.world).state_bytes()
+    assert truth.revision == 1
+    problem = coverage.CoverageProblem(
+        world=scenario.world, candidates=scenario.cameras, max_overlap=len(scenario.cameras), budget=len(scenario.cameras),
+    )
+    expected_heatmap = reference_coverage_heatmap(problem, coverage.plan_greedy(problem))
+    assert (tmp_path / "p" / "plan_coverage.ppm").read_bytes() == expected_heatmap
+    expected_render = reference_render_map(reference_ground_truth_map(scenario.world))
+    assert (tmp_path / "r" / "map.ppm").read_bytes() == expected_render
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_map_accuracy_matches_reference_scan(seed):
+    # The demo room with extra robots and obstacles, one obstacle in a
+    # robot's cell: the map shows the robot, ground truth the obstacle.
+    scenario = cli._load_scenario(str(DEMO_ROOM))
+    world = scenario.world
+    rng = np.random.default_rng(seed)
+    free = [cell for cell in world.free_cells() if cell not in {ob.cell for ob in world.obstacles}]
+    picks = [free[int(i)] for i in rng.choice(len(free), size=5, replace=False)]
+    robots = world.robots + tuple(
+        worldmod.Robot(id=50 + i, x=(cell.col + 0.5) * world.cell_size, y=(cell.row + 0.5) * world.cell_size, theta=0.0, tag=50 + i)
+        for i, cell in enumerate(picks[:2])
+    )
+    obstacles = world.obstacles + tuple(worldmod.Obstacle(id=50 + i, cell=cell) for i, cell in enumerate(picks[1:]))
+    world = worldmod.GridWorld(world.cell_size, world.width, world.height, world.walls, obstacles, robots, world.landmarks)
+    scenario = worldmod.Scenario(world, scenario.cameras, scenario.params)
+    args = cli.build_parser().parse_args(["simulate", str(DEMO_ROOM), "--duration", "0.5", "--seed", str(seed)])
+    outputs = cli.run_simulation(scenario, args)
+    covered = set().union(*(worldmod.covered_cells(cam, world) for cam in scenario.cameras))
+    expected = reference_map_accuracy(outputs.server_map, world, covered)
+    assert outputs.report.map_accuracy == expected
+    assert expected < 1.0

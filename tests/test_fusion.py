@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ubimap import fusion, sensim
 from ubimap.fusion import (
@@ -188,6 +189,127 @@ def test_unexplored_monotonicity_and_wall_permanence_fuzzed():
                     assert cell not in left_unexplored  # never re-enters Unexplored
                 if cell in left_unexplored and cell in walls:
                     assert state == CellState.WALL  # walls never change
+
+
+def test_fuse_idempotent_with_robot_in_view():
+    m = GridMap(8, 8, 1.0, tag_registry={7: 1})
+    cam = make_camera(2.0, 1.0)
+    from ubimap.world import GridWorld, Robot
+
+    world = GridWorld(cell_size=1.0, width=8, height=8, robots=(Robot(1, 2.5, 2.5, 0.0, 7),))
+    dets = sensim.observe_tags(cam, world, sigma=0.0, seed=0, t=0.0)
+    ev = evidence(cam.id, [CellIndex(2, 2), CellIndex(3, 2)], occupied=[CellIndex(2, 2)])
+    fuse_frame(m, ev, dets, poses_for(cam), 0.0)
+    assert m.state(CellIndex(2, 2)) == CellState.ROBOT
+    rev = m.revision
+    fuse_frame(m, ev, dets, poses_for(cam), 0.0)
+    assert m.revision == rev
+
+
+def reference_fuse_frame(grid_map, evidence, tags, camera_poses, t, last_occupied):
+    """Reference fusion: the cell-by-cell rules, with the last-occupied
+    times kept in the caller's dict. It leaves the revision alone, because
+    its cell-by-cell writes also see transient changes (a robot's cell
+    going OBSTACLE and back); only cells, poses and faults are compared."""
+    observed = set()
+    occupied = set()
+    for ev in sorted(evidence, key=lambda e: (e.camera_id, e.cell)):
+        if ev.camera_id not in camera_poses:
+            grid_map.faults.append(f"t={t}: evidence from unknown camera {ev.camera_id}")
+            continue
+        cell = ev.cell
+        if not (0 <= cell.col < grid_map.width and 0 <= cell.row < grid_map.height):
+            grid_map.faults.append(f"t={t}: evidence for out-of-bounds cell {cell}")
+            continue
+        observed.add(cell)
+        if ev.occupied:
+            occupied.add(cell)
+            last_occupied[cell] = t
+
+    detections = {}
+    for det in tags:
+        if det.camera_id not in camera_poses:
+            grid_map.faults.append(f"t={t}: tag from unknown camera {det.camera_id}")
+            continue
+        robot_id = grid_map.tag_registry.get(det.tag_id, det.tag_id)
+        detections.setdefault(robot_id, []).append(det)
+
+    robot_cells = {}
+    for robot_id in sorted(detections):
+        dets = sorted(detections[robot_id], key=lambda d: d.camera_id)
+        positions = np.array([tag_world_position(d, camera_poses[d.camera_id]) for d in dets])
+        mean = positions.mean(axis=0)
+        spread = float(np.sqrt(np.mean(np.sum((positions - mean) ** 2, axis=1))))
+        grid_map.robot_poses[robot_id] = (float(mean[0]), float(mean[1]), spread)
+        robot_cells[robot_id] = grid_map.cell_of(float(mean[0]), float(mean[1]))
+
+    def put(cell, new_state):
+        if grid_map.state(cell) != CellState.WALL:
+            grid_map.cells[cell.row, cell.col] = int(new_state)
+
+    for cell in sorted(observed):
+        if cell in grid_map.known_walls:
+            put(cell, CellState.WALL)
+        elif cell in occupied:
+            put(cell, CellState.OBSTACLE)
+        elif grid_map.state(cell) != CellState.OBSTACLE or t - last_occupied.get(cell, -math.inf) > fusion.OBSTACLE_CLEAR_SECONDS:
+            put(cell, CellState.EXPLORED)
+
+    for robot_id, cell in robot_cells.items():
+        old = grid_map._robot_cells.get(robot_id)
+        if old is not None and old != cell and grid_map.state(old) == CellState.ROBOT:
+            put(old, CellState.EXPLORED)
+    for robot_id, cell in sorted(robot_cells.items()):
+        put(cell, CellState.ROBOT)
+        grid_map._robot_cells[robot_id] = cell
+    return grid_map
+
+
+@st.composite
+def fusion_runs(draw):
+    """A walled grid with a random starting map, plus a sequence of frames."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    any_cell = st.builds(CellIndex, st.integers(-1, width), st.integers(-1, height))
+    walls = frozenset(draw(st.lists(any_cell, max_size=8)))
+    start = draw(st.lists(st.integers(0, 4), min_size=width * height, max_size=width * height))
+    on_grid = [CellIndex(col, row) for row in range(height) for col in range(width)]
+    frames, t = [], 0.0
+    for _ in range(draw(st.integers(1, 8))):
+        t += draw(st.sampled_from([0.5, 1.0, 2.0, 2.5]))
+        # Each cell unseen, seen free or seen occupied, plus stray evidence
+        # (an uncalibrated camera, cells off the grid) in any order.
+        looks = draw(st.lists(st.sampled_from([None, False, True]), min_size=len(on_grid), max_size=len(on_grid)))
+        ev = [ObstacleEvidence(1, cell, occ, t) for cell, occ in zip(on_grid, looks) if occ is not None]
+        stray = st.builds(ObstacleEvidence, st.sampled_from([1, 2, 9]), any_cell, st.booleans(), st.just(t))
+        ev = draw(st.permutations(ev + draw(st.lists(stray, max_size=6))))
+        centre = st.builds(lambda col, row: (col + 0.5, row + 0.5), st.integers(-1, width), st.integers(-1, height))
+        position = centre | st.tuples(st.floats(-1.0, width + 1.0), st.floats(-1.0, height + 1.0))
+        tags = draw(st.lists(st.builds(TagDetection, st.sampled_from([1, 2, 9]), st.sampled_from([5, 6, 7]), position, st.just(t)), max_size=6))
+        frames.append((ev, tags, t))
+    return width, height, walls, start, frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(fusion_runs())
+def test_fuse_frame_matches_cell_by_cell_reference(run):
+    width, height, walls, start, frames = run
+    # Cameras 1 and 2 are calibrated (9 is not), and face +y from the origin,
+    # so a tag's ground position is its world position.
+    cam_a = make_camera(0.0, 0.0, cid=1)
+    cam_b = make_camera(0.0, 0.0, cid=2)
+    poses = poses_for(cam_a, cam_b)
+    got = GridMap(width, height, 1.0, known_walls=walls, tag_registry={5: 1, 6: 2})
+    ref = GridMap(width, height, 1.0, known_walls=walls, tag_registry={5: 1, 6: 2})
+    got.cells[:] = ref.cells[:] = np.array(start, dtype=np.uint8).reshape(height, width)
+    last_occupied = {}
+    for ev, tags, t in frames:
+        before, revision = got.cells.copy(), got.revision
+        fuse_frame(got, ev, tags, poses, t)
+        reference_fuse_frame(ref, ev, tags, poses, t, last_occupied)
+        assert (got.cells == ref.cells).all()
+        assert got.robot_poses == ref.robot_poses
+        assert sorted(got.faults) == sorted(ref.faults)
+        assert got.revision == revision + int((got.cells != before).any())
 
 
 # -- merge_robot_map ----------------------------------------------------------

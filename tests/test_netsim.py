@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +221,15 @@ def test_client_stores_robot_pose():
     assert client.last_pose == (1, 2.5, 1.5, 0.25)
 
 
+@pytest.mark.parametrize("pose", [(math.nan, 1.5, 0.25), (2.5, math.inf, 0.25), (2.5, 1.5, -math.inf)])
+def test_client_rejects_non_finite_pose(pose):
+    client = ClientState(robot_id=1, cell_size=1.0)
+    msg = Message(MessageKind.ROBOT_POSE, 0, 0, netsim.encode_pose_payload(1, *pose))
+    with pytest.raises(MalformedFrameError):
+        client_apply(client, msg)
+    assert client.last_pose is None
+
+
 def test_client_converges_to_server_map_without_loss():
     rng = np.random.default_rng(15)
     source = GridMap(4, 3, 0.5)
@@ -292,3 +304,60 @@ def test_server_seq_strictly_increasing_per_kind():
     poses = [server.pose_message(1, 0.0, 0.0, 0.0).seq for _ in range(3)]
     assert updates == [0, 1, 2, 3]
     assert poses == [0, 1, 2]
+
+
+@pytest.mark.parametrize("byte", [5, 128, 255])
+def test_map_payload_rejects_cell_byte_outside_states(byte):
+    payload = struct.pack("<IHH", 1, 2, 2) + bytes([4, 0, byte, 1])
+    with pytest.raises(MalformedFrameError, match="outside the state range"):
+        netsim.decode_map_payload(payload)
+
+
+# -- fuzzing -----------------------------------------------------------------------
+
+PROTOCOL_ERRORS = (MalformedFrameError, TruncatedFrameError, WrongDirectionError, OversizePayloadError)
+
+
+@st.composite
+def map_payloads(draw):
+    """Map payloads whose cell count is right or one off, with cell bytes
+    in the state range or anywhere."""
+    width, height = draw(st.sampled_from([(3, 2), (2, 3), (0, 2)]) | st.tuples(st.integers(0, 5), st.integers(0, 5)))
+    size = max(0, width * height + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    cells = draw(st.binary(min_size=size, max_size=size) | st.lists(st.integers(0, 4), min_size=size, max_size=size).map(bytes))
+    return struct.pack("<IHH", draw(st.integers(0, 2**32 - 1)), width, height) + cells
+
+
+payloads = (
+    st.binary(max_size=40)
+    | map_payloads()
+    | st.builds(netsim.encode_pose_payload, st.integers(0, 2**16 - 1), st.floats(), st.floats(), st.floats())
+    | st.builds(struct.pack, st.just("<I"), st.integers(0, 2**32 - 1))
+)
+
+
+@st.composite
+def frames(draw):
+    """Random bytes, or a well-formed header of any kind (and some unknown
+    ones) around a random payload, possibly cut short or overlong."""
+    kind, seq, sender = draw(st.integers(0, 7)), draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**16 - 1))
+    payload = draw(payloads)
+    frame = netsim.HEADER.pack(netsim.MAGIC, netsim.VERSION, kind, seq, sender, len(payload)) + payload
+    cut_short = st.builds(lambda cut: frame[:cut], st.integers(0, len(frame)))
+    return draw(st.just(frame) | cut_short | st.just(frame + b"\x00") | st.binary(max_size=64))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(frames())
+def test_any_frame_is_applied_or_rejected_with_a_protocol_error(frame):
+    client = ClientState(robot_id=1, cell_size=1.0)
+    server = MapServer(GridMap(3, 2, 1.0))
+    try:
+        msg = decode(frame)
+    except PROTOCOL_ERRORS:
+        return
+    for apply in (lambda: client_apply(client, msg), lambda: server.ingest(msg)):
+        try:
+            apply()
+        except PROTOCOL_ERRORS:
+            pass

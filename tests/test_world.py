@@ -195,7 +195,7 @@ def sampled_line_of_sight(world, a, b, samples=4001):
         x = a[0] + t * (b[0] - a[0])
         y = a[1] + t * (b[1] - a[1])
         cell = world.cell_of(x, y)
-        if cell not in exclude and world.is_wall(cell):
+        if cell not in exclude and cell in world.walls:
             return False
     return True
 
