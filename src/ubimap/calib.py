@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .geom import Point3, RigidTransform
+from .geom import RigidTransform
 
 COLLINEAR_TOL = 1e-9
 
@@ -69,23 +69,6 @@ class CorrespondenceSet:
         pj.setflags(write=False)
         object.__setattr__(self, "points_i", pi)
         object.__setattr__(self, "points_j", pj)
-
-    @staticmethod
-    def from_pairs(camera_i: int, camera_j: int, pairs) -> "CorrespondenceSet":
-        """Build from (Point3, Point3) or (Point3, Point3, landmark_id) tuples."""
-        pts_i, pts_j, ids = [], [], []
-        for pair in pairs:
-            pts_i.append(pair[0].as_array() if isinstance(pair[0], Point3) else pair[0])
-            pts_j.append(pair[1].as_array() if isinstance(pair[1], Point3) else pair[1])
-            if len(pair) > 2:
-                ids.append(pair[2])
-        return CorrespondenceSet(
-            camera_i=camera_i,
-            camera_j=camera_j,
-            points_i=np.array(pts_i, dtype=float).reshape(-1, 3),
-            points_j=np.array(pts_j, dtype=float).reshape(-1, 3),
-            landmark_ids=tuple(ids) if len(ids) == len(pts_i) else None,
-        )
 
     def __len__(self) -> int:
         return len(self.points_i)

@@ -1,8 +1,8 @@
 """Scenario runner: plan, calibrate, simulate, render.
 
-Exit codes: 0 ok, 1 scenario parse error, 2 constraint violations under
---strict, 3 calibration failure (disconnected camera graph), 4 runtime
-error. All outputs (CSV reports, portable-pixmap images, hex capture
+Exit codes: 0 ok, 1 scenario or argument error, 2 constraint violations
+under --strict, 3 calibration failure (disconnected camera graph), 4
+runtime error. All outputs (CSV reports, portable-pixmap images, hex capture
 dumps) are byte-deterministic given the scenario, seed and flags.
 """
 
@@ -191,21 +191,26 @@ def _load_scenario(path: str) -> Scenario:
     return worldmod.parse_scenario(Path(path).read_text(encoding="ascii"))
 
 
-def cmd_plan(args) -> int:
-    try:
-        scenario = _load_scenario(args.scenario)
-    except (OSError, ScenarioError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+def cmd_plan(scenario: Scenario, args) -> int:
     if not scenario.cameras:
         print("scenario error: no candidate cameras", file=sys.stderr)
+        return EXIT_PARSE
+    # The default --max-overlap is the camera count, known only now; an
+    # explicit one was range-checked with the other flags.
+    max_overlap = args.max_overlap if args.max_overlap is not None else len(scenario.cameras)
+    if max_overlap < max(args.min_overlap, 1):
+        print(
+            f"argument error: --min-overlap {args.min_overlap} exceeds the default --max-overlap, "
+            f"the camera count {max_overlap}",
+            file=sys.stderr,
+        )
         return EXIT_PARSE
 
     problem = coverage.CoverageProblem(
         world=scenario.world,
         candidates=scenario.cameras,
         min_overlap=args.min_overlap,
-        max_overlap=args.max_overlap if args.max_overlap is not None else len(scenario.cameras),
+        max_overlap=max_overlap,
         budget=args.budget if args.budget is not None else len(scenario.cameras),
     )
     plan = coverage.plan_exhaustive(problem) if args.exact else coverage.plan_greedy(problem)
@@ -250,22 +255,10 @@ def _coverage_heatmap(problem: coverage.CoverageProblem, plan: coverage.Placemen
     return _ppm(image)
 
 
-def cmd_calibrate(args) -> int:
-    try:
-        scenario = _load_scenario(args.scenario)
-    except (OSError, ScenarioError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+def cmd_calibrate(scenario: Scenario, args) -> int:
     seed = args.seed if args.seed is not None else scenario.params.seed
     sigma = args.noise_sigma if args.noise_sigma is not None else scenario.params.noise_sigma
-    try:
-        result = calibrate_scenario(scenario, sigma, seed)
-    except DisconnectedGraphError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return EXIT_CALIBRATION
-    except ValueError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    result = calibrate_scenario(scenario, sigma, seed)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -319,20 +312,8 @@ def _robot_local_map(world: GridWorld, robot, sense_radius: float) -> GridMap:
     return fragment
 
 
-def cmd_simulate(args) -> int:
-    try:
-        scenario = _load_scenario(args.scenario)
-    except (OSError, ScenarioError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        outputs = run_simulation(scenario, args)
-    except DisconnectedGraphError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return EXIT_CALIBRATION
-    except ValueError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+def cmd_simulate(scenario: Scenario, args) -> int:
+    outputs = run_simulation(scenario, args)
     report = outputs.report
 
     out_dir = Path(args.out)
@@ -538,12 +519,7 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
     )
 
 
-def cmd_render(args) -> int:
-    try:
-        scenario = _load_scenario(args.scenario)
-    except (OSError, ScenarioError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+def cmd_render(scenario: Scenario, args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "map.ppm").write_bytes(render_map(ground_truth_map(scenario.world)))
@@ -638,8 +614,18 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
         "render": cmd_render,
     }
+    # A scenario that cannot be read or parsed exits 1, a disconnected camera
+    # graph 3, and anything else the loader or a subcommand raises 4.
     try:
-        return handlers[args.command](args)
+        try:
+            scenario = _load_scenario(args.scenario)
+        except (OSError, UnicodeDecodeError, ScenarioError) as exc:
+            print(f"scenario error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        return handlers[args.command](scenario, args)
+    except DisconnectedGraphError as exc:
+        print(f"calibration failed: {exc}", file=sys.stderr)
+        return EXIT_CALIBRATION
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps to exit codes
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -259,41 +259,22 @@ class GaussianBelief:
 
 @dataclass(frozen=True)
 class MotionModel:
-    """State transition x' = f(x, u) with additive Gaussian noise Q."""
+    """State transition x' = f(x, u) with additive Gaussian noise Q; the
+    Jacobian is df/dx at (x, u)."""
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     q: np.ndarray
-    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-    def jacobian_at(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(x, u), dtype=float)
-        return _numeric_jacobian(lambda s: self.f(s, u), x, 3)
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Measurement z = h(x) with additive Gaussian noise R."""
+    """Measurement z = h(x) with additive Gaussian noise R; the Jacobian is
+    dh/dx at x."""
 
     h: Callable[[np.ndarray], np.ndarray]
     r: np.ndarray
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def jacobian_at(self, x: np.ndarray) -> np.ndarray:
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(x), dtype=float)
-        dim = len(np.atleast_1d(self.h(x)))
-        return _numeric_jacobian(self.h, x, dim)
-
-
-def _numeric_jacobian(fn, x: np.ndarray, out_dim: int, step: float = 1e-7) -> np.ndarray:
-    jac = np.zeros((out_dim, len(x)))
-    for k in range(len(x)):
-        up, down = x.copy(), x.copy()
-        up[k] += step
-        down[k] -= step
-        jac[:, k] = (np.atleast_1d(fn(up)) - np.atleast_1d(fn(down))) / (2 * step)
-    return jac
+    jacobian: Callable[[np.ndarray], np.ndarray]
 
 
 def odometry_motion_model(q: np.ndarray) -> MotionModel:
@@ -317,7 +298,7 @@ def position_observation_model(r: np.ndarray) -> ObservationModel:
 def ekf_predict(belief: GaussianBelief, u, mm: MotionModel) -> GaussianBelief:
     u = np.asarray(u, dtype=float).reshape(3)
     mean = np.asarray(mm.f(belief.mean, u), dtype=float).reshape(3)
-    jac = mm.jacobian_at(belief.mean, u)
+    jac = np.asarray(mm.jacobian(belief.mean, u), dtype=float)
     cov = jac @ belief.covariance @ jac.T + np.asarray(mm.q, dtype=float)
     cov = 0.5 * (cov + cov.T)
     return GaussianBelief(mean=mean, covariance=cov)
@@ -325,7 +306,7 @@ def ekf_predict(belief: GaussianBelief, u, mm: MotionModel) -> GaussianBelief:
 
 def ekf_update(belief: GaussianBelief, z, om: ObservationModel) -> GaussianBelief:
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    jac = om.jacobian_at(belief.mean)
+    jac = np.asarray(om.jacobian(belief.mean), dtype=float)
     r = np.asarray(om.r, dtype=float)
     innovation = z - np.atleast_1d(om.h(belief.mean))
     s = jac @ belief.covariance @ jac.T + r

@@ -363,7 +363,7 @@ def parse_scenario(document: str) -> Scenario:
     world_kv: dict[str, float] | None = None
     wall_rows: list[tuple[int, int, int, int]] = []  # (line_no, row, c0, c1)
     blocks: dict[str, list[tuple[int, dict[str, str]]]] = {name: [] for name in _REPEATABLE}
-    sim_kv: dict[str, str] | None = None
+    sim_kv: tuple[int, dict[str, str]] | None = None  # (line_no, key-values)
 
     section: str | None = None
     section_line = 0
@@ -374,7 +374,7 @@ def parse_scenario(document: str) -> Scenario:
         if section == "world":
             world_kv = _convert_world(section_line, current)
         elif section == "sim":
-            sim_kv = dict(current)
+            sim_kv = (section_line, dict(current))
         elif section in _REPEATABLE:
             blocks[section].append((section_line, dict(current)))
         # walls lines are collected eagerly
@@ -472,7 +472,7 @@ def parse_scenario(document: str) -> Scenario:
         if not world.point_in_bounds(cam.x, cam.y):
             raise ScenarioSemanticError(f"camera {cam.id} outside world bounds")
 
-    params = _convert_sim(sim_kv) if sim_kv is not None else SimParams()
+    params = _convert_sim(*sim_kv) if sim_kv is not None else SimParams()
     return Scenario(world=world, cameras=cameras, params=params)
 
 
@@ -545,9 +545,12 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 def _parse_number(line_no: int, key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ScenarioSyntaxError(line_no, f"'{key}' must be a number, got '{value}'") from None
+    if not math.isfinite(number):
+        raise ScenarioSyntaxError(line_no, f"'{key}' must be finite, got '{value}'")
+    return number
 
 
 def _parse_int(line_no: int, key: str, value: str) -> int:
@@ -572,11 +575,15 @@ def _require(line_no: int, section: str, kv: dict[str, str], keys: set[str]) -> 
 
 def _convert_world(line_no: int, kv: dict[str, str]) -> dict[str, float]:
     _require(line_no, "world", kv, {"cell_size", "width", "height"})
-    return {
+    sizes = {
         "cell_size": _parse_number(line_no, "cell_size", kv["cell_size"]),
         "width": _parse_int(line_no, "width", kv["width"]),
         "height": _parse_int(line_no, "height", kv["height"]),
     }
+    for key, size in sizes.items():
+        if size <= 0:
+            raise ScenarioSyntaxError(line_no, f"'{key}' must be > 0, got '{kv[key]}'")
+    return sizes
 
 
 def _convert_camera(line_no: int, kv: dict[str, str]) -> CameraSpec:
@@ -632,13 +639,15 @@ def _convert_landmark(line_no: int, kv: dict[str, str]) -> Landmark:
     )
 
 
-def _convert_sim(kv: dict[str, str]) -> SimParams:
+def _convert_sim(line_no: int, kv: dict[str, str]) -> SimParams:
     try:
         return SimParams(
-            seed=int(kv.get("seed", "0")),
-            noise_sigma=float(kv.get("noise_sigma", "0")),
-            net_latency_ms=float(kv.get("net_latency_ms", "0")),
-            net_loss=float(kv.get("net_loss", "0")),
+            seed=_parse_int(line_no, "seed", kv.get("seed", "0")),
+            noise_sigma=_parse_number(line_no, "noise_sigma", kv.get("noise_sigma", "0")),
+            net_latency_ms=_parse_number(line_no, "net_latency_ms", kv.get("net_latency_ms", "0")),
+            net_loss=_parse_number(line_no, "net_loss", kv.get("net_loss", "0")),
         )
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioSemanticError(f"bad sim parameters: {exc}") from None

@@ -437,6 +437,57 @@ def test_plan_rejects_out_of_range_numeric_flags(tmp_path, capsys, flags):
     assert not (tmp_path / "out").exists()
 
 
+def test_plan_min_overlap_above_default_max_overlap_exits_1(tmp_path, capsys):
+    # The demo room has four cameras, so the default --max-overlap is 4.
+    code = cli.main(["plan", str(DEMO_ROOM), "--min-overlap", "5", "--out", str(tmp_path / "out")])
+    assert code == EXIT_PARSE
+    assert "argument error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "render", "calibrate", "simulate"])
+def test_non_ascii_scenario_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "scene.scenario"
+    path.write_bytes(DEMO_ROOM.read_bytes().replace(b"# Demo room", "# Démo room".encode("utf-8"), 1))
+    assert cli.main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    assert "scenario error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Every key read as a real number, and the sim seed; ids, tags and grid sizes
+# are integers, which int() already refuses to read from 'nan' or 'inf'.
+REAL_KEYS = [
+    (section, key)
+    for section, keys in sorted(worldmod._SECTION_KEYS.items())
+    for key in sorted(keys - {"id", "tag", "width", "height"})
+]
+
+
+def demo_room_with(section: str, key: str, value: str) -> tuple[str, int]:
+    """The demo room with `key` of its first `section` block set to `value`,
+    and the line number of that block's header."""
+    lines = DEMO_ROOM.read_text(encoding="ascii").splitlines()
+    start = lines.index(f"section {section}")
+    at = next(i for i in range(start, len(lines)) if lines[i].partition("=")[0].strip() == key)
+    lines[at] = f"  {key} = {value}"
+    return "\n".join(lines) + "\n", start + 1
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [(section, key, value) for section, key in REAL_KEYS for value in ("nan", "inf", "-inf")]
+    + [("world", key, value) for key in ("cell_size", "width", "height") for value in ("0", "-1")]
+    + [("sim", "seed", "1.5")],
+)
+def test_scenario_numbers_must_be_finite_and_sizes_positive(tmp_path, capsys, section, key, value):
+    text, line_no = demo_room_with(section, key, value)
+    path = write(tmp_path, text)
+    for command in ("plan", "render", "calibrate", "simulate"):
+        assert cli.main([command, path, "--out", str(tmp_path / "out")]) == EXIT_PARSE, command
+        assert f"scenario error: line {line_no}: '{key}'" in capsys.readouterr().err, command
+        assert not (tmp_path / "out").exists()
+
+
 # -- whole-grid rules against their cell-by-cell references ------------------------
 
 REFERENCE_PALETTE = {

@@ -1,0 +1,50 @@
+"""Golden digests: the full sha256 of every file the CLI writes for fixed
+commands on the demo room.
+
+The table was recorded with Python 3.11.7 and numpy 2.4.6. A change that
+alters an output on purpose pastes the table this test prints on a
+mismatch over ``GOLDEN`` and names the change in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+from ubimap import cli
+
+DEMO_ROOM = Path(__file__).resolve().parent.parent / "scenarios" / "demo_room.scenario"
+
+# Output subdirectory -> CLI arguments after the scenario path.
+COMMANDS = {
+    "sim": [
+        "simulate", "--duration", "1.0", "--noise-sigma", "0.01", "--loss", "0.15",
+        "--jitter-ms", "25", "--latency-ms", "20", "--seed", "99", "--dump-observations",
+    ],
+    "plan": ["plan", "--seed", "99", "--heatmap"],
+    "cal": ["calibrate", "--noise-sigma", "0.01", "--seed", "99"],
+    "render": ["render"],
+}
+
+GOLDEN = {
+    "cal/calibration.csv": "35458c2ba8ee916c07849e0e5b49eadb008cf98bf0b95e014b969cc32346d1b7",
+    "plan/plan.csv": "4677a2523e75ef670b99f33e9ea5f471c432b01581389a9fd269c226315e8dae",
+    "plan/plan_coverage.ppm": "7cc8a907d7cd7e285c994d010470608c0ba1b254084b01d1569e913406308e5a",
+    "plan/plan_violations.csv": "2d945507f337b8fecace9f59e0fbe46cb9d556b88be8d256f8ab25c12d685034",
+    "render/map.ppm": "e66c0988d467a62d8fe598818d8d55de0789a7f44c29778f5b6628f3bf63fec9",
+    "sim/capture.hex": "9461bae941c65bb8633c959c7723c578891c2533082389d5152e7d87a5ebfe19",
+    "sim/final_map.ppm": "826b53fd860c4c70a1d5dfd4ceda63d2687f953a0f9e535fd4b069822aa9a9f2",
+    "sim/localization.csv": "ec83685b9a888423caac7bb20f0931e0775756ad788a358fe8bd8625dc753e4c",
+    "sim/observations.csv": "32f56a303f90649041e410920bd4a665d0aa818d68931f54515775315a8171cd",
+    "sim/summary.csv": "f8bcbb3ae641081e20cfc7dddd5548e18616254873d1030663bbc3c13d561806",
+}
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    for out, (command, *flags) in COMMANDS.items():
+        assert cli.main([command, str(DEMO_ROOM), *flags, "--out", str(tmp_path / out)]) == cli.EXIT_OK, out
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file()
+    }
+    table = "".join(f'    "{name}": "{digest}",\n' for name, digest in digests.items())
+    assert digests == GOLDEN, f"CLI outputs changed; the new table is:\nGOLDEN = {{\n{table}}}"
