@@ -292,22 +292,14 @@ def _robot_local_map(world: GridWorld, robot, sense_radius: float) -> GridMap:
     if sense_radius <= 0:
         return fragment
     own = world.cell_of(robot.x, robot.y)
-    # Cells outside the sensing disc's bounding box, widened by a cell, are out of range.
-    span = world.width + world.height
-    if sense_radius / world.cell_size < span:
-        span = int(sense_radius / world.cell_size) + 1
-    box = (
-        worldmod.CellIndex(col, row)
-        for row in range(max(own.row - span, 0), min(own.row + span + 1, world.height))
-        for col in range(max(own.col - span, 0), min(own.col + span + 1, world.width))
+    xs, ys = (centers.ravel() for centers in world.cell_centers)
+    in_range = np.flatnonzero(
+        [not math.dist(center, (robot.x, robot.y)) > sense_radius for center in zip(xs.tolist(), ys.tolist())]
     )
-    in_range = [cell for cell in box if not math.dist(world.cell_center(cell), (robot.x, robot.y)) > sense_radius]
-    centers = np.array([world.cell_center(cell) for cell in in_range]).reshape(-1, 2)
-    visible = line_of_sight(world, (robot.x, robot.y), centers)
-    cols, rows = np.array(in_range, dtype=np.int64).reshape(-1, 2)[visible].T
+    seen = in_range[line_of_sight(world, (robot.x, robot.y), np.column_stack([xs[in_range], ys[in_range]]))]
     labels = _truth_cells(world)
     labels[labels == CellState.ROBOT] = CellState.OBSTACLE
-    fragment.cells[rows, cols] = labels[rows, cols]
+    fragment.cells.flat[seen] = labels.flat[seen]
     fragment.cells[own.row, own.col] = CellState.EXPLORED
     return fragment
 
@@ -386,8 +378,8 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
     reference_cam = next(cam for cam in cameras if cam.id == calibration.reference)
     camera_poses = calibration.estimated_world_poses(sensim.camera_world_pose(reference_cam))
 
-    footprints = {cam.id: worldmod.covered_cells(cam, world) for cam in cameras}
-    covered = worldmod.cell_mask(world.width, world.height, set().union(*footprints.values()))
+    footprints = [worldmod.cell_mask(world.width, world.height, worldmod.covered_cells(cam, world)) for cam in cameras]
+    covered = np.logical_or.reduce(footprints)
     free_count = int((~world.wall_mask).sum())
     coverage_ratio = int((covered & ~world.wall_mask).sum()) / free_count if free_count else 1.0
 
@@ -412,6 +404,7 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
     om = fusion.position_observation_model(np.diag([meas_var, meas_var]))
 
     upload_seqs = {r.id: 0 for r in robots}
+    local_maps: dict[int, GridMap] = {}  # robots and walls never move: one onboard map per robot
     capture: list[bytes] = []
     observation_rows: list[list] = []
     report = RunReport(
@@ -442,15 +435,15 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
 
     for tick in range(ticks):
         t = tick * dt
-        evidence, tags = [], []
-        for cam in cameras:
-            evidence.extend(sensim.observe_obstacles(cam, world, t, footprints[cam.id]))
-            tags.extend(sensim.observe_tags(cam, world, sigma, seed, t, footprints[cam.id]))
+        evidence = sensim.observe_obstacles(cameras, world, t, footprints)
+        tags = [
+            det for cam, seen in zip(cameras, footprints) for det in sensim.observe_tags(cam, world, sigma, seed, t, seen)
+        ]
         if args.dump_observations:
             for ev in evidence:
-                observation_rows.append(
-                    [tick, repr(t), "obstacle", ev.camera_id, ev.cell.col, ev.cell.row, int(ev.occupied)]
-                )
+                cols, rows = np.nonzero(ev.observed.T)  # column-major, as sorted CellIndex tuples
+                for col, row in zip(cols.tolist(), rows.tolist()):
+                    observation_rows.append([tick, repr(t), "obstacle", ev.camera_id, col, row, int(ev.occupied[row, col])])
             for det in tags:
                 observation_rows.append(
                     [tick, repr(t), "tag", det.camera_id, repr(det.ground_position[0]), repr(det.ground_position[1]), det.tag_id]
@@ -485,7 +478,9 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
 
         if tick % upload_every == 0:
             for robot in robots:
-                fragment = _robot_local_map(world, robot, args.sense_radius)
+                if robot.id not in local_maps:
+                    local_maps[robot.id] = _robot_local_map(world, robot, args.sense_radius)
+                fragment = local_maps[robot.id]
                 fragment.revision = upload_seqs[robot.id] + 1
                 msg = Message(
                     kind=MessageKind.SENSOR_UPLOAD,

@@ -139,23 +139,23 @@ def fuse_frame(
 ) -> GridMap:
     """Fuse one frame of all cameras' evidence into the map.
 
-    Evidence from cameras without a calibrated pose is rejected and logged
-    as a fault. Each cell's final state is computed before the map is
-    written, and the revision increments exactly when some cell changed, so
-    re-applying an identical frame is a no-op.
+    The masks of the calibrated cameras are ORed together; evidence from a
+    camera without a calibrated pose is rejected and logged as one fault,
+    and a mask of another shape than the map's raises
+    DimensionMismatchError. Each cell's final state is computed before the
+    map is written, and the revision increments exactly when some cell
+    changed, so re-applying an identical frame is a no-op.
     """
     observed = np.zeros(grid_map.cells.shape, dtype=bool)
     occupied = np.zeros_like(observed)
+    if any(ev.observed.shape != observed.shape or ev.occupied.shape != observed.shape for ev in evidence):
+        raise DimensionMismatchError(f"evidence masks must have the map's shape {observed.shape}")
     for ev in evidence:
-        cell = ev.cell
         if ev.camera_id not in camera_poses:
             grid_map.faults.append(f"t={t}: evidence from unknown camera {ev.camera_id}")
-        elif not (0 <= cell.col < grid_map.width and 0 <= cell.row < grid_map.height):
-            grid_map.faults.append(f"t={t}: evidence for out-of-bounds cell {cell}")
         else:
-            observed[cell.row, cell.col] = True
-            if ev.occupied:
-                occupied[cell.row, cell.col] = True
+            observed |= ev.observed
+            occupied |= ev.occupied
     grid_map._last_occupied[occupied] = t
 
     detections: dict[int, list[TagDetection]] = {}

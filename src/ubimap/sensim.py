@@ -2,7 +2,7 @@
 
 Three streams per camera, all deterministic given (world, params, seed):
 landmark points expressed in the camera's optical frame, robot tag
-detections in the camera's ground frame, and per-cell obstacle evidence.
+detections in the camera's ground frame, and whole-grid obstacle evidence.
 
 Camera 3D pose convention: the optical frame follows the usual computer
 vision axes (z forward along the optical axis, x right, y down). The camera
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import geom
 from .geom import Point3, RigidTransform
-from .world import CameraSpec, CellIndex, GridWorld, covered_cells, ground_footprint, line_of_sight
+from .world import CameraSpec, GridWorld, cell_mask, covered_cells, ground_footprint, line_of_sight
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,13 @@ class TagDetection:
 
 @dataclass(frozen=True)
 class ObstacleEvidence:
+    """One camera's occupancy evidence over the whole grid: ``observed`` marks
+    the cells it sees and ``occupied`` those of them it sees occupied, both
+    (height, width) bool masks."""
+
     camera_id: int
-    cell: CellIndex
-    occupied: bool
+    observed: np.ndarray
+    occupied: np.ndarray
     timestamp: float
 
 
@@ -125,24 +129,25 @@ def observe_tags(
     sigma: float,
     seed: int,
     t: float,
-    footprint_cells: set[CellIndex] | None = None,
+    footprint: np.ndarray | None = None,
 ) -> list[TagDetection]:
     """One detection per robot whose cell the camera covers.
 
     The measured position is the robot's true ground position in the
     camera's ground frame plus planar Gaussian noise, seeded per
-    (seed, millisecond tick, camera, tag). Pass footprint_cells to reuse
-    a precomputed covered_cells result across ticks.
+    (seed, millisecond tick, camera, tag). Pass footprint, the camera's
+    covered cells as a (height, width) mask, to reuse it across ticks.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    if footprint_cells is None:
-        footprint_cells = covered_cells(cam, world)
+    if footprint is None:
+        footprint = cell_mask(world.width, world.height, covered_cells(cam, world))
     fp = ground_footprint(cam)
     tick_ms = int(round(t * 1000.0))
     out: list[TagDetection] = []
     for robot in sorted(world.robots, key=lambda r: r.tag):
-        if world.cell_of(robot.x, robot.y) not in footprint_cells:
+        cell = world.cell_of(robot.x, robot.y)
+        if not footprint[cell.row, cell.col]:
             continue
         local = np.array(fp.to_local(robot.x, robot.y))
         if sigma > 0:
@@ -160,22 +165,21 @@ def observe_tags(
 
 
 def observe_obstacles(
-    cam: CameraSpec,
+    cameras: Sequence[CameraSpec],
     world: GridWorld,
     t: float = 0.0,
-    footprint_cells: set[CellIndex] | None = None,
+    footprints: Sequence[np.ndarray] | None = None,
 ) -> list[ObstacleEvidence]:
-    """Occupancy evidence for every visible footprint cell.
+    """Each camera's occupancy evidence over its visible footprint, in camera order.
 
     A cell is reported occupied when an obstacle or a robot currently sits
     in it, free otherwise. The simulated detector is exact (ground truth);
     uncertainty enters the system through the localization streams instead.
+    Pass footprints, one covered-cell mask per camera, to reuse them across
+    ticks; the evidence shares them as its ``observed`` masks.
     """
-    if footprint_cells is None:
-        footprint_cells = covered_cells(cam, world)
-    occupied_cells = {ob.cell for ob in world.obstacles}
-    occupied_cells |= {world.cell_of(r.x, r.y) for r in world.robots}
-    return [
-        ObstacleEvidence(camera_id=cam.id, cell=cell, occupied=cell in occupied_cells, timestamp=t)
-        for cell in sorted(footprint_cells)
-    ]
+    if footprints is None:
+        footprints = [cell_mask(world.width, world.height, covered_cells(cam, world)) for cam in cameras]
+    cells = [ob.cell for ob in world.obstacles] + [world.cell_of(r.x, r.y) for r in world.robots]
+    occupied = cell_mask(world.width, world.height, cells)
+    return [ObstacleEvidence(cam.id, seen, seen & occupied, t) for cam, seen in zip(cameras, footprints)]

@@ -40,6 +40,11 @@ class ScenarioSemanticError(ScenarioError):
     pass
 
 
+# The largest grid a map message carries: its header holds width and height
+# as u16 fields, and its payload one byte per cell after that 8-byte header.
+MAX_GRID_SIDE, MAX_GRID_CELLS = 2**16 - 1, 2**24 - 8
+
+
 class CellIndex(NamedTuple):
     col: int
     row: int
@@ -448,7 +453,7 @@ def parse_scenario(document: str) -> Scenario:
 
     cameras = tuple(_convert_camera(ln, kv) for ln, kv in blocks["camera"])
     robots = tuple(_convert_robot(ln, kv) for ln, kv in blocks["robot"])
-    obstacles = tuple(_convert_obstacle(ln, kv, cell_size) for ln, kv in blocks["obstacle"])
+    obstacles = tuple(_convert_obstacle(ln, kv, cell_size, width, height) for ln, kv in blocks["obstacle"])
     landmarks = tuple(_convert_landmark(ln, kv) for ln, kv in blocks["landmark"])
 
     for kind, items in (("camera", cameras), ("robot", robots), ("obstacle", obstacles), ("landmark", landmarks)):
@@ -573,6 +578,14 @@ def _require(line_no: int, section: str, kv: dict[str, str], keys: set[str]) -> 
         raise ScenarioSyntaxError(line_no, f"section '{section}' missing keys: {', '.join(sorted(missing))}")
 
 
+def _checked(line_no: int, build, **fields):
+    """build(**fields), its own range checks failing at the section's line."""
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise ScenarioSyntaxError(line_no, str(exc)) from None
+
+
 def _convert_world(line_no: int, kv: dict[str, str]) -> dict[str, float]:
     _require(line_no, "world", kv, {"cell_size", "width", "height"})
     sizes = {
@@ -583,26 +596,27 @@ def _convert_world(line_no: int, kv: dict[str, str]) -> dict[str, float]:
     for key, size in sizes.items():
         if size <= 0:
             raise ScenarioSyntaxError(line_no, f"'{key}' must be > 0, got '{kv[key]}'")
+        if key != "cell_size" and size > MAX_GRID_SIDE:
+            raise ScenarioSyntaxError(line_no, f"'{key}' must be <= {MAX_GRID_SIDE}, got {size}")
+    if sizes["width"] * sizes["height"] > MAX_GRID_CELLS:
+        raise ScenarioSyntaxError(line_no, f"a {kv['width']}x{kv['height']} grid has over {MAX_GRID_CELLS} cells")
     return sizes
 
 
 def _convert_camera(line_no: int, kv: dict[str, str]) -> CameraSpec:
     _require(line_no, "camera", kv, _SECTION_KEYS["camera"])
-    try:
-        return CameraSpec(
-            id=_parse_id(line_no, "id", kv["id"]),
-            x=_parse_number(line_no, "x", kv["x"]),
-            y=_parse_number(line_no, "y", kv["y"]),
-            height=_parse_number(line_no, "h", kv["h"]),
-            yaw=math.radians(_parse_number(line_no, "yaw_deg", kv["yaw_deg"])),
-            hfov=math.radians(_parse_number(line_no, "hfov_deg", kv["hfov_deg"])),
-            vfov=math.radians(_parse_number(line_no, "vfov_deg", kv["vfov_deg"])),
-            max_range=_parse_number(line_no, "range", kv["range"]),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioSemanticError(str(exc)) from None
+    return _checked(
+        line_no,
+        CameraSpec,
+        id=_parse_id(line_no, "id", kv["id"]),
+        x=_parse_number(line_no, "x", kv["x"]),
+        y=_parse_number(line_no, "y", kv["y"]),
+        height=_parse_number(line_no, "h", kv["h"]),
+        yaw=math.radians(_parse_number(line_no, "yaw_deg", kv["yaw_deg"])),
+        hfov=math.radians(_parse_number(line_no, "hfov_deg", kv["hfov_deg"])),
+        vfov=math.radians(_parse_number(line_no, "vfov_deg", kv["vfov_deg"])),
+        max_range=_parse_number(line_no, "range", kv["range"]),
+    )
 
 
 def _convert_robot(line_no: int, kv: dict[str, str]) -> Robot:
@@ -620,11 +634,14 @@ def _convert_robot(line_no: int, kv: dict[str, str]) -> Robot:
     )
 
 
-def _convert_obstacle(line_no: int, kv: dict[str, str], cell_size: float) -> Obstacle:
+def _convert_obstacle(line_no: int, kv: dict[str, str], cell_size: float, width: int, height: int) -> Obstacle:
     _require(line_no, "obstacle", kv, _SECTION_KEYS["obstacle"])
     x = _parse_number(line_no, "x", kv["x"])
     y = _parse_number(line_no, "y", kv["y"])
-    return Obstacle(id=_parse_id(line_no, "id", kv["id"]), cell=CellIndex(int(x // cell_size), int(y // cell_size)))
+    col, row = x // cell_size, y // cell_size
+    if not (0 <= col < width and 0 <= row < height):
+        raise ScenarioSyntaxError(line_no, f"obstacle at ({x!r}, {y!r}) lies off the {width}x{height} grid")
+    return Obstacle(id=_parse_id(line_no, "id", kv["id"]), cell=CellIndex(int(col), int(row)))
 
 
 def _convert_landmark(line_no: int, kv: dict[str, str]) -> Landmark:
@@ -640,14 +657,11 @@ def _convert_landmark(line_no: int, kv: dict[str, str]) -> Landmark:
 
 
 def _convert_sim(line_no: int, kv: dict[str, str]) -> SimParams:
-    try:
-        return SimParams(
-            seed=_parse_int(line_no, "seed", kv.get("seed", "0")),
-            noise_sigma=_parse_number(line_no, "noise_sigma", kv.get("noise_sigma", "0")),
-            net_latency_ms=_parse_number(line_no, "net_latency_ms", kv.get("net_latency_ms", "0")),
-            net_loss=_parse_number(line_no, "net_loss", kv.get("net_loss", "0")),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioSemanticError(f"bad sim parameters: {exc}") from None
+    return _checked(
+        line_no,
+        SimParams,
+        seed=_parse_int(line_no, "seed", kv.get("seed", "0")),
+        noise_sigma=_parse_number(line_no, "noise_sigma", kv.get("noise_sigma", "0")),
+        net_latency_ms=_parse_number(line_no, "net_latency_ms", kv.get("net_latency_ms", "0")),
+        net_loss=_parse_number(line_no, "net_loss", kv.get("net_loss", "0")),
+    )

@@ -308,8 +308,10 @@ def test_criterion_6_map_semantics():
         cells = [CellIndex(int(rng.integers(6)), int(rng.integers(6))) for _ in range(5)]
         occupied = {c for c in cells if rng.random() < 0.35}
         ev = [
-            sensim.ObstacleEvidence(camera_id=1, cell=c, occupied=c in occupied, timestamp=t)
-            for c in cells
+            sensim.ObstacleEvidence(
+                camera_id=1, observed=worldmod.cell_mask(6, 6, cells), occupied=worldmod.cell_mask(6, 6, occupied),
+                timestamp=t,
+            )
         ]
         before = {c: grid_map.state(c) for c in grid_map.known_walls}
         fusion.fuse_frame(grid_map, ev, [], poses, t)

@@ -383,6 +383,22 @@ def reference_robot_local_map(world, robot, sense_radius):
     return fragment
 
 
+def test_simulate_builds_each_robot_map_once(tmp_path, monkeypatch):
+    built = []
+    original = cli._robot_local_map
+
+    def counted(world, robot, sense_radius):
+        built.append(robot.id)
+        return original(world, robot, sense_radius)
+
+    monkeypatch.setattr(cli, "_robot_local_map", counted)
+    argv = ["simulate", str(DEMO_ROOM), "--duration", "1", "--upload-ms", "100", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == EXIT_OK
+    robots = cli._load_scenario(str(DEMO_ROOM)).world.robots
+    assert sorted(built) == sorted(r.id for r in robots)
+    assert "uploads_merged,30" in (tmp_path / "out" / "summary.csv").read_text()
+
+
 @pytest.mark.parametrize("sense_radius", [0.3, 0.5, 1.0, 2.0, 2.75, 2.95, 4.0, 100.0, math.inf, math.nan])
 def test_robot_local_map_matches_full_grid_reference(sense_radius):
     world = cli._load_scenario(str(DEMO_ROOM)).world
@@ -486,6 +502,49 @@ def test_scenario_numbers_must_be_finite_and_sizes_positive(tmp_path, capsys, se
         assert cli.main([command, path, "--out", str(tmp_path / "out")]) == EXIT_PARSE, command
         assert f"scenario error: line {line_no}: '{key}'" in capsys.readouterr().err, command
         assert not (tmp_path / "out").exists()
+
+
+ALL_COMMANDS = ("plan", "render", "calibrate", "simulate")
+
+
+def assert_every_command_rejects(tmp_path, capsys, text, prefix):
+    path = write(tmp_path, text)
+    for command in ALL_COMMANDS:
+        assert cli.main([command, path, "--out", str(tmp_path / "out")]) == EXIT_PARSE, command
+        assert prefix in capsys.readouterr().err, command
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "width, height", [("65536", "10"), ("4097", "4097"), ("100000000000", "10"), ("12", "100000000000")]
+)
+def test_scenario_grid_larger_than_a_map_message_exits_1(tmp_path, capsys, width, height):
+    text = DEMO_ROOM.read_text(encoding="ascii")
+    text = text.replace("  width = 12\n", f"  width = {width}\n", 1).replace("  height = 10\n", f"  height = {height}\n", 1)
+    assert_every_command_rejects(tmp_path, capsys, text, "scenario error: line 6: ")
+
+
+@pytest.mark.parametrize("key, value", [("x", "1e308"), ("x", "100"), ("x", "-0.25"), ("y", "5.0"), ("y", "-1e308")])
+def test_scenario_obstacle_off_the_grid_exits_1_with_line_number(tmp_path, capsys, key, value):
+    text, line_no = demo_room_with("obstacle", key, value)
+    assert_every_command_rejects(tmp_path, capsys, text, f"scenario error: line {line_no}: obstacle at")
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("camera", "h", "0"),
+        ("camera", "hfov_deg", "180"),
+        ("camera", "vfov_deg", "0"),
+        ("camera", "range", "-2"),
+        ("sim", "noise_sigma", "-1"),
+        ("sim", "net_latency_ms", "-1"),
+        ("sim", "net_loss", "2"),
+    ],
+)
+def test_scenario_camera_and_sim_ranges_exit_1_with_line_number(tmp_path, capsys, section, key, value):
+    text, line_no = demo_room_with(section, key, value)
+    assert_every_command_rejects(tmp_path, capsys, text, f"scenario error: line {line_no}: ")
 
 
 # -- whole-grid rules against their cell-by-cell references ------------------------

@@ -22,7 +22,7 @@ from ubimap.fusion import (
     tag_world_position,
 )
 from ubimap.sensim import ObstacleEvidence, TagDetection
-from ubimap.world import CameraSpec, CellIndex
+from ubimap.world import CameraSpec, CellIndex, cell_mask
 
 
 def make_camera(x, y, *, width=4.0, depth=4.0, yaw=0.0, cid=1, height=2.0):
@@ -35,9 +35,10 @@ def poses_for(*cams):
     return {cam.id: sensim.camera_world_pose(cam) for cam in cams}
 
 
-def evidence(cam_id, cells, occupied=(), t=0.0):
-    occ = set(occupied)
-    return [ObstacleEvidence(camera_id=cam_id, cell=c, occupied=c in occ, timestamp=t) for c in cells]
+def evidence(grid_map, cam_id, cells, occupied=(), t=0.0):
+    """One camera's evidence: a mask pair of the map's shape."""
+    observed, occupied = (cell_mask(grid_map.width, grid_map.height, c) for c in (cells, occupied))
+    return [ObstacleEvidence(camera_id=cam_id, observed=observed, occupied=occupied, timestamp=t)]
 
 
 # -- fuse_frame ---------------------------------------------------------------
@@ -60,7 +61,7 @@ def test_fuse_no_evidence_leaves_unexplored():
 def test_fuse_free_evidence_explores():
     m = GridMap(4, 4, 1.0)
     cam = make_camera(2.0, 0.0)
-    fuse_frame(m, evidence(cam.id, [CellIndex(1, 1), CellIndex(2, 1)]), [], poses_for(cam), 0.0)
+    fuse_frame(m, evidence(m, cam.id, [CellIndex(1, 1), CellIndex(2, 1)]), [], poses_for(cam), 0.0)
     assert m.state(CellIndex(1, 1)) == CellState.EXPLORED
     assert m.state(CellIndex(2, 1)) == CellState.EXPLORED
     assert m.state(CellIndex(0, 0)) == CellState.UNEXPLORED
@@ -72,7 +73,7 @@ def test_fuse_occupied_wins_between_cameras():
     cam_a = make_camera(2.0, 0.0, cid=1)
     cam_b = make_camera(2.0, 4.0, yaw=math.pi, cid=2)
     cell = CellIndex(2, 2)
-    ev = evidence(1, [cell]) + evidence(2, [cell], occupied=[cell])
+    ev = evidence(m, 1, [cell]) + evidence(m, 2, [cell], occupied=[cell])
     fuse_frame(m, ev, [], poses_for(cam_a, cam_b), 0.0)
     assert m.state(cell) == CellState.OBSTACLE
 
@@ -81,25 +82,37 @@ def test_fuse_known_wall_becomes_wall_on_observation():
     wall = CellIndex(1, 2)
     m = GridMap(4, 4, 1.0, known_walls=frozenset({wall}))
     cam = make_camera(2.0, 0.0)
-    fuse_frame(m, evidence(cam.id, [wall]), [], poses_for(cam), 0.0)
+    fuse_frame(m, evidence(m, cam.id, [wall]), [], poses_for(cam), 0.0)
     assert m.state(wall) == CellState.WALL
     # Occupied evidence later cannot change a wall.
-    fuse_frame(m, evidence(cam.id, [wall], occupied=[wall], t=1.0), [], poses_for(cam), 1.0)
+    fuse_frame(m, evidence(m, cam.id, [wall], occupied=[wall], t=1.0), [], poses_for(cam), 1.0)
     assert m.state(wall) == CellState.WALL
 
 
 def test_fuse_unknown_camera_rejected_with_fault():
     m = GridMap(4, 4, 1.0)
     cam = make_camera(2.0, 0.0, cid=1)
-    fuse_frame(m, evidence(99, [CellIndex(1, 1)]), [], poses_for(cam), 0.0)
+    fuse_frame(m, evidence(m, 99, [CellIndex(1, 1)]), [], poses_for(cam), 0.0)
     assert m.state(CellIndex(1, 1)) == CellState.UNEXPLORED
     assert any("unknown camera 99" in fault for fault in m.faults)
+
+
+@pytest.mark.parametrize("mask", ["observed", "occupied"])
+def test_fuse_rejects_evidence_of_another_shape(mask):
+    m = GridMap(4, 3, 1.0)
+    cam = make_camera(2.0, 0.0)
+    masks = {"observed": np.ones((3, 4), dtype=bool), "occupied": np.zeros((3, 4), dtype=bool)}
+    masks[mask] = np.ones((3, 1), dtype=bool)  # would broadcast across the map
+    with pytest.raises(DimensionMismatchError):
+        fuse_frame(m, [ObstacleEvidence(cam.id, timestamp=0.0, **masks)], [], poses_for(cam), 0.0)
+    assert m.state_bytes() == bytes(12)
+    assert m.revision == 0
 
 
 def test_fuse_idempotent_for_identical_frame():
     m = GridMap(4, 4, 1.0)
     cam = make_camera(2.0, 0.0)
-    ev = evidence(cam.id, [CellIndex(1, 1), CellIndex(2, 2)], occupied=[CellIndex(2, 2)])
+    ev = evidence(m, cam.id, [CellIndex(1, 1), CellIndex(2, 2)], occupied=[CellIndex(2, 2)])
     fuse_frame(m, ev, [], poses_for(cam), 0.0)
     rev = m.revision
     fuse_frame(m, ev, [], poses_for(cam), 0.0)
@@ -114,7 +127,7 @@ def test_fuse_tag_places_robot_and_pose():
 
     world = GridWorld(cell_size=1.0, width=8, height=8, robots=(Robot(1, *robot_xy, 0.0, 7),))
     dets = sensim.observe_tags(cam, world, sigma=0.0, seed=0, t=0.0)
-    ev = evidence(cam.id, [CellIndex(2, 2)], occupied=[CellIndex(2, 2)])
+    ev = evidence(m, cam.id, [CellIndex(2, 2)], occupied=[CellIndex(2, 2)])
     fuse_frame(m, ev, dets, poses_for(cam), 0.0)
     assert m.state(CellIndex(2, 2)) == CellState.ROBOT  # tag beats occupied
     x, y, spread = m.robot_poses[1]
@@ -133,9 +146,9 @@ def test_fuse_robot_cell_follows_movement():
         world = GridWorld(cell_size=1.0, width=8, height=8, robots=(Robot(1, x, y, 0.0, 1),))
         return sensim.observe_tags(cam, world, 0.0, 0, t)
 
-    fuse_frame(m, evidence(cam.id, [CellIndex(2, 2), CellIndex(3, 2)]), detection(2.5, 2.5, 0.0), poses, 0.0)
+    fuse_frame(m, evidence(m, cam.id, [CellIndex(2, 2), CellIndex(3, 2)]), detection(2.5, 2.5, 0.0), poses, 0.0)
     assert m.state(CellIndex(2, 2)) == CellState.ROBOT
-    fuse_frame(m, evidence(cam.id, [CellIndex(2, 2), CellIndex(3, 2)]), detection(3.5, 2.5, 0.1), poses, 0.1)
+    fuse_frame(m, evidence(m, cam.id, [CellIndex(2, 2), CellIndex(3, 2)]), detection(3.5, 2.5, 0.1), poses, 0.1)
     assert m.state(CellIndex(3, 2)) == CellState.ROBOT
     assert m.state(CellIndex(2, 2)) == CellState.EXPLORED
 
@@ -144,13 +157,13 @@ def test_obstacle_decays_after_clear_window():
     m = GridMap(4, 4, 1.0)
     cam = make_camera(2.0, 0.0)
     cell = CellIndex(1, 1)
-    fuse_frame(m, evidence(cam.id, [cell], occupied=[cell], t=0.0), [], poses_for(cam), 0.0)
+    fuse_frame(m, evidence(m, cam.id, [cell], occupied=[cell], t=0.0), [], poses_for(cam), 0.0)
     assert m.state(cell) == CellState.OBSTACLE
     # Seen free within the window: still an obstacle.
-    fuse_frame(m, evidence(cam.id, [cell], t=1.0), [], poses_for(cam), 1.0)
+    fuse_frame(m, evidence(m, cam.id, [cell], t=1.0), [], poses_for(cam), 1.0)
     assert m.state(cell) == CellState.OBSTACLE
     # Seen free after the window: decays.
-    fuse_frame(m, evidence(cam.id, [cell], t=2.5), [], poses_for(cam), 2.5)
+    fuse_frame(m, evidence(m, cam.id, [cell], t=2.5), [], poses_for(cam), 2.5)
     assert m.state(cell) == CellState.EXPLORED
 
 
@@ -178,7 +191,7 @@ def test_unexplored_monotonicity_and_wall_permanence_fuzzed():
         t = step * 0.1
         cells = [CellIndex(int(rng.integers(5)), int(rng.integers(5))) for _ in range(6)]
         occupied = [c for c in cells if rng.random() < 0.3]
-        fuse_frame(m, evidence(1, cells, occupied=occupied, t=t), [], poses, t)
+        fuse_frame(m, evidence(m, 1, cells, occupied=occupied, t=t), [], poses, t)
         for r in range(5):
             for c in range(5):
                 cell = CellIndex(c, r)
@@ -198,7 +211,7 @@ def test_fuse_idempotent_with_robot_in_view():
 
     world = GridWorld(cell_size=1.0, width=8, height=8, robots=(Robot(1, 2.5, 2.5, 0.0, 7),))
     dets = sensim.observe_tags(cam, world, sigma=0.0, seed=0, t=0.0)
-    ev = evidence(cam.id, [CellIndex(2, 2), CellIndex(3, 2)], occupied=[CellIndex(2, 2)])
+    ev = evidence(m, cam.id, [CellIndex(2, 2), CellIndex(3, 2)], occupied=[CellIndex(2, 2)])
     fuse_frame(m, ev, dets, poses_for(cam), 0.0)
     assert m.state(CellIndex(2, 2)) == CellState.ROBOT
     rev = m.revision
@@ -213,18 +226,16 @@ def reference_fuse_frame(grid_map, evidence, tags, camera_poses, t, last_occupie
     going OBSTACLE and back); only cells, poses and faults are compared."""
     observed = set()
     occupied = set()
-    for ev in sorted(evidence, key=lambda e: (e.camera_id, e.cell)):
+    for ev in evidence:
         if ev.camera_id not in camera_poses:
             grid_map.faults.append(f"t={t}: evidence from unknown camera {ev.camera_id}")
             continue
-        cell = ev.cell
-        if not (0 <= cell.col < grid_map.width and 0 <= cell.row < grid_map.height):
-            grid_map.faults.append(f"t={t}: evidence for out-of-bounds cell {cell}")
-            continue
-        observed.add(cell)
-        if ev.occupied:
-            occupied.add(cell)
-            last_occupied[cell] = t
+        for row, col in zip(*(a.tolist() for a in np.nonzero(ev.observed))):
+            cell = CellIndex(col, row)
+            observed.add(cell)
+            if ev.occupied[row, col]:
+                occupied.add(cell)
+                last_occupied[cell] = t
 
     detections = {}
     for det in tags:
@@ -272,16 +283,16 @@ def fusion_runs(draw):
     any_cell = st.builds(CellIndex, st.integers(-1, width), st.integers(-1, height))
     walls = frozenset(draw(st.lists(any_cell, max_size=8)))
     start = draw(st.lists(st.integers(0, 4), min_size=width * height, max_size=width * height))
-    on_grid = [CellIndex(col, row) for row in range(height) for col in range(width)]
     frames, t = [], 0.0
     for _ in range(draw(st.integers(1, 8))):
         t += draw(st.sampled_from([0.5, 1.0, 2.0, 2.5]))
-        # Each cell unseen, seen free or seen occupied, plus stray evidence
-        # (an uncalibrated camera, cells off the grid) in any order.
-        looks = draw(st.lists(st.sampled_from([None, False, True]), min_size=len(on_grid), max_size=len(on_grid)))
-        ev = [ObstacleEvidence(1, cell, occ, t) for cell, occ in zip(on_grid, looks) if occ is not None]
-        stray = st.builds(ObstacleEvidence, st.sampled_from([1, 2, 9]), any_cell, st.booleans(), st.just(t))
-        ev = draw(st.permutations(ev + draw(st.lists(stray, max_size=6))))
+        # Several cameras' evidence in any order, camera 9 uncalibrated:
+        # each cell unseen (0), seen free (1) or seen occupied (2).
+        looks = st.lists(st.integers(0, 2), min_size=width * height, max_size=width * height).map(
+            lambda cells: np.array(cells).reshape(height, width)
+        )
+        camera_looks = draw(st.lists(st.tuples(st.sampled_from([1, 2, 9]), looks), min_size=1, max_size=4))
+        ev = [ObstacleEvidence(cam_id, look > 0, look > 1, t) for cam_id, look in camera_looks]
         centre = st.builds(lambda col, row: (col + 0.5, row + 0.5), st.integers(-1, width), st.integers(-1, height))
         position = centre | st.tuples(st.floats(-1.0, width + 1.0), st.floats(-1.0, height + 1.0))
         tags = draw(st.lists(st.builds(TagDetection, st.sampled_from([1, 2, 9]), st.sampled_from([5, 6, 7]), position, st.just(t)), max_size=6))

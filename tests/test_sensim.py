@@ -10,6 +10,7 @@ from ubimap.world import (
     CellIndex,
     GridWorld,
     Landmark,
+    Obstacle,
     Robot,
     covered_cells,
     ground_footprint,
@@ -138,13 +139,18 @@ def test_tag_noise_deterministic_per_tick():
     assert a[0].ground_position != c[0].ground_position
 
 
+def cells_of(mask):
+    """The True cells of a (height, width) mask, in sorted CellIndex order."""
+    return [CellIndex(col, row) for col, row in zip(*(a.tolist() for a in np.nonzero(mask.T)))]
+
+
 def test_obstacle_evidence_all_free_in_empty_footprint():
     cam = make_camera(2.0, 1.0, width=2.0, depth=2.0)
     world = room_with_landmarks([])
-    evidence = sensim.observe_obstacles(cam, world)
-    assert evidence
-    assert all(not ev.occupied for ev in evidence)
-    assert {ev.cell for ev in evidence} == covered_cells(cam, world)
+    evidence = sensim.observe_obstacles([cam], world)[0]
+    assert evidence.observed.any()
+    assert not evidence.occupied.any()
+    assert set(cells_of(evidence.observed)) == covered_cells(cam, world)
 
 
 def test_obstacle_in_footprint_reported_occupied():
@@ -153,9 +159,9 @@ def test_obstacle_in_footprint_reported_occupied():
     ob = Obstacle(id=1, cell=CellIndex(2, 2))
     world = GridWorld(cell_size=1.0, width=8, height=8, obstacles=(ob,))
     cam = make_camera(2.0, 1.0, width=4.0, depth=4.0)
-    evidence = {ev.cell: ev.occupied for ev in sensim.observe_obstacles(cam, world)}
-    assert evidence[CellIndex(2, 2)] is True
-    assert sum(evidence.values()) == 1
+    evidence = sensim.observe_obstacles([cam], world)[0]
+    assert evidence.observed[2, 2] and evidence.occupied[2, 2]
+    assert evidence.occupied.sum() == 1
 
 
 def test_obstacle_behind_wall_not_reported():
@@ -167,7 +173,7 @@ def test_obstacle_behind_wall_not_reported():
     cam = make_camera(2.0, 0.5, width=6.0, depth=7.0)
     # Ray-cast oracle: the obstacle cell center is occluded.
     assert not line_of_sight(world, (cam.x, cam.y), world.cell_center(ob.cell))
-    cells = {ev.cell for ev in sensim.observe_obstacles(cam, world)}
+    cells = cells_of(sensim.observe_obstacles([cam], world)[0].observed)
     assert ob.cell not in cells
 
 
@@ -238,3 +244,48 @@ def test_observe_landmarks_without_cameras_or_landmarks():
     cam = make_camera(4.0, 2.0, width=4.0, depth=4.0)
     assert sensim.observe_landmarks([], room_with_landmarks([]), sigma=0.0, seed=0) == {}
     assert sensim.observe_landmarks([cam], room_with_landmarks([]), sigma=0.1, seed=0) == {cam.id: []}
+
+
+def reference_observe_obstacles(cam, world):
+    """Reference: one camera's evidence as (cell, occupied) pairs, one per
+    covered cell in sorted order."""
+    occupied_cells = {ob.cell for ob in world.obstacles}
+    occupied_cells |= {world.cell_of(r.x, r.y) for r in world.robots}
+    return [(cell, cell in occupied_cells) for cell in sorted(covered_cells(cam, world))]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_observe_obstacles_matches_per_cell_reference(seed):
+    rng = np.random.default_rng(seed)
+    width, height = int(rng.integers(3, 14)), int(rng.integers(3, 14))
+    cells = [CellIndex(col, row) for row in range(height) for col in range(width)]
+    walls = frozenset(cells[i] for i in rng.choice(len(cells), size=len(cells) // 6, replace=False).tolist())
+    free = [cell for cell in cells if cell not in walls]
+    picks = [free[i] for i in rng.choice(len(free), size=5, replace=False).tolist()]
+    obstacles = tuple(Obstacle(id=i, cell=cell) for i, cell in enumerate(picks[:3]))
+    # Robots on an obstacle's centre, on a cell corner (an obstacle's too),
+    # on a vertical cell edge, and anywhere in a cell.
+    spots = [
+        (picks[0].col + 0.5, picks[0].row + 0.5),
+        (float(picks[1].col), float(picks[1].row)),
+        (float(picks[3].col), picks[3].row + float(rng.random())),
+        (picks[4].col + float(rng.random()), picks[4].row + float(rng.random())),
+    ]
+    robots = tuple(Robot(id=i + 1, x=x, y=y, theta=0.0, tag=i + 1) for i, (x, y) in enumerate(spots))
+    world = GridWorld(cell_size=1.0, width=width, height=height, walls=walls, obstacles=obstacles, robots=robots)
+    cameras = [
+        make_camera(
+            float(rng.uniform(0, width)), float(rng.uniform(0, height)), width=float(rng.uniform(1, 8)),
+            depth=float(rng.uniform(1, 8)), yaw=float(rng.uniform(-math.pi, math.pi)), cid=cid,
+        )
+        for cid in (4, 2, 7)
+    ]
+    got = sensim.observe_obstacles(cameras, world, t=1.5)
+    assert [ev.camera_id for ev in got] == [cam.id for cam in cameras]
+    for cam, ev in zip(cameras, got):
+        expected = reference_observe_obstacles(cam, world)
+        assert ev.timestamp == 1.5
+        assert ev.observed.shape == ev.occupied.shape == (height, width)
+        assert list(zip(*np.nonzero(ev.observed.T))) == [cell for cell, _ in expected]
+        assert [bool(ev.occupied[cell.row, cell.col]) for cell, _ in expected] == [flag for _, flag in expected]
+        assert not (ev.occupied & ~ev.observed).any()

@@ -145,6 +145,54 @@ def test_parse_accepts_robot_ids_at_network_address_limits(robot_id):
     assert parse_scenario(MINIMAL + block).world.robots[0].id == robot_id
 
 
+def world_doc(width, height):
+    return f"section world\n  cell_size = 1.0\n  width = {width}\n  height = {height}\nend\n"
+
+
+def test_grid_limits_are_what_a_map_message_carries():
+    import struct
+
+    from ubimap import fusion, netsim
+
+    assert w.MAX_GRID_CELLS == netsim.MAX_PAYLOAD - netsim._MAP_HEADER.size
+    netsim._MAP_HEADER.pack(0, w.MAX_GRID_SIDE, w.MAX_GRID_SIDE)
+    with pytest.raises(struct.error):
+        netsim._MAP_HEADER.pack(0, w.MAX_GRID_SIDE + 1, 1)
+    # 7112 x 2359 is exactly MAX_GRID_CELLS: its map fills a payload.
+    payload = netsim.encode_map_payload(fusion.GridMap(7112, 2359, 1.0))
+    assert len(payload) == netsim.MAX_PAYLOAD
+    assert netsim.decode_map_payload(payload)[1:3] == (7112, 2359)
+
+
+@pytest.mark.parametrize("width, height", [(65535, 1), (1, 65535), (65535, 256), (7112, 2359)])
+def test_parse_accepts_grids_a_map_message_carries(width, height):
+    world = parse_scenario(world_doc(width, height)).world
+    assert (world.width, world.height) == (width, height)
+
+
+@pytest.mark.parametrize(
+    "width, height", [(65536, 1), (1, 65536), (65535, 257), (7112, 2360), (4096, 4096), (10**11, 1)]
+)
+def test_parse_rejects_grids_a_map_message_cannot_carry(width, height):
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(world_doc(width, height))
+    assert err.value.line_no == 1
+
+
+@pytest.mark.parametrize("x, y", [(1e308, 0.5), (4.0, 0.5), (0.5, 4.0), (-0.01, 0.5), (0.5, -1e308)])
+def test_parse_rejects_obstacles_off_the_grid_with_line_number(x, y):
+    block = f"section obstacle\n  id = 1\n  x = {x!r}\n  y = {y!r}\nend\n"
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(MINIMAL + block)
+    assert err.value.line_no == MINIMAL.count("\n") + 1
+    assert "off the 4x4 grid" in str(err.value)
+
+
+def test_grid_world_built_in_code_still_checks_obstacles():
+    with pytest.raises(ScenarioSemanticError):
+        GridWorld(cell_size=1.0, width=4, height=4, obstacles=(w.Obstacle(1, CellIndex(4, 0)),))
+
+
 # -- footprint math --------------------------------------------------------
 
 
