@@ -162,7 +162,8 @@ def icp(
     enabled, nearest neighbor otherwise, ties toward the lowest target
     index) with the closed-form alignment, until the RMS change drops below
     the threshold or the iteration cap is hit. Hitting the cap is not an
-    error; the caller gets the last iterate.
+    error; the caller gets the last iterate. Pairs matched by id never
+    change, so then the first alignment is final.
     """
     src = np.asarray(source, dtype=float).reshape(-1, 3)
     dst = np.asarray(target, dtype=float).reshape(-1, 3)
@@ -177,13 +178,11 @@ def icp(
             raise DegenerateGeometryError("fewer than 3 landmark ids are shared")
 
     def match(transformed: np.ndarray) -> list[tuple[int, int]]:
-        if by_id is not None:
-            return by_id
         dists = np.linalg.norm(transformed[:, None, :] - dst[None, :, :], axis=2)
         return [(s, int(np.argmin(dists[s]))) for s in range(len(src))]
 
     transform = geom.identity()
-    pairs = match(src)
+    pairs = by_id if by_id is not None else match(src)
     prev_rms = _pair_rms(transform, src, dst, pairs)
     iterations = 0
     rms = prev_rms
@@ -196,7 +195,7 @@ def icp(
             points_j=dst[[d for _, d in pairs]],
         )
         transform, rms = best_rigid_transform(cset)
-        if abs(prev_rms - rms) < opts.convergence_threshold:
+        if by_id is not None or abs(prev_rms - rms) < opts.convergence_threshold:
             break
         prev_rms = rms
         pairs = match(transform.transform_points(src))

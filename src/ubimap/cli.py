@@ -192,9 +192,6 @@ def _load_scenario(path: str) -> Scenario:
 
 
 def cmd_plan(scenario: Scenario, args) -> int:
-    if not scenario.cameras:
-        print("scenario error: no candidate cameras", file=sys.stderr)
-        return EXIT_PARSE
     # The default --max-overlap is the camera count, known only now; an
     # explicit one was range-checked with the other flags.
     max_overlap = args.max_overlap if args.max_overlap is not None else len(scenario.cameras)
@@ -378,8 +375,8 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
     reference_cam = next(cam for cam in cameras if cam.id == calibration.reference)
     camera_poses = calibration.estimated_world_poses(sensim.camera_world_pose(reference_cam))
 
-    footprints = [worldmod.cell_mask(world.width, world.height, worldmod.covered_cells(cam, world)) for cam in cameras]
-    covered = np.logical_or.reduce(footprints)
+    footprints = worldmod.covered_cells(cameras, world)
+    covered = footprints.any(axis=0)
     free_count = int((~world.wall_mask).sum())
     coverage_ratio = int((covered & ~world.wall_mask).sum()) / free_count if free_count else 1.0
 
@@ -436,9 +433,7 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
     for tick in range(ticks):
         t = tick * dt
         evidence = sensim.observe_obstacles(cameras, world, t, footprints)
-        tags = [
-            det for cam, seen in zip(cameras, footprints) for det in sensim.observe_tags(cam, world, sigma, seed, t, seen)
-        ]
+        tags = sensim.observe_tags(cameras, world, sigma, seed, t, footprints)
         if args.dump_observations:
             for ev in evidence:
                 cols, rows = np.nonzero(ev.observed.T)  # column-major, as sorted CellIndex tuples
@@ -609,13 +604,17 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
         "render": cmd_render,
     }
-    # A scenario that cannot be read or parsed exits 1, a disconnected camera
-    # graph 3, and anything else the loader or a subcommand raises 4.
+    # An unreadable or malformed scenario, or one without the cameras a
+    # subcommand needs, exits 1, a disconnected camera graph 3, and anything
+    # else the loader or a subcommand raises 4.
     try:
         try:
             scenario = _load_scenario(args.scenario)
         except (OSError, UnicodeDecodeError, ScenarioError) as exc:
             print(f"scenario error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        if not scenario.cameras and args.command != "render":
+            print(f"scenario error: {args.command} needs at least one camera", file=sys.stderr)
             return EXIT_PARSE
         return handlers[args.command](scenario, args)
     except DisconnectedGraphError as exc:

@@ -15,7 +15,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .world import CameraSpec, CellIndex, GridWorld, covered_cells
+import numpy as np
+
+from .world import CameraSpec, CellIndex, GridWorld, cell_mask, covered_cells
 
 
 class ProblemTooLargeError(ValueError):
@@ -54,71 +56,58 @@ class PlacementPlan:
     violations: tuple[tuple[CellIndex, int], ...]
 
 
-def total_coverage(selected: list[CameraSpec] | tuple[CameraSpec, ...], world: GridWorld) -> set[CellIndex]:
-    """Union of the selected cameras' covered cells."""
-    out: set[CellIndex] = set()
-    for cam in selected:
-        out |= covered_cells(cam, world)
-    return out
-
-
 def objective(plan: PlacementPlan, problem: CoverageProblem) -> int:
     """Distinct target cells covered: sum over cells of min(1, multiplicity)."""
     return len(plan.covered & problem.target_cells)
 
 
-def check_overlap(plan: PlacementPlan, problem: CoverageProblem) -> list[tuple[CellIndex, int]]:
-    """Target cells whose coverage multiplicity falls outside [m, k]."""
-    return _overlap_violations(plan.per_cell_multiplicity, problem)
-
-
-def _overlap_violations(multiplicity: dict[CellIndex, int], problem: CoverageProblem) -> list[tuple[CellIndex, int]]:
-    out = []
-    for cell in sorted(problem.target_cells):
-        count = multiplicity.get(cell, 0)
-        if count < problem.min_overlap or count > problem.max_overlap:
-            out.append((cell, count))
-    return out
-
-
 def build_plan(problem: CoverageProblem, selected_ids: tuple[int, ...]) -> PlacementPlan:
     """Assemble a PlacementPlan for an explicit selection of candidate ids."""
     by_id = {cam.id: cam for cam in problem.candidates}
-    cover_sets = [covered_cells(by_id[cid], problem.world) for cid in selected_ids]
-    covered: set[CellIndex] = set().union(*cover_sets) if cover_sets else set()
-    multiplicity: dict[CellIndex, int] = {}
-    for cells in cover_sets:
-        for cell in cells:
-            multiplicity[cell] = multiplicity.get(cell, 0) + 1
+    return _plan(problem, selected_ids, covered_cells([by_id[cid] for cid in selected_ids], problem.world))
+
+
+def _plan(problem: CoverageProblem, selected_ids: tuple[int, ...], masks) -> PlacementPlan:
+    """The plan of a selection, given its cameras' (height, width) cover masks."""
+    counts = sum(masks, np.zeros((problem.world.height, problem.world.width), dtype=np.int64))
+    multiplicity = {CellIndex(col, row): int(counts[row, col]) for row, col in np.argwhere(counts).tolist()}
+    covered = frozenset(multiplicity)
     ratio = len(covered & problem.target_cells) / len(problem.target_cells) if problem.target_cells else 1.0
+    violations = tuple(
+        (cell, multiplicity.get(cell, 0))
+        for cell in sorted(problem.target_cells)
+        if not problem.min_overlap <= multiplicity.get(cell, 0) <= problem.max_overlap
+    )
     return PlacementPlan(
         selected=tuple(selected_ids),
-        covered=frozenset(covered),
+        covered=covered,
         per_cell_multiplicity=multiplicity,
         coverage_ratio=ratio,
-        violations=tuple(_overlap_violations(multiplicity, problem)),
+        violations=violations,
     )
 
 
-def _cell_bits(cells, world: GridWorld) -> int:
-    """Bitset of the in-grid cells, bit ``row * width + col``; cells off the
-    grid are never covered, so they are left out."""
-    bits = 0
-    for col, row in cells:
-        if 0 <= col < world.width and 0 <= row < world.height:
-            bits |= 1 << (row * world.width + col)
-    return bits
+# A bitset holds a (height, width) mask's cell (col, row) at bit row * width + col.
 
 
-def _target_cover_bits(problem: CoverageProblem) -> tuple[int, dict[int, int]]:
-    """The target bitset, and each candidate's target cover set as a bitset
-    keyed by candidate id in ascending order."""
-    target = _cell_bits(problem.target_cells, problem.world)
-    cover = {
-        cam.id: _cell_bits(covered_cells(cam, problem.world), problem.world) & target
-        for cam in sorted(problem.candidates, key=lambda c: c.id)
-    }
-    return target, cover
+def _mask_bits(mask: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _bits_mask(bits: int, world: GridWorld) -> np.ndarray:
+    cells = world.width * world.height
+    packed = np.frombuffer(bits.to_bytes((cells + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=cells, bitorder="little").reshape(world.height, world.width)
+
+
+def _cover_bits(problem: CoverageProblem) -> tuple[int, dict[int, int]]:
+    """The target bitset, and each candidate's cover bitset keyed by
+    candidate id in ascending order. Candidates are walked one at a time,
+    so only one camera's line-of-sight segments are held at once."""
+    world = problem.world
+    target = _mask_bits(cell_mask(world.width, world.height, problem.target_cells))
+    cameras = sorted(problem.candidates, key=lambda c: c.id)
+    return target, {cam.id: _mask_bits(covered_cells([cam], world)[0]) for cam in cameras}
 
 
 def _level(levels: list[int], m: int) -> int:
@@ -126,8 +115,8 @@ def _level(levels: list[int], m: int) -> int:
 
 
 def _add_cover(levels: list[int], cover: int) -> None:
-    """Count one more camera over ``cover``; ``levels[m]`` holds the cells
-    covered at least m times, so one selection adds one level. The update
+    """Count one more camera over ``cover``; ``levels[m]`` holds the target
+    cells covered at least m times, so one selection adds one level. The update
     runs from the top level down, so each level reads the level below as it
     was before this camera."""
     levels.append(0)
@@ -146,14 +135,14 @@ def plan_greedy(problem: CoverageProblem) -> PlacementPlan:
     """
     if not problem.candidates:
         raise ValueError("plan_greedy requires a nonempty candidate pool")
-    target, cover = _target_cover_bits(problem)
+    target, cover = _cover_bits(problem)
     selected: list[int] = []
     levels = [target]
     # Cover every target cell once, then repair up to min_overlap: each pass
     # scores a candidate by the target cells it lifts toward ``need``.
     for need in (1, problem.min_overlap):
         while len(selected) < problem.budget and _level(levels, need) != target:
-            short, full = ~_level(levels, need), _level(levels, problem.max_overlap)
+            short, full = target & ~_level(levels, need), _level(levels, problem.max_overlap)
             best_id, best_score = None, 0
             for cid, bits in cover.items():
                 if cid in selected or bits & full:
@@ -166,7 +155,7 @@ def plan_greedy(problem: CoverageProblem) -> PlacementPlan:
             selected.append(best_id)
             _add_cover(levels, cover[best_id])
 
-    return build_plan(problem, tuple(selected))
+    return _plan(problem, tuple(selected), (_bits_mask(cover[cid], problem.world) for cid in selected))
 
 
 def plan_exhaustive(problem: CoverageProblem) -> PlacementPlan:
@@ -184,7 +173,7 @@ def plan_exhaustive(problem: CoverageProblem) -> PlacementPlan:
     if total > 2**20:
         raise ProblemTooLargeError(f"{total} subsets exceed the enumeration cap of 2^20")
 
-    target, cover = _target_cover_bits(problem)
+    target, cover = _cover_bits(problem)
     best_ids: tuple[int, ...] = ()
     best_obj = -1
     # Subsets come by size, then in lexicographic id order, so the first
@@ -200,7 +189,7 @@ def plan_exhaustive(problem: CoverageProblem) -> PlacementPlan:
                 obj = _level(levels, 1).bit_count()
                 if obj > best_obj:
                     best_obj, best_ids = obj, combo
-    return build_plan(problem, best_ids)
+    return _plan(problem, best_ids, (_bits_mask(cover[cid], problem.world) for cid in best_ids))
 
 
 def lattice_candidates(

@@ -12,6 +12,7 @@ half the footprint depth, which centers the view on the footprint.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -124,43 +125,44 @@ def observe_landmarks(
 
 
 def observe_tags(
-    cam: CameraSpec,
+    cameras: Sequence[CameraSpec],
     world: GridWorld,
     sigma: float,
     seed: int,
     t: float,
-    footprint: np.ndarray | None = None,
+    footprints: Sequence[np.ndarray] | None = None,
 ) -> list[TagDetection]:
-    """One detection per robot whose cell the camera covers.
+    """One detection per camera and robot whose cell the camera covers, in
+    camera order, then tag order.
 
     The measured position is the robot's true ground position in the
     camera's ground frame plus planar Gaussian noise, seeded per
-    (seed, millisecond tick, camera, tag). Pass footprint, the camera's
-    covered cells as a (height, width) mask, to reuse it across ticks.
+    (seed, millisecond tick, camera, tag). Pass footprints, one covered-cell
+    mask per camera, to reuse them across ticks.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    if footprint is None:
-        footprint = cell_mask(world.width, world.height, covered_cells(cam, world))
-    fp = ground_footprint(cam)
+    if footprints is None:
+        footprints = covered_cells(cameras, world)
+    robots = sorted(world.robots, key=lambda r: r.tag)
+    cols, rows = np.array([world.cell_of(r.x, r.y) for r in robots], dtype=np.int64).reshape(-1, 2).T
     tick_ms = int(round(t * 1000.0))
     out: list[TagDetection] = []
-    for robot in sorted(world.robots, key=lambda r: r.tag):
-        cell = world.cell_of(robot.x, robot.y)
-        if not footprint[cell.row, cell.col]:
-            continue
-        local = np.array(fp.to_local(robot.x, robot.y))
-        if sigma > 0:
-            rng = np.random.default_rng((seed, tick_ms, cam.id, robot.tag))
-            local = local + rng.normal(0.0, sigma, size=2)
-        out.append(
-            TagDetection(
-                camera_id=cam.id,
-                tag_id=robot.tag,
-                ground_position=(float(local[0]), float(local[1])),
-                timestamp=t,
+    for cam, footprint in zip(cameras, footprints):
+        fp = ground_footprint(cam)
+        for robot in itertools.compress(robots, footprint[rows, cols].tolist()):
+            local = np.array(fp.to_local(robot.x, robot.y))
+            if sigma > 0:
+                rng = np.random.default_rng((seed, tick_ms, cam.id, robot.tag))
+                local = local + rng.normal(0.0, sigma, size=2)
+            out.append(
+                TagDetection(
+                    camera_id=cam.id,
+                    tag_id=robot.tag,
+                    ground_position=(float(local[0]), float(local[1])),
+                    timestamp=t,
+                )
             )
-        )
     return out
 
 
@@ -179,7 +181,7 @@ def observe_obstacles(
     ticks; the evidence shares them as its ``observed`` masks.
     """
     if footprints is None:
-        footprints = [cell_mask(world.width, world.height, covered_cells(cam, world)) for cam in cameras]
+        footprints = covered_cells(cameras, world)
     cells = [ob.cell for ob in world.obstacles] + [world.cell_of(r.x, r.y) for r in world.robots]
     occupied = cell_mask(world.width, world.height, cells)
     return [ObstacleEvidence(cam.id, seen, seen & occupied, t) for cam, seen in zip(cameras, footprints)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -242,19 +242,29 @@ def ground_footprint(cam: CameraSpec) -> GroundFootprint:
     return GroundFootprint(x=cam.x, y=cam.y, yaw=cam.yaw, depth=depth, width=width)
 
 
-def covered_cells(cam: CameraSpec, world: GridWorld) -> set[CellIndex]:
-    """Cells whose centers fall in the footprint and are not wall-occluded.
+def covered_cells(cameras: CameraSpec | Sequence[CameraSpec], world: GridWorld) -> set[CellIndex] | np.ndarray:
+    """Cells whose centers fall in a camera's footprint and are not wall-occluded.
 
+    ``cameras`` is one camera or a sequence of them: one camera gives its
+    cells as a ``set[CellIndex]``, a sequence a ``(k, height, width)`` bool
+    array of their masks in camera order, from one line-of-sight walk.
     Occlusion is a 2D ray cast at ground level against the static walls;
     obstacles and robots are transient and do not occlude.
     """
-    if not world.point_in_bounds(cam.x, cam.y):
-        raise ValueError(f"camera {cam.id} ground point outside world bounds")
+    single = isinstance(cameras, CameraSpec)
+    cameras = [cameras] if single else list(cameras)
+    masks = np.zeros((len(cameras), world.height, world.width), dtype=bool)
     centers_x, centers_y = world.cell_centers
-    rows, cols = np.nonzero(ground_footprint(cam).contains(centers_x, centers_y))
-    targets = np.column_stack([centers_x[rows, cols], centers_y[rows, cols]])
-    visible = line_of_sight(world, (cam.x, cam.y), targets)
-    return {CellIndex(col, row) for col, row in zip(cols[visible].tolist(), rows[visible].tolist())}
+    for mask, cam in zip(masks, cameras):
+        if not world.point_in_bounds(cam.x, cam.y):
+            raise ValueError(f"camera {cam.id} ground point outside world bounds")
+        mask[...] = ground_footprint(cam).contains(centers_x, centers_y)
+    index, rows, cols = np.nonzero(masks)
+    sights = np.array([(cam.x, cam.y) for cam in cameras], dtype=float).reshape(-1, 2)[index]
+    masks[index, rows, cols] = line_of_sight(world, sights, np.column_stack([centers_x[rows, cols], centers_y[rows, cols]]))
+    if single:
+        return {CellIndex(col, row) for row, col in np.argwhere(masks[0]).tolist()}
+    return masks
 
 
 # Cell codes of the padded grid that line_of_sight walks; free cells are 0.

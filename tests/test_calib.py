@@ -152,6 +152,23 @@ def test_icp_shuffled_ids_still_match():
     assert geom.rotation_distance(result.transform, true) < 1e-7
 
 
+def test_icp_with_known_ids_aligns_once(monkeypatch):
+    # Pairs matched by id never change, so a second alignment would repeat the first.
+    rng = np.random.default_rng(12)
+    src = rng.uniform(-2, 2, size=(9, 3))
+    perm = rng.permutation(9)
+    dst = (random_transform(rng).transform_points(src) + rng.normal(0, 0.01, size=(9, 3)))[perm]
+    calls = []
+    monkeypatch.setattr(calib, "best_rigid_transform", lambda cset: calls.append(cset) or best_rigid_transform(cset))
+    result = icp(src, dst, IcpOptions(), source_ids=tuple(range(9)), target_ids=tuple(int(i) for i in perm))
+    assert result.iterations == 1 and len(calls) == 1
+    order = np.argsort(perm)
+    expected, rms = best_rigid_transform(CorrespondenceSet(camera_i=-1, camera_j=-1, points_i=src, points_j=dst[order]))
+    assert result.rms_residual == rms
+    assert np.array_equal(result.transform.rotation, expected.rotation)
+    assert np.array_equal(result.transform.translation, expected.translation)
+
+
 def test_icp_noisy_residual_bounded():
     rng = np.random.default_rng(11)
     sigma = 0.01

@@ -157,6 +157,12 @@ def test_plan_parse_error_exits_1(tmp_path):
     assert cli.main(["plan", path, "--out", str(tmp_path / "out")]) == EXIT_PARSE
 
 
+def test_plan_no_cameras_exits_1(tmp_path, capsys):
+    path = write(tmp_path, NO_CAMERAS)
+    assert cli.main(["plan", path, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    assert "scenario error: plan needs at least one camera" in capsys.readouterr().err
+
+
 def six_candidate_scenario():
     lines = ["section world", "  cell_size = 1.0", "  width = 6", "  height = 5", "end"]
     placements = [
@@ -210,6 +216,12 @@ def test_calibrate_demo_room_noise_free(tmp_path):
 def test_calibrate_disconnected_exits_3(tmp_path):
     path = write(tmp_path, NO_SHARED_LANDMARKS)
     assert cli.main(["calibrate", path, "--out", str(tmp_path / "out")]) == EXIT_CALIBRATION
+
+
+def test_calibrate_no_cameras_exits_1(tmp_path, capsys):
+    path = write(tmp_path, NO_CAMERAS)
+    assert cli.main(["calibrate", path, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    assert "scenario error: calibrate needs at least one camera" in capsys.readouterr().err
 
 
 def test_calibrate_seeded_noisy_report_reproducible(tmp_path):
@@ -287,9 +299,10 @@ def test_simulate_parse_error_exits_1(tmp_path):
     assert cli.main(["simulate", str(tmp_path / "missing.scenario")]) == EXIT_PARSE
 
 
-def test_simulate_no_cameras_exits_4(tmp_path):
+def test_simulate_no_cameras_exits_1(tmp_path, capsys):
     path = write(tmp_path, NO_CAMERAS)
-    assert cli.main(["simulate", path, "--out", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+    assert cli.main(["simulate", path, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    assert "scenario error: simulate needs at least one camera" in capsys.readouterr().err
 
 
 def test_simulate_noise_free_localization_converges_to_zero(tmp_path):
@@ -327,6 +340,11 @@ def test_render_ground_truth(tmp_path):
     assert pixels.count((0, 0, 0)) == 4
     assert pixels.count((220, 0, 0)) == 2
     assert pixels.count((0, 200, 0)) == 3
+
+
+def test_render_needs_no_cameras(tmp_path):
+    path = write(tmp_path, NO_CAMERAS)
+    assert cli.main(["render", path, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 @pytest.mark.parametrize("sigma", ["0", "0.01"])

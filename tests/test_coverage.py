@@ -11,12 +11,10 @@ from ubimap.coverage import (
     PlacementPlan,
     ProblemTooLargeError,
     build_plan,
-    check_overlap,
     lattice_candidates,
     objective,
     plan_exhaustive,
     plan_greedy,
-    total_coverage,
 )
 from ubimap.world import CameraSpec, CellIndex, GridWorld, covered_cells
 
@@ -37,15 +35,21 @@ def trap_problem(budget=2, k=2):
     return CoverageProblem(world=world, candidates=(p, q, r), max_overlap=k, budget=budget)
 
 
+# Total coverage is the union of the selected cameras' cover masks.
+
+
 def test_total_coverage_empty_selection():
-    world = GridWorld(cell_size=1.0, width=4, height=4)
-    assert total_coverage([], world) == set()
+    world = GridWorld(cell_size=1.0, width=4, height=3)
+    masks = covered_cells([], world)
+    assert masks.shape == (0, 3, 4) and masks.dtype == bool
+    assert not masks.any(axis=0).any()
 
 
 def test_total_coverage_single_camera():
     world = GridWorld(cell_size=1.0, width=6, height=6)
     cam = make_camera(3.0, 2.0, width=2.0, depth=2.0)
-    assert total_coverage([cam], world) == covered_cells(cam, world)
+    union = covered_cells([cam], world).any(axis=0)
+    assert {CellIndex(col, row) for row, col in zip(*np.nonzero(union))} == covered_cells(cam, world)
 
 
 def test_total_coverage_disjoint_union():
@@ -54,7 +58,7 @@ def test_total_coverage_disjoint_union():
     a = covered_cells(p, problem.world)
     b = covered_cells(q, problem.world)
     assert a & b == set()
-    assert len(total_coverage([p, q], problem.world)) == len(a) + len(b)
+    assert covered_cells([p, q], problem.world).any(axis=0).sum() == len(a) + len(b)
 
 
 def test_objective_full_coverage():
@@ -89,7 +93,7 @@ def test_objective_counts_overlap_once():
 def test_check_overlap_no_min_violations_when_m_zero():
     problem = trap_problem()
     plan = build_plan(problem, (1,))
-    assert all(count > problem.max_overlap for _, count in check_overlap(plan, problem))
+    assert all(count > problem.max_overlap for _, count in plan.violations)
 
 
 def test_check_overlap_empty_plan_violates_everywhere_when_m_one():
@@ -97,7 +101,7 @@ def test_check_overlap_empty_plan_violates_everywhere_when_m_one():
     cam = make_camera(2.0, 0.0, width=4.0, depth=4.0, cid=1)
     problem = CoverageProblem(world=world, candidates=(cam,), min_overlap=1, max_overlap=2)
     plan = build_plan(problem, ())
-    violations = check_overlap(plan, problem)
+    violations = plan.violations
     assert len(violations) == 16
     assert all(count == 0 for _, count in violations)
 
@@ -108,7 +112,7 @@ def test_check_overlap_double_cover_with_k_one():
     b = make_camera(2.0, 0.0, width=4.0, depth=2.0, cid=2)
     problem = CoverageProblem(world=world, candidates=(a, b), max_overlap=1)
     plan = build_plan(problem, (1, 2))
-    violated = {cell for cell, count in check_overlap(plan, problem)}
+    violated = {cell for cell, count in plan.violations}
     # Multiplicity histogram oracle: every cell covered twice is violated.
     histogram = {}
     for cam in (a, b):

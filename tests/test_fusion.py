@@ -126,7 +126,7 @@ def test_fuse_tag_places_robot_and_pose():
     from ubimap.world import GridWorld, Robot
 
     world = GridWorld(cell_size=1.0, width=8, height=8, robots=(Robot(1, *robot_xy, 0.0, 7),))
-    dets = sensim.observe_tags(cam, world, sigma=0.0, seed=0, t=0.0)
+    dets = sensim.observe_tags([cam], world, sigma=0.0, seed=0, t=0.0)
     ev = evidence(m, cam.id, [CellIndex(2, 2)], occupied=[CellIndex(2, 2)])
     fuse_frame(m, ev, dets, poses_for(cam), 0.0)
     assert m.state(CellIndex(2, 2)) == CellState.ROBOT  # tag beats occupied
@@ -144,7 +144,7 @@ def test_fuse_robot_cell_follows_movement():
         from ubimap.world import GridWorld, Robot
 
         world = GridWorld(cell_size=1.0, width=8, height=8, robots=(Robot(1, x, y, 0.0, 1),))
-        return sensim.observe_tags(cam, world, 0.0, 0, t)
+        return sensim.observe_tags([cam], world, 0.0, 0, t)
 
     fuse_frame(m, evidence(m, cam.id, [CellIndex(2, 2), CellIndex(3, 2)]), detection(2.5, 2.5, 0.0), poses, 0.0)
     assert m.state(CellIndex(2, 2)) == CellState.ROBOT
@@ -210,7 +210,7 @@ def test_fuse_idempotent_with_robot_in_view():
     from ubimap.world import GridWorld, Robot
 
     world = GridWorld(cell_size=1.0, width=8, height=8, robots=(Robot(1, 2.5, 2.5, 0.0, 7),))
-    dets = sensim.observe_tags(cam, world, sigma=0.0, seed=0, t=0.0)
+    dets = sensim.observe_tags([cam], world, sigma=0.0, seed=0, t=0.0)
     ev = evidence(m, cam.id, [CellIndex(2, 2), CellIndex(3, 2)], occupied=[CellIndex(2, 2)])
     fuse_frame(m, ev, dets, poses_for(cam), 0.0)
     assert m.state(CellIndex(2, 2)) == CellState.ROBOT

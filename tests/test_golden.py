@@ -20,6 +20,8 @@ COMMANDS = {
         "--jitter-ms", "25", "--latency-ms", "20", "--seed", "99", "--dump-observations",
     ],
     "plan": ["plan", "--seed", "99", "--heatmap"],
+    "plan_exact": ["plan", "--exact", "--budget", "3", "--min-overlap", "1", "--heatmap", "--seed", "99"],
+    "sim_plan": ["simulate", "--plan-budget", "3", "--duration", "1.0", "--seed", "99"],
     "cal": ["calibrate", "--noise-sigma", "0.01", "--seed", "99"],
     "render": ["render"],
 }
@@ -29,12 +31,19 @@ GOLDEN = {
     "plan/plan.csv": "4677a2523e75ef670b99f33e9ea5f471c432b01581389a9fd269c226315e8dae",
     "plan/plan_coverage.ppm": "7cc8a907d7cd7e285c994d010470608c0ba1b254084b01d1569e913406308e5a",
     "plan/plan_violations.csv": "2d945507f337b8fecace9f59e0fbe46cb9d556b88be8d256f8ab25c12d685034",
+    "plan_exact/plan.csv": "90180864078a6b17f78226357785f563d225ae9cf6f04c58b0e6af4e941dc5e1",
+    "plan_exact/plan_coverage.ppm": "c9e589b97219f11abcf87cfe2567034f37961a4a7160a87d0f69f400b1914757",
+    "plan_exact/plan_violations.csv": "cb09cc78c86324996557a70a8e9cd77426b206b193326e6023a659af5bbf7c51",
     "render/map.ppm": "e66c0988d467a62d8fe598818d8d55de0789a7f44c29778f5b6628f3bf63fec9",
     "sim/capture.hex": "9461bae941c65bb8633c959c7723c578891c2533082389d5152e7d87a5ebfe19",
     "sim/final_map.ppm": "826b53fd860c4c70a1d5dfd4ceda63d2687f953a0f9e535fd4b069822aa9a9f2",
     "sim/localization.csv": "ec83685b9a888423caac7bb20f0931e0775756ad788a358fe8bd8625dc753e4c",
     "sim/observations.csv": "32f56a303f90649041e410920bd4a665d0aa818d68931f54515775315a8171cd",
     "sim/summary.csv": "f8bcbb3ae641081e20cfc7dddd5548e18616254873d1030663bbc3c13d561806",
+    "sim_plan/capture.hex": "4549d9e7c68d7e5b926e52507573fe857cfc717f67b83aad1d395fe8c530ac62",
+    "sim_plan/final_map.ppm": "008c568a9f0ca71a196356f354245ed229440463b96ddc787837d4e9cb4c289f",
+    "sim_plan/localization.csv": "85a658632eaff4fcd9003a33d50bf6cd7dcd879116abb0e1322c69bde1c7c5d7",
+    "sim_plan/summary.csv": "107736a05f6bbab1d07264891a4ad6ef9b52d95e54d3e9f5f8a36bc987b344a2",
 }
 
 

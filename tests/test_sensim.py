@@ -99,14 +99,14 @@ def test_tags_empty_when_robot_outside_every_footprint():
     robot = Robot(id=1, x=7.5, y=7.5, theta=0.0, tag=3)
     cam = make_camera(2.0, 1.0, width=2.0, depth=2.0)
     world = room_with_landmarks([], robots=[robot])
-    assert sensim.observe_tags(cam, world, sigma=0.0, seed=0, t=0.0) == []
+    assert sensim.observe_tags([cam], world, sigma=0.0, seed=0, t=0.0) == []
 
 
 def test_tag_noise_free_equals_true_relative_position():
     robot = Robot(id=1, x=2.5, y=2.5, theta=0.0, tag=3)
     cam = make_camera(2.0, 1.0, width=4.0, depth=4.0)
     world = room_with_landmarks([], robots=[robot])
-    dets = sensim.observe_tags(cam, world, sigma=0.0, seed=0, t=0.5)
+    dets = sensim.observe_tags([cam], world, sigma=0.0, seed=0, t=0.5)
     assert len(dets) == 1
     fp = ground_footprint(cam)
     expected = fp.to_local(robot.x, robot.y)
@@ -123,7 +123,7 @@ def test_robot_in_overlap_detected_by_both_cameras():
     cell = world.cell_of(robot.x, robot.y)
     assert cell in covered_cells(cam_a, world)
     assert cell in covered_cells(cam_b, world)
-    dets = sensim.observe_tags(cam_a, world, 0.0, 0, 0.0) + sensim.observe_tags(cam_b, world, 0.0, 0, 0.0)
+    dets = sensim.observe_tags([cam_a], world, 0.0, 0, 0.0) + sensim.observe_tags([cam_b], world, 0.0, 0, 0.0)
     assert [d.tag_id for d in dets] == [9, 9]
     assert {d.camera_id for d in dets} == {1, 2}
 
@@ -132,11 +132,62 @@ def test_tag_noise_deterministic_per_tick():
     robot = Robot(id=1, x=2.5, y=2.5, theta=0.0, tag=3)
     cam = make_camera(2.0, 1.0, width=4.0, depth=4.0)
     world = room_with_landmarks([], robots=[robot])
-    a = sensim.observe_tags(cam, world, sigma=0.02, seed=4, t=0.1)
-    b = sensim.observe_tags(cam, world, sigma=0.02, seed=4, t=0.1)
-    c = sensim.observe_tags(cam, world, sigma=0.02, seed=4, t=0.2)
+    a = sensim.observe_tags([cam], world, sigma=0.02, seed=4, t=0.1)
+    b = sensim.observe_tags([cam], world, sigma=0.02, seed=4, t=0.1)
+    c = sensim.observe_tags([cam], world, sigma=0.02, seed=4, t=0.2)
     assert a == b
     assert a[0].ground_position != c[0].ground_position
+
+
+def reference_observe_tags(cam, world, sigma, seed, t):
+    """Reference: one camera's tag detections, a covered-cell set lookup per robot."""
+    footprint = covered_cells(cam, world)
+    fp = ground_footprint(cam)
+    tick_ms = int(round(t * 1000.0))
+    out = []
+    for robot in sorted(world.robots, key=lambda r: r.tag):
+        if world.cell_of(robot.x, robot.y) not in footprint:
+            continue
+        local = np.array(fp.to_local(robot.x, robot.y))
+        if sigma > 0:
+            rng = np.random.default_rng((seed, tick_ms, cam.id, robot.tag))
+            local = local + rng.normal(0.0, sigma, size=2)
+        out.append(sensim.TagDetection(cam.id, robot.tag, (float(local[0]), float(local[1])), t))
+    return out
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.03])
+@pytest.mark.parametrize("seed", range(12))
+def test_observe_tags_matches_per_camera_reference(seed, sigma):
+    rng = np.random.default_rng(seed)
+    width, height = int(rng.integers(3, 14)), int(rng.integers(3, 14))
+    cells = [CellIndex(col, row) for row in range(height) for col in range(width)]
+    walls = frozenset(cells[i] for i in rng.choice(len(cells), size=len(cells) // 6, replace=False).tolist())
+    free = [cell for cell in cells if cell not in walls]
+    picks = [free[i] for i in rng.choice(len(free), size=min(8, len(free)), replace=False).tolist()]
+    # Robots on cell corners, on vertical cell edges and anywhere in a cell,
+    # with tags out of id order.
+    spots = []
+    for k, cell in enumerate(picks):
+        dx, dy = float(rng.random()), float(rng.random())
+        spots.append([(cell.col, cell.row), (cell.col, cell.row + dy), (cell.col + dx, cell.row + dy)][k % 3])
+    tags = rng.permutation(len(spots)) + 10
+    robots = tuple(
+        Robot(id=i + 1, x=float(x), y=float(y), theta=0.0, tag=int(tag)) for i, ((x, y), tag) in enumerate(zip(spots, tags))
+    )
+    world = GridWorld(cell_size=1.0, width=width, height=height, walls=walls, robots=robots)
+    cameras = [
+        make_camera(
+            float(rng.uniform(0, width)), float(rng.uniform(0, height)), width=float(rng.uniform(1, 8)),
+            depth=float(rng.uniform(1, 8)), yaw=float(rng.uniform(-math.pi, math.pi)), cid=cid,
+        )
+        for cid in (4, 2, 7, 3)
+    ]
+    expected = [det for cam in cameras for det in reference_observe_tags(cam, world, sigma, 5, 0.3)]
+    assert sensim.observe_tags(cameras, world, sigma, 5, 0.3) == expected
+    footprints = covered_cells(cameras, world)
+    assert sensim.observe_tags(cameras, world, sigma, 5, 0.3, footprints) == expected
+    assert sensim.observe_tags([], world, sigma, 5, 0.3) == []
 
 
 def cells_of(mask):

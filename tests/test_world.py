@@ -423,6 +423,43 @@ def test_covered_cells_matches_reference_in_walled_room():
         assert covered_cells(cam, grid) == reference_covered_cells(cam, grid)
 
 
+@st.composite
+def walled_grids_with_cameras(draw):
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cell_size = draw(st.sampled_from([0.25, 0.5, 1.0, 1.7]))
+    cells = [CellIndex(c, r) for r in range(height) for c in range(width)]
+    walls = frozenset(draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 2)))
+    grid = GridWorld(cell_size=cell_size, width=width, height=height, walls=walls)
+
+    def coordinate(extent):
+        # The world's bounds and grid lines put cameras on its boundary and
+        # on cell edges; arbitrary floats cover the rest.
+        return st.one_of(
+            st.sampled_from([0.0, extent * cell_size]),
+            st.integers(0, extent).map(lambda k: k * cell_size),
+            st.floats(0.0, extent * cell_size),
+        )
+
+    specs = draw(st.lists(
+        st.tuples(coordinate(width), coordinate(height), st.floats(0.3, 8.0), st.floats(0.3, 8.0), st.floats(-4.0, 4.0)),
+        max_size=6,
+    ))
+    cams = [make_camera(x, y, width=wide, depth=deep, yaw=yaw, cid=cid) for cid, (x, y, wide, deep, yaw) in enumerate(specs)]
+    return grid, cams
+
+
+@settings(max_examples=200, deadline=None)
+@given(walled_grids_with_cameras())
+def test_covered_masks_match_single_camera_cells(case):
+    grid, cams = case
+    masks = covered_cells(cams, grid)
+    assert masks.shape == (len(cams), grid.height, grid.width) and masks.dtype == bool
+    for cam, mask in zip(cams, masks):
+        cells = covered_cells(cam, grid)
+        assert np.array_equal(mask, w.cell_mask(grid.width, grid.height, cells))
+        assert cells == reference_covered_cells(cam, grid)
+
+
 def test_covered_cells_degenerate_range_empty():
     cam = CameraSpec(id=1, x=3.0, y=2.0, height=2.0, yaw=0, hfov=math.radians(90), vfov=math.radians(90), max_range=1e-12)
     grid = empty_world()
