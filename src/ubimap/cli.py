@@ -42,9 +42,10 @@ def _ppm(image: np.ndarray) -> bytes:
     return f"P6\n{width} {height}\n255\n".encode("ascii") + image.tobytes()
 
 
-def render_map(grid_map: GridMap) -> bytes:
-    """Binary portable-pixmap of the map, row 0 first, 3 bytes per cell."""
-    return _ppm(PALETTE[grid_map.cells])
+def render_map(cells: np.ndarray) -> bytes:
+    """Binary portable-pixmap of a (height, width) array of cell states,
+    row 0 first, 3 bytes per cell."""
+    return _ppm(PALETTE[cells])
 
 
 @dataclass
@@ -98,14 +99,6 @@ def _truth_cells(world: GridWorld) -> np.ndarray:
         cells[ob.cell.row, ob.cell.col] = CellState.OBSTACLE
     cells[world.wall_mask] = CellState.WALL
     return cells
-
-
-def ground_truth_map(world: GridWorld) -> GridMap:
-    """A fully revealed map of the ground truth (the renderer's demo input)."""
-    truth = GridMap(world.width, world.height, world.cell_size, known_walls=world.walls)
-    truth.cells = _truth_cells(world)
-    truth.revision = 1
-    return truth
 
 
 # -- calibration pipeline ------------------------------------------------------
@@ -214,10 +207,7 @@ def cmd_plan(scenario: Scenario, args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    histogram: dict[int, int] = {}
-    for cell in problem.target_cells:
-        count = plan.per_cell_multiplicity.get(cell, 0)
-        histogram[count] = histogram.get(count, 0) + 1
+    histogram = np.bincount(plan.counts[problem.target_mask()])
     rows = [
         ["selected", " ".join(str(i) for i in plan.selected)],
         ["cameras_selected", len(plan.selected)],
@@ -225,7 +215,7 @@ def cmd_plan(scenario: Scenario, args) -> int:
         ["objective", coverage.objective(plan, problem)],
         ["violations", len(plan.violations)],
     ]
-    rows += [[f"multiplicity_{count}", histogram[count]] for count in sorted(histogram)]
+    rows += [[f"multiplicity_{count}", cells] for count, cells in enumerate(histogram.tolist()) if cells]
     _write_csv(out_dir / "plan.csv", ["key", "value"], rows)
     _write_csv(
         out_dir / "plan_violations.csv",
@@ -243,10 +233,7 @@ def cmd_plan(scenario: Scenario, args) -> int:
 def _coverage_heatmap(problem: coverage.CoverageProblem, plan: coverage.PlacementPlan) -> bytes:
     """Cells shaded by coverage multiplicity relative to the most covered one; walls black."""
     world = problem.world
-    counts = np.zeros((world.height, world.width), dtype=np.int64)
-    cols, rows = np.array([*plan.per_cell_multiplicity], dtype=np.int64).reshape(-1, 2).T
-    counts[rows, cols] = [*plan.per_cell_multiplicity.values()]
-    level = (255 * counts // max(1, counts.max())).astype(np.uint8)
+    level = (255 * plan.counts // max(1, plan.counts.max())).astype(np.uint8)
     image = np.stack([level, level, np.full_like(level, 64)], axis=-1)
     image[world.wall_mask] = 0
     return _ppm(image)
@@ -281,11 +268,12 @@ def cmd_calibrate(scenario: Scenario, args) -> int:
     return EXIT_OK
 
 
-def _robot_local_map(world: GridWorld, robot, sense_radius: float) -> GridMap:
-    """What the robot's own onboard sensing contributes: every cell within
-    sensing range and line of sight, labeled from ground truth (other
-    robots read as obstacles to an onboard detector)."""
-    fragment = GridMap(world.width, world.height, world.cell_size)
+def _robot_local_map(world: GridWorld, robot, sense_radius: float) -> np.ndarray:
+    """What the robot's own onboard sensing contributes, as (height, width)
+    cell states: every cell within sensing range and line of sight, labeled
+    from ground truth (other robots read as obstacles to an onboard
+    detector); every other cell is unexplored."""
+    fragment = np.zeros((world.height, world.width), dtype=np.uint8)
     if sense_radius <= 0:
         return fragment
     own = world.cell_of(robot.x, robot.y)
@@ -296,8 +284,8 @@ def _robot_local_map(world: GridWorld, robot, sense_radius: float) -> GridMap:
     seen = in_range[line_of_sight(world, (robot.x, robot.y), np.column_stack([xs[in_range], ys[in_range]]))]
     labels = _truth_cells(world)
     labels[labels == CellState.ROBOT] = CellState.OBSTACLE
-    fragment.cells.flat[seen] = labels.flat[seen]
-    fragment.cells[own.row, own.col] = CellState.EXPLORED
+    fragment.flat[seen] = labels.flat[seen]
+    fragment[own.row, own.col] = CellState.EXPLORED
     return fragment
 
 
@@ -307,7 +295,7 @@ def cmd_simulate(scenario: Scenario, args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "final_map.ppm").write_bytes(render_map(outputs.server_map))
+    (out_dir / "final_map.ppm").write_bytes(render_map(outputs.server_map.cells))
     with open(out_dir / "capture.hex", "wb") as fh:
         fh.writelines(f"{frame.hex()}\n".encode("ascii") for frame in outputs.capture)
     if args.dump_observations:
@@ -392,7 +380,7 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
         raise ValueError("robot ids must be in 1..65535 to address them on the network")
     server = MapServer(server_map, sender_id=0)
     net = SimulatedNetwork(NetworkParams(latency_ms=latency_ms, jitter_ms=args.jitter_ms, loss_probability=loss, seed=seed))
-    clients = {r.id: ClientState(r.id, world.cell_size) for r in world.robots}
+    clients = {r.id: ClientState(r.id) for r in world.robots}
     robots = sorted(world.robots, key=lambda r: r.id)
 
     beliefs: dict[int, fusion.GaussianBelief] = {}
@@ -401,7 +389,7 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
     om = fusion.position_observation_model(np.diag([meas_var, meas_var]))
 
     upload_seqs = {r.id: 0 for r in robots}
-    local_maps: dict[int, GridMap] = {}  # robots and walls never move: one onboard map per robot
+    local_maps: dict[int, np.ndarray] = {}  # robots and walls never move: one onboard map per robot
     capture: list[bytes] = []
     observation_rows: list[list] = []
     report = RunReport(
@@ -475,13 +463,11 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
             for robot in robots:
                 if robot.id not in local_maps:
                     local_maps[robot.id] = _robot_local_map(world, robot, args.sense_radius)
-                fragment = local_maps[robot.id]
-                fragment.revision = upload_seqs[robot.id] + 1
                 msg = Message(
                     kind=MessageKind.SENSOR_UPLOAD,
                     seq=upload_seqs[robot.id],
                     sender_id=robot.id,
-                    payload=netsim.encode_map_payload(fragment),
+                    payload=netsim.encode_map_payload(upload_seqs[robot.id] + 1, local_maps[robot.id]),
                 )
                 upload_seqs[robot.id] += 1
                 send(msg, 0, t)
@@ -498,11 +484,9 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
     report.messages_delivered = net.delivered
     report.messages_dropped = net.dropped
     report.stale_updates = sum(c.stale_count for c in clients.values())
-    report.uploads_merged = len(server._seen_uploads)
+    report.uploads_merged = server.uploads_merged
     report.server_revision = server_map.revision
-    report.client_revisions = {
-        rid: (c.grid_map.revision if c.grid_map is not None else 0) for rid, c in clients.items()
-    }
+    report.client_revisions = {rid: c.revision for rid, c in clients.items()}
     report.validate()
     return SimulationOutputs(
         report=report, server_map=server_map, capture=capture, observations=observation_rows
@@ -512,7 +496,7 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
 def cmd_render(scenario: Scenario, args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "map.ppm").write_bytes(render_map(ground_truth_map(scenario.world)))
+    (out_dir / "map.ppm").write_bytes(render_map(_truth_cells(scenario.world)))
     print(f"wrote {out_dir / 'map.ppm'}")
     return EXIT_OK
 

@@ -46,19 +46,25 @@ class CoverageProblem:
         if len(ids) != len(set(ids)):
             raise ValueError("candidate camera ids must be unique")
 
+    def target_mask(self) -> np.ndarray:
+        """(height, width) bool mask of the target cells on the grid."""
+        return cell_mask(self.world.width, self.world.height, self.target_cells)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class PlacementPlan:
+    """A selection of candidates; counts is the (height, width) array of
+    how many selected cameras cover each cell."""
+
     selected: tuple[int, ...]
-    covered: frozenset[CellIndex]
-    per_cell_multiplicity: dict[CellIndex, int]
+    counts: np.ndarray
     coverage_ratio: float
     violations: tuple[tuple[CellIndex, int], ...]
 
 
 def objective(plan: PlacementPlan, problem: CoverageProblem) -> int:
     """Distinct target cells covered: sum over cells of min(1, multiplicity)."""
-    return len(plan.covered & problem.target_cells)
+    return int(np.count_nonzero(plan.counts[problem.target_mask()]))
 
 
 def build_plan(problem: CoverageProblem, selected_ids: tuple[int, ...]) -> PlacementPlan:
@@ -69,21 +75,16 @@ def build_plan(problem: CoverageProblem, selected_ids: tuple[int, ...]) -> Place
 
 def _plan(problem: CoverageProblem, selected_ids: tuple[int, ...], masks) -> PlacementPlan:
     """The plan of a selection, given its cameras' (height, width) cover masks."""
-    counts = sum(masks, np.zeros((problem.world.height, problem.world.width), dtype=np.int64))
-    multiplicity = {CellIndex(col, row): int(counts[row, col]) for row, col in np.argwhere(counts).tolist()}
-    covered = frozenset(multiplicity)
-    ratio = len(covered & problem.target_cells) / len(problem.target_cells) if problem.target_cells else 1.0
-    violations = tuple(
-        (cell, multiplicity.get(cell, 0))
-        for cell in sorted(problem.target_cells)
-        if not problem.min_overlap <= multiplicity.get(cell, 0) <= problem.max_overlap
-    )
+    world = problem.world
+    counts = sum(masks, np.zeros((world.height, world.width), dtype=np.int64))
+    target = problem.target_mask()
+    ratio = int(np.count_nonzero(counts[target])) / len(problem.target_cells) if problem.target_cells else 1.0
+    violated = target & ((counts < problem.min_overlap) | (counts > problem.max_overlap))
+    violations = [(CellIndex(col, row), int(counts[row, col])) for col, row in np.argwhere(violated.T).tolist()]
+    if problem.min_overlap > 0:  # off-grid targets are never covered
+        violations += [(cell, 0) for cell in problem.target_cells if not world.in_bounds(cell)]
     return PlacementPlan(
-        selected=tuple(selected_ids),
-        covered=covered,
-        per_cell_multiplicity=multiplicity,
-        coverage_ratio=ratio,
-        violations=violations,
+        selected=tuple(selected_ids), counts=counts, coverage_ratio=ratio, violations=tuple(sorted(violations))
     )
 
 
@@ -105,7 +106,7 @@ def _cover_bits(problem: CoverageProblem) -> tuple[int, dict[int, int]]:
     candidate id in ascending order. Candidates are walked one at a time,
     so only one camera's line-of-sight segments are held at once."""
     world = problem.world
-    target = _mask_bits(cell_mask(world.width, world.height, problem.target_cells))
+    target = _mask_bits(problem.target_mask())
     cameras = sorted(problem.candidates, key=lambda c: c.id)
     return target, {cam.id: _mask_bits(covered_cells([cam], world)[0]) for cam in cameras}
 

@@ -2,7 +2,9 @@
 robot-map merging, and the robot localization filters.
 
 Map cell states and their wire byte values: Unexplored=0, Explored=1,
-Wall=2, Obstacle=3, Robot=4.
+Wall=2, Obstacle=3, Robot=4. GridMap is the server's fused map only; a
+robot's fragment, a client's copy and a rendered ground truth are plain
+(height, width) uint8 arrays of these states.
 
 Fusion rules (per frame):
     - A cell leaves Unexplored only when some camera first observes it.
@@ -51,13 +53,13 @@ class CellState(IntEnum):
 
 
 class GridMap:
-    """The shared occupancy map. Single-writer: one fusion step at a time.
+    """The server's fused occupancy map. Single-writer: one fusion step at
+    a time.
 
     known_walls is the static structure the map server is configured with
     (cells off the grid are ignored); tag_registry maps visual tag ids to
-    robot ids. Client-side copies decoded from the wire carry neither.
-    cells holds the (height, width) state bytes; every fusion rule reads
-    and writes it as whole-grid arrays.
+    robot ids. cells holds the (height, width) state bytes; every fusion
+    rule reads and writes it as whole-grid arrays.
     """
 
     def __init__(
@@ -92,18 +94,6 @@ class GridMap:
         col = min(max(int(x // self.cell_size), 0), self.width - 1)
         row = min(max(int(y // self.cell_size), 0), self.height - 1)
         return CellIndex(col, row)
-
-    def state_bytes(self) -> bytes:
-        """Cell states, one byte each, row-major: the wire/export layout."""
-        return self.cells.tobytes()
-
-    def load_state_bytes(self, revision: int, payload: bytes) -> None:
-        if len(payload) != self.width * self.height:
-            raise DimensionMismatchError(
-                f"expected {self.width * self.height} cells, got {len(payload)}"
-            )
-        self.cells = np.frombuffer(payload, dtype=np.uint8).reshape(self.height, self.width).copy()
-        self.revision = revision
 
 
 def _camera_ground_frame(pose: RigidTransform) -> tuple[float, float, float]:
@@ -202,25 +192,22 @@ def fuse_frame(
 
 def merge_robot_map(
     global_map: GridMap,
-    local_map: GridMap,
+    cells: np.ndarray,
     weight_fixed: int = 2,
     weight_robot: int = 1,
 ) -> GridMap:
-    """Merge a robot-contributed map into the global one by weighted vote.
+    """Merge a robot-contributed (height, width) array of cell states into
+    the global map by weighted vote.
 
     Blind spots (cells the global map has never observed) adopt the robot's
     state outright; elsewhere the higher weight wins, with the global map
     keeping ties. Local Unexplored cells carry no information. Walls in the
-    global map are permanent regardless of weights.
+    global map are permanent regardless of weights. An array of another
+    shape than the map's raises DimensionMismatchError.
     """
-    if (global_map.width, global_map.height) != (local_map.width, local_map.height) or (
-        global_map.cell_size != local_map.cell_size
-    ):
-        raise DimensionMismatchError(
-            f"global {global_map.width}x{global_map.height}@{global_map.cell_size} vs "
-            f"local {local_map.width}x{local_map.height}@{local_map.cell_size}"
-        )
-    g, l = global_map.cells, local_map.cells
+    g, l = global_map.cells, cells
+    if l.shape != g.shape:
+        raise DimensionMismatchError(f"global map shape {g.shape} vs local {l.shape}")
     adopt = (l != CellState.UNEXPLORED) & (g != CellState.WALL) & (
         (g == CellState.UNEXPLORED) | (weight_robot > weight_fixed)
     )

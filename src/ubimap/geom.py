@@ -102,11 +102,6 @@ def rot_x(angle: float) -> RigidTransform:
     return RigidTransform([[1, 0, 0], [0, c, -s], [0, s, c]], np.zeros(3))
 
 
-def rot_y(angle: float) -> RigidTransform:
-    c, s = math.cos(angle), math.sin(angle)
-    return RigidTransform([[c, 0, s], [0, 1, 0], [-s, 0, c]], np.zeros(3))
-
-
 def rot_z(angle: float) -> RigidTransform:
     c, s = math.cos(angle), math.sin(angle)
     return RigidTransform([[c, -s, 0], [s, c, 0], [0, 0, 1]], np.zeros(3))

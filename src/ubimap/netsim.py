@@ -31,7 +31,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .fusion import GridMap, merge_robot_map
+from .fusion import DimensionMismatchError, GridMap, merge_robot_map
 
 MAGIC = b"UBSM"
 VERSION = 1
@@ -117,26 +117,28 @@ _POSE_PAYLOAD = struct.Struct("<Hddd")
 _ACK_PAYLOAD = struct.Struct("<I")
 
 
-def encode_map_payload(grid_map: GridMap) -> bytes:
-    return (
-        _MAP_HEADER.pack(grid_map.revision, grid_map.width, grid_map.height)
-        + grid_map.state_bytes()
-    )
+def encode_map_payload(revision: int, cells: np.ndarray) -> bytes:
+    """Map payload of a (height, width) uint8 array of cell states."""
+    height, width = cells.shape
+    return _MAP_HEADER.pack(revision, width, height) + cells.tobytes()
 
 
-def decode_map_payload(payload: bytes) -> tuple[int, int, int, bytes]:
-    """-> (revision, width, height, cells); validates the cell count."""
+def decode_map_payload(payload: bytes) -> tuple[int, np.ndarray]:
+    """-> (revision, cells): cells is a read-only (height, width) uint8
+    array; validates the dimensions, the cell count and the state range."""
     if len(payload) < _MAP_HEADER.size:
         raise MalformedFrameError(0, "map payload shorter than its header")
     revision, width, height = _MAP_HEADER.unpack_from(payload)
-    cells = payload[_MAP_HEADER.size :]
+    cells = np.frombuffer(payload, np.uint8, offset=_MAP_HEADER.size)
     if width == 0 or height == 0:
         raise MalformedFrameError(4, "map dimensions must be positive")
     if len(cells) != width * height:
         raise MalformedFrameError(_MAP_HEADER.size, f"expected {width * height} cells, got {len(cells)}")
-    if np.frombuffer(cells, np.uint8).max() > 4:
+    if cells.max() > 4:
         raise MalformedFrameError(_MAP_HEADER.size, "cell byte outside the state range 0..4")
-    return revision, width, height, bytes(cells)
+    cells = cells.reshape(height, width)
+    cells.flags.writeable = False
+    return revision, cells
 
 
 def encode_pose_payload(robot_id: int, x: float, y: float, theta: float) -> bytes:
@@ -221,14 +223,15 @@ class SimulatedNetwork:
 
 
 class ClientState:
-    """A robot's view of the broadcast channel: its map copy plus staleness
-    bookkeeping. Applied MAP_UPDATE seqs are strictly increasing."""
+    """A robot's view of the broadcast channel: the revision and cell
+    states of its map copy (0 and None before the first update) plus
+    staleness bookkeeping. Applied MAP_UPDATE seqs are strictly increasing."""
 
-    def __init__(self, robot_id: int, cell_size: float) -> None:
+    def __init__(self, robot_id: int) -> None:
         self.robot_id = robot_id
-        self.cell_size = cell_size
         self.last_applied_seq = -1
-        self.grid_map: GridMap | None = None
+        self.revision = 0
+        self.cells: np.ndarray | None = None
         self.stale_count = 0
         self.applied_seqs: list[int] = []
         self.last_pose: tuple[int, float, float, float] | None = None
@@ -247,10 +250,7 @@ def client_apply(cs: ClientState, msg: Message) -> ClientState:
         if msg.seq <= cs.last_applied_seq:
             cs.stale_count += 1
             return cs
-        revision, width, height, cells = decode_map_payload(msg.payload)
-        if cs.grid_map is None or (cs.grid_map.width, cs.grid_map.height) != (width, height):
-            cs.grid_map = GridMap(width, height, cs.cell_size)
-        cs.grid_map.load_state_bytes(revision, cells)
+        cs.revision, cs.cells = decode_map_payload(msg.payload)
         cs.last_applied_seq = msg.seq
         cs.applied_seqs.append(msg.seq)
     elif msg.kind == MessageKind.ROBOT_POSE:
@@ -265,13 +265,15 @@ def client_apply(cs: ClientState, msg: Message) -> ClientState:
 
 class MapServer:
     """Server half of the protocol: broadcasts the fused map, ingests and
-    merges robot uploads, and acknowledges them."""
+    merges robot uploads, and acknowledges them. uploads_merged counts the
+    uploads merged, one per sender and seq."""
 
     def __init__(self, grid_map: GridMap, sender_id: int = 0) -> None:
         self.grid_map = grid_map
         self.sender_id = sender_id
         self.faults: list[str] = []
         self.stale_uploads = 0
+        self.uploads_merged = 0
         self._seqs: dict[MessageKind, int] = {}
         self._seen_uploads: set[tuple[int, int]] = set()
 
@@ -285,7 +287,7 @@ class MapServer:
             kind=MessageKind.MAP_UPDATE,
             seq=self.next_seq(MessageKind.MAP_UPDATE),
             sender_id=self.sender_id,
-            payload=encode_map_payload(self.grid_map),
+            payload=encode_map_payload(self.grid_map.revision, self.grid_map.cells),
         )
 
     def pose_message(self, robot_id: int, x: float, y: float, theta: float) -> Message:
@@ -299,11 +301,12 @@ class MapServer:
     def ingest(self, msg: Message) -> Message | None:
         """Handle a SENSOR_UPLOAD: merge its map fragment (once per sender
         and seq) and return the ACK to queue back, or None on a malformed
-        fragment, which is dropped with a recorded fault."""
+        or mismatched fragment, which is dropped with a recorded fault and
+        not remembered, so a retransmission is merged or rejected afresh."""
         if msg.kind != MessageKind.SENSOR_UPLOAD:
             raise WrongDirectionError(f"server ingest expects SENSOR_UPLOAD, got {msg.kind.name}")
         try:
-            revision, width, height, cells = decode_map_payload(msg.payload)
+            _, cells = decode_map_payload(msg.payload)
         except (MalformedFrameError, TruncatedFrameError) as exc:
             self.faults.append(f"upload from {msg.sender_id} seq {msg.seq} dropped: {exc}")
             return None
@@ -311,14 +314,13 @@ class MapServer:
         if key in self._seen_uploads:
             self.stale_uploads += 1
         else:
-            self._seen_uploads.add(key)
-            fragment = GridMap(width, height, self.grid_map.cell_size)
-            fragment.load_state_bytes(revision, cells)
             try:
-                merge_robot_map(self.grid_map, fragment)
-            except ValueError as exc:
+                merge_robot_map(self.grid_map, cells)
+            except DimensionMismatchError as exc:
                 self.faults.append(f"upload from {msg.sender_id} seq {msg.seq} rejected: {exc}")
                 return None
+            self._seen_uploads.add(key)
+            self.uploads_merged += 1
         return Message(
             kind=MessageKind.ACK,
             seq=self.next_seq(MessageKind.ACK),

@@ -6,7 +6,7 @@ import pytest
 
 from ubimap import cli, coverage, world as worldmod
 from ubimap.cli import EXIT_CALIBRATION, EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, render_map
-from ubimap.fusion import CellState, GridMap
+from ubimap.fusion import CellState
 from ubimap.world import CellIndex
 
 from test_world import reference_line_of_sight
@@ -102,29 +102,24 @@ def write(tmp_path, text, name="scene.scenario"):
 
 
 def test_render_single_wall_cell_golden():
-    m = GridMap(1, 1, 1.0)
-    m.cells[0, 0] = int(CellState.WALL)
-    assert render_map(m) == b"P6\n1 1\n255\n\x00\x00\x00"
+    cells = np.array([[CellState.WALL]], dtype=np.uint8)
+    assert render_map(cells) == b"P6\n1 1\n255\n\x00\x00\x00"
 
 
 def test_render_explored_robot_column_golden():
-    m = GridMap(1, 2, 1.0)
-    m.cells[0, 0] = int(CellState.EXPLORED)
-    m.cells[1, 0] = int(CellState.ROBOT)
-    assert render_map(m) == b"P6\n1 2\n255\n\xc8\xc8\xc8\x00\xc8\x00"
+    cells = np.array([[CellState.EXPLORED], [CellState.ROBOT]], dtype=np.uint8)
+    assert render_map(cells) == b"P6\n1 2\n255\n\xc8\xc8\xc8\x00\xc8\x00"
 
 
 def test_render_deterministic():
-    m = GridMap(3, 2, 1.0)
-    m.cells[1, 2] = int(CellState.OBSTACLE)
-    assert render_map(m) == render_map(m)
+    cells = np.zeros((2, 3), dtype=np.uint8)
+    cells[1, 2] = int(CellState.OBSTACLE)
+    assert render_map(cells) == render_map(cells)
 
 
 def test_render_palette_covers_all_states():
-    m = GridMap(5, 1, 1.0)
-    for col, state in enumerate(CellState):
-        m.cells[0, col] = int(state)
-    data = render_map(m)
+    cells = np.array([list(CellState)], dtype=np.uint8)
+    data = render_map(cells)
     assert data[:11] == b"P6\n5 1\n255\n"
     pixels = [tuple(data[11 + 3 * i : 14 + 3 * i]) for i in range(5)]
     assert pixels == [(96, 96, 96), (200, 200, 200), (0, 0, 0), (220, 0, 0), (0, 200, 0)]
@@ -378,7 +373,7 @@ def test_robot_id_outside_network_addresses_exits_1(tmp_path, capsys, command, r
 
 def reference_robot_local_map(world, robot, sense_radius):
     """Reference onboard map: every cell of the grid tested one by one."""
-    fragment = GridMap(world.width, world.height, world.cell_size)
+    fragment = np.zeros((world.height, world.width), dtype=np.uint8)
     if sense_radius <= 0:
         return fragment
     occupied = {ob.cell for ob in world.obstacles}
@@ -395,9 +390,9 @@ def reference_robot_local_map(world, robot, sense_radius):
             state = CellState.OBSTACLE
         else:
             state = CellState.EXPLORED
-        fragment.cells[cell.row, cell.col] = int(state)
+        fragment[cell.row, cell.col] = int(state)
     own = world.cell_of(robot.x, robot.y)
-    fragment.cells[own.row, own.col] = int(CellState.EXPLORED)
+    fragment[own.row, own.col] = int(CellState.EXPLORED)
     return fragment
 
 
@@ -428,7 +423,7 @@ def test_robot_local_map_matches_full_grid_reference(sense_radius):
     ]
     for robot in (*world.robots, *extra):
         got = cli._robot_local_map(world, robot, sense_radius)
-        assert (got.cells == reference_robot_local_map(world, robot, sense_radius).cells).all(), robot
+        assert (got == reference_robot_local_map(world, robot, sense_radius)).all(), robot
 
 
 @pytest.mark.parametrize(
@@ -576,12 +571,13 @@ REFERENCE_PALETTE = {
 }
 
 
-def reference_render_map(grid_map):
-    header = f"P6\n{grid_map.width} {grid_map.height}\n255\n".encode("ascii")
+def reference_render_map(cells):
+    height, width = cells.shape
+    header = f"P6\n{width} {height}\n255\n".encode("ascii")
     body = bytearray()
-    for row in range(grid_map.height):
-        for col in range(grid_map.width):
-            body.extend(REFERENCE_PALETTE[CellState(int(grid_map.cells[row, col]))])
+    for row in range(height):
+        for col in range(width):
+            body.extend(REFERENCE_PALETTE[CellState(int(cells[row, col]))])
     return header + bytes(body)
 
 
@@ -596,16 +592,15 @@ def reference_ground_truth_state(world, cell):
 
 
 def reference_ground_truth_map(world):
-    truth = GridMap(world.width, world.height, world.cell_size, known_walls=world.walls)
+    truth = np.zeros((world.height, world.width), dtype=np.uint8)
     for cell in world.all_cells():
-        truth.cells[cell.row, cell.col] = int(reference_ground_truth_state(world, cell))
-    truth.revision = 1
+        truth[cell.row, cell.col] = int(reference_ground_truth_state(world, cell))
     return truth
 
 
 def reference_coverage_heatmap(problem, plan):
     w, h = problem.world.width, problem.world.height
-    top = max([1] + list(plan.per_cell_multiplicity.values()))
+    top = max([1] + plan.counts.ravel().tolist())
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     body = bytearray()
     for row in range(h):
@@ -614,7 +609,7 @@ def reference_coverage_heatmap(problem, plan):
             if cell in problem.world.walls:
                 body.extend((0, 0, 0))
             else:
-                level = int(255 * plan.per_cell_multiplicity.get(cell, 0) / top)
+                level = int(255 * int(plan.counts[row, col]) / top)
                 body.extend((level, level, 64))
     return header + bytes(body)
 
@@ -645,17 +640,16 @@ def random_walled_world(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_truth_render_and_local_maps_match_reference_on_random_worlds(seed):
     world = random_walled_world(seed)
-    truth = cli.ground_truth_map(world)
-    assert truth.state_bytes() == reference_ground_truth_map(world).state_bytes()
+    truth = cli._truth_cells(world)
+    assert truth.tobytes() == reference_ground_truth_map(world).tobytes()
     assert render_map(truth) == reference_render_map(truth)
     rng = np.random.default_rng(seed)
-    scrambled = GridMap(world.width, world.height, 1.0)
-    scrambled.cells[:] = rng.integers(0, 5, size=scrambled.cells.shape)
+    scrambled = rng.integers(0, 5, size=truth.shape).astype(np.uint8)
     assert render_map(scrambled) == reference_render_map(scrambled)
     for robot in world.robots:
         for radius in (1.5, 3.0, math.inf):
             got = cli._robot_local_map(world, robot, radius)
-            assert (got.cells == reference_robot_local_map(world, robot, radius).cells).all(), (robot, radius)
+            assert (got == reference_robot_local_map(world, robot, radius)).all(), (robot, radius)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -676,8 +670,8 @@ def test_coverage_heatmap_matches_reference_on_random_plans(seed):
     plan = coverage.plan_greedy(problem)
     assert cli._coverage_heatmap(problem, plan) == reference_coverage_heatmap(problem, plan)
     # Multiplicities up to 20 against every cell, for every truncation of 255 * m / top.
-    counts = {cell: int(rng.integers(0, 21)) for cell in world.all_cells() if rng.random() < 0.7}
-    arbitrary = coverage.PlacementPlan((), frozenset(counts), counts, 0.0, ())
+    counts = rng.integers(0, 21, size=(world.height, world.width)) * (rng.random((world.height, world.width)) < 0.7)
+    arbitrary = coverage.PlacementPlan((), counts, 0.0, ())
     assert cli._coverage_heatmap(problem, arbitrary) == reference_coverage_heatmap(problem, arbitrary)
 
 
@@ -685,9 +679,8 @@ def test_truth_render_and_heatmap_match_reference_on_demo_room(tmp_path):
     assert cli.main(["render", str(DEMO_ROOM), "--out", str(tmp_path / "r")]) == EXIT_OK
     assert cli.main(["plan", str(DEMO_ROOM), "--heatmap", "--out", str(tmp_path / "p")]) == EXIT_OK
     scenario = cli._load_scenario(str(DEMO_ROOM))
-    truth = cli.ground_truth_map(scenario.world)
-    assert truth.state_bytes() == reference_ground_truth_map(scenario.world).state_bytes()
-    assert truth.revision == 1
+    truth = cli._truth_cells(scenario.world)
+    assert truth.tobytes() == reference_ground_truth_map(scenario.world).tobytes()
     problem = coverage.CoverageProblem(
         world=scenario.world, candidates=scenario.cameras, max_overlap=len(scenario.cameras), budget=len(scenario.cameras),
     )

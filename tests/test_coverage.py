@@ -146,7 +146,7 @@ def test_plan_greedy_respects_budget_and_cap():
     problem = trap_problem(budget=1, k=1)
     plan = plan_greedy(problem)
     assert len(plan.selected) <= 1
-    assert all(count <= 1 for count in plan.per_cell_multiplicity.values())
+    assert plan.counts.max() <= 1
 
 
 def test_plan_greedy_repair_pass_fills_min_overlap():
@@ -170,6 +170,19 @@ def test_plan_greedy_reports_unmeetable_min_overlap():
     assert plan.selected == (1,)
     under = [cell for cell, count in plan.violations if count == 0]
     assert set(under) == {CellIndex(c, 0) for c in range(4)}
+
+
+def test_off_grid_target_is_reported_uncovered():
+    world = GridWorld(cell_size=1.0, width=4, height=2)
+    cam = make_camera(2.0, 0.0, width=4.0, depth=2.0, cid=1)
+    off_grid = CellIndex(4, 0)
+    problem = CoverageProblem(
+        world=world, candidates=(cam,), target_cells=frozenset({CellIndex(0, 0), off_grid}), min_overlap=1, max_overlap=2
+    )
+    plan = build_plan(problem, (1,))
+    assert plan.violations == ((off_grid, 0),)
+    assert plan.coverage_ratio == 0.5
+    assert objective(plan, problem) == 1
 
 
 def test_plan_exhaustive_single_candidate():
@@ -265,12 +278,8 @@ def test_greedy_never_exceeds_budget_or_cap_randomized():
         problem = random_problem(rng)
         plan = plan_greedy(problem)
         assert len(plan.selected) <= problem.budget
-        target_mult = {
-            cell: count
-            for cell, count in plan.per_cell_multiplicity.items()
-            if cell in problem.target_cells
-        }
-        assert all(count <= problem.max_overlap for count in target_mult.values())
+        target_mult = [int(plan.counts[cell.row, cell.col]) for cell in problem.target_cells]
+        assert all(count <= problem.max_overlap for count in target_mult)
 
 
 def test_lattice_candidates_eight_yaws_per_site():
@@ -287,6 +296,11 @@ def test_lattice_candidates_eight_yaws_per_site():
 # -- set-based reference planners ---------------------------------------------
 # The planners as they were written on frozensets of cells, kept as the
 # oracles that the bitset planners must match plan for plan.
+
+
+def plan_fields(plan: PlacementPlan):
+    """A plan's fields as values that compare with ==."""
+    return plan.selected, plan.counts.tolist(), plan.coverage_ratio, plan.violations
 
 
 def reference_target_cover_sets(problem):
@@ -425,8 +439,8 @@ def placement_problems(draw):
 @settings(max_examples=300, deadline=None)
 @given(placement_problems())
 def test_bitset_planners_match_set_references(problem):
-    assert plan_greedy(problem) == reference_plan_greedy(problem)
-    assert plan_exhaustive(problem) == reference_plan_exhaustive(problem)
+    assert plan_fields(plan_greedy(problem)) == plan_fields(reference_plan_greedy(problem))
+    assert plan_fields(plan_exhaustive(problem)) == plan_fields(reference_plan_exhaustive(problem))
 
 
 def test_greedy_peak_memory_below_cover_set_dict():
@@ -453,5 +467,5 @@ def test_greedy_peak_memory_below_cover_set_dict():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert plan == reference_plan_greedy(problem)
+    assert plan_fields(plan) == plan_fields(reference_plan_greedy(problem))
     assert peak < held / 4, (peak, held)

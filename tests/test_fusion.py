@@ -54,7 +54,7 @@ def test_fuse_no_evidence_leaves_unexplored():
     m = GridMap(4, 4, 1.0)
     cam = make_camera(2.0, 0.0)
     fuse_frame(m, [], [], poses_for(cam), t=0.0)
-    assert m.state_bytes() == bytes(16)
+    assert m.cells.tobytes() == bytes(16)
     assert m.revision == 0
 
 
@@ -105,7 +105,7 @@ def test_fuse_rejects_evidence_of_another_shape(mask):
     masks[mask] = np.ones((3, 1), dtype=bool)  # would broadcast across the map
     with pytest.raises(DimensionMismatchError):
         fuse_frame(m, [ObstacleEvidence(cam.id, timestamp=0.0, **masks)], [], poses_for(cam), 0.0)
-    assert m.state_bytes() == bytes(12)
+    assert m.cells.tobytes() == bytes(12)
     assert m.revision == 0
 
 
@@ -330,16 +330,16 @@ def test_merge_all_unexplored_local_is_noop():
     g = GridMap(3, 3, 1.0)
     g.cells[0, 0] = int(CellState.EXPLORED)
     g.revision = 1
-    before = g.state_bytes()
-    merge_robot_map(g, GridMap(3, 3, 1.0))
-    assert g.state_bytes() == before
+    before = g.cells.copy()
+    merge_robot_map(g, np.zeros((3, 3), dtype=np.uint8))
+    assert (g.cells == before).all()
     assert g.revision == 1
 
 
 def test_merge_blind_spot_adopts_robot_state():
     g = GridMap(3, 3, 1.0)
-    local = GridMap(3, 3, 1.0)
-    local.cells[2, 2] = int(CellState.OBSTACLE)
+    local = np.zeros((3, 3), dtype=np.uint8)
+    local[2, 2] = int(CellState.OBSTACLE)
     merge_robot_map(g, local)
     assert g.state(CellIndex(2, 2)) == CellState.OBSTACLE
     assert g.revision == 1
@@ -348,17 +348,15 @@ def test_merge_blind_spot_adopts_robot_state():
 def test_merge_fixed_weight_beats_robot_in_covered_cell():
     g = GridMap(3, 3, 1.0)
     g.cells[1, 1] = int(CellState.EXPLORED)
-    local = GridMap(3, 3, 1.0)
-    local.cells[1, 1] = int(CellState.OBSTACLE)
+    local = np.zeros((3, 3), dtype=np.uint8)
+    local[1, 1] = int(CellState.OBSTACLE)
     merge_robot_map(g, local)
     assert g.state(CellIndex(1, 1)) == CellState.EXPLORED
 
 
 def test_merge_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
-        merge_robot_map(GridMap(3, 3, 1.0), GridMap(4, 3, 1.0))
-    with pytest.raises(DimensionMismatchError):
-        merge_robot_map(GridMap(3, 3, 1.0), GridMap(3, 3, 0.5))
+        merge_robot_map(GridMap(3, 3, 1.0), np.zeros((3, 4), dtype=np.uint8))
 
 
 def vote_oracle(g, l, weight_fixed, weight_robot):
@@ -379,11 +377,11 @@ def test_merge_matches_vote_table_for_all_25_pairs(weights):
     weight_fixed, weight_robot = weights
     states = list(CellState)
     g = GridMap(5, 5, 1.0)
-    local = GridMap(5, 5, 1.0)
+    local = np.zeros((5, 5), dtype=np.uint8)
     for i, gs in enumerate(states):
         for j, ls in enumerate(states):
             g.cells[i, j] = int(gs)
-            local.cells[i, j] = int(ls)
+            local[i, j] = int(ls)
     merge_robot_map(g, local, weight_fixed, weight_robot)
     for i, gs in enumerate(states):
         for j, ls in enumerate(states):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ubimap import netsim
+from ubimap import fusion, netsim
 from ubimap.fusion import CellState, GridMap
 from ubimap.netsim import (
     ClientState,
@@ -45,10 +46,34 @@ def test_golden_hello_frame():
 
 
 def test_golden_map_update_payload():
-    m = GridMap(1, 1, 1.0)
-    m.cells[0, 0] = int(CellState.WALL)
-    m.revision = 7
-    assert encode_map_payload(m) == bytes.fromhex("070000000100010002")
+    cells = np.array([[CellState.WALL]], dtype=np.uint8)
+    assert encode_map_payload(7, cells) == bytes.fromhex("070000000100010002")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(np.uint8, st.tuples(st.integers(1, 8), st.integers(1, 8)), elements=st.integers(0, 4)),
+    st.integers(0, 2**32 - 1),
+)
+def test_map_payload_round_trip(cells, revision):
+    decoded_revision, decoded = netsim.decode_map_payload(encode_map_payload(revision, cells))
+    assert decoded_revision == revision
+    assert decoded.dtype == np.uint8 and (decoded == cells).all()
+    assert not decoded.flags.writeable
+    with pytest.raises(ValueError):
+        decoded[0, 0] = 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 4))
+def test_client_copy_unchanged_by_later_server_writes(width, height, state):
+    server = MapServer(GridMap(width, height, 1.0))
+    server.grid_map.cells[:] = state
+    client = ClientState(robot_id=1)
+    client_apply(client, server.map_update_message())
+    server.grid_map.cells[:] = (state + 1) % 5
+    fusion.merge_robot_map(server.grid_map, np.full((height, width), (state + 2) % 5, dtype=np.uint8))
+    assert (client.cells == state).all()
 
 
 def test_round_trip_simple():
@@ -140,7 +165,7 @@ def test_jitter_can_reorder_and_client_drops_stale():
     seqs = [d.message.seq for d in deliveries]
     assert sorted(seqs) == list(range(20))
     assert seqs != sorted(seqs), "seed expected to reorder; pick another seed"
-    client = ClientState(robot_id=1, cell_size=1.0)
+    client = ClientState(robot_id=1)
     for d in deliveries:
         client_apply(client, d.message)
     assert client.applied_seqs == sorted(client.applied_seqs)
@@ -171,11 +196,12 @@ def test_client_applies_fresh_update():
     source.cells[1, 1] = int(CellState.OBSTACLE)
     source.revision = 3
     server = MapServer(source)
-    client = ClientState(robot_id=1, cell_size=1.0)
+    client = ClientState(robot_id=1)
+    assert (client.revision, client.cells) == (0, None)
     client_apply(client, fresh_update(server))
-    assert client.grid_map is not None
-    assert client.grid_map.revision == 3
-    assert client.grid_map.state_bytes() == source.state_bytes()
+    assert client.cells is not None
+    assert client.revision == 3
+    assert (client.cells == source.cells).all()
     assert client.last_applied_seq == 0
 
 
@@ -184,38 +210,38 @@ def test_client_drops_stale_update():
     server = MapServer(source)
     first = fresh_update(server)
     second = fresh_update(server)
-    client = ClientState(robot_id=1, cell_size=1.0)
+    client = ClientState(robot_id=1)
     client_apply(client, second)
-    before = client.grid_map.state_bytes()
+    before = client.cells.copy()
     client_apply(client, first)  # stale: lower seq
     assert client.stale_count == 1
-    assert client.grid_map.state_bytes() == before
+    assert (client.cells == before).all()
     assert client.last_applied_seq == 1
 
 
 def test_client_rejects_sensor_upload():
-    client = ClientState(robot_id=1, cell_size=1.0)
-    upload = Message(MessageKind.SENSOR_UPLOAD, 0, 1, encode_map_payload(GridMap(1, 1, 1.0)))
+    client = ClientState(robot_id=1)
+    upload = Message(MessageKind.SENSOR_UPLOAD, 0, 1, encode_map_payload(0, np.zeros((1, 1), np.uint8)))
     with pytest.raises(WrongDirectionError):
         client_apply(client, upload)
 
 
 @pytest.mark.parametrize("length", [0, 3, 5])
 def test_client_rejects_ack_payload_of_wrong_length(length):
-    client = ClientState(robot_id=1, cell_size=1.0)
+    client = ClientState(robot_id=1)
     with pytest.raises(MalformedFrameError):
         client_apply(client, Message(MessageKind.ACK, 0, 0, bytes(length)))
     assert client.acks_received == []
 
 
 def test_client_records_ack():
-    client = ClientState(robot_id=1, cell_size=1.0)
+    client = ClientState(robot_id=1)
     client_apply(client, Message(MessageKind.ACK, 0, 0, netsim._ACK_PAYLOAD.pack(7)))
     assert client.acks_received == [7]
 
 
 def test_client_stores_robot_pose():
-    client = ClientState(robot_id=1, cell_size=1.0)
+    client = ClientState(robot_id=1)
     msg = Message(MessageKind.ROBOT_POSE, 0, 0, netsim.encode_pose_payload(1, 2.5, 1.5, 0.25))
     client_apply(client, msg)
     assert client.last_pose == (1, 2.5, 1.5, 0.25)
@@ -223,7 +249,7 @@ def test_client_stores_robot_pose():
 
 @pytest.mark.parametrize("pose", [(math.nan, 1.5, 0.25), (2.5, math.inf, 0.25), (2.5, 1.5, -math.inf)])
 def test_client_rejects_non_finite_pose(pose):
-    client = ClientState(robot_id=1, cell_size=1.0)
+    client = ClientState(robot_id=1)
     msg = Message(MessageKind.ROBOT_POSE, 0, 0, netsim.encode_pose_payload(1, *pose))
     with pytest.raises(MalformedFrameError):
         client_apply(client, msg)
@@ -235,7 +261,7 @@ def test_client_converges_to_server_map_without_loss():
     source = GridMap(4, 3, 0.5)
     server = MapServer(source)
     net = SimulatedNetwork(NetworkParams(latency_ms=30, jitter_ms=25, seed=2))
-    clients = {cid: ClientState(cid, 0.5) for cid in (1, 2, 3)}
+    clients = {cid: ClientState(cid) for cid in (1, 2, 3)}
     for step in range(15):
         source.cells[rng.integers(3), rng.integers(4)] = int(rng.integers(5))
         source.revision += 1
@@ -244,18 +270,17 @@ def test_client_converges_to_server_map_without_loss():
     for d in net.drain():
         client_apply(clients[d.dest], d.message)
     for client in clients.values():
-        assert client.grid_map.revision == source.revision
-        assert client.grid_map.state_bytes() == source.state_bytes()
+        assert client.revision == source.revision
+        assert (client.cells == source.cells).all()
 
 
 # -- server ingest -----------------------------------------------------------------
 
 
 def upload_with_obstacle(seq=0, sender=1, size=(3, 3), cell=(2, 2)):
-    fragment = GridMap(size[0], size[1], 1.0)
-    fragment.cells[cell[1], cell[0]] = int(CellState.OBSTACLE)
-    fragment.revision = 1
-    return Message(MessageKind.SENSOR_UPLOAD, seq, sender, encode_map_payload(fragment))
+    fragment = np.zeros((size[1], size[0]), dtype=np.uint8)
+    fragment[cell[1], cell[0]] = int(CellState.OBSTACLE)
+    return Message(MessageKind.SENSOR_UPLOAD, seq, sender, encode_map_payload(1, fragment))
 
 
 def test_ingest_merges_blind_spot_fragment():
@@ -279,7 +304,7 @@ def test_ingest_duplicate_merged_once_but_acked():
 
 def test_ingest_empty_fragment_acked_without_change():
     server = MapServer(GridMap(3, 3, 1.0))
-    empty = Message(MessageKind.SENSOR_UPLOAD, 0, 1, encode_map_payload(GridMap(3, 3, 1.0)))
+    empty = Message(MessageKind.SENSOR_UPLOAD, 0, 1, encode_map_payload(0, np.zeros((3, 3), np.uint8)))
     ack = server.ingest(empty)
     assert ack is not None
     assert server.grid_map.revision == 0
@@ -296,6 +321,22 @@ def test_ingest_dimension_mismatch_recorded():
     server = MapServer(GridMap(3, 3, 1.0))
     assert server.ingest(upload_with_obstacle(size=(2, 2), cell=(1, 1))) is None
     assert any("rejected" in fault for fault in server.faults)
+
+
+def test_rejected_upload_is_rejected_again_on_retransmission():
+    server = MapServer(GridMap(3, 3, 1.0))
+    mismatched = upload_with_obstacle(seq=4, size=(4, 3))
+    assert server.ingest(mismatched) is None
+    assert server.ingest(mismatched) is None
+    assert (server.uploads_merged, server.stale_uploads) == (0, 0)
+    assert sum("rejected" in fault for fault in server.faults) == 2
+
+
+def test_uploads_merged_counts_each_sender_and_seq_once():
+    server = MapServer(GridMap(3, 3, 1.0))
+    for seq, sender in ((0, 1), (0, 1), (1, 1), (0, 2)):
+        assert server.ingest(upload_with_obstacle(seq=seq, sender=sender)) is not None
+    assert (server.uploads_merged, server.stale_uploads) == (3, 1)
 
 
 def test_server_seq_strictly_increasing_per_kind():
@@ -350,7 +391,7 @@ def frames(draw):
 @settings(max_examples=1000, deadline=None)
 @given(frames())
 def test_any_frame_is_applied_or_rejected_with_a_protocol_error(frame):
-    client = ClientState(robot_id=1, cell_size=1.0)
+    client = ClientState(robot_id=1)
     server = MapServer(GridMap(3, 2, 1.0))
     try:
         msg = decode(frame)

@@ -152,16 +152,16 @@ def world_doc(width, height):
 def test_grid_limits_are_what_a_map_message_carries():
     import struct
 
-    from ubimap import fusion, netsim
+    from ubimap import netsim
 
     assert w.MAX_GRID_CELLS == netsim.MAX_PAYLOAD - netsim._MAP_HEADER.size
     netsim._MAP_HEADER.pack(0, w.MAX_GRID_SIDE, w.MAX_GRID_SIDE)
     with pytest.raises(struct.error):
         netsim._MAP_HEADER.pack(0, w.MAX_GRID_SIDE + 1, 1)
     # 7112 x 2359 is exactly MAX_GRID_CELLS: its map fills a payload.
-    payload = netsim.encode_map_payload(fusion.GridMap(7112, 2359, 1.0))
+    payload = netsim.encode_map_payload(0, np.zeros((2359, 7112), dtype=np.uint8))
     assert len(payload) == netsim.MAX_PAYLOAD
-    assert netsim.decode_map_payload(payload)[1:3] == (7112, 2359)
+    assert netsim.decode_map_payload(payload)[1].shape == (2359, 7112)
 
 
 @pytest.mark.parametrize("width, height", [(65535, 1), (1, 65535), (65535, 256), (7112, 2359)])
