@@ -4,6 +4,17 @@ The pipeline: place depth-camera footprints over a gridded room, calibrate
 the cameras into one global frame from shared landmarks, fuse per-camera
 evidence into a live occupancy map, localize robots against it, and
 broadcast the map to robot clients over a simulated lossy network.
+
+Importing the package pins BLAS to one thread: OpenBLAS's multithreaded
+solves and products round differently from its single-threaded ones on
+large systems, so outputs would depend on the core count. The pin only
+takes effect when no module has imported numpy yet.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+del _var
 
 __version__ = "0.1.0"

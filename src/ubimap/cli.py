@@ -9,12 +9,14 @@ dumps) are byte-deterministic given the scenario, seed and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO, TextIO
 
 import numpy as np
 
@@ -53,7 +55,6 @@ class RunReport:
     """Everything a simulation run reports; fractions live in [0, 1] and
     every error is non-negative."""
 
-    localization_errors: list[tuple[int, float, int, float]] = field(default_factory=list)
     map_accuracy: float = 1.0
     coverage_ratio: float = 0.0
     calibration_errors: dict[int, tuple[float, float]] = field(default_factory=dict)
@@ -72,9 +73,6 @@ class RunReport:
             raise ValueError("map_accuracy must be in [0, 1]")
         if not 0.0 <= self.coverage_ratio <= 1.0:
             raise ValueError("coverage_ratio must be in [0, 1]")
-        for _, _, _, err in self.localization_errors:
-            if err < 0:
-                raise ValueError("localization errors must be >= 0")
         for rot, tra in self.calibration_errors.values():
             if rot < 0 or tra < 0:
                 raise ValueError("calibration errors must be >= 0")
@@ -86,6 +84,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     path.write_bytes(buffer.getvalue().encode("ascii"))
+
+
+def _open_csv(path: Path) -> TextIO:
+    return open(path, "w", encoding="ascii", newline="")
 
 
 def _truth_cells(world: GridWorld) -> np.ndarray:
@@ -290,43 +292,45 @@ def _robot_local_map(world: GridWorld, robot, sense_radius: float) -> np.ndarray
 
 
 def cmd_simulate(scenario: Scenario, args) -> int:
-    outputs = run_simulation(scenario, args)
-    report = outputs.report
-
+    """Streams capture.hex, localization.csv and, with --dump-observations,
+    observations.csv while the run goes on, then writes final_map.ppm and
+    summary.csv. A run that raises leaves none of these files behind."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "final_map.ppm").write_bytes(render_map(outputs.server_map.cells))
-    with open(out_dir / "capture.hex", "wb") as fh:
-        fh.writelines(f"{frame.hex()}\n".encode("ascii") for frame in outputs.capture)
+    written = ["capture.hex", "localization.csv", "final_map.ppm", "summary.csv"]
     if args.dump_observations:
-        _write_csv(
-            out_dir / "observations.csv",
-            ["tick", "t", "kind", "camera_id", "a", "b", "c"],
-            outputs.observations,
-        )
-    _write_csv(
-        out_dir / "localization.csv",
-        ["tick", "t", "robot_id", "error_m"],
-        [[tick, repr(t), rid, repr(err)] for tick, t, rid, err in report.localization_errors],
-    )
-    rows = [
-        ["coverage_ratio", repr(report.coverage_ratio)],
-        ["map_accuracy", repr(report.map_accuracy)],
-        ["cost_initial", repr(report.cost_initial)],
-        ["cost_final", repr(report.cost_final)],
-        ["messages_sent", report.messages_sent],
-        ["messages_delivered", report.messages_delivered],
-        ["messages_dropped", report.messages_dropped],
-        ["stale_updates", report.stale_updates],
-        ["uploads_merged", report.uploads_merged],
-        ["server_revision", report.server_revision],
-    ]
-    for cam_id, (rot_err, tra_err) in sorted(report.calibration_errors.items()):
-        rows.append([f"calibration_rotation_error_{cam_id}", repr(rot_err)])
-        rows.append([f"calibration_translation_error_{cam_id}", repr(tra_err)])
-    for robot_id, revision in sorted(report.client_revisions.items()):
-        rows.append([f"client_revision_{robot_id}", revision])
-    _write_csv(out_dir / "summary.csv", ["key", "value"], rows)
+        written.append("observations.csv")
+    try:
+        with (
+            open(out_dir / "capture.hex", "wb") as capture,
+            _open_csv(out_dir / "localization.csv") as localization,
+            _open_csv(out_dir / "observations.csv") if args.dump_observations else contextlib.nullcontext() as observations,
+        ):
+            outputs = run_simulation(scenario, args, capture, localization, observations)
+        (out_dir / "final_map.ppm").write_bytes(render_map(outputs.server_map.cells))
+        report = outputs.report
+        rows = [
+            ["coverage_ratio", repr(report.coverage_ratio)],
+            ["map_accuracy", repr(report.map_accuracy)],
+            ["cost_initial", repr(report.cost_initial)],
+            ["cost_final", repr(report.cost_final)],
+            ["messages_sent", report.messages_sent],
+            ["messages_delivered", report.messages_delivered],
+            ["messages_dropped", report.messages_dropped],
+            ["stale_updates", report.stale_updates],
+            ["uploads_merged", report.uploads_merged],
+            ["server_revision", report.server_revision],
+        ]
+        for cam_id, (rot_err, tra_err) in sorted(report.calibration_errors.items()):
+            rows.append([f"calibration_rotation_error_{cam_id}", repr(rot_err)])
+            rows.append([f"calibration_translation_error_{cam_id}", repr(tra_err)])
+        for robot_id, revision in sorted(report.client_revisions.items()):
+            rows.append([f"client_revision_{robot_id}", revision])
+        _write_csv(out_dir / "summary.csv", ["key", "value"], rows)
+    except BaseException:  # an interrupted run leaves no partial files either
+        for name in written:
+            (out_dir / name).unlink(missing_ok=True)
+        raise
     print(
         f"simulated {args.duration}s: map accuracy {report.map_accuracy:.4f}, "
         f"{report.messages_sent} msgs sent, server revision {report.server_revision}"
@@ -338,11 +342,16 @@ def cmd_simulate(scenario: Scenario, args) -> int:
 class SimulationOutputs:
     report: RunReport
     server_map: GridMap
-    capture: list[bytes]
-    observations: list[list]
 
 
-def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
+def run_simulation(
+    scenario: Scenario, args, capture: BinaryIO, localization: TextIO, observations: TextIO | None = None
+) -> SimulationOutputs:
+    """Run the pipeline, streaming as it goes: one hex line per frame sent
+    to `capture`, localization.csv (each localized robot's error on each
+    tick) to `localization` and, when given, observations.csv (every
+    obstacle cell and tag each camera sees on each tick) to `observations`.
+    Nothing of these is kept, so memory does not grow with the run."""
     world = scenario.world
     params = scenario.params
     seed = args.seed if args.seed is not None else params.seed
@@ -390,8 +399,12 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
 
     upload_seqs = {r.id: 0 for r in robots}
     local_maps: dict[int, np.ndarray] = {}  # robots and walls never move: one onboard map per robot
-    capture: list[bytes] = []
-    observation_rows: list[list] = []
+    localization_rows = csv.writer(localization, lineterminator="\n")
+    localization_rows.writerow(["tick", "t", "robot_id", "error_m"])
+    observation_rows = None
+    if observations is not None:
+        observation_rows = csv.writer(observations, lineterminator="\n")
+        observation_rows.writerow(["tick", "t", "kind", "camera_id", "a", "b", "c"])
     report = RunReport(
         coverage_ratio=coverage_ratio,
         calibration_errors=calibration.pose_errors(),
@@ -400,7 +413,7 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
     )
 
     def send(msg: Message, dest: int, now: float) -> None:
-        capture.append(netsim.encode(msg))
+        capture.write(f"{netsim.encode(msg).hex()}\n".encode("ascii"))
         net.send(msg, dest, now)
 
     def handle_deliveries(deliveries) -> None:
@@ -422,15 +435,17 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
         t = tick * dt
         evidence = sensim.observe_obstacles(cameras, world, t, footprints)
         tags = sensim.observe_tags(cameras, world, sigma, seed, t, footprints)
-        if args.dump_observations:
+        if observation_rows is not None:
             for ev in evidence:
                 cols, rows = np.nonzero(ev.observed.T)  # column-major, as sorted CellIndex tuples
-                for col, row in zip(cols.tolist(), rows.tolist()):
-                    observation_rows.append([tick, repr(t), "obstacle", ev.camera_id, col, row, int(ev.occupied[row, col])])
-            for det in tags:
-                observation_rows.append(
-                    [tick, repr(t), "tag", det.camera_id, repr(det.ground_position[0]), repr(det.ground_position[1]), det.tag_id]
+                observation_rows.writerows(
+                    [tick, repr(t), "obstacle", ev.camera_id, col, row, int(ev.occupied[row, col])]
+                    for col, row in zip(cols.tolist(), rows.tolist())
                 )
+            observation_rows.writerows(
+                [tick, repr(t), "tag", det.camera_id, repr(det.ground_position[0]), repr(det.ground_position[1]), det.tag_id]
+                for det in tags
+            )
 
         detections_by_robot: dict[int, list] = {}
         tag_registry = server_map.tag_registry
@@ -448,7 +463,7 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
                 beliefs[robot.id] = fusion.ekf_update(beliefs[robot.id], z, om)
             if robot.id in beliefs:
                 err = float(np.linalg.norm(beliefs[robot.id].mean[:2] - np.array([robot.x, robot.y])))
-                report.localization_errors.append((tick, t, robot.id, err))
+                localization_rows.writerow([tick, repr(t), robot.id, repr(err)])
 
         fusion.fuse_frame(server_map, evidence, tags, camera_poses, t)
 
@@ -488,9 +503,7 @@ def run_simulation(scenario: Scenario, args) -> SimulationOutputs:
     report.server_revision = server_map.revision
     report.client_revisions = {rid: c.revision for rid, c in clients.items()}
     report.validate()
-    return SimulationOutputs(
-        report=report, server_map=server_map, capture=capture, observations=observation_rows
-    )
+    return SimulationOutputs(report=report, server_map=server_map)
 
 
 def cmd_render(scenario: Scenario, args) -> int:

@@ -37,6 +37,9 @@ MAGIC = b"UBSM"
 VERSION = 1
 HEADER = struct.Struct("<4sBBIHI")
 MAX_PAYLOAD = 2**24
+# Uploads the server remembers per sender, counting back from the highest
+# seq it merged from that sender; anything older counts as a duplicate.
+UPLOAD_WINDOW = 64
 
 
 class MessageKind(IntEnum):
@@ -224,8 +227,9 @@ class SimulatedNetwork:
 
 class ClientState:
     """A robot's view of the broadcast channel: the revision and cell
-    states of its map copy (0 and None before the first update) plus
-    staleness bookkeeping. Applied MAP_UPDATE seqs are strictly increasing."""
+    states of its map copy (0 and None before the first update), the
+    number of MAP_UPDATEs applied and dropped as stale, and the last pose
+    and ACK received. Applied MAP_UPDATE seqs are strictly increasing."""
 
     def __init__(self, robot_id: int) -> None:
         self.robot_id = robot_id
@@ -233,9 +237,9 @@ class ClientState:
         self.revision = 0
         self.cells: np.ndarray | None = None
         self.stale_count = 0
-        self.applied_seqs: list[int] = []
+        self.applied_count = 0
         self.last_pose: tuple[int, float, float, float] | None = None
-        self.acks_received: list[int] = []
+        self.last_ack: int | None = None
 
 
 def client_apply(cs: ClientState, msg: Message) -> ClientState:
@@ -252,21 +256,21 @@ def client_apply(cs: ClientState, msg: Message) -> ClientState:
             return cs
         cs.revision, cs.cells = decode_map_payload(msg.payload)
         cs.last_applied_seq = msg.seq
-        cs.applied_seqs.append(msg.seq)
+        cs.applied_count += 1
     elif msg.kind == MessageKind.ROBOT_POSE:
         cs.last_pose = decode_pose_payload(msg.payload)
     elif msg.kind == MessageKind.ACK:
         if len(msg.payload) != _ACK_PAYLOAD.size:
             raise MalformedFrameError(0, f"ack payload must be {_ACK_PAYLOAD.size} bytes")
-        (acked,) = _ACK_PAYLOAD.unpack(msg.payload)
-        cs.acks_received.append(acked)
+        (cs.last_ack,) = _ACK_PAYLOAD.unpack(msg.payload)
     return cs
 
 
 class MapServer:
     """Server half of the protocol: broadcasts the fused map, ingests and
     merges robot uploads, and acknowledges them. uploads_merged counts the
-    uploads merged, one per sender and seq."""
+    uploads merged, one per sender and seq. Duplicates are found in a
+    window of UPLOAD_WINDOW seqs per sender, so memory stays bounded."""
 
     def __init__(self, grid_map: GridMap, sender_id: int = 0) -> None:
         self.grid_map = grid_map
@@ -275,7 +279,9 @@ class MapServer:
         self.stale_uploads = 0
         self.uploads_merged = 0
         self._seqs: dict[MessageKind, int] = {}
-        self._seen_uploads: set[tuple[int, int]] = set()
+        # sender -> (highest merged seq, bitmask: bit k set when seq
+        # highest - k was merged)
+        self._upload_windows: dict[int, tuple[int, int]] = {}
 
     def next_seq(self, kind: MessageKind) -> int:
         seq = self._seqs.get(kind, 0)
@@ -302,7 +308,9 @@ class MapServer:
         """Handle a SENSOR_UPLOAD: merge its map fragment (once per sender
         and seq) and return the ACK to queue back, or None on a malformed
         or mismatched fragment, which is dropped with a recorded fault and
-        not remembered, so a retransmission is merged or rejected afresh."""
+        not remembered, so a retransmission is merged or rejected afresh.
+        An upload UPLOAD_WINDOW or more seqs behind the sender's highest
+        merged one counts as a duplicate: ACKed, counted, not merged."""
         if msg.kind != MessageKind.SENSOR_UPLOAD:
             raise WrongDirectionError(f"server ingest expects SENSOR_UPLOAD, got {msg.kind.name}")
         try:
@@ -310,8 +318,9 @@ class MapServer:
         except (MalformedFrameError, TruncatedFrameError) as exc:
             self.faults.append(f"upload from {msg.sender_id} seq {msg.seq} dropped: {exc}")
             return None
-        key = (msg.sender_id, msg.seq)
-        if key in self._seen_uploads:
+        high, merged = self._upload_windows.get(msg.sender_id, (-1, 0))
+        age = high - msg.seq
+        if age >= UPLOAD_WINDOW or (age >= 0 and merged >> age & 1):
             self.stale_uploads += 1
         else:
             try:
@@ -319,7 +328,11 @@ class MapServer:
             except DimensionMismatchError as exc:
                 self.faults.append(f"upload from {msg.sender_id} seq {msg.seq} rejected: {exc}")
                 return None
-            self._seen_uploads.add(key)
+            if age < 0:  # a new highest seq slides the window forward
+                high, merged = msg.seq, (merged << -age if -age < UPLOAD_WINDOW else 0) | 1
+            else:
+                merged |= 1 << age
+            self._upload_windows[msg.sender_id] = (high, merged & ((1 << UPLOAD_WINDOW) - 1))
             self.uploads_merged += 1
         return Message(
             kind=MessageKind.ACK,

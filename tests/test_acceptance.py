@@ -16,6 +16,8 @@ from ubimap.geom import RigidTransform
 from ubimap.netsim import ClientState, MapServer, Message, MessageKind, NetworkParams, SimulatedNetwork
 from ubimap.world import CameraSpec, CellIndex, GridWorld
 
+from test_cli import simulate_in_memory
+
 DEMO_ROOM = Path(__file__).resolve().parent.parent / "scenarios" / "demo_room.scenario"
 
 
@@ -404,8 +406,12 @@ def test_criterion_7_protocol():
             source.revision += 1
             net.send(server.map_update_message(), dest=1, now=step * 0.02)
         for delivery in net.drain():
+            last_seq, applied = client.last_applied_seq, client.applied_count
             netsim.client_apply(client, delivery.message)
-        assert client.applied_seqs == sorted(set(client.applied_seqs))
+            if client.applied_count > applied:
+                assert client.last_applied_seq == delivery.message.seq > last_seq
+            else:
+                assert client.last_applied_seq == last_seq
     ok(7, "10k round-trips, golden frames, lossless convergence, no stale applies")
 
 
@@ -427,14 +433,14 @@ def test_criterion_8_end_to_end_demo_room():
     args_no_upload = parser.parse_args(
         ["simulate", str(DEMO_ROOM), "--duration", "2.0", "--sense-radius", "0"]
     )
-    phase_a = cli.run_simulation(scenario, args_no_upload)
+    phase_a, _, _ = simulate_in_memory(scenario, args_no_upload)
     assert phase_a.server_map.state(blind_cell) == CellState.UNEXPLORED
 
     # Phase B: the real run, timed.
     start = time.perf_counter()
     args = parser.parse_args(["simulate", str(DEMO_ROOM), "--duration", "2.0"])
-    outputs = cli.run_simulation(scenario, args)
-    report, server_map, capture = outputs.report, outputs.server_map, outputs.capture
+    outputs, capture, localization = simulate_in_memory(scenario, args)
+    report, server_map = outputs.report, outputs.server_map
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
 
@@ -444,7 +450,7 @@ def test_criterion_8_end_to_end_demo_room():
 
     assert report.map_accuracy >= 0.99
     finals = {}
-    for _, _, rid, err in report.localization_errors:
+    for _, _, rid, err in localization:
         finals[rid] = err
     assert set(finals) == {r.id for r in world.robots}
     assert all(err < world.cell_size for err in finals.values())

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from pathlib import Path
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from ubimap import cli, coverage, world as worldmod
-from ubimap.cli import EXIT_CALIBRATION, EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, render_map
+from ubimap.cli import EXIT_CALIBRATION, EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, render_map
 from ubimap.fusion import CellState
 from ubimap.world import CellIndex
 
@@ -96,6 +98,17 @@ def write(tmp_path, text, name="scene.scenario"):
     path = tmp_path / name
     path.write_text(text, encoding="ascii")
     return str(path)
+
+
+def simulate_in_memory(scenario, args):
+    """`cli.run_simulation` streaming into memory -> (outputs, the frames
+    sent, localization.csv's rows as (tick, t, robot_id, error_m))."""
+    capture, localization = io.BytesIO(), io.StringIO()
+    outputs = cli.run_simulation(scenario, args, capture, localization)
+    frames = [bytes.fromhex(line) for line in capture.getvalue().decode("ascii").splitlines()]
+    header, *rows = csv.reader(localization.getvalue().splitlines())
+    assert header == ["tick", "t", "robot_id", "error_m"]
+    return outputs, frames, [(int(tick), float(t), int(rid), float(err)) for tick, t, rid, err in rows]
 
 
 # -- renderer ------------------------------------------------------------------
@@ -236,7 +249,7 @@ def test_simulate_empty_world_explores_footprints(tmp_path):
     path = write(tmp_path, FULL_COVER)
     args = cli.build_parser().parse_args(["simulate", path, "--duration", "0.5"])
     scenario = worldmod.parse_scenario(Path(path).read_text())
-    outputs = cli.run_simulation(scenario, args)
+    outputs, _, _ = simulate_in_memory(scenario, args)
     report, server_map = outputs.report, outputs.server_map
     from ubimap.world import covered_cells
 
@@ -251,10 +264,10 @@ def test_simulate_empty_world_explores_footprints(tmp_path):
 def test_simulate_demo_room_localizes_all_robots(tmp_path):
     args = cli.build_parser().parse_args(["simulate", str(DEMO_ROOM), "--duration", "1.0"])
     scenario = worldmod.parse_scenario(DEMO_ROOM.read_text())
-    outputs = cli.run_simulation(scenario, args)
+    outputs, _, localization = simulate_in_memory(scenario, args)
     report, server_map = outputs.report, outputs.server_map
     finals = {}
-    for tick, t, rid, err in report.localization_errors:
+    for tick, t, rid, err in localization:
         finals[rid] = err
     assert set(finals) == {1, 2, 3}
     assert all(err < scenario.world.cell_size for err in finals.values())
@@ -303,9 +316,9 @@ def test_simulate_no_cameras_exits_1(tmp_path, capsys):
 def test_simulate_noise_free_localization_converges_to_zero(tmp_path):
     args = cli.build_parser().parse_args(["simulate", str(DEMO_ROOM), "--duration", "1.0"])
     scenario = worldmod.parse_scenario(DEMO_ROOM.read_text())
-    outputs = cli.run_simulation(scenario, args)
+    _, _, localization = simulate_in_memory(scenario, args)
     finals = {}
-    for tick, t, rid, err in outputs.report.localization_errors:
+    for tick, t, rid, err in localization:
         finals[rid] = err
     assert all(err < 1e-9 for err in finals.values())
 
@@ -319,6 +332,35 @@ def test_simulate_observation_dump(tmp_path):
     assert lines[0] == "tick,t,kind,camera_id,a,b,c"
     assert any(",obstacle," in line for line in lines[1:])
     assert any(",tag," in line for line in lines[1:])
+
+
+SIMULATE_OUTPUTS = ("capture.hex", "localization.csv", "observations.csv", "final_map.ppm", "summary.csv")
+
+
+def test_simulate_calibration_failure_leaves_no_outputs(tmp_path):
+    path = write(tmp_path, NO_SHARED_LANDMARKS)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", path, "--dump-observations", "--out", str(out)]) == EXIT_CALIBRATION
+    assert [name for name in SIMULATE_OUTPUTS if (out / name).exists()] == []
+
+
+def test_simulate_runtime_error_mid_run_leaves_no_outputs(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    argv = ["simulate", str(DEMO_ROOM), "--duration", "1.0", "--dump-observations", "--out", str(out)]
+    assert cli.main(argv) == EXIT_OK  # a failed run removes an earlier run's files as well
+    fuse_frame, streams_open = cli.fusion.fuse_frame, []
+
+    def fuse_then_fail(server_map, evidence, tags, camera_poses, t):
+        if t >= 0.5:
+            streams_open.append([name for name in SIMULATE_OUTPUTS if (out / name).exists()])
+            raise RuntimeError("fusion failed")
+        return fuse_frame(server_map, evidence, tags, camera_poses, t)
+
+    monkeypatch.setattr(cli.fusion, "fuse_frame", fuse_then_fail)
+    assert cli.main(argv) == EXIT_RUNTIME
+    assert "runtime error: fusion failed" in capsys.readouterr().err
+    assert streams_open[0][:3] == ["capture.hex", "localization.csv", "observations.csv"]
+    assert [name for name in SIMULATE_OUTPUTS if (out / name).exists()] == []
 
 
 # -- render ----------------------------------------------------------------------
@@ -707,7 +749,7 @@ def test_map_accuracy_matches_reference_scan(seed):
     world = worldmod.GridWorld(world.cell_size, world.width, world.height, world.walls, obstacles, robots, world.landmarks)
     scenario = worldmod.Scenario(world, scenario.cameras, scenario.params)
     args = cli.build_parser().parse_args(["simulate", str(DEMO_ROOM), "--duration", "0.5", "--seed", str(seed)])
-    outputs = cli.run_simulation(scenario, args)
+    outputs, _, _ = simulate_in_memory(scenario, args)
     covered = set().union(*(worldmod.covered_cells(cam, world) for cam in scenario.cameras))
     expected = reference_map_accuracy(outputs.server_map, world, covered)
     assert outputs.report.map_accuracy == expected

@@ -167,10 +167,13 @@ def test_jitter_can_reorder_and_client_drops_stale():
     assert seqs != sorted(seqs), "seed expected to reorder; pick another seed"
     client = ClientState(robot_id=1)
     for d in deliveries:
+        last_seq, applied = client.last_applied_seq, client.applied_count
         client_apply(client, d.message)
-    assert client.applied_seqs == sorted(client.applied_seqs)
-    assert len(set(client.applied_seqs)) == len(client.applied_seqs)
-    assert client.stale_count == 20 - len(client.applied_seqs)
+        if client.applied_count > applied:
+            assert client.last_applied_seq == d.message.seq > last_seq
+        else:
+            assert client.last_applied_seq == last_seq
+    assert client.stale_count == 20 - client.applied_count
     assert client.last_applied_seq == 19
 
 
@@ -231,13 +234,13 @@ def test_client_rejects_ack_payload_of_wrong_length(length):
     client = ClientState(robot_id=1)
     with pytest.raises(MalformedFrameError):
         client_apply(client, Message(MessageKind.ACK, 0, 0, bytes(length)))
-    assert client.acks_received == []
+    assert client.last_ack is None
 
 
 def test_client_records_ack():
     client = ClientState(robot_id=1)
     client_apply(client, Message(MessageKind.ACK, 0, 0, netsim._ACK_PAYLOAD.pack(7)))
-    assert client.acks_received == [7]
+    assert client.last_ack == 7
 
 
 def test_client_stores_robot_pose():
@@ -337,6 +340,73 @@ def test_uploads_merged_counts_each_sender_and_seq_once():
     for seq, sender in ((0, 1), (0, 1), (1, 1), (0, 2)):
         assert server.ingest(upload_with_obstacle(seq=seq, sender=sender)) is not None
     assert (server.uploads_merged, server.stale_uploads) == (3, 1)
+
+
+WINDOW = netsim.UPLOAD_WINDOW
+
+
+def test_in_window_duplicate_acked_not_merged():
+    server = MapServer(GridMap(3, 3, 1.0))
+    for seq in (5, 6, 7, 5 + WINDOW - 1):
+        assert server.ingest(upload_with_obstacle(seq=seq)) is not None
+    ack = server.ingest(upload_with_obstacle(seq=5))  # 63 seqs behind the highest: still in the window
+    assert ack is not None and netsim._ACK_PAYLOAD.unpack(ack.payload) == (5,)
+    assert (server.uploads_merged, server.stale_uploads) == (4, 1)
+
+
+def test_upload_older_than_window_counts_as_duplicate():
+    server = MapServer(GridMap(3, 3, 1.0))
+    assert server.ingest(upload_with_obstacle(seq=WINDOW)) is not None
+    assert server.ingest(upload_with_obstacle(seq=0)) is not None  # never merged, but out of the window
+    assert (server.uploads_merged, server.stale_uploads) == (1, 1)
+    assert server.ingest(upload_with_obstacle(seq=1)) is not None  # the oldest seq the window keeps
+    assert (server.uploads_merged, server.stale_uploads) == (2, 1)
+    assert server.ingest(upload_with_obstacle(seq=1, sender=2)) is not None  # windows are per sender
+    assert (server.uploads_merged, server.stale_uploads) == (3, 1)
+
+
+def test_window_survives_a_jump_to_the_last_seq():
+    server = MapServer(GridMap(3, 3, 1.0))
+    for seq in (0, 2**32 - 1, 2**32 - 1, 0):
+        assert server.ingest(upload_with_obstacle(seq=seq)) is not None
+    assert (server.uploads_merged, server.stale_uploads) == (2, 2)
+    assert server._upload_windows == {1: (2**32 - 1, 1)}
+
+
+def test_jump_past_the_window_forgets_older_merges():
+    server = MapServer(GridMap(3, 3, 1.0))
+    for seq in (0, 1, WINDOW + 36, WINDOW + 35, WINDOW + 34):
+        assert server.ingest(upload_with_obstacle(seq=seq)) is not None
+    assert (server.uploads_merged, server.stale_uploads) == (5, 0)
+
+
+def test_rejected_upload_in_window_is_merged_when_retransmitted_intact():
+    server = MapServer(GridMap(3, 3, 1.0))
+    assert server.ingest(upload_with_obstacle(seq=3, size=(4, 3))) is None
+    assert server.ingest(upload_with_obstacle(seq=4)) is not None
+    assert server.ingest(upload_with_obstacle(seq=3)) is not None
+    assert (server.uploads_merged, server.stale_uploads) == (2, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3 * WINDOW), st.booleans()), max_size=60))
+def test_upload_window_matches_unbounded_reference(uploads):
+    # Reference: every merged (sender, seq) kept forever; an upload is a
+    # duplicate if merged before or WINDOW or more behind its sender's
+    # highest merged seq. A mismatched fragment is rejected, never kept.
+    server = MapServer(GridMap(3, 3, 1.0))
+    merged: set[tuple[int, int]] = set()
+    duplicates = 0
+    for sender, seq, intact in uploads:
+        high = max((s for who, s in merged if who == sender), default=-1)
+        duplicate = (sender, seq) in merged or seq <= high - WINDOW
+        ack = server.ingest(upload_with_obstacle(seq=seq, sender=sender, size=(3, 3) if intact else (2, 3), cell=(1, 1)))
+        assert (ack is not None) == (duplicate or intact)
+        duplicates += duplicate
+        if intact and not duplicate:
+            merged.add((sender, seq))
+        assert (server.uploads_merged, server.stale_uploads) == (len(merged), duplicates)
+    assert all(0 <= bits < 2**WINDOW for _, bits in server._upload_windows.values())
 
 
 def test_server_seq_strictly_increasing_per_kind():
