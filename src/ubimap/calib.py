@@ -181,11 +181,10 @@ def icp(
         dists = np.linalg.norm(transformed[:, None, :] - dst[None, :, :], axis=2)
         return [(s, int(np.argmin(dists[s]))) for s in range(len(src))]
 
-    transform = geom.identity()
     pairs = by_id if by_id is not None else match(src)
-    prev_rms = _pair_rms(transform, src, dst, pairs)
+    # Only nearest-neighbour matching iterates, so only it needs the start RMS.
+    prev_rms = _pair_rms(src, dst, pairs) if by_id is None else None
     iterations = 0
-    rms = prev_rms
     for _ in range(opts.max_iterations):
         iterations += 1
         cset = CorrespondenceSet(
@@ -202,9 +201,9 @@ def icp(
     return IcpResult(transform=transform, rms_residual=rms, iterations=iterations)
 
 
-def _pair_rms(t: RigidTransform, src, dst, pairs) -> float:
-    moved = t.transform_points(src[[s for s, _ in pairs]])
-    diff = moved - dst[[d for _, d in pairs]]
+def _pair_rms(src, dst, pairs) -> float:
+    """RMS distance between the paired points before any alignment."""
+    diff = src[[s for s, _ in pairs]] - dst[[d for _, d in pairs]]
     return float(np.sqrt(np.mean(np.sum(diff**2, axis=1))))
 
 
@@ -377,9 +376,12 @@ def refine(
         if float(np.max(np.abs(2.0 * jtr))) < gradient_tol:
             break
         stepped = False
+        curvature = hessian.diagonal().copy()
         while damping < 1e12:
+            # The damped system is formed in place: nothing else reads hessian.
+            np.fill_diagonal(hessian, curvature + damping)
             try:
-                delta = np.linalg.solve(hessian + damping * np.eye(len(jtr)), -jtr)
+                delta = np.linalg.solve(hessian, -jtr)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue

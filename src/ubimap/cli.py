@@ -131,6 +131,28 @@ class CalibrationResult:
         return {cam_id: geom.compose(reference_world_pose, pose) for cam_id, pose in self.refined.items()}
 
 
+def _shared_landmark_pairs(
+    cams: list[worldmod.CameraSpec], world: GridWorld, sigma: float, seed: int
+) -> list[tuple[int, int, CorrespondenceSet]]:
+    """The camera pairs, in camera order, that see at least 3 landmarks in
+    common, with each pair's shared observations in landmark id order."""
+    ids, seen, points = sensim.observe_landmarks(cams, world, sigma, seed)
+    rows = np.split(points, np.cumsum(seen.sum(axis=1))[:-1])  # each camera's seen points
+    seen_counts = seen.astype(np.int64)
+    pairwise = []
+    for a, b in zip(*(idx.tolist() for idx in np.nonzero(np.triu(seen_counts @ seen_counts.T, 1) >= 3))):
+        shared = seen[a] & seen[b]
+        cset = CorrespondenceSet(
+            camera_i=cams[a].id,
+            camera_j=cams[b].id,
+            points_i=rows[a][shared[seen[a]]],
+            points_j=rows[b][shared[seen[b]]],
+            landmark_ids=tuple(ids[shared].tolist()),
+        )
+        pairwise.append((cams[a].id, cams[b].id, cset))
+    return pairwise
+
+
 def calibrate_scenario(scenario: Scenario, sigma: float, seed: int) -> CalibrationResult:
     """Full calibration: simulated landmark captures, pairwise ICP edges,
     propagation from the lowest camera id, then global refinement."""
@@ -138,30 +160,7 @@ def calibrate_scenario(scenario: Scenario, sigma: float, seed: int) -> Calibrati
     if not cams:
         raise ValueError("scenario has no cameras to calibrate")
     reference = cams[0].id
-    observations = {
-        cam_id: {obs.landmark_id: obs.point.as_array() for obs in seen}
-        for cam_id, seen in sensim.observe_landmarks(cams, scenario.world, sigma, seed).items()
-    }
-    pairwise = []
-    for a in range(len(cams)):
-        for b in range(a + 1, len(cams)):
-            cam_i, cam_j = cams[a].id, cams[b].id
-            shared = sorted(set(observations[cam_i]) & set(observations[cam_j]))
-            if len(shared) < 3:
-                continue
-            pairwise.append(
-                (
-                    cam_i,
-                    cam_j,
-                    CorrespondenceSet(
-                        camera_i=cam_i,
-                        camera_j=cam_j,
-                        points_i=np.array([observations[cam_i][lid] for lid in shared]),
-                        points_j=np.array([observations[cam_j][lid] for lid in shared]),
-                        landmark_ids=tuple(shared),
-                    ),
-                )
-            )
+    pairwise = _shared_landmark_pairs(cams, scenario.world, sigma, seed)
     graph = calib.build_graph(pairwise, IcpOptions(), reference, nodes=tuple(c.id for c in cams))
     initial = calib.propagate(graph)  # raises DisconnectedGraphError
     refined, trace = calib.refine(graph, initial)
@@ -256,13 +255,14 @@ def cmd_calibrate(scenario: Scenario, args) -> int:
         rows.append(["loop_error_initial", f"{i}-{j}", repr(err)])
     for (i, j), err in sorted(calib.loop_closure_error(result.graph, result.refined).items()):
         rows.append(["loop_error_refined", f"{i}-{j}", repr(err)])
-    for cam_id, (rot_err, tra_err) in sorted(result.pose_errors().items()):
+    pose_errors = result.pose_errors()
+    for cam_id, (rot_err, tra_err) in sorted(pose_errors.items()):
         rows.append(["pose_rotation_error_rad", str(cam_id), repr(rot_err)])
         rows.append(["pose_translation_error_m", str(cam_id), repr(tra_err)])
     for cam_id, cam_j, reason in result.graph.failures:
         rows.append(["edge_failure", f"{cam_id}-{cam_j}", reason])
     _write_csv(out_dir / "calibration.csv", ["record", "key", "value"], rows)
-    worst = max((err for err, _ in result.pose_errors().values()), default=0.0)
+    worst = max((err for err, _ in pose_errors.values()), default=0.0)
     print(
         f"calibrated {len(result.refined)} cameras, cost {result.cost_trace[0]:.3e} -> "
         f"{result.cost_trace[-1]:.3e}, worst rotation error {worst:.3e} rad"
@@ -571,6 +571,10 @@ def _numeric_flag_error(args) -> str | None:
         value = getattr(args, flag, None)
         if value is not None and not (math.isfinite(value) and value >= 0):
             return f"--{flag.replace('_', '-')} must be finite and >= 0, got {value}"
+    # The tick counts `run_simulation` derives must be finite too.
+    for flag, seconds in (("duration", 1.0), ("broadcast_ms", 1000.0), ("upload_ms", 1000.0)):
+        if hasattr(args, flag) and not math.isfinite(getattr(args, flag) / seconds / dt):
+            return f"--dt must be large enough that --{flag.replace('_', '-')} spans finitely many ticks, got {dt}"
     if math.isnan(getattr(args, "sense_radius", 0.0)):
         return "--sense-radius must not be NaN"
     loss = getattr(args, "loss", None)

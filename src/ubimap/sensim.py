@@ -1,8 +1,9 @@
 """Synthetic observations standing in for real RGB-D sensing.
 
 Three streams per camera, all deterministic given (world, params, seed):
-landmark points expressed in the camera's optical frame, robot tag
-detections in the camera's ground frame, and whole-grid obstacle evidence.
+landmark points expressed in the camera's optical frame (one camera x
+landmark table for all cameras), robot tag detections in the camera's
+ground frame, and whole-grid obstacle evidence.
 
 Camera 3D pose convention: the optical frame follows the usual computer
 vision axes (z forward along the optical axis, x right, y down). The camera
@@ -20,15 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .geom import Point3, RigidTransform
+from .geom import RigidTransform
 from .world import CameraSpec, GridWorld, cell_mask, covered_cells, ground_footprint, line_of_sight
-
-
-@dataclass(frozen=True)
-class LandmarkObservation:
-    camera_id: int
-    landmark_id: int
-    point: Point3  # camera optical frame, meters
 
 
 @dataclass(frozen=True)
@@ -84,44 +78,41 @@ def _in_frustum(cam: CameraSpec, p_cam: np.ndarray) -> np.ndarray:
 
 def observe_landmarks(
     cameras: Sequence[CameraSpec], world: GridWorld, sigma: float, seed: int
-) -> dict[int, list[LandmarkObservation]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Landmarks visible to each camera, expressed in its optical frame.
 
-    Returns ``{camera id: observations}`` in camera order, each list in
-    landmark id order. Noise is isotropic Gaussian with the given sigma;
-    the generator is seeded per (seed, camera, landmark), so a stream is
-    reproducible regardless of which other cameras or landmarks are
-    evaluated.
+    Returns ``(landmark_ids, seen, points)``: the (m,) landmark ids in
+    ascending order, a (k, m) bool mask of the landmarks each camera sees,
+    cameras in the order given, and the seen optical-frame points as one
+    (n, 3) array in the mask's row-major order, n = ``seen.sum()``. Noise is
+    isotropic Gaussian with the given sigma; the generator is seeded per
+    (seed, camera, landmark), so a stream is reproducible regardless of
+    which other cameras or landmarks are evaluated.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     landmarks = sorted(world.landmarks, key=lambda lm: lm.id)
     positions = np.array([lm.position.as_array() for lm in landmarks]).reshape(-1, 3)
-    candidates = []  # (camera, landmark indices, optical-frame points) per camera
-    sights, targets = [np.empty((0, 2))], [np.empty((0, 2))]
-    for cam in cameras:
+    seen = np.zeros((len(cameras), len(landmarks)), dtype=bool)
+    in_view_points = [np.empty((0, 3))]
+    for k, cam in enumerate(cameras):
         cam_from_world = geom.invert(camera_world_pose(cam))
         # A stack of 3x3 @ 3x1 products rounds exactly as one matvec per point.
         p_cam = (cam_from_world.rotation @ positions[:, :, None])[:, :, 0] + cam_from_world.translation
-        in_view = np.flatnonzero(_in_frustum(cam, p_cam))
-        candidates.append((cam, in_view, p_cam[in_view]))
-        sights.append(np.broadcast_to((cam.x, cam.y), (len(in_view), 2)))
-        targets.append(positions[in_view, :2])
-    visible = iter(line_of_sight(world, np.concatenate(sights), np.concatenate(targets)).tolist())
-    out: dict[int, list[LandmarkObservation]] = {}
-    for cam, idx, points in candidates:
-        observations = out[cam.id] = []
-        for i, p_cam in zip(idx.tolist(), points):
-            if not next(visible):
-                continue
-            lm = landmarks[i]
-            if sigma > 0:
-                rng = np.random.default_rng((seed, cam.id, lm.id))
-                p_cam = p_cam + rng.normal(0.0, sigma, size=3)
-            observations.append(
-                LandmarkObservation(camera_id=cam.id, landmark_id=lm.id, point=Point3.from_array(p_cam))
-            )
-    return out
+        seen[k] = _in_frustum(cam, p_cam)
+        in_view_points.append(p_cam[seen[k]])
+    rows, cols = np.nonzero(seen)
+    sights = np.array([(cam.x, cam.y) for cam in cameras]).reshape(-1, 2)
+    visible = line_of_sight(world, sights[rows], positions[cols, :2])
+    seen[rows[~visible], cols[~visible]] = False
+    points = np.concatenate(in_view_points)[visible]
+    if sigma > 0:
+        noise = [
+            np.random.default_rng((seed, cameras[k].id, landmarks[i].id)).normal(0.0, sigma, size=3)
+            for k, i in zip(rows[visible].tolist(), cols[visible].tolist())
+        ]
+        points = points + np.reshape(noise, (-1, 3))
+    return np.array([lm.id for lm in landmarks], dtype=np.int64), seen, points
 
 
 def observe_tags(

@@ -6,11 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ubimap import cli, coverage, world as worldmod
+from ubimap import calib, cli, coverage, world as worldmod
+from ubimap.calib import CorrespondenceSet
 from ubimap.cli import EXIT_CALIBRATION, EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, render_map
 from ubimap.fusion import CellState
+from ubimap.geom import Point3
 from ubimap.world import CellIndex
 
+from test_sensim import reference_observe_landmarks
 from test_world import reference_line_of_sight
 
 DEMO_ROOM = Path(__file__).resolve().parent.parent / "scenarios" / "demo_room.scenario"
@@ -240,6 +243,87 @@ def test_calibrate_seeded_noisy_report_reproducible(tmp_path):
         )
         assert code == EXIT_OK
     assert (out_a / "calibration.csv").read_bytes() == (out_b / "calibration.csv").read_bytes()
+
+
+def landmark_pairing_scenario(blind_camera=False):
+    """Six wide cameras over a 10 m room with 30 scattered landmarks and a
+    row of 8 collinear ones; optionally a seventh camera whose range ends
+    above every landmark, so it sees none."""
+    rng = np.random.default_rng(194)
+    mount = dict(height=2.5, hfov=math.radians(80), vfov=math.radians(100))
+    cameras = [
+        worldmod.CameraSpec(
+            id=cid, x=float(rng.uniform(1, 9)), y=float(rng.uniform(1, 9)), yaw=float(rng.uniform(-math.pi, math.pi)),
+            max_range=8.0, **mount,
+        )
+        for cid in (4, 2, 9, 6, 1, 7)
+    ]
+    if blind_camera:
+        cameras.append(worldmod.CameraSpec(id=5, x=5.0, y=5.0, yaw=0.0, max_range=0.5, **mount))
+    landmarks = [
+        worldmod.Landmark(id=i, position=Point3(float(rng.uniform(0, 10)), float(rng.uniform(0, 10)), float(rng.uniform(0, 1.5))))
+        for i in range(30)
+    ]
+    landmarks += [worldmod.Landmark(id=100 + i, position=Point3(2.0 + 0.8 * i, 5.0, 0.5)) for i in range(8)]
+    world = worldmod.GridWorld(cell_size=0.5, width=20, height=20, landmarks=tuple(landmarks))
+    return worldmod.Scenario(world, tuple(cameras), worldmod.SimParams())
+
+
+def reference_landmark_pairs(scenario, sigma, seed):
+    """Reference pairing: each camera's observations from the per-camera
+    reference, then one set intersection per camera pair."""
+    cams = sorted(scenario.cameras, key=lambda c: c.id)
+    observed = {cam.id: reference_observe_landmarks(cam, scenario.world, sigma, seed) for cam in cams}
+    pairwise = []
+    for a, cam_i in enumerate(cams):
+        for cam_j in cams[a + 1 :]:
+            shared = sorted(set(observed[cam_i.id]) & set(observed[cam_j.id]))
+            if len(shared) >= 3:
+                cset = CorrespondenceSet(
+                    camera_i=cam_i.id,
+                    camera_j=cam_j.id,
+                    points_i=np.array([observed[cam_i.id][lid] for lid in shared]),
+                    points_j=np.array([observed[cam_j.id][lid] for lid in shared]),
+                    landmark_ids=tuple(shared),
+                )
+                pairwise.append((cam_i.id, cam_j.id, cset))
+    return pairwise
+
+
+def edge_bits(edge):
+    c = edge.correspondences
+    return (
+        edge.camera_i, edge.camera_j, c.landmark_ids, c.points_i.tobytes(), c.points_j.tobytes(),
+        edge.transform.rotation.tobytes(), edge.transform.translation.tobytes(), edge.residual.hex(),
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.03])
+def test_calibration_pairs_match_per_pair_set_intersection(sigma):
+    scenario = landmark_pairing_scenario()
+    pairwise = reference_landmark_pairs(scenario, sigma, 5)
+    # The camera pairs share 0, 2, exactly 3 and more landmarks.
+    cams = sorted(scenario.cameras, key=lambda c: c.id)
+    observed = [set(reference_observe_landmarks(cam, scenario.world, sigma, 5)) for cam in cams]
+    shared_counts = {len(observed[a] & observed[b]) for a in range(len(cams)) for b in range(a + 1, len(cams))}
+    assert {0, 2, 3} <= shared_counts and max(shared_counts) > 3
+
+    graph = cli.calibrate_scenario(scenario, sigma, 5).graph
+    expected = calib.build_graph(pairwise, calib.IcpOptions(), cams[0].id, nodes=tuple(c.id for c in cams))
+    assert graph.nodes == expected.nodes
+    assert [edge_bits(e) for e in graph.edges] == [edge_bits(e) for e in expected.edges]
+    assert graph.failures == expected.failures
+    if sigma == 0.0:  # the collinear row is exactly collinear only without noise
+        assert [(i, j) for i, j, _ in graph.failures] == [(1, 2)]
+
+
+def test_calibration_camera_seeing_no_landmark_stays_unreachable():
+    scenario = landmark_pairing_scenario(blind_camera=True)
+    blind = next(cam for cam in scenario.cameras if cam.id == 5)
+    assert reference_observe_landmarks(blind, scenario.world, 0.0, 5) == {}
+    with pytest.raises(calib.DisconnectedGraphError) as exc:
+        cli.calibrate_scenario(scenario, 0.0, 5)
+    assert exc.value.unreachable == (5,)
 
 
 # -- simulate --------------------------------------------------------------------
@@ -487,6 +571,23 @@ def test_simulate_rejects_out_of_range_numeric_flags(tmp_path, capsys, flag, val
     code = cli.main(["simulate", str(DEMO_ROOM), "--duration", "0.2", f"{flag}={value}", "--out", str(tmp_path / "out")])
     assert code == EXIT_PARSE
     assert f"argument error: {flag} must" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, overflowing",
+    [
+        ("--duration 0", "--broadcast-ms"),
+        ("--duration 0 --broadcast-ms 0", "--upload-ms"),
+        ("--duration 1 --broadcast-ms 0 --upload-ms 0", "--duration"),
+    ],
+)
+def test_simulate_rejects_dt_whose_tick_counts_overflow(tmp_path, capsys, flags, overflowing):
+    # 0.1 s / 1e-320 s overflows to infinity; the run must not reach int().
+    code = cli.main(["simulate", str(DEMO_ROOM), "--dt", "1e-320", *flags.split(), "--out", str(tmp_path / "out")])
+    assert code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("argument error: --dt must") and overflowing in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,8 +1,11 @@
-"""CLI runs, each in a fresh process, on the benchmark's 20-camera room
-(``perfbench/gen.py room 1``): peak memory of ``simulate`` does not grow
-with the run length, and no output depends on the BLAS thread count.
+"""CLI runs, each in a fresh process, on the benchmark's generated scenes:
+on the 20-camera room (``perfbench/gen.py room 1``) peak memory of
+``simulate`` does not grow with the run length and no output depends on the
+BLAS thread count; on the 100-camera ring (``perfbench/gen.py ring 1``)
+``calibrate`` keeps its pinned bytes.
 """
 
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -28,10 +31,15 @@ sys.exit(code)
 
 
 @pytest.fixture(scope="module")
-def room(tmp_path_factory):
+def gen():
     spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def room(gen, tmp_path_factory):
     path = tmp_path_factory.mktemp("room") / "room.scenario"
     gen.write(gen.room(1), path)
     return path
@@ -84,3 +92,13 @@ def test_outputs_independent_of_blas_threads(room, tmp_path):
         assert outputs[name, "1"], name
         assert outputs[name, "2"] == outputs[name, "1"], name
         assert outputs[name, None] == outputs[name, "1"], name
+
+
+def test_calibrate_ring_bytes_pinned(gen, tmp_path):
+    # 100 cameras and 506 edges: a pairing fault across many cameras changes
+    # these bytes, which the 4-camera golden table cannot see.
+    path = tmp_path / "ring.scenario"
+    gen.write(gen.ring(1), path)
+    run(["calibrate", str(path), "--out", str(tmp_path / "out")], ubimap_env(), "-m", "ubimap.cli")
+    digest = hashlib.sha256((tmp_path / "out" / "calibration.csv").read_bytes()).hexdigest()
+    assert digest == "2c2c67f4684dd6005f752d6bc373169f1f918355cbc636e03609d330a3dc19b6"

@@ -55,10 +55,10 @@ def test_noise_free_landmark_matches_ground_truth():
     lm = Landmark(id=1, position=Point3(4.0, 3.5, 0.4))
     cam = make_camera(4.0, 2.0, width=4.0, depth=4.0)
     world = room_with_landmarks([lm])
-    obs = sensim.observe_landmarks([cam], world, sigma=0.0, seed=0)[cam.id]
-    assert len(obs) == 1
+    ids, seen, points = sensim.observe_landmarks([cam], world, sigma=0.0, seed=0)
+    assert ids.tolist() == [1] and seen.tolist() == [[True]] and points.shape == (1, 3)
     pose = sensim.camera_world_pose(cam)
-    recovered = geom.apply(pose, obs[0].point)
+    recovered = geom.apply(pose, Point3.from_array(points[0]))
     assert recovered.x == pytest.approx(lm.position.x, abs=1e-12)
     assert recovered.y == pytest.approx(lm.position.y, abs=1e-12)
     assert recovered.z == pytest.approx(lm.position.z, abs=1e-12)
@@ -73,26 +73,29 @@ def test_landmark_behind_wall_absent():
     # Independent oracle: the far landmark has no line of sight.
     assert line_of_sight(world, (cam.x, cam.y), (near.position.x, near.position.y))
     assert not line_of_sight(world, (cam.x, cam.y), (far.position.x, far.position.y))
-    obs = sensim.observe_landmarks([cam], world, sigma=0.0, seed=0)[cam.id]
-    assert [o.landmark_id for o in obs] == [1]
+    ids, seen, points = sensim.observe_landmarks([cam], world, sigma=0.0, seed=0)
+    assert ids[seen[0]].tolist() == [1]
+    assert len(points) == 1
 
 
 def test_landmark_observation_deterministic():
     lms = [Landmark(id=i, position=Point3(3.0 + 0.3 * i, 3.0, 0.3)) for i in range(5)]
     cam = make_camera(4.0, 2.0, width=6.0, depth=5.0)
     world = room_with_landmarks(lms)
-    a = sensim.observe_landmarks([cam], world, sigma=0.05, seed=9)[cam.id]
-    b = sensim.observe_landmarks([cam], world, sigma=0.05, seed=9)[cam.id]
-    assert a == b
-    c = sensim.observe_landmarks([cam], world, sigma=0.05, seed=10)[cam.id]
-    assert a != c
+    _, seen_a, a = sensim.observe_landmarks([cam], world, sigma=0.05, seed=9)
+    _, seen_b, b = sensim.observe_landmarks([cam], world, sigma=0.05, seed=9)
+    assert seen_a.any() and (seen_a == seen_b).all()
+    assert a.tobytes() == b.tobytes()
+    _, seen_c, c = sensim.observe_landmarks([cam], world, sigma=0.05, seed=10)
+    assert (seen_c == seen_a).all() and not (a == c).any()
 
 
 def test_landmark_outside_frustum_excluded():
     behind = Landmark(id=1, position=Point3(4.0, 1.0, 0.2))  # behind the camera
     cam = make_camera(4.0, 2.0, width=4.0, depth=4.0)
     world = room_with_landmarks([behind])
-    assert sensim.observe_landmarks([cam], world, sigma=0.0, seed=0)[cam.id] == []
+    ids, seen, points = sensim.observe_landmarks([cam], world, sigma=0.0, seed=0)
+    assert ids.tolist() == [1] and seen.tolist() == [[False]] and points.shape == (0, 3)
 
 
 def test_tags_empty_when_robot_outside_every_footprint():
@@ -238,15 +241,17 @@ def test_visibility_soundness_randomized():
     world = GridWorld(cell_size=1.0, width=8, height=8, walls=walls, landmarks=tuple(lms))
     for yaw in (0.0, 1.2, 2.8, 4.4):
         cam = make_camera(4.2, 3.4, width=6.0, depth=6.0, yaw=yaw)
-        for obs in sensim.observe_landmarks([cam], world, sigma=0.0, seed=1)[cam.id]:
-            lm = next(l for l in lms if l.id == obs.landmark_id)
+        ids, seen, _ = sensim.observe_landmarks([cam], world, sigma=0.0, seed=1)
+        for landmark_id in ids[seen[0]].tolist():
+            lm = next(l for l in lms if l.id == landmark_id)
             assert line_of_sight(world, (cam.x, cam.y), (lm.position.x, lm.position.y))
 
 
 def reference_observe_landmarks(cam, world, sigma, seed):
-    """Reference: one camera, each landmark tested on its own."""
+    """Reference: one camera, each landmark tested on its own; returns
+    ``{landmark id: optical-frame point}`` in landmark id order."""
     cam_from_world = geom.invert(sensim.camera_world_pose(cam))
-    out = []
+    out = {}
     for lm in sorted(world.landmarks, key=lambda lm: lm.id):
         p_cam = cam_from_world.rotation @ lm.position.as_array() + cam_from_world.translation
         px, py, pz = p_cam
@@ -259,12 +264,8 @@ def reference_observe_landmarks(cam, world, sigma, seed):
         if sigma > 0:
             rng = np.random.default_rng((seed, cam.id, lm.id))
             p_cam = p_cam + rng.normal(0.0, sigma, size=3)
-        out.append(sensim.LandmarkObservation(camera_id=cam.id, landmark_id=lm.id, point=Point3.from_array(p_cam)))
+        out[lm.id] = p_cam
     return out
-
-
-def bits(observations):
-    return [(o.camera_id, o.landmark_id, o.point.x.hex(), o.point.y.hex(), o.point.z.hex()) for o in observations]
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.05])
@@ -284,17 +285,24 @@ def test_observe_landmarks_matches_per_camera_reference_bit_for_bit(sigma):
         )
         for cid in (7, 3, 12, 5, 1, 9)
     ]
-    got = sensim.observe_landmarks(cameras, world, sigma=sigma, seed=4)
-    assert list(got) == [cam.id for cam in cameras]
-    assert sum(len(obs) for obs in got.values()) > 50
-    for cam in cameras:
-        assert bits(got[cam.id]) == bits(reference_observe_landmarks(cam, world, sigma, 4))
+    ids, seen, points = sensim.observe_landmarks(cameras, world, sigma=sigma, seed=4)
+    assert ids.tolist() == list(range(300))
+    assert seen.shape == (len(cameras), 300) and points.shape == (seen.sum(), 3)
+    assert seen.sum() > 50
+    expected = [reference_observe_landmarks(cam, world, sigma, 4) for cam in cameras]
+    assert seen.tolist() == [[lid in ref for lid in range(300)] for ref in expected]
+    # Row-major order of the mask: camera by camera, landmarks ascending.
+    want = np.array([p for ref in expected for p in ref.values()])
+    assert points.tobytes() == want.tobytes()
 
 
 def test_observe_landmarks_without_cameras_or_landmarks():
     cam = make_camera(4.0, 2.0, width=4.0, depth=4.0)
-    assert sensim.observe_landmarks([], room_with_landmarks([]), sigma=0.0, seed=0) == {}
-    assert sensim.observe_landmarks([cam], room_with_landmarks([]), sigma=0.1, seed=0) == {cam.id: []}
+    lm = Landmark(id=1, position=Point3(4.0, 3.5, 0.4))
+    for cameras, landmarks in (([], []), ([], [lm]), ([cam], [])):
+        ids, seen, points = sensim.observe_landmarks(cameras, room_with_landmarks(landmarks), sigma=0.1, seed=0)
+        assert ids.shape == (len(landmarks),) and seen.shape == (len(cameras), len(landmarks))
+        assert points.shape == (0, 3)
 
 
 def reference_observe_obstacles(cam, world):
