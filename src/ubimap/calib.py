@@ -3,9 +3,14 @@
 Pipeline: pairwise rigid alignment (closed-form least squares inside an ICP
 loop), a transformation graph over the cameras, propagation of poses from a
 reference camera, and a damped least-squares refinement of the total
-matching cost. The refinement solves blockwise normal equations: J^T J and
-J^T r are summed edge by edge from per-camera 6-column Jacobian blocks, so
-memory is O((6N)^2) for N cameras, independent of the landmark count.
+matching cost. Inside the cost, the loop-closure check and the refinement,
+poses are stacked arrays in ``graph.nodes`` order, (N, 3, 3) rotations and
+(N, 3) translations, and edges run in batches of one landmark count (see
+``CorrespondenceTable``); ``RigidTransform`` appears only at the boundary
+(``stack_poses`` on the way in, ``refine``'s returned dict on the way out).
+The refinement solves blockwise normal equations: J^T J and J^T r are summed
+from per-camera 6-column Jacobian blocks, so memory is O((6N)^2) for N
+cameras, independent of the landmark count.
 
 Frame conventions (used consistently everywhere in this module):
     - An edge (i, j) stores the pose of camera j expressed in camera i's
@@ -20,8 +25,11 @@ Frame conventions (used consistently everywhere in this module):
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -29,6 +37,10 @@ from . import geom
 from .geom import RigidTransform
 
 COLLINEAR_TOL = 1e-9
+# Batching of the cost and the normal equations (see CorrespondenceTable):
+# landmarks per batch, and edges per window of batches.
+BATCH_ROWS = 128
+WINDOW_EDGES = 64
 
 
 class DegenerateGeometryError(ValueError):
@@ -97,6 +109,28 @@ class GraphEdge:
 
 
 @dataclass(frozen=True)
+class CorrespondenceTable:
+    """Where the graph's correspondences meet the pose stacks, built once per
+    graph (``TransformGraph.table``). Slots index ``graph.nodes``, the order
+    of every pose stack.
+
+    A batch lists edges with one landmark count n, at most ``BATCH_ROWS``
+    landmarks in all (or one edge). A product batched over a batch's
+    (B, n, 3) points makes, edge by edge, the BLAS call that a loop over the
+    edges would make, so it rounds the same, and its temporaries stay
+    bounded. Batches are cut from windows of ``WINDOW_EDGES`` consecutive
+    edges and come window by window, so the normal equations can add one
+    window's block products, in edge order, before the next window runs.
+    The points stay in the edges' correspondence sets, which already hold
+    them; ``_batch_points`` stacks a batch's when it runs.
+    """
+
+    slot_i: np.ndarray  # (E,) slot of each edge's camera i
+    slot_j: np.ndarray  # (E,) slot of each edge's camera j
+    batches: tuple[np.ndarray, ...]  # ascending edge indices
+
+
+@dataclass(frozen=True)
 class TransformGraph:
     nodes: tuple[int, ...]
     edges: tuple[GraphEdge, ...]
@@ -106,12 +140,33 @@ class TransformGraph:
     def __post_init__(self) -> None:
         if self.reference not in self.nodes:
             raise ValueError(f"reference camera {self.reference} is not a graph node")
-        seen = set()
+        nodes, seen = set(self.nodes), set()
         for edge in self.edges:
+            for camera in (edge.camera_i, edge.camera_j):
+                if camera not in nodes:
+                    raise ValueError(f"edge camera {camera} is not a graph node")
             key = frozenset((edge.camera_i, edge.camera_j))
             if key in seen:
                 raise ValueError(f"duplicate edge between cameras {sorted(key)}")
             seen.add(key)
+
+    @cached_property
+    def table(self) -> CorrespondenceTable:
+        """The correspondence table, built at first use and kept."""
+        slot = {node: k for k, node in enumerate(self.nodes)}
+        counts = np.array([len(edge.correspondences) for edge in self.edges], dtype=np.intp)
+        batches = []
+        for start in range(0, len(counts), WINDOW_EDGES):
+            window = np.arange(start, min(start + WINDOW_EDGES, len(counts)))
+            for n in sorted(set(counts[window].tolist())):
+                same = window[counts[window] == n]
+                size = max(1, BATCH_ROWS // max(n, 1))
+                batches.extend(np.split(same, range(size, len(same), size)))
+        return CorrespondenceTable(
+            slot_i=np.array([slot[edge.camera_i] for edge in self.edges], dtype=np.intp),
+            slot_j=np.array([slot[edge.camera_j] for edge in self.edges], dtype=np.intp),
+            batches=tuple(batches),
+        )
 
 
 def best_rigid_transform(c: CorrespondenceSet) -> tuple[RigidTransform, float]:
@@ -275,70 +330,153 @@ def propagate(graph: TransformGraph) -> dict[int, RigidTransform]:
     return poses
 
 
-def graph_cost(graph: TransformGraph, poses: dict[int, RigidTransform]) -> float:
+def stack_poses(graph: TransformGraph, poses: dict[int, RigidTransform]) -> tuple[np.ndarray, np.ndarray]:
+    """The poses as (N, 3, 3) rotations and (N, 3) translations in
+    ``graph.nodes`` order; every node needs a pose, and only nodes have one."""
+    for node in graph.nodes:
+        if node not in poses:
+            raise ValueError(f"poses missing camera {node}")
+    extra = sorted(set(poses) - set(graph.nodes))
+    if extra:
+        raise ValueError(f"poses hold cameras that are not graph nodes: {extra}")
+    rotations = np.stack([poses[node].rotation for node in graph.nodes])
+    translations = np.stack([poses[node].translation for node in graph.nodes])
+    return rotations, translations
+
+
+def _relative_poses(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray):
+    """Each edge's E_ij = inverse(G_i) composed with G_j, as stacked
+    rotations and translations, rounded as ``geom.compose`` and
+    ``geom.invert`` round one edge (drifted rotations re-orthonormalized)."""
+    table = graph.table
+    r_i_t = np.swapaxes(rotations[table.slot_i], 1, 2)
+    rotation = r_i_t @ rotations[table.slot_j]
+    translation = (r_i_t @ translations[table.slot_j, :, None])[..., 0] - (
+        r_i_t @ translations[table.slot_i, :, None]
+    )[..., 0]
+    drifted = geom.orthonormality_error(rotation) > geom.DRIFT_TOL
+    if drifted.any():
+        rotation[drifted] = geom.nearest_rotation(rotation[drifted])
+    return rotation, translation
+
+
+def _batch_points(graph: TransformGraph, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A batch's correspondences stacked as (B, n, 3) p_i and p_j."""
+    sets = [graph.edges[e].correspondences for e in edges.tolist()]
+    shape = (len(sets), len(sets[0]), 3)
+    return (
+        np.concatenate([c.points_i for c in sets]).reshape(shape),
+        np.concatenate([c.points_j for c in sets]).reshape(shape),
+    )
+
+
+def graph_cost(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> float:
     """Total matching cost: sum over edges and landmarks of the squared
-    distance between the two observations brought into camera i's frame."""
-    cost = 0.0
-    for edge in graph.edges:
-        e_ij = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
-        diff = e_ij.transform_points(edge.correspondences.points_j) - edge.correspondences.points_i
-        cost += float(np.sum(diff**2))
-    return cost
+    distance between the two observations brought into camera i's frame,
+    summed edge after edge in edge order."""
+    if not graph.edges:
+        return 0.0
+    rotation, translation = _relative_poses(graph, rotations, translations)
+    per_edge = np.empty(len(graph.edges))
+    for edges in graph.table.batches:
+        p_i, p_j = _batch_points(graph, edges)
+        moved = p_j @ np.swapaxes(rotation[edges], 1, 2) + translation[edges, None, :]
+        per_edge[edges] = np.sum((moved - p_i) ** 2, axis=(1, 2))
+    return float(np.cumsum(per_edge)[-1])
 
 
-def loop_closure_error(graph: TransformGraph, poses: dict[int, RigidTransform]) -> dict[tuple[int, int], float]:
+def loop_closure_error(
+    graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray
+) -> dict[tuple[int, int], float]:
     """Per-edge discrepancy between the stored transform and the one the
-    current poses imply; nonzero values on non-tree edges are loop error."""
-    out = {}
-    for edge in graph.edges:
-        implied = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
-        rot_err = geom.rotation_distance(implied, edge.transform)
-        tra_err = float(np.linalg.norm(implied.translation - edge.transform.translation))
-        out[(edge.camera_i, edge.camera_j)] = rot_err + tra_err
-    return out
+    current poses imply: rotation angle plus translation distance. Nonzero
+    values on non-tree edges are loop error."""
+    if not graph.edges:
+        return {}
+    rotation, translation = _relative_poses(graph, rotations, translations)
+    stored = np.stack([edge.transform.rotation for edge in graph.edges])
+    cos_angle = 0.5 * (np.trace(np.swapaxes(rotation, 1, 2) @ stored, axis1=1, axis2=2) - 1.0)
+    offset = translation - np.stack([edge.transform.translation for edge in graph.edges])
+    distance = np.sqrt(np.vecdot(offset, offset))
+    return {
+        (edge.camera_i, edge.camera_j): math.acos(min(1.0, max(-1.0, cos))) + dist
+        for edge, cos, dist in zip(graph.edges, cos_angle.tolist(), distance.tolist())
+    }
+
+
+def _free_slots(graph: TransformGraph) -> np.ndarray:
+    """Slots of the cameras whose poses are parameters: all but the reference."""
+    return np.flatnonzero(np.asarray(graph.nodes) != graph.reference)
 
 
 def _normal_equations(
-    graph: TransformGraph,
-    poses: dict[int, RigidTransform],
-    index: dict[int, int],
+    graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """J^T J and J^T r of the stacked residuals w.r.t. the free pose
-    parameters (per camera: axis-angle rotation increment, then translation,
-    both applied as R <- R Exp(delta), t <- t + delta).
+    parameters (per free camera in ``graph.nodes`` order: axis-angle
+    rotation increment, then translation, both applied as R <- R Exp(delta),
+    t <- t + delta).
 
-    Accumulated one edge at a time: the edge's (3n, 6) Jacobian block for
-    each free camera it touches is formed from all its landmarks at once,
-    and the block products are added into the camera pair's 6x6 slots.
+    The 6x6 block products are formed one batch of edges at a time
+    (``_block_products``) and added into the camera pairs' slots after each
+    window of ``WINDOW_EDGES`` consecutive edges, in edge order, the order
+    in which a slot shared by several edges sums them. A side pinned as the
+    reference adds nothing.
     """
-    jtj = np.zeros((6 * len(index), 6 * len(index)))
-    jtr = np.zeros(6 * len(index))
-    for edge in graph.edges:
-        g_i, g_j = poses[edge.camera_i], poses[edge.camera_j]
-        p_i, p_j = edge.correspondences.points_i, edge.correspondences.points_j
-        r_i_t = np.broadcast_to(g_i.rotation.T, (len(p_j), 3, 3))
-        # Landmarks seen by camera j, brought into camera i's frame.
-        in_i = (p_j @ g_j.rotation.T + g_j.translation - g_i.translation) @ g_i.rotation
-        residuals = (in_i - p_i).reshape(-1)
-        blocks = []  # (parameter slot, Jacobian block); the pinned reference has none
-        if edge.camera_j in index:
-            jac_j = np.concatenate([-(g_i.rotation.T @ g_j.rotation) @ geom.skew(p_j), r_i_t], axis=2)
-            blocks.append((6 * index[edge.camera_j], jac_j.reshape(-1, 6)))
-        if edge.camera_i in index:
-            jac_i = np.concatenate([geom.skew(in_i), -r_i_t], axis=2)
-            blocks.append((6 * index[edge.camera_i], jac_i.reshape(-1, 6)))
-        for a, jac_a in blocks:
-            jtr[a : a + 6] += jac_a.T @ residuals
-            for b, jac_b in blocks:
-                jtj[a : a + 6, b : b + 6] += jac_a.T @ jac_b
+    table = graph.table
+    free = len(graph.nodes) - 1
+    jtj = np.zeros((6 * free, 6 * free))
+    jtr = np.zeros(6 * free)
+    slots = jtj.reshape(free, 6, free, 6)  # slots[a, :, b, :] is camera pair (a, b)'s 6x6 slot
+    # Each edge's parameter block per side, j then i; the pinned reference has none (-1).
+    block = np.full(len(graph.nodes), -1)
+    block[_free_slots(graph)] = np.arange(free)
+    sides = np.stack([block[table.slot_j], block[table.slot_i]], axis=1)
+    products = np.empty((min(WINDOW_EDGES, len(graph.edges)), 2, 2, 6, 6))
+    gradients = np.empty((len(products), 2, 6))
+    for start, window in groupby(table.batches, key=lambda edges: edges[0] - edges[0] % WINDOW_EDGES):
+        for edges in window:
+            products[edges - start], gradients[edges - start] = _block_products(graph, rotations, translations, edges)
+        pairs = sides[start : start + WINDOW_EDGES]
+        rows, cols = np.repeat(pairs, 2, axis=1).reshape(-1), np.tile(pairs, 2).reshape(-1)
+        kept = (rows >= 0) & (cols >= 0)
+        shares = products[: len(pairs)].reshape(-1, 6, 6)[kept]
+        np.add.at(slots, (rows[kept], slice(None), cols[kept], slice(None)), shares)
+        kept = pairs.reshape(-1) >= 0
+        np.add.at(jtr.reshape(free, 6), pairs.reshape(-1)[kept], gradients[: len(pairs)].reshape(-1, 6)[kept])
     return jtj, jtr
 
 
-def cost_gradient(graph: TransformGraph, poses: dict[int, RigidTransform]) -> np.ndarray:
+def _block_products(
+    graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray, edges: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For one batch of edges: J_a^T J_b, (B, 2, 2, 6, 6), and J_a^T r,
+    (B, 2, 6), over sides a, b = camera j, camera i. An edge's (3n, 6)
+    Jacobian block for one camera holds all its landmarks."""
+    table = graph.table
+    p_i, p_j = _batch_points(graph, edges)
+    b, n = p_j.shape[:2]
+    r_i = rotations[table.slot_i[edges]]
+    r_j = rotations[table.slot_j[edges]]
+    r_i_t = np.swapaxes(r_i, 1, 2)[:, None]
+    # Landmarks seen by camera j, brought into camera i's frame.
+    moved = p_j @ np.swapaxes(r_j, 1, 2) + translations[table.slot_j[edges], None, :]
+    in_i = (moved - translations[table.slot_i[edges], None, :]) @ r_i
+    jacobians = np.empty((b, 2, n, 3, 6))
+    jacobians[:, 0, ..., :3] = -(r_i_t @ r_j[:, None]) @ geom.skew(p_j)
+    jacobians[:, 0, ..., 3:] = r_i_t
+    jacobians[:, 1, ..., :3] = geom.skew(in_i)
+    jacobians[:, 1, ..., 3:] = -r_i_t
+    jacobians = jacobians.reshape(b, 2, 3 * n, 6)
+    jac_t = np.swapaxes(jacobians, 2, 3)
+    residuals = (in_i - p_i).reshape(b, 1, 3 * n, 1)
+    return jac_t[:, :, None] @ jacobians[:, None], (jac_t @ residuals)[..., 0]
+
+
+def cost_gradient(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
     """Analytic gradient of the total cost w.r.t. the free pose parameters
-    (all cameras except the reference, ordered by id)."""
-    index = {node: i for i, node in enumerate(n for n in sorted(poses) if n != graph.reference)}
-    return 2.0 * _normal_equations(graph, poses, index)[1]
+    (all cameras except the reference, in ``graph.nodes`` order)."""
+    return 2.0 * _normal_equations(graph, rotations, translations)[1]
 
 
 def refine(
@@ -350,29 +488,28 @@ def refine(
 ) -> tuple[dict[int, RigidTransform], list[float]]:
     """Levenberg-Marquardt refinement of the global poses.
 
-    The reference pose is pinned to fix the gauge. Accepted steps strictly
-    decrease the cost; the damping factor shrinks tenfold on success and
-    grows tenfold on rejection. Each step solves (J^T J + damping I) delta
-    = -J^T r, with J^T J and J^T r accumulated edge by edge; only these
-    (6N)^2 and 6N arrays are held, never the full Jacobian. Returns the
-    refined poses and the trace of accepted costs (starting with the initial
-    cost).
+    ``initial`` needs a pose for every graph node and none for any other
+    camera (``ValueError`` otherwise). It is stacked once into (N, 3, 3)
+    rotations and (N, 3) translations in ``graph.nodes`` order; the returned
+    dict, in ``initial``'s key order, is the only other place poses are
+    ``RigidTransform``s. The reference pose is pinned to fix the gauge.
+    Accepted steps strictly decrease the cost; the damping factor shrinks
+    tenfold on success and grows tenfold on rejection. Each step solves
+    (J^T J + damping I) delta = -J^T r, with J^T J and J^T r accumulated
+    edge by edge, never the full Jacobian. The memory held is one (6N)^2
+    matrix, damped in place, plus the copy ``np.linalg.solve`` makes of it:
+    the last system is dropped before the next is built. Returns the refined
+    poses and the trace of accepted costs (starting with the initial cost).
     """
-    for node in graph.nodes:
-        if node not in initial:
-            raise ValueError(f"initial poses missing camera {node}")
-    poses = dict(initial)
-    free = [n for n in sorted(poses) if n != graph.reference]
-    index = {node: i for i, node in enumerate(free)}
-
-    cost = graph_cost(graph, poses)
+    rotations, translations = stack_poses(graph, initial)
+    cost = graph_cost(graph, rotations, translations)
     trace = [cost]
-    if not free or not graph.edges:
-        return poses, trace
+    if len(graph.nodes) == 1 or not graph.edges:
+        return dict(initial), trace
 
     damping = 1e-3
     for _ in range(max_iterations):
-        hessian, jtr = _normal_equations(graph, poses, index)
+        hessian, jtr = _normal_equations(graph, rotations, translations)
         if float(np.max(np.abs(2.0 * jtr))) < gradient_tol:
             break
         stepped = False
@@ -385,32 +522,34 @@ def refine(
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
-            candidate = _apply_step(poses, index, delta)
-            new_cost = graph_cost(graph, candidate)
+            candidate = _apply_step(graph, rotations, translations, delta)
+            new_cost = graph_cost(graph, *candidate)
             if new_cost < cost:
-                poses = candidate
+                rotations, translations = candidate
                 relative_drop = (cost - new_cost) / max(cost, 1e-300)
                 cost = new_cost
                 trace.append(cost)
                 damping = max(damping / 10.0, 1e-12)
                 stepped = True
-                if relative_drop < relative_cost_tol:
-                    return poses, trace
                 break
             damping *= 10.0
-        if not stepped:
+        if not stepped or relative_drop < relative_cost_tol:
             break
-    return poses, trace
+        del hessian, jtr  # one (6N)^2 matrix alive: drop it before the next is built
+    slot = {node: k for k, node in enumerate(graph.nodes)}
+    return {node: RigidTransform(rotations[slot[node]], translations[slot[node]]) for node in initial}, trace
 
 
 def _apply_step(
-    poses: dict[int, RigidTransform], index: dict[int, int], delta: np.ndarray
-) -> dict[int, RigidTransform]:
-    out = dict(poses)
-    for node, i in index.items():
-        d_rot = delta[6 * i : 6 * i + 3]
-        d_tra = delta[6 * i + 3 : 6 * i + 6]
-        old = poses[node]
-        rotation = geom.nearest_rotation(old.rotation @ geom.rotation_from_axis_angle(d_rot))
-        out[node] = RigidTransform(rotation, old.translation + d_tra)
-    return out
+    graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray, delta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The poses moved by one parameter step (see ``_normal_equations``),
+    checked as one stack with ``geom.check_rigid``."""
+    free = _free_slots(graph)
+    step = delta.reshape(-1, 6)
+    rotations = rotations.copy()
+    translations = translations.copy()
+    rotations[free] = geom.nearest_rotation(rotations[free] @ geom.rotation_from_axis_angle(step[:, :3]))
+    translations[free] += step[:, 3:]
+    geom.check_rigid(rotations, translations)
+    return rotations, translations

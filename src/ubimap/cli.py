@@ -247,13 +247,14 @@ def cmd_calibrate(scenario: Scenario, args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    loop = calib.loop_closure_error(result.graph, result.initial)
+    loop = calib.loop_closure_error(result.graph, *calib.stack_poses(result.graph, result.initial))
     rows = [["cost_initial", "", repr(result.cost_trace[0])], ["cost_final", "", repr(result.cost_trace[-1])]]
     for edge in result.graph.edges:
         rows.append(["edge_residual", f"{edge.camera_i}-{edge.camera_j}", repr(edge.residual)])
     for (i, j), err in sorted(loop.items()):
         rows.append(["loop_error_initial", f"{i}-{j}", repr(err)])
-    for (i, j), err in sorted(calib.loop_closure_error(result.graph, result.refined).items()):
+    loop_refined = calib.loop_closure_error(result.graph, *calib.stack_poses(result.graph, result.refined))
+    for (i, j), err in sorted(loop_refined.items()):
         rows.append(["loop_error_refined", f"{i}-{j}", repr(err)])
     pose_errors = result.pose_errors()
     for cam_id, (rot_err, tra_err) in sorted(pose_errors.items()):

@@ -24,6 +24,8 @@ ORTHONORMAL_TOL = 1e-9
 DET_TOL = 1e-9
 # compose() re-orthonormalizes its result when drift exceeds this.
 DRIFT_TOL = 1e-12
+_IDENTITY = np.eye(3)
+_IDENTITY.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,7 @@ class Point3:
 class RigidTransform:
     """A proper rigid motion (rotation + translation) in 3D.
 
-    The rotation must be orthonormal within ``ORTHONORMAL_TOL`` (Frobenius
-    norm of R^T R - I) and have determinant +1 within ``DET_TOL``.
+    The entries must pass ``check_rigid``.
     """
 
     __slots__ = ("rotation", "translation")
@@ -59,14 +60,7 @@ class RigidTransform:
     def __init__(self, rotation, translation) -> None:
         rot = np.array(rotation, dtype=float).reshape(3, 3)
         tra = np.array(translation, dtype=float).reshape(3)
-        if not np.all(np.isfinite(rot)) or not np.all(np.isfinite(tra)):
-            raise ValueError("RigidTransform requires finite entries")
-        err = float(np.linalg.norm(rot.T @ rot - np.eye(3)))
-        if err >= ORTHONORMAL_TOL:
-            raise ValueError(f"rotation is not orthonormal (|R^T R - I|_F = {err:.3e})")
-        det = float(np.linalg.det(rot))
-        if abs(det - 1.0) >= DET_TOL:
-            raise ValueError(f"rotation determinant must be +1, got {det:.12f}")
+        check_rigid(rot, tra)
         rot.setflags(write=False)
         tra.setflags(write=False)
         self.rotation = rot
@@ -89,6 +83,30 @@ class RigidTransform:
         return f"RigidTransform(rotation={self.rotation.tolist()}, translation={self.translation.tolist()})"
 
 
+def orthonormality_error(rotation: np.ndarray) -> np.ndarray:
+    """Frobenius norm of R^T R - I for an (..., 3, 3) float array, batched
+    over the leading axes. The sum is the one ``np.linalg.norm`` takes over
+    a single matrix."""
+    drift = (rotation.swapaxes(-1, -2) @ rotation - _IDENTITY).reshape(rotation.shape[:-2] + (9,))
+    return np.sqrt(np.vecdot(drift, drift))
+
+
+def check_rigid(rotation: np.ndarray, translation: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every entry is finite and every rotation
+    is orthonormal within ``ORTHONORMAL_TOL`` (Frobenius norm of R^T R - I)
+    with determinant +1 within ``DET_TOL``. Batched over the leading axes:
+    (..., 3, 3) rotations with (..., 3) translations, float arrays."""
+    if not (np.isfinite(rotation).all() and np.isfinite(translation).all()):
+        raise ValueError("RigidTransform requires finite entries")
+    err = orthonormality_error(rotation)
+    if (err >= ORTHONORMAL_TOL).any():
+        raise ValueError(f"rotation is not orthonormal (|R^T R - I|_F = {float(err.max()):.3e})")
+    det = np.linalg.det(rotation)
+    off = abs(det - 1.0) >= DET_TOL
+    if off.any():
+        raise ValueError(f"rotation determinant must be +1, got {float(det[off].flat[0]):.12f}")
+
+
 def identity() -> RigidTransform:
     return RigidTransform(np.eye(3), np.zeros(3))
 
@@ -108,33 +126,35 @@ def rot_z(angle: float) -> RigidTransform:
 
 
 def nearest_rotation(m: np.ndarray) -> np.ndarray:
-    """Project a near-rotation matrix onto the closest proper rotation.
+    """Project near-rotation matrices onto the closest proper rotations,
+    batched over the leading axes.
 
     Uses the orthogonal factor of the SVD with a sign fix so det = +1.
     """
     u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
     r = u @ vt
-    if np.linalg.det(r) < 0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
+    flip = np.linalg.det(r) < 0
+    if flip.any():
+        u[..., -1] = np.where(flip[..., None], -u[..., -1], u[..., -1])
         r = u @ vt
     return r
 
 
 def rotation_from_axis_angle(vec) -> np.ndarray:
-    """Rodrigues' formula: rotation matrix for an axis-angle 3-vector.
+    """Rodrigues' formula: rotation matrices for axis-angle 3-vectors,
+    batched over the leading axes, so an (n, 3) input gives (n, 3, 3).
 
-    The vector's direction is the axis, its norm the angle in radians.
-    Small angles fall back to the second-order series to avoid dividing
-    by a vanishing norm.
+    A vector's direction is the axis, its norm the angle in radians.
+    Angles below 1e-12 fall back to the second-order series to avoid
+    dividing by a vanishing norm.
     """
-    v = np.asarray(vec, dtype=float).reshape(3)
-    angle = float(np.linalg.norm(v))
-    k = skew(v)
-    if angle < 1e-12:
-        return np.eye(3) + k + 0.5 * (k @ k)
-    k = k / angle
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    v = np.asarray(vec, dtype=float)
+    angle = np.sqrt(np.vecdot(v, v))  # the sum np.linalg.norm takes
+    small = (angle < 1e-12)[..., None, None]
+    k = skew(v) / np.where(small, 1.0, angle[..., None, None])
+    first = np.where(small, 1.0, np.sin(angle)[..., None, None])
+    second = np.where(small, 0.5, 1.0 - np.cos(angle)[..., None, None])
+    return _IDENTITY + first * k + second * (k @ k)
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -152,7 +172,7 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Composition: the result applies ``b`` first, then ``a``."""
     rot = a.rotation @ b.rotation
     tra = a.rotation @ b.translation + a.translation
-    if float(np.linalg.norm(rot.T @ rot - np.eye(3))) > DRIFT_TOL:
+    if orthonormality_error(rot) > DRIFT_TOL:
         rot = nearest_rotation(rot)
     return RigidTransform(rot, tra)
 

@@ -222,18 +222,17 @@ def test_criterion_4_graph_propagation_and_refinement():
         n = int(grad_rng.integers(3, 5))
         _, pw = cycle_rig(grad_rng, n_cameras=n, noise=0.02, landmarks=5)
         graph = calib.build_graph(pw, IcpOptions(), reference=0)
-        poses = calib.propagate(graph)
-        grad = calib.cost_gradient(graph, poses)
-        free = [node for node in sorted(poses) if node != 0]
-        index = {node: i for i, node in enumerate(free)}
+        poses = calib.stack_poses(graph, calib.propagate(graph))
+        grad = calib.cost_gradient(graph, *poses)
+        free = [node for node in graph.nodes if node != 0]
         h = 1e-6
         fd = np.zeros_like(grad)
         for p in range(6 * len(free)):
             delta = np.zeros(6 * len(free))
             delta[p] = h
-            up = calib.graph_cost(graph, calib._apply_step(poses, index, delta))
+            up = calib.graph_cost(graph, *calib._apply_step(graph, *poses, delta))
             delta[p] = -h
-            down = calib.graph_cost(graph, calib._apply_step(poses, index, delta))
+            down = calib.graph_cost(graph, *calib._apply_step(graph, *poses, delta))
             fd[p] = (up - down) / (2 * h)
         # Vector-relative: components with a true zero gradient only carry
         # finite-difference roundoff, so compare against the gradient scale.

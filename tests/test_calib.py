@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ubimap import calib, geom
 from ubimap.calib import (
@@ -17,6 +19,7 @@ from ubimap.calib import (
     icp,
     propagate,
     refine,
+    stack_poses,
 )
 from ubimap.geom import RigidTransform
 
@@ -220,27 +223,33 @@ def test_icp_hits_iteration_cap_without_error():
 # -- graph construction and propagation --------------------------------------
 
 
-def synthetic_rig(n_cameras, rng, noise=0.0, cycle=False, landmarks_per_zone=6):
+def synthetic_rig(n_cameras, rng, noise=0.0, cycle=False, landmarks_per_zone=6, chords=()):
     """True global poses plus pairwise correspondence sets from shared
-    landmarks observed in each camera's local frame."""
+    landmarks observed in each camera's local frame: a chain, closed into a
+    cycle on request, plus the extra camera pairs in ``chords``.
+    ``landmarks_per_zone`` is one count for every pair or a sequence of
+    counts, one per pair."""
     true_poses = {0: geom.identity()}
     for k in range(1, n_cameras):
         true_poses[k] = random_transform(rng, max_angle=1.2, max_shift=2.0)
     pairs = [(k, k + 1) for k in range(n_cameras - 1)]
     if cycle:
         pairs.append((n_cameras - 1, 0))
+    pairs.extend(chords)
+    if isinstance(landmarks_per_zone, int):
+        landmarks_per_zone = [landmarks_per_zone] * len(pairs)
     pairwise = []
     lm_id = 0
-    for cam_i, cam_j in pairs:
-        world_pts = rng.uniform(-1.5, 1.5, size=(landmarks_per_zone, 3))
+    for (cam_i, cam_j), count in zip(pairs, landmarks_per_zone):
+        world_pts = rng.uniform(-1.5, 1.5, size=(count, 3))
         inv_i, inv_j = geom.invert(true_poses[cam_i]), geom.invert(true_poses[cam_j])
         pts_i = inv_i.transform_points(world_pts)
         pts_j = inv_j.transform_points(world_pts)
         if noise > 0:
             pts_i = pts_i + rng.normal(0, noise, pts_i.shape)
             pts_j = pts_j + rng.normal(0, noise, pts_j.shape)
-        ids = tuple(range(lm_id, lm_id + landmarks_per_zone))
-        lm_id += landmarks_per_zone
+        ids = tuple(range(lm_id, lm_id + count))
+        lm_id += count
         pairwise.append(
             (cam_i, cam_j, CorrespondenceSet(cam_i, cam_j, pts_i, pts_j, landmark_ids=ids))
         )
@@ -359,10 +368,10 @@ def test_refine_reduces_loop_closure_error():
     _, pairwise = synthetic_rig(4, rng, noise=0.01, cycle=True)
     graph = build_graph(pairwise, IcpOptions(), reference=0)
     initial = propagate(graph)
-    before = calib.loop_closure_error(graph, initial)
+    before = calib.loop_closure_error(graph, *stack_poses(graph, initial))
     closing = max(before, key=lambda k: before[k])
     refined, _ = refine(graph, initial)
-    after = calib.loop_closure_error(graph, refined)
+    after = calib.loop_closure_error(graph, *stack_poses(graph, refined))
     assert after[closing] < before[closing]
 
 
@@ -390,10 +399,10 @@ def test_gauge_invariance_of_cost():
     _, pairwise = synthetic_rig(4, rng, noise=0.01, cycle=True)
     graph = build_graph(pairwise, IcpOptions(), reference=0)
     poses = propagate(graph)
-    base = graph_cost(graph, poses)
+    base = graph_cost(graph, *stack_poses(graph, poses))
     common = random_transform(rng)
     shifted = {cam: geom.compose(common, pose) for cam, pose in poses.items()}
-    assert graph_cost(graph, shifted) == pytest.approx(base, rel=1e-9)
+    assert graph_cost(graph, *stack_poses(graph, shifted)) == pytest.approx(base, rel=1e-9)
 
 
 def test_gradient_matches_central_differences():
@@ -401,21 +410,184 @@ def test_gradient_matches_central_differences():
     for _ in range(5):
         _, pairwise = synthetic_rig(3, rng, noise=0.02, cycle=True, landmarks_per_zone=5)
         graph = build_graph(pairwise, IcpOptions(), reference=0)
-        poses = propagate(graph)
-        grad = cost_gradient(graph, poses)
-        free = [n for n in sorted(poses) if n != graph.reference]
-        index = {node: i for i, node in enumerate(free)}
+        poses = stack_poses(graph, propagate(graph))
+        grad = cost_gradient(graph, *poses)
+        free = [n for n in graph.nodes if n != graph.reference]
         h = 1e-6
         fd = np.zeros_like(grad)
         for p in range(6 * len(free)):
             delta = np.zeros(6 * len(free))
             delta[p] = h
-            up = graph_cost(graph, calib._apply_step(poses, index, delta))
+            up = graph_cost(graph, *calib._apply_step(graph, *poses, delta))
             delta[p] = -h
-            down = graph_cost(graph, calib._apply_step(poses, index, delta))
+            down = graph_cost(graph, *calib._apply_step(graph, *poses, delta))
             fd[p] = (up - down) / (2 * h)
         # Zero-gradient components carry only FD roundoff; compare vector-wise.
         assert np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-8) < 1e-5
+
+
+# -- per-edge oracles: the stacked expressions against one edge at a time -----
+
+
+def oracle_graph_cost(graph, poses):
+    """Reference: one edge at a time through RigidTransform."""
+    cost = 0.0
+    for edge in graph.edges:
+        e_ij = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
+        diff = e_ij.transform_points(edge.correspondences.points_j) - edge.correspondences.points_i
+        cost += float(np.sum(diff**2))
+    return cost
+
+
+def oracle_loop_closure_error(graph, poses):
+    out = {}
+    for edge in graph.edges:
+        implied = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
+        rot_err = geom.rotation_distance(implied, edge.transform)
+        tra_err = float(np.linalg.norm(implied.translation - edge.transform.translation))
+        out[(edge.camera_i, edge.camera_j)] = rot_err + tra_err
+    return out
+
+
+def oracle_normal_equations(graph, poses, index):
+    """Reference: each edge's residuals and Jacobian blocks from its two
+    poses, block products added edge by edge."""
+    jtj = np.zeros((6 * len(index), 6 * len(index)))
+    jtr = np.zeros(6 * len(index))
+    for edge in graph.edges:
+        g_i, g_j = poses[edge.camera_i], poses[edge.camera_j]
+        p_i, p_j = edge.correspondences.points_i, edge.correspondences.points_j
+        r_i_t = np.broadcast_to(g_i.rotation.T, (len(p_j), 3, 3))
+        in_i = (p_j @ g_j.rotation.T + g_j.translation - g_i.translation) @ g_i.rotation
+        residuals = (in_i - p_i).reshape(-1)
+        blocks = []
+        if edge.camera_j in index:
+            jac_j = np.concatenate([-(g_i.rotation.T @ g_j.rotation) @ geom.skew(p_j), r_i_t], axis=2)
+            blocks.append((6 * index[edge.camera_j], jac_j.reshape(-1, 6)))
+        if edge.camera_i in index:
+            jac_i = np.concatenate([geom.skew(in_i), -r_i_t], axis=2)
+            blocks.append((6 * index[edge.camera_i], jac_i.reshape(-1, 6)))
+        for a, jac_a in blocks:
+            jtr[a : a + 6] += jac_a.T @ residuals
+            for b, jac_b in blocks:
+                jtj[a : a + 6, b : b + 6] += jac_a.T @ jac_b
+    return jtj, jtr
+
+
+def oracle_apply_step(poses, index, delta):
+    """Reference: one camera at a time, with scalar Rodrigues."""
+    out = dict(poses)
+    for node, i in index.items():
+        d_rot = delta[6 * i : 6 * i + 3]
+        angle = float(np.linalg.norm(d_rot))
+        k = geom.skew(d_rot)
+        if angle < 1e-12:
+            rodrigues = np.eye(3) + k + 0.5 * (k @ k)
+        else:
+            k = k / angle
+            rodrigues = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+        rotation = geom.nearest_rotation(poses[node].rotation @ rodrigues)
+        out[node] = RigidTransform(rotation, poses[node].translation + delta[6 * i + 3 : 6 * i + 6])
+    return out
+
+
+@st.composite
+def stacked_cases(draw):
+    n_cameras = draw(st.integers(2, 8))
+    # A cycle puts the reference on both sides of an edge.
+    cycle = n_cameras > 2 and draw(st.booleans())
+    # Chords give cameras three or more edges, whose diagonal slots then
+    # depend on the order their shares are added in.
+    closing = (0, n_cameras - 1) if cycle else None
+    skips = [(a, b) for a in range(n_cameras) for b in range(a + 2, n_cameras) if (a, b) != closing]
+    chords = draw(st.lists(st.sampled_from(skips), unique=True)) if skips else []
+    n_pairs = (n_cameras if cycle else n_cameras - 1) + len(chords)
+    return {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "n_cameras": n_cameras,
+        "cycle": cycle,
+        "chords": chords,
+        "reference": draw(st.integers(0, n_cameras - 1)),
+        "landmarks": draw(st.lists(st.integers(3, 9), min_size=n_pairs, max_size=n_pairs)),
+        # Small batches and windows, so that edges of one landmark count
+        # share batches and several windows run.
+        "batch_rows": draw(st.integers(3, 40)),
+        "window_edges": draw(st.integers(1, 4)),
+        "drift": draw(st.booleans()),
+        "zero_step": draw(st.booleans()),
+    }
+
+
+BOTH_SIDES_DRIFTING = {
+    "seed": 7, "n_cameras": 5, "cycle": True, "chords": [(0, 2), (1, 3), (2, 4)], "reference": 0,
+    "landmarks": [4, 6, 4, 6, 4, 5, 4, 6], "batch_rows": 12, "window_edges": 3, "drift": True, "zero_step": False,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_cases())
+@example(BOTH_SIDES_DRIFTING)
+@example({**BOTH_SIDES_DRIFTING, "reference": 2, "zero_step": True})
+def test_stacked_calibration_equals_per_edge_oracles(case):
+    rng = np.random.default_rng(case["seed"])
+    _, pairwise = synthetic_rig(
+        case["n_cameras"],
+        rng,
+        noise=0.01,
+        cycle=case["cycle"],
+        landmarks_per_zone=case["landmarks"],
+        chords=case["chords"],
+    )
+    graph = build_graph(pairwise, IcpOptions(), reference=case["reference"])
+    free = [node for node in graph.nodes if node != graph.reference]
+    index = {node: i for i, node in enumerate(free)}
+    poses = oracle_apply_step(propagate(graph), index, rng.normal(0, 0.05, 6 * len(free)))
+    if case["drift"]:
+        # Rotations 1e-11 off orthonormal pass RigidTransform's check, but
+        # their relative rotations drift past DRIFT_TOL, so the branch that
+        # re-orthonormalizes them runs.
+        poses = {
+            node: RigidTransform(pose.rotation + rng.normal(0, 1e-11, (3, 3)), pose.translation)
+            for node, pose in poses.items()
+        }
+        relative = [poses[e.camera_i].rotation.T @ poses[e.camera_j].rotation for e in graph.edges]
+        assert max(geom.orthonormality_error(np.stack(relative))) > geom.DRIFT_TOL
+    rotations, translations = stack_poses(graph, poses)
+    delta = rng.normal(0, 0.05, 6 * len(free))
+    if case["zero_step"]:
+        delta[np.arange(len(delta)) % 6 < 3] = 0.0  # Rodrigues' small-angle branch
+
+    with mock.patch.object(calib, "BATCH_ROWS", case["batch_rows"]), mock.patch.object(
+        calib, "WINDOW_EDGES", case["window_edges"]
+    ):
+        assert graph_cost(graph, rotations, translations) == oracle_graph_cost(graph, poses)
+        assert calib.loop_closure_error(graph, rotations, translations) == oracle_loop_closure_error(graph, poses)
+        jtj, jtr = calib._normal_equations(graph, rotations, translations)
+    oracle_jtj, oracle_jtr = oracle_normal_equations(graph, poses, index)
+    assert np.array_equal(jtj, oracle_jtj) and np.array_equal(jtr, oracle_jtr)
+    stepped = calib._apply_step(graph, rotations, translations, delta)
+    expected = stack_poses(graph, oracle_apply_step(poses, index, delta))
+    assert np.array_equal(stepped[0], expected[0]) and np.array_equal(stepped[1], expected[1])
+
+
+def test_refine_rejects_poses_outside_the_graph():
+    rng = np.random.default_rng(34)
+    _, pairwise = synthetic_rig(3, rng, noise=0.01)
+    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    initial = propagate(graph)
+    # An extra camera would be a free parameter without Jacobian rows.
+    with pytest.raises(ValueError, match=r"not graph nodes: \[7\]"):
+        refine(graph, {**initial, 7: geom.identity()})
+    with pytest.raises(ValueError, match="missing camera 2"):
+        refine(graph, {node: pose for node, pose in initial.items() if node != 2})
+
+
+def test_graph_rejects_edges_between_cameras_outside_its_nodes():
+    rng = np.random.default_rng(35)
+    _, pairwise = synthetic_rig(3, rng)
+    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    with pytest.raises(ValueError, match="edge camera 2 is not a graph node"):
+        calib.TransformGraph(nodes=(0, 1), edges=graph.edges, reference=0)
 
 
 # -- blockwise normal equations against the dense Jacobian -------------------
@@ -461,12 +633,12 @@ def test_normal_equations_match_dense_jacobian(n_cameras, cycle):
     free = [n for n in graph.nodes if n != graph.reference]
     index = {node: i for i, node in enumerate(free)}
     # Step off the propagated poses so no gradient component is ~0.
-    poses = calib._apply_step(propagate(graph), index, rng.normal(0, 0.05, 6 * len(free)))
-    jtj, jtr = calib._normal_equations(graph, poses, index)
+    poses = oracle_apply_step(propagate(graph), index, rng.normal(0, 0.05, 6 * len(free)))
+    jtj, jtr = calib._normal_equations(graph, *stack_poses(graph, poses))
     residuals, jacobian = dense_residuals_and_jacobian(graph, poses, index)
     for blockwise, dense in ((jtj, jacobian.T @ jacobian), (jtr, jacobian.T @ residuals)):
         np.testing.assert_allclose(blockwise, dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(dense)))
-    assert np.array_equal(cost_gradient(graph, poses), 2.0 * jtr)
+    assert np.array_equal(cost_gradient(graph, *stack_poses(graph, poses)), 2.0 * jtr)
 
 
 def test_refine_memory_stays_below_one_dense_jacobian():
@@ -484,3 +656,22 @@ def test_refine_memory_stays_below_one_dense_jacobian():
         tracemalloc.stop()
     assert trace[-1] < trace[0]
     assert peak < dense_bytes, (peak, dense_bytes)
+
+
+def test_refine_holds_one_normal_equation_matrix():
+    # J^T J is (6N)^2 for N free cameras. refine drops the last system before
+    # it builds the next; np.linalg.solve's working copy is allocated outside
+    # Python's allocator, so tracemalloc does not count it.
+    rng = np.random.default_rng(33)
+    _, pairwise = synthetic_rig(40, rng, noise=0.01, cycle=True, landmarks_per_zone=24)
+    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    initial = propagate(graph)
+    matrix_bytes = (6 * (len(graph.nodes) - 1)) ** 2 * 8
+    tracemalloc.start()
+    try:
+        _, trace = refine(graph, initial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) > 2  # the system was rebuilt at least once
+    assert peak < 1.5 * matrix_bytes, (peak, matrix_bytes)
