@@ -176,7 +176,11 @@ def best_rigid_transform(c: CorrespondenceSet) -> tuple[RigidTransform, float]:
     centroid / cross-covariance / SVD construction, with the reflection
     corrected so the rotation is proper, plus the RMS residual.
     """
-    src, dst = c.points_i, c.points_j
+    return _rigid_fit(c.points_i, c.points_j)
+
+
+def _rigid_fit(src: np.ndarray, dst: np.ndarray) -> tuple[RigidTransform, float]:
+    """``best_rigid_transform`` on finite (n, 3) arrays paired row by row."""
     if len(src) < 3:
         raise DegenerateGeometryError(f"need >= 3 correspondences, got {len(src)}")
     centroid_src = src.mean(axis=0)
@@ -218,12 +222,17 @@ def icp(
     index) with the closed-form alignment, until the RMS change drops below
     the threshold or the iteration cap is hit. Hitting the cap is not an
     error; the caller gets the last iterate. Pairs matched by id never
-    change, so then the first alignment is final.
+    change, so then the first alignment is final; when both sets carry the
+    same ids (distinct labels), row k already pairs with row k and the sets
+    are aligned as given.
     """
     src = np.asarray(source, dtype=float).reshape(-1, 3)
     dst = np.asarray(target, dtype=float).reshape(-1, 3)
     if len(src) < 3 or len(dst) < 3:
         raise DegenerateGeometryError("both point sets need >= 3 points")
+    if opts.use_known_ids and source_ids is not None and source_ids == target_ids:
+        transform, rms = _rigid_fit(src, dst)
+        return IcpResult(transform=transform, rms_residual=rms, iterations=1)
 
     by_id = None
     if opts.use_known_ids and source_ids is not None and target_ids is not None:
@@ -496,9 +505,13 @@ def refine(
     Accepted steps strictly decrease the cost; the damping factor shrinks
     tenfold on success and grows tenfold on rejection. Each step solves
     (J^T J + damping I) delta = -J^T r, with J^T J and J^T r accumulated
-    edge by edge, never the full Jacobian. The memory held is one (6N)^2
-    matrix, damped in place, plus the copy ``np.linalg.solve`` makes of it:
-    the last system is dropped before the next is built. Returns the refined
+    edge by edge, never the full Jacobian. Refinement stops when the
+    gradient is below ``gradient_tol``, when an accepted step lowers the
+    cost by less than ``relative_cost_tol`` of it, or, before a candidate
+    is evaluated, when the step's predicted decrease is at most that share
+    of the cost. The memory held is one (6N)^2 matrix, damped in place,
+    plus the copy ``np.linalg.solve`` makes of it: the last system is
+    dropped before the next is built. Returns the refined
     poses and the trace of accepted costs (starting with the initial cost).
     """
     rotations, translations = stack_poses(graph, initial)
@@ -522,6 +535,10 @@ def refine(
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
+            # The damped model predicts the drop damping |delta|^2 - delta . J^T r;
+            # once that is within the cost's rounding, no step can show a real one.
+            if damping * float(delta @ delta) - float(delta @ jtr) <= relative_cost_tol * cost:
+                break
             candidate = _apply_step(graph, rotations, translations, delta)
             new_cost = graph_cost(graph, *candidate)
             if new_cost < cost:

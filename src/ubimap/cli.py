@@ -563,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _numeric_flag_error(args) -> str | None:
     """The first numeric flag outside its valid range, described; None if
     every flag the subcommand has is in range."""
-    if args.seed is not None and args.seed < 0:
-        return f"--seed must be >= 0, got {args.seed}"
+    if args.seed is not None and not 0 <= args.seed <= worldmod.MAX_WORD:
+        return f"--seed must be in 0..2**64 - 1, got {args.seed}"
     dt = getattr(args, "dt", 1.0)
     if not (math.isfinite(dt) and dt > 0):
         return f"--dt must be finite and > 0, got {dt}"

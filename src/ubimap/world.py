@@ -43,6 +43,9 @@ class ScenarioSemanticError(ScenarioError):
 # The largest grid a map message carries: its header holds width and height
 # as u16 fields, and its payload one byte per cell after that 8-byte header.
 MAX_GRID_SIDE, MAX_GRID_CELLS = 2**16 - 1, 2**24 - 8
+# The largest seed, id or tag: the noise generator (sensim) keys and counts
+# on 64-bit words, so a larger value would alias a smaller one.
+MAX_WORD = 2**64 - 1
 
 
 class CellIndex(NamedTuple):
@@ -129,8 +132,8 @@ class SimParams:
     net_loss: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= self.seed <= MAX_WORD:
+            raise ValueError("seed must be in 0..2**64 - 1")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         if self.net_latency_ms < 0:
@@ -579,6 +582,8 @@ def _parse_id(line_no: int, key: str, value: str) -> int:
     number = _parse_int(line_no, key, value)
     if number < 0:
         raise ScenarioSyntaxError(line_no, f"'{key}' must be >= 0, got {number}")
+    if number > MAX_WORD:
+        raise ScenarioSyntaxError(line_no, f"'{key}' must be <= 2**64 - 1, got {number}")
     return number
 
 

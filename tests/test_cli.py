@@ -486,6 +486,37 @@ def test_calibrate_negative_seed_exits_1(tmp_path, sigma):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "simulate", "plan", "render"])
+def test_seed_above_64_bits_exits_1(tmp_path, capsys, command):
+    code = cli.main([command, str(DEMO_ROOM), "--seed", str(2**64), "--out", str(tmp_path / "out")])
+    assert code == EXIT_PARSE
+    assert "--seed must be in 0..2**64 - 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ids_tag_and_seed_at_64_bits_run_with_noise(tmp_path):
+    # Camera 4, robot 1's tag and landmark 1 set to 2**64 - 1: the noise
+    # counters take every 64-bit word.
+    top = str(2**64 - 1)
+    text = DEMO_ROOM.read_text(encoding="ascii").replace("  id = 4\n", f"  id = {top}\n", 1)
+    text = text.replace("  tag = 11\n", f"  tag = {top}\n", 1)
+    text = text.replace("section landmark\n  id = 1\n", f"section landmark\n  id = {top}\n", 1)
+    path = write(tmp_path, text)
+    for command in ("calibrate", "simulate"):
+        out = tmp_path / command
+        argv = [command, path, "--noise-sigma", "0.01", "--seed", top, "--out", str(out)]
+        assert cli.main(argv) == EXIT_OK, command
+    assert top in (tmp_path / "calibrate" / "calibration.csv").read_text()
+
+
+def test_tag_above_64_bits_exits_1_with_line(tmp_path, capsys):
+    text = DEMO_ROOM.read_text(encoding="ascii").replace("  tag = 11\n", f"  tag = {2**64}\n", 1)
+    path = write(tmp_path, text)
+    assert cli.main(["simulate", path, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "line 64" in err and "2**64 - 1" in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "plan"])
 @pytest.mark.parametrize("robot_id", ["0", "70000"])
 def test_robot_id_outside_network_addresses_exits_1(tmp_path, capsys, command, robot_id):

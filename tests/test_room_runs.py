@@ -2,7 +2,8 @@
 on the 20-camera room (``perfbench/gen.py room 1``) peak memory of
 ``simulate`` does not grow with the run length and no output depends on the
 BLAS thread count; on the 100-camera ring (``perfbench/gen.py ring`` seeds
-1, 2 and 10) ``calibrate`` keeps its pinned bytes.
+1 and 6) ``calibrate`` keeps its pinned bytes; noisy runs on both never
+import ``numpy.random`` or ``hashlib``.
 """
 
 import hashlib
@@ -59,6 +60,16 @@ def run(argv, env, *python_args) -> subprocess.CompletedProcess:
     assert done.returncode == 0, done.stderr
     return done
 
+# Runs `ubimap` with the arguments given and prints, as the last line, which
+# of the modules a numpy Generator pulls in the run has loaded.
+LOADED_MODULES = """
+import sys
+from ubimap import cli
+code = cli.main(sys.argv[1:])
+print(sorted(name for name in ("numpy.random", "hashlib", "secrets") if name in sys.modules))
+sys.exit(code)
+"""
+
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
 def test_simulate_peak_memory_flat_in_run_length(room, tmp_path):
@@ -105,17 +116,32 @@ def test_calibrate_ring_bytes_pinned(gen, tmp_path):
     # 100 cameras and 506 edges: a pairing fault across many cameras changes
     # these bytes, which the 4-camera golden table cannot see.
     digest = ring_calibration_digest(gen, tmp_path, 1)
-    assert digest == "2c2c67f4684dd6005f752d6bc373169f1f918355cbc636e03609d330a3dc19b6"
+    assert digest == "cfe2219fcced2c94c4677b38ce35c6ff1dde3a1247fd2d434e74e81cd8cedd8d"
 
 
-# On these seeds LM rejects steps (26 and 10 cost evaluations against 7 on
-# seed 1), so the damped retries and their rounding reach the bytes.
+# On this seed LM rejects steps (16 cost evaluations for 10 accepted steps,
+# against 6 for 5 on seed 1), so the damped retries and their rounding reach
+# the bytes.
 REJECTING_RING_DIGESTS = {
-    2: "2ea80e4ee54906a76e4e25c8426e3adff98e8d7b75475ad6794b64450eac289e",
-    10: "79fbfebfdb8df1cc431d62bcae1db416f705ccbd71d51d57c92b90067bb50286",
+    6: "2cd4798e88724da6645195ba589397ff07ea59841cb15c4613adff5ff8965fbc",
 }
 
 
 @pytest.mark.parametrize("seed", sorted(REJECTING_RING_DIGESTS))
 def test_calibrate_ring_bytes_pinned_where_lm_rejects_steps(gen, tmp_path, seed):
     assert ring_calibration_digest(gen, tmp_path, seed) == REJECTING_RING_DIGESTS[seed]
+
+
+def test_noisy_runs_never_import_numpy_random(gen, room, tmp_path):
+    # Sensor noise comes from sensim's own Philox generator. A numpy
+    # Generator would import numpy.random, and with it hashlib and OpenSSL.
+    # In-process tests import numpy.random themselves, hence fresh processes.
+    ring = tmp_path / "ring.scenario"
+    gen.write(gen.ring(1), ring)
+    runs = {
+        "calibrate": ["calibrate", str(ring), "--noise-sigma", "0.01"],
+        "simulate": ["simulate", str(room), "--duration", "1", "--noise-sigma", "0.01"],
+    }
+    for name, argv in runs.items():
+        done = run([*argv, "--out", str(tmp_path / name)], ubimap_env(), "-c", LOADED_MODULES)
+        assert done.stdout.splitlines()[-1] == "[]", name

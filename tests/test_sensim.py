@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ubimap import geom, sensim
 from ubimap.geom import Point3
@@ -142,6 +144,78 @@ def test_tag_noise_deterministic_per_tick():
     assert a[0].ground_position != c[0].ground_position
 
 
+WORD = 2**64 - 1
+
+
+def reference_philox(counter, key):
+    """Reference Philox4x64-10 (Salmon et al., SC 2011): one block in Python
+    integers, with the 128-bit products taken whole."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & WORD, (p0 >> 64) ^ c3 ^ k1, p0 & WORD
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & WORD, (k1 + 0xBB67AE8584CAA73B) & WORD
+    return c0, c1, c2, c3
+
+
+def reference_noise(seed, stream, counter, sigma, size):
+    """Reference draw for one observation: the block's four uniforms in
+    (0, 1], then Box-Muller on each pair, one value at a time."""
+    u = [((w >> 11) + 1) * 2.0**-53 for w in reference_philox(counter, (seed, stream))]
+    z = []
+    for k in (0, 2):
+        radius = math.sqrt(-2.0 * math.log(u[k]))
+        angle = 2.0 * math.pi * u[k + 1]
+        z += [radius * math.cos(angle), radius * math.sin(angle)]
+    return np.array([sigma * value for value in z[:size]])
+
+
+words = st.integers(0, WORD)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(words, words, words, words), min_size=1, max_size=5), words, words)
+@example([(WORD, WORD, WORD, WORD), (0, 0, 0, 0)], WORD, WORD)
+@example([(WORD, 0, WORD, 0)], 0, WORD)
+def test_philox_matches_numpy_philox(counters, k0, k1):
+    got = sensim.philox4x64(np.array(counters, dtype=np.uint64).T, (k0, k1))
+    assert got.dtype == np.uint64 and got.shape == (4, len(counters))
+    for column, counter in zip(got.T.tolist(), counters):
+        # numpy's Philox steps its 256-bit little-endian counter before the first block.
+        value = sum(word << (64 * i) for i, word in enumerate(counter))
+        bit_generator = np.random.Philox(counter=(value - 1) % 2**256, key=k0 | k1 << 64)
+        assert column == bit_generator.random_raw(4).tolist()
+        assert tuple(column) == reference_philox(counter, (k0, k1))
+
+
+def test_philox_rejects_words_outside_64_bits():
+    with pytest.raises(OverflowError):
+        sensim.philox4x64([[2**64], [0], [0], [0]], (0, 0))
+    with pytest.raises(OverflowError):
+        sensim.philox4x64([[0], [0], [0], [0]], (-1, 0))
+
+
+def test_gaussian_noise_mean_and_spread():
+    n, sigma = 100_000, 0.5
+    counter = np.zeros((4, n), dtype=np.uint64)
+    counter[0] = np.arange(n)
+    draws = sensim._gaussian_noise(3, sensim.LANDMARK_STREAM, counter, sigma, 4)
+    assert draws.shape == (n, 4)
+    for column in draws.T:
+        # Standard errors of the sample mean and of the sample standard deviation.
+        assert abs(column.mean()) <= 4 * sigma / math.sqrt(n)
+        assert abs(column.std() - sigma) <= 4 * sigma / math.sqrt(2 * n)
+
+
+def test_gaussian_noise_matches_reference_per_observation():
+    counters = [(0, 0, 0, 0), (WORD, 5, 7, 0), (1500, 2, 9, 0), (3, WORD, 0, WORD)]
+    for size in (1, 2, 3, 4):
+        draws = sensim._gaussian_noise(WORD, 2, np.array(counters, dtype=np.uint64).T, 0.02, size)
+        want = np.array([reference_noise(WORD, 2, counter, 0.02, size) for counter in counters])
+        assert draws.tobytes() == want.tobytes()
+
+
 def reference_observe_tags(cam, world, sigma, seed, t):
     """Reference: one camera's tag detections, a covered-cell set lookup per robot."""
     footprint = covered_cells(cam, world)
@@ -153,8 +227,7 @@ def reference_observe_tags(cam, world, sigma, seed, t):
             continue
         local = np.array(fp.to_local(robot.x, robot.y))
         if sigma > 0:
-            rng = np.random.default_rng((seed, tick_ms, cam.id, robot.tag))
-            local = local + rng.normal(0.0, sigma, size=2)
+            local = local + reference_noise(seed, sensim.TAG_STREAM, (tick_ms, cam.id, robot.tag, 0), sigma, 2)
         out.append(sensim.TagDetection(cam.id, robot.tag, (float(local[0]), float(local[1])), t))
     return out
 
@@ -262,8 +335,7 @@ def reference_observe_landmarks(cam, world, sigma, seed):
         if not reference_line_of_sight(world, (cam.x, cam.y), (lm.position.x, lm.position.y)):
             continue
         if sigma > 0:
-            rng = np.random.default_rng((seed, cam.id, lm.id))
-            p_cam = p_cam + rng.normal(0.0, sigma, size=3)
+            p_cam = p_cam + reference_noise(seed, sensim.LANDMARK_STREAM, (cam.id, lm.id, 0, 0), sigma, 3)
         out[lm.id] = p_cam
     return out
 
@@ -303,6 +375,69 @@ def test_observe_landmarks_without_cameras_or_landmarks():
         ids, seen, points = sensim.observe_landmarks(cameras, room_with_landmarks(landmarks), sigma=0.1, seed=0)
         assert ids.shape == (len(landmarks),) and seen.shape == (len(cameras), len(landmarks))
         assert points.shape == (0, 3)
+
+
+def noisy_scene():
+    """Six cameras over a 10 m room with 80 landmarks and 12 tagged robots."""
+    rng = np.random.default_rng(47)
+    landmarks = tuple(
+        Landmark(id=int(i), position=Point3(float(rng.uniform(0, 10)), float(rng.uniform(0, 10)), float(rng.uniform(0, 2))))
+        for i in rng.permutation(80)
+    )
+    cells = rng.choice(400, size=12, replace=False)
+    robots = tuple(
+        Robot(id=k + 1, x=float(c % 20) * 0.5 + 0.25, y=float(c // 20) * 0.5 + 0.25, theta=0.0, tag=int(3 * k + 2))
+        for k, c in enumerate(cells.tolist())
+    )
+    world = GridWorld(cell_size=0.5, width=20, height=20, landmarks=landmarks, robots=robots)
+    cameras = [
+        make_camera(
+            float(rng.uniform(2, 8)), float(rng.uniform(2, 8)), width=float(rng.uniform(4, 9)),
+            depth=float(rng.uniform(4, 9)), yaw=float(rng.uniform(-math.pi, math.pi)), cid=cid,
+            height=2.5, max_range=12.0,
+        )
+        for cid in (7, 3, 12, 5, 1, 9)
+    ]
+    return world, cameras
+
+
+NOISY_SCENE = noisy_scene()
+
+
+def landmark_draws(cameras, world):
+    ids, seen, points = sensim.observe_landmarks(cameras, world, sigma=0.05, seed=WORD)
+    pairs = [(cam.id, lid) for cam, row in zip(cameras, seen) for lid in ids[row].tolist()]
+    return dict(zip(pairs, (point.tobytes() for point in points)))
+
+
+def tag_draws(cameras, world):
+    return {(d.camera_id, d.tag_id): d.ground_position for d in sensim.observe_tags(cameras, world, 0.05, 11, 2.5)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.permutations(range(6)).flatmap(lambda order: st.integers(1, 6).map(lambda k: order[:k])),
+    st.sets(st.integers(0, 79), min_size=1),
+    st.sets(st.integers(0, 11), min_size=1),
+)
+def test_noise_of_a_subset_equals_rows_of_the_full_call(camera_picks, landmark_picks, robot_picks):
+    world, cameras = NOISY_SCENE
+    cams = [cameras[k] for k in camera_picks]
+    some_landmarks = tuple(lm for lm in world.landmarks if lm.id in landmark_picks)
+    some_robots = tuple(r for k, r in enumerate(world.robots) if k in robot_picks)
+    full = landmark_draws(cameras, world)
+    part = landmark_draws(cams, dataclasses.replace(world, landmarks=some_landmarks))
+    assert part == {(c, l): p for (c, l), p in full.items() if c in {cam.id for cam in cams} and l in landmark_picks}
+    full = tag_draws(cameras, world)
+    part = tag_draws(cams, dataclasses.replace(world, robots=some_robots))
+    tags = {r.tag for r in some_robots}
+    assert part == {(c, tag): p for (c, tag), p in full.items() if c in {cam.id for cam in cams} and tag in tags}
+
+
+def test_noisy_scene_draws_landmarks_and_tags():
+    world, cameras = NOISY_SCENE
+    assert len(landmark_draws(cameras, world)) > 60
+    assert len(tag_draws(cameras, world)) > 6
 
 
 def reference_observe_obstacles(cam, world):

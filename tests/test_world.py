@@ -130,6 +130,44 @@ def test_parse_rejects_negative_ids_with_line_number(block):
     assert "must be >= 0" in str(err.value)
 
 
+WORD_BLOCKS = {
+    "camera id": "section camera\n  id = {}\n  x = 1.0\n  y = 0.0\n  h = 2.0\n  yaw_deg = 0\n"
+    "  hfov_deg = 60\n  vfov_deg = 90\n  range = 10\nend\n",
+    "robot tag": "section robot\n  id = 1\n  x = 0.5\n  y = 0.5\n  tag = {}\nend\n",
+    "obstacle id": "section obstacle\n  id = {}\n  x = 0.5\n  y = 0.5\nend\n",
+    "landmark id": "section landmark\n  id = {}\n  x = 0.5\n  y = 0.5\n  z = 1.0\nend\n",
+    "seed": "section sim\n  seed = {}\nend\n",
+}
+
+
+@pytest.mark.parametrize("field", sorted(WORD_BLOCKS))
+def test_parse_rejects_words_above_64_bits_with_line_number(field):
+    # Seeds, ids and tags key the sensor noise generator as 64-bit words.
+    with pytest.raises(ScenarioSyntaxError) as err:
+        parse_scenario(MINIMAL + WORD_BLOCKS[field].format(2**64))
+    assert err.value.line_no == MINIMAL.count("\n") + 1
+    assert "2**64 - 1" in str(err.value)
+
+
+@pytest.mark.parametrize("field", sorted(WORD_BLOCKS))
+def test_parse_accepts_words_at_64_bits(field):
+    scenario = parse_scenario(MINIMAL + WORD_BLOCKS[field].format(2**64 - 1))
+    values = {
+        "camera id": lambda: scenario.cameras[0].id,
+        "robot tag": lambda: scenario.world.robots[0].tag,
+        "obstacle id": lambda: scenario.world.obstacles[0].id,
+        "landmark id": lambda: scenario.world.landmarks[0].id,
+        "seed": lambda: scenario.params.seed,
+    }
+    assert values[field]() == 2**64 - 1 == w.MAX_WORD
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sim_params_seed_outside_64_bit_words_rejected(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        w.SimParams(seed=seed)
+
+
 @pytest.mark.parametrize("robot_id", [0, 65536, 70000])
 def test_parse_rejects_robot_ids_outside_network_addresses(robot_id):
     block = f"section robot\n  id = {robot_id}\n  x = 0.5\n  y = 0.5\n  tag = 1\nend\n"
