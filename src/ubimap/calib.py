@@ -8,9 +8,9 @@ poses are stacked arrays in ``graph.nodes`` order, (N, 3, 3) rotations and
 (N, 3) translations, and edges run in batches of one landmark count (see
 ``CorrespondenceTable``); ``RigidTransform`` appears only at the boundary
 (``stack_poses`` on the way in, ``refine``'s returned dict on the way out).
-The refinement solves blockwise normal equations: J^T J and J^T r are summed
-from per-camera 6-column Jacobian blocks, so memory is O((6N)^2) for N
-cameras, independent of the landmark count.
+The refinement sums J^T J and J^T r from per-camera 6-column Jacobian blocks
+into band storage and solves by a banded Cholesky in elementwise numpy, no
+LAPACK: memory is O(N b) for N cameras and a bandwidth of b cameras.
 
 Frame conventions (used consistently everywhere in this module):
     - An edge (i, j) stores the pose of camera j expressed in camera i's
@@ -25,6 +25,7 @@ Frame conventions (used consistently everywhere in this module):
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from functools import cached_property
 from itertools import groupby
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import geom
 from .geom import RigidTransform
@@ -128,6 +130,8 @@ class CorrespondenceTable:
     slot_i: np.ndarray  # (E,) slot of each edge's camera i
     slot_j: np.ndarray  # (E,) slot of each edge's camera j
     batches: tuple[np.ndarray, ...]  # ascending edge indices
+    order: np.ndarray  # (N - 1,) free camera (index among the free slots) at each band position
+    bandwidth: int  # the normal equations' bandwidth in that order, in 6x6 blocks
 
 
 @dataclass(frozen=True)
@@ -162,11 +166,13 @@ class TransformGraph:
                 same = window[counts[window] == n]
                 size = max(1, BATCH_ROWS // max(n, 1))
                 batches.extend(np.split(same, range(size, len(same), size)))
-        return CorrespondenceTable(
-            slot_i=np.array([slot[edge.camera_i] for edge in self.edges], dtype=np.intp),
-            slot_j=np.array([slot[edge.camera_j] for edge in self.edges], dtype=np.intp),
-            batches=tuple(batches),
-        )
+        slot_i = np.array([slot[edge.camera_i] for edge in self.edges], dtype=np.intp)
+        slot_j = np.array([slot[edge.camera_j] for edge in self.edges], dtype=np.intp)
+        ref = slot[self.reference]
+        pairs = np.stack([slot_i, slot_j], axis=1).reshape(-1, 2)
+        pairs = pairs[(pairs != ref).all(axis=1)]
+        order, bandwidth = _band_order(len(self.nodes) - 1, pairs - (pairs > ref))  # indices among free slots
+        return CorrespondenceTable(slot_i, slot_j, tuple(batches), order, bandwidth)
 
 
 def best_rigid_transform(c: CorrespondenceSet) -> tuple[RigidTransform, float]:
@@ -299,12 +305,15 @@ def build_graph(
         except DegenerateGeometryError as exc:
             failures.append((cam_i, cam_j, str(exc)))
             continue
+        # Only icp reads the ids; the edge shares the checked, read-only points.
+        paired = copy.copy(cset)
+        object.__setattr__(paired, "landmark_ids", None)
         edges.append(
             GraphEdge(
                 camera_i=cam_i,
                 camera_j=cam_j,
                 transform=result.transform,
-                correspondences=cset,
+                correspondences=paired,
                 residual=result.rms_residual,
             )
         )
@@ -404,12 +413,12 @@ def loop_closure_error(
         return {}
     rotation, translation = _relative_poses(graph, rotations, translations)
     stored = np.stack([edge.transform.rotation for edge in graph.edges])
-    cos_angle = 0.5 * (np.trace(np.swapaxes(rotation, 1, 2) @ stored, axis1=1, axis2=2) - 1.0)
+    angles = geom._rotation_angles(np.swapaxes(rotation, 1, 2) @ stored)
     offset = translation - np.stack([edge.transform.translation for edge in graph.edges])
     distance = np.sqrt(np.vecdot(offset, offset))
     return {
-        (edge.camera_i, edge.camera_j): math.acos(min(1.0, max(-1.0, cos))) + dist
-        for edge, cos, dist in zip(graph.edges, cos_angle.tolist(), distance.tolist())
+        (edge.camera_i, edge.camera_j): angle + dist
+        for edge, angle, dist in zip(graph.edges, angles, distance.tolist())
     }
 
 
@@ -422,25 +431,28 @@ def _normal_equations(
     graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """J^T J and J^T r of the stacked residuals w.r.t. the free pose
-    parameters (per free camera in ``graph.nodes`` order: axis-angle
-    rotation increment, then translation, both applied as R <- R Exp(delta),
-    t <- t + delta).
+    parameters (per free camera: axis-angle rotation increment, then
+    translation, both applied as R <- R Exp(delta), t <- t + delta). J^T r is
+    in ``graph.nodes`` order; J^T J comes as the lower band ``band[c, d]`` =
+    entry (c + d, c), cameras in ``graph.table.order``.
 
     The 6x6 block products are formed one batch of edges at a time
     (``_block_products``) and added into the camera pairs' slots after each
     window of ``WINDOW_EDGES`` consecutive edges, in edge order, the order
-    in which a slot shared by several edges sums them. A side pinned as the
-    reference adds nothing.
+    in which a slot shared by several edges sums them; entries above the
+    diagonal mirror stored ones. A side pinned as the reference adds nothing.
     """
     table = graph.table
     free = len(graph.nodes) - 1
-    jtj = np.zeros((6 * free, 6 * free))
+    width = 6 * (table.bandwidth + 1)
+    band = np.zeros((6 * free, width))
     jtr = np.zeros(6 * free)
-    slots = jtj.reshape(free, 6, free, 6)  # slots[a, :, b, :] is camera pair (a, b)'s 6x6 slot
-    # Each edge's parameter block per side, j then i; the pinned reference has none (-1).
-    block = np.full(len(graph.nodes), -1)
-    block[_free_slots(graph)] = np.arange(free)
-    sides = np.stack([block[table.slot_j], block[table.slot_i]], axis=1)
+    placed = np.argsort(table.order)  # each free camera's band position
+    # Each edge's band position per side, j then i; the pinned reference has none (-1).
+    position = np.full(len(graph.nodes), -1)
+    position[_free_slots(graph)] = placed
+    sides = np.stack([position[table.slot_j], position[table.slot_i]], axis=1)
+    p, q = np.indices((6, 6))
     products = np.empty((min(WINDOW_EDGES, len(graph.edges)), 2, 2, 6, 6))
     gradients = np.empty((len(products), 2, 6))
     for start, window in groupby(table.batches, key=lambda edges: edges[0] - edges[0] % WINDOW_EDGES):
@@ -448,12 +460,13 @@ def _normal_equations(
             products[edges - start], gradients[edges - start] = _block_products(graph, rotations, translations, edges)
         pairs = sides[start : start + WINDOW_EDGES]
         rows, cols = np.repeat(pairs, 2, axis=1).reshape(-1), np.tile(pairs, 2).reshape(-1)
-        kept = (rows >= 0) & (cols >= 0)
-        shares = products[: len(pairs)].reshape(-1, 6, 6)[kept]
-        np.add.at(slots, (rows[kept], slice(None), cols[kept], slice(None)), shares)
+        kept = (cols >= 0) & (rows >= cols)
+        row, col = 6 * rows[kept, None, None] + p, 6 * cols[kept, None, None] + q  # each entry's place in J^T J
+        stored = row >= col
+        np.add.at(band, (col[stored], (row - col)[stored]), products[: len(pairs)].reshape(-1, 6, 6)[kept][stored])
         kept = pairs.reshape(-1) >= 0
         np.add.at(jtr.reshape(free, 6), pairs.reshape(-1)[kept], gradients[: len(pairs)].reshape(-1, 6)[kept])
-    return jtj, jtr
+    return band, jtr.reshape(free, 6)[placed].reshape(-1)
 
 
 def _block_products(
@@ -480,6 +493,96 @@ def _block_products(
     jac_t = np.swapaxes(jacobians, 2, 3)
     residuals = (in_i - p_i).reshape(b, 1, 3 * n, 1)
     return jac_t[:, :, None] @ jacobians[:, None], (jac_t @ residuals)[..., 0]
+
+
+def _band_order(free: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
+    """A block reverse Cuthill-McKee order of ``free`` cameras joined by the
+    (E, 2) ``pairs`` (Cuthill & McKee 1969; George & Liu 1981), and its
+    bandwidth max |position a - position b| over the pairs: breadth first
+    from the least connected unvisited camera, neighbours by degree, then by
+    index, the visits reversed; the natural order if that is no wider."""
+    neighbours = [set() for _ in range(free)]
+    for a, b in pairs.tolist():
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    rank = {v: (len(neighbours[v]), v) for v in range(free)}
+    visits, placed, head = [], set(), 0
+    for start in sorted(range(free), key=rank.get):
+        if start in placed:
+            continue
+        placed.add(start)
+        visits.append(start)
+        while head < len(visits):
+            fresh = sorted(neighbours[visits[head]] - placed, key=rank.get)
+            placed.update(fresh)
+            visits.extend(fresh)
+            head += 1
+    orders = (np.array(visits[::-1], dtype=np.intp), np.arange(free))
+    widths = [int(np.max(np.abs(np.diff(np.argsort(order)[pairs], axis=1)), initial=0)) for order in orders]
+    return min(zip(orders, widths), key=lambda pair: pair[1])
+
+
+def _inverse_cholesky(a: list[list[float]]) -> list[list[float]]:
+    """inverse(L), L the lower Cholesky factor of the 6x6 matrix whose lower
+    triangle ``a`` holds, in Python floats; a pivot that is not positive
+    raises ``np.linalg.LinAlgError``."""
+    low = []
+    for i, a_i in enumerate(a):
+        row = []
+        for j, low_j in enumerate(low):
+            total = a_i[j]
+            for x, y in zip(row, low_j):
+                total -= x * y
+            row.append(total / low_j[j])
+        total = a_i[i]
+        for x in row:
+            total -= x * x
+        if not total > 0.0:
+            raise np.linalg.LinAlgError("normal equations are not positive definite")
+        low.append(row + [math.sqrt(total)])
+    inverse = [[0.0] * 6 for _ in range(6)]
+    for j, row in enumerate(low):
+        for i in range(j):
+            total = 0.0
+            for m in range(i, j):
+                total -= row[m] * inverse[m][i]
+            inverse[j][i] = total / row[j]
+        inverse[j][j] = 1.0 / row[j]
+    return inverse
+
+
+def _band_solve(band: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (A + damping I) x = rhs for the A whose lower band ``band`` holds
+    (see ``_normal_equations``) by a block Cholesky, right-looking by 6-column
+    blocks in elementwise numpy, the forward substitution riding along. A
+    must be banded by whole 6x6 blocks: entries of a column below its band's
+    last block are not read. The factor overwrites ``band``."""
+    size, width = band.shape
+    band[:, 0] += damping
+    item = band.itemsize
+    dense = as_strided(band, shape=(size, size), strides=(item, item * (width - 1)))  # in-band (r, c) only
+    padded = np.zeros((6, 2 * width))
+    shifted = as_strided(padded, shape=(6, width, width), strides=(2 * width * item, item, item))  # padded[k, c + d]
+    inverses, x = [], rhs.copy()
+    for s in range(0, size, 6):
+        n = min(width, size - s) - 6
+        inverse = np.array(_inverse_cholesky(dense[s : s + 6, s : s + 6].tolist()))
+        inverses.append(inverse)
+        x[s : s + 6] = (inverse * x[s : s + 6]).sum(axis=1)
+        panel = dense[s + 6 : s + 6 + n, s : s + 6].T  # becomes the 6 columns of L below the block
+        panel[...] = padded[:, :n] = (inverse[:, :, None] * panel).sum(axis=1)
+        padded[:, n:] = 0.0
+        x[s + 6 : s + 6 + n] -= (panel * x[s : s + 6, None]).sum(axis=0)
+        # Band entry (s + 6 + c, d) of the trailing window loses sum_k panel[k, c + d] panel[k, c].
+        update = shifted[0, :n, :n] * panel[0, :, None]
+        for k in range(1, 6):
+            update += shifted[k, :n, :n] * panel[k, :, None]
+        band[s + 6 : s + 6 + n, :n] -= update
+    for s in range(size - 6, -1, -6):
+        n = min(width, size - s) - 6
+        rest = x[s : s + 6] - (dense[s + 6 : s + 6 + n, s : s + 6].T * x[s + 6 : s + 6 + n]).sum(axis=1)
+        x[s : s + 6] = (inverses.pop() * rest[:, None]).sum(axis=0)
+    return x
 
 
 def cost_gradient(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
@@ -509,10 +612,11 @@ def refine(
     gradient is below ``gradient_tol``, when an accepted step lowers the
     cost by less than ``relative_cost_tol`` of it, or, before a candidate
     is evaluated, when the step's predicted decrease is at most that share
-    of the cost. The memory held is one (6N)^2 matrix, damped in place,
-    plus the copy ``np.linalg.solve`` makes of it: the last system is
-    dropped before the next is built. Returns the refined
-    poses and the trace of accepted costs (starting with the initial cost).
+    of the cost. J^T J is held in band storage (``_normal_equations``) and
+    factored in place, damped, with no BLAS or LAPACK call
+    (``_band_solve``), so one band is alive and a retry rebuilds it. Returns
+    the refined poses and the trace of accepted costs (starting with the
+    initial cost).
     """
     rotations, translations = stack_poses(graph, initial)
     cost = graph_cost(graph, rotations, translations)
@@ -520,25 +624,30 @@ def refine(
     if len(graph.nodes) == 1 or not graph.edges:
         return dict(initial), trace
 
+    order = graph.table.order
+    position = np.argsort(order)
     damping = 1e-3
     for _ in range(max_iterations):
-        hessian, jtr = _normal_equations(graph, rotations, translations)
+        band, jtr = _normal_equations(graph, rotations, translations)
         if float(np.max(np.abs(2.0 * jtr))) < gradient_tol:
             break
         stepped = False
-        curvature = hessian.diagonal().copy()
+        rhs = -jtr.reshape(-1, 6)[order].reshape(-1)
         while damping < 1e12:
-            # The damped system is formed in place: nothing else reads hessian.
-            np.fill_diagonal(hessian, curvature + damping)
+            if band is None:
+                band = _normal_equations(graph, rotations, translations)[0]
             try:
-                delta = np.linalg.solve(hessian, -jtr)
+                step = _band_solve(band, damping, rhs)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
+            finally:
+                band = None  # factored in place
             # The damped model predicts the drop damping |delta|^2 - delta . J^T r;
             # once that is within the cost's rounding, no step can show a real one.
-            if damping * float(delta @ delta) - float(delta @ jtr) <= relative_cost_tol * cost:
+            if float(np.sum(step * (damping * step + rhs))) <= relative_cost_tol * cost:
                 break
+            delta = step.reshape(-1, 6)[position].reshape(-1)
             candidate = _apply_step(graph, rotations, translations, delta)
             new_cost = graph_cost(graph, *candidate)
             if new_cost < cost:
@@ -552,7 +661,6 @@ def refine(
             damping *= 10.0
         if not stepped or relative_drop < relative_cost_tol:
             break
-        del hessian, jtr  # one (6N)^2 matrix alive: drop it before the next is built
     slot = {node: k for k, node in enumerate(graph.nodes)}
     return {node: RigidTransform(rotations[slot[node]], translations[slot[node]]) for node in initial}, trace
 

@@ -72,8 +72,8 @@ class RigidTransform:
         return pts @ self.rotation.T + self.translation
 
     def is_close(self, other: "RigidTransform", rot_tol: float = 1e-9, tra_tol: float = 1e-9) -> bool:
-        # Frobenius norm on the rotation difference: acos-based geodesic
-        # distance bottoms out near 1.5e-8 and cannot express tight tolerances.
+        # Frobenius norm on the rotation difference: a tolerance on it bounds
+        # every entry, which an angle does not.
         return (
             float(np.linalg.norm(self.rotation - other.rotation)) <= rot_tol
             and float(np.linalg.norm(self.translation - other.translation)) <= tra_tol
@@ -188,6 +188,15 @@ def apply(t: RigidTransform, p: Point3) -> Point3:
 
 def rotation_distance(a: RigidTransform, b: RigidTransform) -> float:
     """Geodesic angle between the two rotations, in [0, pi]."""
-    rel = a.rotation.T @ b.rotation
-    cos_angle = 0.5 * (float(np.trace(rel)) - 1.0)
-    return math.acos(min(1.0, max(-1.0, cos_angle)))
+    return _rotation_angles(a.rotation.T @ b.rotation)[0]
+
+
+def _rotation_angles(rotation: np.ndarray) -> list[float]:
+    """Angles in [0, pi] of (..., 3, 3) rotations, flattened: atan2(|v|, (tr R
+    - 1) / 2) with v the skew part of R, which resolves small angles where
+    acos of the cosine bottoms out near 1.5e-8."""
+    r = rotation
+    v = (r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0], r[..., 1, 0] - r[..., 0, 1])
+    sin = 0.5 * np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    cos = 0.5 * (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2] - 1.0)
+    return [math.atan2(s, c) for s, c in zip(np.ravel(sin).tolist(), np.ravel(cos).tolist())]

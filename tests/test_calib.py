@@ -1,12 +1,15 @@
+import importlib.util
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ubimap import calib, geom
+from ubimap import calib, cli, geom
 from ubimap.calib import (
     CorrespondenceSet,
     DegenerateGeometryError,
@@ -474,6 +477,31 @@ def oracle_normal_equations(graph, poses, index):
     return jtj, jtr
 
 
+def band_to_symmetric(band):
+    """The symmetric matrix whose lower band ``band`` holds: entry (c + d, c)
+    is ``band[c, d]``."""
+    size, width = band.shape
+    lower = np.zeros((size, size))
+    for c in range(size):
+        rows = min(width, size - c)
+        lower[c : c + rows, c] = band[c, :rows]
+    return lower + np.tril(lower, -1).T
+
+
+def dense_to_band(graph, dense, width):
+    """The lower band, ``width`` wide, that ``_normal_equations`` stores for
+    the J^T J ``dense`` given in ``graph.nodes`` order. Only entries on or
+    below the diagonal in the band order are stored, so the comparison holds
+    wherever J_a^T J_b and J_b^T J_a round as transposes or not."""
+    natural = (6 * graph.table.order[:, None] + np.arange(6)).reshape(-1)
+    permuted = dense[np.ix_(natural, natural)]
+    band = np.zeros((len(natural), width))
+    for c in range(len(natural)):
+        rows = min(width, len(natural) - c)
+        band[c, :rows] = permuted[c : c + rows, c]
+    return band
+
+
 def oracle_apply_step(poses, index, delta):
     """Reference: one camera at a time, with scalar Rodrigues."""
     out = dict(poses)
@@ -562,9 +590,9 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
     ):
         assert graph_cost(graph, rotations, translations) == oracle_graph_cost(graph, poses)
         assert calib.loop_closure_error(graph, rotations, translations) == oracle_loop_closure_error(graph, poses)
-        jtj, jtr = calib._normal_equations(graph, rotations, translations)
+        band, jtr = calib._normal_equations(graph, rotations, translations)
     oracle_jtj, oracle_jtr = oracle_normal_equations(graph, poses, index)
-    assert np.array_equal(jtj, oracle_jtj) and np.array_equal(jtr, oracle_jtr)
+    assert np.array_equal(band, dense_to_band(graph, oracle_jtj, band.shape[1])) and np.array_equal(jtr, oracle_jtr)
     stepped = calib._apply_step(graph, rotations, translations, delta)
     expected = stack_poses(graph, oracle_apply_step(poses, index, delta))
     assert np.array_equal(stepped[0], expected[0]) and np.array_equal(stepped[1], expected[1])
@@ -634,9 +662,10 @@ def test_normal_equations_match_dense_jacobian(n_cameras, cycle):
     index = {node: i for i, node in enumerate(free)}
     # Step off the propagated poses so no gradient component is ~0.
     poses = oracle_apply_step(propagate(graph), index, rng.normal(0, 0.05, 6 * len(free)))
-    jtj, jtr = calib._normal_equations(graph, *stack_poses(graph, poses))
+    band, jtr = calib._normal_equations(graph, *stack_poses(graph, poses))
     residuals, jacobian = dense_residuals_and_jacobian(graph, poses, index)
-    for blockwise, dense in ((jtj, jacobian.T @ jacobian), (jtr, jacobian.T @ residuals)):
+    jtj = dense_to_band(graph, jacobian.T @ jacobian, band.shape[1])
+    for blockwise, dense in ((band, jtj), (jtr, jacobian.T @ residuals)):
         np.testing.assert_allclose(blockwise, dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(dense)))
     assert np.array_equal(cost_gradient(graph, *stack_poses(graph, poses)), 2.0 * jtr)
 
@@ -659,9 +688,9 @@ def test_refine_memory_stays_below_one_dense_jacobian():
 
 
 def test_refine_holds_one_normal_equation_matrix():
-    # J^T J is (6N)^2 for N free cameras. refine drops the last system before
-    # it builds the next; np.linalg.solve's working copy is allocated outside
-    # Python's allocator, so tracemalloc does not count it.
+    # A dense J^T J would be (6N)^2 for N free cameras. refine holds J^T J as
+    # a band (two blocks wide on this ring) plus the one factored copy
+    # _band_solve makes, and drops the last system before it builds the next.
     rng = np.random.default_rng(33)
     _, pairwise = synthetic_rig(40, rng, noise=0.01, cycle=True, landmarks_per_zone=24)
     graph = build_graph(pairwise, IcpOptions(), reference=0)
@@ -675,3 +704,133 @@ def test_refine_holds_one_normal_equation_matrix():
         tracemalloc.stop()
     assert len(trace) > 2  # the system was rebuilt at least once
     assert peak < 1.5 * matrix_bytes, (peak, matrix_bytes)
+
+
+def test_graph_edges_keep_no_landmark_ids():
+    # icp pairs the points by id inside build_graph; the graph, which refine
+    # holds, needs only the paired points.
+    rng = np.random.default_rng(37)
+    _, pairwise = synthetic_rig(3, rng, noise=0.01)
+    assert all(cset.landmark_ids is not None for _, _, cset in pairwise)
+    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    assert [edge.correspondences.landmark_ids for edge in graph.edges] == [None, None]
+    for edge, (_, _, cset) in zip(graph.edges, pairwise):
+        assert edge.correspondences.points_i is cset.points_i and edge.correspondences.points_j is cset.points_j
+
+
+# -- the banded solve ---------------------------------------------------------
+
+
+def random_band(rng, blocks, bandwidth):
+    """A random symmetric positive definite matrix with ``bandwidth`` 6x6
+    blocks below the diagonal, as a lower band: entries in [-1, 1] off the
+    diagonal, and each diagonal entry its row's absolute sum plus one."""
+    size, width = 6 * blocks, 6 * (bandwidth + 1)
+    band = rng.uniform(-1.0, 1.0, (size, width))
+    for c in range(size):
+        band[c, width - c % 6 :] = 0.0  # rows below the last block of the band
+        band[c, size - c :] = 0.0  # rows below the matrix
+    band[:, 0] = 0.0
+    band[:, 0] = np.abs(band_to_symmetric(band)).sum(axis=1) + 1.0
+    return band
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda blocks: st.tuples(
+            st.just(blocks), st.integers(0, blocks - 1), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-3, 10.0])
+        )
+    )
+)
+@example((1, 0, 1, 0.0))  # a single block
+@example((5, 0, 2, 1e-3))  # block diagonal
+@example((5, 4, 3, 1e-3))  # as wide as the matrix
+def test_band_solve_matches_dense_solve(system):
+    blocks, bandwidth, seed, damping = system
+    rng = np.random.default_rng(seed)
+    band = random_band(rng, blocks, bandwidth)
+    rhs = rng.normal(size=len(band))
+    expected = np.linalg.solve(band_to_symmetric(band) + damping * np.eye(len(band)), rhs)
+    np.testing.assert_allclose(calib._band_solve(band, damping, rhs), expected, rtol=1e-10, atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_band_solve_raises_on_a_matrix_that_is_not_positive_definite():
+    # (I, 2I; 2I, I) has eigenvalues 3 and -1: the first pivot block is
+    # positive definite, the second, I - 4I after elimination, is not.
+    band = np.zeros((12, 12))
+    band[:, 0] = 1.0
+    band[:6, 6] = 2.0
+    with pytest.raises(np.linalg.LinAlgError):
+        calib._band_solve(band.copy(), 0.0, np.ones(12))
+    # Damped by 4 it is (5I, 2I; 2I, 5I): x = 1/7 solves it for all ones.
+    np.testing.assert_allclose(calib._band_solve(band, 4.0, np.ones(12)), np.full(12, 1 / 7), rtol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 14).flatmap(
+        lambda free: st.tuples(
+            st.just(free),
+            st.lists(st.tuples(st.integers(0, free - 1), st.integers(0, free - 1)).filter(lambda ab: ab[0] != ab[1])),
+        )
+    )
+)
+@example((6, [(0, 5), (1, 4), (2, 3)]))  # three components
+def test_band_order_is_a_permutation_no_wider_than_the_natural_order(case):
+    free, edges = case
+    pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    order, bandwidth = calib._band_order(free, pairs)
+    assert sorted(order.tolist()) == list(range(free))
+    position = np.argsort(order)
+    assert bandwidth == max((abs(position[a] - position[b]) for a, b in edges), default=0)
+    assert bandwidth <= max((abs(a - b) for a, b in edges), default=0)
+
+
+def test_refine_makes_no_linalg_call(monkeypatch):
+    # Every np.linalg function raises when calib calls it. geom's projection
+    # onto rotations, which _apply_step uses, still takes an SVD.
+    rng = np.random.default_rng(36)
+    _, pairwise = synthetic_rig(6, rng, noise=0.01, cycle=True, chords=[(1, 4)])
+    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    initial = propagate(graph)
+
+    def refusing(name, function):
+        def call(*args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == calib.__name__:
+                raise AssertionError(f"calib called np.linalg.{name}")
+            return function(*args, **kwargs)
+
+        return call
+
+    for name, function in vars(np.linalg).items():
+        if callable(function) and not isinstance(function, type) and not name.startswith("_"):
+            monkeypatch.setattr(np.linalg, name, refusing(name, function))
+    _, trace = refine(graph, initial)
+    assert len(trace) > 2 and trace[-1] < trace[0]
+
+
+@pytest.fixture(scope="module")
+def benchmark_ring():
+    """The calibrate workload's 100-camera ring, seed 1 (``perfbench/gen.py``)."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).parent.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    scenario = gen.ring(1)
+    result = cli.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed)
+    return result.graph, result.initial
+
+
+def test_refine_peak_memory_on_the_benchmark_ring(benchmark_ring):
+    # The reverse Cuthill-McKee order brings the 99 free cameras from a
+    # bandwidth of 98 to 15: the band takes 0.46 MB, a dense J^T J 2.8 MB.
+    graph, initial = benchmark_ring
+    assert graph.table.bandwidth == 15
+    tracemalloc.start()
+    try:
+        _, trace = refine(graph, initial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace[-1] < trace[0]
+    assert peak < 2**20, peak
