@@ -25,10 +25,9 @@ Frame conventions (used consistently everywhere in this module):
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import groupby
 
@@ -43,6 +42,10 @@ COLLINEAR_TOL = 1e-9
 # landmarks per batch, and edges per window of batches.
 BATCH_ROWS = 128
 WINDOW_EDGES = 64
+# Rows per slice of the banded Cholesky's trailing update. Each slice is as
+# wide as its first row's entries, so thinner slices multiply fewer zeros but
+# take more numpy calls.
+UPDATE_ROWS = 30
 
 
 class DegenerateGeometryError(ValueError):
@@ -75,7 +78,7 @@ class CorrespondenceSet:
         pj = np.asarray(self.points_j, dtype=float)
         if pi.ndim != 2 or pi.shape[1] != 3 or pi.shape != pj.shape:
             raise ValueError("points_i and points_j must both be (n, 3)")
-        if not (np.all(np.isfinite(pi)) and np.all(np.isfinite(pj))):
+        if not (np.isfinite(pi).all() and np.isfinite(pj).all()):
             raise ValueError("correspondence points must be finite")
         if self.landmark_ids is not None and len(self.landmark_ids) != len(pi):
             raise ValueError("landmark_ids length must match the point count")
@@ -305,15 +308,12 @@ def build_graph(
         except DegenerateGeometryError as exc:
             failures.append((cam_i, cam_j, str(exc)))
             continue
-        # Only icp reads the ids; the edge shares the checked, read-only points.
-        paired = copy.copy(cset)
-        object.__setattr__(paired, "landmark_ids", None)
         edges.append(
             GraphEdge(
                 camera_i=cam_i,
                 camera_j=cam_j,
                 transform=result.transform,
-                correspondences=paired,
+                correspondences=replace(cset, landmark_ids=None),  # only icp reads the ids
                 residual=result.rms_residual,
             )
         )
@@ -500,7 +500,7 @@ def _band_order(free: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
     (E, 2) ``pairs`` (Cuthill & McKee 1969; George & Liu 1981), and its
     bandwidth max |position a - position b| over the pairs: breadth first
     from the least connected unvisited camera, neighbours by degree, then by
-    index, the visits reversed; the natural order if that is no wider."""
+    index, the visits reversed; the natural order if that is narrower."""
     neighbours = [set() for _ in range(free)]
     for a, b in pairs.tolist():
         neighbours[a].add(b)
@@ -566,18 +566,18 @@ def _band_solve(band: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray
     inverses, x = [], rhs.copy()
     for s in range(0, size, 6):
         n = min(width, size - s) - 6
-        inverse = np.array(_inverse_cholesky(dense[s : s + 6, s : s + 6].tolist()))
+        inverse = np.array(_inverse_cholesky(dense[s : s + 6, s : s + 6].tolist()), dtype=float)
         inverses.append(inverse)
         x[s : s + 6] = (inverse * x[s : s + 6]).sum(axis=1)
         panel = dense[s + 6 : s + 6 + n, s : s + 6].T  # becomes the 6 columns of L below the block
         panel[...] = padded[:, :n] = (inverse[:, :, None] * panel).sum(axis=1)
         padded[:, n:] = 0.0
         x[s + 6 : s + 6 + n] -= (panel * x[s : s + 6, None]).sum(axis=0)
-        # Band entry (s + 6 + c, d) of the trailing window loses sum_k panel[k, c + d] panel[k, c].
-        update = shifted[0, :n, :n] * panel[0, :, None]
-        for k in range(1, 6):
-            update += shifted[k, :n, :n] * panel[k, :, None]
-        band[s + 6 : s + 6 + n, :n] -= update
+        # Band entry (s + 6 + c, d) of the trailing window loses sum_k panel[k, c + d] panel[k, c]
+        # where c + d < n: slices of rows c, each as wide as its first row's entries.
+        for c in range(0, n, UPDATE_ROWS):
+            e = min(c + UPDATE_ROWS, n)
+            band[s + 6 + c : s + 6 + e, : n - c] -= (shifted[:, c:e, : n - c] * panel[:, c:e, None]).sum(axis=0)
     for s in range(size - 6, -1, -6):
         n = min(width, size - s) - 6
         rest = x[s : s + 6] - (dense[s + 6 : s + 6 + n, s : s + 6].T * x[s + 6 : s + 6 + n]).sum(axis=1)

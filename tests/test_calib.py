@@ -477,29 +477,31 @@ def oracle_normal_equations(graph, poses, index):
     return jtj, jtr
 
 
-def band_to_symmetric(band):
-    """The symmetric matrix whose lower band ``band`` holds: entry (c + d, c)
-    is ``band[c, d]``."""
+def band_to_lower(band):
+    """The lower triangular matrix whose band ``band`` holds: entry (c + d, c)
+    is ``band[c, d]``, every entry below the band zero."""
     size, width = band.shape
     lower = np.zeros((size, size))
     for c in range(size):
         rows = min(width, size - c)
         lower[c : c + rows, c] = band[c, :rows]
+    return lower
+
+
+def band_to_symmetric(band):
+    """The symmetric matrix whose lower band ``band`` holds."""
+    lower = band_to_lower(band)
     return lower + np.tril(lower, -1).T
 
 
-def dense_to_band(graph, dense, width):
-    """The lower band, ``width`` wide, that ``_normal_equations`` stores for
-    the J^T J ``dense`` given in ``graph.nodes`` order. Only entries on or
-    below the diagonal in the band order are stored, so the comparison holds
-    wherever J_a^T J_b and J_b^T J_a round as transposes or not."""
+def lower_in_band_order(graph, dense):
+    """The lower triangle of the J^T J ``dense`` given in ``graph.nodes``
+    order, its cameras permuted to the band order ``graph.table.order``.
+    Only the lower triangle, which is what the band stores: under some BLAS
+    kernels J_a^T J_b and J_b^T J_a do not round as transposes, so the
+    oracle's two triangles differ."""
     natural = (6 * graph.table.order[:, None] + np.arange(6)).reshape(-1)
-    permuted = dense[np.ix_(natural, natural)]
-    band = np.zeros((len(natural), width))
-    for c in range(len(natural)):
-        rows = min(width, len(natural) - c)
-        band[c, :rows] = permuted[c : c + rows, c]
-    return band
+    return np.tril(dense[np.ix_(natural, natural)])
 
 
 def oracle_apply_step(poses, index, delta):
@@ -592,7 +594,8 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
         assert calib.loop_closure_error(graph, rotations, translations) == oracle_loop_closure_error(graph, poses)
         band, jtr = calib._normal_equations(graph, rotations, translations)
     oracle_jtj, oracle_jtr = oracle_normal_equations(graph, poses, index)
-    assert np.array_equal(band, dense_to_band(graph, oracle_jtj, band.shape[1])) and np.array_equal(jtr, oracle_jtr)
+    assert np.array_equal(band_to_lower(band), lower_in_band_order(graph, oracle_jtj))
+    assert np.array_equal(jtr, oracle_jtr)
     stepped = calib._apply_step(graph, rotations, translations, delta)
     expected = stack_poses(graph, oracle_apply_step(poses, index, delta))
     assert np.array_equal(stepped[0], expected[0]) and np.array_equal(stepped[1], expected[1])
@@ -664,8 +667,8 @@ def test_normal_equations_match_dense_jacobian(n_cameras, cycle):
     poses = oracle_apply_step(propagate(graph), index, rng.normal(0, 0.05, 6 * len(free)))
     band, jtr = calib._normal_equations(graph, *stack_poses(graph, poses))
     residuals, jacobian = dense_residuals_and_jacobian(graph, poses, index)
-    jtj = dense_to_band(graph, jacobian.T @ jacobian, band.shape[1])
-    for blockwise, dense in ((band, jtj), (jtr, jacobian.T @ residuals)):
+    jtj = lower_in_band_order(graph, jacobian.T @ jacobian)
+    for blockwise, dense in ((band_to_lower(band), jtj), (jtr, jacobian.T @ residuals)):
         np.testing.assert_allclose(blockwise, dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(dense)))
     assert np.array_equal(cost_gradient(graph, *stack_poses(graph, poses)), 2.0 * jtr)
 
@@ -689,8 +692,9 @@ def test_refine_memory_stays_below_one_dense_jacobian():
 
 def test_refine_holds_one_normal_equation_matrix():
     # A dense J^T J would be (6N)^2 for N free cameras. refine holds J^T J as
-    # a band (two blocks wide on this ring) plus the one factored copy
-    # _band_solve makes, and drops the last system before it builds the next.
+    # one band (two blocks wide on this ring), which _band_solve factors in
+    # place and a retried damping rebuilds; the last system is dropped before
+    # the next is built.
     rng = np.random.default_rng(33)
     _, pairwise = synthetic_rig(40, rng, noise=0.01, cycle=True, landmarks_per_zone=24)
     graph = build_graph(pairwise, IcpOptions(), reference=0)
