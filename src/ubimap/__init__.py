@@ -5,10 +5,10 @@ the cameras into one global frame from shared landmarks, fuse per-camera
 evidence into a live occupancy map, localize robots against it, and
 broadcast the map to robot clients over a simulated lossy network.
 
-Importing the package pins BLAS to one thread: OpenBLAS's multithreaded
-solves and products round differently from its single-threaded ones on
-large systems, so outputs would depend on the core count. The pin only
-takes effect when no module has imported numpy yet.
+No output goes through BLAS or LAPACK (see ``ubimap.algebra``). Importing
+the package still pins BLAS to one thread, which keeps OpenBLAS from
+starting a worker thread per core; it only takes effect when no module has
+imported numpy yet.
 """
 
 import os

@@ -3,14 +3,15 @@
 Pipeline: pairwise rigid alignment (closed-form least squares inside an ICP
 loop), a transformation graph over the cameras, propagation of poses from a
 reference camera, and a damped least-squares refinement of the total
-matching cost. Inside the cost, the loop-closure check and the refinement,
-poses are stacked arrays in ``graph.nodes`` order, (N, 3, 3) rotations and
-(N, 3) translations, and edges run in batches of one landmark count (see
-``CorrespondenceTable``); ``RigidTransform`` appears only at the boundary
-(``stack_poses`` on the way in, ``refine``'s returned dict on the way out).
-The refinement sums J^T J and J^T r from per-camera 6-column Jacobian blocks
-into band storage and solves by a banded Cholesky in elementwise numpy, no
-LAPACK: memory is O(N b) for N cameras and a bandwidth of b cameras.
+matching cost, with no BLAS or LAPACK call (see ``algebra``). Inside the
+cost, the loop-closure check and the refinement, poses are stacked arrays
+in ``graph.nodes`` order, (N, 3, 3) rotations and (N, 3) translations, and
+edges run in windows of flat landmark rows (see ``CorrespondenceTable``);
+``RigidTransform`` appears only at the boundary (``stack_poses`` on the way
+in, ``refine``'s returned dict on the way out). The refinement sums J^T J
+and J^T r from per-camera 6-column Jacobian blocks into band storage and
+solves by a banded Cholesky: memory is O(N b) for N cameras and a bandwidth
+of b cameras.
 
 Frame conventions (used consistently everywhere in this module):
     - An edge (i, j) stores the pose of camera j expressed in camera i's
@@ -25,27 +26,22 @@ Frame conventions (used consistently everywhere in this module):
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from . import geom
+from . import algebra, geom
+from .algebra import cross, inner
 from .geom import RigidTransform
 
-COLLINEAR_TOL = 1e-9
-# Batching of the cost and the normal equations (see CorrespondenceTable):
-# landmarks per batch, and edges per window of batches.
-BATCH_ROWS = 128
-WINDOW_EDGES = 64
-# Rows per slice of the banded Cholesky's trailing update. Each slice is as
-# wide as its first row's entries, so thinner slices multiply fewer zeros but
-# take more numpy calls.
-UPDATE_ROWS = 30
+# A point set is collinear when its scatter's second eigenvalue (a squared
+# singular value of the centred points) is at most this share of the first;
+# exactly collinear points leave a rounding residue near 1e-16.
+COLLINEAR_TOL = 1e-12
+# Landmark rows per window of edges (see CorrespondenceTable).
+WINDOW_ROWS = 448
 
 
 class DegenerateGeometryError(ValueError):
@@ -119,20 +115,17 @@ class CorrespondenceTable:
     graph (``TransformGraph.table``). Slots index ``graph.nodes``, the order
     of every pose stack.
 
-    A batch lists edges with one landmark count n, at most ``BATCH_ROWS``
-    landmarks in all (or one edge). A product batched over a batch's
-    (B, n, 3) points makes, edge by edge, the BLAS call that a loop over the
-    edges would make, so it rounds the same, and its temporaries stay
-    bounded. Batches are cut from windows of ``WINDOW_EDGES`` consecutive
-    edges and come window by window, so the normal equations can add one
-    window's block products, in edge order, before the next window runs.
-    The points stay in the edges' correspondence sets, which already hold
-    them; ``_batch_points`` stacks a batch's when it runs.
+    A window (``_windows``) is a run of consecutive edges. Each per-landmark
+    product runs over the window's flat rows (``_window_points``) and
+    ``np.add.reduceat`` sums it per edge, a segment's sum not depending on
+    its neighbours. Windows bound the temporaries; the points stay in the
+    edges' correspondence sets.
     """
 
     slot_i: np.ndarray  # (E,) slot of each edge's camera i
     slot_j: np.ndarray  # (E,) slot of each edge's camera j
-    batches: tuple[np.ndarray, ...]  # ascending edge indices
+    counts: np.ndarray  # (E,) landmarks of each edge
+    windows: tuple[tuple[int, int], ...]  # (first edge, end edge) of each window, in edge order
     order: np.ndarray  # (N - 1,) free camera (index among the free slots) at each band position
     bandwidth: int  # the normal equations' bandwidth in that order, in 6x6 blocks
 
@@ -162,52 +155,78 @@ class TransformGraph:
         """The correspondence table, built at first use and kept."""
         slot = {node: k for k, node in enumerate(self.nodes)}
         counts = np.array([len(edge.correspondences) for edge in self.edges], dtype=np.intp)
-        batches = []
-        for start in range(0, len(counts), WINDOW_EDGES):
-            window = np.arange(start, min(start + WINDOW_EDGES, len(counts)))
-            for n in sorted(set(counts[window].tolist())):
-                same = window[counts[window] == n]
-                size = max(1, BATCH_ROWS // max(n, 1))
-                batches.extend(np.split(same, range(size, len(same), size)))
         slot_i = np.array([slot[edge.camera_i] for edge in self.edges], dtype=np.intp)
         slot_j = np.array([slot[edge.camera_j] for edge in self.edges], dtype=np.intp)
         ref = slot[self.reference]
         pairs = np.stack([slot_i, slot_j], axis=1).reshape(-1, 2)
         pairs = pairs[(pairs != ref).all(axis=1)]
-        order, bandwidth = _band_order(len(self.nodes) - 1, pairs - (pairs > ref))  # indices among free slots
-        return CorrespondenceTable(slot_i, slot_j, tuple(batches), order, bandwidth)
+        order, bandwidth = algebra.band_order(len(self.nodes) - 1, pairs - (pairs > ref))  # indices among free slots
+        return CorrespondenceTable(slot_i, slot_j, counts, _windows(counts), order, bandwidth)
 
 
 def best_rigid_transform(c: CorrespondenceSet) -> tuple[RigidTransform, float]:
-    """Closed-form least-squares rigid alignment of the i-side onto the j-side.
+    """Closed-form least-squares rigid alignment of the i-side onto the
+    j-side: the transform minimizing sum_k ||T p_i^k - p_j^k||^2 (see
+    ``_rigid_fits``) and the RMS residual."""
+    result = _rigid_fits(c.points_i, c.points_j, [len(c)])[0]
+    if isinstance(result, DegenerateGeometryError):
+        raise result
+    return result
 
-    Returns the transform minimizing sum_k ||T p_i^k - p_j^k||^2 via the
-    centroid / cross-covariance / SVD construction, with the reflection
-    corrected so the rotation is proper, plus the RMS residual.
-    """
-    return _rigid_fit(c.points_i, c.points_j)
+
+def _windows(counts: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """(first, end) of each run of consecutive sets whose first row falls in
+    one run of ``WINDOW_ROWS`` rows, for sets of ``counts`` rows."""
+    starts = np.flatnonzero(np.diff((np.cumsum(counts) - counts) // WINDOW_ROWS, prepend=-1)).tolist()
+    return tuple(zip(starts, starts[1:] + [len(counts)]))
 
 
-def _rigid_fit(src: np.ndarray, dst: np.ndarray) -> tuple[RigidTransform, float]:
-    """``best_rigid_transform`` on finite (n, 3) arrays paired row by row."""
-    if len(src) < 3:
-        raise DegenerateGeometryError(f"need >= 3 correspondences, got {len(src)}")
-    centroid_src = src.mean(axis=0)
-    centroid_dst = dst.mean(axis=0)
-    src_c = src - centroid_src
-    dst_c = dst - centroid_dst
-    spread = np.linalg.svd(src_c, compute_uv=False)
-    if spread[1] <= COLLINEAR_TOL * max(spread[0], 1.0):
-        raise DegenerateGeometryError("correspondence points are collinear; rotation is ambiguous")
-    cross = src_c.T @ dst_c
-    u, _, vt = np.linalg.svd(cross)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    translation = centroid_dst - rotation @ centroid_src
-    transform = RigidTransform(geom.nearest_rotation(rotation), translation)
-    residuals = transform.transform_points(src) - dst
-    rms = float(np.sqrt(np.mean(np.sum(residuals**2, axis=1))))
-    return transform, rms
+def _rigid_fits(src: np.ndarray, dst: np.ndarray, sizes) -> list[tuple[RigidTransform, float] | DegenerateGeometryError]:
+    """``best_rigid_transform`` of each set held one after another in paired
+    (n, 3) rows, ``sizes[k]`` rows each, by Horn's method on all sets at
+    once; the per-set sums (``np.add.reduceat``) and residuals run over
+    windows of sets (``_windows``), which bound the temporaries. Returns per
+    set (transform, RMS) or the error."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    out: list = [DegenerateGeometryError(f"need >= 3 correspondences, got {n}") if n < 3 else None for n in sizes.tolist()]
+    fitted = np.flatnonzero(sizes >= 3)
+    if not len(fitted):
+        return out
+    counts = sizes[fitted]
+    if len(fitted) < len(sizes):
+        kept = np.repeat(sizes >= 3, sizes)
+        src, dst = src[kept], dst[kept]
+    first = np.cumsum(counts) - counts
+    windows = [(a, b, first[a : b] - first[a], slice(first[a], first[b - 1] + counts[b - 1])) for a, b in _windows(counts)]
+    # Per set: the centroids of src and dst, src's scatter (upper triangle), then sum of centred dst x src^T.
+    sums = np.empty((21, len(counts)))
+    for a, b, offsets, rows in windows:
+        centroids, centred = [], []
+        for points in (src[rows].T, dst[rows].T):
+            centroids += [np.add.reduceat(x, offsets) / counts[a:b] for x in points]
+            centred.append([x - np.repeat(c, counts[a:b]) for x, c in zip(points, centroids[-3:])])
+        s_c, d_c = centred
+        factors = [(s_c[i], s_c[j]) for i in range(3) for j in range(i, 3)] + [(x, y) for x in d_c for y in s_c]
+        sums[:, a:b] = centroids + [np.add.reduceat(x * y, offsets) for x, y in factors]
+    upper = iter(sums[6:12])
+    scatter = [[next(upper) if j >= i else None for j in range(3)] for i in range(3)]
+    spread = np.sort(np.stack(algebra.jacobi_eigen(scatter)[0]), axis=0)
+    collinear = (spread[1] <= COLLINEAR_TOL * spread[2]).tolist()
+    rotation = algebra.horn_rotation([list(sums[12:15]), list(sums[15:18]), list(sums[18:21])])
+    translation = [c - d for c, d in zip(sums[3:6], algebra.transform(rotation, list(sums[0:3])))]
+    rms = np.empty(len(counts))
+    for a, b, offsets, rows in windows:
+        rotation_rows = [[np.repeat(x[a:b], counts[a:b]) for x in row] for row in rotation]
+        moved = algebra.affine(rotation_rows, [np.repeat(x[a:b], counts[a:b]) for x in translation], list(src[rows].T))
+        residual = [m - d for m, d in zip(moved, dst[rows].T)]
+        rms[a:b] = np.sqrt(np.add.reduceat(inner(residual, residual), offsets) / counts[a:b])
+    rotations, translations = algebra.to_array(rotation), np.stack(translation, axis=-1)
+    for k, e in enumerate(fitted.tolist()):
+        if collinear[k]:
+            out[e] = DegenerateGeometryError("correspondence points are collinear; rotation is ambiguous")
+        else:
+            out[e] = (RigidTransform(rotations[k], translations[k]), rms[k].item())
+    return out
 
 
 @dataclass(frozen=True)
@@ -223,7 +242,8 @@ def icp(
     opts: IcpOptions,
     source_ids: tuple[int, ...] | None = None,
     target_ids: tuple[int, ...] | None = None,
-) -> IcpResult:
+    sizes=None,
+) -> IcpResult | list[IcpResult | DegenerateGeometryError]:
     """Iterative closest point: align the source set onto the target set.
 
     Alternates correspondence matching (by landmark id when available and
@@ -234,14 +254,20 @@ def icp(
     change, so then the first alignment is final; when both sets carry the
     same ids (distinct labels), row k already pairs with row k and the sets
     are aligned as given.
+
+    With ``sizes``, source and target hold many sets one after another,
+    ``sizes[k]`` rows each, paired row by row (ids are not read), aligned in
+    one pass; the result lists per set its ``IcpResult`` or its error.
     """
     src = np.asarray(source, dtype=float).reshape(-1, 3)
     dst = np.asarray(target, dtype=float).reshape(-1, 3)
+    if sizes is not None:
+        if len(src) != len(dst) or sum(sizes) != len(src):
+            raise ValueError("source and target need sum(sizes) rows each")
+        fits = _rigid_fits(src, dst, sizes)
+        return [fit if isinstance(fit, DegenerateGeometryError) else IcpResult(*fit, iterations=1) for fit in fits]
     if len(src) < 3 or len(dst) < 3:
         raise DegenerateGeometryError("both point sets need >= 3 points")
-    if opts.use_known_ids and source_ids is not None and source_ids == target_ids:
-        transform, rms = _rigid_fit(src, dst)
-        return IcpResult(transform=transform, rms_residual=rms, iterations=1)
 
     by_id = None
     if opts.use_known_ids and source_ids is not None and target_ids is not None:
@@ -251,8 +277,9 @@ def icp(
             raise DegenerateGeometryError("fewer than 3 landmark ids are shared")
 
     def match(transformed: np.ndarray) -> list[tuple[int, int]]:
-        dists = np.linalg.norm(transformed[:, None, :] - dst[None, :, :], axis=2)
-        return [(s, int(np.argmin(dists[s]))) for s in range(len(src))]
+        offsets = [transformed[:, None, a] - dst[None, :, a] for a in range(3)]
+        nearest = np.argmin(inner(offsets, offsets), axis=1)
+        return list(enumerate(nearest.tolist()))
 
     pairs = by_id if by_id is not None else match(src)
     # Only nearest-neighbour matching iterates, so only it needs the start RMS.
@@ -291,38 +318,28 @@ def build_graph(
     Extra nodes let cameras without any usable pair still appear in the
     graph (and therefore surface as unreachable during propagation)."""
     nodes = {reference, *nodes}
+    # The edge holds the pose of camera j in camera i's frame, which is the
+    # transform taking j-local observations to i-local ones. Pairs with
+    # landmark ids are matched by id, all in one icp call.
+    by_id = [k for k, (_, _, cset) in enumerate(pairwise) if opts.use_known_ids and cset.landmark_ids is not None]
+    sets, results = [pairwise[k][2] for k in by_id], {}
+    if sets:
+        source, target = (np.concatenate([getattr(c, side) for c in sets]) for side in ("points_j", "points_i"))
+        results = dict(zip(by_id, icp(source, target, opts, sizes=[len(c) for c in sets])))
     edges: list[GraphEdge] = []
     failures: list[tuple[int, int, str]] = []
-    for cam_i, cam_j, cset in pairwise:
+    for k, (cam_i, cam_j, cset) in enumerate(pairwise):
         nodes.update((cam_i, cam_j))
         try:
-            # The edge holds the pose of camera j in camera i's frame, which
-            # is the transform taking j-local observations to i-local ones.
-            result = icp(
-                cset.points_j,
-                cset.points_i,
-                opts,
-                source_ids=cset.landmark_ids,
-                target_ids=cset.landmark_ids,
-            )
+            result = results[k] if k in results else icp(cset.points_j, cset.points_i, opts)
         except DegenerateGeometryError as exc:
-            failures.append((cam_i, cam_j, str(exc)))
+            result = exc
+        if isinstance(result, DegenerateGeometryError):
+            failures.append((cam_i, cam_j, str(result)))
             continue
-        edges.append(
-            GraphEdge(
-                camera_i=cam_i,
-                camera_j=cam_j,
-                transform=result.transform,
-                correspondences=replace(cset, landmark_ids=None),  # only icp reads the ids
-                residual=result.rms_residual,
-            )
-        )
-    return TransformGraph(
-        nodes=tuple(sorted(nodes)),
-        edges=tuple(edges),
-        reference=reference,
-        failures=tuple(failures),
-    )
+        # Only icp reads the landmark ids.
+        edges.append(GraphEdge(cam_i, cam_j, result.transform, replace(cset, landmark_ids=None), result.rms_residual))
+    return TransformGraph(tuple(sorted(nodes)), tuple(edges), reference, tuple(failures))
 
 
 def propagate(graph: TransformGraph) -> dict[int, RigidTransform]:
@@ -367,25 +384,45 @@ def _relative_poses(graph: TransformGraph, rotations: np.ndarray, translations: 
     rotations and translations, rounded as ``geom.compose`` and
     ``geom.invert`` round one edge (drifted rotations re-orthonormalized)."""
     table = graph.table
-    r_i_t = np.swapaxes(rotations[table.slot_i], 1, 2)
-    rotation = r_i_t @ rotations[table.slot_j]
-    translation = (r_i_t @ translations[table.slot_j, :, None])[..., 0] - (
-        r_i_t @ translations[table.slot_i, :, None]
-    )[..., 0]
+    r_i_t = algebra.transpose(algebra.entries(rotations[table.slot_i]))
+    rotation = algebra.to_array(algebra.product(r_i_t, algebra.entries(rotations[table.slot_j])))
+    to_j = algebra.transform(r_i_t, list(translations[table.slot_j].T))
+    to_i = algebra.transform(r_i_t, list(translations[table.slot_i].T))
+    translation = np.stack([a - b for a, b in zip(to_j, to_i)], axis=-1)
     drifted = geom.orthonormality_error(rotation) > geom.DRIFT_TOL
     if drifted.any():
         rotation[drifted] = geom.nearest_rotation(rotation[drifted])
     return rotation, translation
 
 
-def _batch_points(graph: TransformGraph, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A batch's correspondences stacked as (B, n, 3) p_i and p_j."""
-    sets = [graph.edges[e].correspondences for e in edges.tolist()]
-    shape = (len(sets), len(sets[0]), 3)
+def _window_points(graph: TransformGraph, start: int, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges start..end-1's correspondences as one flat table: p_i and p_j
+    as (3, m) coordinate rows, and the (edges,) row offset of each edge."""
+    sets = [edge.correspondences for edge in graph.edges[start:end]]
+    counts = graph.table.counts[start:end]
     return (
-        np.concatenate([c.points_i for c in sets]).reshape(shape),
-        np.concatenate([c.points_j for c in sets]).reshape(shape),
+        np.concatenate([c.points_i.T for c in sets], axis=1),
+        np.concatenate([c.points_j.T for c in sets], axis=1),
+        np.cumsum(counts) - counts,
     )
+
+
+def _edge_rows(rotation: np.ndarray, translation: np.ndarray, counts: np.ndarray) -> tuple[list[list], list]:
+    """Relative poses (E, t) as 3x3 and 3 entries, each edge's repeated over
+    its landmark rows."""
+    return (
+        [[np.repeat(rotation[:, a, b], counts) for b in range(3)] for a in range(3)],
+        [np.repeat(x, counts) for x in translation.T],
+    )
+
+
+def _symmetric(upper: list[list]) -> list[list]:
+    """The symmetric 3x3 entries whose upper triangle ``upper`` holds."""
+    return [[upper[min(a, b)][max(a, b)] for b in range(3)] for a in range(3)]
+
+
+def _negated(a: list[list]) -> list[list]:
+    return [[-x for x in row] for row in a]
 
 
 def graph_cost(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> float:
@@ -395,11 +432,13 @@ def graph_cost(graph: TransformGraph, rotations: np.ndarray, translations: np.nd
     if not graph.edges:
         return 0.0
     rotation, translation = _relative_poses(graph, rotations, translations)
+    counts = graph.table.counts
     per_edge = np.empty(len(graph.edges))
-    for edges in graph.table.batches:
-        p_i, p_j = _batch_points(graph, edges)
-        moved = p_j @ np.swapaxes(rotation[edges], 1, 2) + translation[edges, None, :]
-        per_edge[edges] = np.sum((moved - p_i) ** 2, axis=(1, 2))
+    for start, end in graph.table.windows:
+        p_i, p_j, offsets = _window_points(graph, start, end)
+        moved = algebra.affine(*_edge_rows(rotation[start:end], translation[start:end], counts[start:end]), list(p_j))
+        residual = [q - p for q, p in zip(moved, p_i)]
+        per_edge[start:end] = np.add.reduceat(inner(residual, residual), offsets)
     return float(np.cumsum(per_edge)[-1])
 
 
@@ -412,10 +451,10 @@ def loop_closure_error(
     if not graph.edges:
         return {}
     rotation, translation = _relative_poses(graph, rotations, translations)
-    stored = np.stack([edge.transform.rotation for edge in graph.edges])
-    angles = geom._rotation_angles(np.swapaxes(rotation, 1, 2) @ stored)
-    offset = translation - np.stack([edge.transform.translation for edge in graph.edges])
-    distance = np.sqrt(np.vecdot(offset, offset))
+    stored = algebra.entries(np.stack([edge.transform.rotation for edge in graph.edges]))
+    angles = geom._rotation_angles(algebra.to_array(algebra.product(algebra.transpose(algebra.entries(rotation)), stored)))
+    offset = list((translation - np.stack([edge.transform.translation for edge in graph.edges])).T)
+    distance = np.sqrt(inner(offset, offset))
     return {
         (edge.camera_i, edge.camera_j): angle + dist
         for edge, angle, dist in zip(graph.edges, angles, distance.tolist())
@@ -436,11 +475,10 @@ def _normal_equations(
     in ``graph.nodes`` order; J^T J comes as the lower band ``band[c, d]`` =
     entry (c + d, c), cameras in ``graph.table.order``.
 
-    The 6x6 block products are formed one batch of edges at a time
-    (``_block_products``) and added into the camera pairs' slots after each
-    window of ``WINDOW_EDGES`` consecutive edges, in edge order, the order
-    in which a slot shared by several edges sums them; entries above the
-    diagonal mirror stored ones. A side pinned as the reference adds nothing.
+    The 6x6 block products of each window of edges (``_window_products``)
+    are added into the camera pairs' slots in edge order, the order in which
+    a slot shared by several edges sums them; entries above the diagonal
+    mirror stored ones. A side pinned as the reference adds nothing.
     """
     table = graph.table
     free = len(graph.nodes) - 1
@@ -453,136 +491,76 @@ def _normal_equations(
     position[_free_slots(graph)] = placed
     sides = np.stack([position[table.slot_j], position[table.slot_i]], axis=1)
     p, q = np.indices((6, 6))
-    products = np.empty((min(WINDOW_EDGES, len(graph.edges)), 2, 2, 6, 6))
-    gradients = np.empty((len(products), 2, 6))
-    for start, window in groupby(table.batches, key=lambda edges: edges[0] - edges[0] % WINDOW_EDGES):
-        for edges in window:
-            products[edges - start], gradients[edges - start] = _block_products(graph, rotations, translations, edges)
-        pairs = sides[start : start + WINDOW_EDGES]
+    rotation, translation = _relative_poses(graph, rotations, translations)
+    for start, end in table.windows:
+        products, gradients = _window_products(graph, rotation, translation, rotations[table.slot_i[start:end]], start, end)
+        pairs = sides[start:end]
         rows, cols = np.repeat(pairs, 2, axis=1).reshape(-1), np.tile(pairs, 2).reshape(-1)
         kept = (cols >= 0) & (rows >= cols)
         row, col = 6 * rows[kept, None, None] + p, 6 * cols[kept, None, None] + q  # each entry's place in J^T J
         stored = row >= col
-        np.add.at(band, (col[stored], (row - col)[stored]), products[: len(pairs)].reshape(-1, 6, 6)[kept][stored])
+        place = (col * (width - 1) + row)[stored]  # band[col, row - col], flattened
+        np.add.at(band.reshape(-1), place, products.reshape(-1, 6, 6)[kept][stored])
         kept = pairs.reshape(-1) >= 0
-        np.add.at(jtr.reshape(free, 6), pairs.reshape(-1)[kept], gradients[: len(pairs)].reshape(-1, 6)[kept])
+        np.add.at(jtr.reshape(free, 6), pairs.reshape(-1)[kept], gradients.reshape(-1, 6)[kept])
     return band, jtr.reshape(free, 6)[placed].reshape(-1)
 
 
-def _block_products(
-    graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray, edges: np.ndarray
+def _window_products(
+    graph: TransformGraph, rotation: np.ndarray, translation: np.ndarray, r_i: np.ndarray, start: int, end: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """For one batch of edges: J_a^T J_b, (B, 2, 2, 6, 6), and J_a^T r,
-    (B, 2, 6), over sides a, b = camera j, camera i. An edge's (3n, 6)
-    Jacobian block for one camera holds all its landmarks."""
-    table = graph.table
-    p_i, p_j = _batch_points(graph, edges)
-    b, n = p_j.shape[:2]
-    r_i = rotations[table.slot_i[edges]]
-    r_j = rotations[table.slot_j[edges]]
-    r_i_t = np.swapaxes(r_i, 1, 2)[:, None]
-    # Landmarks seen by camera j, brought into camera i's frame.
-    moved = p_j @ np.swapaxes(r_j, 1, 2) + translations[table.slot_j[edges], None, :]
-    in_i = (moved - translations[table.slot_i[edges], None, :]) @ r_i
-    jacobians = np.empty((b, 2, n, 3, 6))
-    jacobians[:, 0, ..., :3] = -(r_i_t @ r_j[:, None]) @ geom.skew(p_j)
-    jacobians[:, 0, ..., 3:] = r_i_t
-    jacobians[:, 1, ..., :3] = geom.skew(in_i)
-    jacobians[:, 1, ..., 3:] = -r_i_t
-    jacobians = jacobians.reshape(b, 2, 3 * n, 6)
-    jac_t = np.swapaxes(jacobians, 2, 3)
-    residuals = (in_i - p_i).reshape(b, 1, 3 * n, 1)
-    return jac_t[:, :, None] @ jacobians[:, None], (jac_t @ residuals)[..., 0]
+    """J_a^T J_b, (edges, 2, 2, 6, 6), and J_a^T r, (edges, 2, 6), of edges
+    start..end-1 over sides a, b = camera j, camera i, given the relative
+    poses (E, t) and camera i's rotations R_i. A landmark p of camera j lands
+    at q = E p + t with residual r = q - p_i; its rows of J are [-F, R_i^T]
+    for camera j, F = E skew(p) (row a is E's row a x p), and [skew(q),
+    -R_i^T] for camera i. F^T F, skew(q)^T skew(q), -F^T skew(q), -F^T r and
+    r x q are summed per landmark; the R_i^T blocks take sums of p, q, r."""
+    p_i, p_j, offsets = _window_points(graph, start, end)
+    counts = graph.table.counts[start:end]
 
+    def per_edge(values):
+        return np.add.reduceat(values, offsets)
 
-def _band_order(free: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
-    """A block reverse Cuthill-McKee order of ``free`` cameras joined by the
-    (E, 2) ``pairs`` (Cuthill & McKee 1969; George & Liu 1981), and its
-    bandwidth max |position a - position b| over the pairs: breadth first
-    from the least connected unvisited camera, neighbours by degree, then by
-    index, the visits reversed; the natural order if that is narrower."""
-    neighbours = [set() for _ in range(free)]
-    for a, b in pairs.tolist():
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    rank = {v: (len(neighbours[v]), v) for v in range(free)}
-    visits, placed, head = [], set(), 0
-    for start in sorted(range(free), key=rank.get):
-        if start in placed:
-            continue
-        placed.add(start)
-        visits.append(start)
-        while head < len(visits):
-            fresh = sorted(neighbours[visits[head]] - placed, key=rank.get)
-            placed.update(fresh)
-            visits.extend(fresh)
-            head += 1
-    orders = (np.array(visits[::-1], dtype=np.intp), np.arange(free))
-    widths = [int(np.max(np.abs(np.diff(np.argsort(order)[pairs], axis=1)), initial=0)) for order in orders]
-    return min(zip(orders, widths), key=lambda pair: pair[1])
+    # Each per-landmark temporary is dropped once used, to keep a window's few.
+    e_rows, t_rows = _edge_rows(rotation[start:end], translation[start:end], counts)
+    moved = algebra.affine(e_rows, t_rows, list(p_j))
+    residual = [m - p for m, p in zip(moved, p_i)]
+    del t_rows, p_i
+    f_rows = []
+    while e_rows:
+        f_rows.append(cross(e_rows.pop(0), list(p_j)))
+    sum_p, sum_q, sum_r = ([per_edge(x) for x in v] for v in (p_j, moved, residual))
+    del p_j
+    f_columns = algebra.transpose(f_rows)
+    del f_rows
+    ftf = [[per_edge(inner(f_columns[a], f_columns[b])) if b >= a else None for b in range(3)] for a in range(3)]
+    square = inner(moved, moved)  # skew(q)^T skew(q) = |q|^2 I - q q^T
+    sts = [
+        [per_edge((square if a == b else 0.0) - moved[a] * moved[b]) if b >= a else None for b in range(3)] for a in range(3)
+    ]
+    fts = [[per_edge(x) for x in cross(moved, column)] for column in f_columns]
+    grad_j = [per_edge(-inner(column, residual)) for column in f_columns]
+    grad_i = [per_edge(x) for x in cross(residual, moved)]
 
-
-def _inverse_cholesky(a: list[list[float]]) -> list[list[float]]:
-    """inverse(L), L the lower Cholesky factor of the 6x6 matrix whose lower
-    triangle ``a`` holds, in Python floats; a pivot that is not positive
-    raises ``np.linalg.LinAlgError``."""
-    low = []
-    for i, a_i in enumerate(a):
-        row = []
-        for j, low_j in enumerate(low):
-            total = a_i[j]
-            for x, y in zip(row, low_j):
-                total -= x * y
-            row.append(total / low_j[j])
-        total = a_i[i]
-        for x in row:
-            total -= x * x
-        if not total > 0.0:
-            raise np.linalg.LinAlgError("normal equations are not positive definite")
-        low.append(row + [math.sqrt(total)])
-    inverse = [[0.0] * 6 for _ in range(6)]
-    for j, row in enumerate(low):
-        for i in range(j):
-            total = 0.0
-            for m in range(i, j):
-                total -= row[m] * inverse[m][i]
-            inverse[j][i] = total / row[j]
-        inverse[j][j] = 1.0 / row[j]
-    return inverse
-
-
-def _band_solve(band: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A + damping I) x = rhs for the A whose lower band ``band`` holds
-    (see ``_normal_equations``) by a block Cholesky, right-looking by 6-column
-    blocks in elementwise numpy, the forward substitution riding along. A
-    must be banded by whole 6x6 blocks: entries of a column below its band's
-    last block are not read. The factor overwrites ``band``."""
-    size, width = band.shape
-    band[:, 0] += damping
-    item = band.itemsize
-    dense = as_strided(band, shape=(size, size), strides=(item, item * (width - 1)))  # in-band (r, c) only
-    padded = np.zeros((6, 2 * width))
-    shifted = as_strided(padded, shape=(6, width, width), strides=(2 * width * item, item, item))  # padded[k, c + d]
-    inverses, x = [], rhs.copy()
-    for s in range(0, size, 6):
-        n = min(width, size - s) - 6
-        inverse = np.array(_inverse_cholesky(dense[s : s + 6, s : s + 6].tolist()), dtype=float)
-        inverses.append(inverse)
-        x[s : s + 6] = (inverse * x[s : s + 6]).sum(axis=1)
-        panel = dense[s + 6 : s + 6 + n, s : s + 6].T  # becomes the 6 columns of L below the block
-        panel[...] = padded[:, :n] = (inverse[:, :, None] * panel).sum(axis=1)
-        padded[:, n:] = 0.0
-        x[s + 6 : s + 6 + n] -= (panel * x[s : s + 6, None]).sum(axis=0)
-        # Band entry (s + 6 + c, d) of the trailing window loses sum_k panel[k, c + d] panel[k, c]
-        # where c + d < n: slices of rows c, each as wide as its first row's entries.
-        for c in range(0, n, UPDATE_ROWS):
-            e = min(c + UPDATE_ROWS, n)
-            band[s + 6 + c : s + 6 + e, : n - c] -= (shifted[:, c:e, : n - c] * panel[:, c:e, None]).sum(axis=0)
-    for s in range(size - 6, -1, -6):
-        n = min(width, size - s) - 6
-        rest = x[s : s + 6] - (dense[s + 6 : s + 6 + n, s : s + 6].T * x[s + 6 : s + 6 + n]).sum(axis=1)
-        x[s : s + 6] = (inverses.pop() * rest[:, None]).sum(axis=0)
-    return x
+    r = algebra.entries(r_i)
+    g = [cross(row, sum_p) for row in algebra.entries(rotation[start:end])]  # E skew(sum p), the sum of F
+    h = algebra.product(r, g)  # R_i E skew(sum p)
+    k = [cross(row, sum_q) for row in r]  # R_i skew(sum q)
+    n = counts.astype(float)
+    m = [[n * x for x in row] for row in algebra.product(r, algebra.transpose(r))]  # n R_i R_i^T
+    blocks = {
+        (0, 0): [_symmetric(ftf), algebra.transpose(_negated(h)), _negated(h), m],
+        (1, 1): [_symmetric(sts), algebra.transpose(_negated(k)), _negated(k), m],
+        (0, 1): [fts, algebra.transpose(h), k, _negated(m)],
+    }
+    products = np.empty((end - start, 2, 2, 6, 6))
+    for (a, b), (top_left, top_right, bottom_left, bottom_right) in blocks.items():
+        block = [x + y for x, y in zip(top_left, top_right)] + [x + y for x, y in zip(bottom_left, bottom_right)]
+        products[:, a, b] = algebra.to_array(block)
+    products[:, 1, 0] = np.swapaxes(products[:, 0, 1], 1, 2)
+    r_sum = algebra.transform(r, sum_r)
+    return products, np.stack([np.stack(grad_j + r_sum, -1), np.stack(grad_i + [-x for x in r_sum], -1)], axis=1)
 
 
 def cost_gradient(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
@@ -613,10 +591,9 @@ def refine(
     cost by less than ``relative_cost_tol`` of it, or, before a candidate
     is evaluated, when the step's predicted decrease is at most that share
     of the cost. J^T J is held in band storage (``_normal_equations``) and
-    factored in place, damped, with no BLAS or LAPACK call
-    (``_band_solve``), so one band is alive and a retry rebuilds it. Returns
-    the refined poses and the trace of accepted costs (starting with the
-    initial cost).
+    factored in place, damped (``algebra.band_solve``), so one band is alive
+    and a retry rebuilds it. Returns the refined poses and the trace of
+    accepted costs (starting with the initial cost).
     """
     rotations, translations = stack_poses(graph, initial)
     cost = graph_cost(graph, rotations, translations)
@@ -637,7 +614,7 @@ def refine(
             if band is None:
                 band = _normal_equations(graph, rotations, translations)[0]
             try:
-                step = _band_solve(band, damping, rhs)
+                step = algebra.band_solve(band, damping, rhs)
             except np.linalg.LinAlgError:
                 damping *= 10.0
                 continue
@@ -669,12 +646,19 @@ def _apply_step(
     graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray, delta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The poses moved by one parameter step (see ``_normal_equations``),
-    checked as one stack with ``geom.check_rigid``."""
+    checked as one stack with ``geom.check_rigid``. A rotation is
+    re-orthonormalized as ``geom.compose`` does it, when its drift exceeds
+    ``geom.DRIFT_TOL``."""
     free = _free_slots(graph)
     step = delta.reshape(-1, 6)
     rotations = rotations.copy()
     translations = translations.copy()
-    rotations[free] = geom.nearest_rotation(rotations[free] @ geom.rotation_from_axis_angle(step[:, :3]))
+    turned = algebra.product(algebra.entries(rotations[free]), algebra.entries(geom.rotation_from_axis_angle(step[:, :3])))
+    turned = algebra.to_array(turned)
+    drifted = geom.orthonormality_error(turned) > geom.DRIFT_TOL
+    if drifted.any():
+        turned[drifted] = geom.nearest_rotation(turned[drifted])
+    rotations[free] = turned
     translations[free] += step[:, 3:]
     geom.check_rigid(rotations, translations)
     return rotations, translations

@@ -121,7 +121,7 @@ class CalibrationResult:
             truth = self.true_poses[cam_id]
             out[cam_id] = (
                 geom.rotation_distance(pose, truth),
-                float(np.linalg.norm(pose.translation - truth.translation)),
+                math.dist(pose.translation.tolist(), truth.translation.tolist()),
             )
         return out
 
@@ -463,7 +463,7 @@ def run_simulation(
                     )
                 beliefs[robot.id] = fusion.ekf_update(beliefs[robot.id], z, om)
             if robot.id in beliefs:
-                err = float(np.linalg.norm(beliefs[robot.id].mean[:2] - np.array([robot.x, robot.y])))
+                err = math.dist(beliefs[robot.id].mean[:2].tolist(), (robot.x, robot.y))
                 localization_rows.writerow([tick, repr(t), robot.id, repr(err)])
 
         fusion.fuse_frame(server_map, evidence, tags, camera_poses, t)

@@ -15,9 +15,8 @@ Fusion rules (per frame):
     - An Obstacle cell decays back to Explored once it has been seen free
       for 2 s straight; unobserved cells keep their last state.
 
-The filters estimate robot pose against the current fused map; the map
-itself is owned by the camera network, not the filter. The discrete grid
-filter is the brute-force oracle for the EKF on linear-Gaussian cases.
+The EKF estimates robot pose against the current fused map; the map itself
+is owned by the camera network, not the filter.
 """
 
 from __future__ import annotations
@@ -29,19 +28,18 @@ from typing import Callable
 
 import numpy as np
 
+from . import algebra
 from .geom import RigidTransform
 from .sensim import ObstacleEvidence, TagDetection
 from .world import CellIndex, cell_mask
 
 OBSTACLE_CLEAR_SECONDS = 2.0
+# A covariance is accepted when its smallest eigenvalue is at least -PSD_TOL.
+PSD_TOL = 1e-12
 
 
 class DimensionMismatchError(ValueError):
     pass
-
-
-class DegenerateLikelihoodError(ValueError):
-    """The measurement is incompatible with every grid state."""
 
 
 class CellState(IntEnum):
@@ -223,7 +221,9 @@ def merge_robot_map(
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """Robot pose belief: mean (x, y, theta) and 3x3 covariance."""
+    """Robot pose belief: mean (x, y, theta) and 3x3 covariance, symmetric
+    within 1e-12 and with no eigenvalue below -``PSD_TOL``: every principal
+    minor of covariance + PSD_TOL I is non-negative (Sylvester's criterion)."""
 
     mean: np.ndarray
     covariance: np.ndarray
@@ -231,13 +231,16 @@ class GaussianBelief:
     def __post_init__(self) -> None:
         mean = np.asarray(self.mean, dtype=float).reshape(3)
         cov = np.asarray(self.covariance, dtype=float).reshape(3, 3)
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        c = cov.tolist()
+        if not all(map(math.isfinite, mean.tolist() + c[0] + c[1] + c[2])):
             raise ValueError("belief entries must be finite")
-        if float(np.max(np.abs(cov - cov.T))) > 1e-12:
+        pairs = ((0, 1), (0, 2), (1, 2))
+        if max(abs(c[a][b] - c[b][a]) for a, b in pairs) > 1e-12:
             raise ValueError("covariance must be symmetric")
-        eigenvalues = np.linalg.eigvalsh(cov)
-        if float(eigenvalues.min()) < -1e-12:
-            raise ValueError(f"covariance must be PSD, min eigenvalue {eigenvalues.min():.3e}")
+        s = [[x + PSD_TOL if a == b else x for b, x in enumerate(row)] for a, row in enumerate(c)]
+        minors = [s[0][0], s[1][1], s[2][2], algebra.det3(s)] + [s[a][a] * s[b][b] - s[a][b] * s[b][a] for a, b in pairs]
+        if min(minors) < 0.0:
+            raise ValueError(f"covariance must be PSD, smallest principal minor of cov + {PSD_TOL} I {min(minors):.3e}")
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -282,146 +285,42 @@ def position_observation_model(r: np.ndarray) -> ObservationModel:
     )
 
 
+def _sum(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    return [[x + y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)]
+
+
+def _symmetric(cov: list[list[float]]) -> np.ndarray:
+    """(cov + cov^T) / 2 as an array."""
+    return np.array([[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(cov, zip(*cov))])
+
+
 def ekf_predict(belief: GaussianBelief, u, mm: MotionModel) -> GaussianBelief:
+    """The belief moved by the control u: covariance F P F^T + Q."""
     u = np.asarray(u, dtype=float).reshape(3)
     mean = np.asarray(mm.f(belief.mean, u), dtype=float).reshape(3)
-    jac = np.asarray(mm.jacobian(belief.mean, u), dtype=float)
-    cov = jac @ belief.covariance @ jac.T + np.asarray(mm.q, dtype=float)
-    cov = 0.5 * (cov + cov.T)
-    return GaussianBelief(mean=mean, covariance=cov)
+    jac = np.asarray(mm.jacobian(belief.mean, u), dtype=float).tolist()
+    spread = algebra.product(algebra.product(jac, belief.covariance.tolist()), algebra.transpose(jac))
+    cov = _sum(spread, np.asarray(mm.q, dtype=float).tolist())
+    return GaussianBelief(mean=mean, covariance=_symmetric(cov))
 
 
 def ekf_update(belief: GaussianBelief, z, om: ObservationModel) -> GaussianBelief:
+    """The belief after a measurement z of one or two dimensions; the
+    innovation covariance is inverted in closed form."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    jac = np.asarray(om.jacobian(belief.mean), dtype=float)
-    r = np.asarray(om.r, dtype=float)
-    innovation = z - np.atleast_1d(om.h(belief.mean))
-    s = jac @ belief.covariance @ jac.T + r
-    gain = belief.covariance @ jac.T @ np.linalg.inv(s)
-    mean = belief.mean + gain @ innovation
+    jac = np.atleast_2d(np.asarray(om.jacobian(belief.mean), dtype=float)).tolist()
+    r = np.atleast_2d(np.asarray(om.r, dtype=float)).tolist()
+    innovation = (z - np.atleast_1d(om.h(belief.mean))).tolist()
+    if len(innovation) > 2:
+        raise DimensionMismatchError(f"ekf_update takes 1 or 2 measured dimensions, got {len(innovation)}")
+    p = belief.covariance.tolist()
+    jac_t = algebra.transpose(jac)
+    s = _sum(algebra.product(algebra.product(jac, p), jac_t), r)
+    gain = algebra.product(algebra.product(p, jac_t), algebra.inverse2(s))
+    mean = [m + d for m, d in zip(belief.mean.tolist(), algebra.transform(gain, innovation))]
     # Joseph form keeps the covariance symmetric PSD even with roundoff.
-    identity_kh = np.eye(3) - gain @ jac
-    cov = identity_kh @ belief.covariance @ identity_kh.T + gain @ r @ gain.T
-    cov = 0.5 * (cov + cov.T)
-    return GaussianBelief(mean=mean, covariance=cov)
-
-
-# -- discrete Bayes filter (the EKF's brute-force oracle) ---------------------
-
-
-@dataclass
-class GridBelief:
-    """Pose probabilities over map cells x heading bins.
-
-    probs has shape (rows, cols, headings) and sums to one; eta is the
-    normalizer applied by the most recent step.
-    """
-
-    probs: np.ndarray
-    cell_size: float
-    eta: float = 1.0
-
-    def __post_init__(self) -> None:
-        self.probs = np.asarray(self.probs, dtype=float)
-        if self.probs.ndim != 3:
-            raise ValueError("probs must have shape (rows, cols, headings)")
-        total = float(self.probs.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {total}")
-
-    @staticmethod
-    def uniform(rows: int, cols: int, headings: int, cell_size: float) -> "GridBelief":
-        probs = np.full((rows, cols, headings), 1.0 / (rows * cols * headings))
-        return GridBelief(probs=probs, cell_size=cell_size)
-
-    @staticmethod
-    def delta(rows: int, cols: int, headings: int, cell_size: float, at: tuple[int, int, int]) -> "GridBelief":
-        probs = np.zeros((rows, cols, headings))
-        row, col, heading = at
-        probs[row, col, heading] = 1.0
-        return GridBelief(probs=probs, cell_size=cell_size)
-
-    def state_vector(self, row: int, col: int, heading: int) -> np.ndarray:
-        headings = self.probs.shape[2]
-        return np.array(
-            [
-                (col + 0.5) * self.cell_size,
-                (row + 0.5) * self.cell_size,
-                2.0 * math.pi * heading / headings,
-            ]
-        )
-
-
-def _axis_kernel(centers: np.ndarray, mean: float, variance: float, wrap: float | None = None) -> np.ndarray:
-    """Normalized 1D motion kernel over grid centers; a delta when noiseless."""
-    if variance < 1e-15:
-        diff = np.abs(centers - mean)
-        if wrap is not None:
-            diff = np.minimum(diff, wrap - diff)
-        kernel = np.zeros(len(centers))
-        kernel[int(np.argmin(diff))] = 1.0
-        return kernel
-    diff = centers - mean
-    if wrap is not None:
-        diff = (diff + wrap / 2.0) % wrap - wrap / 2.0
-    kernel = np.exp(-0.5 * diff**2 / variance)
-    total = kernel.sum()
-    if total <= 0:
-        # The motion lands far off-grid; keep mass at the nearest state.
-        return _axis_kernel(centers, mean, 0.0, wrap)
-    return kernel / total
-
-
-def bayes_grid_step(
-    gb: GridBelief,
-    u,
-    z,
-    mm: MotionModel,
-    om: ObservationModel | None,
-    grid_map: GridMap | None = None,
-) -> GridBelief:
-    """One predict/update cycle of the discrete Bayes filter.
-
-    The prior is pushed through the motion kernel N(f(state, u), diag(Q)),
-    multiplied by the measurement likelihood (skipped when z or the model is
-    None), masked by the map's wall cells, and renormalized. Raises
-    DegenerateLikelihoodError when no state remains possible.
-    """
-    rows, cols, headings = gb.probs.shape
-    u = np.asarray(u, dtype=float).reshape(3)
-    q = np.diag(np.asarray(mm.q, dtype=float))
-    x_centers = (np.arange(cols) + 0.5) * gb.cell_size
-    y_centers = (np.arange(rows) + 0.5) * gb.cell_size
-    theta_centers = 2.0 * math.pi * np.arange(headings) / headings
-
-    predicted = np.zeros_like(gb.probs)
-    for row in range(rows):
-        for col in range(cols):
-            for heading in range(headings):
-                p = gb.probs[row, col, heading]
-                if p == 0.0:
-                    continue
-                mean = np.asarray(mm.f(gb.state_vector(row, col, heading), u), dtype=float)
-                kx = _axis_kernel(x_centers, mean[0], q[0])
-                ky = _axis_kernel(y_centers, mean[1], q[1])
-                kt = _axis_kernel(theta_centers, mean[2] % (2 * math.pi), q[2], wrap=2 * math.pi)
-                predicted += p * (ky[:, None, None] * kx[None, :, None] * kt[None, None, :])
-
-    if z is not None and om is not None:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        r_inv = np.linalg.inv(np.atleast_2d(np.asarray(om.r, dtype=float)))
-        for row in range(rows):
-            for col in range(cols):
-                for heading in range(headings):
-                    if predicted[row, col, heading] == 0.0:
-                        continue
-                    diff = z - np.atleast_1d(om.h(gb.state_vector(row, col, heading)))
-                    predicted[row, col, heading] *= math.exp(-0.5 * float(diff @ r_inv @ diff))
-
-    if grid_map is not None:
-        predicted[grid_map.cells == CellState.WALL] = 0.0
-
-    total = float(predicted.sum())
-    if not math.isfinite(total) or total <= 0.0:
-        raise DegenerateLikelihoodError("measurement is incompatible with every grid state")
-    return GridBelief(probs=predicted / total, cell_size=gb.cell_size, eta=1.0 / total)
+    kh = algebra.product(gain, jac)
+    identity_kh = [[(1.0 if a == b else 0.0) - x for b, x in enumerate(row)] for a, row in enumerate(kh)]
+    spread = algebra.product(algebra.product(identity_kh, p), algebra.transpose(identity_kh))
+    cov = _sum(spread, algebra.product(algebra.product(gain, r), algebra.transpose(gain)))
+    return GaussianBelief(mean=np.array(mean), covariance=_symmetric(cov))

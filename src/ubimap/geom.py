@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
+
 # Construction-time invariant tolerances.
 ORTHONORMAL_TOL = 1e-9
 DET_TOL = 1e-9
 # compose() re-orthonormalizes its result when drift exceeds this.
 DRIFT_TOL = 1e-12
-_IDENTITY = np.eye(3)
-_IDENTITY.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -69,15 +69,8 @@ class RigidTransform:
     def transform_points(self, points: np.ndarray) -> np.ndarray:
         """Apply the transform to an (n, 3) array of points."""
         pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
-
-    def is_close(self, other: "RigidTransform", rot_tol: float = 1e-9, tra_tol: float = 1e-9) -> bool:
-        # Frobenius norm on the rotation difference: a tolerance on it bounds
-        # every entry, which an angle does not.
-        return (
-            float(np.linalg.norm(self.rotation - other.rotation)) <= rot_tol
-            and float(np.linalg.norm(self.translation - other.translation)) <= tra_tol
-        )
+        moved = algebra.affine(self.rotation.tolist(), self.translation.tolist(), list(pts.T))
+        return np.stack(moved, axis=-1)
 
     def __repr__(self) -> str:
         return f"RigidTransform(rotation={self.rotation.tolist()}, translation={self.translation.tolist()})"
@@ -85,10 +78,16 @@ class RigidTransform:
 
 def orthonormality_error(rotation: np.ndarray) -> np.ndarray:
     """Frobenius norm of R^T R - I for an (..., 3, 3) float array, batched
-    over the leading axes. The sum is the one ``np.linalg.norm`` takes over
-    a single matrix."""
-    drift = (rotation.swapaxes(-1, -2) @ rotation - _IDENTITY).reshape(rotation.shape[:-2] + (9,))
-    return np.sqrt(np.vecdot(drift, drift))
+    over the leading axes."""
+    return np.sqrt(_drift(algebra.entries(rotation)))
+
+
+def _drift(r: list[list]):
+    """Squared Frobenius norm of R^T R - I for 3x3 entries, its nine terms
+    summed row by row."""
+    gram = algebra.product(algebra.transpose(r), r)
+    terms = [gram[a][b] - (1.0 if a == b else 0.0) for a in range(3) for b in range(3)]
+    return algebra.inner(terms, terms)
 
 
 def check_rigid(rotation: np.ndarray, translation: np.ndarray) -> None:
@@ -98,13 +97,14 @@ def check_rigid(rotation: np.ndarray, translation: np.ndarray) -> None:
     (..., 3, 3) rotations with (..., 3) translations, float arrays."""
     if not (np.isfinite(rotation).all() and np.isfinite(translation).all()):
         raise ValueError("RigidTransform requires finite entries")
-    err = orthonormality_error(rotation)
-    if (err >= ORTHONORMAL_TOL).any():
-        raise ValueError(f"rotation is not orthonormal (|R^T R - I|_F = {float(err.max()):.3e})")
-    det = np.linalg.det(rotation)
+    r = algebra.entries(rotation)
+    err = np.sqrt(_drift(r))
+    if np.any(err >= ORTHONORMAL_TOL):
+        raise ValueError(f"rotation is not orthonormal (|R^T R - I|_F = {float(np.max(err)):.3e})")
+    det = np.ravel(algebra.det3(r))
     off = abs(det - 1.0) >= DET_TOL
     if off.any():
-        raise ValueError(f"rotation determinant must be +1, got {float(det[off].flat[0]):.12f}")
+        raise ValueError(f"rotation determinant must be +1, got {float(det[off][0]):.12f}")
 
 
 def identity() -> RigidTransform:
@@ -127,17 +127,9 @@ def rot_z(angle: float) -> RigidTransform:
 
 def nearest_rotation(m: np.ndarray) -> np.ndarray:
     """Project near-rotation matrices onto the closest proper rotations,
-    batched over the leading axes.
-
-    Uses the orthogonal factor of the SVD with a sign fix so det = +1.
-    """
-    u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
-    r = u @ vt
-    flip = np.linalg.det(r) < 0
-    if flip.any():
-        u[..., -1] = np.where(flip[..., None], -u[..., -1], u[..., -1])
-        r = u @ vt
-    return r
+    batched over the leading axes: the R maximizing tr(R^T m), by Horn's
+    quaternion method (``algebra.horn_rotation``)."""
+    return algebra.to_array(algebra.horn_rotation(algebra.entries(m)))
 
 
 def rotation_from_axis_angle(vec) -> np.ndarray:
@@ -149,46 +141,41 @@ def rotation_from_axis_angle(vec) -> np.ndarray:
     dividing by a vanishing norm.
     """
     v = np.asarray(vec, dtype=float)
-    angle = np.sqrt(np.vecdot(v, v))  # the sum np.linalg.norm takes
-    small = (angle < 1e-12)[..., None, None]
-    k = skew(v) / np.where(small, 1.0, angle[..., None, None])
-    first = np.where(small, 1.0, np.sin(angle)[..., None, None])
-    second = np.where(small, 0.5, 1.0 - np.cos(angle)[..., None, None])
-    return _IDENTITY + first * k + second * (k @ k)
-
-
-def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ w == cross(v, w). Batched over the
-    leading axes, so an (n, 3) input gives (n, 3, 3)."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1], out[..., 0, 2] = -v[..., 2], v[..., 1]
-    out[..., 1, 0], out[..., 1, 2] = v[..., 2], -v[..., 0]
-    out[..., 2, 0], out[..., 2, 1] = -v[..., 1], v[..., 0]
-    return out
+    angle = np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1] + v[..., 2] * v[..., 2])
+    small = angle < 1e-12
+    x, y, z = (v[..., a] / np.where(small, 1.0, angle) for a in range(3))
+    k = [[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]  # the cross-product matrix of the unit axis
+    kk = algebra.product(k, k)
+    angles = np.ravel(angle).tolist()
+    first = np.where(small, 1.0, np.reshape([math.sin(a) for a in angles], angle.shape))
+    second = np.where(small, 0.5, 1.0 - np.reshape([math.cos(a) for a in angles], angle.shape))
+    return algebra.to_array(
+        [[(1.0 if a == b else 0.0) + first * k[a][b] + second * kk[a][b] for b in range(3)] for a in range(3)]
+    )
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Composition: the result applies ``b`` first, then ``a``."""
-    rot = a.rotation @ b.rotation
-    tra = a.rotation @ b.translation + a.translation
-    if orthonormality_error(rot) > DRIFT_TOL:
+    r_a = a.rotation.tolist()
+    rot = algebra.product(r_a, b.rotation.tolist())
+    tra = algebra.affine(r_a, a.translation.tolist(), b.translation.tolist())
+    if math.sqrt(_drift(rot)) > DRIFT_TOL:
         rot = nearest_rotation(rot)
     return RigidTransform(rot, tra)
 
 
 def invert(t: RigidTransform) -> RigidTransform:
     rot = t.rotation.T
-    return RigidTransform(rot, -(rot @ t.translation))
+    return RigidTransform(rot, [-x for x in algebra.transform(rot.tolist(), t.translation.tolist())])
 
 
 def apply(t: RigidTransform, p: Point3) -> Point3:
-    return Point3.from_array(t.rotation @ p.as_array() + t.translation)
+    return Point3(*algebra.affine(t.rotation.tolist(), t.translation.tolist(), [p.x, p.y, p.z]))
 
 
 def rotation_distance(a: RigidTransform, b: RigidTransform) -> float:
     """Geodesic angle between the two rotations, in [0, pi]."""
-    return _rotation_angles(a.rotation.T @ b.rotation)[0]
+    return _rotation_angles(np.array(algebra.product(algebra.transpose(a.rotation.tolist()), b.rotation.tolist())))[0]
 
 
 def _rotation_angles(rotation: np.ndarray) -> list[float]:

@@ -80,11 +80,11 @@ def camera_world_pose(cam: CameraSpec) -> RigidTransform:
 def _in_frustum(cam: CameraSpec, p_cam: np.ndarray) -> np.ndarray:
     """Which of the (n, 3) optical-frame points the camera sees, ignoring walls.
 
-    The range test rounds as ``np.linalg.norm`` does per point, and the
-    angle tests use ``math.atan2``, so every decision matches a per-point
-    evaluation exactly.
+    The range is sqrt(x^2 + y^2 + z^2) written out, and the angle tests use
+    ``math.atan2``, so every decision matches a per-point evaluation exactly.
     """
-    dist = np.sqrt((p_cam[:, None, :] @ p_cam[:, :, None])[:, 0, 0])
+    x, y, z = p_cam.T
+    dist = np.sqrt(x * x + y * y + z * z)
     near = np.flatnonzero((p_cam[:, 2] > 0) & ~(dist > cam.max_range))
     out = np.zeros(len(p_cam), dtype=bool)
     out[near] = [
@@ -165,8 +165,7 @@ def observe_landmarks(
     in_view_points = [np.empty((0, 3))]
     for k, cam in enumerate(cameras):
         cam_from_world = geom.invert(camera_world_pose(cam))
-        # A stack of 3x3 @ 3x1 products rounds exactly as one matvec per point.
-        p_cam = (cam_from_world.rotation @ positions[:, :, None])[:, :, 0] + cam_from_world.translation
+        p_cam = cam_from_world.transform_points(positions)
         seen[k] = _in_frustum(cam, p_cam)
         in_view_points.append(p_cam[seen[k]])
     rows, cols = np.nonzero(seen)

@@ -1,6 +1,5 @@
 import importlib.util
 import math
-import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ubimap import calib, cli, geom
+from ubimap import algebra, calib, cli, geom
 from ubimap.calib import (
     CorrespondenceSet,
     DegenerateGeometryError,
@@ -25,6 +24,8 @@ from ubimap.calib import (
     stack_poses,
 )
 from ubimap.geom import RigidTransform
+
+from oracles import is_close, kabsch, skew
 
 
 def random_transform(rng, max_angle=math.pi, max_shift=3.0):
@@ -63,7 +64,7 @@ BASE_POINTS = np.array(
 def test_best_rigid_identity_on_identical_sets():
     cset = correspondences_from_transform(geom.identity(), BASE_POINTS)
     transform, rms = best_rigid_transform(cset)
-    assert transform.is_close(geom.identity(), 1e-12, 1e-12)
+    assert is_close(transform, geom.identity(), 1e-12, 1e-12)
     assert rms < 1e-14
 
 
@@ -71,7 +72,7 @@ def test_best_rigid_recovers_known_transform():
     true = geom.compose(geom.translation(1, 0, 0), geom.rot_z(math.pi / 2))
     cset = correspondences_from_transform(true, BASE_POINTS)
     transform, rms = best_rigid_transform(cset)
-    assert transform.is_close(true, 1e-9, 1e-9)
+    assert is_close(transform, true, 1e-9, 1e-9)
     assert rms < 1e-12
 
 
@@ -110,6 +111,76 @@ def test_best_rigid_never_returns_reflection():
     assert np.linalg.det(transform.rotation) == pytest.approx(1.0, abs=1e-9)
 
 
+def aligned_set(rng, kind):
+    """A source point set and its target under a random rigid motion, with
+    0.01 noise on half of them: ``random`` 4 to 20 points in a 4 m cube,
+    ``half_turn`` such a set turned within 1e-6 rad of 180 degrees,
+    ``planar`` 4 to 20 points on a tilted plane, ``minimal`` a 3-point
+    triangle no thinner than 0.5 m."""
+    n = 3 if kind == "minimal" else int(rng.integers(4, 21))
+    src = rng.uniform(-2.0, 2.0, (n, 3))
+    if kind == "planar":
+        src = random_transform(rng).transform_points(src * [1.0, 1.0, 0.0])
+    elif kind == "minimal":
+        src = random_transform(rng).transform_points(
+            [[0.0, 0.0, 0.0], [rng.uniform(0.5, 2.0), 0.0, 0.0], [rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0), 0.0]]
+        )
+    motion = random_transform(rng)
+    if kind == "half_turn":
+        axis = rng.normal(size=3)
+        axis *= (math.pi - rng.uniform(0.0, 1e-6)) / np.linalg.norm(axis)
+        motion = RigidTransform(geom.rotation_from_axis_angle(axis), motion.translation)
+    dst = motion.transform_points(src)
+    if rng.integers(2):
+        dst = dst + rng.normal(0.0, 0.01, dst.shape)
+    return src, dst
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(["random", "half_turn", "planar", "minimal"]), min_size=1, max_size=8),
+)
+@example(1, ["half_turn"])
+@example(2, ["minimal", "planar", "random", "half_turn", "minimal"])
+def test_batched_horn_fit_matches_svd_kabsch(seed, kinds):
+    rng = np.random.default_rng(seed)
+    sets = [aligned_set(rng, kind) for kind in kinds]
+    results = icp(
+        np.concatenate([src for src, _ in sets]),
+        np.concatenate([dst for _, dst in sets]),
+        IcpOptions(),
+        sizes=[len(src) for src, _ in sets],
+    )
+    assert len(results) == len(sets)
+    for (src, dst), result in zip(sets, results):
+        rotation, translation = kabsch(src, dst)
+        np.testing.assert_allclose(result.transform.rotation, rotation, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.transform.translation, translation, rtol=0, atol=1e-12)
+        # One set alone gives the bits it gets among many.
+        alone, rms = best_rigid_transform(CorrespondenceSet(0, 1, src, dst))
+        assert np.array_equal(alone.rotation, result.transform.rotation)
+        assert np.array_equal(alone.translation, result.transform.translation) and rms == result.rms_residual
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.sampled_from([0.0, 1e-12, 1e-9]))
+def test_collinear_and_nearly_collinear_sets_are_degenerate(seed, n, jitter):
+    # Points along a tilted line, off it by at most jitter times their spread
+    # (the scatter's second eigenvalue then stays below COLLINEAR_TOL times the
+    # first), are rejected alone and within a batch; a set of full rank
+    # beside them still fits.
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=3)
+    line = rng.uniform(-5.0, 5.0, 3) + rng.uniform(-2.0, 2.0, (n, 1)) * direction / np.linalg.norm(direction)
+    line = line + jitter * rng.uniform(-1.0, 1.0, line.shape)
+    with pytest.raises(DegenerateGeometryError, match="collinear"):
+        best_rigid_transform(CorrespondenceSet(0, 1, line, line + 1.0))
+    good = rng.uniform(-2.0, 2.0, (5, 3))
+    results = icp(np.concatenate([line, good]), np.concatenate([line, good]) + 1.0, IcpOptions(), sizes=[n, 5])
+    assert isinstance(results[0], DegenerateGeometryError) and not isinstance(results[1], DegenerateGeometryError)
+
+
 # -- ICP ---------------------------------------------------------------------
 
 
@@ -118,7 +189,7 @@ def test_icp_identity_in_one_iteration():
     result = icp(pts, pts, IcpOptions(use_known_ids=False))
     assert result.iterations == 1
     assert result.rms_residual < 1e-14
-    assert result.transform.is_close(geom.identity(), 1e-12, 1e-12)
+    assert is_close(result.transform, geom.identity(), 1e-12, 1e-12)
 
 
 def test_icp_recovers_modest_transform_with_nn_matching():
@@ -291,7 +362,7 @@ def test_propagate_reference_only():
     graph = build_graph([], IcpOptions(), reference=7)
     poses = propagate(graph)
     assert set(poses) == {7}
-    assert poses[7].is_close(geom.identity(), 1e-15, 1e-15)
+    assert is_close(poses[7], geom.identity(), 1e-15, 1e-15)
 
 
 def test_propagate_translation_chain():
@@ -340,7 +411,7 @@ def test_tree_edges_reproduced_exactly():
     poses = propagate(graph)
     for edge in graph.edges:  # a chain: every edge is a tree edge
         implied = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
-        assert implied.is_close(edge.transform, 1e-9, 1e-9)
+        assert is_close(implied, edge.transform, 1e-9, 1e-9)
 
 
 # -- global refinement --------------------------------------------------------
@@ -386,7 +457,7 @@ def test_refine_fixed_point_on_optimal_input():
     second, trace2 = refine(graph, first)
     assert abs(trace2[-1] - trace1[-1]) < 1e-12 * max(1.0, trace1[-1])
     for cam in first:
-        assert second[cam].is_close(first[cam], 1e-9, 1e-9)
+        assert is_close(second[cam], first[cam], 1e-9, 1e-9)
 
 
 def test_refine_keeps_reference_fixed():
@@ -394,7 +465,7 @@ def test_refine_keeps_reference_fixed():
     _, pairwise = synthetic_rig(3, rng, noise=0.01, cycle=True)
     graph = build_graph(pairwise, IcpOptions(), reference=0)
     refined, _ = refine(graph, propagate(graph))
-    assert refined[0].is_close(geom.identity(), 1e-15, 1e-15)
+    assert is_close(refined[0], geom.identity(), 1e-15, 1e-15)
 
 
 def test_gauge_invariance_of_cost():
@@ -433,12 +504,14 @@ def test_gradient_matches_central_differences():
 
 
 def oracle_graph_cost(graph, poses):
-    """Reference: one edge at a time through RigidTransform."""
+    """Reference: one edge at a time through RigidTransform. Per-edge sums
+    are reduceat segments, as in calib: a segment's rounding differs from
+    np.sum's but not from the segment's neighbours'."""
     cost = 0.0
     for edge in graph.edges:
         e_ij = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
-        diff = e_ij.transform_points(edge.correspondences.points_j) - edge.correspondences.points_i
-        cost += float(np.sum(diff**2))
+        dx, dy, dz = (e_ij.transform_points(edge.correspondences.points_j) - edge.correspondences.points_i).T
+        cost += float(np.add.reduceat(dx * dx + dy * dy + dz * dz, [0])[0])
     return cost
 
 
@@ -447,34 +520,9 @@ def oracle_loop_closure_error(graph, poses):
     for edge in graph.edges:
         implied = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
         rot_err = geom.rotation_distance(implied, edge.transform)
-        tra_err = float(np.linalg.norm(implied.translation - edge.transform.translation))
-        out[(edge.camera_i, edge.camera_j)] = rot_err + tra_err
+        dx, dy, dz = (implied.translation - edge.transform.translation).tolist()
+        out[(edge.camera_i, edge.camera_j)] = rot_err + math.sqrt(dx * dx + dy * dy + dz * dz)
     return out
-
-
-def oracle_normal_equations(graph, poses, index):
-    """Reference: each edge's residuals and Jacobian blocks from its two
-    poses, block products added edge by edge."""
-    jtj = np.zeros((6 * len(index), 6 * len(index)))
-    jtr = np.zeros(6 * len(index))
-    for edge in graph.edges:
-        g_i, g_j = poses[edge.camera_i], poses[edge.camera_j]
-        p_i, p_j = edge.correspondences.points_i, edge.correspondences.points_j
-        r_i_t = np.broadcast_to(g_i.rotation.T, (len(p_j), 3, 3))
-        in_i = (p_j @ g_j.rotation.T + g_j.translation - g_i.translation) @ g_i.rotation
-        residuals = (in_i - p_i).reshape(-1)
-        blocks = []
-        if edge.camera_j in index:
-            jac_j = np.concatenate([-(g_i.rotation.T @ g_j.rotation) @ geom.skew(p_j), r_i_t], axis=2)
-            blocks.append((6 * index[edge.camera_j], jac_j.reshape(-1, 6)))
-        if edge.camera_i in index:
-            jac_i = np.concatenate([geom.skew(in_i), -r_i_t], axis=2)
-            blocks.append((6 * index[edge.camera_i], jac_i.reshape(-1, 6)))
-        for a, jac_a in blocks:
-            jtr[a : a + 6] += jac_a.T @ residuals
-            for b, jac_b in blocks:
-                jtj[a : a + 6, b : b + 6] += jac_a.T @ jac_b
-    return jtj, jtr
 
 
 def band_to_lower(band):
@@ -505,19 +553,19 @@ def lower_in_band_order(graph, dense):
 
 
 def oracle_apply_step(poses, index, delta):
-    """Reference: one camera at a time, with scalar Rodrigues."""
+    """Reference: one camera at a time, with scalar Rodrigues in Python floats."""
     out = dict(poses)
     for node, i in index.items():
         d_rot = delta[6 * i : 6 * i + 3]
-        angle = float(np.linalg.norm(d_rot))
-        k = geom.skew(d_rot)
-        if angle < 1e-12:
-            rodrigues = np.eye(3) + k + 0.5 * (k @ k)
-        else:
-            k = k / angle
-            rodrigues = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-        rotation = geom.nearest_rotation(poses[node].rotation @ rodrigues)
-        out[node] = RigidTransform(rotation, poses[node].translation + delta[6 * i + 3 : 6 * i + 6])
+        x, y, z = d_rot.tolist()
+        angle = math.sqrt(x * x + y * y + z * z)
+        first, second = (1.0, 0.5) if angle < 1e-12 else (math.sin(angle), 1.0 - math.cos(angle))
+        x, y, z = (d_rot / (1.0 if angle < 1e-12 else angle)).tolist()
+        k = [[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]
+        kk = algebra.product(k, k)
+        rodrigues = [[(1.0 if a == b else 0.0) + first * k[a][b] + second * kk[a][b] for b in range(3)] for a in range(3)]
+        turned = geom.compose(RigidTransform(poses[node].rotation, np.zeros(3)), RigidTransform(rodrigues, np.zeros(3)))
+        out[node] = RigidTransform(turned.rotation, poses[node].translation + delta[6 * i + 3 : 6 * i + 6])
     return out
 
 
@@ -539,10 +587,8 @@ def stacked_cases(draw):
         "chords": chords,
         "reference": draw(st.integers(0, n_cameras - 1)),
         "landmarks": draw(st.lists(st.integers(3, 9), min_size=n_pairs, max_size=n_pairs)),
-        # Small batches and windows, so that edges of one landmark count
-        # share batches and several windows run.
-        "batch_rows": draw(st.integers(3, 40)),
-        "window_edges": draw(st.integers(1, 4)),
+        # Small windows, so that several windows run, most with several edges.
+        "window_rows": draw(st.integers(1, 40)),
         "drift": draw(st.booleans()),
         "zero_step": draw(st.booleans()),
     }
@@ -550,7 +596,7 @@ def stacked_cases(draw):
 
 BOTH_SIDES_DRIFTING = {
     "seed": 7, "n_cameras": 5, "cycle": True, "chords": [(0, 2), (1, 3), (2, 4)], "reference": 0,
-    "landmarks": [4, 6, 4, 6, 4, 5, 4, 6], "batch_rows": 12, "window_edges": 3, "drift": True, "zero_step": False,
+    "landmarks": [4, 6, 4, 6, 4, 5, 4, 6], "window_rows": 12, "drift": True, "zero_step": False,
 }
 
 
@@ -587,15 +633,18 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
     if case["zero_step"]:
         delta[np.arange(len(delta)) % 6 < 3] = 0.0  # Rodrigues' small-angle branch
 
-    with mock.patch.object(calib, "BATCH_ROWS", case["batch_rows"]), mock.patch.object(
-        calib, "WINDOW_EDGES", case["window_edges"]
-    ):
-        assert graph_cost(graph, rotations, translations) == oracle_graph_cost(graph, poses)
-        assert calib.loop_closure_error(graph, rotations, translations) == oracle_loop_closure_error(graph, poses)
-        band, jtr = calib._normal_equations(graph, rotations, translations)
-    oracle_jtj, oracle_jtr = oracle_normal_equations(graph, poses, index)
-    assert np.array_equal(band_to_lower(band), lower_in_band_order(graph, oracle_jtj))
-    assert np.array_equal(jtr, oracle_jtr)
+    # The normal equations' oracle is the same per-landmark arithmetic with
+    # one edge per window; test_normal_equations_match_dense_jacobian checks
+    # that arithmetic against the full Jacobian.
+    normal_equations = {}
+    for window_rows in (case["window_rows"], 1):
+        with mock.patch.object(calib, "WINDOW_ROWS", window_rows):
+            windowed = calib.TransformGraph(graph.nodes, graph.edges, graph.reference)
+            assert graph_cost(windowed, rotations, translations) == oracle_graph_cost(graph, poses)
+            assert calib.loop_closure_error(windowed, rotations, translations) == oracle_loop_closure_error(graph, poses)
+            normal_equations[window_rows] = calib._normal_equations(windowed, rotations, translations)
+    (band, jtr), (edge_band, edge_jtr) = normal_equations[case["window_rows"]], normal_equations[1]
+    assert np.array_equal(band, edge_band) and np.array_equal(jtr, edge_jtr)
     stepped = calib._apply_step(graph, rotations, translations, delta)
     expected = stack_poses(graph, oracle_apply_step(poses, index, delta))
     assert np.array_equal(stepped[0], expected[0]) and np.array_equal(stepped[1], expected[1])
@@ -642,11 +691,11 @@ def dense_residuals_and_jacobian(graph, poses, index):
             residuals[row : row + 3] = r_i.T @ s - p_i
             if edge.camera_j in index:
                 col = 6 * index[edge.camera_j]
-                jacobian[row : row + 3, col : col + 3] = -(r_i.T @ r_j) @ geom.skew(p_j)
+                jacobian[row : row + 3, col : col + 3] = -(r_i.T @ r_j) @ skew(p_j)
                 jacobian[row : row + 3, col + 3 : col + 6] = r_i.T
             if edge.camera_i in index:
                 col = 6 * index[edge.camera_i]
-                jacobian[row : row + 3, col : col + 3] = geom.skew(r_i.T @ s)
+                jacobian[row : row + 3, col : col + 3] = skew(r_i.T @ s)
                 jacobian[row : row + 3, col + 3 : col + 6] = -r_i.T
             row += 3
     return residuals, jacobian
@@ -756,7 +805,9 @@ def test_band_solve_matches_dense_solve(system):
     band = random_band(rng, blocks, bandwidth)
     rhs = rng.normal(size=len(band))
     expected = np.linalg.solve(band_to_symmetric(band) + damping * np.eye(len(band)), rhs)
-    np.testing.assert_allclose(calib._band_solve(band, damping, rhs), expected, rtol=1e-10, atol=1e-12 * np.max(np.abs(expected)))
+    np.testing.assert_allclose(
+        algebra.band_solve(band, damping, rhs), expected, rtol=1e-10, atol=1e-12 * np.max(np.abs(expected))
+    )
 
 
 def test_band_solve_raises_on_a_matrix_that_is_not_positive_definite():
@@ -766,9 +817,9 @@ def test_band_solve_raises_on_a_matrix_that_is_not_positive_definite():
     band[:, 0] = 1.0
     band[:6, 6] = 2.0
     with pytest.raises(np.linalg.LinAlgError):
-        calib._band_solve(band.copy(), 0.0, np.ones(12))
+        algebra.band_solve(band.copy(), 0.0, np.ones(12))
     # Damped by 4 it is (5I, 2I; 2I, 5I): x = 1/7 solves it for all ones.
-    np.testing.assert_allclose(calib._band_solve(band, 4.0, np.ones(12)), np.full(12, 1 / 7), rtol=1e-15)
+    np.testing.assert_allclose(algebra.band_solve(band, 4.0, np.ones(12)), np.full(12, 1 / 7), rtol=1e-15)
 
 
 @settings(max_examples=200, deadline=None)
@@ -784,7 +835,7 @@ def test_band_solve_raises_on_a_matrix_that_is_not_positive_definite():
 def test_band_order_is_a_permutation_no_wider_than_the_natural_order(case):
     free, edges = case
     pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
-    order, bandwidth = calib._band_order(free, pairs)
+    order, bandwidth = algebra.band_order(free, pairs)
     assert sorted(order.tolist()) == list(range(free))
     position = np.argsort(order)
     assert bandwidth == max((abs(position[a] - position[b]) for a, b in edges), default=0)
@@ -792,24 +843,21 @@ def test_band_order_is_a_permutation_no_wider_than_the_natural_order(case):
 
 
 def test_refine_makes_no_linalg_call(monkeypatch):
-    # Every np.linalg function raises when calib calls it. geom's projection
-    # onto rotations, which _apply_step uses, still takes an SVD.
+    # Every np.linalg function raises while refine runs.
     rng = np.random.default_rng(36)
     _, pairwise = synthetic_rig(6, rng, noise=0.01, cycle=True, chords=[(1, 4)])
     graph = build_graph(pairwise, IcpOptions(), reference=0)
     initial = propagate(graph)
 
-    def refusing(name, function):
+    def refusing(name):
         def call(*args, **kwargs):
-            if sys._getframe(1).f_globals.get("__name__") == calib.__name__:
-                raise AssertionError(f"calib called np.linalg.{name}")
-            return function(*args, **kwargs)
+            raise AssertionError(f"refine called np.linalg.{name}")
 
         return call
 
     for name, function in vars(np.linalg).items():
         if callable(function) and not isinstance(function, type) and not name.startswith("_"):
-            monkeypatch.setattr(np.linalg, name, refusing(name, function))
+            monkeypatch.setattr(np.linalg, name, refusing(name))
     _, trace = refine(graph, initial)
     assert len(trace) > 2 and trace[-1] < trace[0]
 

@@ -7,12 +7,9 @@ from hypothesis import given, settings, strategies as st
 from ubimap import fusion, sensim
 from ubimap.fusion import (
     CellState,
-    DegenerateLikelihoodError,
     DimensionMismatchError,
     GaussianBelief,
-    GridBelief,
     GridMap,
-    bayes_grid_step,
     ekf_predict,
     ekf_update,
     fuse_frame,
@@ -23,6 +20,8 @@ from ubimap.fusion import (
 )
 from ubimap.sensim import ObstacleEvidence, TagDetection
 from ubimap.world import CameraSpec, CellIndex, cell_mask
+
+from oracles import DegenerateLikelihoodError, GridBelief, bayes_grid_step
 
 
 def make_camera(x, y, *, width=4.0, depth=4.0, yaw=0.0, cid=1, height=2.0):
@@ -450,6 +449,40 @@ def test_ekf_update_matches_1d_conjugate_closed_form():
         expected_var = 1.0 / precision
         assert out.mean[0] == pytest.approx(expected_mean, abs=1e-12)
         assert out.covariance[0, 0] == pytest.approx(expected_var, abs=1e-12)
+
+
+def test_ekf_update_rejects_measurements_of_three_dimensions():
+    # The innovation covariance is inverted in closed form, for 1 or 2 dimensions.
+    b = GaussianBelief(np.zeros(3), np.eye(3))
+    om = fusion.ObservationModel(h=lambda x: np.asarray(x), r=np.eye(3), jacobian=lambda x: np.eye(3))
+    with pytest.raises(DimensionMismatchError, match="1 or 2"):
+        ekf_update(b, np.ones(3), om)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(0.5, 2.0),
+    st.floats(0.5, 2.0),
+    st.one_of(st.floats(-1e-1, 1e-1), st.floats(-2e-12, 0.0)),
+)
+def test_psd_check_agrees_with_eigvalsh_outside_the_band(seed, first, second, smallest):
+    # The closed-form principal minors of cov + PSD_TOL I decide. With the
+    # other two eigenvalues in [0.5, 2], they agree with the eigenvalue test
+    # (smallest eigenvalue >= -PSD_TOL) unless that eigenvalue is within
+    # 1e-14 of -PSD_TOL; measured disagreements reach 1.7e-16.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    cov = q @ np.diag([first, second, smallest]) @ q.T
+    cov = 0.5 * (cov + cov.T)
+    eigen_min = float(np.linalg.eigvalsh(cov).min())
+    if abs(eigen_min + fusion.PSD_TOL) <= 1e-14:
+        return
+    if eigen_min > -fusion.PSD_TOL:
+        GaussianBelief(np.zeros(3), cov)
+    else:
+        with pytest.raises(ValueError, match="PSD"):
+            GaussianBelief(np.zeros(3), cov)
 
 
 def test_ekf_covariance_symmetric_psd_over_random_cycles():

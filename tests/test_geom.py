@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ubimap import geom
+from ubimap import algebra, geom
 from ubimap.geom import Point3, RigidTransform
+
+from oracles import is_close
 
 
 def random_transform(rng):
@@ -28,12 +31,12 @@ def test_construction_rejects_reflection():
 def test_compose_with_identity():
     t = geom.compose(geom.rot_z(0.3), geom.translation(1, 2, 3))
     out = geom.compose(t, geom.identity())
-    assert out.is_close(t, 1e-12, 1e-12)
+    assert is_close(out, t, 1e-12, 1e-12)
 
 
 def test_compose_planar_angles_add():
     out = geom.compose(geom.rot_z(math.radians(30)), geom.rot_z(math.radians(60)))
-    assert out.is_close(geom.rot_z(math.radians(90)), 1e-12, 1e-12)
+    assert is_close(out, geom.rot_z(math.radians(90)), 1e-12, 1e-12)
 
 
 def test_compose_pure_translations_add():
@@ -43,7 +46,7 @@ def test_compose_pure_translations_add():
 
 
 def test_invert_identity():
-    assert geom.invert(geom.identity()).is_close(geom.identity(), 1e-15, 1e-15)
+    assert is_close(geom.invert(geom.identity()), geom.identity(), 1e-15, 1e-15)
 
 
 def test_invert_translation():
@@ -53,7 +56,7 @@ def test_invert_translation():
 
 def test_invert_rotation():
     out = geom.invert(geom.rot_z(math.radians(90)))
-    assert out.is_close(geom.rot_z(math.radians(-90)), 1e-12, 1e-12)
+    assert is_close(out, geom.rot_z(math.radians(-90)), 1e-12, 1e-12)
 
 
 def test_apply_identity():
@@ -144,3 +147,27 @@ def test_nearest_rotation_restores_validity():
     fixed = geom.nearest_rotation(noisy)
     assert np.linalg.norm(fixed.T @ fixed - np.eye(3)) < 1e-12
     assert np.linalg.det(fixed) > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([1e-14, 1e-3, 3.0]))
+@example(0, 3, 0.0)  # zero rotation vectors: Rodrigues' small-angle branch
+def test_stacked_products_equal_single_matrix_products_bit_for_bit(seed, count, angle_scale):
+    # One matrix runs in Python floats, a stack in elementwise numpy; both sum
+    # each product's terms in one order, so every entry has the same bits.
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, count, 3, 3))
+    v = rng.normal(size=(count, 3))
+    product = algebra.to_array(algebra.product(algebra.entries(a), algebra.entries(b)))
+    moved = np.stack(algebra.affine(algebra.entries(a), list(v.T), list(v.T)), axis=-1)
+    det = algebra.det3(algebra.entries(a))
+    drift = geom.orthonormality_error(a)
+    nearest = geom.nearest_rotation(a)
+    rodrigues = geom.rotation_from_axis_angle(angle_scale * v)
+    for k in range(count):
+        assert np.array_equal(product[k], algebra.product(a[k].tolist(), b[k].tolist()))
+        assert np.array_equal(moved[k], algebra.affine(a[k].tolist(), v[k].tolist(), v[k].tolist()))
+        assert det[k] == algebra.det3(a[k].tolist())
+        assert drift[k] == geom.orthonormality_error(a[k])
+        assert np.array_equal(nearest[k], geom.nearest_rotation(a[k]))
+        assert np.array_equal(rodrigues[k], geom.rotation_from_axis_angle(angle_scale * v[k]))

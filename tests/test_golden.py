@@ -27,7 +27,7 @@ COMMANDS = {
 }
 
 GOLDEN = {
-    "cal/calibration.csv": "852283a335f2603ca81531ece33914c058bfb49c8d3285c791709d381983dbed",
+    "cal/calibration.csv": "5d730c23a4284a046912f644014d2582c992d5d9c87ae33dcf31731ef8045816",
     "plan/plan.csv": "4677a2523e75ef670b99f33e9ea5f471c432b01581389a9fd269c226315e8dae",
     "plan/plan_coverage.ppm": "7cc8a907d7cd7e285c994d010470608c0ba1b254084b01d1569e913406308e5a",
     "plan/plan_violations.csv": "2d945507f337b8fecace9f59e0fbe46cb9d556b88be8d256f8ab25c12d685034",
@@ -35,15 +35,15 @@ GOLDEN = {
     "plan_exact/plan_coverage.ppm": "c9e589b97219f11abcf87cfe2567034f37961a4a7160a87d0f69f400b1914757",
     "plan_exact/plan_violations.csv": "cb09cc78c86324996557a70a8e9cd77426b206b193326e6023a659af5bbf7c51",
     "render/map.ppm": "e66c0988d467a62d8fe598818d8d55de0789a7f44c29778f5b6628f3bf63fec9",
-    "sim/capture.hex": "c3ce2eeb0c5b52e8bcaf045e84d6a6287d050d565f78c905ef5b1475391adafd",
+    "sim/capture.hex": "cd194a5d804dd6fa51112ee663081fc654a6fed8397db6559a7e07e385c462d2",
     "sim/final_map.ppm": "826b53fd860c4c70a1d5dfd4ceda63d2687f953a0f9e535fd4b069822aa9a9f2",
-    "sim/localization.csv": "db2ed0fef7200456fa4bb7e4dca4dc517b94f9e43c0adbcca0f3c161fe33fce0",
+    "sim/localization.csv": "e44c85ff8b85aca942584a50c6ea933799a2896ee19a4714ea91b28c83fd82c9",
     "sim/observations.csv": "0df64b1095e30e33253d12a373531dff64f2edc3a24b8e6fe13ba71eaeae2eae",
-    "sim/summary.csv": "8c62b1e73a1293086cfa7a23df5565ebc8cd318f1ad0f4c6322e2c184250fe55",
-    "sim_plan/capture.hex": "4549d9e7c68d7e5b926e52507573fe857cfc717f67b83aad1d395fe8c530ac62",
+    "sim/summary.csv": "9522aee932dd2180881deb7b19fc6a51d410603ab27b73820c3a445ec225eedb",
+    "sim_plan/capture.hex": "d495a33fe02bc20084cca5f010294d7a7f91cb90ddcb0d225a89836a4fd9a607",
     "sim_plan/final_map.ppm": "008c568a9f0ca71a196356f354245ed229440463b96ddc787837d4e9cb4c289f",
-    "sim_plan/localization.csv": "85a658632eaff4fcd9003a33d50bf6cd7dcd879116abb0e1322c69bde1c7c5d7",
-    "sim_plan/summary.csv": "3f5f0df5ff9f8bb80b5b1dc913c1a07701c805478f74fdf33bf2d11cd87c77dc",
+    "sim_plan/localization.csv": "9fdb2321b926bc1a11da219c7630391088a53abfda895466eaa25e59b7d5d177",
+    "sim_plan/summary.csv": "97a17f7003fb8e4e41fe82aaec2f602d5689978bf678830f82e9bdfa3a673d5e",
 }
 
 

@@ -326,9 +326,9 @@ def reference_observe_landmarks(cam, world, sigma, seed):
     cam_from_world = geom.invert(sensim.camera_world_pose(cam))
     out = {}
     for lm in sorted(world.landmarks, key=lambda lm: lm.id):
-        p_cam = cam_from_world.rotation @ lm.position.as_array() + cam_from_world.translation
-        px, py, pz = p_cam
-        if pz <= 0 or float(np.linalg.norm(p_cam)) > cam.max_range:
+        p_cam = geom.apply(cam_from_world, lm.position).as_array()
+        px, py, pz = p_cam.tolist()
+        if pz <= 0 or math.sqrt(px * px + py * py + pz * pz) > cam.max_range:
             continue
         if abs(math.atan2(px, pz)) > cam.hfov / 2.0 or abs(math.atan2(py, pz)) > cam.vfov / 2.0:
             continue
