@@ -205,5 +205,7 @@ def test_runs_fault_in_no_openblas_page(scenes, tmp_path):
         )
         assert done.returncode == 0, done.stderr
         resident[name] = tuple(int(kb) for kb in done.stdout.split()[-2:])
+    if not any(before for before, _ in resident.values()):
+        pytest.skip("numpy's BLAS is not OpenBLAS: no mapping to count")
     assert all(before > 0 for before, _ in resident.values()), resident
     assert {name: after - before for name, (before, after) in resident.items()} == dict.fromkeys(runs, 0), resident
