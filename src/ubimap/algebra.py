@@ -78,6 +78,13 @@ def transpose(a: list[list]) -> list[list]:
     return [list(col) for col in zip(*a)]
 
 
+def symmetric(upper: list[list]) -> list[list]:
+    """The symmetric matrix whose upper triangle ``upper`` holds (entries
+    below its diagonal are not read)."""
+    n = len(upper)
+    return [[upper[min(p, q)][max(p, q)] for q in range(n)] for p in range(n)]
+
+
 def det3(m: list[list]):
     """Determinant of a 3x3 matrix by cofactors along the first row."""
     return (
@@ -102,7 +109,7 @@ def jacobi_eigen(a: list[list]) -> tuple[list, list[list]]:
     rotation one matrix does not need leaves it untouched, so its result
     does not depend on the rest of the stack."""
     n = len(a)
-    a = [[np.asarray(a[min(p, q)][max(p, q)], dtype=float) for q in range(n)] for p in range(n)]
+    a = [[np.asarray(x, dtype=float) for x in row] for row in symmetric(a)]
     shape = np.broadcast_shapes(*(x.shape for row in a for x in row))
     a = [[np.broadcast_to(x, shape).copy() for x in row] for row in a]
     v = [[np.full(shape, float(p == q)) for q in range(n)] for p in range(n)]

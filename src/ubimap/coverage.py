@@ -67,12 +67,6 @@ def objective(plan: PlacementPlan, problem: CoverageProblem) -> int:
     return int(np.count_nonzero(plan.counts[problem.target_mask()]))
 
 
-def build_plan(problem: CoverageProblem, selected_ids: tuple[int, ...]) -> PlacementPlan:
-    """Assemble a PlacementPlan for an explicit selection of candidate ids."""
-    by_id = {cam.id: cam for cam in problem.candidates}
-    return _plan(problem, selected_ids, covered_cells([by_id[cid] for cid in selected_ids], problem.world))
-
-
 def _plan(problem: CoverageProblem, selected_ids: tuple[int, ...], masks) -> PlacementPlan:
     """The plan of a selection, given its cameras' (height, width) cover masks."""
     world = problem.world

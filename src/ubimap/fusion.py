@@ -289,7 +289,7 @@ def _sum(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
     return [[x + y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)]
 
 
-def _symmetric(cov: list[list[float]]) -> np.ndarray:
+def _symmetrized(cov: list[list[float]]) -> np.ndarray:
     """(cov + cov^T) / 2 as an array."""
     return np.array([[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(cov, zip(*cov))])
 
@@ -301,7 +301,7 @@ def ekf_predict(belief: GaussianBelief, u, mm: MotionModel) -> GaussianBelief:
     jac = np.asarray(mm.jacobian(belief.mean, u), dtype=float).tolist()
     spread = algebra.product(algebra.product(jac, belief.covariance.tolist()), algebra.transpose(jac))
     cov = _sum(spread, np.asarray(mm.q, dtype=float).tolist())
-    return GaussianBelief(mean=mean, covariance=_symmetric(cov))
+    return GaussianBelief(mean=mean, covariance=_symmetrized(cov))
 
 
 def ekf_update(belief: GaussianBelief, z, om: ObservationModel) -> GaussianBelief:
@@ -323,4 +323,4 @@ def ekf_update(belief: GaussianBelief, z, om: ObservationModel) -> GaussianBelie
     identity_kh = [[(1.0 if a == b else 0.0) - x for b, x in enumerate(row)] for a, row in enumerate(kh)]
     spread = algebra.product(algebra.product(identity_kh, p), algebra.transpose(identity_kh))
     cov = _sum(spread, algebra.product(algebra.product(gain, r), algebra.transpose(gain)))
-    return GaussianBelief(mean=np.array(mean), covariance=_symmetric(cov))
+    return GaussianBelief(mean=np.array(mean), covariance=_symmetrized(cov))

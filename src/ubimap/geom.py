@@ -43,11 +43,6 @@ class Point3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    @staticmethod
-    def from_array(a) -> "Point3":
-        a = np.asarray(a, dtype=float).reshape(3)
-        return Point3(float(a[0]), float(a[1]), float(a[2]))
-
 
 class RigidTransform:
     """A proper rigid motion (rotation + translation) in 3D.
@@ -115,21 +110,20 @@ def translation(x: float, y: float, z: float) -> RigidTransform:
     return RigidTransform(np.eye(3), (x, y, z))
 
 
-def rot_x(angle: float) -> RigidTransform:
-    c, s = math.cos(angle), math.sin(angle)
-    return RigidTransform([[1, 0, 0], [0, c, -s], [0, s, c]], np.zeros(3))
-
-
-def rot_z(angle: float) -> RigidTransform:
-    c, s = math.cos(angle), math.sin(angle)
-    return RigidTransform([[c, -s, 0], [s, c, 0], [0, 0, 1]], np.zeros(3))
-
-
 def nearest_rotation(m: np.ndarray) -> np.ndarray:
     """Project near-rotation matrices onto the closest proper rotations,
     batched over the leading axes: the R maximizing tr(R^T m), by Horn's
     quaternion method (``algebra.horn_rotation``)."""
     return algebra.to_array(algebra.horn_rotation(algebra.entries(m)))
+
+
+def reorthonormalized(rotation: np.ndarray) -> np.ndarray:
+    """The (..., 3, 3) float array with each rotation whose orthonormality
+    error exceeds ``DRIFT_TOL`` replaced, in place, by its nearest rotation."""
+    drifted = np.asarray(orthonormality_error(rotation) > DRIFT_TOL)
+    if drifted.any():
+        rotation[drifted] = nearest_rotation(rotation[drifted])
+    return rotation
 
 
 def rotation_from_axis_angle(vec) -> np.ndarray:
@@ -159,9 +153,7 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     r_a = a.rotation.tolist()
     rot = algebra.product(r_a, b.rotation.tolist())
     tra = algebra.affine(r_a, a.translation.tolist(), b.translation.tolist())
-    if math.sqrt(_drift(rot)) > DRIFT_TOL:
-        rot = nearest_rotation(rot)
-    return RigidTransform(rot, tra)
+    return RigidTransform(reorthonormalized(np.array(rot)), tra)
 
 
 def invert(t: RigidTransform) -> RigidTransform:

@@ -98,10 +98,6 @@ class GroundFootprint:
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         return c * dx + s * dy, -s * dx + c * dy
 
-    def to_world(self, lx: float, ly: float) -> tuple[float, float]:
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        return self.x + c * lx - s * ly, self.y + s * lx + c * ly
-
 
 @dataclass(frozen=True)
 class Robot:

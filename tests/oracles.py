@@ -1,7 +1,11 @@
 """Reference implementations the tests compare the package against.
 
 - ``is_close``: two rigid transforms equal within Frobenius tolerances;
-  ``skew``, the cross-product matrix of a 3-vector.
+  ``skew``, the cross-product matrix of a 3-vector; ``rot_x``, ``rot_z``,
+  ``point_from_array`` and ``footprint_to_world``, small constructors and
+  the inverse of ``GroundFootprint.to_local``.
+- ``cost_gradient``: the calibration cost's gradient from its normal
+  equations; ``build_plan``: the placement plan of a given selection.
 - ``kabsch``: least-squares rigid alignment by LAPACK's SVD (Kabsch 1976),
   the reference for ``calib``'s batched Horn fit.
 - The discrete Bayes grid filter (``GridBelief``, ``bayes_grid_step``): the
@@ -15,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ubimap import calib, coverage, world
 from ubimap.fusion import CellState, GridMap, MotionModel, ObservationModel
-from ubimap.geom import RigidTransform
+from ubimap.geom import Point3, RigidTransform
 
 
 def is_close(a: RigidTransform, b: RigidTransform, rot_tol: float = 1e-9, tra_tol: float = 1e-9) -> bool:
@@ -32,6 +37,39 @@ def skew(v) -> np.ndarray:
     """Cross-product matrix: skew(v) @ w == cross(v, w)."""
     x, y, z = np.asarray(v, dtype=float)
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def rot_x(angle: float) -> RigidTransform:
+    c, s = math.cos(angle), math.sin(angle)
+    return RigidTransform([[1, 0, 0], [0, c, -s], [0, s, c]], np.zeros(3))
+
+
+def rot_z(angle: float) -> RigidTransform:
+    c, s = math.cos(angle), math.sin(angle)
+    return RigidTransform([[c, -s, 0], [s, c, 0], [0, 0, 1]], np.zeros(3))
+
+
+def point_from_array(a) -> Point3:
+    a = np.asarray(a, dtype=float).reshape(3)
+    return Point3(float(a[0]), float(a[1]), float(a[2]))
+
+
+def footprint_to_world(fp: world.GroundFootprint, lx: float, ly: float) -> tuple[float, float]:
+    """The world point of footprint-local (lx, ly): ``to_local`` inverted."""
+    c, s = math.cos(fp.yaw), math.sin(fp.yaw)
+    return fp.x + c * lx - s * ly, fp.y + s * lx + c * ly
+
+
+def cost_gradient(graph: calib.TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
+    """Analytic gradient of the total cost w.r.t. the free pose parameters
+    (all cameras except the reference, in ``graph.nodes`` order)."""
+    return 2.0 * calib._normal_equations(graph, rotations, translations)[1]
+
+
+def build_plan(problem: coverage.CoverageProblem, selected_ids: tuple[int, ...]) -> coverage.PlacementPlan:
+    """Assemble a PlacementPlan for an explicit selection of candidate ids."""
+    by_id = {cam.id: cam for cam in problem.candidates}
+    return coverage._plan(problem, selected_ids, world.covered_cells([by_id[cid] for cid in selected_ids], problem.world))
 
 
 def kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

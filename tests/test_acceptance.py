@@ -16,7 +16,7 @@ from ubimap.geom import RigidTransform
 from ubimap.netsim import ClientState, MapServer, Message, MessageKind, NetworkParams, SimulatedNetwork
 from ubimap.world import CameraSpec, CellIndex, GridWorld
 
-from oracles import GridBelief, bayes_grid_step, is_close
+from oracles import GridBelief, bayes_grid_step, cost_gradient, is_close
 from test_cli import simulate_in_memory
 
 DEMO_ROOM = Path(__file__).resolve().parent.parent / "scenarios" / "demo_room.scenario"
@@ -224,7 +224,7 @@ def test_criterion_4_graph_propagation_and_refinement():
         _, pw = cycle_rig(grad_rng, n_cameras=n, noise=0.02, landmarks=5)
         graph = calib.build_graph(pw, IcpOptions(), reference=0)
         poses = calib.stack_poses(graph, calib.propagate(graph))
-        grad = calib.cost_gradient(graph, *poses)
+        grad = cost_gradient(graph, *poses)
         free = [node for node in graph.nodes if node != 0]
         h = 1e-6
         fd = np.zeros_like(grad)

@@ -16,7 +16,6 @@ from ubimap.calib import (
     IcpOptions,
     best_rigid_transform,
     build_graph,
-    cost_gradient,
     graph_cost,
     icp,
     propagate,
@@ -25,7 +24,7 @@ from ubimap.calib import (
 )
 from ubimap.geom import RigidTransform
 
-from oracles import is_close, kabsch, skew
+from oracles import cost_gradient, is_close, kabsch, rot_z, skew
 
 
 def random_transform(rng, max_angle=math.pi, max_shift=3.0):
@@ -69,7 +68,7 @@ def test_best_rigid_identity_on_identical_sets():
 
 
 def test_best_rigid_recovers_known_transform():
-    true = geom.compose(geom.translation(1, 0, 0), geom.rot_z(math.pi / 2))
+    true = geom.compose(geom.translation(1, 0, 0), rot_z(math.pi / 2))
     cset = correspondences_from_transform(true, BASE_POINTS)
     transform, rms = best_rigid_transform(cset)
     assert is_close(transform, true, 1e-9, 1e-9)
@@ -181,6 +180,28 @@ def test_collinear_and_nearly_collinear_sets_are_degenerate(seed, n, jitter):
     assert isinstance(results[0], DegenerateGeometryError) and not isinstance(results[1], DegenerateGeometryError)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 12), st.floats(-17.0, -9.0))
+@example(3, 6, -14.5)
+@example(4, 6, -13.5)
+def test_collinearity_is_read_from_the_scatter_eigenvalues(seed, n, log_ratio):
+    # A thin tilted set whose scatter has l2 / l1 near 10**log_ratio: it is
+    # rejected below COLLINEAR_TOL / 2 and fitted above 2 COLLINEAR_TOL,
+    # on both sides of the closed-form test that spares most sets Jacobi.
+    rng = np.random.default_rng(seed)
+    local = np.zeros((n, 3))
+    local[:, 0] = rng.uniform(-2.0, 2.0, n)
+    local[:, 1] = 10.0 ** (log_ratio / 2) * rng.uniform(-2.0, 2.0, n)
+    src = random_transform(rng).transform_points(local)
+    centred = src - src.mean(axis=0)
+    _, mid, high = np.linalg.eigvalsh(centred.T @ centred)
+    ratio = mid / high
+    if calib.COLLINEAR_TOL / 2 < ratio < 2 * calib.COLLINEAR_TOL:
+        return
+    fit = icp(src, src + 1.0, IcpOptions(), sizes=[n])[0]
+    assert isinstance(fit, DegenerateGeometryError) == (ratio < calib.COLLINEAR_TOL)
+
+
 # -- ICP ---------------------------------------------------------------------
 
 
@@ -195,7 +216,7 @@ def test_icp_identity_in_one_iteration():
 def test_icp_recovers_modest_transform_with_nn_matching():
     rng = np.random.default_rng(8)
     src = rng.uniform(-2, 2, size=(12, 3))
-    true = geom.compose(geom.translation(0.3, -0.2, 0.1), geom.rot_z(math.radians(20)))
+    true = geom.compose(geom.translation(0.3, -0.2, 0.1), rot_z(math.radians(20)))
     dst = true.transform_points(src)
     result = icp(src, dst, IcpOptions(max_iterations=100, use_known_ids=False))
     assert geom.rotation_distance(result.transform, true) < 1e-6
@@ -264,7 +285,7 @@ def test_icp_noisy_residual_bounded():
 def test_icp_residual_non_increasing():
     rng = np.random.default_rng(12)
     src = rng.uniform(-2, 2, size=(15, 3))
-    true = geom.compose(geom.translation(0.4, 0.1, -0.2), geom.rot_z(0.5))
+    true = geom.compose(geom.translation(0.4, 0.1, -0.2), rot_z(0.5))
     dst = true.transform_points(src)
 
     # Instrumented re-run: replay ICP manually and watch the residual.
@@ -633,9 +654,8 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
     if case["zero_step"]:
         delta[np.arange(len(delta)) % 6 < 3] = 0.0  # Rodrigues' small-angle branch
 
-    # The normal equations' oracle is the same per-landmark arithmetic with
-    # one edge per window; test_normal_equations_match_dense_jacobian checks
-    # that arithmetic against the full Jacobian.
+    # The normal equations equal the dense Jacobian's, and their bits do not
+    # depend on the windows: one edge per window gives the same.
     normal_equations = {}
     for window_rows in (case["window_rows"], 1):
         with mock.patch.object(calib, "WINDOW_ROWS", window_rows):
@@ -645,6 +665,7 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
             normal_equations[window_rows] = calib._normal_equations(windowed, rotations, translations)
     (band, jtr), (edge_band, edge_jtr) = normal_equations[case["window_rows"]], normal_equations[1]
     assert np.array_equal(band, edge_band) and np.array_equal(jtr, edge_jtr)
+    assert_matches_dense_jacobian(graph, poses, index, band, jtr)
     stepped = calib._apply_step(graph, rotations, translations, delta)
     expected = stack_poses(graph, oracle_apply_step(poses, index, delta))
     assert np.array_equal(stepped[0], expected[0]) and np.array_equal(stepped[1], expected[1])
@@ -675,30 +696,39 @@ def test_graph_rejects_edges_between_cameras_outside_its_nodes():
 
 def dense_residuals_and_jacobian(graph, poses, index):
     """Reference: the stacked residual vector and the full Jacobian w.r.t.
-    the free pose parameters, filled one landmark at a time."""
+    the free pose parameters, filled one landmark at a time. A landmark p_j
+    lands at q = E p_j + t, (E, t) = inverse(G_i) composed with G_j by
+    ``geom``, so a drifted E is re-orthonormalized as in the cost; its rows
+    are [-E skew(p_j), R_i^T] for camera j and [skew(q), -R_i^T] for i."""
     rows = sum(3 * len(edge.correspondences) for edge in graph.edges)
     residuals = np.zeros(rows)
     jacobian = np.zeros((rows, 6 * len(index)))
     row = 0
     for edge in graph.edges:
-        g_i, g_j = poses[edge.camera_i], poses[edge.camera_j]
-        r_i, t_i = g_i.rotation, g_i.translation
-        r_j, t_j = g_j.rotation, g_j.translation
+        r_i = poses[edge.camera_i].rotation
+        relative = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
         for k in range(len(edge.correspondences)):
             p_j = edge.correspondences.points_j[k]
-            p_i = edge.correspondences.points_i[k]
-            s = r_j @ p_j + t_j - t_i
-            residuals[row : row + 3] = r_i.T @ s - p_i
+            q = relative.rotation @ p_j + relative.translation
+            residuals[row : row + 3] = q - edge.correspondences.points_i[k]
             if edge.camera_j in index:
                 col = 6 * index[edge.camera_j]
-                jacobian[row : row + 3, col : col + 3] = -(r_i.T @ r_j) @ skew(p_j)
+                jacobian[row : row + 3, col : col + 3] = -relative.rotation @ skew(p_j)
                 jacobian[row : row + 3, col + 3 : col + 6] = r_i.T
             if edge.camera_i in index:
                 col = 6 * index[edge.camera_i]
-                jacobian[row : row + 3, col : col + 3] = skew(r_i.T @ s)
+                jacobian[row : row + 3, col : col + 3] = skew(q)
                 jacobian[row : row + 3, col + 3 : col + 6] = -r_i.T
             row += 3
     return residuals, jacobian
+
+
+def assert_matches_dense_jacobian(graph, poses, index, band, jtr):
+    """The band's lower triangle and J^T r equal the dense Jacobian's to rtol 1e-12."""
+    residuals, jacobian = dense_residuals_and_jacobian(graph, poses, index)
+    jtj = lower_in_band_order(graph, jacobian.T @ jacobian)
+    for blockwise, dense in ((band_to_lower(band), jtj), (jtr, jacobian.T @ residuals)):
+        np.testing.assert_allclose(blockwise, dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(dense)))
 
 
 @pytest.mark.parametrize("n_cameras, cycle", [(4, True), (2, False)])
@@ -715,10 +745,7 @@ def test_normal_equations_match_dense_jacobian(n_cameras, cycle):
     # Step off the propagated poses so no gradient component is ~0.
     poses = oracle_apply_step(propagate(graph), index, rng.normal(0, 0.05, 6 * len(free)))
     band, jtr = calib._normal_equations(graph, *stack_poses(graph, poses))
-    residuals, jacobian = dense_residuals_and_jacobian(graph, poses, index)
-    jtj = lower_in_band_order(graph, jacobian.T @ jacobian)
-    for blockwise, dense in ((band_to_lower(band), jtj), (jtr, jacobian.T @ residuals)):
-        np.testing.assert_allclose(blockwise, dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(dense)))
+    assert_matches_dense_jacobian(graph, poses, index, band, jtr)
     assert np.array_equal(cost_gradient(graph, *stack_poses(graph, poses)), 2.0 * jtr)
 
 

@@ -10,13 +10,14 @@ from ubimap.coverage import (
     CoverageProblem,
     PlacementPlan,
     ProblemTooLargeError,
-    build_plan,
     lattice_candidates,
     objective,
     plan_exhaustive,
     plan_greedy,
 )
 from ubimap.world import CameraSpec, CellIndex, GridWorld, covered_cells
+
+from oracles import build_plan
 
 
 def make_camera(x, y, *, width, depth, yaw=0.0, cid=1, height=2.0):

@@ -1,7 +1,8 @@
 """No dead code in the package: every name a ``src/ubimap`` module imports
 is used in that module, and every top-level function, class and method is
-referenced from somewhere other than its own body in ``src/``, ``tests/``
-or ``perfbench/``.
+referenced from somewhere other than its own body in ``src/`` or
+``perfbench/``. Code only the tests use belongs in ``tests/``; the few
+definitions in ``TESTED_API`` are public API kept on purpose.
 
 References are found by name: a bare name, an attribute, an imported name,
 or a string that is a (dotted) identifier, as the benchmark tracer names
@@ -64,10 +65,16 @@ def test_every_import_is_used():
     assert unused == []
 
 
+# Public API that only the tests call, kept on purpose.
+TESTED_API = {
+    "fusion.py: GridMap.state",  # the typed read of one cell, which the tests check maps by
+}
+
+
 def test_every_definition_is_referenced():
     sources = [
         path
-        for directory in ("src", "tests", "perfbench")
+        for directory in ("src", "perfbench")
         for path in sorted((ROOT / directory).rglob("*.py"))
     ]
     total = Counter()
@@ -81,4 +88,5 @@ def test_every_definition_is_referenced():
                 continue
             if total[name] - references(node)[name] <= 0:
                 dead.append(f"{path.name}: {qualified}")
-    assert dead == []
+    assert sorted(set(dead) - TESTED_API) == []
+    assert sorted(TESTED_API - set(dead)) == []  # an entry the package itself now uses

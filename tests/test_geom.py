@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from ubimap import algebra, geom
 from ubimap.geom import Point3, RigidTransform
 
-from oracles import is_close
+from oracles import is_close, point_from_array, rot_x, rot_z
 
 
 def random_transform(rng):
@@ -29,14 +29,14 @@ def test_construction_rejects_reflection():
 
 
 def test_compose_with_identity():
-    t = geom.compose(geom.rot_z(0.3), geom.translation(1, 2, 3))
+    t = geom.compose(rot_z(0.3), geom.translation(1, 2, 3))
     out = geom.compose(t, geom.identity())
     assert is_close(out, t, 1e-12, 1e-12)
 
 
 def test_compose_planar_angles_add():
-    out = geom.compose(geom.rot_z(math.radians(30)), geom.rot_z(math.radians(60)))
-    assert is_close(out, geom.rot_z(math.radians(90)), 1e-12, 1e-12)
+    out = geom.compose(rot_z(math.radians(30)), rot_z(math.radians(60)))
+    assert is_close(out, rot_z(math.radians(90)), 1e-12, 1e-12)
 
 
 def test_compose_pure_translations_add():
@@ -55,8 +55,8 @@ def test_invert_translation():
 
 
 def test_invert_rotation():
-    out = geom.invert(geom.rot_z(math.radians(90)))
-    assert is_close(out, geom.rot_z(math.radians(-90)), 1e-12, 1e-12)
+    out = geom.invert(rot_z(math.radians(90)))
+    assert is_close(out, rot_z(math.radians(-90)), 1e-12, 1e-12)
 
 
 def test_apply_identity():
@@ -65,23 +65,23 @@ def test_apply_identity():
 
 
 def test_apply_axis_rotation():
-    out = geom.apply(geom.rot_z(math.radians(90)), Point3(1, 0, 0))
+    out = geom.apply(rot_z(math.radians(90)), Point3(1, 0, 0))
     assert abs(out.x) < 1e-12 and abs(out.y - 1) < 1e-12 and abs(out.z) < 1e-12
 
 
 def test_apply_composed_translation_after_rotation():
-    t = geom.compose(geom.translation(1, 0, 0), geom.rot_z(math.radians(90)))
+    t = geom.compose(geom.translation(1, 0, 0), rot_z(math.radians(90)))
     out = geom.apply(t, Point3(1, 0, 0))
     assert abs(out.x - 1) < 1e-12 and abs(out.y - 1) < 1e-12 and abs(out.z) < 1e-12
 
 
 def test_rotation_distance_zero_for_equal():
-    t = geom.compose(geom.rot_x(0.4), geom.translation(5, 0, 0))
+    t = geom.compose(rot_x(0.4), geom.translation(5, 0, 0))
     assert geom.rotation_distance(t, t) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rotation_distance_quarter_turn():
-    assert geom.rotation_distance(geom.identity(), geom.rot_z(math.pi / 2)) == pytest.approx(
+    assert geom.rotation_distance(geom.identity(), rot_z(math.pi / 2)) == pytest.approx(
         math.pi / 2, abs=1e-12
     )
 
@@ -89,7 +89,7 @@ def test_rotation_distance_quarter_turn():
 def test_rotation_distance_wraps_around():
     # The relative rotation between 10 deg and 350 deg about z is 20 deg.
     expected = math.radians(20.0)
-    got = geom.rotation_distance(geom.rot_z(math.radians(10)), geom.rot_z(math.radians(350)))
+    got = geom.rotation_distance(rot_z(math.radians(10)), rot_z(math.radians(350)))
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -113,8 +113,8 @@ def test_apply_preserves_pairwise_distances():
     rng = np.random.default_rng(12)
     for _ in range(100):
         t = random_transform(rng)
-        p = Point3.from_array(rng.uniform(-10, 10, size=3))
-        q = Point3.from_array(rng.uniform(-10, 10, size=3))
+        p = point_from_array(rng.uniform(-10, 10, size=3))
+        q = point_from_array(rng.uniform(-10, 10, size=3))
         before = np.linalg.norm(p.as_array() - q.as_array())
         after = np.linalg.norm(geom.apply(t, p).as_array() - geom.apply(t, q).as_array())
         assert abs(after - before) < 1e-9
@@ -136,7 +136,7 @@ def test_transform_points_matches_apply():
     pts = rng.uniform(-3, 3, size=(17, 3))
     batch = t.transform_points(pts)
     for i in range(len(pts)):
-        single = geom.apply(t, Point3.from_array(pts[i])).as_array()
+        single = geom.apply(t, point_from_array(pts[i])).as_array()
         assert np.allclose(batch[i], single, atol=1e-12)
 
 

@@ -19,6 +19,7 @@ from ubimap.world import (
     line_of_sight,
 )
 
+from oracles import footprint_to_world, point_from_array
 from test_world import reference_line_of_sight
 
 
@@ -47,7 +48,7 @@ def test_camera_pose_axis_hits_footprint_center():
     z_world = pose.rotation[:, 2]
     s = cam.height / -z_world[2]
     hit = pose.translation + s * z_world
-    expected = fp.to_world(0.0, fp.depth / 2.0)
+    expected = footprint_to_world(fp, 0.0, fp.depth / 2.0)
     assert hit[2] == pytest.approx(0.0, abs=1e-12)
     assert hit[0] == pytest.approx(expected[0], abs=1e-12)
     assert hit[1] == pytest.approx(expected[1], abs=1e-12)
@@ -60,7 +61,7 @@ def test_noise_free_landmark_matches_ground_truth():
     ids, seen, points = sensim.observe_landmarks([cam], world, sigma=0.0, seed=0)
     assert ids.tolist() == [1] and seen.tolist() == [[True]] and points.shape == (1, 3)
     pose = sensim.camera_world_pose(cam)
-    recovered = geom.apply(pose, Point3.from_array(points[0]))
+    recovered = geom.apply(pose, point_from_array(points[0]))
     assert recovered.x == pytest.approx(lm.position.x, abs=1e-12)
     assert recovered.y == pytest.approx(lm.position.y, abs=1e-12)
     assert recovered.z == pytest.approx(lm.position.z, abs=1e-12)
