@@ -3,15 +3,18 @@
 Pipeline: pairwise rigid alignment (closed-form least squares inside an ICP
 loop), a transformation graph over the cameras, propagation of poses from a
 reference camera, and a damped least-squares refinement of the total
-matching cost, with no BLAS or LAPACK call (see ``algebra``). Inside the
-cost, the loop-closure check and the refinement, poses are stacked arrays
-in ``graph.nodes`` order, (N, 3, 3) rotations and (N, 3) translations, and
-edges run in windows of flat landmark rows (see ``CorrespondenceTable``);
-``RigidTransform`` appears only at the boundary (``stack_poses`` on the way
-in, ``refine``'s returned dict on the way out). The refinement sums J^T J
-and J^T r from per-camera 6-column Jacobian blocks into band storage and
-solves by a banded Cholesky: memory is O(N b) for N cameras and a bandwidth
-of b cameras.
+matching cost, with no BLAS or LAPACK call (see ``algebra``). The
+landmarks the camera pairs share come as one flat table
+(``Correspondences``): ``build_graph`` aligns every pair in one batched
+call and the graph keeps the table's rows, which the cost and the
+refinement read in place, in windows of edges (see
+``CorrespondenceTable``). Inside the cost, the loop-closure check and the
+refinement, poses are stacked arrays in ``graph.nodes`` order, (N, 3, 3)
+rotations and (N, 3) translations; ``RigidTransform`` appears only at the
+boundary (``stack_poses`` on the way in, ``refine``'s returned dict on the
+way out). The refinement sums J^T J and J^T r from per-camera 6-column
+Jacobian blocks into band storage and solves by a banded Cholesky: memory
+is O(N b) for N cameras and a bandwidth of b cameras.
 
 Frame conventions (used consistently everywhere in this module):
     - An edge (i, j) stores the pose of camera j expressed in camera i's
@@ -27,7 +30,7 @@ Frame conventions (used consistently everywhere in this module):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -56,43 +59,43 @@ class DisconnectedGraphError(ValueError):
 
 
 @dataclass(frozen=True)
-class CorrespondenceSet:
-    """Paired landmark observations from two cameras.
+class Correspondences:
+    """Every camera pair's shared landmark observations, as one table.
 
-    points_i[k] and points_j[k] are the same physical landmark seen in
-    camera i's and camera j's frames; landmark_ids carries the labels when
-    the landmarks are identifiable.
+    Pair k is cameras ``cameras[k]`` = (camera i, camera j) and owns the
+    next ``counts[k]`` rows of ``points_i`` and ``points_j``, after pair
+    k - 1's: row r of both is one physical landmark seen in camera i's and
+    camera j's frames. Checked once here: the shapes, counts summing to the
+    row count, finite points. The arrays are read-only.
     """
 
-    camera_i: int
-    camera_j: int
-    points_i: np.ndarray  # (n, 3)
-    points_j: np.ndarray  # (n, 3)
-    landmark_ids: tuple[int, ...] | None = None
+    cameras: np.ndarray  # (E, 2) camera ids
+    counts: np.ndarray  # (E,)
+    points_i: np.ndarray  # (m, 3)
+    points_j: np.ndarray  # (m, 3)
 
     def __post_init__(self) -> None:
+        cameras = np.asarray(self.cameras, dtype=np.uint64)
+        counts = np.asarray(self.counts, dtype=np.intp)
         pi = np.asarray(self.points_i, dtype=float)
         pj = np.asarray(self.points_j, dtype=float)
+        if cameras.ndim != 2 or cameras.shape[1] != 2 or counts.shape != (len(cameras),):
+            raise ValueError("cameras must be (E, 2) and counts (E,)")
         if pi.ndim != 2 or pi.shape[1] != 3 or pi.shape != pj.shape:
-            raise ValueError("points_i and points_j must both be (n, 3)")
+            raise ValueError("points_i and points_j must both be (m, 3)")
+        if (counts < 0).any() or counts.sum() != len(pi):
+            raise ValueError("counts must be >= 0 and sum to the point count")
         if not (np.isfinite(pi).all() and np.isfinite(pj).all()):
             raise ValueError("correspondence points must be finite")
-        if self.landmark_ids is not None and len(self.landmark_ids) != len(pi):
-            raise ValueError("landmark_ids length must match the point count")
-        pi.setflags(write=False)
-        pj.setflags(write=False)
-        object.__setattr__(self, "points_i", pi)
-        object.__setattr__(self, "points_j", pj)
-
-    def __len__(self) -> int:
-        return len(self.points_i)
+        for name, value in (("cameras", cameras), ("counts", counts), ("points_i", pi), ("points_j", pj)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class IcpOptions:
     max_iterations: int = 50
     convergence_threshold: float = 1e-9  # change in RMS residual, meters
-    use_known_ids: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -106,7 +109,6 @@ class GraphEdge:
     camera_i: int
     camera_j: int
     transform: RigidTransform  # pose of camera j in camera i's frame
-    correspondences: CorrespondenceSet
     residual: float  # RMS matching error, meters
 
 
@@ -117,15 +119,14 @@ class CorrespondenceTable:
     of every pose stack.
 
     A window (``_windows``) is a run of consecutive edges. Each per-landmark
-    product runs over the window's flat rows (``_window_points``) and
-    ``np.add.reduceat`` sums it per edge, a segment's sum not depending on
-    its neighbours. Windows bound the temporaries; the points stay in the
-    edges' correspondence sets.
+    product runs over the window's rows of ``graph.correspondences``, viewed
+    in place (``_window_points``), and ``np.add.reduceat`` sums it per edge,
+    a segment's sum not depending on its neighbours. Windows bound the
+    temporaries.
     """
 
     slot_i: np.ndarray  # (E,) slot of each edge's camera i
     slot_j: np.ndarray  # (E,) slot of each edge's camera j
-    counts: np.ndarray  # (E,) landmarks of each edge
     windows: tuple[tuple[int, int], ...]  # (first edge, end edge) of each window, in edge order
     order: np.ndarray  # (N - 1,) free camera (index among the free slots) at each band position
     bandwidth: int  # the normal equations' bandwidth in that order, in 6x6 blocks
@@ -133,9 +134,13 @@ class CorrespondenceTable:
 
 @dataclass(frozen=True)
 class TransformGraph:
+    """The cameras, one edge per aligned pair, and the edges'
+    correspondences: the table's pair k is edge k."""
+
     nodes: tuple[int, ...]
     edges: tuple[GraphEdge, ...]
     reference: int
+    correspondences: Correspondences
     failures: tuple[tuple[int, int, str], ...] = ()
 
     def __post_init__(self) -> None:
@@ -150,26 +155,27 @@ class TransformGraph:
             if key in seen:
                 raise ValueError(f"duplicate edge between cameras {sorted(key)}")
             seen.add(key)
+        if self.correspondences.cameras.tolist() != [[edge.camera_i, edge.camera_j] for edge in self.edges]:
+            raise ValueError("the correspondences' camera pairs must be the edges'")
 
     @cached_property
     def table(self) -> CorrespondenceTable:
         """The correspondence table, built at first use and kept."""
         slot = {node: k for k, node in enumerate(self.nodes)}
-        counts = np.array([len(edge.correspondences) for edge in self.edges], dtype=np.intp)
         slot_i = np.array([slot[edge.camera_i] for edge in self.edges], dtype=np.intp)
         slot_j = np.array([slot[edge.camera_j] for edge in self.edges], dtype=np.intp)
         ref = slot[self.reference]
         pairs = np.stack([slot_i, slot_j], axis=1).reshape(-1, 2)
         pairs = pairs[(pairs != ref).all(axis=1)]
         order, bandwidth = algebra.band_order(len(self.nodes) - 1, pairs - (pairs > ref))  # indices among free slots
-        return CorrespondenceTable(slot_i, slot_j, counts, _windows(counts), order, bandwidth)
+        return CorrespondenceTable(slot_i, slot_j, _windows(self.correspondences.counts), order, bandwidth)
 
 
-def best_rigid_transform(c: CorrespondenceSet) -> tuple[RigidTransform, float]:
-    """Closed-form least-squares rigid alignment of the i-side onto the
-    j-side: the transform minimizing sum_k ||T p_i^k - p_j^k||^2 (see
+def best_rigid_transform(points_i: np.ndarray, points_j: np.ndarray) -> tuple[RigidTransform, float]:
+    """Closed-form least-squares rigid alignment of paired (n, 3) points:
+    the transform minimizing sum_k ||T p_i^k - p_j^k||^2 (see
     ``_rigid_fits``) and the RMS residual."""
-    result = _rigid_fits(c.points_i, c.points_j, [len(c)])[0]
+    result = _rigid_fits(points_i, points_j, [len(points_i)])[0]
     if isinstance(result, DegenerateGeometryError):
         raise result
     return result
@@ -249,21 +255,19 @@ class IcpResult:
 def icp(
     source: np.ndarray,
     target: np.ndarray,
-    opts: IcpOptions,
+    opts: IcpOptions = IcpOptions(),
     source_ids: tuple[int, ...] | None = None,
     target_ids: tuple[int, ...] | None = None,
     sizes=None,
 ) -> IcpResult | list[IcpResult | DegenerateGeometryError]:
     """Iterative closest point: align the source set onto the target set.
 
-    Alternates correspondence matching (by landmark id when available and
-    enabled, nearest neighbor otherwise, ties toward the lowest target
+    Alternates correspondence matching (by landmark id when both id tuples
+    are given, nearest neighbor otherwise, ties toward the lowest target
     index) with the closed-form alignment, until the RMS change drops below
     the threshold or the iteration cap is hit. Hitting the cap is not an
     error; the caller gets the last iterate. Pairs matched by id never
-    change, so then the first alignment is final; when both sets carry the
-    same ids (distinct labels), row k already pairs with row k and the sets
-    are aligned as given.
+    change, so then the first alignment is final.
 
     With ``sizes``, source and target hold many sets one after another,
     ``sizes[k]`` rows each, paired row by row (ids are not read), aligned in
@@ -272,15 +276,17 @@ def icp(
     src = np.asarray(source, dtype=float).reshape(-1, 3)
     dst = np.asarray(target, dtype=float).reshape(-1, 3)
     if sizes is not None:
-        if len(src) != len(dst) or sum(sizes) != len(src):
+        if len(src) != len(dst) or np.sum(sizes) != len(src):
             raise ValueError("source and target need sum(sizes) rows each")
         fits = _rigid_fits(src, dst, sizes)
         return [fit if isinstance(fit, DegenerateGeometryError) else IcpResult(*fit, iterations=1) for fit in fits]
     if len(src) < 3 or len(dst) < 3:
         raise DegenerateGeometryError("both point sets need >= 3 points")
+    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
+        raise ValueError("icp points must be finite")
 
     by_id = None
-    if opts.use_known_ids and source_ids is not None and target_ids is not None:
+    if source_ids is not None and target_ids is not None:
         dst_index = {lid: k for k, lid in enumerate(target_ids)}
         by_id = [(s, dst_index[lid]) for s, lid in enumerate(source_ids) if lid in dst_index]
         if len(by_id) < 3:
@@ -297,13 +303,7 @@ def icp(
     iterations = 0
     for _ in range(opts.max_iterations):
         iterations += 1
-        cset = CorrespondenceSet(
-            camera_i=-1,
-            camera_j=-1,
-            points_i=src[[s for s, _ in pairs]],
-            points_j=dst[[d for _, d in pairs]],
-        )
-        transform, rms = best_rigid_transform(cset)
+        transform, rms = best_rigid_transform(src[[s for s, _ in pairs]], dst[[d for _, d in pairs]])
         if by_id is not None or abs(prev_rms - rms) < opts.convergence_threshold:
             break
         prev_rms = rms
@@ -317,39 +317,30 @@ def _pair_rms(src, dst, pairs) -> float:
     return float(np.sqrt(np.mean(np.sum(diff**2, axis=1))))
 
 
-def build_graph(
-    pairwise: list[tuple[int, int, CorrespondenceSet]],
-    opts: IcpOptions,
-    reference: int,
-    nodes: tuple[int, ...] = (),
-) -> TransformGraph:
-    """Estimate one edge per camera pair; failed estimations are reported,
-    not raised, so one bad overlap zone cannot sink the whole calibration.
-    Extra nodes let cameras without any usable pair still appear in the
-    graph (and therefore surface as unreachable during propagation)."""
-    nodes = {reference, *nodes}
+def build_graph(pairs: Correspondences, reference: int, nodes: tuple[int, ...] = ()) -> TransformGraph:
+    """Estimate one edge per camera pair, all pairs in one ``icp`` call.
+    Failed estimations are reported, not raised, so one bad overlap zone
+    cannot sink the whole calibration, and their rows leave the graph's
+    correspondences. Extra nodes let cameras without any usable pair still
+    appear in the graph (and therefore surface as unreachable during
+    propagation)."""
     # The edge holds the pose of camera j in camera i's frame, which is the
-    # transform taking j-local observations to i-local ones. Pairs with
-    # landmark ids are matched by id, all in one icp call.
-    by_id = [k for k, (_, _, cset) in enumerate(pairwise) if opts.use_known_ids and cset.landmark_ids is not None]
-    sets, results = [pairwise[k][2] for k in by_id], {}
-    if sets:
-        source, target = (np.concatenate([getattr(c, side) for c in sets]) for side in ("points_j", "points_i"))
-        results = dict(zip(by_id, icp(source, target, opts, sizes=[len(c) for c in sets])))
+    # transform taking j-local observations to i-local ones.
+    results = icp(pairs.points_j, pairs.points_i, sizes=pairs.counts)
+    cameras = pairs.cameras.tolist()
     edges: list[GraphEdge] = []
     failures: list[tuple[int, int, str]] = []
-    for k, (cam_i, cam_j, cset) in enumerate(pairwise):
-        nodes.update((cam_i, cam_j))
-        try:
-            result = results[k] if k in results else icp(cset.points_j, cset.points_i, opts)
-        except DegenerateGeometryError as exc:
-            result = exc
+    for (cam_i, cam_j), result in zip(cameras, results):
         if isinstance(result, DegenerateGeometryError):
             failures.append((cam_i, cam_j, str(result)))
-            continue
-        # Only icp reads the landmark ids.
-        edges.append(GraphEdge(cam_i, cam_j, result.transform, replace(cset, landmark_ids=None), result.rms_residual))
-    return TransformGraph(tuple(sorted(nodes)), tuple(edges), reference, tuple(failures))
+        else:
+            edges.append(GraphEdge(cam_i, cam_j, result.transform, result.rms_residual))
+    if failures:
+        kept = np.array([not isinstance(result, DegenerateGeometryError) for result in results], dtype=bool)
+        rows = np.repeat(kept, pairs.counts)
+        pairs = Correspondences(pairs.cameras[kept], pairs.counts[kept], pairs.points_i[rows], pairs.points_j[rows])
+    nodes = {reference, *nodes, *(camera for pair in cameras for camera in pair)}
+    return TransformGraph(tuple(sorted(nodes)), tuple(edges), reference, pairs, tuple(failures))
 
 
 def propagate(graph: TransformGraph) -> dict[int, RigidTransform]:
@@ -403,15 +394,13 @@ def _relative_poses(graph: TransformGraph, rotations: np.ndarray, translations: 
 
 
 def _window_points(graph: TransformGraph, start: int, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges start..end-1's correspondences as one flat table: p_i and p_j
-    as (3, m) coordinate rows, and the (edges,) row offset of each edge."""
-    sets = [edge.correspondences for edge in graph.edges[start:end]]
-    counts = graph.table.counts[start:end]
-    return (
-        np.concatenate([c.points_i.T for c in sets], axis=1),
-        np.concatenate([c.points_j.T for c in sets], axis=1),
-        np.cumsum(counts) - counts,
-    )
+    """Edges start..end-1's rows of ``graph.correspondences``: p_i and p_j
+    as (3, m) views, and the (edges,) row offset of each edge."""
+    pairs = graph.correspondences
+    counts = pairs.counts[start:end]
+    first = int(pairs.counts[:start].sum())
+    rows = slice(first, first + int(counts.sum()))
+    return pairs.points_i[rows].T, pairs.points_j[rows].T, np.cumsum(counts) - counts
 
 
 def _edge_rows(rotation: np.ndarray, translation: np.ndarray, counts: np.ndarray) -> tuple[list[list], list]:
@@ -430,7 +419,7 @@ def graph_cost(graph: TransformGraph, rotations: np.ndarray, translations: np.nd
     if not graph.edges:
         return 0.0
     rotation, translation = _relative_poses(graph, rotations, translations)
-    counts = graph.table.counts
+    counts = graph.correspondences.counts
     per_edge = np.empty(len(graph.edges))
     for start, end in graph.table.windows:
         p_i, p_j, offsets = _window_points(graph, start, end)
@@ -515,7 +504,7 @@ def _window_products(
     -R_i^T] for camera i. F^T F, skew(q)^T skew(q), -F^T skew(q), -F^T r and
     r x q are summed per landmark; the R_i^T blocks take sums of p, q, r."""
     p_i, p_j, offsets = _window_points(graph, start, end)
-    counts = graph.table.counts[start:end]
+    counts = graph.correspondences.counts[start:end]
 
     def per_edge(values):
         return np.add.reduceat(values, offsets)
@@ -590,6 +579,8 @@ def refine(
     """
     rotations, translations = stack_poses(graph, initial)
     cost = graph_cost(graph, rotations, translations)
+    if not np.isfinite(cost):
+        raise ValueError(f"the initial calibration cost is {cost!r}, not finite")
     trace = [cost]
     if len(graph.nodes) == 1 or not graph.edges:
         return dict(initial), trace

@@ -21,7 +21,7 @@ from typing import BinaryIO, TextIO
 import numpy as np
 
 from . import calib, coverage, fusion, geom, netsim, sensim, world as worldmod
-from .calib import CorrespondenceSet, DisconnectedGraphError, IcpOptions
+from .calib import DisconnectedGraphError
 from .fusion import CellState, GridMap
 from .geom import RigidTransform
 from .netsim import ClientState, MapServer, Message, MessageKind, NetworkParams, SimulatedNetwork
@@ -131,26 +131,27 @@ class CalibrationResult:
         return {cam_id: geom.compose(reference_world_pose, pose) for cam_id, pose in self.refined.items()}
 
 
-def _shared_landmark_pairs(
-    cams: list[worldmod.CameraSpec], world: GridWorld, sigma: float, seed: int
-) -> list[tuple[int, int, CorrespondenceSet]]:
+def _shared_landmark_pairs(camera_ids: list[int], seen: np.ndarray, points: np.ndarray) -> calib.Correspondences:
     """The camera pairs, in camera order, that see at least 3 landmarks in
-    common, with each pair's shared observations in landmark id order."""
-    ids, seen, points = sensim.observe_landmarks(cams, world, sigma, seed)
-    rows = np.split(points, np.cumsum(seen.sum(axis=1))[:-1])  # each camera's seen points
+    common, with each pair's shared observations in landmark id order, from
+    ``observe_landmarks``' seen mask and points for cameras ``camera_ids``.
+    The shared landmarks come from ANDed bit-packed mask rows, and each
+    observation's row in ``points`` from a search among the mask's flat
+    indices: the int64 copy that counts the pairs is the only (cameras x
+    landmarks) integer temporary, and it is freed first."""
     seen_counts = seen.astype(np.int64)
-    pairwise = []
-    for a, b in zip(*(idx.tolist() for idx in np.nonzero(np.triu(seen_counts @ seen_counts.T, 1) >= 3))):
-        shared = seen[a] & seen[b]
-        cset = CorrespondenceSet(
-            camera_i=cams[a].id,
-            camera_j=cams[b].id,
-            points_i=rows[a][shared[seen[a]]],
-            points_j=rows[b][shared[seen[b]]],
-            landmark_ids=tuple(ids[shared].tolist()),
-        )
-        pairwise.append((cams[a].id, cams[b].id, cset))
-    return pairwise
+    a, b = np.nonzero(np.triu(seen_counts @ seen_counts.T, 1) >= 3)
+    del seen_counts
+    packed = np.packbits(seen, axis=1)
+    pair, landmark = np.nonzero(np.unpackbits(packed[a] & packed[b], axis=1, count=seen.shape[1]))
+    observed = np.flatnonzero(seen)  # points' rows, as flat (camera, landmark) indices
+    ids = np.array(camera_ids, dtype=np.uint64)
+    return calib.Correspondences(
+        np.stack([ids[a], ids[b]], axis=1),
+        np.bincount(pair, minlength=len(a)),
+        points[np.searchsorted(observed, a[pair] * seen.shape[1] + landmark)],
+        points[np.searchsorted(observed, b[pair] * seen.shape[1] + landmark)],
+    )
 
 
 def calibrate_scenario(scenario: Scenario, sigma: float, seed: int) -> CalibrationResult:
@@ -160,8 +161,9 @@ def calibrate_scenario(scenario: Scenario, sigma: float, seed: int) -> Calibrati
     if not cams:
         raise ValueError("scenario has no cameras to calibrate")
     reference = cams[0].id
-    pairwise = _shared_landmark_pairs(cams, scenario.world, sigma, seed)
-    graph = calib.build_graph(pairwise, IcpOptions(), reference, nodes=tuple(c.id for c in cams))
+    # From observe_landmarks' (ids, seen, points) only the pair table outlives this line.
+    pairs = _shared_landmark_pairs([c.id for c in cams], *sensim.observe_landmarks(cams, scenario.world, sigma, seed)[1:])
+    graph = calib.build_graph(pairs, reference, nodes=tuple(c.id for c in cams))
     initial = calib.propagate(graph)  # raises DisconnectedGraphError
     refined, trace = calib.refine(graph, initial)
 
@@ -204,7 +206,11 @@ def cmd_plan(scenario: Scenario, args) -> int:
         max_overlap=max_overlap,
         budget=args.budget if args.budget is not None else len(scenario.cameras),
     )
-    plan = coverage.plan_exhaustive(problem) if args.exact else coverage.plan_greedy(problem)
+    try:
+        plan = coverage.plan_exhaustive(problem) if args.exact else coverage.plan_greedy(problem)
+    except coverage.ProblemTooLargeError as exc:  # --exact on more candidates than it enumerates
+        print(f"argument error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

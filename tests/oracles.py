@@ -5,7 +5,8 @@
   ``point_from_array`` and ``footprint_to_world``, small constructors and
   the inverse of ``GroundFootprint.to_local``.
 - ``cost_gradient``: the calibration cost's gradient from its normal
-  equations; ``build_plan``: the placement plan of a given selection.
+  equations; ``stack_pairs``: the calibration's correspondence table from
+  per-pair lists; ``build_plan``: the placement plan of a given selection.
 - ``kabsch``: least-squares rigid alignment by LAPACK's SVD (Kabsch 1976),
   the reference for ``calib``'s batched Horn fit.
 - The discrete Bayes grid filter (``GridBelief``, ``bayes_grid_step``): the
@@ -64,6 +65,17 @@ def cost_gradient(graph: calib.TransformGraph, rotations: np.ndarray, translatio
     """Analytic gradient of the total cost w.r.t. the free pose parameters
     (all cameras except the reference, in ``graph.nodes`` order)."""
     return 2.0 * calib._normal_equations(graph, rotations, translations)[1]
+
+
+def stack_pairs(pairwise) -> calib.Correspondences:
+    """The correspondence table of per-pair ``(camera_i, camera_j, points_i,
+    points_j)`` lists, pairs and rows in the order given."""
+    return calib.Correspondences(
+        np.array([(i, j) for i, j, _, _ in pairwise], dtype=np.uint64).reshape(-1, 2),
+        np.array([len(p) for _, _, p, _ in pairwise], dtype=np.intp),
+        np.concatenate([np.empty((0, 3))] + [np.reshape(p, (-1, 3)) for _, _, p, _ in pairwise]),
+        np.concatenate([np.empty((0, 3))] + [np.reshape(p, (-1, 3)) for _, _, _, p in pairwise]),
+    )
 
 
 def build_plan(problem: coverage.CoverageProblem, selected_ids: tuple[int, ...]) -> coverage.PlacementPlan:

@@ -10,13 +10,13 @@ import mpmath
 import numpy as np
 
 from ubimap import calib, cli, coverage, fusion, geom, netsim, sensim, world as worldmod
-from ubimap.calib import CorrespondenceSet, IcpOptions
+from ubimap.calib import IcpOptions
 from ubimap.fusion import CellState, GaussianBelief, GridMap
 from ubimap.geom import RigidTransform
 from ubimap.netsim import ClientState, MapServer, Message, MessageKind, NetworkParams, SimulatedNetwork
 from ubimap.world import CameraSpec, CellIndex, GridWorld
 
-from oracles import GridBelief, bayes_grid_step, cost_gradient, is_close
+from oracles import GridBelief, bayes_grid_step, cost_gradient, is_close, stack_pairs
 from test_cli import simulate_in_memory
 
 DEMO_ROOM = Path(__file__).resolve().parent.parent / "scenarios" / "demo_room.scenario"
@@ -184,7 +184,6 @@ def cycle_rig(rng, n_cameras=4, noise=0.0, landmarks=6):
         true_poses[k] = RigidTransform(random_rotation(rng, 1.2), rng.uniform(-2, 2, size=3))
     pairs = [(k, (k + 1) % n_cameras) for k in range(n_cameras)]
     pairwise = []
-    next_id = 0
     for cam_i, cam_j in pairs:
         world_pts = rng.uniform(-1.5, 1.5, size=(landmarks, 3))
         pts_i = geom.invert(true_poses[cam_i]).transform_points(world_pts)
@@ -192,16 +191,14 @@ def cycle_rig(rng, n_cameras=4, noise=0.0, landmarks=6):
         if noise > 0:
             pts_i = pts_i + rng.normal(0, noise, pts_i.shape)
             pts_j = pts_j + rng.normal(0, noise, pts_j.shape)
-        ids = tuple(range(next_id, next_id + landmarks))
-        next_id += landmarks
-        pairwise.append((cam_i, cam_j, CorrespondenceSet(cam_i, cam_j, pts_i, pts_j, ids)))
-    return true_poses, pairwise
+        pairwise.append((cam_i, cam_j, pts_i, pts_j))
+    return true_poses, stack_pairs(pairwise)
 
 
 def test_criterion_4_graph_propagation_and_refinement():
     rng = np.random.default_rng(404)
     true_poses, pairwise = cycle_rig(rng, noise=0.0)
-    graph = calib.build_graph(pairwise, IcpOptions(), reference=0)
+    graph = calib.build_graph(pairwise, reference=0)
     poses = calib.propagate(graph)
     for cam, pose in poses.items():
         assert is_close(pose, true_poses[cam], 1e-9, 1e-9)
@@ -211,7 +208,7 @@ def test_criterion_4_graph_propagation_and_refinement():
 
     noisy_rng = np.random.default_rng(405)
     _, noisy_pairwise = cycle_rig(noisy_rng, noise=0.01)
-    noisy_graph = calib.build_graph(noisy_pairwise, IcpOptions(), reference=0)
+    noisy_graph = calib.build_graph(noisy_pairwise, reference=0)
     noisy_initial = calib.propagate(noisy_graph)
     _, noisy_trace = calib.refine(noisy_graph, noisy_initial)
     assert noisy_trace[-1] <= noisy_trace[0]
@@ -222,7 +219,7 @@ def test_criterion_4_graph_propagation_and_refinement():
     for _ in range(20):
         n = int(grad_rng.integers(3, 5))
         _, pw = cycle_rig(grad_rng, n_cameras=n, noise=0.02, landmarks=5)
-        graph = calib.build_graph(pw, IcpOptions(), reference=0)
+        graph = calib.build_graph(pw, reference=0)
         poses = calib.stack_poses(graph, calib.propagate(graph))
         grad = cost_gradient(graph, *poses)
         free = [node for node in graph.nodes if node != 0]

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from ubimap import algebra, calib, cli, geom
 from ubimap.calib import (
-    CorrespondenceSet,
     DegenerateGeometryError,
     DisconnectedGraphError,
     IcpOptions,
@@ -24,7 +23,7 @@ from ubimap.calib import (
 )
 from ubimap.geom import RigidTransform
 
-from oracles import cost_gradient, is_close, kabsch, rot_z, skew
+from oracles import cost_gradient, is_close, kabsch, rot_z, skew, stack_pairs
 
 
 def random_transform(rng, max_angle=math.pi, max_shift=3.0):
@@ -35,7 +34,7 @@ def random_transform(rng, max_angle=math.pi, max_shift=3.0):
     return RigidTransform(rot, rng.uniform(-max_shift, max_shift, size=3))
 
 
-def correspondences_from_transform(t, points, noise=0.0, rng=None, ids=True):
+def correspondences_from_transform(t, points, noise=0.0, rng=None):
     """points are in the i frame; the j side is t applied to them (plus noise),
     so best_rigid_transform should recover t."""
     pts_i = np.asarray(points, dtype=float)
@@ -43,13 +42,7 @@ def correspondences_from_transform(t, points, noise=0.0, rng=None, ids=True):
     if noise > 0:
         pts_i = pts_i + rng.normal(0, noise, pts_i.shape)
         pts_j = pts_j + rng.normal(0, noise, pts_j.shape)
-    return CorrespondenceSet(
-        camera_i=0,
-        camera_j=1,
-        points_i=pts_i,
-        points_j=pts_j,
-        landmark_ids=tuple(range(len(pts_i))) if ids else None,
-    )
+    return pts_i, pts_j
 
 
 BASE_POINTS = np.array(
@@ -62,7 +55,7 @@ BASE_POINTS = np.array(
 
 def test_best_rigid_identity_on_identical_sets():
     cset = correspondences_from_transform(geom.identity(), BASE_POINTS)
-    transform, rms = best_rigid_transform(cset)
+    transform, rms = best_rigid_transform(*cset)
     assert is_close(transform, geom.identity(), 1e-12, 1e-12)
     assert rms < 1e-14
 
@@ -70,23 +63,21 @@ def test_best_rigid_identity_on_identical_sets():
 def test_best_rigid_recovers_known_transform():
     true = geom.compose(geom.translation(1, 0, 0), rot_z(math.pi / 2))
     cset = correspondences_from_transform(true, BASE_POINTS)
-    transform, rms = best_rigid_transform(cset)
+    transform, rms = best_rigid_transform(*cset)
     assert is_close(transform, true, 1e-9, 1e-9)
     assert rms < 1e-12
 
 
 def test_best_rigid_rejects_collinear_points():
     line = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-    cset = CorrespondenceSet(camera_i=0, camera_j=1, points_i=line, points_j=line)
     with pytest.raises(DegenerateGeometryError):
-        best_rigid_transform(cset)
+        best_rigid_transform(line, line)
 
 
 def test_best_rigid_rejects_too_few_points():
     two = BASE_POINTS[:2]
-    cset = CorrespondenceSet(camera_i=0, camera_j=1, points_i=two, points_j=two)
     with pytest.raises(DegenerateGeometryError):
-        best_rigid_transform(cset)
+        best_rigid_transform(two, two)
 
 
 def test_best_rigid_exact_on_noise_free_randomized():
@@ -94,7 +85,7 @@ def test_best_rigid_exact_on_noise_free_randomized():
     for _ in range(50):
         true = random_transform(rng)
         pts = rng.uniform(-2, 2, size=(rng.integers(4, 12), 3))
-        transform, rms = best_rigid_transform(correspondences_from_transform(true, pts))
+        transform, rms = best_rigid_transform(*correspondences_from_transform(true, pts))
         assert rms < 1e-10
         assert geom.rotation_distance(transform, true) < 1e-7
         assert np.linalg.norm(transform.translation - true.translation) < 1e-9
@@ -106,7 +97,7 @@ def test_best_rigid_never_returns_reflection():
     pts = rng.uniform(-1, 1, size=(6, 3))
     pts[:, 2] *= 1e-6
     true = random_transform(rng)
-    transform, _ = best_rigid_transform(correspondences_from_transform(true, pts))
+    transform, _ = best_rigid_transform(*correspondences_from_transform(true, pts))
     assert np.linalg.det(transform.rotation) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -157,7 +148,7 @@ def test_batched_horn_fit_matches_svd_kabsch(seed, kinds):
         np.testing.assert_allclose(result.transform.rotation, rotation, rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.transform.translation, translation, rtol=0, atol=1e-12)
         # One set alone gives the bits it gets among many.
-        alone, rms = best_rigid_transform(CorrespondenceSet(0, 1, src, dst))
+        alone, rms = best_rigid_transform(src, dst)
         assert np.array_equal(alone.rotation, result.transform.rotation)
         assert np.array_equal(alone.translation, result.transform.translation) and rms == result.rms_residual
 
@@ -174,7 +165,7 @@ def test_collinear_and_nearly_collinear_sets_are_degenerate(seed, n, jitter):
     line = rng.uniform(-5.0, 5.0, 3) + rng.uniform(-2.0, 2.0, (n, 1)) * direction / np.linalg.norm(direction)
     line = line + jitter * rng.uniform(-1.0, 1.0, line.shape)
     with pytest.raises(DegenerateGeometryError, match="collinear"):
-        best_rigid_transform(CorrespondenceSet(0, 1, line, line + 1.0))
+        best_rigid_transform(line, line + 1.0)
     good = rng.uniform(-2.0, 2.0, (5, 3))
     results = icp(np.concatenate([line, good]), np.concatenate([line, good]) + 1.0, IcpOptions(), sizes=[n, 5])
     assert isinstance(results[0], DegenerateGeometryError) and not isinstance(results[1], DegenerateGeometryError)
@@ -207,7 +198,7 @@ def test_collinearity_is_read_from_the_scatter_eigenvalues(seed, n, log_ratio):
 
 def test_icp_identity_in_one_iteration():
     pts = BASE_POINTS + 0.0
-    result = icp(pts, pts, IcpOptions(use_known_ids=False))
+    result = icp(pts, pts, IcpOptions())
     assert result.iterations == 1
     assert result.rms_residual < 1e-14
     assert is_close(result.transform, geom.identity(), 1e-12, 1e-12)
@@ -218,7 +209,7 @@ def test_icp_recovers_modest_transform_with_nn_matching():
     src = rng.uniform(-2, 2, size=(12, 3))
     true = geom.compose(geom.translation(0.3, -0.2, 0.1), rot_z(math.radians(20)))
     dst = true.transform_points(src)
-    result = icp(src, dst, IcpOptions(max_iterations=100, use_known_ids=False))
+    result = icp(src, dst, IcpOptions(max_iterations=100))
     assert geom.rotation_distance(result.transform, true) < 1e-6
     assert np.linalg.norm(result.transform.translation - true.translation) < 1e-6
 
@@ -257,11 +248,11 @@ def test_icp_with_known_ids_aligns_once(monkeypatch):
     perm = rng.permutation(9)
     dst = (random_transform(rng).transform_points(src) + rng.normal(0, 0.01, size=(9, 3)))[perm]
     calls = []
-    monkeypatch.setattr(calib, "best_rigid_transform", lambda cset: calls.append(cset) or best_rigid_transform(cset))
+    monkeypatch.setattr(calib, "best_rigid_transform", lambda *sets: calls.append(sets) or best_rigid_transform(*sets))
     result = icp(src, dst, IcpOptions(), source_ids=tuple(range(9)), target_ids=tuple(int(i) for i in perm))
     assert result.iterations == 1 and len(calls) == 1
     order = np.argsort(perm)
-    expected, rms = best_rigid_transform(CorrespondenceSet(camera_i=-1, camera_j=-1, points_i=src, points_j=dst[order]))
+    expected, rms = best_rigid_transform(src, dst[order])
     assert result.rms_residual == rms
     assert np.array_equal(result.transform.rotation, expected.rotation)
     assert np.array_equal(result.transform.translation, expected.translation)
@@ -289,19 +280,14 @@ def test_icp_residual_non_increasing():
     dst = true.transform_points(src)
 
     # Instrumented re-run: replay ICP manually and watch the residual.
-    opts = IcpOptions(max_iterations=50, use_known_ids=False)
+    opts = IcpOptions(max_iterations=50)
     transform = geom.identity()
     last = None
     for _ in range(opts.max_iterations):
         moved = transform.transform_points(src)
         dists = np.linalg.norm(moved[:, None, :] - dst[None, :, :], axis=2)
         pairs = [(s, int(np.argmin(dists[s]))) for s in range(len(src))]
-        cset = CorrespondenceSet(
-            camera_i=0, camera_j=1,
-            points_i=src[[s for s, _ in pairs]],
-            points_j=dst[[d for _, d in pairs]],
-        )
-        transform, rms = best_rigid_transform(cset)
+        transform, rms = best_rigid_transform(src[[s for s, _ in pairs]], dst[[d for _, d in pairs]])
         if last is not None:
             assert rms <= last + 1e-12
         last = rms
@@ -311,7 +297,7 @@ def test_icp_hits_iteration_cap_without_error():
     rng = np.random.default_rng(13)
     src = rng.uniform(-2, 2, size=(10, 3))
     dst = rng.uniform(-2, 2, size=(10, 3))  # unrelated clouds
-    result = icp(src, dst, IcpOptions(max_iterations=3, use_known_ids=False))
+    result = icp(src, dst, IcpOptions(max_iterations=3))
     assert result.iterations <= 3
 
 
@@ -319,9 +305,9 @@ def test_icp_hits_iteration_cap_without_error():
 
 
 def synthetic_rig(n_cameras, rng, noise=0.0, cycle=False, landmarks_per_zone=6, chords=()):
-    """True global poses plus pairwise correspondence sets from shared
-    landmarks observed in each camera's local frame: a chain, closed into a
-    cycle on request, plus the extra camera pairs in ``chords``.
+    """True global poses plus the correspondence table of shared landmarks
+    observed in each camera's local frame: a chain, closed into a cycle on
+    request, plus the extra camera pairs in ``chords``.
     ``landmarks_per_zone`` is one count for every pair or a sequence of
     counts, one per pair."""
     true_poses = {0: geom.identity()}
@@ -334,7 +320,6 @@ def synthetic_rig(n_cameras, rng, noise=0.0, cycle=False, landmarks_per_zone=6, 
     if isinstance(landmarks_per_zone, int):
         landmarks_per_zone = [landmarks_per_zone] * len(pairs)
     pairwise = []
-    lm_id = 0
     for (cam_i, cam_j), count in zip(pairs, landmarks_per_zone):
         world_pts = rng.uniform(-1.5, 1.5, size=(count, 3))
         inv_i, inv_j = geom.invert(true_poses[cam_i]), geom.invert(true_poses[cam_j])
@@ -343,18 +328,14 @@ def synthetic_rig(n_cameras, rng, noise=0.0, cycle=False, landmarks_per_zone=6, 
         if noise > 0:
             pts_i = pts_i + rng.normal(0, noise, pts_i.shape)
             pts_j = pts_j + rng.normal(0, noise, pts_j.shape)
-        ids = tuple(range(lm_id, lm_id + count))
-        lm_id += count
-        pairwise.append(
-            (cam_i, cam_j, CorrespondenceSet(cam_i, cam_j, pts_i, pts_j, landmark_ids=ids))
-        )
-    return true_poses, pairwise
+        pairwise.append((cam_i, cam_j, pts_i, pts_j))
+    return true_poses, stack_pairs(pairwise)
 
 
 def test_build_graph_single_pair():
     rng = np.random.default_rng(20)
     _, pairwise = synthetic_rig(2, rng)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     assert graph.nodes == (0, 1)
     assert len(graph.edges) == 1
     assert graph.failures == ()
@@ -363,24 +344,23 @@ def test_build_graph_single_pair():
 def test_build_graph_chain_and_cycle_shapes():
     rng = np.random.default_rng(21)
     _, chain = synthetic_rig(4, rng)
-    graph = build_graph(chain, IcpOptions(), reference=0)
+    graph = build_graph(chain, reference=0)
     assert len(graph.edges) == 3
     _, ring = synthetic_rig(4, rng, cycle=True)
-    graph = build_graph(ring, IcpOptions(), reference=0)
+    graph = build_graph(ring, reference=0)
     assert len(graph.edges) == 4
 
 
 def test_build_graph_reports_degenerate_pairs():
     line = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-    bad = CorrespondenceSet(0, 1, line, line, landmark_ids=(0, 1, 2))
-    graph = build_graph([(0, 1, bad)], IcpOptions(), reference=0)
+    graph = build_graph(stack_pairs([(0, 1, line, line)]), reference=0)
     assert graph.edges == ()
     assert len(graph.failures) == 1
     assert graph.failures[0][:2] == (0, 1)
 
 
 def test_propagate_reference_only():
-    graph = build_graph([], IcpOptions(), reference=7)
+    graph = build_graph(stack_pairs([]), reference=7)
     poses = propagate(graph)
     assert set(poses) == {7}
     assert is_close(poses[7], geom.identity(), 1e-15, 1e-15)
@@ -388,16 +368,12 @@ def test_propagate_reference_only():
 
 def test_propagate_translation_chain():
     edges = [
-        (0, 1, correspondences_from_transform(geom.translation(-1, 0, 0), BASE_POINTS)),
-        (1, 2, correspondences_from_transform(geom.translation(0, -1, 0), BASE_POINTS)),
+        (0, 1, *correspondences_from_transform(geom.translation(-1, 0, 0), BASE_POINTS)),
+        (1, 2, *correspondences_from_transform(geom.translation(0, -1, 0), BASE_POINTS)),
     ]
     # correspondences_from_transform builds points_j = T(points_i); the edge
     # estimator aligns j onto i, i.e. recovers T^-1 as the edge transform.
-    pairwise = [
-        (i, j, CorrespondenceSet(i, j, c.points_i, c.points_j, c.landmark_ids))
-        for (i, j, c) in edges
-    ]
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(stack_pairs(edges), reference=0)
     poses = propagate(graph)
     assert np.allclose(poses[1].translation, [1, 0, 0], atol=1e-9)
     assert np.allclose(poses[2].translation, [1, 1, 0], atol=1e-9)
@@ -406,7 +382,7 @@ def test_propagate_translation_chain():
 def test_propagate_matches_truth_on_noise_free_chain():
     rng = np.random.default_rng(22)
     true_poses, pairwise = synthetic_rig(4, rng)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     poses = propagate(graph)
     for cam, pose in poses.items():
         assert geom.rotation_distance(pose, true_poses[cam]) < 1e-9
@@ -416,9 +392,9 @@ def test_propagate_matches_truth_on_noise_free_chain():
 def test_propagate_raises_on_disconnected_graph():
     rng = np.random.default_rng(23)
     _, pairwise = synthetic_rig(2, rng)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     disconnected = calib.TransformGraph(
-        nodes=graph.nodes + (9,), edges=graph.edges, reference=0
+        nodes=graph.nodes + (9,), edges=graph.edges, reference=0, correspondences=graph.correspondences
     )
     with pytest.raises(DisconnectedGraphError) as err:
         propagate(disconnected)
@@ -428,7 +404,7 @@ def test_propagate_raises_on_disconnected_graph():
 def test_tree_edges_reproduced_exactly():
     rng = np.random.default_rng(24)
     _, pairwise = synthetic_rig(5, rng)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     poses = propagate(graph)
     for edge in graph.edges:  # a chain: every edge is a tree edge
         implied = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
@@ -441,7 +417,7 @@ def test_tree_edges_reproduced_exactly():
 def test_refine_noise_free_chain_stays_exact():
     rng = np.random.default_rng(25)
     _, pairwise = synthetic_rig(4, rng)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     poses = propagate(graph)
     refined, trace = refine(graph, poses)
     assert trace[-1] < 1e-10
@@ -451,7 +427,7 @@ def test_refine_noise_free_chain_stays_exact():
 def test_refine_reduces_cost_on_noisy_cycle():
     rng = np.random.default_rng(26)
     _, pairwise = synthetic_rig(4, rng, noise=0.005, cycle=True)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     initial = propagate(graph)
     refined, trace = refine(graph, initial)
     assert trace[-1] <= trace[0]
@@ -461,7 +437,7 @@ def test_refine_reduces_cost_on_noisy_cycle():
 def test_refine_reduces_loop_closure_error():
     rng = np.random.default_rng(27)
     _, pairwise = synthetic_rig(4, rng, noise=0.01, cycle=True)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     initial = propagate(graph)
     before = calib.loop_closure_error(graph, *stack_poses(graph, initial))
     closing = max(before, key=lambda k: before[k])
@@ -473,7 +449,7 @@ def test_refine_reduces_loop_closure_error():
 def test_refine_fixed_point_on_optimal_input():
     rng = np.random.default_rng(28)
     _, pairwise = synthetic_rig(4, rng, noise=0.004, cycle=True)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     first, trace1 = refine(graph, propagate(graph))
     second, trace2 = refine(graph, first)
     assert abs(trace2[-1] - trace1[-1]) < 1e-12 * max(1.0, trace1[-1])
@@ -484,7 +460,7 @@ def test_refine_fixed_point_on_optimal_input():
 def test_refine_keeps_reference_fixed():
     rng = np.random.default_rng(29)
     _, pairwise = synthetic_rig(3, rng, noise=0.01, cycle=True)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     refined, _ = refine(graph, propagate(graph))
     assert is_close(refined[0], geom.identity(), 1e-15, 1e-15)
 
@@ -492,7 +468,7 @@ def test_refine_keeps_reference_fixed():
 def test_gauge_invariance_of_cost():
     rng = np.random.default_rng(30)
     _, pairwise = synthetic_rig(4, rng, noise=0.01, cycle=True)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     poses = propagate(graph)
     base = graph_cost(graph, *stack_poses(graph, poses))
     common = random_transform(rng)
@@ -504,7 +480,7 @@ def test_gradient_matches_central_differences():
     rng = np.random.default_rng(31)
     for _ in range(5):
         _, pairwise = synthetic_rig(3, rng, noise=0.02, cycle=True, landmarks_per_zone=5)
-        graph = build_graph(pairwise, IcpOptions(), reference=0)
+        graph = build_graph(pairwise, reference=0)
         poses = stack_poses(graph, propagate(graph))
         grad = cost_gradient(graph, *poses)
         free = [n for n in graph.nodes if n != graph.reference]
@@ -524,14 +500,21 @@ def test_gradient_matches_central_differences():
 # -- per-edge oracles: the stacked expressions against one edge at a time -----
 
 
+def edge_points(graph):
+    """Each edge's (points_i, points_j), split from the graph's table."""
+    table = graph.correspondences
+    bounds = np.cumsum(table.counts)[:-1]
+    return list(zip(np.split(table.points_i, bounds), np.split(table.points_j, bounds)))
+
+
 def oracle_graph_cost(graph, poses):
     """Reference: one edge at a time through RigidTransform. Per-edge sums
     are reduceat segments, as in calib: a segment's rounding differs from
     np.sum's but not from the segment's neighbours'."""
     cost = 0.0
-    for edge in graph.edges:
+    for edge, (points_i, points_j) in zip(graph.edges, edge_points(graph)):
         e_ij = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
-        dx, dy, dz = (e_ij.transform_points(edge.correspondences.points_j) - edge.correspondences.points_i).T
+        dx, dy, dz = (e_ij.transform_points(points_j) - points_i).T
         cost += float(np.add.reduceat(dx * dx + dy * dy + dz * dz, [0])[0])
     return cost
 
@@ -635,7 +618,7 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
         landmarks_per_zone=case["landmarks"],
         chords=case["chords"],
     )
-    graph = build_graph(pairwise, IcpOptions(), reference=case["reference"])
+    graph = build_graph(pairwise, reference=case["reference"])
     free = [node for node in graph.nodes if node != graph.reference]
     index = {node: i for i, node in enumerate(free)}
     poses = oracle_apply_step(propagate(graph), index, rng.normal(0, 0.05, 6 * len(free)))
@@ -659,7 +642,7 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
     normal_equations = {}
     for window_rows in (case["window_rows"], 1):
         with mock.patch.object(calib, "WINDOW_ROWS", window_rows):
-            windowed = calib.TransformGraph(graph.nodes, graph.edges, graph.reference)
+            windowed = calib.TransformGraph(graph.nodes, graph.edges, graph.reference, graph.correspondences)
             assert graph_cost(windowed, rotations, translations) == oracle_graph_cost(graph, poses)
             assert calib.loop_closure_error(windowed, rotations, translations) == oracle_loop_closure_error(graph, poses)
             normal_equations[window_rows] = calib._normal_equations(windowed, rotations, translations)
@@ -674,7 +657,7 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
 def test_refine_rejects_poses_outside_the_graph():
     rng = np.random.default_rng(34)
     _, pairwise = synthetic_rig(3, rng, noise=0.01)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     initial = propagate(graph)
     # An extra camera would be a free parameter without Jacobian rows.
     with pytest.raises(ValueError, match=r"not graph nodes: \[7\]"):
@@ -686,9 +669,9 @@ def test_refine_rejects_poses_outside_the_graph():
 def test_graph_rejects_edges_between_cameras_outside_its_nodes():
     rng = np.random.default_rng(35)
     _, pairwise = synthetic_rig(3, rng)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     with pytest.raises(ValueError, match="edge camera 2 is not a graph node"):
-        calib.TransformGraph(nodes=(0, 1), edges=graph.edges, reference=0)
+        calib.TransformGraph(nodes=(0, 1), edges=graph.edges, reference=0, correspondences=graph.correspondences)
 
 
 # -- blockwise normal equations against the dense Jacobian -------------------
@@ -700,17 +683,17 @@ def dense_residuals_and_jacobian(graph, poses, index):
     lands at q = E p_j + t, (E, t) = inverse(G_i) composed with G_j by
     ``geom``, so a drifted E is re-orthonormalized as in the cost; its rows
     are [-E skew(p_j), R_i^T] for camera j and [skew(q), -R_i^T] for i."""
-    rows = sum(3 * len(edge.correspondences) for edge in graph.edges)
+    rows = 3 * len(graph.correspondences.points_i)
     residuals = np.zeros(rows)
     jacobian = np.zeros((rows, 6 * len(index)))
     row = 0
-    for edge in graph.edges:
+    for edge, (points_i, points_j) in zip(graph.edges, edge_points(graph)):
         r_i = poses[edge.camera_i].rotation
         relative = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
-        for k in range(len(edge.correspondences)):
-            p_j = edge.correspondences.points_j[k]
+        for k in range(len(points_j)):
+            p_j = points_j[k]
             q = relative.rotation @ p_j + relative.translation
-            residuals[row : row + 3] = q - edge.correspondences.points_i[k]
+            residuals[row : row + 3] = q - points_i[k]
             if edge.camera_j in index:
                 col = 6 * index[edge.camera_j]
                 jacobian[row : row + 3, col : col + 3] = -relative.rotation @ skew(p_j)
@@ -735,7 +718,7 @@ def assert_matches_dense_jacobian(graph, poses, index, band, jtr):
 def test_normal_equations_match_dense_jacobian(n_cameras, cycle):
     rng = np.random.default_rng(32)
     _, pairwise = synthetic_rig(n_cameras, rng, noise=0.01, cycle=cycle)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     if cycle:
         # The pinned reference sits on both sides of an edge.
         assert any(e.camera_i == 0 for e in graph.edges)
@@ -752,9 +735,9 @@ def test_normal_equations_match_dense_jacobian(n_cameras, cycle):
 def test_refine_memory_stays_below_one_dense_jacobian():
     rng = np.random.default_rng(33)
     _, pairwise = synthetic_rig(40, rng, noise=0.01, cycle=True, landmarks_per_zone=24)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     initial = propagate(graph)
-    rows = sum(3 * len(edge.correspondences) for edge in graph.edges)
+    rows = 3 * len(graph.correspondences.points_i)
     dense_bytes = rows * 6 * (len(graph.nodes) - 1) * 8
     tracemalloc.start()
     try:
@@ -773,7 +756,7 @@ def test_refine_holds_one_normal_equation_matrix():
     # the next is built.
     rng = np.random.default_rng(33)
     _, pairwise = synthetic_rig(40, rng, noise=0.01, cycle=True, landmarks_per_zone=24)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     initial = propagate(graph)
     matrix_bytes = (6 * (len(graph.nodes) - 1)) ** 2 * 8
     tracemalloc.start()
@@ -786,16 +769,56 @@ def test_refine_holds_one_normal_equation_matrix():
     assert peak < 1.5 * matrix_bytes, (peak, matrix_bytes)
 
 
-def test_graph_edges_keep_no_landmark_ids():
-    # icp pairs the points by id inside build_graph; the graph, which refine
-    # holds, needs only the paired points.
+@pytest.mark.parametrize(
+    "cameras, counts, rows_i, rows_j, message",
+    [
+        ([[0, 1]], [3, 1], 4, 4, r"cameras must be \(E, 2\) and counts \(E,\)"),
+        ([0, 1], [3], 3, 3, r"cameras must be \(E, 2\)"),
+        ([[0, 1]], [3], 3, 4, r"must both be \(m, 3\)"),
+        ([[0, 1]], [4], 3, 3, "sum to the point count"),
+        ([[0, 1], [1, 2]], [5, -2], 3, 3, ">= 0"),
+    ],
+)
+def test_correspondences_reject_an_inconsistent_table(cameras, counts, rows_i, rows_j, message):
+    with pytest.raises(ValueError, match=message):
+        calib.Correspondences(cameras, counts, np.zeros((rows_i, 3)), np.zeros((rows_j, 3)))
+
+
+def test_correspondences_are_finite_read_only_and_match_the_graph_edges():
+    points = BASE_POINTS.copy()
+    points[2, 1] = np.inf
+    with pytest.raises(ValueError, match="correspondence points must be finite"):
+        calib.Correspondences([[0, 1]], [4], BASE_POINTS, points)
+    graph = build_graph(stack_pairs([(0, 1, *correspondences_from_transform(geom.identity(), BASE_POINTS))]), reference=0)
+    table = graph.correspondences
+    assert not any(a.flags.writeable for a in (table.cameras, table.counts, table.points_i, table.points_j))
+    swapped = calib.Correspondences([[1, 0]], table.counts, table.points_i, table.points_j)
+    with pytest.raises(ValueError, match="camera pairs must be the edges'"):
+        calib.TransformGraph(graph.nodes, graph.edges, graph.reference, swapped)
+
+
+def test_graph_keeps_the_rows_of_the_pairs_it_aligned():
+    # With no failed pair the graph holds the input table's arrays, not
+    # copies; a collinear pair between good ones is reported, and its rows
+    # leave the graph, whose rows are then the good pairs' bit for bit.
     rng = np.random.default_rng(37)
-    _, pairwise = synthetic_rig(3, rng, noise=0.01)
-    assert all(cset.landmark_ids is not None for _, _, cset in pairwise)
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
-    assert [edge.correspondences.landmark_ids for edge in graph.edges] == [None, None]
-    for edge, (_, _, cset) in zip(graph.edges, pairwise):
-        assert edge.correspondences.points_i is cset.points_i and edge.correspondences.points_j is cset.points_j
+    _, good = synthetic_rig(3, rng, noise=0.01)
+    graph = build_graph(good, reference=0)
+    assert graph.failures == ()
+    for side in ("cameras", "counts", "points_i", "points_j"):
+        assert getattr(graph.correspondences, side) is getattr(good, side)
+
+    line = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
+    first, second = edge_points(graph)
+    mixed = build_graph(stack_pairs([(0, 1, *first), (0, 2, line, line + 1.0), (1, 2, *second)]), reference=0)
+    assert [failure[:2] for failure in mixed.failures] == [(0, 2)]
+    assert "collinear" in mixed.failures[0][2]
+    assert [(edge.camera_i, edge.camera_j) for edge in mixed.edges] == [(0, 1), (1, 2)]
+    for side in ("cameras", "counts", "points_i", "points_j"):
+        kept = getattr(mixed.correspondences, side)
+        assert kept.dtype == getattr(good, side).dtype and kept.tobytes() == getattr(good, side).tobytes()
+    poses = propagate(mixed)
+    assert graph_cost(mixed, *stack_poses(mixed, poses)) == oracle_graph_cost(mixed, poses)
 
 
 # -- the banded solve ---------------------------------------------------------
@@ -873,7 +896,7 @@ def test_refine_makes_no_linalg_call(monkeypatch):
     # Every np.linalg function raises while refine runs.
     rng = np.random.default_rng(36)
     _, pairwise = synthetic_rig(6, rng, noise=0.01, cycle=True, chords=[(1, 4)])
-    graph = build_graph(pairwise, IcpOptions(), reference=0)
+    graph = build_graph(pairwise, reference=0)
     initial = propagate(graph)
 
     def refusing(name):

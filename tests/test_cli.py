@@ -5,14 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ubimap import calib, cli, coverage, world as worldmod
-from ubimap.calib import CorrespondenceSet
 from ubimap.cli import EXIT_CALIBRATION, EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, render_map
 from ubimap.fusion import CellState
 from ubimap.geom import Point3
 from ubimap.world import CellIndex
 
+from oracles import stack_pairs
 from test_sensim import reference_observe_landmarks
 from test_world import reference_line_of_sight
 
@@ -205,6 +206,14 @@ def test_plan_exact_matches_exhaustive_oracle(tmp_path):
     assert coverage.objective(expected, problem) >= coverage.objective(greedy, problem)
 
 
+def test_plan_exact_over_the_enumeration_cap_exits_1(tmp_path, capsys):
+    world, camera = FULL_COVER.split("section camera")
+    path = write(tmp_path, world + "".join(f"section camera{camera.replace('id = 1', f'id = {k}')}" for k in range(1, 22)))
+    assert cli.main(["plan", path, "--exact", "--out", str(tmp_path / "out")]) == EXIT_PARSE
+    assert "argument error: 21 candidates exceed the enumeration cap of 20" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_plan_heatmap_written(tmp_path):
     path = write(tmp_path, FULL_COVER)
     cli.main(["plan", path, "--heatmap", "--out", str(tmp_path / "out")])
@@ -279,23 +288,24 @@ def reference_landmark_pairs(scenario, sigma, seed):
         for cam_j in cams[a + 1 :]:
             shared = sorted(set(observed[cam_i.id]) & set(observed[cam_j.id]))
             if len(shared) >= 3:
-                cset = CorrespondenceSet(
-                    camera_i=cam_i.id,
-                    camera_j=cam_j.id,
-                    points_i=np.array([observed[cam_i.id][lid] for lid in shared]),
-                    points_j=np.array([observed[cam_j.id][lid] for lid in shared]),
-                    landmark_ids=tuple(shared),
-                )
-                pairwise.append((cam_i.id, cam_j.id, cset))
-    return pairwise
+                pairwise.append((
+                    cam_i.id,
+                    cam_j.id,
+                    np.array([observed[cam_i.id][lid] for lid in shared]),
+                    np.array([observed[cam_j.id][lid] for lid in shared]),
+                ))
+    return stack_pairs(pairwise)
 
 
 def edge_bits(edge):
-    c = edge.correspondences
     return (
-        edge.camera_i, edge.camera_j, c.landmark_ids, c.points_i.tobytes(), c.points_j.tobytes(),
+        edge.camera_i, edge.camera_j,
         edge.transform.rotation.tobytes(), edge.transform.translation.tobytes(), edge.residual.hex(),
     )
+
+
+def table_bits(table):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (table.cameras, table.counts, table.points_i, table.points_j)]
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.03])
@@ -309,12 +319,52 @@ def test_calibration_pairs_match_per_pair_set_intersection(sigma):
     assert {0, 2, 3} <= shared_counts and max(shared_counts) > 3
 
     graph = cli.calibrate_scenario(scenario, sigma, 5).graph
-    expected = calib.build_graph(pairwise, calib.IcpOptions(), cams[0].id, nodes=tuple(c.id for c in cams))
+    expected = calib.build_graph(pairwise, cams[0].id, nodes=tuple(c.id for c in cams))
     assert graph.nodes == expected.nodes
     assert [edge_bits(e) for e in graph.edges] == [edge_bits(e) for e in expected.edges]
+    assert table_bits(graph.correspondences) == table_bits(expected.correspondences)
     assert graph.failures == expected.failures
     if sigma == 0.0:  # the collinear row is exactly collinear only without noise
         assert [(i, j) for i, j, _ in graph.failures] == [(1, 2)]
+
+
+def per_pair_intersection(camera_ids, seen, points):
+    """Reference pairing over a seen mask: each observation's row in
+    ``points`` counted in mask order, then one set intersection per camera
+    pair."""
+    row_of = {}
+    for c in range(seen.shape[0]):
+        for lm in range(seen.shape[1]):
+            if seen[c, lm]:
+                row_of[c, lm] = len(row_of)
+    pairwise = []
+    for a in range(len(camera_ids)):
+        for b in range(a + 1, len(camera_ids)):
+            shared = sorted({lm for c, lm in row_of if c == a} & {lm for c, lm in row_of if c == b})
+            if len(shared) >= 3:
+                rows_a, rows_b = [row_of[a, lm] for lm in shared], [row_of[b, lm] for lm in shared]
+                pairwise.append((camera_ids[a], camera_ids[b], points[rows_a], points[rows_b]))
+    return stack_pairs(pairwise)
+
+
+@st.composite
+def seen_masks(draw):
+    cameras, landmarks = draw(st.integers(1, 7)), draw(st.integers(0, 12))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=landmarks, max_size=landmarks), min_size=cameras, max_size=cameras))
+    ids = sorted(draw(st.sets(st.integers(0, 2**64 - 1), min_size=cameras, max_size=cameras)))
+    return ids, np.array(rows, dtype=bool).reshape(cameras, landmarks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seen_masks())
+@example(([1, 2, 3], np.array([[0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 1, 1]], dtype=bool)))  # camera 1 sees nothing
+@example(([4, 7, 9], np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 0], [0, 1, 1, 1, 1]], dtype=bool)))  # share 3, 2, 3
+@example(([2, 5, 6, 2**64 - 1], np.ones((4, 6), dtype=bool)))  # every camera sees every landmark
+def test_pairing_equals_per_pair_set_intersection_on_any_seen_mask(case):
+    camera_ids, seen = case
+    points = np.arange(3.0 * seen.sum()).reshape(-1, 3)  # distinct rows, so a misplaced row shows
+    table = cli._shared_landmark_pairs(camera_ids, seen, points)
+    assert table_bits(table) == table_bits(per_pair_intersection(camera_ids, seen, points))
 
 
 def test_calibration_camera_seeing_no_landmark_stays_unreachable():
@@ -484,6 +534,23 @@ def test_calibrate_negative_seed_exits_1(tmp_path, sigma):
     )
     assert code == EXIT_PARSE
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "simulate"])
+@pytest.mark.parametrize(
+    "sigma, message",
+    [
+        ("1e200", "the initial calibration cost is inf, not finite"),  # finite points whose squares overflow
+        ("1e308", "correspondence points must be finite"),  # the noise itself overflows
+    ],
+)
+def test_overflowing_noise_sigma_exits_4_with_no_outputs(tmp_path, capsys, command, sigma, message):
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main([command, str(DEMO_ROOM), "--noise-sigma", sigma, "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert f"runtime error: {message}" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["calibrate", "simulate", "plan", "render"])
