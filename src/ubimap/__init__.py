@@ -8,9 +8,11 @@ broadcast the map to robot clients over a simulated lossy network.
 No output goes through BLAS or LAPACK (see ``ubimap.algebra``). Importing
 the package still pins BLAS to one thread, which keeps OpenBLAS from
 starting a worker thread per core; it only takes effect when no module has
-imported numpy yet.
+imported numpy yet. Importing the package loads no layer: ``ubimap.<layer>``
+imports that module on first access.
 """
 
+import importlib
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -18,3 +20,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _var
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in ("algebra", "calib", "cli", "coverage", "fusion", "geom", "netsim", "sensim", "world"):
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import math
 import sys
@@ -20,11 +21,9 @@ from typing import BinaryIO, TextIO
 
 import numpy as np
 
-from . import calib, coverage, fusion, geom, netsim, sensim, world as worldmod
-from .calib import DisconnectedGraphError
-from .fusion import CellState, GridMap
-from .geom import RigidTransform
-from .netsim import ClientState, MapServer, Message, MessageKind, NetworkParams, SimulatedNetwork
+import ubimap
+
+from . import world as worldmod
 from .world import GridWorld, Scenario, ScenarioError, line_of_sight
 
 EXIT_OK = 0
@@ -93,13 +92,13 @@ def _open_csv(path: Path) -> TextIO:
 def _truth_cells(world: GridWorld) -> np.ndarray:
     """Ground-truth (height, width) cell states: a wall beats an obstacle,
     which beats a robot; every other cell is explored."""
-    cells = np.full((world.height, world.width), CellState.EXPLORED, dtype=np.uint8)
+    cells = np.full((world.height, world.width), ubimap.fusion.CellState.EXPLORED, dtype=np.uint8)
     for robot in world.robots:
         cell = world.cell_of(robot.x, robot.y)
-        cells[cell.row, cell.col] = CellState.ROBOT
+        cells[cell.row, cell.col] = ubimap.fusion.CellState.ROBOT
     for ob in world.obstacles:
-        cells[ob.cell.row, ob.cell.col] = CellState.OBSTACLE
-    cells[world.wall_mask] = CellState.WALL
+        cells[ob.cell.row, ob.cell.col] = ubimap.fusion.CellState.OBSTACLE
+    cells[world.wall_mask] = ubimap.fusion.CellState.WALL
     return cells
 
 
@@ -109,29 +108,31 @@ def _truth_cells(world: GridWorld) -> np.ndarray:
 @dataclass
 class CalibrationResult:
     reference: int
-    graph: calib.TransformGraph
-    initial: dict[int, RigidTransform]
-    refined: dict[int, RigidTransform]
+    graph: ubimap.calib.TransformGraph
+    initial: dict[int, ubimap.geom.RigidTransform]
+    refined: dict[int, ubimap.geom.RigidTransform]
     cost_trace: list[float]
-    true_poses: dict[int, RigidTransform]
+    true_poses: dict[int, ubimap.geom.RigidTransform]
 
     def pose_errors(self) -> dict[int, tuple[float, float]]:
         out = {}
         for cam_id, pose in self.refined.items():
             truth = self.true_poses[cam_id]
             out[cam_id] = (
-                geom.rotation_distance(pose, truth),
+                ubimap.geom.rotation_distance(pose, truth),
                 math.dist(pose.translation.tolist(), truth.translation.tolist()),
             )
         return out
 
-    def estimated_world_poses(self, reference_world_pose: RigidTransform) -> dict[int, RigidTransform]:
+    def estimated_world_poses(
+        self, reference_world_pose: ubimap.geom.RigidTransform
+    ) -> dict[int, ubimap.geom.RigidTransform]:
         """Anchor the calibrated rig to the world through the surveyed
         reference camera."""
-        return {cam_id: geom.compose(reference_world_pose, pose) for cam_id, pose in self.refined.items()}
+        return {cam_id: ubimap.geom.compose(reference_world_pose, pose) for cam_id, pose in self.refined.items()}
 
 
-def _shared_landmark_pairs(camera_ids: list[int], seen: np.ndarray, points: np.ndarray) -> calib.Correspondences:
+def _shared_landmark_pairs(camera_ids: list[int], seen: np.ndarray, points: np.ndarray) -> ubimap.calib.Correspondences:
     """The camera pairs, in camera order, that see at least 3 landmarks in
     common, with each pair's shared observations in landmark id order, from
     ``observe_landmarks``' seen mask and points for cameras ``camera_ids``.
@@ -146,7 +147,7 @@ def _shared_landmark_pairs(camera_ids: list[int], seen: np.ndarray, points: np.n
     pair, landmark = np.nonzero(np.unpackbits(packed[a] & packed[b], axis=1, count=seen.shape[1]))
     observed = np.flatnonzero(seen)  # points' rows, as flat (camera, landmark) indices
     ids = np.array(camera_ids, dtype=np.uint64)
-    return calib.Correspondences(
+    return ubimap.calib.Correspondences(
         np.stack([ids[a], ids[b]], axis=1),
         np.bincount(pair, minlength=len(a)),
         points[np.searchsorted(observed, a[pair] * seen.shape[1] + landmark)],
@@ -161,15 +162,17 @@ def calibrate_scenario(scenario: Scenario, sigma: float, seed: int) -> Calibrati
     if not cams:
         raise ValueError("scenario has no cameras to calibrate")
     reference = cams[0].id
-    # From observe_landmarks' (ids, seen, points) only the pair table outlives this line.
-    pairs = _shared_landmark_pairs([c.id for c in cams], *sensim.observe_landmarks(cams, scenario.world, sigma, seed)[1:])
-    graph = calib.build_graph(pairs, reference, nodes=tuple(c.id for c in cams))
-    initial = calib.propagate(graph)  # raises DisconnectedGraphError
-    refined, trace = calib.refine(graph, initial)
+    # From observe_landmarks' (ids, seen, points) only the pair table outlives this statement.
+    pairs = _shared_landmark_pairs(
+        [c.id for c in cams], *ubimap.sensim.observe_landmarks(cams, scenario.world, sigma, seed)[1:]
+    )
+    graph = ubimap.calib.build_graph(pairs, reference, nodes=tuple(c.id for c in cams))
+    initial = ubimap.calib.propagate(graph)  # raises DisconnectedGraphError
+    refined, trace = ubimap.calib.refine(graph, initial)
 
-    world_poses = {cam.id: sensim.camera_world_pose(cam) for cam in cams}
-    ref_inverse = geom.invert(world_poses[reference])
-    true_poses = {cam.id: geom.compose(ref_inverse, world_poses[cam.id]) for cam in cams}
+    world_poses = {cam.id: ubimap.sensim.camera_world_pose(cam) for cam in cams}
+    ref_inverse = ubimap.geom.invert(world_poses[reference])
+    true_poses = {cam.id: ubimap.geom.compose(ref_inverse, world_poses[cam.id]) for cam in cams}
     return CalibrationResult(
         reference=reference,
         graph=graph,
@@ -199,7 +202,7 @@ def cmd_plan(scenario: Scenario, args) -> int:
         )
         return EXIT_PARSE
 
-    problem = coverage.CoverageProblem(
+    problem = ubimap.coverage.CoverageProblem(
         world=scenario.world,
         candidates=scenario.cameras,
         min_overlap=args.min_overlap,
@@ -207,8 +210,8 @@ def cmd_plan(scenario: Scenario, args) -> int:
         budget=args.budget if args.budget is not None else len(scenario.cameras),
     )
     try:
-        plan = coverage.plan_exhaustive(problem) if args.exact else coverage.plan_greedy(problem)
-    except coverage.ProblemTooLargeError as exc:  # --exact on more candidates than it enumerates
+        plan = ubimap.coverage.plan_exhaustive(problem) if args.exact else ubimap.coverage.plan_greedy(problem)
+    except ubimap.coverage.ProblemTooLargeError as exc:  # --exact on more candidates than it enumerates
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -219,7 +222,7 @@ def cmd_plan(scenario: Scenario, args) -> int:
         ["selected", " ".join(str(i) for i in plan.selected)],
         ["cameras_selected", len(plan.selected)],
         ["coverage_ratio", repr(plan.coverage_ratio)],
-        ["objective", coverage.objective(plan, problem)],
+        ["objective", ubimap.coverage.objective(plan, problem)],
         ["violations", len(plan.violations)],
     ]
     rows += [[f"multiplicity_{count}", cells] for count, cells in enumerate(histogram.tolist()) if cells]
@@ -237,7 +240,7 @@ def cmd_plan(scenario: Scenario, args) -> int:
     return EXIT_OK
 
 
-def _coverage_heatmap(problem: coverage.CoverageProblem, plan: coverage.PlacementPlan) -> bytes:
+def _coverage_heatmap(problem: ubimap.coverage.CoverageProblem, plan: ubimap.coverage.PlacementPlan) -> bytes:
     """Cells shaded by coverage multiplicity relative to the most covered one; walls black."""
     world = problem.world
     level = (255 * plan.counts // max(1, plan.counts.max())).astype(np.uint8)
@@ -253,13 +256,13 @@ def cmd_calibrate(scenario: Scenario, args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    loop = calib.loop_closure_error(result.graph, *calib.stack_poses(result.graph, result.initial))
+    loop = ubimap.calib.loop_closure_error(result.graph, *ubimap.calib.stack_poses(result.graph, result.initial))
     rows = [["cost_initial", "", repr(result.cost_trace[0])], ["cost_final", "", repr(result.cost_trace[-1])]]
     for edge in result.graph.edges:
         rows.append(["edge_residual", f"{edge.camera_i}-{edge.camera_j}", repr(edge.residual)])
     for (i, j), err in sorted(loop.items()):
         rows.append(["loop_error_initial", f"{i}-{j}", repr(err)])
-    loop_refined = calib.loop_closure_error(result.graph, *calib.stack_poses(result.graph, result.refined))
+    loop_refined = ubimap.calib.loop_closure_error(result.graph, *ubimap.calib.stack_poses(result.graph, result.refined))
     for (i, j), err in sorted(loop_refined.items()):
         rows.append(["loop_error_refined", f"{i}-{j}", repr(err)])
     pose_errors = result.pose_errors()
@@ -292,17 +295,18 @@ def _robot_local_map(world: GridWorld, robot, sense_radius: float) -> np.ndarray
     )
     seen = in_range[line_of_sight(world, (robot.x, robot.y), np.column_stack([xs[in_range], ys[in_range]]))]
     labels = _truth_cells(world)
-    labels[labels == CellState.ROBOT] = CellState.OBSTACLE
+    labels[labels == ubimap.fusion.CellState.ROBOT] = ubimap.fusion.CellState.OBSTACLE
     fragment.flat[seen] = labels.flat[seen]
-    fragment[own.row, own.col] = CellState.EXPLORED
+    fragment[own.row, own.col] = ubimap.fusion.CellState.EXPLORED
     return fragment
 
 
 def cmd_simulate(scenario: Scenario, args) -> int:
     """Streams capture.hex, localization.csv and, with --dump-observations,
     observations.csv while the run goes on, then writes final_map.ppm and
-    summary.csv. A run that raises leaves none of these files behind."""
+    summary.csv. A run that raises leaves none of them, nor a directory it made."""
     out_dir = Path(args.out)
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     written = ["capture.hex", "localization.csv", "final_map.ppm", "summary.csv"]
     if args.dump_observations:
@@ -337,6 +341,8 @@ def cmd_simulate(scenario: Scenario, args) -> int:
     except BaseException:  # an interrupted run leaves no partial files either
         for name in written:
             (out_dir / name).unlink(missing_ok=True)
+        if created:
+            out_dir.rmdir()
         raise
     print(
         f"simulated {args.duration}s: map accuracy {report.map_accuracy:.4f}, "
@@ -348,7 +354,7 @@ def cmd_simulate(scenario: Scenario, args) -> int:
 @dataclass
 class SimulationOutputs:
     report: RunReport
-    server_map: GridMap
+    server_map: ubimap.fusion.GridMap
 
 
 def run_simulation(
@@ -368,23 +374,23 @@ def run_simulation(
 
     cameras = sorted(scenario.cameras, key=lambda c: c.id)
     if args.plan_budget is not None:
-        problem = coverage.CoverageProblem(
+        problem = ubimap.coverage.CoverageProblem(
             world=world, candidates=tuple(cameras), budget=args.plan_budget,
             max_overlap=len(cameras),
         )
-        selected = set(coverage.plan_greedy(problem).selected)
+        selected = set(ubimap.coverage.plan_greedy(problem).selected)
         cameras = [cam for cam in cameras if cam.id in selected]
 
     calibration = calibrate_scenario(Scenario(world, tuple(cameras), params), sigma, seed)
     reference_cam = next(cam for cam in cameras if cam.id == calibration.reference)
-    camera_poses = calibration.estimated_world_poses(sensim.camera_world_pose(reference_cam))
+    camera_poses = calibration.estimated_world_poses(ubimap.sensim.camera_world_pose(reference_cam))
 
     footprints = worldmod.covered_cells(cameras, world)
     covered = footprints.any(axis=0)
     free_count = int((~world.wall_mask).sum())
     coverage_ratio = int((covered & ~world.wall_mask).sum()) / free_count if free_count else 1.0
 
-    server_map = GridMap(
+    server_map = ubimap.fusion.GridMap(
         world.width,
         world.height,
         world.cell_size,
@@ -394,15 +400,17 @@ def run_simulation(
     # Address 0 is the map server; robots are addressed by their own id.
     if any(not 1 <= r.id < 2**16 for r in world.robots):
         raise ValueError("robot ids must be in 1..65535 to address them on the network")
-    server = MapServer(server_map, sender_id=0)
-    net = SimulatedNetwork(NetworkParams(latency_ms=latency_ms, jitter_ms=args.jitter_ms, loss_probability=loss, seed=seed))
-    clients = {r.id: ClientState(r.id) for r in world.robots}
+    server = ubimap.netsim.MapServer(server_map, sender_id=0)
+    net = ubimap.netsim.SimulatedNetwork(
+        ubimap.netsim.NetworkParams(latency_ms=latency_ms, jitter_ms=args.jitter_ms, loss_probability=loss, seed=seed)
+    )
+    clients = {r.id: ubimap.netsim.ClientState(r.id) for r in world.robots}
     robots = sorted(world.robots, key=lambda r: r.id)
 
-    beliefs: dict[int, fusion.GaussianBelief] = {}
-    mm = fusion.odometry_motion_model(np.diag([1e-8, 1e-8, 1e-8]))
+    beliefs: dict[int, ubimap.fusion.GaussianBelief] = {}
+    mm = ubimap.fusion.odometry_motion_model(np.diag([1e-8, 1e-8, 1e-8]))
     meas_var = max(sigma, 1e-4) ** 2
-    om = fusion.position_observation_model(np.diag([meas_var, meas_var]))
+    om = ubimap.fusion.position_observation_model(np.diag([meas_var, meas_var]))
 
     upload_seqs = {r.id: 0 for r in robots}
     local_maps: dict[int, np.ndarray] = {}  # robots and walls never move: one onboard map per robot
@@ -419,8 +427,8 @@ def run_simulation(
         cost_final=calibration.cost_trace[-1],
     )
 
-    def send(msg: Message, dest: int, now: float) -> None:
-        capture.write(f"{netsim.encode(msg).hex()}\n".encode("ascii"))
+    def send(msg: ubimap.netsim.Message, dest: int, now: float) -> None:
+        capture.write(f"{ubimap.netsim.encode(msg).hex()}\n".encode("ascii"))
         net.send(msg, dest, now)
 
     def handle_deliveries(deliveries) -> None:
@@ -431,7 +439,7 @@ def run_simulation(
                 if ack is not None:
                     send(ack, msg.sender_id, delivery.time)
             else:
-                netsim.client_apply(clients[delivery.dest], msg)
+                ubimap.netsim.client_apply(clients[delivery.dest], msg)
 
     dt = args.dt
     ticks = int(round(args.duration / dt))
@@ -440,8 +448,8 @@ def run_simulation(
 
     for tick in range(ticks):
         t = tick * dt
-        evidence = sensim.observe_obstacles(cameras, world, t, footprints)
-        tags = sensim.observe_tags(cameras, world, sigma, seed, t, footprints)
+        evidence = ubimap.sensim.observe_obstacles(cameras, world, t, footprints)
+        tags = ubimap.sensim.observe_tags(cameras, world, sigma, seed, t, footprints)
         if observation_rows is not None:
             for ev in evidence:
                 cols, rows = np.nonzero(ev.observed.T)  # column-major, as sorted CellIndex tuples
@@ -460,19 +468,19 @@ def run_simulation(
             detections_by_robot.setdefault(tag_registry.get(det.tag_id, det.tag_id), []).append(det)
         for robot in robots:
             if robot.id in beliefs:
-                beliefs[robot.id] = fusion.ekf_predict(beliefs[robot.id], np.zeros(3), mm)
+                beliefs[robot.id] = ubimap.fusion.ekf_predict(beliefs[robot.id], np.zeros(3), mm)
             for det in detections_by_robot.get(robot.id, []):
-                z = np.array(fusion.tag_world_position(det, camera_poses[det.camera_id]))
+                z = np.array(ubimap.fusion.tag_world_position(det, camera_poses[det.camera_id]))
                 if robot.id not in beliefs:
-                    beliefs[robot.id] = fusion.GaussianBelief(
+                    beliefs[robot.id] = ubimap.fusion.GaussianBelief(
                         np.array([z[0], z[1], 0.0]), np.diag([0.25, 0.25, 1.0])
                     )
-                beliefs[robot.id] = fusion.ekf_update(beliefs[robot.id], z, om)
+                beliefs[robot.id] = ubimap.fusion.ekf_update(beliefs[robot.id], z, om)
             if robot.id in beliefs:
                 err = math.dist(beliefs[robot.id].mean[:2].tolist(), (robot.x, robot.y))
                 localization_rows.writerow([tick, repr(t), robot.id, repr(err)])
 
-        fusion.fuse_frame(server_map, evidence, tags, camera_poses, t)
+        ubimap.fusion.fuse_frame(server_map, evidence, tags, camera_poses, t)
 
         if tick % broadcast_every == 0:
             for robot in robots:
@@ -485,11 +493,11 @@ def run_simulation(
             for robot in robots:
                 if robot.id not in local_maps:
                     local_maps[robot.id] = _robot_local_map(world, robot, args.sense_radius)
-                msg = Message(
-                    kind=MessageKind.SENSOR_UPLOAD,
+                msg = ubimap.netsim.Message(
+                    kind=ubimap.netsim.MessageKind.SENSOR_UPLOAD,
                     seq=upload_seqs[robot.id],
                     sender_id=robot.id,
-                    payload=netsim.encode_map_payload(upload_seqs[robot.id] + 1, local_maps[robot.id]),
+                    payload=ubimap.netsim.encode_map_payload(upload_seqs[robot.id] + 1, local_maps[robot.id]),
                 )
                 upload_seqs[robot.id] += 1
                 send(msg, 0, t)
@@ -606,12 +614,16 @@ def main(argv=None) -> int:
     if error is not None:
         print(f"argument error: {error}", file=sys.stderr)
         return EXIT_PARSE
-    handlers = {
-        "plan": cmd_plan,
-        "calibrate": cmd_calibrate,
-        "simulate": cmd_simulate,
-        "render": cmd_render,
-    }
+    # Each subcommand's handler and the layers it runs besides world, loaded before
+    # the scenario is read: a command compiles only the code it runs.
+    handler, layers = {
+        "plan": (cmd_plan, ("coverage",)),
+        "calibrate": (cmd_calibrate, ("calib", "sensim")),
+        "simulate": (cmd_simulate, ("calib", "coverage", "sensim", "fusion", "netsim")),
+        "render": (cmd_render, ("fusion",)),
+    }[args.command]
+    for layer in layers:
+        importlib.import_module(f"{__package__}.{layer}")
     # An unreadable or malformed scenario, or one without the cameras a
     # subcommand needs, exits 1, a disconnected camera graph 3, and anything
     # else the loader or a subcommand raises 4.
@@ -624,11 +636,11 @@ def main(argv=None) -> int:
         if not scenario.cameras and args.command != "render":
             print(f"scenario error: {args.command} needs at least one camera", file=sys.stderr)
             return EXIT_PARSE
-        return handlers[args.command](scenario, args)
-    except DisconnectedGraphError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return EXIT_CALIBRATION
+        return handler(scenario, args)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps to exit codes
+        if isinstance(exc, ubimap.calib.DisconnectedGraphError):  # loads calib on a failure only
+            print(f"calibration failed: {exc}", file=sys.stderr)
+            return EXIT_CALIBRATION
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ubimap import calib, cli, coverage, world as worldmod
+from ubimap import calib, cli, coverage, fusion, world as worldmod
 from ubimap.cli import EXIT_CALIBRATION, EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, render_map
 from ubimap.fusion import CellState
 from ubimap.geom import Point3
@@ -482,7 +482,7 @@ def test_simulate_runtime_error_mid_run_leaves_no_outputs(tmp_path, monkeypatch,
     out = tmp_path / "out"
     argv = ["simulate", str(DEMO_ROOM), "--duration", "1.0", "--dump-observations", "--out", str(out)]
     assert cli.main(argv) == EXIT_OK  # a failed run removes an earlier run's files as well
-    fuse_frame, streams_open = cli.fusion.fuse_frame, []
+    fuse_frame, streams_open = fusion.fuse_frame, []
 
     def fuse_then_fail(server_map, evidence, tags, camera_poses, t):
         if t >= 0.5:
@@ -490,7 +490,7 @@ def test_simulate_runtime_error_mid_run_leaves_no_outputs(tmp_path, monkeypatch,
             raise RuntimeError("fusion failed")
         return fuse_frame(server_map, evidence, tags, camera_poses, t)
 
-    monkeypatch.setattr(cli.fusion, "fuse_frame", fuse_then_fail)
+    monkeypatch.setattr(fusion, "fuse_frame", fuse_then_fail)
     assert cli.main(argv) == EXIT_RUNTIME
     assert "runtime error: fusion failed" in capsys.readouterr().err
     assert streams_open[0][:3] == ["capture.hex", "localization.csv", "observations.csv"]
@@ -550,7 +550,19 @@ def test_overflowing_noise_sigma_exits_4_with_no_outputs(tmp_path, capsys, comma
         code = cli.main([command, str(DEMO_ROOM), "--noise-sigma", sigma, "--out", str(out)])
     assert code == EXIT_RUNTIME
     assert f"runtime error: {message}" in capsys.readouterr().err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_failed_simulate_keeps_an_output_directory_it_did_not_make(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    argv = ["simulate", str(DEMO_ROOM), "--noise-sigma", "1e200", "--dump-observations", "--out", str(out)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(argv) == EXIT_RUNTIME
+    assert "runtime error: the initial calibration cost is inf, not finite" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", ["calibrate", "simulate", "plan", "render"])
