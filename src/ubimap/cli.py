@@ -614,12 +614,12 @@ def main(argv=None) -> int:
     if error is not None:
         print(f"argument error: {error}", file=sys.stderr)
         return EXIT_PARSE
-    # Each subcommand's handler and the layers it runs besides world, loaded before
-    # the scenario is read: a command compiles only the code it runs.
+    # Each subcommand's handler and the only layers it loads besides world, before the
+    # scenario is read. Of the simulate orders measured, this one raised peak RSS least.
     handler, layers = {
         "plan": (cmd_plan, ("coverage",)),
         "calibrate": (cmd_calibrate, ("calib", "sensim")),
-        "simulate": (cmd_simulate, ("calib", "coverage", "sensim", "fusion", "netsim")),
+        "simulate": (cmd_simulate, ("sensim", "fusion", "calib", "coverage", "netsim")),
         "render": (cmd_render, ("fusion",)),
     }[args.command]
     for layer in layers:
