@@ -92,13 +92,13 @@ def _open_csv(path: Path) -> TextIO:
 def _truth_cells(world: GridWorld) -> np.ndarray:
     """Ground-truth (height, width) cell states: a wall beats an obstacle,
     which beats a robot; every other cell is explored."""
-    cells = np.full((world.height, world.width), ubimap.fusion.CellState.EXPLORED, dtype=np.uint8)
+    cells = np.full((world.height, world.width), worldmod.CellState.EXPLORED, dtype=np.uint8)
     for robot in world.robots:
         cell = world.cell_of(robot.x, robot.y)
-        cells[cell.row, cell.col] = ubimap.fusion.CellState.ROBOT
+        cells[cell.row, cell.col] = worldmod.CellState.ROBOT
     for ob in world.obstacles:
-        cells[ob.cell.row, ob.cell.col] = ubimap.fusion.CellState.OBSTACLE
-    cells[world.wall_mask] = ubimap.fusion.CellState.WALL
+        cells[ob.cell.row, ob.cell.col] = worldmod.CellState.OBSTACLE
+    cells[world.wall_mask] = worldmod.CellState.WALL
     return cells
 
 
@@ -295,9 +295,9 @@ def _robot_local_map(world: GridWorld, robot, sense_radius: float) -> np.ndarray
     )
     seen = in_range[line_of_sight(world, (robot.x, robot.y), np.column_stack([xs[in_range], ys[in_range]]))]
     labels = _truth_cells(world)
-    labels[labels == ubimap.fusion.CellState.ROBOT] = ubimap.fusion.CellState.OBSTACLE
+    labels[labels == worldmod.CellState.ROBOT] = worldmod.CellState.OBSTACLE
     fragment.flat[seen] = labels.flat[seen]
-    fragment[own.row, own.col] = ubimap.fusion.CellState.EXPLORED
+    fragment[own.row, own.col] = worldmod.CellState.EXPLORED
     return fragment
 
 
@@ -306,7 +306,7 @@ def cmd_simulate(scenario: Scenario, args) -> int:
     observations.csv while the run goes on, then writes final_map.ppm and
     summary.csv. A run that raises leaves none of them, nor a directory it made."""
     out_dir = Path(args.out)
-    created = not out_dir.exists()
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
     written = ["capture.hex", "localization.csv", "final_map.ppm", "summary.csv"]
     if args.dump_observations:
@@ -341,8 +341,8 @@ def cmd_simulate(scenario: Scenario, args) -> int:
     except BaseException:  # an interrupted run leaves no partial files either
         for name in written:
             (out_dir / name).unlink(missing_ok=True)
-        if created:
-            out_dir.rmdir()
+        for directory in made:
+            directory.rmdir()
         raise
     print(
         f"simulated {args.duration}s: map accuracy {report.map_accuracy:.4f}, "
@@ -620,7 +620,7 @@ def main(argv=None) -> int:
         "plan": (cmd_plan, ("coverage",)),
         "calibrate": (cmd_calibrate, ("calib", "sensim")),
         "simulate": (cmd_simulate, ("sensim", "fusion", "calib", "coverage", "netsim")),
-        "render": (cmd_render, ("fusion",)),
+        "render": (cmd_render, ()),
     }[args.command]
     for layer in layers:
         importlib.import_module(f"{__package__}.{layer}")

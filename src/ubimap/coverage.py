@@ -97,12 +97,17 @@ def _bits_mask(bits: int, world: GridWorld) -> np.ndarray:
 
 def _cover_bits(problem: CoverageProblem) -> tuple[int, dict[int, int]]:
     """The target bitset, and each candidate's cover bitset keyed by
-    candidate id in ascending order. Candidates are walked one at a time,
-    so only one camera's line-of-sight segments are held at once."""
+    candidate id in ascending order. Candidates are walked one sight point
+    at a time: the cameras at a point share their sight lines, and only one
+    point's masks and line-of-sight segments are held at once."""
     world = problem.world
     target = _mask_bits(problem.target_mask())
-    cameras = sorted(problem.candidates, key=lambda c: c.id)
-    return target, {cam.id: _mask_bits(covered_cells([cam], world)[0]) for cam in cameras}
+    cover = dict.fromkeys(sorted(cam.id for cam in problem.candidates))
+    by_site = sorted(problem.candidates, key=lambda c: (c.x, c.y))
+    for _, site in itertools.groupby(by_site, key=lambda c: (c.x, c.y)):
+        site = list(site)
+        cover.update(zip([cam.id for cam in site], map(_mask_bits, covered_cells(site, world))))
+    return target, cover
 
 
 def _level(levels: list[int], m: int) -> int:

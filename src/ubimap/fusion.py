@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Callable
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from . import algebra
 from .geom import RigidTransform
 from .sensim import ObstacleEvidence, TagDetection
-from .world import CellIndex, cell_mask
+from .world import CellIndex, CellState, cell_mask
 
 OBSTACLE_CLEAR_SECONDS = 2.0
 # A covariance is accepted when its smallest eigenvalue is at least -PSD_TOL.
@@ -40,14 +39,6 @@ PSD_TOL = 1e-12
 
 class DimensionMismatchError(ValueError):
     pass
-
-
-class CellState(IntEnum):
-    UNEXPLORED = 0
-    EXPLORED = 1
-    WALL = 2
-    OBSTACLE = 3
-    ROBOT = 4
 
 
 class GridMap:

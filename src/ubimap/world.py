@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import IntEnum
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -51,6 +52,14 @@ MAX_WORD = 2**64 - 1
 class CellIndex(NamedTuple):
     col: int
     row: int
+
+
+class CellState(IntEnum):
+    UNEXPLORED = 0
+    EXPLORED = 1
+    WALL = 2
+    OBSTACLE = 3
+    ROBOT = 4
 
 
 @dataclass(frozen=True)
@@ -246,7 +255,7 @@ def covered_cells(cameras: CameraSpec | Sequence[CameraSpec], world: GridWorld) 
 
     ``cameras`` is one camera or a sequence of them: one camera gives its
     cells as a ``set[CellIndex]``, a sequence a ``(k, height, width)`` bool
-    array of their masks in camera order, from one line-of-sight walk.
+    array of their masks in camera order; cameras at one ground point share one walk.
     Occlusion is a 2D ray cast at ground level against the static walls;
     obstacles and robots are transient and do not occlude.
     """
@@ -254,13 +263,19 @@ def covered_cells(cameras: CameraSpec | Sequence[CameraSpec], world: GridWorld) 
     cameras = [cameras] if single else list(cameras)
     masks = np.zeros((len(cameras), world.height, world.width), dtype=bool)
     centers_x, centers_y = world.cell_centers
-    for mask, cam in zip(masks, cameras):
+    sites: dict[tuple[float, float], int] = {}
+    site_of = [sites.setdefault((cam.x, cam.y), len(sites)) for cam in cameras]
+    sight = np.zeros((len(sites), world.height, world.width), dtype=bool)
+    for mask, cam, site in zip(masks, cameras, site_of):
         if not world.point_in_bounds(cam.x, cam.y):
             raise ValueError(f"camera {cam.id} ground point outside world bounds")
         mask[...] = ground_footprint(cam).contains(centers_x, centers_y)
-    index, rows, cols = np.nonzero(masks)
-    sights = np.array([(cam.x, cam.y) for cam in cameras], dtype=float).reshape(-1, 2)[index]
-    masks[index, rows, cols] = line_of_sight(world, sights, np.column_stack([centers_x[rows, cols], centers_y[rows, cols]]))
+        sight[site] |= mask
+    index, rows, cols = np.nonzero(sight)
+    origins = np.array([*sites], dtype=float).reshape(-1, 2)[index]
+    sight[index, rows, cols] = line_of_sight(world, origins, np.column_stack([centers_x[rows, cols], centers_y[rows, cols]]))
+    for site, mask in zip(site_of, masks):
+        mask &= sight[site]
     if single:
         return {CellIndex(col, row) for row, col in np.argwhere(masks[0]).tolist()}
     return masks
@@ -268,6 +283,8 @@ def covered_cells(cameras: CameraSpec | Sequence[CameraSpec], world: GridWorld) 
 
 # Cell codes of the padded grid that line_of_sight walks; free cells are 0.
 _WALL, _OUTSIDE = 1, 2
+# The most segments line_of_sight walks at once, so a call's walk state stays bounded.
+SEGMENT_BLOCK = 4096
 
 
 # Infinities and NaNs (no crossing along an axis) follow IEEE rules, as the
@@ -285,42 +302,50 @@ def line_of_sight(
     The cells containing the endpoints never block (a camera mounted over a
     wall cell can still see out of it, and a target is visible from within
     its own cell). Traversal is a supercover DDA (Amanatides & Woo 1987)
-    run in lockstep over all segments: every cell a segment passes through
-    is visited, and an exact corner crossing visits both side cells, so
-    blocking is conservative.
+    run in lockstep over blocks of at most ``SEGMENT_BLOCK`` segments: every
+    cell a segment passes through is visited, and an exact corner crossing
+    visits both side cells, so blocking is conservative.
     """
     single = np.ndim(a) == 1 and np.ndim(b) == 1
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float).reshape(-1, 2), np.asarray(b, dtype=float).reshape(-1, 2))
-    cs, width, height = world.cell_size, world.width, world.height
-    limit = (width * cs, height * cs)
+    limit = (world.width * world.cell_size, world.height * world.cell_size)
     if not ((a >= 0) & (a <= limit) & (b >= 0) & (b <= limit)).all():
         raise ValueError("line_of_sight endpoints must be inside world bounds")
-    visible = np.ones(len(a), dtype=bool)
-
-    # Cells as in GridWorld.cell_of, and the parametric distance along each
-    # segment to its next vertical (x) and horizontal (y) grid line.
-    start = np.minimum(a // cs, (width - 1, height - 1)).astype(np.int64)
-    end = np.minimum(b // cs, (width - 1, height - 1)).astype(np.int64)
-    delta = b / cs - a / cs
-    step = np.where(delta > 0, 1, -1)
-    moving = delta != 0
-    t_max = np.where(moving, (start + (step > 0) - a / cs) / delta, np.inf)
-    t_delta = np.where(moving, np.abs(1.0 / delta), np.inf)
-
     # Cells are flat indices into the wall mask padded by a ring of outside
     # cells, so one lookup tells wall, free and off the grid apart.
-    stride = width + 2
-    grid = np.full((height + 2, stride), _OUTSIDE, dtype=np.int8)
+    grid = np.full((world.height + 2, world.width + 2), _OUTSIDE, dtype=np.int8)
     grid[1:-1, 1:-1] = world.wall_mask
     grid = grid.ravel()
-    first = (start[:, 1] + 1) * stride + start[:, 0] + 1
-    last = (end[:, 1] + 1) * stride + end[:, 0] + 1
+    visible = np.ones(len(a), dtype=bool)
+    for lo in range(0, len(a), SEGMENT_BLOCK):
+        _walk(world, grid, a[lo : lo + SEGMENT_BLOCK], b[lo : lo + SEGMENT_BLOCK], visible[lo : lo + SEGMENT_BLOCK])
+    return bool(visible[0]) if single else visible
+
+
+def _walk(world: GridWorld, grid: np.ndarray, a: np.ndarray, b: np.ndarray, visible: np.ndarray) -> None:
+    """Clear ``visible`` for the blocked segments of one block, on line_of_sight's flat padded grid."""
+    cs, width, height = world.cell_size, world.width, world.height
+    stride = width + 2
+    # Cells as in GridWorld.cell_of, and their flat indices in the padded grid.
+    start, end = (np.minimum(p // cs, (width - 1, height - 1)).astype(np.int64) for p in (a, b))
+    first, last = ((cells[:, 1] + 1) * stride + cells[:, 0] + 1 for cells in (start, end))
     live = np.flatnonzero(first != last)  # a segment within one cell is visible
     # One row per state variable, so dropping finished segments is one
     # indexing per dtype. The walk moves monotonically away from its start
-    # cell, so only the end cell needs excluding.
-    ints = np.stack([live, first[live], last[live], step[live, 0], step[live, 1] * stride])
-    floats = np.stack([t_max[live, 0], t_max[live, 1], t_delta[live, 0], t_delta[live, 1]])
+    # cell, so only the end cell needs excluding. Columns come in multiples
+    # of 64; a padding column sits arrived on the outside corner cell.
+    size = len(live) + -len(live) % 64
+    ints, floats = np.zeros((5, size), dtype=np.int64), np.full((4, size), np.inf)
+    ints[:3, : len(live)] = live, first[live], last[live]
+    # Per axis: the step, and the parametric distance along each segment to
+    # its next grid line and between grid lines.
+    for axis, scale in ((0, 1), (1, stride)):
+        origin = a[live, axis] / cs
+        delta = b[live, axis] / cs - origin
+        ints[3 + axis, : len(live)] = np.where(delta > 0, scale, -scale)
+        floats[axis, : len(live)] = np.where(delta != 0, (start[live, axis] + (delta > 0) - origin) / delta, np.inf)
+        floats[2 + axis, : len(live)] = np.abs(1.0 / delta)
+    del start, end, first, last, origin, delta  # the walk needs only ints and floats
 
     for _ in range(2 * (width + height) + 4):
         if not ints.shape[1]:
@@ -345,8 +370,12 @@ def line_of_sight(
         done = blocked | arrived | (code == _OUTSIDE)
         if done.any():
             visible[live[blocked]] = False
-            ints, floats = ints[:, ~done], floats[:, ~done]
-    return bool(visible[0]) if single else visible
+            # A finished segment stays put, arrived, until 64 columns can go at once, so few
+            # array sizes recur: numpy keeps freed buffers under 1 KiB for reuse by exact size.
+            last[done], step_x[done], step_y[done] = cell[done], 0, 0
+            drop = np.flatnonzero(done)[: np.count_nonzero(done) // 64 * 64]
+            if len(drop):
+                ints, floats = np.delete(ints, drop, axis=1), np.delete(floats, drop, axis=1)
 
 
 # -- scenario document ----------------------------------------------------

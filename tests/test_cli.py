@@ -565,6 +565,17 @@ def test_failed_simulate_keeps_an_output_directory_it_did_not_make(tmp_path, cap
     assert (out / "notes.txt").read_text() == "kept\n"
 
 
+def test_failed_simulate_removes_every_directory_it_made(tmp_path, capsys):
+    # Only `kept` exists: the run makes a, a/b and a/b/c, and removes all three.
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    argv = ["simulate", str(DEMO_ROOM), "--noise-sigma", "1e200", "--out", str(kept / "a" / "b" / "c")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(argv) == EXIT_RUNTIME
+    assert "runtime error: the initial calibration cost is inf, not finite" in capsys.readouterr().err
+    assert kept.is_dir() and list(kept.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["calibrate", "simulate", "plan", "render"])
 def test_seed_above_64_bits_exits_1(tmp_path, capsys, command):
     code = cli.main([command, str(DEMO_ROOM), "--seed", str(2**64), "--out", str(tmp_path / "out")])

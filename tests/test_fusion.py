@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ubimap import fusion, sensim
+from ubimap import fusion, sensim, world
 from ubimap.fusion import (
     CellState,
     DimensionMismatchError,
@@ -41,6 +41,14 @@ def evidence(grid_map, cam_id, cells, occupied=(), t=0.0):
 
 
 # -- fuse_frame ---------------------------------------------------------------
+
+
+def test_cell_state_is_the_world_enum():
+    # The enum lives in world, so code that only reads cell states need not load fusion.
+    assert fusion.CellState is world.CellState
+    assert [(state.name, int(state)) for state in CellState] == [
+        ("UNEXPLORED", 0), ("EXPLORED", 1), ("WALL", 2), ("OBSTACLE", 3), ("ROBOT", 4)
+    ]
 
 
 def test_fresh_map_all_unexplored():

@@ -25,7 +25,7 @@ LOADED = {
     "plan": BASE | {"ubimap.coverage"},
     "calibrate": BASE | {"ubimap.calib", "ubimap.sensim"},
     "simulate": {"ubimap", *(f"ubimap.{name}" for name in LAYERS)},
-    "render": BASE | {"ubimap.fusion", "ubimap.sensim"},
+    "render": BASE,
 }
 
 # Runs `ubimap` with the arguments given and prints, as the last line, the

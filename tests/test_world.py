@@ -1,8 +1,11 @@
+import importlib.util
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ubimap import world as w
 from ubimap.world import (
@@ -381,8 +384,22 @@ def walled_grids_with_segments(draw):
     return grid, draw(st.lists(st.tuples(point, point), min_size=1, max_size=12))
 
 
+def many_segments():
+    """A walled grid and more than two blocks of segments, endpoints on
+    cell centers, edges and corners or anywhere."""
+    rng = np.random.default_rng(11)
+    walls = frozenset({CellIndex(c, 3) for c in range(2, 9)} | {CellIndex(5, r) for r in range(0, 3)})
+    grid = GridWorld(cell_size=0.5, width=11, height=7, walls=walls)
+    n = 2 * w.SEGMENT_BLOCK + 5
+    on_lines = rng.integers(0, (23, 15), size=(n, 2, 2)) * 0.25
+    anywhere = rng.uniform(0.0, (5.5, 3.5), size=(n, 2, 2))
+    points = np.where(rng.random((n, 2, 1)) < 0.5, on_lines, anywhere)
+    return grid, [(tuple(p), tuple(q)) for p, q in points.tolist()]
+
+
 @settings(max_examples=300, deadline=None)
 @given(walled_grids_with_segments())
+@example(many_segments())
 def test_line_of_sight_batched_matches_reference_walk(case):
     grid, segments = case
     assert_matches_reference(grid, segments)
@@ -496,6 +513,65 @@ def test_covered_masks_match_single_camera_cells(case):
         cells = covered_cells(cam, grid)
         assert np.array_equal(mask, w.cell_mask(grid.width, grid.height, cells))
         assert cells == reference_covered_cells(cam, grid)
+
+
+@st.composite
+def walled_grids_with_shared_sites(draw):
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cell_size = draw(st.sampled_from([0.25, 0.5, 1.0, 1.7]))
+    cells = [CellIndex(c, r) for r in range(height) for c in range(width)]
+    walls = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 2))
+    grid = GridWorld(cell_size=cell_size, width=width, height=height, walls=frozenset(walls))
+    # Half-cell steps put a site on a cell center, edge or corner; a wall
+    # cell's center or corner puts it over a wall.
+    halves = st.tuples(st.integers(0, 2 * width), st.integers(0, 2 * height))
+    site = st.one_of(
+        halves.map(lambda k: (k[0] * cell_size / 2, k[1] * cell_size / 2)),
+        st.tuples(st.floats(0.0, width * cell_size), st.floats(0.0, height * cell_size)),
+        *([st.tuples(st.sampled_from(sorted(walls)), st.sampled_from([0.0, 0.5])).map(
+            lambda wall: ((wall[0].col + wall[1]) * cell_size, (wall[0].row + wall[1]) * cell_size)
+        )] if walls else []),
+    )
+    view = st.tuples(st.floats(0.3, 8.0), st.floats(0.3, 8.0), st.floats(-4.0, 4.0))
+    specs = [
+        (x, y, *spec)
+        for x, y in draw(st.lists(site, min_size=1, max_size=4))
+        for spec in draw(st.lists(view, min_size=1, max_size=8))
+    ]
+    cams = [make_camera(x, y, width=wide, depth=deep, yaw=yaw, cid=cid) for cid, (x, y, wide, deep, yaw) in enumerate(specs)]
+    return grid, draw(st.permutations(cams))
+
+
+@settings(max_examples=150, deadline=None)
+@given(walled_grids_with_shared_sites())
+def test_covered_masks_of_cameras_sharing_sites_match_single_camera_walks(case):
+    grid, cams = case
+    masks = covered_cells(cams, grid)
+    assert masks.shape == (len(cams), grid.height, grid.width) and masks.dtype == bool
+    for cam, mask in zip(cams, masks):
+        assert np.array_equal(mask, covered_cells([cam], grid)[0])
+        assert np.array_equal(mask, w.cell_mask(grid.width, grid.height, reference_covered_cells(cam, grid)))
+
+
+def test_line_of_sight_peak_memory_is_bounded_by_its_block():
+    # The 120x30 benchmark room (perfbench/gen.py room 1): 20,000 segments in
+    # one call hold no more walk state than a block's.
+    spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).parent.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    grid = gen.room(1).world
+    rng = np.random.default_rng(3)
+    limit = (grid.width * grid.cell_size, grid.height * grid.cell_size)
+    a, b = rng.uniform(0.0, limit, size=(2, 20_000, 2))
+    line_of_sight(grid, a[:1], b[:1])  # the grid's cached masks are built outside the measurement
+    tracemalloc.start()
+    try:
+        visible = line_of_sight(grid, a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert visible.shape == (20_000,) and 0 < visible.sum() < 20_000
+    assert peak < 2_000_000, peak
 
 
 def test_covered_cells_degenerate_range_empty():
