@@ -105,49 +105,56 @@ def inverse2(m: list[list[float]]) -> list[list[float]]:
 
 def jacobi_eigen(a: list[list]) -> tuple[list, list[list]]:
     """Eigenvalues (unsorted) and the matrix of unit eigenvectors (column k
-    for value k) of a stack of symmetric matrices, upper triangle read. A
-    rotation one matrix does not need leaves it untouched, so its result
-    does not depend on the rest of the stack."""
+    for value k) of symmetric matrices, upper triangle read: Python floats
+    for one matrix, elementwise arrays for a stack. Both run the same loop,
+    and a rotation one matrix of a stack does not need leaves it untouched,
+    so each matrix gets the bits it gets alone."""
     n = len(a)
-    a = [[np.asarray(x, dtype=float) for x in row] for row in symmetric(a)]
-    shape = np.broadcast_shapes(*(x.shape for row in a for x in row))
-    a = [[np.broadcast_to(x, shape).copy() for x in row] for row in a]
-    v = [[np.full(shape, float(p == q)) for q in range(n)] for p in range(n)]
-    tiny = JACOBI_SKIP * np.sqrt(inner([x for row in a for x in row], [x for row in a for x in row]))
+    a = symmetric(a)
+    if all(isinstance(x, float) for row in a for x in row):
+        pick, absolute, root, anything, one = (lambda c, x, y: x if c else y), abs, math.sqrt, bool, 1.0
+    else:
+        pick, absolute, root, anything = np.where, np.abs, np.sqrt, np.any
+        shape = np.broadcast_shapes(*(np.shape(x) for row in a for x in row))
+        a = [[np.broadcast_to(np.asarray(x, dtype=float), shape).copy() for x in row] for row in a]
+        one = np.ones(shape)
+    v = [[one * float(p == q) for q in range(n)] for p in range(n)]
+    tiny = JACOBI_SKIP * root(inner([x for row in a for x in row], [x for row in a for x in row]))
     for _ in range(JACOBI_SWEEPS):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
-                rotate = np.abs(apq) > tiny
-                if not rotate.any():
+                rotate = absolute(apq) > tiny
+                if not anything(rotate):
                     continue
                 rotated = True
-                theta = (a[q][q] - a[p][p]) / (2.0 * np.where(rotate, apq, 1.0))
-                t = np.where(theta < 0.0, -1.0, 1.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                theta = (a[q][q] - a[p][p]) / (2.0 * pick(rotate, apq, 1.0))
+                t = pick(theta < 0.0, -1.0, 1.0) / (absolute(theta) + root(theta * theta + 1.0))
+                c = 1.0 / root(t * t + 1.0)
                 s = t * c
-                a[p][p] = np.where(rotate, a[p][p] - t * apq, a[p][p])
-                a[q][q] = np.where(rotate, a[q][q] + t * apq, a[q][q])
-                a[p][q] = a[q][p] = np.where(rotate, 0.0, apq)
+                a[p][p] = pick(rotate, a[p][p] - t * apq, a[p][p])
+                a[q][q] = pick(rotate, a[q][q] + t * apq, a[q][q])
+                a[p][q] = a[q][p] = pick(rotate, 0.0, apq)
                 for r in range(n):
                     if r != p and r != q:
                         arp, arq = a[r][p], a[r][q]
-                        a[r][p] = a[p][r] = np.where(rotate, c * arp - s * arq, arp)
-                        a[r][q] = a[q][r] = np.where(rotate, s * arp + c * arq, arq)
+                        a[r][p] = a[p][r] = pick(rotate, c * arp - s * arq, arp)
+                        a[r][q] = a[q][r] = pick(rotate, s * arp + c * arq, arq)
                 for row in v:
                     vp, vq = row[p], row[q]
-                    row[p] = np.where(rotate, c * vp - s * vq, vp)
-                    row[q] = np.where(rotate, s * vp + c * vq, vq)
+                    row[p] = pick(rotate, c * vp - s * vq, vp)
+                    row[q] = pick(rotate, s * vp + c * vq, vq)
         if not rotated:
             break
     return [a[k][k] for k in range(n)], v
 
 
 def horn_rotation(b: list[list]) -> list[list]:
-    """The proper rotations R maximizing tr(R^T B) for a stack of 3x3 B (the
-    best alignment when B sums centred target x source^T; the nearest
-    rotation to B), from the top eigenvector of Horn's 4x4 matrix."""
+    """The proper rotations R maximizing tr(R^T B) for a stack of 3x3 B, or
+    one B in Python floats (the best alignment when B sums centred target x
+    source^T; the nearest rotation to B), from the top eigenvector of
+    Horn's 4x4 matrix."""
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
     horn = [
         [b00 + b11 + b22, b21 - b12, b02 - b20, b10 - b01],
@@ -156,8 +163,12 @@ def horn_rotation(b: list[list]) -> list[list]:
         [None, None, None, -b00 - b11 + b22],
     ]
     values, vectors = jacobi_eigen(horn)
-    top = np.argmax(np.stack(values), axis=0)
-    w, x, y, z = (np.choose(top, row) for row in vectors)
+    if isinstance(values[0], float):
+        top = max(range(4), key=values.__getitem__)  # the first largest, as argmax
+        w, x, y, z = (row[top] for row in vectors)
+    else:
+        top = np.argmax(np.stack(values), axis=0)
+        w, x, y, z = (np.choose(top, row) for row in vectors)
     norm = np.sqrt(w * w + x * x + y * y + z * z)
     w, x, y, z = w / norm, x / norm, y / norm, z / norm
     return [

@@ -6,15 +6,18 @@ reference camera, and a damped least-squares refinement of the total
 matching cost, with no BLAS or LAPACK call (see ``algebra``). The
 landmarks the camera pairs share come as one flat table
 (``Correspondences``): ``build_graph`` aligns every pair in one batched
-call and the graph keeps the table's rows, which the cost and the
-refinement read in place, in windows of edges (see
-``CorrespondenceTable``). Inside the cost, the loop-closure check and the
-refinement, poses are stacked arrays in ``graph.nodes`` order, (N, 3, 3)
-rotations and (N, 3) translations; ``RigidTransform`` appears only at the
-boundary (``stack_poses`` on the way in, ``refine``'s returned dict on the
-way out). The refinement sums J^T J and J^T r from per-camera 6-column
-Jacobian blocks into band storage and solves by a banded Cholesky: memory
-is O(N b) for N cameras and a bandwidth of b cameras.
+call, a pair whose fit is degenerate or overflows becoming a failed edge,
+and the graph keeps the table's rows, which the cost and the refinement
+read in place, in windows of edges (see ``CorrespondenceTable``), and the
+edge transforms as (E, 3, 3) and (E, 3) stacks. ``propagate`` composes
+one breadth-first level at a time. Inside the cost, the loop-closure check
+and the refinement, poses are stacked arrays in ``graph.nodes`` order,
+(N, 3, 3) rotations and (N, 3) translations; a ``RigidTransform`` per
+camera appears only at the boundary (``stack_poses`` on the way in,
+``propagate``'s and ``refine``'s returned dicts on the way out). The
+refinement sums J^T J and J^T r from per-camera 6-column Jacobian blocks
+into band storage and solves by a banded Cholesky: memory is O(N b) for N
+cameras and a bandwidth of b cameras.
 
 Frame conventions (used consistently everywhere in this module):
     - An edge (i, j) stores the pose of camera j expressed in camera i's
@@ -29,7 +32,6 @@ Frame conventions (used consistently everywhere in this module):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,14 +107,6 @@ class IcpOptions:
 
 
 @dataclass(frozen=True)
-class GraphEdge:
-    camera_i: int
-    camera_j: int
-    transform: RigidTransform  # pose of camera j in camera i's frame
-    residual: float  # RMS matching error, meters
-
-
-@dataclass(frozen=True)
 class CorrespondenceTable:
     """Where the graph's correspondences meet the pose stacks, built once per
     graph (``TransformGraph.table``). Slots index ``graph.nodes``, the order
@@ -134,38 +128,47 @@ class CorrespondenceTable:
 
 @dataclass(frozen=True)
 class TransformGraph:
-    """The cameras, one edge per aligned pair, and the edges'
-    correspondences: the table's pair k is edge k."""
+    """The cameras and one edge per aligned pair, as stacks: edge k is the
+    correspondence table's pair k, cameras (i, j) =
+    ``correspondences.cameras[k]``, with transform ``rotations[k]``,
+    ``translations[k]`` (the pose of camera j in camera i's frame) and RMS
+    matching error ``residuals[k]``, in meters. The stacks are read-only."""
 
     nodes: tuple[int, ...]
-    edges: tuple[GraphEdge, ...]
     reference: int
     correspondences: Correspondences
+    rotations: np.ndarray  # (E, 3, 3)
+    translations: np.ndarray  # (E, 3)
+    residuals: np.ndarray  # (E,)
     failures: tuple[tuple[int, int, str], ...] = ()
 
     def __post_init__(self) -> None:
         if self.reference not in self.nodes:
             raise ValueError(f"reference camera {self.reference} is not a graph node")
+        edges = len(self.correspondences.cameras)
+        for name, shape in (("rotations", (edges, 3, 3)), ("translations", (edges, 3)), ("residuals", (edges,))):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} must be {shape}, one per pair of the correspondences, got {value.shape}")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         nodes, seen = set(self.nodes), set()
-        for edge in self.edges:
-            for camera in (edge.camera_i, edge.camera_j):
+        for pair in self.correspondences.cameras.tolist():
+            for camera in pair:
                 if camera not in nodes:
                     raise ValueError(f"edge camera {camera} is not a graph node")
-            key = frozenset((edge.camera_i, edge.camera_j))
+            key = frozenset(pair)
             if key in seen:
                 raise ValueError(f"duplicate edge between cameras {sorted(key)}")
             seen.add(key)
-        if self.correspondences.cameras.tolist() != [[edge.camera_i, edge.camera_j] for edge in self.edges]:
-            raise ValueError("the correspondences' camera pairs must be the edges'")
 
     @cached_property
     def table(self) -> CorrespondenceTable:
         """The correspondence table, built at first use and kept."""
         slot = {node: k for k, node in enumerate(self.nodes)}
-        slot_i = np.array([slot[edge.camera_i] for edge in self.edges], dtype=np.intp)
-        slot_j = np.array([slot[edge.camera_j] for edge in self.edges], dtype=np.intp)
+        pairs = np.array([[slot[i], slot[j]] for i, j in self.correspondences.cameras.tolist()], dtype=np.intp).reshape(-1, 2)
+        slot_i, slot_j = pairs.T.copy()
         ref = slot[self.reference]
-        pairs = np.stack([slot_i, slot_j], axis=1).reshape(-1, 2)
         pairs = pairs[(pairs != ref).all(axis=1)]
         order, bandwidth = algebra.band_order(len(self.nodes) - 1, pairs - (pairs > ref))  # indices among free slots
         return CorrespondenceTable(slot_i, slot_j, _windows(self.correspondences.counts), order, bandwidth)
@@ -174,11 +177,11 @@ class TransformGraph:
 def best_rigid_transform(points_i: np.ndarray, points_j: np.ndarray) -> tuple[RigidTransform, float]:
     """Closed-form least-squares rigid alignment of paired (n, 3) points:
     the transform minimizing sum_k ||T p_i^k - p_j^k||^2 (see
-    ``_rigid_fits``) and the RMS residual."""
-    result = _rigid_fits(points_i, points_j, [len(points_i)])[0]
-    if isinstance(result, DegenerateGeometryError):
-        raise result
-    return result
+    ``_rigid_fits``, whose error it raises) and the RMS residual."""
+    rotations, translations, rms, errors = _rigid_fits(points_i, points_j, [len(points_i)])
+    if errors[0] is not None:
+        raise errors[0]
+    return RigidTransform(rotations[0], translations[0]), rms[0].item()
 
 
 def _windows(counts: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -188,61 +191,76 @@ def _windows(counts: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(starts, starts[1:] + [len(counts)]))
 
 
-def _rigid_fits(src: np.ndarray, dst: np.ndarray, sizes) -> list[tuple[RigidTransform, float] | DegenerateGeometryError]:
+def _rigid_fits(src: np.ndarray, dst: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[ValueError | None]]:
     """``best_rigid_transform`` of each set held one after another in paired
     (n, 3) rows, ``sizes[k]`` rows each, by Horn's method on all sets at
     once; the per-set sums (``np.add.reduceat``) and residuals run over
-    windows of sets (``_windows``), which bound the temporaries. Returns per
-    set (transform, RMS) or the error."""
+    windows of sets (``_windows``), which bound the temporaries. Returns
+    (E, 3, 3) rotations, (E, 3) translations and (E,) RMS residuals, checked
+    by one ``geom.check_rigid``, and per set None or the error that failed
+    it: fewer than 3 rows or collinear points (``DegenerateGeometryError``),
+    or sums or a residual that overflowed (``ValueError``). A failed set
+    holds the identity and a NaN residual."""
     sizes = np.asarray(sizes, dtype=np.intp)
-    out: list = [DegenerateGeometryError(f"need >= 3 correspondences, got {n}") if n < 3 else None for n in sizes.tolist()]
+    errors: list = [DegenerateGeometryError(f"need >= 3 correspondences, got {n}") if n < 3 else None for n in sizes.tolist()]
+    rotations = np.tile(np.eye(3), (len(sizes), 1, 1))
+    translations = np.zeros((len(sizes), 3))
+    residuals = np.full(len(sizes), np.nan)
     fitted = np.flatnonzero(sizes >= 3)
     if not len(fitted):
-        return out
+        return rotations, translations, residuals, errors
     counts = sizes[fitted]
     if len(fitted) < len(sizes):
         kept = np.repeat(sizes >= 3, sizes)
         src, dst = src[kept], dst[kept]
     first = np.cumsum(counts) - counts
     windows = [(a, b, first[a : b] - first[a], slice(first[a], first[b - 1] + counts[b - 1])) for a, b in _windows(counts)]
-    # Per set: the centroids of src and dst, src's scatter (upper triangle), then sum of centred dst x src^T.
-    sums = np.empty((21, len(counts)))
-    for a, b, offsets, rows in windows:
-        centroids, centred = [], []
-        for points in (src[rows].T, dst[rows].T):
-            centroids += [np.add.reduceat(x, offsets) / counts[a:b] for x in points]
-            centred.append([x - np.repeat(c, counts[a:b]) for x, c in zip(points, centroids[-3:])])
-        s_c, d_c = centred
-        factors = [(s_c[i], s_c[j]) for i in range(3) for j in range(i, 3)] + [(x, y) for x in d_c for y in s_c]
-        sums[:, a:b] = centroids + [np.add.reduceat(x * y, offsets) for x, y in factors]
-    # The scatter's trace and sum of principal 2x2 minors bound its eigenvalues:
-    # l1 <= trace and minors <= 3 l1 l2, so minors > 30 tol trace^2 gives l2 > 10 tol l1
-    # and only the other sets need Jacobi.
-    s00, s01, s02, s11, s12, s22 = sums[6:12]
-    trace = s00 + s11 + s22
-    minors = (s00 * s11 - s01 * s01) + (s00 * s22 - s02 * s02) + (s11 * s22 - s12 * s12)
-    collinear = np.zeros(len(counts), dtype=bool)
-    unsure = np.flatnonzero(minors <= 30.0 * COLLINEAR_TOL * trace * trace)
-    if len(unsure):
-        upper = iter(sums[6:12, unsure])
-        scatter = [[next(upper) if j >= i else None for j in range(3)] for i in range(3)]
-        spread = np.sort(np.stack(algebra.jacobi_eigen(scatter)[0]), axis=0)
-        collinear[unsure] = spread[1] <= COLLINEAR_TOL * spread[2]
-    rotation = algebra.horn_rotation([list(sums[12:15]), list(sums[15:18]), list(sums[18:21])])
-    translation = [c - d for c, d in zip(sums[3:6], algebra.transform(rotation, list(sums[0:3])))]
-    rms = np.empty(len(counts))
-    for a, b, offsets, rows in windows:
-        rotation_rows = [[np.repeat(x[a:b], counts[a:b]) for x in row] for row in rotation]
-        moved = algebra.affine(rotation_rows, [np.repeat(x[a:b], counts[a:b]) for x in translation], list(src[rows].T))
-        residual = [m - d for m, d in zip(moved, dst[rows].T)]
-        rms[a:b] = np.sqrt(np.add.reduceat(inner(residual, residual), offsets) / counts[a:b])
-    rotations, translations = algebra.to_array(rotation), np.stack(translation, axis=-1)
+    # Points too large for their products overflow to inf or nan; such a set fails below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Per set: the centroids of src and dst, src's scatter (upper triangle), then sum of centred dst x src^T.
+        sums = np.empty((21, len(counts)))
+        for a, b, offsets, rows in windows:
+            centroids, centred = [], []
+            for points in (src[rows].T, dst[rows].T):
+                centroids += [np.add.reduceat(x, offsets) / counts[a:b] for x in points]
+                centred.append([x - np.repeat(c, counts[a:b]) for x, c in zip(points, centroids[-3:])])
+            s_c, d_c = centred
+            factors = [(s_c[i], s_c[j]) for i in range(3) for j in range(i, 3)] + [(x, y) for x in d_c for y in s_c]
+            sums[:, a:b] = centroids + [np.add.reduceat(x * y, offsets) for x, y in factors]
+        finite = np.isfinite(sums).all(axis=0)
+        # The scatter's trace and sum of principal 2x2 minors bound its eigenvalues:
+        # l1 <= trace and minors <= 3 l1 l2, so minors > 30 tol trace^2 gives l2 > 10 tol l1
+        # and only the other sets need Jacobi.
+        s00, s01, s02, s11, s12, s22 = sums[6:12]
+        trace = s00 + s11 + s22
+        minors = (s00 * s11 - s01 * s01) + (s00 * s22 - s02 * s02) + (s11 * s22 - s12 * s12)
+        collinear = np.zeros(len(counts), dtype=bool)
+        unsure = np.flatnonzero(finite & (minors <= 30.0 * COLLINEAR_TOL * trace * trace))
+        if len(unsure):
+            upper = iter(sums[6:12, unsure])
+            scatter = [[next(upper) if j >= i else None for j in range(3)] for i in range(3)]
+            spread = np.sort(np.stack(algebra.jacobi_eigen(scatter)[0]), axis=0)
+            collinear[unsure] = spread[1] <= COLLINEAR_TOL * spread[2]
+        rotation = algebra.horn_rotation([list(sums[12:15]), list(sums[15:18]), list(sums[18:21])])
+        translation = [c - d for c, d in zip(sums[3:6], algebra.transform(rotation, list(sums[0:3])))]
+        rms = np.empty(len(counts))
+        for a, b, offsets, rows in windows:
+            rotation_rows = [[np.repeat(x[a:b], counts[a:b]) for x in row] for row in rotation]
+            moved = algebra.affine(rotation_rows, [np.repeat(x[a:b], counts[a:b]) for x in translation], list(src[rows].T))
+            residual = [m - d for m, d in zip(moved, dst[rows].T)]
+            rms[a:b] = np.sqrt(np.add.reduceat(inner(residual, residual), offsets) / counts[a:b])
+    finite &= np.isfinite(rms)
     for k, e in enumerate(fitted.tolist()):
-        if collinear[k]:
-            out[e] = DegenerateGeometryError("correspondence points are collinear; rotation is ambiguous")
-        else:
-            out[e] = (RigidTransform(rotations[k], translations[k]), rms[k].item())
-    return out
+        if not finite[k]:
+            errors[e] = ValueError("the alignment overflowed: its sums or residual are not finite")
+        elif collinear[k]:
+            errors[e] = DegenerateGeometryError("correspondence points are collinear; rotation is ambiguous")
+    good = finite & ~collinear
+    rotations[fitted[good]] = algebra.to_array(rotation)[good]
+    translations[fitted[good]] = np.stack(translation, axis=-1)[good]
+    residuals[fitted[good]] = rms[good]
+    geom.check_rigid(rotations, translations)
+    return rotations, translations, residuals, errors
 
 
 @dataclass(frozen=True)
@@ -259,7 +277,7 @@ def icp(
     source_ids: tuple[int, ...] | None = None,
     target_ids: tuple[int, ...] | None = None,
     sizes=None,
-) -> IcpResult | list[IcpResult | DegenerateGeometryError]:
+) -> IcpResult | tuple[np.ndarray, np.ndarray, np.ndarray, list[ValueError | None]]:
     """Iterative closest point: align the source set onto the target set.
 
     Alternates correspondence matching (by landmark id when both id tuples
@@ -271,15 +289,14 @@ def icp(
 
     With ``sizes``, source and target hold many sets one after another,
     ``sizes[k]`` rows each, paired row by row (ids are not read), aligned in
-    one pass; the result lists per set its ``IcpResult`` or its error.
+    one pass; the result is ``_rigid_fits``' stacks and per-set errors.
     """
     src = np.asarray(source, dtype=float).reshape(-1, 3)
     dst = np.asarray(target, dtype=float).reshape(-1, 3)
     if sizes is not None:
         if len(src) != len(dst) or np.sum(sizes) != len(src):
             raise ValueError("source and target need sum(sizes) rows each")
-        fits = _rigid_fits(src, dst, sizes)
-        return [fit if isinstance(fit, DegenerateGeometryError) else IcpResult(*fit, iterations=1) for fit in fits]
+        return _rigid_fits(src, dst, sizes)
     if len(src) < 3 or len(dst) < 3:
         raise DegenerateGeometryError("both point sets need >= 3 points")
     if not (np.isfinite(src).all() and np.isfinite(dst).all()):
@@ -326,40 +343,50 @@ def build_graph(pairs: Correspondences, reference: int, nodes: tuple[int, ...] =
     propagation)."""
     # The edge holds the pose of camera j in camera i's frame, which is the
     # transform taking j-local observations to i-local ones.
-    results = icp(pairs.points_j, pairs.points_i, sizes=pairs.counts)
+    rotations, translations, residuals, errors = icp(pairs.points_j, pairs.points_i, sizes=pairs.counts)
     cameras = pairs.cameras.tolist()
-    edges: list[GraphEdge] = []
-    failures: list[tuple[int, int, str]] = []
-    for (cam_i, cam_j), result in zip(cameras, results):
-        if isinstance(result, DegenerateGeometryError):
-            failures.append((cam_i, cam_j, str(result)))
-        else:
-            edges.append(GraphEdge(cam_i, cam_j, result.transform, result.rms_residual))
+    failures = tuple((cam_i, cam_j, str(error)) for (cam_i, cam_j), error in zip(cameras, errors) if error is not None)
     if failures:
-        kept = np.array([not isinstance(result, DegenerateGeometryError) for result in results], dtype=bool)
+        kept = np.array([error is None for error in errors], dtype=bool)
         rows = np.repeat(kept, pairs.counts)
         pairs = Correspondences(pairs.cameras[kept], pairs.counts[kept], pairs.points_i[rows], pairs.points_j[rows])
+        rotations, translations, residuals = rotations[kept], translations[kept], residuals[kept]
     nodes = {reference, *nodes, *(camera for pair in cameras for camera in pair)}
-    return TransformGraph(tuple(sorted(nodes)), tuple(edges), reference, pairs, tuple(failures))
+    return TransformGraph(tuple(sorted(nodes)), reference, pairs, rotations, translations, residuals, failures)
 
 
 def propagate(graph: TransformGraph) -> dict[int, RigidTransform]:
     """Breadth-first spanning tree from the reference; each camera's global
-    pose is the composition of edge transforms along its tree path."""
-    adjacency: dict[int, list[tuple[int, RigidTransform]]] = {node: [] for node in graph.nodes}
-    for edge in graph.edges:
-        adjacency[edge.camera_i].append((edge.camera_j, edge.transform))
-        adjacency[edge.camera_j].append((edge.camera_i, geom.invert(edge.transform)))
+    pose is its parent's composed with the edge between them, inverted when
+    the tree walks the edge from camera j to camera i. The walk goes one
+    level at a time, with one stacked ``geom.compose`` per level; a level's
+    parents come in the order they were reached and each parent's new
+    neighbours by id, as in a walk one camera at a time. Returns the poses
+    in the order reached."""
+    edges = RigidTransform(graph.rotations, graph.translations)
+    inverse = geom.invert(edges)
+    step_rotations = np.concatenate([edges.rotation, inverse.rotation])  # edge k, then edge k backward at E + k
+    step_translations = np.concatenate([edges.translation, inverse.translation])
+    adjacency: dict[int, list[tuple[int, int]]] = {node: [] for node in graph.nodes}
+    for k, (cam_i, cam_j) in enumerate(graph.correspondences.cameras.tolist()):
+        adjacency[cam_i].append((cam_j, k))
+        adjacency[cam_j].append((cam_i, len(graph.residuals) + k))
 
     poses: dict[int, RigidTransform] = {graph.reference: geom.identity()}
-    queue = deque([graph.reference])
-    while queue:
-        node = queue.popleft()
-        for neighbor, pose_in_node in sorted(adjacency[node], key=lambda item: item[0]):
-            if neighbor in poses:
-                continue
-            poses[neighbor] = geom.compose(poses[node], pose_in_node)
-            queue.append(neighbor)
+    level = [graph.reference]
+    while level:
+        tree: dict[int, tuple[int, int]] = {}  # each camera the level reaches: (parent, step)
+        for node in level:
+            for neighbor, step in sorted(adjacency[node]):
+                if neighbor not in poses and neighbor not in tree:
+                    tree[neighbor] = (node, step)
+        if not tree:
+            break
+        parents, steps = (list(column) for column in zip(*tree.values()))
+        parent = RigidTransform([poses[p].rotation for p in parents], [poses[p].translation for p in parents])
+        step = RigidTransform(step_rotations[steps], step_translations[steps])
+        poses.update(zip(tree, geom.unstack(geom.compose(parent, step))))
+        level = list(tree)
     missing = [node for node in graph.nodes if node not in poses]
     if missing:
         raise DisconnectedGraphError(missing)
@@ -416,11 +443,11 @@ def graph_cost(graph: TransformGraph, rotations: np.ndarray, translations: np.nd
     """Total matching cost: sum over edges and landmarks of the squared
     distance between the two observations brought into camera i's frame,
     summed edge after edge in edge order."""
-    if not graph.edges:
+    if not len(graph.residuals):
         return 0.0
     rotation, translation = _relative_poses(graph, rotations, translations)
     counts = graph.correspondences.counts
-    per_edge = np.empty(len(graph.edges))
+    per_edge = np.empty(len(graph.residuals))
     for start, end in graph.table.windows:
         p_i, p_j, offsets = _window_points(graph, start, end)
         moved = algebra.affine(*_edge_rows(rotation[start:end], translation[start:end], counts[start:end]), list(p_j))
@@ -429,23 +456,17 @@ def graph_cost(graph: TransformGraph, rotations: np.ndarray, translations: np.nd
     return float(np.cumsum(per_edge)[-1])
 
 
-def loop_closure_error(
-    graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray
-) -> dict[tuple[int, int], float]:
-    """Per-edge discrepancy between the stored transform and the one the
-    current poses imply: rotation angle plus translation distance. Nonzero
-    values on non-tree edges are loop error."""
-    if not graph.edges:
-        return {}
+def loop_closure_error(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
+    """Per edge, in edge order, the discrepancy between the stored transform
+    and the one the current poses imply: rotation angle plus translation
+    distance. Nonzero values on non-tree edges are loop error."""
+    if not len(graph.residuals):
+        return np.zeros(0)
     rotation, translation = _relative_poses(graph, rotations, translations)
-    stored = algebra.entries(np.stack([edge.transform.rotation for edge in graph.edges]))
+    stored = algebra.entries(graph.rotations)
     angles = geom._rotation_angles(algebra.to_array(algebra.product(algebra.transpose(algebra.entries(rotation)), stored)))
-    offset = list((translation - np.stack([edge.transform.translation for edge in graph.edges])).T)
-    distance = np.sqrt(inner(offset, offset))
-    return {
-        (edge.camera_i, edge.camera_j): angle + dist
-        for edge, angle, dist in zip(graph.edges, angles, distance.tolist())
-    }
+    offset = list((translation - graph.translations).T)
+    return np.array(angles) + np.sqrt(inner(offset, offset))
 
 
 def _free_slots(graph: TransformGraph) -> np.ndarray:
@@ -582,7 +603,7 @@ def refine(
     if not np.isfinite(cost):
         raise ValueError(f"the initial calibration cost is {cost!r}, not finite")
     trace = [cost]
-    if len(graph.nodes) == 1 or not graph.edges:
+    if len(graph.nodes) == 1 or not len(graph.residuals):
         return dict(initial), trace
 
     order = graph.table.order
@@ -622,8 +643,8 @@ def refine(
             damping *= 10.0
         if not stepped or relative_drop < relative_cost_tol:
             break
-    slot = {node: k for k, node in enumerate(graph.nodes)}
-    return {node: RigidTransform(rotations[slot[node]], translations[slot[node]]) for node in initial}, trace
+    refined = dict(zip(graph.nodes, geom.unstack(RigidTransform(rotations, translations))))
+    return {node: refined[node] for node in initial}, trace
 
 
 def _apply_step(

@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import csv
 import importlib
-import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -77,16 +76,16 @@ class RunReport:
                 raise ValueError("calibration errors must be >= 0")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    path.write_bytes(buffer.getvalue().encode("ascii"))
-
-
 def _open_csv(path: Path) -> TextIO:
     return open(path, "w", encoding="ascii", newline="")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Writes the header, then the rows as they come."""
+    with _open_csv(path) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _truth_cells(world: GridWorld) -> np.ndarray:
@@ -112,24 +111,27 @@ class CalibrationResult:
     initial: dict[int, ubimap.geom.RigidTransform]
     refined: dict[int, ubimap.geom.RigidTransform]
     cost_trace: list[float]
-    true_poses: dict[int, ubimap.geom.RigidTransform]
+    true_poses: ubimap.geom.RigidTransform  # one stack, in graph.nodes order
 
-    def pose_errors(self) -> dict[int, tuple[float, float]]:
-        out = {}
-        for cam_id, pose in self.refined.items():
-            truth = self.true_poses[cam_id]
-            out[cam_id] = (
-                ubimap.geom.rotation_distance(pose, truth),
-                math.dist(pose.translation.tolist(), truth.translation.tolist()),
-            )
-        return out
+    def _refined_stack(self) -> ubimap.geom.RigidTransform:
+        return ubimap.geom.RigidTransform(*ubimap.calib.stack_poses(self.graph, self.refined))
+
+    def pose_errors(self) -> tuple[list[float], list[float]]:
+        """Each camera's refined pose against the truth, cameras in
+        ``graph.nodes`` order: the rotation angles and the translation
+        distances."""
+        refined = self._refined_stack()
+        distances = [math.dist(p, q) for p, q in zip(refined.translation.tolist(), self.true_poses.translation.tolist())]
+        return ubimap.geom.rotation_distance(refined, self.true_poses), distances
 
     def estimated_world_poses(
         self, reference_world_pose: ubimap.geom.RigidTransform
     ) -> dict[int, ubimap.geom.RigidTransform]:
         """Anchor the calibrated rig to the world through the surveyed
-        reference camera."""
-        return {cam_id: ubimap.geom.compose(reference_world_pose, pose) for cam_id, pose in self.refined.items()}
+        reference camera, in ``refined``'s order."""
+        world = ubimap.geom.compose(reference_world_pose, self._refined_stack())
+        by_camera = dict(zip(self.graph.nodes, ubimap.geom.unstack(world)))
+        return {cam_id: by_camera[cam_id] for cam_id in self.refined}
 
 
 def _shared_landmark_pairs(camera_ids: list[int], seen: np.ndarray, points: np.ndarray) -> ubimap.calib.Correspondences:
@@ -170,16 +172,15 @@ def calibrate_scenario(scenario: Scenario, sigma: float, seed: int) -> Calibrati
     initial = ubimap.calib.propagate(graph)  # raises DisconnectedGraphError
     refined, trace = ubimap.calib.refine(graph, initial)
 
-    world_poses = {cam.id: ubimap.sensim.camera_world_pose(cam) for cam in cams}
-    ref_inverse = ubimap.geom.invert(world_poses[reference])
-    true_poses = {cam.id: ubimap.geom.compose(ref_inverse, world_poses[cam.id]) for cam in cams}
+    world_poses = ubimap.sensim.camera_world_poses(cams)  # graph.nodes order, the reference first
+    ref_inverse = ubimap.geom.invert(ubimap.geom.RigidTransform(world_poses.rotation[0], world_poses.translation[0]))
     return CalibrationResult(
         reference=reference,
         graph=graph,
         initial=initial,
         refined=refined,
         cost_trace=trace,
-        true_poses=true_poses,
+        true_poses=ubimap.geom.compose(ref_inverse, world_poses),
     )
 
 
@@ -250,29 +251,36 @@ def _coverage_heatmap(problem: ubimap.coverage.CoverageProblem, plan: ubimap.cov
 
 
 def cmd_calibrate(scenario: Scenario, args) -> int:
+    """Streams calibration.csv row by row from the loop and pose errors,
+    computed before the file or --out is made: a failed calibration leaves
+    neither."""
     seed = args.seed if args.seed is not None else scenario.params.seed
     sigma = args.noise_sigma if args.noise_sigma is not None else scenario.params.noise_sigma
     result = calibrate_scenario(scenario, sigma, seed)
+    graph = result.graph
+    loop_initial, loop_refined = (
+        ubimap.calib.loop_closure_error(graph, *ubimap.calib.stack_poses(graph, poses)).tolist()
+        for poses in (result.initial, result.refined)
+    )
+    rotation_errors, translation_errors = result.pose_errors()
+    pairs = graph.correspondences.cameras.tolist()
+    by_pair = sorted(range(len(pairs)), key=pairs.__getitem__)  # the loop errors' row order
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    loop = ubimap.calib.loop_closure_error(result.graph, *ubimap.calib.stack_poses(result.graph, result.initial))
-    rows = [["cost_initial", "", repr(result.cost_trace[0])], ["cost_final", "", repr(result.cost_trace[-1])]]
-    for edge in result.graph.edges:
-        rows.append(["edge_residual", f"{edge.camera_i}-{edge.camera_j}", repr(edge.residual)])
-    for (i, j), err in sorted(loop.items()):
-        rows.append(["loop_error_initial", f"{i}-{j}", repr(err)])
-    loop_refined = ubimap.calib.loop_closure_error(result.graph, *ubimap.calib.stack_poses(result.graph, result.refined))
-    for (i, j), err in sorted(loop_refined.items()):
-        rows.append(["loop_error_refined", f"{i}-{j}", repr(err)])
-    pose_errors = result.pose_errors()
-    for cam_id, (rot_err, tra_err) in sorted(pose_errors.items()):
-        rows.append(["pose_rotation_error_rad", str(cam_id), repr(rot_err)])
-        rows.append(["pose_translation_error_m", str(cam_id), repr(tra_err)])
-    for cam_id, cam_j, reason in result.graph.failures:
-        rows.append(["edge_failure", f"{cam_id}-{cam_j}", reason])
-    _write_csv(out_dir / "calibration.csv", ["record", "key", "value"], rows)
-    worst = max((err for err, _ in pose_errors.values()), default=0.0)
+    with _open_csv(out_dir / "calibration.csv") as report:
+        rows = csv.writer(report, lineterminator="\n")
+        rows.writerow(["record", "key", "value"])
+        rows.writerow(["cost_initial", "", repr(result.cost_trace[0])])
+        rows.writerow(["cost_final", "", repr(result.cost_trace[-1])])
+        rows.writerows(["edge_residual", f"{i}-{j}", repr(err)] for (i, j), err in zip(pairs, graph.residuals.tolist()))
+        for record, errors in (("loop_error_initial", loop_initial), ("loop_error_refined", loop_refined)):
+            rows.writerows([record, f"{pairs[k][0]}-{pairs[k][1]}", repr(errors[k])] for k in by_pair)
+        for cam_id, rot_err, tra_err in zip(graph.nodes, rotation_errors, translation_errors):
+            rows.writerow(["pose_rotation_error_rad", str(cam_id), repr(rot_err)])
+            rows.writerow(["pose_translation_error_m", str(cam_id), repr(tra_err)])
+        rows.writerows(["edge_failure", f"{i}-{j}", reason] for i, j, reason in graph.failures)
+    worst = max(rotation_errors, default=0.0)
     print(
         f"calibrated {len(result.refined)} cameras, cost {result.cost_trace[0]:.3e} -> "
         f"{result.cost_trace[-1]:.3e}, worst rotation error {worst:.3e} rad"
@@ -422,7 +430,7 @@ def run_simulation(
         observation_rows.writerow(["tick", "t", "kind", "camera_id", "a", "b", "c"])
     report = RunReport(
         coverage_ratio=coverage_ratio,
-        calibration_errors=calibration.pose_errors(),
+        calibration_errors=dict(zip(calibration.graph.nodes, zip(*calibration.pose_errors()))),
         cost_initial=calibration.cost_trace[0],
         cost_final=calibration.cost_trace[-1],
     )

@@ -45,7 +45,9 @@ class Point3:
 
 
 class RigidTransform:
-    """A proper rigid motion (rotation + translation) in 3D.
+    """A proper rigid motion (rotation + translation) in 3D, or a stack of
+    them: (..., 3, 3) rotations with (..., 3) translations, which
+    ``compose`` and ``invert`` take one by one.
 
     The entries must pass ``check_rigid``.
     """
@@ -53,8 +55,9 @@ class RigidTransform:
     __slots__ = ("rotation", "translation")
 
     def __init__(self, rotation, translation) -> None:
-        rot = np.array(rotation, dtype=float).reshape(3, 3)
-        tra = np.array(translation, dtype=float).reshape(3)
+        rot = np.array(rotation, dtype=float)
+        rot = rot.reshape(rot.shape[:-2] + (3, 3))
+        tra = np.array(translation, dtype=float).reshape(rot.shape[:-1])
         check_rigid(rot, tra)
         rot.setflags(write=False)
         tra.setflags(write=False)
@@ -62,7 +65,7 @@ class RigidTransform:
         self.translation = tra
 
     def transform_points(self, points: np.ndarray) -> np.ndarray:
-        """Apply the transform to an (n, 3) array of points."""
+        """Apply the transform (one, not a stack) to an (n, 3) array of points."""
         pts = np.asarray(points, dtype=float)
         moved = algebra.affine(self.rotation.tolist(), self.translation.tolist(), list(pts.T))
         return np.stack(moved, axis=-1)
@@ -102,6 +105,17 @@ def check_rigid(rotation: np.ndarray, translation: np.ndarray) -> None:
         raise ValueError(f"rotation determinant must be +1, got {float(det[off][0]):.12f}")
 
 
+def unstack(t: RigidTransform) -> list[RigidTransform]:
+    """The transforms of an (n,) stack, each a view of the stack's entries,
+    which were checked once."""
+    out = []
+    for rotation, translation in zip(t.rotation, t.translation):
+        one = RigidTransform.__new__(RigidTransform)
+        one.rotation, one.translation = rotation, translation
+        out.append(one)
+    return out
+
+
 def identity() -> RigidTransform:
     return RigidTransform(np.eye(3), np.zeros(3))
 
@@ -120,8 +134,10 @@ def nearest_rotation(m: np.ndarray) -> np.ndarray:
 def reorthonormalized(rotation: np.ndarray) -> np.ndarray:
     """The (..., 3, 3) float array with each rotation whose orthonormality
     error exceeds ``DRIFT_TOL`` replaced, in place, by its nearest rotation."""
-    drifted = np.asarray(orthonormality_error(rotation) > DRIFT_TOL)
-    if drifted.any():
+    drifted = orthonormality_error(rotation) > DRIFT_TOL
+    if rotation.ndim == 2 and drifted:  # one matrix, projected in Python floats
+        rotation[...] = nearest_rotation(rotation)
+    elif np.any(drifted):
         rotation[drifted] = nearest_rotation(rotation[drifted])
     return rotation
 
@@ -148,26 +164,39 @@ def rotation_from_axis_angle(vec) -> np.ndarray:
     )
 
 
+def _components(v: np.ndarray) -> list:
+    """The entries of an (..., 3) array: Python floats for one vector,
+    arrays over the leading axes for a stack."""
+    return v.tolist() if v.ndim == 1 else [v[..., i] for i in range(3)]
+
+
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Composition: the result applies ``b`` first, then ``a``."""
-    r_a = a.rotation.tolist()
-    rot = algebra.product(r_a, b.rotation.tolist())
-    tra = algebra.affine(r_a, a.translation.tolist(), b.translation.tolist())
-    return RigidTransform(reorthonormalized(np.array(rot)), tra)
+    """Composition: the result applies ``b`` first, then ``a``. A stack on
+    either side composes transform by transform (broadcast against the
+    other side), each with the bits of its own call."""
+    r_a = algebra.entries(a.rotation)
+    rot = algebra.product(r_a, algebra.entries(b.rotation))
+    tra = algebra.affine(r_a, _components(a.translation), _components(b.translation))
+    return RigidTransform(reorthonormalized(algebra.to_array(rot)), np.stack(tra, axis=-1))
 
 
 def invert(t: RigidTransform) -> RigidTransform:
-    rot = t.rotation.T
-    return RigidTransform(rot, [-x for x in algebra.transform(rot.tolist(), t.translation.tolist())])
+    """The inverse transform, or each one of a stack's."""
+    rot = np.swapaxes(t.rotation, -1, -2)
+    tra = algebra.transform(algebra.entries(rot), _components(t.translation))
+    return RigidTransform(rot, np.stack([-x for x in tra], axis=-1))
 
 
 def apply(t: RigidTransform, p: Point3) -> Point3:
     return Point3(*algebra.affine(t.rotation.tolist(), t.translation.tolist(), [p.x, p.y, p.z]))
 
 
-def rotation_distance(a: RigidTransform, b: RigidTransform) -> float:
-    """Geodesic angle between the two rotations, in [0, pi]."""
-    return _rotation_angles(np.array(algebra.product(algebra.transpose(a.rotation.tolist()), b.rotation.tolist())))[0]
+def rotation_distance(a: RigidTransform, b: RigidTransform) -> float | list[float]:
+    """Geodesic angle between the two rotations, in [0, pi]; for a stack on
+    either side, the list of the angles transform by transform."""
+    relative = algebra.to_array(algebra.product(algebra.transpose(algebra.entries(a.rotation)), algebra.entries(b.rotation)))
+    angles = _rotation_angles(relative)
+    return angles if relative.ndim > 2 else angles[0]
 
 
 def _rotation_angles(rotation: np.ndarray) -> list[float]:

@@ -284,8 +284,10 @@ class MapServer:
         self._upload_windows: dict[int, tuple[int, int]] = {}
 
     def next_seq(self, kind: MessageKind) -> int:
+        """The kind's next seq: 0 first, and 0 again after 2**32 - 1, the
+        largest the u32 header field holds."""
         seq = self._seqs.get(kind, 0)
-        self._seqs[kind] = seq + 1
+        self._seqs[kind] = (seq + 1) % 2**32
         return seq
 
     def map_update_message(self) -> Message:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geom
+from . import algebra, geom
 from .geom import RigidTransform
 from .world import CameraSpec, GridWorld, cell_mask, covered_cells, ground_footprint, line_of_sight
 
@@ -63,18 +63,23 @@ class ObstacleEvidence:
     timestamp: float
 
 
+def camera_world_poses(cameras: Sequence[CameraSpec]) -> RigidTransform:
+    """Optical-frame -> world transforms of mounted cameras, one stack in
+    the order given."""
+    pitch = [math.atan2(cam.height, ground_footprint(cam).depth / 2.0) for cam in cameras]  # down from horizontal
+    cos_pitch = np.array([math.cos(a) for a in pitch])
+    forward = (np.array([-math.sin(cam.yaw) for cam in cameras]), np.array([math.cos(cam.yaw) for cam in cameras]))
+    z_axis = [forward[0] * cos_pitch, forward[1] * cos_pitch, -np.array([math.sin(a) for a in pitch])]
+    x_axis = [forward[1], -forward[0], np.zeros(len(cameras))]
+    y_axis = algebra.cross(z_axis, x_axis)
+    rotation = algebra.to_array([list(row) for row in zip(x_axis, y_axis, z_axis)])  # the axes are its columns
+    translation = np.array([(cam.x, cam.y, cam.height) for cam in cameras], dtype=float).reshape(-1, 3)
+    return RigidTransform(rotation, translation)
+
+
 def camera_world_pose(cam: CameraSpec) -> RigidTransform:
-    """Optical-frame -> world transform for a mounted camera."""
-    fp = ground_footprint(cam)
-    forward2d = np.array([-math.sin(cam.yaw), math.cos(cam.yaw)])
-    pitch = math.atan2(cam.height, fp.depth / 2.0)  # down from horizontal
-    z_axis = np.array(
-        [forward2d[0] * math.cos(pitch), forward2d[1] * math.cos(pitch), -math.sin(pitch)]
-    )
-    x_axis = np.array([forward2d[1], -forward2d[0], 0.0])
-    y_axis = np.cross(z_axis, x_axis)
-    rotation = np.column_stack([x_axis, y_axis, z_axis])
-    return RigidTransform(rotation, (cam.x, cam.y, cam.height))
+    """Optical-frame -> world transform for one mounted camera."""
+    return geom.unstack(camera_world_poses([cam]))[0]
 
 
 def _in_frustum(cam: CameraSpec, p_cam: np.ndarray) -> np.ndarray:
@@ -163,9 +168,10 @@ def observe_landmarks(
     positions = np.array([lm.position.as_array() for lm in landmarks]).reshape(-1, 3)
     seen = np.zeros((len(cameras), len(landmarks)), dtype=bool)
     in_view_points = [np.empty((0, 3))]
+    cam_from_world = geom.invert(camera_world_poses(cameras))
     for k, cam in enumerate(cameras):
-        cam_from_world = geom.invert(camera_world_pose(cam))
-        p_cam = cam_from_world.transform_points(positions)
+        rotation, translation = algebra.entries(cam_from_world.rotation[k]), cam_from_world.translation[k].tolist()
+        p_cam = np.stack(algebra.affine(rotation, translation, list(positions.T)), axis=-1)
         seen[k] = _in_frustum(cam, p_cam)
         in_view_points.append(p_cam[seen[k]])
     rows, cols = np.nonzero(seen)

@@ -6,7 +6,8 @@
   the inverse of ``GroundFootprint.to_local``.
 - ``cost_gradient``: the calibration cost's gradient from its normal
   equations; ``stack_pairs``: the calibration's correspondence table from
-  per-pair lists; ``build_plan``: the placement plan of a given selection.
+  per-pair lists; ``graph_edges``: a calibration graph's edge stacks one
+  edge at a time; ``build_plan``: the placement plan of a given selection.
 - ``kabsch``: least-squares rigid alignment by LAPACK's SVD (Kabsch 1976),
   the reference for ``calib``'s batched Horn fit.
 - The discrete Bayes grid filter (``GridBelief``, ``bayes_grid_step``): the
@@ -65,6 +66,24 @@ def cost_gradient(graph: calib.TransformGraph, rotations: np.ndarray, translatio
     """Analytic gradient of the total cost w.r.t. the free pose parameters
     (all cameras except the reference, in ``graph.nodes`` order)."""
     return 2.0 * calib._normal_equations(graph, rotations, translations)[1]
+
+
+@dataclass(frozen=True)
+class Edge:
+    camera_i: int
+    camera_j: int
+    transform: RigidTransform  # pose of camera j in camera i's frame
+    residual: float
+
+
+def graph_edges(graph: calib.TransformGraph) -> list[Edge]:
+    """The graph's edges one at a time, in edge order."""
+    return [
+        Edge(i, j, RigidTransform(rotation, translation), residual)
+        for (i, j), rotation, translation, residual in zip(
+            graph.correspondences.cameras.tolist(), graph.rotations, graph.translations, graph.residuals.tolist()
+        )
+    ]
 
 
 def stack_pairs(pairwise) -> calib.Correspondences:

@@ -1,6 +1,8 @@
+import dataclasses
 import importlib.util
 import math
 import tracemalloc
+from collections import deque
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +25,7 @@ from ubimap.calib import (
 )
 from ubimap.geom import RigidTransform
 
-from oracles import cost_gradient, is_close, kabsch, rot_z, skew, stack_pairs
+from oracles import cost_gradient, graph_edges, is_close, kabsch, rot_z, skew, stack_pairs
 
 
 def random_transform(rng, max_angle=math.pi, max_shift=3.0):
@@ -136,21 +138,21 @@ def aligned_set(rng, kind):
 def test_batched_horn_fit_matches_svd_kabsch(seed, kinds):
     rng = np.random.default_rng(seed)
     sets = [aligned_set(rng, kind) for kind in kinds]
-    results = icp(
+    rotations, translations, residuals, errors = icp(
         np.concatenate([src for src, _ in sets]),
         np.concatenate([dst for _, dst in sets]),
         IcpOptions(),
         sizes=[len(src) for src, _ in sets],
     )
-    assert len(results) == len(sets)
-    for (src, dst), result in zip(sets, results):
+    assert errors == [None] * len(sets) and len(rotations) == len(translations) == len(residuals) == len(sets)
+    for (src, dst), fit_rotation, fit_translation, fit_rms in zip(sets, rotations, translations, residuals.tolist()):
         rotation, translation = kabsch(src, dst)
-        np.testing.assert_allclose(result.transform.rotation, rotation, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(result.transform.translation, translation, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fit_rotation, rotation, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fit_translation, translation, rtol=0, atol=1e-12)
         # One set alone gives the bits it gets among many.
         alone, rms = best_rigid_transform(src, dst)
-        assert np.array_equal(alone.rotation, result.transform.rotation)
-        assert np.array_equal(alone.translation, result.transform.translation) and rms == result.rms_residual
+        assert np.array_equal(alone.rotation, fit_rotation)
+        assert np.array_equal(alone.translation, fit_translation) and rms == fit_rms
 
 
 @settings(max_examples=100, deadline=None)
@@ -167,8 +169,8 @@ def test_collinear_and_nearly_collinear_sets_are_degenerate(seed, n, jitter):
     with pytest.raises(DegenerateGeometryError, match="collinear"):
         best_rigid_transform(line, line + 1.0)
     good = rng.uniform(-2.0, 2.0, (5, 3))
-    results = icp(np.concatenate([line, good]), np.concatenate([line, good]) + 1.0, IcpOptions(), sizes=[n, 5])
-    assert isinstance(results[0], DegenerateGeometryError) and not isinstance(results[1], DegenerateGeometryError)
+    errors = icp(np.concatenate([line, good]), np.concatenate([line, good]) + 1.0, IcpOptions(), sizes=[n, 5])[3]
+    assert isinstance(errors[0], DegenerateGeometryError) and errors[1] is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -189,8 +191,8 @@ def test_collinearity_is_read_from_the_scatter_eigenvalues(seed, n, log_ratio):
     ratio = mid / high
     if calib.COLLINEAR_TOL / 2 < ratio < 2 * calib.COLLINEAR_TOL:
         return
-    fit = icp(src, src + 1.0, IcpOptions(), sizes=[n])[0]
-    assert isinstance(fit, DegenerateGeometryError) == (ratio < calib.COLLINEAR_TOL)
+    error = icp(src, src + 1.0, IcpOptions(), sizes=[n])[3][0]
+    assert isinstance(error, DegenerateGeometryError) == (ratio < calib.COLLINEAR_TOL)
 
 
 # -- ICP ---------------------------------------------------------------------
@@ -337,7 +339,7 @@ def test_build_graph_single_pair():
     _, pairwise = synthetic_rig(2, rng)
     graph = build_graph(pairwise, reference=0)
     assert graph.nodes == (0, 1)
-    assert len(graph.edges) == 1
+    assert len(graph_edges(graph)) == 1
     assert graph.failures == ()
 
 
@@ -345,16 +347,16 @@ def test_build_graph_chain_and_cycle_shapes():
     rng = np.random.default_rng(21)
     _, chain = synthetic_rig(4, rng)
     graph = build_graph(chain, reference=0)
-    assert len(graph.edges) == 3
+    assert len(graph_edges(graph)) == 3
     _, ring = synthetic_rig(4, rng, cycle=True)
     graph = build_graph(ring, reference=0)
-    assert len(graph.edges) == 4
+    assert len(graph_edges(graph)) == 4
 
 
 def test_build_graph_reports_degenerate_pairs():
     line = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
     graph = build_graph(stack_pairs([(0, 1, line, line)]), reference=0)
-    assert graph.edges == ()
+    assert graph_edges(graph) == []
     assert len(graph.failures) == 1
     assert graph.failures[0][:2] == (0, 1)
 
@@ -393,9 +395,7 @@ def test_propagate_raises_on_disconnected_graph():
     rng = np.random.default_rng(23)
     _, pairwise = synthetic_rig(2, rng)
     graph = build_graph(pairwise, reference=0)
-    disconnected = calib.TransformGraph(
-        nodes=graph.nodes + (9,), edges=graph.edges, reference=0, correspondences=graph.correspondences
-    )
+    disconnected = dataclasses.replace(graph, nodes=graph.nodes + (9,))
     with pytest.raises(DisconnectedGraphError) as err:
         propagate(disconnected)
     assert err.value.unreachable == (9,)
@@ -406,9 +406,67 @@ def test_tree_edges_reproduced_exactly():
     _, pairwise = synthetic_rig(5, rng)
     graph = build_graph(pairwise, reference=0)
     poses = propagate(graph)
-    for edge in graph.edges:  # a chain: every edge is a tree edge
+    for edge in graph_edges(graph):  # a chain: every edge is a tree edge
         implied = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
         assert is_close(implied, edge.transform, 1e-9, 1e-9)
+
+
+def oracle_propagate(graph):
+    """Reference: the breadth-first walk one camera at a time, the queue's
+    next camera taking its unreached neighbours by id, one compose each."""
+    adjacency = {node: [] for node in graph.nodes}
+    for edge in graph_edges(graph):
+        adjacency[edge.camera_i].append((edge.camera_j, edge.transform))
+        adjacency[edge.camera_j].append((edge.camera_i, geom.invert(edge.transform)))
+    poses = {graph.reference: geom.identity()}
+    queue = deque([graph.reference])
+    while queue:
+        node = queue.popleft()
+        for neighbor, pose_in_node in sorted(adjacency[node], key=lambda item: item[0]):
+            if neighbor not in poses:
+                poses[neighbor] = geom.compose(poses[node], pose_in_node)
+                queue.append(neighbor)
+    return poses
+
+
+@st.composite
+def camera_graphs(draw):
+    n_cameras = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_cameras - 1), st.integers(0, n_cameras - 1)), max_size=14))
+    unique, seen = [], set()
+    for i, j in pairs:  # either orientation, in any order
+        if i != j and frozenset((i, j)) not in seen:
+            seen.add(frozenset((i, j)))
+            unique.append((i, j))
+    return draw(st.integers(0, 2**32 - 1)), n_cameras, unique, draw(st.integers(0, n_cameras - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(camera_graphs())
+@example((5, 6, [(0, 3), (3, 1), (0, 4), (4, 1), (2, 1), (5, 2), (4, 5)], 0))  # 1 is a neighbour of both 3 and 4
+def test_propagate_walks_the_tree_of_a_walk_one_camera_at_a_time(case):
+    seed, n_cameras, pairs, reference = case
+    rng = np.random.default_rng(seed)
+    true_poses = [random_transform(rng, max_angle=1.2, max_shift=2.0) for _ in range(n_cameras)]
+    pairwise = []
+    for i, j in pairs:
+        world_pts = rng.uniform(-1.5, 1.5, size=(int(rng.integers(3, 7)), 3))
+        pts_i, pts_j = (geom.invert(true_poses[c]).transform_points(world_pts) for c in (i, j))
+        pairwise.append((i, j, pts_i + rng.normal(0, 0.01, pts_i.shape), pts_j + rng.normal(0, 0.01, pts_j.shape)))
+    graph = build_graph(stack_pairs(pairwise), reference=reference, nodes=tuple(range(n_cameras)))
+    expected = oracle_propagate(graph)
+    missing = [node for node in graph.nodes if node not in expected]
+    if missing:
+        with pytest.raises(DisconnectedGraphError) as err:
+            propagate(graph)
+        assert list(err.value.unreachable) == missing
+        return
+    poses = propagate(graph)
+    assert list(poses) == list(expected)  # reached in the same order
+    for node, pose in poses.items():
+        assert pose.rotation.shape == (3, 3)
+        assert np.array_equal(pose.rotation, expected[node].rotation)
+        assert np.array_equal(pose.translation, expected[node].translation)
 
 
 # -- global refinement --------------------------------------------------------
@@ -440,7 +498,7 @@ def test_refine_reduces_loop_closure_error():
     graph = build_graph(pairwise, reference=0)
     initial = propagate(graph)
     before = calib.loop_closure_error(graph, *stack_poses(graph, initial))
-    closing = max(before, key=lambda k: before[k])
+    closing = int(np.argmax(before))
     refined, _ = refine(graph, initial)
     after = calib.loop_closure_error(graph, *stack_poses(graph, refined))
     assert after[closing] < before[closing]
@@ -512,7 +570,7 @@ def oracle_graph_cost(graph, poses):
     are reduceat segments, as in calib: a segment's rounding differs from
     np.sum's but not from the segment's neighbours'."""
     cost = 0.0
-    for edge, (points_i, points_j) in zip(graph.edges, edge_points(graph)):
+    for edge, (points_i, points_j) in zip(graph_edges(graph), edge_points(graph)):
         e_ij = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
         dx, dy, dz = (e_ij.transform_points(points_j) - points_i).T
         cost += float(np.add.reduceat(dx * dx + dy * dy + dz * dz, [0])[0])
@@ -520,12 +578,12 @@ def oracle_graph_cost(graph, poses):
 
 
 def oracle_loop_closure_error(graph, poses):
-    out = {}
-    for edge in graph.edges:
+    out = []
+    for edge in graph_edges(graph):
         implied = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
         rot_err = geom.rotation_distance(implied, edge.transform)
         dx, dy, dz = (implied.translation - edge.transform.translation).tolist()
-        out[(edge.camera_i, edge.camera_j)] = rot_err + math.sqrt(dx * dx + dy * dy + dz * dz)
+        out.append(rot_err + math.sqrt(dx * dx + dy * dy + dz * dz))
     return out
 
 
@@ -630,7 +688,7 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
             node: RigidTransform(pose.rotation + rng.normal(0, 1e-11, (3, 3)), pose.translation)
             for node, pose in poses.items()
         }
-        relative = [poses[e.camera_i].rotation.T @ poses[e.camera_j].rotation for e in graph.edges]
+        relative = [poses[e.camera_i].rotation.T @ poses[e.camera_j].rotation for e in graph_edges(graph)]
         assert max(geom.orthonormality_error(np.stack(relative))) > geom.DRIFT_TOL
     rotations, translations = stack_poses(graph, poses)
     delta = rng.normal(0, 0.05, 6 * len(free))
@@ -642,9 +700,9 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
     normal_equations = {}
     for window_rows in (case["window_rows"], 1):
         with mock.patch.object(calib, "WINDOW_ROWS", window_rows):
-            windowed = calib.TransformGraph(graph.nodes, graph.edges, graph.reference, graph.correspondences)
+            windowed = dataclasses.replace(graph)
             assert graph_cost(windowed, rotations, translations) == oracle_graph_cost(graph, poses)
-            assert calib.loop_closure_error(windowed, rotations, translations) == oracle_loop_closure_error(graph, poses)
+            assert calib.loop_closure_error(windowed, rotations, translations).tolist() == oracle_loop_closure_error(graph, poses)
             normal_equations[window_rows] = calib._normal_equations(windowed, rotations, translations)
     (band, jtr), (edge_band, edge_jtr) = normal_equations[case["window_rows"]], normal_equations[1]
     assert np.array_equal(band, edge_band) and np.array_equal(jtr, edge_jtr)
@@ -666,12 +724,23 @@ def test_refine_rejects_poses_outside_the_graph():
         refine(graph, {node: pose for node, pose in initial.items() if node != 2})
 
 
+def test_refine_rejects_an_initial_cost_that_is_not_finite():
+    # Poses whose squared residuals overflow, though every pair's fit held.
+    rng = np.random.default_rng(38)
+    _, pairwise = synthetic_rig(3, rng, noise=0.01)
+    graph = build_graph(pairwise, reference=0)
+    initial = propagate(graph)
+    far = {**initial, 2: RigidTransform(initial[2].rotation, [1e200, 0.0, 0.0])}
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="the initial calibration cost is inf, not finite"):
+        refine(graph, far)
+
+
 def test_graph_rejects_edges_between_cameras_outside_its_nodes():
     rng = np.random.default_rng(35)
     _, pairwise = synthetic_rig(3, rng)
     graph = build_graph(pairwise, reference=0)
     with pytest.raises(ValueError, match="edge camera 2 is not a graph node"):
-        calib.TransformGraph(nodes=(0, 1), edges=graph.edges, reference=0, correspondences=graph.correspondences)
+        dataclasses.replace(graph, nodes=(0, 1))
 
 
 # -- blockwise normal equations against the dense Jacobian -------------------
@@ -687,7 +756,7 @@ def dense_residuals_and_jacobian(graph, poses, index):
     residuals = np.zeros(rows)
     jacobian = np.zeros((rows, 6 * len(index)))
     row = 0
-    for edge, (points_i, points_j) in zip(graph.edges, edge_points(graph)):
+    for edge, (points_i, points_j) in zip(graph_edges(graph), edge_points(graph)):
         r_i = poses[edge.camera_i].rotation
         relative = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
         for k in range(len(points_j)):
@@ -721,8 +790,8 @@ def test_normal_equations_match_dense_jacobian(n_cameras, cycle):
     graph = build_graph(pairwise, reference=0)
     if cycle:
         # The pinned reference sits on both sides of an edge.
-        assert any(e.camera_i == 0 for e in graph.edges)
-        assert any(e.camera_j == 0 for e in graph.edges)
+        assert any(e.camera_i == 0 for e in graph_edges(graph))
+        assert any(e.camera_j == 0 for e in graph_edges(graph))
     free = [n for n in graph.nodes if n != graph.reference]
     index = {node: i for i, node in enumerate(free)}
     # Step off the propagated poses so no gradient component is ~0.
@@ -792,9 +861,11 @@ def test_correspondences_are_finite_read_only_and_match_the_graph_edges():
     graph = build_graph(stack_pairs([(0, 1, *correspondences_from_transform(geom.identity(), BASE_POINTS))]), reference=0)
     table = graph.correspondences
     assert not any(a.flags.writeable for a in (table.cameras, table.counts, table.points_i, table.points_j))
-    swapped = calib.Correspondences([[1, 0]], table.counts, table.points_i, table.points_j)
-    with pytest.raises(ValueError, match="camera pairs must be the edges'"):
-        calib.TransformGraph(graph.nodes, graph.edges, graph.reference, swapped)
+    assert not any(a.flags.writeable for a in (graph.rotations, graph.translations, graph.residuals))
+    # One transform and residual per pair of the table: a second pair has none.
+    doubled = calib.Correspondences([[0, 1], [1, 0]], [4, 4], np.tile(table.points_i, (2, 1)), np.tile(table.points_j, (2, 1)))
+    with pytest.raises(ValueError, match="one per pair of the correspondences"):
+        dataclasses.replace(graph, correspondences=doubled)
 
 
 def test_graph_keeps_the_rows_of_the_pairs_it_aligned():
@@ -813,7 +884,7 @@ def test_graph_keeps_the_rows_of_the_pairs_it_aligned():
     mixed = build_graph(stack_pairs([(0, 1, *first), (0, 2, line, line + 1.0), (1, 2, *second)]), reference=0)
     assert [failure[:2] for failure in mixed.failures] == [(0, 2)]
     assert "collinear" in mixed.failures[0][2]
-    assert [(edge.camera_i, edge.camera_j) for edge in mixed.edges] == [(0, 1), (1, 2)]
+    assert [(edge.camera_i, edge.camera_j) for edge in graph_edges(mixed)] == [(0, 1), (1, 2)]
     for side in ("cameras", "counts", "points_i", "points_j"):
         kept = getattr(mixed.correspondences, side)
         assert kept.dtype == getattr(good, side).dtype and kept.tobytes() == getattr(good, side).tobytes()
@@ -913,14 +984,38 @@ def test_refine_makes_no_linalg_call(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def benchmark_ring():
-    """The calibrate workload's 100-camera ring, seed 1 (``perfbench/gen.py``)."""
+def gen():
+    """The benchmark's scenario generator, ``perfbench/gen.py``."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).parent.parent / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def benchmark_ring(gen):
+    """The calibrate workload's 100-camera ring, seed 1."""
     scenario = gen.ring(1)
     result = cli.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed)
     return result.graph, result.initial
+
+
+def test_calibrate_peak_memory_on_the_benchmark_ring(gen, tmp_path):
+    # The graph keeps its 506 edges as stacks, and calibration.csv streams
+    # row by row from arrays. With a RigidTransform per edge and the report
+    # built as a row list, a StringIO and bytes, the peak was 2.26 MB.
+    path = tmp_path / "ring.scenario"
+    gen.write(gen.ring(1), path)
+    argv = ["calibrate", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_OK  # first-call allocations stay out of the measured run
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak < 2 * 2**20, peak
 
 
 def test_refine_peak_memory_on_the_benchmark_ring(benchmark_ring):

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from ubimap.fusion import CellState
 from ubimap.geom import Point3
 from ubimap.world import CellIndex
 
-from oracles import stack_pairs
+from oracles import graph_edges, stack_pairs
 from test_sensim import reference_observe_landmarks
 from test_world import reference_line_of_sight
 
@@ -321,7 +322,7 @@ def test_calibration_pairs_match_per_pair_set_intersection(sigma):
     graph = cli.calibrate_scenario(scenario, sigma, 5).graph
     expected = calib.build_graph(pairwise, cams[0].id, nodes=tuple(c.id for c in cams))
     assert graph.nodes == expected.nodes
-    assert [edge_bits(e) for e in graph.edges] == [edge_bits(e) for e in expected.edges]
+    assert [edge_bits(e) for e in graph_edges(graph)] == [edge_bits(e) for e in graph_edges(expected)]
     assert table_bits(graph.correspondences) == table_bits(expected.correspondences)
     assert graph.failures == expected.failures
     if sigma == 0.0:  # the collinear row is exactly collinear only without noise
@@ -536,21 +537,36 @@ def test_calibrate_negative_seed_exits_1(tmp_path, sigma):
     assert not (tmp_path / "out").exists()
 
 
+UNREACHABLE = "calibration failed: cameras unreachable from the reference: [2, 3, 4]"
+
+
 @pytest.mark.parametrize("command", ["calibrate", "simulate"])
 @pytest.mark.parametrize(
-    "sigma, message",
+    "sigma, expected, message",
     [
-        ("1e200", "the initial calibration cost is inf, not finite"),  # finite points whose squares overflow
-        ("1e308", "correspondence points must be finite"),  # the noise itself overflows
+        ("1e200", EXIT_CALIBRATION, UNREACHABLE),  # finite points whose products overflow: every pair fails its fit
+        ("1e308", EXIT_RUNTIME, "runtime error: correspondence points must be finite"),  # the noise itself overflows
     ],
 )
-def test_overflowing_noise_sigma_exits_4_with_no_outputs(tmp_path, capsys, command, sigma, message):
+def test_overflowing_noise_sigma_fails_with_no_outputs(tmp_path, capsys, command, sigma, expected, message):
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
         code = cli.main([command, str(DEMO_ROOM), "--noise-sigma", sigma, "--out", str(out)])
-    assert code == EXIT_RUNTIME
-    assert f"runtime error: {message}" in capsys.readouterr().err
+    assert code == expected
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_failed_calibration_warns_nothing_and_leaves_no_outputs(tmp_path, capsys):
+    # Every pair's sums overflow: each becomes a failed edge, with no numpy
+    # warning, and the report is never opened.
+    out = tmp_path / "a" / "out"
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        code = cli.main(["calibrate", str(DEMO_ROOM), "--noise-sigma", "1e200", "--out", str(out)])
+    assert code == EXIT_CALIBRATION
+    assert UNREACHABLE in capsys.readouterr().err
+    assert not (out / "calibration.csv").exists() and not out.exists() and not out.parent.exists()
 
 
 def test_failed_simulate_keeps_an_output_directory_it_did_not_make(tmp_path, capsys):
@@ -559,8 +575,8 @@ def test_failed_simulate_keeps_an_output_directory_it_did_not_make(tmp_path, cap
     (out / "notes.txt").write_text("kept\n")
     argv = ["simulate", str(DEMO_ROOM), "--noise-sigma", "1e200", "--dump-observations", "--out", str(out)]
     with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(argv) == EXIT_RUNTIME
-    assert "runtime error: the initial calibration cost is inf, not finite" in capsys.readouterr().err
+        assert cli.main(argv) == EXIT_CALIBRATION
+    assert UNREACHABLE in capsys.readouterr().err
     assert [path.name for path in out.iterdir()] == ["notes.txt"]
     assert (out / "notes.txt").read_text() == "kept\n"
 
@@ -571,8 +587,8 @@ def test_failed_simulate_removes_every_directory_it_made(tmp_path, capsys):
     kept.mkdir()
     argv = ["simulate", str(DEMO_ROOM), "--noise-sigma", "1e200", "--out", str(kept / "a" / "b" / "c")]
     with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(argv) == EXIT_RUNTIME
-    assert "runtime error: the initial calibration cost is inf, not finite" in capsys.readouterr().err
+        assert cli.main(argv) == EXIT_CALIBRATION
+    assert UNREACHABLE in capsys.readouterr().err
     assert kept.is_dir() and list(kept.iterdir()) == []
 
 

@@ -171,3 +171,45 @@ def test_stacked_products_equal_single_matrix_products_bit_for_bit(seed, count, 
         assert drift[k] == geom.orthonormality_error(a[k])
         assert np.array_equal(nearest[k], geom.nearest_rotation(a[k]))
         assert np.array_equal(rodrigues[k], geom.rotation_from_axis_angle(angle_scale * v[k]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([0.0, 1e-11]))
+@example(0, 1, 1e-11)
+def test_stacked_compose_and_invert_equal_per_transform_calls_bit_for_bit(seed, count, drift):
+    # Rotations drift * N(0, 1) off orthonormal pass RigidTransform's check,
+    # but their products drift past DRIFT_TOL, so compose re-orthonormalizes.
+    rng = np.random.default_rng(seed)
+    rotations = geom.rotation_from_axis_angle(rng.uniform(-3.0, 3.0, (2, count, 3)))
+    rotations = rotations + drift * rng.normal(size=rotations.shape)
+    a, b = (RigidTransform(r, t) for r, t in zip(rotations, rng.uniform(-5.0, 5.0, (2, count, 3))))
+    singles_a, singles_b = geom.unstack(a), geom.unstack(b)
+    raw = algebra.to_array(algebra.product(algebra.entries(a.rotation), algebra.entries(b.rotation)))
+    assert (max(geom.orthonormality_error(raw)) > geom.DRIFT_TOL) == (drift > 0)
+    results = {
+        "compose": (geom.compose(a, b), [geom.compose(x, y) for x, y in zip(singles_a, singles_b)]),
+        "invert": (geom.invert(a), [geom.invert(x) for x in singles_a]),
+        "one then stack": (geom.compose(singles_a[0], b), [geom.compose(singles_a[0], y) for y in singles_b]),
+        "stack then one": (geom.compose(a, singles_b[0]), [geom.compose(x, singles_b[0]) for x in singles_a]),
+    }
+    for name, (stacked, singles) in results.items():
+        assert stacked.rotation.shape == (count, 3, 3) and stacked.translation.shape == (count, 3), name
+        for k, single in enumerate(singles):
+            assert single.rotation.shape == (3, 3), name
+            assert np.array_equal(stacked.rotation[k], single.rotation), name
+            assert np.array_equal(stacked.translation[k], single.translation), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([1e-11, 1e-6, 0.1, 3.0]))
+def test_nearest_rotation_of_one_matrix_runs_on_floats_with_its_stack_bits(seed, count, scale):
+    # One matrix's Jacobi runs on Python floats, a stack's on arrays, in one
+    # loop: each matrix of a stack gets the bits it gets alone.
+    rng = np.random.default_rng(seed)
+    near = geom.rotation_from_axis_angle(rng.uniform(-3.0, 3.0, (count, 3))) + scale * rng.normal(size=(count, 3, 3))
+    stacked = geom.nearest_rotation(near)
+    for k in range(count):
+        single = geom.nearest_rotation(near[k])
+        assert single.shape == (3, 3) and np.array_equal(stacked[k], single)
+        values, vectors = algebra.jacobi_eigen(algebra.entries(near[k] + near[k].T))
+        assert all(type(x) is float for x in values + [x for row in vectors for x in row])

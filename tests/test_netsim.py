@@ -417,6 +417,16 @@ def test_server_seq_strictly_increasing_per_kind():
     assert poses == [0, 1, 2]
 
 
+def test_server_seq_wraps_from_the_largest_u32_to_0():
+    # The header's seq is a u32: after 2**32 - 1 messages of a kind the next is 0.
+    server = MapServer(GridMap(2, 2, 1.0))
+    server._seqs[MessageKind.MAP_UPDATE] = 2**32 - 2
+    updates = [server.map_update_message() for _ in range(3)]
+    assert [msg.seq for msg in updates] == [2**32 - 2, 2**32 - 1, 0]
+    assert [decode(encode(msg)).seq for msg in updates] == [2**32 - 2, 2**32 - 1, 0]
+    assert server.pose_message(1, 0.0, 0.0, 0.0).seq == 0  # each kind counts on its own
+
+
 @pytest.mark.parametrize("byte", [5, 128, 255])
 def test_map_payload_rejects_cell_byte_outside_states(byte):
     payload = struct.pack("<IHH", 1, 2, 2) + bytes([4, 0, byte, 1])
