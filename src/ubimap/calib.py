@@ -3,21 +3,21 @@
 Pipeline: pairwise rigid alignment (closed-form least squares inside an ICP
 loop), a transformation graph over the cameras, propagation of poses from a
 reference camera, and a damped least-squares refinement of the total
-matching cost, with no BLAS or LAPACK call (see ``algebra``). The
-landmarks the camera pairs share come as one flat table
-(``Correspondences``): ``build_graph`` aligns every pair in one batched
-call, a pair whose fit is degenerate or overflows becoming a failed edge,
-and the graph keeps the table's rows, which the cost and the refinement
-read in place, in windows of edges (see ``CorrespondenceTable``), and the
-edge transforms as (E, 3, 3) and (E, 3) stacks. ``propagate`` composes
-one breadth-first level at a time. Inside the cost, the loop-closure check
-and the refinement, poses are stacked arrays in ``graph.nodes`` order,
-(N, 3, 3) rotations and (N, 3) translations; a ``RigidTransform`` per
-camera appears only at the boundary (``stack_poses`` on the way in,
-``propagate``'s and ``refine``'s returned dicts on the way out). The
-refinement sums J^T J and J^T r from per-camera 6-column Jacobian blocks
-into band storage and solves by a banded Cholesky: memory is O(N b) for N
-cameras and a bandwidth of b cameras.
+matching cost, with no BLAS or LAPACK call (see ``algebra``). The landmarks
+the camera pairs share come as one flat table (``Correspondences``):
+``build_graph`` aligns every pair in one batched call, a pair whose fit is
+degenerate or overflows becoming a failed edge, and the same pass reduces
+each pair's rows to moments about its fit (``TransformGraph``), of which
+the cost, J^T J and J^T r are closed forms (Pulli 1999; Williams &
+Bennamoun 2001, CVIU 81(1)): no landmark row outlives ``build_graph``.
+``propagate`` composes one breadth-first level at a time. Inside the cost,
+the loop-closure check and the refinement, poses are stacked arrays in
+``graph.nodes`` order, (N, 3, 3) rotations and (N, 3) translations; a
+``RigidTransform`` per camera appears only at the boundary (``stack_poses``
+on the way in, ``propagate``'s and ``refine``'s returned dicts on the way
+out). The refinement adds 6x6 blocks of J^T J, ``EDGE_BLOCK`` edges at a
+time, into band storage and solves by a banded Cholesky: memory is
+O(N b + E) for N cameras, a bandwidth of b cameras and E edges.
 
 Frame conventions (used consistently everywhere in this module):
     - An edge (i, j) stores the pose of camera j expressed in camera i's
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import algebra, geom
 from .algebra import cross, inner
@@ -46,8 +47,10 @@ from .geom import RigidTransform
 # that is sigma_2 <= 1e-7 sigma_1. Exactly collinear points leave a rounding
 # residue of at most about 3e-16 (3,000 random lines of 3 to 300 points).
 COLLINEAR_TOL = 1e-14
-# Landmark rows per window of edges (see CorrespondenceTable).
+# Landmark rows per window of the pair fits (``_rigid_fits``) and edges per
+# block of the cost and the normal equations: each bounds one pass's temporaries.
 WINDOW_ROWS = 448
+EDGE_BLOCK = 64
 
 
 class DegenerateGeometryError(ValueError):
@@ -108,52 +111,52 @@ class IcpOptions:
 
 @dataclass(frozen=True)
 class CorrespondenceTable:
-    """Where the graph's correspondences meet the pose stacks, built once per
-    graph (``TransformGraph.table``). Slots index ``graph.nodes``, the order
-    of every pose stack.
-
-    A window (``_windows``) is a run of consecutive edges. Each per-landmark
-    product runs over the window's rows of ``graph.correspondences``, viewed
-    in place (``_window_points``), and ``np.add.reduceat`` sums it per edge,
-    a segment's sum not depending on its neighbours. Windows bound the
-    temporaries.
-    """
+    """Where the graph's edges meet the pose stacks, built once per graph
+    (``TransformGraph.table``). Slots index ``graph.nodes``, the order of
+    every pose stack."""
 
     slot_i: np.ndarray  # (E,) slot of each edge's camera i
     slot_j: np.ndarray  # (E,) slot of each edge's camera j
-    windows: tuple[tuple[int, int], ...]  # (first edge, end edge) of each window, in edge order
+    free: np.ndarray  # (N - 1,) slots of the cameras whose poses are parameters: all but the reference
     order: np.ndarray  # (N - 1,) free camera (index among the free slots) at each band position
     bandwidth: int  # the normal equations' bandwidth in that order, in 6x6 blocks
+    sides: np.ndarray  # (E, 2) band position of each edge's camera j, then i; -1 for the pinned reference
 
 
 @dataclass(frozen=True)
 class TransformGraph:
-    """The cameras and one edge per aligned pair, as stacks: edge k is the
-    correspondence table's pair k, cameras (i, j) =
-    ``correspondences.cameras[k]``, with transform ``rotations[k]``,
-    ``translations[k]`` (the pose of camera j in camera i's frame) and RMS
-    matching error ``residuals[k]``, in meters. The stacks are read-only."""
+    """The cameras and one edge per aligned pair, as read-only stacks. Edge
+    k joins cameras (i, j) = ``cameras[k]`` by the fit (E*, t*) =
+    ``rotations[k]``, ``translations[k]`` (the pose of camera j in camera
+    i's frame) to the pair's ``counts[k]`` landmarks, with RMS error
+    ``residuals[k]``, in meters. Of the landmarks, with p their camera-j
+    points and s = E* p + t* - p_i the fit's residuals, only ``means[k]``,
+    (mean p, mean s), and ``scatters[k]``, the centred scatter of (p, s)."""
 
     nodes: tuple[int, ...]
     reference: int
-    correspondences: Correspondences
+    cameras: np.ndarray  # (E, 2) camera ids
+    counts: np.ndarray  # (E,)
     rotations: np.ndarray  # (E, 3, 3)
     translations: np.ndarray  # (E, 3)
     residuals: np.ndarray  # (E,)
+    means: np.ndarray  # (E, 6)
+    scatters: np.ndarray  # (E, 6, 6)
     failures: tuple[tuple[int, int, str], ...] = ()
 
     def __post_init__(self) -> None:
         if self.reference not in self.nodes:
             raise ValueError(f"reference camera {self.reference} is not a graph node")
-        edges = len(self.correspondences.cameras)
-        for name, shape in (("rotations", (edges, 3, 3)), ("translations", (edges, 3)), ("residuals", (edges,))):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != shape:
-                raise ValueError(f"{name} must be {shape}, one per pair of the correspondences, got {value.shape}")
+        edges = len(self.cameras)
+        shapes = {"cameras": (2,), "counts": (), "rotations": (3, 3), "translations": (3,), "residuals": ()}
+        for name, shape in {**shapes, "means": (6,), "scatters": (6, 6)}.items():
+            value = np.asarray(getattr(self, name), dtype={"cameras": np.uint64, "counts": np.intp}.get(name, float))
+            if value.shape != (edges, *shape):
+                raise ValueError(f"{name} must be {(edges, *shape)}, one per edge, got {value.shape}")
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         nodes, seen = set(self.nodes), set()
-        for pair in self.correspondences.cameras.tolist():
+        for pair in self.cameras.tolist():
             for camera in pair:
                 if camera not in nodes:
                     raise ValueError(f"edge camera {camera} is not a graph node")
@@ -166,19 +169,21 @@ class TransformGraph:
     def table(self) -> CorrespondenceTable:
         """The correspondence table, built at first use and kept."""
         slot = {node: k for k, node in enumerate(self.nodes)}
-        pairs = np.array([[slot[i], slot[j]] for i, j in self.correspondences.cameras.tolist()], dtype=np.intp).reshape(-1, 2)
-        slot_i, slot_j = pairs.T.copy()
+        pairs = np.array([[slot[i], slot[j]] for i, j in self.cameras.tolist()], dtype=np.intp).reshape(-1, 2)
         ref = slot[self.reference]
-        pairs = pairs[(pairs != ref).all(axis=1)]
-        order, bandwidth = algebra.band_order(len(self.nodes) - 1, pairs - (pairs > ref))  # indices among free slots
-        return CorrespondenceTable(slot_i, slot_j, _windows(self.correspondences.counts), order, bandwidth)
+        free = np.flatnonzero(np.arange(len(self.nodes)) != ref)
+        tied = pairs[(pairs != ref).all(axis=1)]
+        order, bandwidth = algebra.band_order(len(free), tied - (tied > ref))  # indices among free slots
+        position = np.full(len(self.nodes), -1)
+        position[free] = np.argsort(order)
+        return CorrespondenceTable(*pairs.T.copy(), free, order, bandwidth, position[pairs[:, ::-1]])
 
 
 def best_rigid_transform(points_i: np.ndarray, points_j: np.ndarray) -> tuple[RigidTransform, float]:
     """Closed-form least-squares rigid alignment of paired (n, 3) points:
     the transform minimizing sum_k ||T p_i^k - p_j^k||^2 (see
     ``_rigid_fits``, whose error it raises) and the RMS residual."""
-    rotations, translations, rms, errors = _rigid_fits(points_i, points_j, [len(points_i)])
+    rotations, translations, rms, errors, _, _ = _rigid_fits(points_i, points_j, [len(points_i)])
     if errors[0] is not None:
         raise errors[0]
     return RigidTransform(rotations[0], translations[0]), rms[0].item()
@@ -191,24 +196,26 @@ def _windows(counts: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(starts, starts[1:] + [len(counts)]))
 
 
-def _rigid_fits(src: np.ndarray, dst: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[ValueError | None]]:
+def _rigid_fits(src: np.ndarray, dst: np.ndarray, sizes) -> tuple:
     """``best_rigid_transform`` of each set held one after another in paired
     (n, 3) rows, ``sizes[k]`` rows each, by Horn's method on all sets at
     once; the per-set sums (``np.add.reduceat``) and residuals run over
     windows of sets (``_windows``), which bound the temporaries. Returns
     (E, 3, 3) rotations, (E, 3) translations and (E,) RMS residuals, checked
-    by one ``geom.check_rigid``, and per set None or the error that failed
-    it: fewer than 3 rows or collinear points (``DegenerateGeometryError``),
-    or sums or a residual that overflowed (``ValueError``). A failed set
-    holds the identity and a NaN residual."""
+    by one ``geom.check_rigid``, per set None or the error that failed it
+    (fewer than 3 rows or collinear points, ``DegenerateGeometryError``; an
+    overflow, ``ValueError``), and the moments of (src, residual) the graph
+    keeps, (E, 6) means and (E, 6, 6) centred scatters. A failed set holds
+    the identity and NaN residual and moments."""
     sizes = np.asarray(sizes, dtype=np.intp)
     errors: list = [DegenerateGeometryError(f"need >= 3 correspondences, got {n}") if n < 3 else None for n in sizes.tolist()]
     rotations = np.tile(np.eye(3), (len(sizes), 1, 1))
     translations = np.zeros((len(sizes), 3))
     residuals = np.full(len(sizes), np.nan)
+    means, scatters = np.full((len(sizes), 6), np.nan), np.full((len(sizes), 6, 6), np.nan)
     fitted = np.flatnonzero(sizes >= 3)
     if not len(fitted):
-        return rotations, translations, residuals, errors
+        return rotations, translations, residuals, errors, means, scatters
     counts = sizes[fitted]
     if len(fitted) < len(sizes):
         kept = np.repeat(sizes >= 3, sizes)
@@ -244,12 +251,17 @@ def _rigid_fits(src: np.ndarray, dst: np.ndarray, sizes) -> tuple[np.ndarray, np
         rotation = algebra.horn_rotation([list(sums[12:15]), list(sums[15:18]), list(sums[18:21])])
         translation = [c - d for c, d in zip(sums[3:6], algebra.transform(rotation, list(sums[0:3])))]
         rms = np.empty(len(counts))
+        moments = np.empty((24, len(counts)))  # per set: mean residual, the centred scatter of (src, residual) (upper)
         for a, b, offsets, rows in windows:
-            rotation_rows = [[np.repeat(x[a:b], counts[a:b]) for x in row] for row in rotation]
-            moved = algebra.affine(rotation_rows, [np.repeat(x[a:b], counts[a:b]) for x in translation], list(src[rows].T))
+            n = counts[a:b]
+            rotation_rows = [[np.repeat(x[a:b], n) for x in row] for row in rotation]
+            moved = algebra.affine(rotation_rows, [np.repeat(x[a:b], n) for x in translation], list(src[rows].T))
             residual = [m - d for m, d in zip(moved, dst[rows].T)]
-            rms[a:b] = np.sqrt(np.add.reduceat(inner(residual, residual), offsets) / counts[a:b])
-    finite &= np.isfinite(rms)
+            rms[a:b] = np.sqrt(np.add.reduceat(inner(residual, residual), offsets) / n)
+            mean = [np.add.reduceat(x, offsets) / n for x in residual]
+            centred = [x - np.repeat(c, n) for x, c in zip([*src[rows].T, *residual], [*sums[0:3, a:b], *mean])]
+            moments[:, a:b] = mean + [np.add.reduceat(centred[i] * centred[j], offsets) for i in range(6) for j in range(i, 6)]
+    finite &= np.isfinite(rms) & np.isfinite(moments).all(axis=0)
     for k, e in enumerate(fitted.tolist()):
         if not finite[k]:
             errors[e] = ValueError("the alignment overflowed: its sums or residual are not finite")
@@ -259,8 +271,12 @@ def _rigid_fits(src: np.ndarray, dst: np.ndarray, sizes) -> tuple[np.ndarray, np
     rotations[fitted[good]] = algebra.to_array(rotation)[good]
     translations[fitted[good]] = np.stack(translation, axis=-1)[good]
     residuals[fitted[good]] = rms[good]
+    means[fitted] = np.concatenate([sums[0:3], moments[0:3]]).T
+    for (i, j), value in zip([(i, j) for i in range(6) for j in range(i, 6)], moments[3:]):
+        scatters[fitted, i, j] = scatters[fitted, j, i] = value
+    means[fitted[~good]], scatters[fitted[~good]] = np.nan, np.nan
     geom.check_rigid(rotations, translations)
-    return rotations, translations, residuals, errors
+    return rotations, translations, residuals, errors, means, scatters
 
 
 @dataclass(frozen=True)
@@ -277,7 +293,7 @@ def icp(
     source_ids: tuple[int, ...] | None = None,
     target_ids: tuple[int, ...] | None = None,
     sizes=None,
-) -> IcpResult | tuple[np.ndarray, np.ndarray, np.ndarray, list[ValueError | None]]:
+) -> IcpResult | tuple:
     """Iterative closest point: align the source set onto the target set.
 
     Alternates correspondence matching (by landmark id when both id tuples
@@ -289,7 +305,8 @@ def icp(
 
     With ``sizes``, source and target hold many sets one after another,
     ``sizes[k]`` rows each, paired row by row (ids are not read), aligned in
-    one pass; the result is ``_rigid_fits``' stacks and per-set errors.
+    one pass; the result is ``_rigid_fits``' stacks, per-set errors and
+    moments.
     """
     src = np.asarray(source, dtype=float).reshape(-1, 3)
     dst = np.asarray(target, dtype=float).reshape(-1, 3)
@@ -335,24 +352,22 @@ def _pair_rms(src, dst, pairs) -> float:
 
 
 def build_graph(pairs: Correspondences, reference: int, nodes: tuple[int, ...] = ()) -> TransformGraph:
-    """Estimate one edge per camera pair, all pairs in one ``icp`` call.
-    Failed estimations are reported, not raised, so one bad overlap zone
-    cannot sink the whole calibration, and their rows leave the graph's
-    correspondences. Extra nodes let cameras without any usable pair still
-    appear in the graph (and therefore surface as unreachable during
-    propagation)."""
+    """Estimate one edge per camera pair, and the moments the graph keeps of
+    its rows, all pairs in one ``icp`` call. Failed estimations are reported,
+    not raised, so one bad overlap zone cannot sink the whole calibration,
+    and leave no edge. Extra nodes let cameras without any usable pair still
+    appear in the graph (and therefore surface as unreachable)."""
     # The edge holds the pose of camera j in camera i's frame, which is the
     # transform taking j-local observations to i-local ones.
-    rotations, translations, residuals, errors = icp(pairs.points_j, pairs.points_i, sizes=pairs.counts)
+    rotations, translations, residuals, errors, means, scatters = icp(pairs.points_j, pairs.points_i, sizes=pairs.counts)
     cameras = pairs.cameras.tolist()
     failures = tuple((cam_i, cam_j, str(error)) for (cam_i, cam_j), error in zip(cameras, errors) if error is not None)
+    edges = (pairs.cameras, pairs.counts, rotations, translations, residuals, means, scatters)
     if failures:
         kept = np.array([error is None for error in errors], dtype=bool)
-        rows = np.repeat(kept, pairs.counts)
-        pairs = Correspondences(pairs.cameras[kept], pairs.counts[kept], pairs.points_i[rows], pairs.points_j[rows])
-        rotations, translations, residuals = rotations[kept], translations[kept], residuals[kept]
+        edges = (x[kept] for x in edges)
     nodes = {reference, *nodes, *(camera for pair in cameras for camera in pair)}
-    return TransformGraph(tuple(sorted(nodes)), reference, pairs, rotations, translations, residuals, failures)
+    return TransformGraph(tuple(sorted(nodes)), reference, *edges, failures)
 
 
 def propagate(graph: TransformGraph) -> dict[int, RigidTransform]:
@@ -368,7 +383,7 @@ def propagate(graph: TransformGraph) -> dict[int, RigidTransform]:
     step_rotations = np.concatenate([edges.rotation, inverse.rotation])  # edge k, then edge k backward at E + k
     step_translations = np.concatenate([edges.translation, inverse.translation])
     adjacency: dict[int, list[tuple[int, int]]] = {node: [] for node in graph.nodes}
-    for k, (cam_i, cam_j) in enumerate(graph.correspondences.cameras.tolist()):
+    for k, (cam_i, cam_j) in enumerate(graph.cameras.tolist()):
         adjacency[cam_i].append((cam_j, k))
         adjacency[cam_j].append((cam_i, len(graph.residuals) + k))
 
@@ -407,61 +422,51 @@ def stack_poses(graph: TransformGraph, poses: dict[int, RigidTransform]) -> tupl
     return rotations, translations
 
 
-def _relative_poses(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray):
-    """Each edge's E_ij = inverse(G_i) composed with G_j, as stacked
+def _relative_poses(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray, edges=slice(None)):
+    """The ``edges``' E_ij = inverse(G_i) composed with G_j, as stacked
     rotations and translations, rounded as ``geom.compose`` and
     ``geom.invert`` round one edge (drifted rotations re-orthonormalized)."""
-    table = graph.table
-    r_i_t = algebra.transpose(algebra.entries(rotations[table.slot_i]))
-    rotation = algebra.to_array(algebra.product(r_i_t, algebra.entries(rotations[table.slot_j])))
-    to_j = algebra.transform(r_i_t, list(translations[table.slot_j].T))
-    to_i = algebra.transform(r_i_t, list(translations[table.slot_i].T))
+    slot_i, slot_j = graph.table.slot_i[edges], graph.table.slot_j[edges]
+    r_i_t = algebra.transpose(algebra.entries(rotations[slot_i]))
+    rotation = algebra.to_array(algebra.product(r_i_t, algebra.entries(rotations[slot_j])))
+    to_j = algebra.transform(r_i_t, list(translations[slot_j].T))
+    to_i = algebra.transform(r_i_t, list(translations[slot_i].T))
     translation = np.stack([a - b for a, b in zip(to_j, to_i)], axis=-1)
     return geom.reorthonormalized(rotation), translation
 
 
-def _window_points(graph: TransformGraph, start: int, end: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges start..end-1's rows of ``graph.correspondences``: p_i and p_j
-    as (3, m) views, and the (edges,) row offset of each edge."""
-    pairs = graph.correspondences
-    counts = pairs.counts[start:end]
-    first = int(pairs.counts[:start].sum())
-    rows = slice(first, first + int(counts.sum()))
-    return pairs.points_i[rows].T, pairs.points_j[rows].T, np.cumsum(counts) - counts
-
-
-def _edge_rows(rotation: np.ndarray, translation: np.ndarray, counts: np.ndarray) -> tuple[list[list], list]:
-    """Relative poses (E, t) as 3x3 and 3 entries, each edge's repeated over
-    its landmark rows."""
-    return (
-        [[np.repeat(rotation[:, a, b], counts) for b in range(3)] for a in range(3)],
-        [np.repeat(x, counts) for x in translation.T],
-    )
+def _edge_terms(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray, edges: slice):
+    """For ``edges``, as entries over them: E and t, D = E - E*, the count n,
+    mean p, the mean residual c and the scatter blocks S_pp, S_ps, S_ss (see
+    ``TransformGraph``): a residual r = D p + t - t* + s is c + D u + v."""
+    rotation, translation = _relative_poses(graph, rotations, translations, edges)
+    e, t, means = algebra.entries(rotation), list(translation.T), list(graph.means[edges].T)
+    d = [[x - y for x, y in zip(a, b)] for a, b in zip(e, algebra.entries(graph.rotations[edges]))]
+    c = algebra.affine(d, [x - y for x, y in zip(t, graph.translations[edges].T)], means[:3])
+    scatter = algebra.entries(graph.scatters[edges])
+    blocks = ([row[k : k + 3] for row in scatter[l : l + 3]] for l, k in ((0, 0), (0, 3), (3, 3)))
+    return e, t, d, graph.counts[edges].astype(float), means[:3], [x + y for x, y in zip(c, means[3:])], *blocks
 
 
 def graph_cost(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> float:
     """Total matching cost: sum over edges and landmarks of the squared
     distance between the two observations brought into camera i's frame,
-    summed edge after edge in edge order."""
-    if not len(graph.residuals):
-        return 0.0
-    rotation, translation = _relative_poses(graph, rotations, translations)
-    counts = graph.correspondences.counts
-    per_edge = np.empty(len(graph.residuals))
-    for start, end in graph.table.windows:
-        p_i, p_j, offsets = _window_points(graph, start, end)
-        moved = algebra.affine(*_edge_rows(rotation[start:end], translation[start:end], counts[start:end]), list(p_j))
-        residual = [q - p for q, p in zip(moved, p_i)]
-        per_edge[start:end] = np.add.reduceat(inner(residual, residual), offsets)
-    return float(np.cumsum(per_edge)[-1])
+    summed edge after edge in edge order; an edge's from its moments,
+    n |c|^2 + tr(D S_pp D^T) + 2 tr(D S_ps) + tr(S_ss) (see ``_edge_terms``)."""
+    per_edge = np.zeros(len(graph.residuals))
+    for start in range(0, len(per_edge), EDGE_BLOCK):
+        edges = slice(start, start + EDGE_BLOCK)
+        _, _, d, n, _, c, s_pp, s_ps, s_ss = _edge_terms(graph, rotations, translations, edges)
+        axes = zip(algebra.product(d, s_pp), d, algebra.transpose(s_ps), s_ss)
+        spread = [inner(x, y) + 2.0 * inner(y, z) + w[a] for a, (x, y, z, w) in enumerate(axes)]
+        per_edge[edges] = n * inner(c, c) + (spread[0] + spread[1] + spread[2])
+    return float(np.cumsum(per_edge)[-1]) if len(per_edge) else 0.0
 
 
 def loop_closure_error(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
     """Per edge, in edge order, the discrepancy between the stored transform
     and the one the current poses imply: rotation angle plus translation
     distance. Nonzero values on non-tree edges are loop error."""
-    if not len(graph.residuals):
-        return np.zeros(0)
     rotation, translation = _relative_poses(graph, rotations, translations)
     stored = algebra.entries(graph.rotations)
     angles = geom._rotation_angles(algebra.to_array(algebra.product(algebra.transpose(algebra.entries(rotation)), stored)))
@@ -469,101 +474,84 @@ def loop_closure_error(graph: TransformGraph, rotations: np.ndarray, translation
     return np.array(angles) + np.sqrt(inner(offset, offset))
 
 
-def _free_slots(graph: TransformGraph) -> np.ndarray:
-    """Slots of the cameras whose poses are parameters: all but the reference."""
-    return np.flatnonzero(np.asarray(graph.nodes) != graph.reference)
-
-
-def _normal_equations(
-    graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _normal_equations(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """J^T J and J^T r of the stacked residuals w.r.t. the free pose
     parameters (per free camera: axis-angle rotation increment, then
     translation, both applied as R <- R Exp(delta), t <- t + delta). J^T r is
     in ``graph.nodes`` order; J^T J comes as the lower band ``band[c, d]`` =
     entry (c + d, c), cameras in ``graph.table.order``.
 
-    The 6x6 block products of each window of edges (``_window_products``)
-    are added into the camera pairs' slots in edge order, the order in which
-    a slot shared by several edges sums them; entries above the diagonal
-    mirror stored ones. A side pinned as the reference adds nothing.
+    Each edge's 6x6 block products (``_edge_products``) are added into its
+    cameras' slots in edge order, in which a slot shared by several edges
+    sums them; a side pinned as the reference adds nothing.
     """
     table = graph.table
-    free = len(graph.nodes) - 1
+    free = len(table.free)
     width = 6 * (table.bandwidth + 1)
-    band = np.zeros((6 * free, width))
-    jtr = np.zeros(6 * free)
-    placed = np.argsort(table.order)  # each free camera's band position
-    # Each edge's band position per side, j then i; the pinned reference has none (-1).
-    position = np.full(len(graph.nodes), -1)
-    position[_free_slots(graph)] = placed
-    sides = np.stack([position[table.slot_j], position[table.slot_i]], axis=1)
-    p, q = np.indices((6, 6))
-    rotation, translation = _relative_poses(graph, rotations, translations)
-    for start, end in table.windows:
-        products, gradients = _window_products(graph, rotation, translation, rotations[table.slot_i[start:end]], start, end)
-        pairs = sides[start:end]
+    band, jtr = np.zeros((6 * free, width)), np.zeros(6 * free)
+    # blocks[c, d, p, q] = band[6 c + q, 6 d + p - q]: entry (p, q) of the 6x6 block (c + d, c). Above a
+    # diagonal block's diagonal it aliases other entries, so that triangle adds zeros.
+    blocks = as_strided(band, (free, table.bandwidth + 1, 6, 6), [band.itemsize * x for x in (6 * width, 6, 1, width - 1)])
+    for start in range(0, len(graph.residuals), EDGE_BLOCK):
+        edges = slice(start, start + EDGE_BLOCK)
+        products, gradients = _edge_products(graph, rotations, translations, edges)
+        pairs = table.sides[edges]
         rows, cols = np.repeat(pairs, 2, axis=1).reshape(-1), np.tile(pairs, 2).reshape(-1)
         kept = (cols >= 0) & (rows >= cols)
-        row, col = 6 * rows[kept, None, None] + p, 6 * cols[kept, None, None] + q  # each entry's place in J^T J
-        stored = row >= col
-        place = (col * (width - 1) + row)[stored]  # band[col, row - col], flattened
-        np.add.at(band.reshape(-1), place, products.reshape(-1, 6, 6)[kept][stored])
+        rows, cols, products = rows[kept], cols[kept], products.reshape(-1, 6, 6)[kept]
+        products[(rows == cols)[:, None, None] & np.triu(np.ones((6, 6), dtype=bool), 1)] = 0.0
+        np.add.at(blocks, (cols, rows - cols), products)
         kept = pairs.reshape(-1) >= 0
         np.add.at(jtr.reshape(free, 6), pairs.reshape(-1)[kept], gradients.reshape(-1, 6)[kept])
-    return band, jtr.reshape(free, 6)[placed].reshape(-1)
+        del products, gradients  # before the next block's
+    return band, jtr.reshape(free, 6)[np.argsort(table.order)].reshape(-1)
 
 
-def _window_products(
-    graph: TransformGraph, rotation: np.ndarray, translation: np.ndarray, r_i: np.ndarray, start: int, end: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """J_a^T J_b, (edges, 2, 2, 6, 6), and J_a^T r, (edges, 2, 6), of edges
-    start..end-1 over sides a, b = camera j, camera i, given the relative
-    poses (E, t) and camera i's rotations R_i. A landmark p of camera j lands
-    at q = E p + t with residual r = q - p_i; its rows of J are [-F, R_i^T]
-    for camera j, F = E skew(p) (row a is E's row a x p), and [skew(q),
-    -R_i^T] for camera i. F^T F, skew(q)^T skew(q), -F^T skew(q), -F^T r and
-    r x q are summed per landmark; the R_i^T blocks take sums of p, q, r."""
-    p_i, p_j, offsets = _window_points(graph, start, end)
-    counts = graph.correspondences.counts[start:end]
+def _edge_products(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray, edges: slice) -> tuple:
+    """J_a^T J_b, (edges, 2, 2, 6, 6), and J_a^T r, (edges, 2, 6), of
+    ``edges`` over sides a, b = camera j, camera i. A landmark p of camera j
+    lands at q = E p + t with residual r = q - p_i; its rows of J are
+    [-F, R_i^T] for camera j, F = E skew(p) (row a is e_a x p, e_a E's row
+    a), and [skew(q), -R_i^T] for camera i. With P, Q, X the sums of p p^T,
+    q q^T, p q^T and W = sum (r - c) u^T = D S_pp + S_ps^T (``_edge_terms``),
+    the sums over the landmarks are: F^T F = sum_a skew(e_a) P skew(e_a)^T,
+    skew(q)^T skew(q) = tr(Q) I - Q, -F^T skew(q) with column k e_(k+2) x
+    X_(k+1) - e_(k+1) x X_(k+2), F^T r = n (E^T c) x mean p + axial(E^T W)
+    and r x q = n c x mean q + axial(W E^T), axial(x y^T) being x x y."""
+    e, t, d, n, mean_p, c, s_pp, s_ps, _ = _edge_terms(graph, rotations, translations, edges)
+    mean_q, e_t, spread = algebra.affine(e, t, mean_p), algebra.transpose(e), algebra.product(e, s_pp)  # E S_pp
+    w = [[x + y for x, y in zip(a, b)] for a, b in zip(algebra.product(d, s_pp), algebra.transpose(s_ps))]
 
-    def per_edge(values):
-        return np.add.reduceat(values, offsets)
+    def plus_outer(m, x, y):  # m + n x y^T, symmetric to the bit for a symmetric m when x is y
+        return [[z + n * (a * b) for z, b in zip(row, y)] for row, a in zip(m, x)]
 
-    # Each per-landmark temporary is dropped once used, to keep a window's few.
-    e_rows, t_rows = _edge_rows(rotation[start:end], translation[start:end], counts)
-    moved = algebra.affine(e_rows, t_rows, list(p_j))
-    residual = [m - p for m, p in zip(moved, p_i)]
-    del t_rows, p_i
-    f_rows = []
-    while e_rows:
-        f_rows.append(cross(e_rows.pop(0), list(p_j)))
-    sum_p, sum_q, sum_r = ([per_edge(x) for x in v] for v in (p_j, moved, residual))
-    del p_j
-    f_columns = algebra.transpose(f_rows)
-    del f_rows
-    ftf = [[per_edge(inner(f_columns[a], f_columns[b])) if b >= a else None for b in range(3)] for a in range(3)]
-    square = inner(moved, moved)  # skew(q)^T skew(q) = |q|^2 I - q q^T
-    sts = [
-        [per_edge((square if a == b else 0.0) - moved[a] * moved[b]) if b >= a else None for b in range(3)] for a in range(3)
-    ]
-    fts = [[per_edge(x) for x in cross(moved, column)] for column in f_columns]
-    grad_j = [per_edge(-inner(column, residual)) for column in f_columns]
-    grad_i = [per_edge(x) for x in cross(residual, moved)]
+    def axial(m):
+        return [m[1][2] - m[2][1], m[2][0] - m[0][2], m[0][1] - m[1][0]]
 
-    r = algebra.entries(r_i)
-    g = [cross(row, sum_p) for row in algebra.entries(rotation[start:end])]  # E skew(sum p), the sum of F
-    h = algebra.product(r, g)  # R_i E skew(sum p)
+    second_p, second_q = plus_outer(s_pp, mean_p, mean_p), plus_outer(algebra.product(spread, e_t), mean_q, mean_q)
+    x = algebra.transpose(plus_outer(algebra.transpose(spread), mean_p, mean_q))  # the columns of X
+    ftf = [[cross(row, y) for y in algebra.transpose([cross(row, z) for z in second_p])] for row in e]  # P is symmetric
+    ftf = [[a + b + z for a, b, z in zip(*rows)] for rows in zip(*ftf)]
+    fts = algebra.transpose([
+        [a - b for a, b in zip(cross(e[(k + 2) % 3], x[(k + 1) % 3]), cross(e[(k + 1) % 3], x[(k + 2) % 3]))] for k in range(3)
+    ])
+    trace = second_q[0][0] + second_q[1][1] + second_q[2][2]
+    sts = [[(trace if a == b else 0.0) - second_q[a][b] for b in range(3)] for a in range(3)]
+    grad_j = [-(n * a + b) for a, b in zip(cross(algebra.transform(e_t, c), mean_p), axial(algebra.product(e_t, w)))]
+    grad_i = [n * a + b for a, b in zip(cross(c, mean_q), axial(algebra.product(w, e_t)))]
+    sum_p, sum_q, sum_r = ([n * a for a in v] for v in (mean_p, mean_q, c))
+
+    r = algebra.entries(rotations[graph.table.slot_i[edges]])
+    h = algebra.product(r, [cross(row, sum_p) for row in e])  # R_i E skew(sum p), R_i times the sum of F
     k = [cross(row, sum_q) for row in r]  # R_i skew(sum q)
-    n = counts.astype(float)
     m = [[n * x for x in row] for row in algebra.product(r, algebra.transpose(r))]  # n R_i R_i^T
     minus_h, minus_k, minus_m = ([[-x for x in row] for row in a] for a in (h, k, m))
     blocks = {
-        (0, 0): [algebra.symmetric(ftf), algebra.transpose(minus_h), minus_h, m],
-        (1, 1): [algebra.symmetric(sts), algebra.transpose(minus_k), minus_k, m],
+        (0, 0): [ftf, algebra.transpose(minus_h), minus_h, m],
+        (1, 1): [sts, algebra.transpose(minus_k), minus_k, m],
         (0, 1): [fts, algebra.transpose(h), k, minus_m],
     }
-    products = np.empty((end - start, 2, 2, 6, 6))
+    products = np.empty((len(n), 2, 2, 6, 6))
     for (a, b), (top_left, top_right, bottom_left, bottom_right) in blocks.items():
         block = [x + y for x, y in zip(top_left, top_right)] + [x + y for x, y in zip(bottom_left, bottom_right)]
         products[:, a, b] = algebra.to_array(block)
@@ -654,7 +642,7 @@ def _apply_step(
     checked as one stack with ``geom.check_rigid``. A rotation is
     re-orthonormalized as ``geom.compose`` does it, when its drift exceeds
     ``geom.DRIFT_TOL``."""
-    free = _free_slots(graph)
+    free = graph.table.free
     step = delta.reshape(-1, 6)
     rotations = rotations.copy()
     translations = translations.copy()

@@ -164,11 +164,11 @@ def calibrate_scenario(scenario: Scenario, sigma: float, seed: int) -> Calibrati
     if not cams:
         raise ValueError("scenario has no cameras to calibrate")
     reference = cams[0].id
-    # From observe_landmarks' (ids, seen, points) only the pair table outlives this statement.
-    pairs = _shared_landmark_pairs(
-        [c.id for c in cams], *ubimap.sensim.observe_landmarks(cams, scenario.world, sigma, seed)[1:]
+    # The landmark rows live only in this statement: the graph keeps each pair's moments.
+    graph = ubimap.calib.build_graph(
+        _shared_landmark_pairs([c.id for c in cams], *ubimap.sensim.observe_landmarks(cams, scenario.world, sigma, seed)[1:]),
+        reference, nodes=tuple(c.id for c in cams),
     )
-    graph = ubimap.calib.build_graph(pairs, reference, nodes=tuple(c.id for c in cams))
     initial = ubimap.calib.propagate(graph)  # raises DisconnectedGraphError
     refined, trace = ubimap.calib.refine(graph, initial)
 
@@ -263,7 +263,7 @@ def cmd_calibrate(scenario: Scenario, args) -> int:
         for poses in (result.initial, result.refined)
     )
     rotation_errors, translation_errors = result.pose_errors()
-    pairs = graph.correspondences.cameras.tolist()
+    pairs = graph.cameras.tolist()
     by_pair = sorted(range(len(pairs)), key=pairs.__getitem__)  # the loop errors' row order
 
     out_dir = Path(args.out)
@@ -505,9 +505,9 @@ def run_simulation(
                     kind=ubimap.netsim.MessageKind.SENSOR_UPLOAD,
                     seq=upload_seqs[robot.id],
                     sender_id=robot.id,
-                    payload=ubimap.netsim.encode_map_payload(upload_seqs[robot.id] + 1, local_maps[robot.id]),
+                    payload=ubimap.netsim.encode_map_payload((upload_seqs[robot.id] + 1) % 2**32, local_maps[robot.id]),
                 )
-                upload_seqs[robot.id] += 1
+                upload_seqs[robot.id] = (upload_seqs[robot.id] + 1) % 2**32  # u32 seqs wrap, as MapServer.next_seq's do
                 send(msg, 0, t)
 
         handle_deliveries(net.deliver_due(t))

@@ -229,7 +229,7 @@ class ClientState:
     """A robot's view of the broadcast channel: the revision and cell
     states of its map copy (0 and None before the first update), the
     number of MAP_UPDATEs applied and dropped as stale, and the last pose
-    and ACK received. Applied MAP_UPDATE seqs are strictly increasing."""
+    and ACK received. Applied MAP_UPDATE seqs increase in serial number order."""
 
     def __init__(self, robot_id: int) -> None:
         self.robot_id = robot_id
@@ -245,13 +245,14 @@ class ClientState:
 def client_apply(cs: ClientState, msg: Message) -> ClientState:
     """Apply one decoded server message to the client's state.
 
-    Stale MAP_UPDATEs (seq <= the last applied) are dropped and counted.
-    SENSOR_UPLOAD travels client-to-server only and is rejected here.
+    Stale MAP_UPDATEs (seq not after the last applied in serial number order,
+    where 0 follows 2**32 - 1) are dropped and counted. SENSOR_UPLOAD travels
+    client-to-server only and is rejected here.
     """
     if msg.kind == MessageKind.SENSOR_UPLOAD:
         raise WrongDirectionError("SENSOR_UPLOAD is client-to-server only")
     if msg.kind == MessageKind.MAP_UPDATE:
-        if msg.seq <= cs.last_applied_seq:
+        if cs.last_applied_seq >= 0 and _serial_distance(msg.seq, cs.last_applied_seq) <= 0:
             cs.stale_count += 1
             return cs
         cs.revision, cs.cells = decode_map_payload(msg.payload)
@@ -264,6 +265,12 @@ def client_apply(cs: ClientState, msg: Message) -> ClientState:
             raise MalformedFrameError(0, f"ack payload must be {_ACK_PAYLOAD.size} bytes")
         (cs.last_ack,) = _ACK_PAYLOAD.unpack(msg.payload)
     return cs
+
+
+def _serial_distance(a: int, b: int) -> int:
+    """a - b for u32 seqs in serial number arithmetic (RFC 1982), in
+    [-2**31, 2**31): positive when a comes after b, across the wrap too."""
+    return (a - b + 2**31) % 2**32 - 2**31
 
 
 class MapServer:
@@ -312,7 +319,8 @@ class MapServer:
         or mismatched fragment, which is dropped with a recorded fault and
         not remembered, so a retransmission is merged or rejected afresh.
         An upload UPLOAD_WINDOW or more seqs behind the sender's highest
-        merged one counts as a duplicate: ACKed, counted, not merged."""
+        merged one, in serial number order, counts as a duplicate: ACKed,
+        counted, not merged."""
         if msg.kind != MessageKind.SENSOR_UPLOAD:
             raise WrongDirectionError(f"server ingest expects SENSOR_UPLOAD, got {msg.kind.name}")
         try:
@@ -320,8 +328,8 @@ class MapServer:
         except (MalformedFrameError, TruncatedFrameError) as exc:
             self.faults.append(f"upload from {msg.sender_id} seq {msg.seq} dropped: {exc}")
             return None
-        high, merged = self._upload_windows.get(msg.sender_id, (-1, 0))
-        age = high - msg.seq
+        high, merged = self._upload_windows.get(msg.sender_id, (msg.seq, 0))
+        age = _serial_distance(high, msg.seq)
         if age >= UPLOAD_WINDOW or (age >= 0 and merged >> age & 1):
             self.stale_uploads += 1
         else:

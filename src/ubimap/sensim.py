@@ -136,7 +136,8 @@ def philox4x64(counter, key: tuple[int, int]) -> np.ndarray:
 
 def _gaussian_noise(seed: int, stream: int, counter, sigma: float, size: int) -> np.ndarray:
     """(n, size) N(0, sigma^2) draws, size <= 4: row k holds the first
-    ``size`` Box-Muller Gaussians of the Philox block at ``counter[:, k]``."""
+    ``size`` Box-Muller Gaussians of the Philox block at ``counter[:, k]``;
+    infinities, with no warning, where sigma is too large for them."""
     uniform = ((philox4x64(counter, (seed, stream)) >> 11) + 1) * 2.0**-53  # in (0, 1]
     columns = []
     for pair in range(0, size, 2):
@@ -145,7 +146,8 @@ def _gaussian_noise(seed: int, stream: int, counter, sigma: float, size: int) ->
         columns.append(radius * [math.cos(a) for a in angle])
         if pair + 1 < size:
             columns.append(radius * [math.sin(a) for a in angle])
-    return sigma * np.stack(columns, axis=1)
+    with np.errstate(over="ignore"):
+        return sigma * np.stack(columns, axis=1)
 
 
 def observe_landmarks(

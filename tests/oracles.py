@@ -8,6 +8,9 @@
   equations; ``stack_pairs``: the calibration's correspondence table from
   per-pair lists; ``graph_edges``: a calibration graph's edge stacks one
   edge at a time; ``build_plan``: the placement plan of a given selection.
+- ``row_graph_cost`` and ``row_normal_equations``: the calibration cost and
+  its normal equations from every landmark row of the pair table, one
+  residual per row, the form the graph's per-edge moments replace.
 - ``kabsch``: least-squares rigid alignment by LAPACK's SVD (Kabsch 1976),
   the reference for ``calib``'s batched Horn fit.
 - The discrete Bayes grid filter (``GridBelief``, ``bayes_grid_step``): the
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ubimap import calib, coverage, world
+from ubimap import algebra, calib, coverage, world
+from ubimap.algebra import cross, inner
 from ubimap.fusion import CellState, GridMap, MotionModel, ObservationModel
 from ubimap.geom import Point3, RigidTransform
 
@@ -81,7 +85,7 @@ def graph_edges(graph: calib.TransformGraph) -> list[Edge]:
     return [
         Edge(i, j, RigidTransform(rotation, translation), residual)
         for (i, j), rotation, translation, residual in zip(
-            graph.correspondences.cameras.tolist(), graph.rotations, graph.translations, graph.residuals.tolist()
+            graph.cameras.tolist(), graph.rotations, graph.translations, graph.residuals.tolist()
         )
     ]
 
@@ -95,6 +99,89 @@ def stack_pairs(pairwise) -> calib.Correspondences:
         np.concatenate([np.empty((0, 3))] + [np.reshape(p, (-1, 3)) for _, _, p, _ in pairwise]),
         np.concatenate([np.empty((0, 3))] + [np.reshape(p, (-1, 3)) for _, _, _, p in pairwise]),
     )
+
+
+def _row_residuals(graph: calib.TransformGraph, pairs: calib.Correspondences, rotations, translations):
+    """Each row's p_j, q = E p_j + t and r = q - p_i as (3, m) entries, the
+    rows' (E, 3, 3) relative rotations and each edge's first row; ``pairs``
+    holds the graph's edges' rows, edge after edge."""
+    rotation, translation = calib._relative_poses(graph, rotations, translations)
+    counts = pairs.counts
+    e_rows = [[np.repeat(rotation[:, a, b], counts) for b in range(3)] for a in range(3)]
+    p_j = list(pairs.points_j.T)
+    moved = algebra.affine(e_rows, [np.repeat(x, counts) for x in translation.T], p_j)
+    return p_j, moved, [q - p for q, p in zip(moved, pairs.points_i.T)], e_rows, rotation, np.cumsum(counts) - counts
+
+
+def row_graph_cost(graph: calib.TransformGraph, pairs: calib.Correspondences, rotations, translations) -> float:
+    """The total cost from the rows: per edge a reduceat segment, then edge
+    after edge."""
+    if not len(graph.residuals):
+        return 0.0
+    _, _, residual, _, _, offsets = _row_residuals(graph, pairs, rotations, translations)
+    return float(np.cumsum(np.add.reduceat(inner(residual, residual), offsets))[-1])
+
+
+def row_normal_equations(graph: calib.TransformGraph, pairs: calib.Correspondences, rotations, translations):
+    """``calib._normal_equations``' band and J^T r from the rows: per
+    landmark, F = E skew(p) (row a is E's row a x p), F^T F,
+    skew(q)^T skew(q), -F^T skew(q), -F^T r and r x q summed per edge; the
+    R_i^T blocks from sums of p, q and r; the 6x6 blocks added into the band
+    in edge order."""
+    p_j, moved, residual, e_rows, rotation, offsets = _row_residuals(graph, pairs, rotations, translations)
+
+    def per_edge(values):
+        return np.add.reduceat(values, offsets)
+
+    f_columns = algebra.transpose([cross(row, p_j) for row in e_rows])
+    sum_p, sum_q, sum_r = ([per_edge(x) for x in v] for v in (p_j, moved, residual))
+    ftf = [[per_edge(inner(f_columns[a], f_columns[b])) if b >= a else None for b in range(3)] for a in range(3)]
+    square = inner(moved, moved)  # skew(q)^T skew(q) = |q|^2 I - q q^T
+    sts = [
+        [per_edge((square if a == b else 0.0) - moved[a] * moved[b]) if b >= a else None for b in range(3)] for a in range(3)
+    ]
+    fts = [[per_edge(x) for x in cross(moved, column)] for column in f_columns]
+    grad_j = [per_edge(-inner(column, residual)) for column in f_columns]
+    grad_i = [per_edge(x) for x in cross(residual, moved)]
+
+    table = graph.table
+    r = algebra.entries(rotations[table.slot_i])
+    g = [cross(row, sum_p) for row in algebra.entries(rotation)]  # E skew(sum p), the sum of F
+    h = algebra.product(r, g)  # R_i E skew(sum p)
+    k = [cross(row, sum_q) for row in r]  # R_i skew(sum q)
+    n = pairs.counts.astype(float)
+    m = [[n * x for x in row] for row in algebra.product(r, algebra.transpose(r))]  # n R_i R_i^T
+    minus_h, minus_k, minus_m = ([[-x for x in row] for row in a] for a in (h, k, m))
+    blocks = {
+        (0, 0): [algebra.symmetric(ftf), algebra.transpose(minus_h), minus_h, m],
+        (1, 1): [algebra.symmetric(sts), algebra.transpose(minus_k), minus_k, m],
+        (0, 1): [fts, algebra.transpose(h), k, minus_m],
+    }
+    products = np.empty((len(n), 2, 2, 6, 6))
+    for (a, b), (top_left, top_right, bottom_left, bottom_right) in blocks.items():
+        block = [x + y for x, y in zip(top_left, top_right)] + [x + y for x, y in zip(bottom_left, bottom_right)]
+        products[:, a, b] = algebra.to_array(block)
+    products[:, 1, 0] = np.swapaxes(products[:, 0, 1], 1, 2)
+    r_sum = algebra.transform(r, sum_r)
+    gradients = np.stack([np.stack(grad_j + r_sum, -1), np.stack(grad_i + [-x for x in r_sum], -1)], axis=1)
+
+    free = len(graph.nodes) - 1
+    width = 6 * (table.bandwidth + 1)
+    band = np.zeros((6 * free, width))
+    jtr = np.zeros(6 * free)
+    placed = np.argsort(table.order)
+    position = np.full(len(graph.nodes), -1)
+    position[np.flatnonzero(np.asarray(graph.nodes) != graph.reference)] = placed
+    sides = np.stack([position[table.slot_j], position[table.slot_i]], axis=1)
+    rows, cols = np.repeat(sides, 2, axis=1).reshape(-1), np.tile(sides, 2).reshape(-1)
+    kept = (cols >= 0) & (rows >= cols)
+    p, q = np.indices((6, 6))
+    row, col = 6 * rows[kept, None, None] + p, 6 * cols[kept, None, None] + q  # each entry's place in J^T J
+    stored = row >= col
+    np.add.at(band.reshape(-1), (col * (width - 1) + row)[stored], products.reshape(-1, 6, 6)[kept][stored])
+    kept = sides.reshape(-1) >= 0
+    np.add.at(jtr.reshape(free, 6), sides.reshape(-1)[kept], gradients.reshape(-1, 6)[kept])
+    return band, jtr.reshape(free, 6)[placed].reshape(-1)
 
 
 def build_plan(problem: coverage.CoverageProblem, selected_ids: tuple[int, ...]) -> coverage.PlacementPlan:

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import math
+import pickle
 import tracemalloc
 from collections import deque
 from pathlib import Path
@@ -25,7 +26,17 @@ from ubimap.calib import (
 )
 from ubimap.geom import RigidTransform
 
-from oracles import cost_gradient, graph_edges, is_close, kabsch, rot_z, skew, stack_pairs
+from oracles import (
+    cost_gradient,
+    graph_edges,
+    is_close,
+    kabsch,
+    rot_z,
+    row_graph_cost,
+    row_normal_equations,
+    skew,
+    stack_pairs,
+)
 
 
 def random_transform(rng, max_angle=math.pi, max_shift=3.0):
@@ -138,17 +149,23 @@ def aligned_set(rng, kind):
 def test_batched_horn_fit_matches_svd_kabsch(seed, kinds):
     rng = np.random.default_rng(seed)
     sets = [aligned_set(rng, kind) for kind in kinds]
-    rotations, translations, residuals, errors = icp(
+    rotations, translations, residuals, errors, means, scatters = icp(
         np.concatenate([src for src, _ in sets]),
         np.concatenate([dst for _, dst in sets]),
         IcpOptions(),
         sizes=[len(src) for src, _ in sets],
     )
     assert errors == [None] * len(sets) and len(rotations) == len(translations) == len(residuals) == len(sets)
-    for (src, dst), fit_rotation, fit_translation, fit_rms in zip(sets, rotations, translations, residuals.tolist()):
+    fits = zip(sets, rotations, translations, residuals.tolist(), means, scatters)
+    for (src, dst), fit_rotation, fit_translation, fit_rms, mean, scatter in fits:
         rotation, translation = kabsch(src, dst)
         np.testing.assert_allclose(fit_rotation, rotation, rtol=0, atol=1e-12)
         np.testing.assert_allclose(fit_translation, translation, rtol=0, atol=1e-12)
+        # The moments the graph keeps: means and centred scatter of (src, the fit's residual).
+        rows = np.hstack([src, src @ fit_rotation.T + fit_translation - dst])
+        centred = rows - rows.mean(axis=0)
+        np.testing.assert_allclose(mean, rows.mean(axis=0), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(scatter, centred.T @ centred, rtol=0, atol=1e-12)
         # One set alone gives the bits it gets among many.
         alone, rms = best_rigid_transform(src, dst)
         assert np.array_equal(alone.rotation, fit_rotation)
@@ -558,19 +575,19 @@ def test_gradient_matches_central_differences():
 # -- per-edge oracles: the stacked expressions against one edge at a time -----
 
 
-def edge_points(graph):
-    """Each edge's (points_i, points_j), split from the graph's table."""
-    table = graph.correspondences
-    bounds = np.cumsum(table.counts)[:-1]
-    return list(zip(np.split(table.points_i, bounds), np.split(table.points_j, bounds)))
+def edge_points(pairs):
+    """Each pair's (points_i, points_j), split from the table."""
+    bounds = np.cumsum(pairs.counts)[:-1]
+    return list(zip(np.split(pairs.points_i, bounds), np.split(pairs.points_j, bounds)))
 
 
-def oracle_graph_cost(graph, poses):
-    """Reference: one edge at a time through RigidTransform. Per-edge sums
-    are reduceat segments, as in calib: a segment's rounding differs from
-    np.sum's but not from the segment's neighbours'."""
+def oracle_graph_cost(graph, pairs, poses):
+    """Reference: one edge at a time through RigidTransform, over the rows
+    of ``pairs``, the table the graph was built from with no pair failed.
+    Per-edge sums are reduceat segments, as in the row form: a segment's
+    rounding differs from np.sum's but not from the segment's neighbours'."""
     cost = 0.0
-    for edge, (points_i, points_j) in zip(graph_edges(graph), edge_points(graph)):
+    for edge, (points_i, points_j) in zip(graph_edges(graph), edge_points(pairs)):
         e_ij = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
         dx, dy, dz = (e_ij.transform_points(points_j) - points_i).T
         cost += float(np.add.reduceat(dx * dx + dy * dy + dz * dz, [0])[0])
@@ -649,8 +666,8 @@ def stacked_cases(draw):
         "chords": chords,
         "reference": draw(st.integers(0, n_cameras - 1)),
         "landmarks": draw(st.lists(st.integers(3, 9), min_size=n_pairs, max_size=n_pairs)),
-        # Small windows, so that several windows run, most with several edges.
-        "window_rows": draw(st.integers(1, 40)),
+        # Small blocks, so that several blocks run, most with several edges.
+        "edge_block": draw(st.integers(1, 6)),
         "drift": draw(st.booleans()),
         "zero_step": draw(st.booleans()),
     }
@@ -658,15 +675,13 @@ def stacked_cases(draw):
 
 BOTH_SIDES_DRIFTING = {
     "seed": 7, "n_cameras": 5, "cycle": True, "chords": [(0, 2), (1, 3), (2, 4)], "reference": 0,
-    "landmarks": [4, 6, 4, 6, 4, 5, 4, 6], "window_rows": 12, "drift": True, "zero_step": False,
+    "landmarks": [4, 6, 4, 6, 4, 5, 4, 6], "edge_block": 3, "drift": True, "zero_step": False,
 }
 
 
-@settings(max_examples=150, deadline=None)
-@given(stacked_cases())
-@example(BOTH_SIDES_DRIFTING)
-@example({**BOTH_SIDES_DRIFTING, "reference": 2, "zero_step": True})
-def test_stacked_calibration_equals_per_edge_oracles(case):
+def stacked_case_poses(case):
+    """The case's table, graph, free-camera index, poses (stepped off the
+    propagated ones, drifted on request), their stacks and the generator."""
     rng = np.random.default_rng(case["seed"])
     _, pairwise = synthetic_rig(
         case["n_cameras"],
@@ -677,6 +692,7 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
         chords=case["chords"],
     )
     graph = build_graph(pairwise, reference=case["reference"])
+    assert graph.failures == ()
     free = [node for node in graph.nodes if node != graph.reference]
     index = {node: i for i, node in enumerate(free)}
     poses = oracle_apply_step(propagate(graph), index, rng.normal(0, 0.05, 6 * len(free)))
@@ -690,26 +706,47 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
         }
         relative = [poses[e.camera_i].rotation.T @ poses[e.camera_j].rotation for e in graph_edges(graph)]
         assert max(geom.orthonormality_error(np.stack(relative))) > geom.DRIFT_TOL
-    rotations, translations = stack_poses(graph, poses)
-    delta = rng.normal(0, 0.05, 6 * len(free))
+    return pairwise, graph, index, poses, stack_poses(graph, poses), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_cases())
+@example(BOTH_SIDES_DRIFTING)
+@example({**BOTH_SIDES_DRIFTING, "reference": 2, "zero_step": True})
+def test_stacked_calibration_equals_per_edge_oracles(case):
+    pairwise, graph, index, poses, (rotations, translations), rng = stacked_case_poses(case)
+    delta = rng.normal(0, 0.05, 6 * len(index))
     if case["zero_step"]:
         delta[np.arange(len(delta)) % 6 < 3] = 0.0  # Rodrigues' small-angle branch
 
-    # The normal equations equal the dense Jacobian's, and their bits do not
-    # depend on the windows: one edge per window gives the same.
-    normal_equations = {}
-    for window_rows in (case["window_rows"], 1):
-        with mock.patch.object(calib, "WINDOW_ROWS", window_rows):
-            windowed = dataclasses.replace(graph)
-            assert graph_cost(windowed, rotations, translations) == oracle_graph_cost(graph, poses)
-            assert calib.loop_closure_error(windowed, rotations, translations).tolist() == oracle_loop_closure_error(graph, poses)
-            normal_equations[window_rows] = calib._normal_equations(windowed, rotations, translations)
-    (band, jtr), (edge_band, edge_jtr) = normal_equations[case["window_rows"]], normal_equations[1]
-    assert np.array_equal(band, edge_band) and np.array_equal(jtr, edge_jtr)
-    assert_matches_dense_jacobian(graph, poses, index, band, jtr)
+    # The row form is the per-edge oracle's bit for bit; the moment form
+    # rounds differently, so it equals both to rtol 1e-12.
+    cost = oracle_graph_cost(graph, pairwise, poses)
+    assert row_graph_cost(graph, pairwise, rotations, translations) == cost
+    assert graph_cost(graph, rotations, translations) == pytest.approx(cost, rel=1e-12, abs=0.0)
+    assert calib.loop_closure_error(graph, rotations, translations).tolist() == oracle_loop_closure_error(graph, poses)
+    band, jtr = calib._normal_equations(graph, rotations, translations)
+    assert_matches_dense_jacobian(graph, pairwise, poses, index, band, jtr)
+    for moments, rows in zip((band, jtr), row_normal_equations(graph, pairwise, rotations, translations)):
+        np.testing.assert_allclose(moments, rows, rtol=1e-12, atol=1e-12 * np.max(np.abs(rows)))
     stepped = calib._apply_step(graph, rotations, translations, delta)
     expected = stack_poses(graph, oracle_apply_step(poses, index, delta))
     assert np.array_equal(stepped[0], expected[0]) and np.array_equal(stepped[1], expected[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacked_cases())
+@example(BOTH_SIDES_DRIFTING)
+def test_a_stack_of_edges_gives_each_edge_its_own_bits(case):
+    # The cost and the normal equations read blocks of EDGE_BLOCK edges; a
+    # block of one edge alone gives the bits of that edge in any block.
+    _, graph, _, _, poses, _ = stacked_case_poses(case)
+    results = []
+    for edge_block in (case["edge_block"], 1, calib.EDGE_BLOCK):
+        with mock.patch.object(calib, "EDGE_BLOCK", edge_block):
+            results.append((graph_cost(graph, *poses), *calib._normal_equations(graph, *poses)))
+    for cost, band, jtr in results[1:]:
+        assert cost == results[0][0] and np.array_equal(band, results[0][1]) and np.array_equal(jtr, results[0][2])
 
 
 def test_refine_rejects_poses_outside_the_graph():
@@ -746,17 +783,18 @@ def test_graph_rejects_edges_between_cameras_outside_its_nodes():
 # -- blockwise normal equations against the dense Jacobian -------------------
 
 
-def dense_residuals_and_jacobian(graph, poses, index):
+def dense_residuals_and_jacobian(graph, pairs, poses, index):
     """Reference: the stacked residual vector and the full Jacobian w.r.t.
-    the free pose parameters, filled one landmark at a time. A landmark p_j
+    the free pose parameters, filled one landmark of ``pairs`` (the graph's
+    table, no pair failed) at a time. A landmark p_j
     lands at q = E p_j + t, (E, t) = inverse(G_i) composed with G_j by
     ``geom``, so a drifted E is re-orthonormalized as in the cost; its rows
     are [-E skew(p_j), R_i^T] for camera j and [skew(q), -R_i^T] for i."""
-    rows = 3 * len(graph.correspondences.points_i)
+    rows = 3 * len(pairs.points_i)
     residuals = np.zeros(rows)
     jacobian = np.zeros((rows, 6 * len(index)))
     row = 0
-    for edge, (points_i, points_j) in zip(graph_edges(graph), edge_points(graph)):
+    for edge, (points_i, points_j) in zip(graph_edges(graph), edge_points(pairs)):
         r_i = poses[edge.camera_i].rotation
         relative = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
         for k in range(len(points_j)):
@@ -775,9 +813,9 @@ def dense_residuals_and_jacobian(graph, poses, index):
     return residuals, jacobian
 
 
-def assert_matches_dense_jacobian(graph, poses, index, band, jtr):
+def assert_matches_dense_jacobian(graph, pairs, poses, index, band, jtr):
     """The band's lower triangle and J^T r equal the dense Jacobian's to rtol 1e-12."""
-    residuals, jacobian = dense_residuals_and_jacobian(graph, poses, index)
+    residuals, jacobian = dense_residuals_and_jacobian(graph, pairs, poses, index)
     jtj = lower_in_band_order(graph, jacobian.T @ jacobian)
     for blockwise, dense in ((band_to_lower(band), jtj), (jtr, jacobian.T @ residuals)):
         np.testing.assert_allclose(blockwise, dense, rtol=1e-12, atol=1e-12 * np.max(np.abs(dense)))
@@ -797,7 +835,7 @@ def test_normal_equations_match_dense_jacobian(n_cameras, cycle):
     # Step off the propagated poses so no gradient component is ~0.
     poses = oracle_apply_step(propagate(graph), index, rng.normal(0, 0.05, 6 * len(free)))
     band, jtr = calib._normal_equations(graph, *stack_poses(graph, poses))
-    assert_matches_dense_jacobian(graph, poses, index, band, jtr)
+    assert_matches_dense_jacobian(graph, pairwise, poses, index, band, jtr)
     assert np.array_equal(cost_gradient(graph, *stack_poses(graph, poses)), 2.0 * jtr)
 
 
@@ -806,7 +844,7 @@ def test_refine_memory_stays_below_one_dense_jacobian():
     _, pairwise = synthetic_rig(40, rng, noise=0.01, cycle=True, landmarks_per_zone=24)
     graph = build_graph(pairwise, reference=0)
     initial = propagate(graph)
-    rows = 3 * len(graph.correspondences.points_i)
+    rows = 3 * int(graph.counts.sum())
     dense_bytes = rows * 6 * (len(graph.nodes) - 1) * 8
     tracemalloc.start()
     try:
@@ -853,43 +891,57 @@ def test_correspondences_reject_an_inconsistent_table(cameras, counts, rows_i, r
         calib.Correspondences(cameras, counts, np.zeros((rows_i, 3)), np.zeros((rows_j, 3)))
 
 
+GRAPH_STACKS = ("cameras", "counts", "rotations", "translations", "residuals", "means", "scatters")
+
+
 def test_correspondences_are_finite_read_only_and_match_the_graph_edges():
     points = BASE_POINTS.copy()
     points[2, 1] = np.inf
     with pytest.raises(ValueError, match="correspondence points must be finite"):
         calib.Correspondences([[0, 1]], [4], BASE_POINTS, points)
-    graph = build_graph(stack_pairs([(0, 1, *correspondences_from_transform(geom.identity(), BASE_POINTS))]), reference=0)
-    table = graph.correspondences
+    table = stack_pairs([(0, 1, *correspondences_from_transform(geom.identity(), BASE_POINTS))])
     assert not any(a.flags.writeable for a in (table.cameras, table.counts, table.points_i, table.points_j))
-    assert not any(a.flags.writeable for a in (graph.rotations, graph.translations, graph.residuals))
-    # One transform and residual per pair of the table: a second pair has none.
-    doubled = calib.Correspondences([[0, 1], [1, 0]], [4, 4], np.tile(table.points_i, (2, 1)), np.tile(table.points_j, (2, 1)))
-    with pytest.raises(ValueError, match="one per pair of the correspondences"):
-        dataclasses.replace(graph, correspondences=doubled)
+    graph = build_graph(table, reference=0)
+    assert not any(getattr(graph, name).flags.writeable for name in GRAPH_STACKS)
+    # One transform, residual and set of moments per edge: a second edge has none.
+    with pytest.raises(ValueError, match=r"rotations must be \(2, 3, 3\), one per edge"):
+        dataclasses.replace(graph, cameras=[[0, 1], [1, 0]], counts=[4, 4])
 
 
-def test_graph_keeps_the_rows_of_the_pairs_it_aligned():
-    # With no failed pair the graph holds the input table's arrays, not
-    # copies; a collinear pair between good ones is reported, and its rows
-    # leave the graph, whose rows are then the good pairs' bit for bit.
+def test_graph_keeps_the_moments_of_the_pairs_it_aligned():
+    # A collinear pair between good ones is reported and leaves no edge: the
+    # graph's stacks are then the good pairs' bit for bit.
     rng = np.random.default_rng(37)
     _, good = synthetic_rig(3, rng, noise=0.01)
     graph = build_graph(good, reference=0)
     assert graph.failures == ()
-    for side in ("cameras", "counts", "points_i", "points_j"):
-        assert getattr(graph.correspondences, side) is getattr(good, side)
-
     line = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
-    first, second = edge_points(graph)
+    first, second = edge_points(good)
     mixed = build_graph(stack_pairs([(0, 1, *first), (0, 2, line, line + 1.0), (1, 2, *second)]), reference=0)
     assert [failure[:2] for failure in mixed.failures] == [(0, 2)]
     assert "collinear" in mixed.failures[0][2]
     assert [(edge.camera_i, edge.camera_j) for edge in graph_edges(mixed)] == [(0, 1), (1, 2)]
-    for side in ("cameras", "counts", "points_i", "points_j"):
-        kept = getattr(mixed.correspondences, side)
-        assert kept.dtype == getattr(good, side).dtype and kept.tobytes() == getattr(good, side).tobytes()
+    for name in GRAPH_STACKS:
+        kept, expected = getattr(mixed, name), getattr(graph, name)
+        assert kept.dtype == expected.dtype and kept.tobytes() == expected.tobytes(), name
     poses = propagate(mixed)
-    assert graph_cost(mixed, *stack_poses(mixed, poses)) == oracle_graph_cost(mixed, poses)
+    cost = graph_cost(mixed, *stack_poses(mixed, poses))
+    assert cost == graph_cost(graph, *stack_poses(graph, poses))
+    assert cost == pytest.approx(oracle_graph_cost(graph, good, poses), rel=1e-12, abs=0.0)
+
+
+def test_graph_holds_the_same_bytes_for_four_times_the_landmarks():
+    # The graph keeps per-edge moments, not landmark rows, so its size
+    # follows the edges: the table it was built from grows fourfold.
+    sizes, tables = [], []
+    for landmarks in (6, 24):
+        _, pairwise = synthetic_rig(12, np.random.default_rng(39), noise=0.01, cycle=True, landmarks_per_zone=landmarks)
+        graph = build_graph(pairwise, reference=0)
+        assert graph.failures == () and len(graph.residuals) == 12
+        sizes.append(len(pickle.dumps(graph)))
+        tables.append(pairwise.points_i.nbytes + pairwise.points_j.nbytes)
+    assert tables[1] == 4 * tables[0]
+    assert sizes[1] == sizes[0], sizes
 
 
 # -- the banded solve ---------------------------------------------------------
@@ -1001,9 +1053,11 @@ def benchmark_ring(gen):
 
 
 def test_calibrate_peak_memory_on_the_benchmark_ring(gen, tmp_path):
-    # The graph keeps its 506 edges as stacks, and calibration.csv streams
-    # row by row from arrays. With a RigidTransform per edge and the report
-    # built as a row list, a StringIO and bytes, the peak was 2.26 MB.
+    # The graph keeps its 506 edges as stacks of moments, and
+    # calibration.csv streams row by row from arrays. With a RigidTransform
+    # per edge and the report built as a row list, a StringIO and bytes, the
+    # peak was 2.26 MB; with the 10,245 landmark rows kept for refine, 1.87
+    # MB; now 1.47 MB.
     path = tmp_path / "ring.scenario"
     gen.write(gen.ring(1), path)
     argv = ["calibrate", str(path), "--out", str(tmp_path / "out")]
@@ -1015,12 +1069,13 @@ def test_calibrate_peak_memory_on_the_benchmark_ring(gen, tmp_path):
     finally:
         tracemalloc.stop()
     assert code == cli.EXIT_OK
-    assert peak < 2 * 2**20, peak
+    assert peak < 1.54 * 2**20, peak
 
 
 def test_refine_peak_memory_on_the_benchmark_ring(benchmark_ring):
     # The reverse Cuthill-McKee order brings the 99 free cameras from a
     # bandwidth of 98 to 15: the band takes 0.46 MB, a dense J^T J 2.8 MB.
+    # The peak is 0.82 MB; reading landmark rows in windows, it was 0.98 MB.
     graph, initial = benchmark_ring
     assert graph.table.bandwidth == 15
     tracemalloc.start()
@@ -1030,4 +1085,16 @@ def test_refine_peak_memory_on_the_benchmark_ring(benchmark_ring):
     finally:
         tracemalloc.stop()
     assert trace[-1] < trace[0]
-    assert peak < 2**20, peak
+    assert peak < 0.86 * 2**20, peak
+
+
+# LM rejects steps on seed 6 only, of seeds 1 to 10.
+RING_COST_EVALUATIONS = {1: 6, 6: 16}
+
+
+@pytest.mark.parametrize("seed", sorted(RING_COST_EVALUATIONS))
+def test_ring_cost_evaluations_pinned(gen, seed):
+    scenario = gen.ring(seed)
+    with mock.patch.object(calib, "graph_cost", wraps=calib.graph_cost) as cost:
+        cli.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed)
+    assert cost.call_count == RING_COST_EVALUATIONS[seed]

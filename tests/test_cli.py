@@ -309,6 +309,11 @@ def table_bits(table):
     return [(a.dtype.str, a.shape, a.tobytes()) for a in (table.cameras, table.counts, table.points_i, table.points_j)]
 
 
+def moment_bits(graph):
+    """The graph's pairs and the moments of their rows, which the rows' values and order set."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (graph.cameras, graph.counts, graph.means, graph.scatters)]
+
+
 @pytest.mark.parametrize("sigma", [0.0, 0.03])
 def test_calibration_pairs_match_per_pair_set_intersection(sigma):
     scenario = landmark_pairing_scenario()
@@ -323,7 +328,7 @@ def test_calibration_pairs_match_per_pair_set_intersection(sigma):
     expected = calib.build_graph(pairwise, cams[0].id, nodes=tuple(c.id for c in cams))
     assert graph.nodes == expected.nodes
     assert [edge_bits(e) for e in graph_edges(graph)] == [edge_bits(e) for e in graph_edges(expected)]
-    assert table_bits(graph.correspondences) == table_bits(expected.correspondences)
+    assert moment_bits(graph) == moment_bits(expected)
     assert graph.failures == expected.failures
     if sigma == 0.0:  # the collinear row is exactly collinear only without noise
         assert [(i, j) for i, j, _ in graph.failures] == [(1, 2)]
@@ -549,8 +554,10 @@ UNREACHABLE = "calibration failed: cameras unreachable from the reference: [2, 3
     ],
 )
 def test_overflowing_noise_sigma_fails_with_no_outputs(tmp_path, capsys, command, sigma, expected, message):
+    # With every numpy warning an error: neither the noise nor the fits may warn.
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
         code = cli.main([command, str(DEMO_ROOM), "--noise-sigma", sigma, "--out", str(out)])
     assert code == expected
     assert message in capsys.readouterr().err

@@ -27,7 +27,7 @@ COMMANDS = {
 }
 
 GOLDEN = {
-    "cal/calibration.csv": "5d730c23a4284a046912f644014d2582c992d5d9c87ae33dcf31731ef8045816",
+    "cal/calibration.csv": "e081f302c76db09472a5085eb504ec2e53bbaa77f4fc8886446e2649bfadfdd1",
     "plan/plan.csv": "4677a2523e75ef670b99f33e9ea5f471c432b01581389a9fd269c226315e8dae",
     "plan/plan_coverage.ppm": "7cc8a907d7cd7e285c994d010470608c0ba1b254084b01d1569e913406308e5a",
     "plan/plan_violations.csv": "2d945507f337b8fecace9f59e0fbe46cb9d556b88be8d256f8ab25c12d685034",
@@ -35,15 +35,15 @@ GOLDEN = {
     "plan_exact/plan_coverage.ppm": "c9e589b97219f11abcf87cfe2567034f37961a4a7160a87d0f69f400b1914757",
     "plan_exact/plan_violations.csv": "cb09cc78c86324996557a70a8e9cd77426b206b193326e6023a659af5bbf7c51",
     "render/map.ppm": "e66c0988d467a62d8fe598818d8d55de0789a7f44c29778f5b6628f3bf63fec9",
-    "sim/capture.hex": "cd194a5d804dd6fa51112ee663081fc654a6fed8397db6559a7e07e385c462d2",
+    "sim/capture.hex": "5553a2bc5254e95c1eca1d130ff45b5fd8c2849063e5f361a2a72281a4b98066",
     "sim/final_map.ppm": "826b53fd860c4c70a1d5dfd4ceda63d2687f953a0f9e535fd4b069822aa9a9f2",
-    "sim/localization.csv": "e44c85ff8b85aca942584a50c6ea933799a2896ee19a4714ea91b28c83fd82c9",
+    "sim/localization.csv": "e8fbfa8a440c21043009121d1a341c160a171ffd02fc9924c5dd867800171435",
     "sim/observations.csv": "0df64b1095e30e33253d12a373531dff64f2edc3a24b8e6fe13ba71eaeae2eae",
-    "sim/summary.csv": "9522aee932dd2180881deb7b19fc6a51d410603ab27b73820c3a445ec225eedb",
+    "sim/summary.csv": "9372f3129faf179c6012c2f771aec64f0c5bae0ec5bab43dbfad87cfcbe8e3ac",
     "sim_plan/capture.hex": "d495a33fe02bc20084cca5f010294d7a7f91cb90ddcb0d225a89836a4fd9a607",
     "sim_plan/final_map.ppm": "008c568a9f0ca71a196356f354245ed229440463b96ddc787837d4e9cb4c289f",
     "sim_plan/localization.csv": "9fdb2321b926bc1a11da219c7630391088a53abfda895466eaa25e59b7d5d177",
-    "sim_plan/summary.csv": "97a17f7003fb8e4e41fe82aaec2f602d5689978bf678830f82e9bdfa3a673d5e",
+    "sim_plan/summary.csv": "f626ac16df0967b14beaa48517840750b371791314e62f9b2593b51c7f5eb725",
 }
 
 

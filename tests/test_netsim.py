@@ -222,6 +222,18 @@ def test_client_drops_stale_update():
     assert client.last_applied_seq == 1
 
 
+def test_client_applies_updates_across_the_seq_wrap():
+    server = MapServer(GridMap(2, 2, 1.0))
+    server._seqs[MessageKind.MAP_UPDATE] = 2**32 - 2
+    updates = [server.map_update_message() for _ in range(3)]
+    client = ClientState(robot_id=1)
+    for update in updates:
+        client_apply(client, update)
+    assert (client.applied_count, client.stale_count, client.last_applied_seq) == (3, 0, 0)
+    client_apply(client, updates[1])  # 2**32 - 1 comes before 0
+    assert (client.applied_count, client.stale_count) == (3, 1)
+
+
 def test_client_rejects_sensor_upload():
     client = ClientState(robot_id=1)
     upload = Message(MessageKind.SENSOR_UPLOAD, 0, 1, encode_map_payload(0, np.zeros((1, 1), np.uint8)))
@@ -365,12 +377,17 @@ def test_upload_older_than_window_counts_as_duplicate():
     assert (server.uploads_merged, server.stale_uploads) == (3, 1)
 
 
-def test_window_survives_a_jump_to_the_last_seq():
+def test_window_holds_across_the_seq_wrap():
+    # Seqs are ordered by serial number (RFC 1982): 0 follows 2**32 - 1, and
+    # 2**32 - 1 is one behind 0, still in the window.
     server = MapServer(GridMap(3, 3, 1.0))
-    for seq in (0, 2**32 - 1, 2**32 - 1, 0):
+    for seq in (2**32 - 2, 0, 2**32 - 1, 2**32 - 1, 0, 2**32 - 2):
         assert server.ingest(upload_with_obstacle(seq=seq)) is not None
-    assert (server.uploads_merged, server.stale_uploads) == (2, 2)
-    assert server._upload_windows == {1: (2**32 - 1, 1)}
+    assert (server.uploads_merged, server.stale_uploads) == (3, 3)
+    assert server._upload_windows == {1: (0, 0b111)}
+    assert server.ingest(upload_with_obstacle(seq=2**32 - WINDOW)) is not None  # WINDOW behind 0
+    assert server.ingest(upload_with_obstacle(seq=2**32 - WINDOW + 1)) is not None  # the oldest the window keeps
+    assert (server.uploads_merged, server.stale_uploads) == (4, 4)
 
 
 def test_jump_past_the_window_forgets_older_merges():

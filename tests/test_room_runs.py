@@ -116,14 +116,14 @@ def test_calibrate_ring_bytes_pinned(gen, tmp_path):
     # 100 cameras and 506 edges: a pairing fault across many cameras changes
     # these bytes, which the 4-camera golden table cannot see.
     digest = ring_calibration_digest(gen, tmp_path, 1)
-    assert digest == "603c2e3faaf68ac228e8fe03bc8a08200297de52a78b4b47bfd8792cddfc19f1"
+    assert digest == "232ced268b24a16db98cb46434a64040ab6e1f658eadaad2b4bd5ad2dd634c71"
 
 
 # On this seed LM rejects steps (16 cost evaluations for 10 accepted steps,
 # against 6 for 5 on seed 1), so the damped retries and their rounding reach
 # the bytes.
 REJECTING_RING_DIGESTS = {
-    6: "a5ec9fe01379722fc84cf0f475bba749acd02c4ebaccb67e02129e28c7257b1d",
+    6: "16a65c6c6b98fe84d719b3caf7e4abf826d0096f24a3f793b04df16f503e5adc",
 }
 
 
