@@ -113,7 +113,8 @@ class IcpOptions:
 class CorrespondenceTable:
     """Where the graph's edges meet the pose stacks, built once per graph
     (``TransformGraph.table``). Slots index ``graph.nodes``, the order of
-    every pose stack."""
+    every pose stack. The cost and the normal equations read each edge's
+    moments (``TransformGraph``) through these slots, never a landmark row."""
 
     slot_i: np.ndarray  # (E,) slot of each edge's camera i
     slot_j: np.ndarray  # (E,) slot of each edge's camera j
@@ -271,10 +272,9 @@ def _rigid_fits(src: np.ndarray, dst: np.ndarray, sizes) -> tuple:
     rotations[fitted[good]] = algebra.to_array(rotation)[good]
     translations[fitted[good]] = np.stack(translation, axis=-1)[good]
     residuals[fitted[good]] = rms[good]
-    means[fitted] = np.concatenate([sums[0:3], moments[0:3]]).T
+    means[fitted[good]] = np.concatenate([sums[0:3], moments[0:3]]).T[good]
     for (i, j), value in zip([(i, j) for i in range(6) for j in range(i, 6)], moments[3:]):
-        scatters[fitted, i, j] = scatters[fitted, j, i] = value
-    means[fitted[~good]], scatters[fitted[~good]] = np.nan, np.nan
+        scatters[fitted[good], i, j] = scatters[fitted[good], j, i] = value[good]
     geom.check_rigid(rotations, translations)
     return rotations, translations, residuals, errors, means, scatters
 
@@ -451,8 +451,8 @@ def _edge_terms(graph: TransformGraph, rotations: np.ndarray, translations: np.n
 def graph_cost(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> float:
     """Total matching cost: sum over edges and landmarks of the squared
     distance between the two observations brought into camera i's frame,
-    summed edge after edge in edge order; an edge's from its moments,
-    n |c|^2 + tr(D S_pp D^T) + 2 tr(D S_ps) + tr(S_ss) (see ``_edge_terms``)."""
+    summed edge after edge in edge order, each edge's sum n |c|^2 +
+    tr(D S_pp D^T) + 2 tr(D S_ps) + tr(S_ss) of its moments (``_edge_terms``)."""
     per_edge = np.zeros(len(graph.residuals))
     for start in range(0, len(per_edge), EDGE_BLOCK):
         edges = slice(start, start + EDGE_BLOCK)
