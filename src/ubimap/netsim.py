@@ -268,8 +268,7 @@ def client_apply(cs: ClientState, msg: Message) -> ClientState:
 
 
 def _serial_distance(a: int, b: int) -> int:
-    """a - b for u32 seqs in serial number arithmetic (RFC 1982), in
-    [-2**31, 2**31): positive when a comes after b, across the wrap too."""
+    """a - b for u32 seqs in serial number arithmetic (RFC 1982): > 0 when a comes after b."""
     return (a - b + 2**31) % 2**32 - 2**31
 
 

@@ -19,12 +19,12 @@ DEMO_ROOM = ROOT / "scenarios" / "demo_room.scenario"
 LAYERS = ("algebra", "calib", "cli", "coverage", "fusion", "geom", "netsim", "sensim", "world")
 
 # world (with geom and algebra, which it imports) and cli load for every
-# command; the rest is what each command runs.
+# command; the rest is what each command runs. calib imports moments.
 BASE = {"ubimap", "ubimap.algebra", "ubimap.cli", "ubimap.geom", "ubimap.world"}
 LOADED = {
     "plan": BASE | {"ubimap.coverage"},
-    "calibrate": BASE | {"ubimap.calib", "ubimap.sensim"},
-    "simulate": {"ubimap", *(f"ubimap.{name}" for name in LAYERS)},
+    "calibrate": BASE | {"ubimap.calib", "ubimap.moments", "ubimap.sensim"},
+    "simulate": {"ubimap", "ubimap.moments", *(f"ubimap.{name}" for name in LAYERS)},
     "render": BASE,
 }
 
