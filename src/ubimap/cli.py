@@ -218,7 +218,9 @@ def cmd_plan(scenario: Scenario, args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    histogram = np.bincount(plan.counts[problem.target_mask()])
+    # Multiplicities over the target cells: those of every cell less those of the rest, with no copy of the counts.
+    every = np.bincount(plan.counts.ravel())
+    histogram = every - np.bincount(plan.counts[~problem.target_mask()], minlength=len(every))
     rows = [
         ["selected", " ".join(str(i) for i in plan.selected)],
         ["cameras_selected", len(plan.selected)],
@@ -288,23 +290,24 @@ def cmd_calibrate(scenario: Scenario, args) -> int:
     return EXIT_OK
 
 
-def _robot_local_map(world: GridWorld, robot, sense_radius: float) -> np.ndarray:
+def _robot_local_map(world: GridWorld, robot, sense_radius: float, truth: np.ndarray) -> np.ndarray:
     """What the robot's own onboard sensing contributes, as (height, width)
     cell states: every cell within sensing range and line of sight, labeled
-    from ground truth (other robots read as obstacles to an onboard
-    detector); every other cell is unexplored."""
+    from the ground-truth cells ``truth`` (other robots read as obstacles to
+    an onboard detector); every other cell is unexplored. Range is tested
+    only over the box of cells within ``sense_radius``, the whole grid for
+    an infinite radius."""
     fragment = np.zeros((world.height, world.width), dtype=np.uint8)
     if sense_radius <= 0:
         return fragment
-    own = world.cell_of(robot.x, robot.y)
-    xs, ys = (centers.ravel() for centers in world.cell_centers)
-    in_range = np.flatnonzero(
-        [not math.dist(center, (robot.x, robot.y)) > sense_radius for center in zip(xs.tolist(), ys.tolist())]
-    )
-    seen = in_range[line_of_sight(world, (robot.x, robot.y), np.column_stack([xs[in_range], ys[in_range]]))]
-    labels = _truth_cells(world)
+    own, at = world.cell_of(robot.x, robot.y), (robot.x, robot.y)
+    (cols, xs), (rows, ys) = (world.centre_span(v - sense_radius, v + sense_radius, axis) for axis, v in enumerate(at))
+    near = [not math.dist((x, y), at) > sense_radius for y in ys.tolist() for x in xs.tolist()]
+    r, c = np.nonzero(np.reshape(near, (len(ys), len(xs))))
+    seen = ((r + rows.start) * world.width + c + cols.start)[line_of_sight(world, at, np.column_stack([xs[c], ys[r]]))]
+    labels = truth.flat[seen]
     labels[labels == worldmod.CellState.ROBOT] = worldmod.CellState.OBSTACLE
-    fragment.flat[seen] = labels.flat[seen]
+    fragment.flat[seen] = labels
     fragment[own.row, own.col] = worldmod.CellState.EXPLORED
     return fragment
 
@@ -421,7 +424,7 @@ def run_simulation(
     om = ubimap.fusion.position_observation_model(np.diag([meas_var, meas_var]))
 
     upload_seqs = {r.id: 0 for r in robots}
-    local_maps: dict[int, np.ndarray] = {}  # robots and walls never move: one onboard map per robot
+    truth = None  # the ground-truth cells, made at the first upload with each robot's onboard map
     localization_rows = csv.writer(localization, lineterminator="\n")
     localization_rows.writerow(["tick", "t", "robot_id", "error_m"])
     observation_rows = None
@@ -498,9 +501,10 @@ def run_simulation(
                     send(server.pose_message(robot.id, float(mean[0]), float(mean[1]), float(mean[2])), robot.id, t)
 
         if tick % upload_every == 0:
+            if truth is None:  # robots and walls never move: one onboard map per robot
+                truth = _truth_cells(world)
+                local_maps = {robot.id: _robot_local_map(world, robot, args.sense_radius, truth) for robot in robots}
             for robot in robots:
-                if robot.id not in local_maps:
-                    local_maps[robot.id] = _robot_local_map(world, robot, args.sense_radius)
                 msg = ubimap.netsim.Message(
                     kind=ubimap.netsim.MessageKind.SENSOR_UPLOAD,
                     seq=upload_seqs[robot.id],
@@ -516,7 +520,7 @@ def run_simulation(
     while net.pending():
         handle_deliveries(net.drain())
 
-    matches = int((covered & (server_map.cells == _truth_cells(world))).sum())
+    matches = int((covered & (server_map.cells == (_truth_cells(world) if truth is None else truth))).sum())
     report.map_accuracy = matches / int(covered.sum()) if covered.any() else 1.0
     report.messages_sent = net.sent
     report.messages_delivered = net.delivered
@@ -649,7 +653,7 @@ def main(argv=None) -> int:
         if isinstance(exc, ubimap.calib.DisconnectedGraphError):  # loads calib on a failure only
             print(f"calibration failed: {exc}", file=sys.stderr)
             return EXIT_CALIBRATION
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

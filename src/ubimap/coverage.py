@@ -1,12 +1,15 @@
 """Camera-placement optimization over the grid: greedy set cover + an
 exhaustive oracle.
 
-A placement problem fixes a candidate pool of cameras, a set of target
-cells, per-cell overlap bounds [min_overlap, max_overlap] and a camera
-budget. The objective is the number of distinct target cells covered; the
+A placement problem fixes a candidate pool of cameras, the target cells
+(every free cell unless a set is given, held as a grid mask either way),
+per-cell overlap bounds [min_overlap, max_overlap] and a camera budget.
+The objective is the number of distinct target cells covered; the
 max-overlap bound is enforced as a hard constraint, while min_overlap is
 reported as violations (and greedily repaired when budget remains), since
 it exists to guarantee calibration overlap zones rather than coverage.
+Memory follows the grid's cells as masks and bitsets, never as sets of
+cell tuples, unless the caller gives such a set.
 """
 
 from __future__ import annotations
@@ -26,16 +29,19 @@ class ProblemTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class CoverageProblem:
+    """A placement instance. ``target_cells`` None targets every free cell:
+    the targets are then ``~world.wall_mask``, and no set of cells is built.
+    A given set may hold cells off the grid, which no camera covers."""
+
     world: GridWorld
     candidates: tuple[CameraSpec, ...]
-    target_cells: frozenset[CellIndex] = field(default=None)  # type: ignore[assignment]
+    target_cells: frozenset[CellIndex] | None = None
     min_overlap: int = 0
     max_overlap: int = 1_000_000
     budget: int = 1_000_000
+    _target: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.target_cells is None:
-            object.__setattr__(self, "target_cells", frozenset(self.world.free_cells()))
         if self.min_overlap < 0:
             raise ValueError("min_overlap must be >= 0")
         if self.max_overlap < max(self.min_overlap, 1):
@@ -47,8 +53,13 @@ class CoverageProblem:
             raise ValueError("candidate camera ids must be unique")
 
     def target_mask(self) -> np.ndarray:
-        """(height, width) bool mask of the target cells on the grid."""
-        return cell_mask(self.world.width, self.world.height, self.target_cells)
+        """Read-only (height, width) bool mask of the target cells on the grid, made at the first call."""
+        if self._target is None:
+            cells = self.target_cells
+            target = ~self.world.wall_mask if cells is None else cell_mask(self.world.width, self.world.height, cells)
+            target.setflags(write=False)
+            object.__setattr__(self, "_target", target)
+        return self._target
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,18 +75,21 @@ class PlacementPlan:
 
 def objective(plan: PlacementPlan, problem: CoverageProblem) -> int:
     """Distinct target cells covered: sum over cells of min(1, multiplicity)."""
-    return int(np.count_nonzero(plan.counts[problem.target_mask()]))
+    return int(np.count_nonzero(problem.target_mask() & (plan.counts > 0)))
 
 
 def _plan(problem: CoverageProblem, selected_ids: tuple[int, ...], masks) -> PlacementPlan:
     """The plan of a selection, given its cameras' (height, width) cover masks."""
     world = problem.world
-    counts = sum(masks, np.zeros((world.height, world.width), dtype=np.int64))
+    counts = np.zeros((world.height, world.width), dtype=np.int64)
+    for mask in masks:
+        counts += mask
     target = problem.target_mask()
-    ratio = int(np.count_nonzero(counts[target])) / len(problem.target_cells) if problem.target_cells else 1.0
+    targets = int(np.count_nonzero(target)) if problem.target_cells is None else len(problem.target_cells)
+    ratio = int(np.count_nonzero(target & (counts > 0))) / targets if targets else 1.0
     violated = target & ((counts < problem.min_overlap) | (counts > problem.max_overlap))
     violations = [(CellIndex(col, row), int(counts[row, col])) for col, row in np.argwhere(violated.T).tolist()]
-    if problem.min_overlap > 0:  # off-grid targets are never covered
+    if problem.min_overlap > 0 and problem.target_cells:  # off-grid targets are never covered
         violations += [(cell, 0) for cell in problem.target_cells if not world.in_bounds(cell)]
     return PlacementPlan(
         selected=tuple(selected_ids), counts=counts, coverage_ratio=ratio, violations=tuple(sorted(violations))
@@ -203,23 +217,10 @@ def lattice_candidates(
     first_id: int = 1,
 ) -> tuple[CameraSpec, ...]:
     """Candidate pool on a position lattice x 8 yaw angles (45 deg apart)."""
-    cams = []
-    next_id = first_id
-    for row in range(0, world.height, spacing_cells):
-        for col in range(0, world.width, spacing_cells):
-            cx, cy = world.cell_center(CellIndex(col, row))
-            for octant in range(8):
-                cams.append(
-                    CameraSpec(
-                        id=next_id,
-                        x=cx,
-                        y=cy,
-                        height=height,
-                        yaw=octant * math.pi / 4.0,
-                        hfov=hfov,
-                        vfov=vfov,
-                        max_range=max_range,
-                    )
-                )
-                next_id += 1
-    return tuple(cams)
+    rows, cols = range(0, world.height, spacing_cells), range(0, world.width, spacing_cells)
+    sites = [world.cell_center(CellIndex(col, row)) for row in rows for col in cols]
+    return tuple(
+        CameraSpec(id=first_id + k, x=x, y=y, height=height, yaw=(k % 8) * math.pi / 4.0, hfov=hfov, vfov=vfov,
+                   max_range=max_range)
+        for k, (x, y) in enumerate(site for site in sites for _ in range(8))
+    )

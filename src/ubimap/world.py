@@ -17,6 +17,7 @@ Sections: world, walls, camera, robot, obstacle, landmark, sim.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
@@ -100,6 +101,11 @@ class GroundFootprint:
         """Whether a point, or each of arrays of points, lies in the footprint."""
         lx, ly = self.to_local(px, py)
         return (-self.width / 2 <= lx) & (lx <= self.width / 2) & (0 <= ly) & (ly <= self.depth)
+
+    def corners(self) -> list[tuple[float, float]]:
+        """The rectangle's corners in world coordinates; an unbounded side's come out inf or NaN."""
+        c, s, half = math.cos(self.yaw), math.sin(self.yaw), self.width / 2
+        return [(self.x + c * lx - s * ly, self.y + s * lx + c * ly) for lx in (-half, half) for ly in (0.0, self.depth)]
 
     def to_local(self, px, py):
         """World point(s) -> footprint-local ground frame (x lateral, y forward)."""
@@ -195,15 +201,10 @@ class GridWorld:
     def cell_center(self, cell: CellIndex) -> tuple[float, float]:
         return (cell.col + 0.5) * self.cell_size, (cell.row + 0.5) * self.cell_size
 
-    def all_cells(self) -> Iterator[CellIndex]:
-        for row in range(self.height):
-            for col in range(self.width):
-                yield CellIndex(col, row)
-
     def free_cells(self) -> Iterator[CellIndex]:
-        for cell in self.all_cells():
-            if cell not in self.walls:
-                yield cell
+        """The cells that are not walls, row by row."""
+        rows, cols = np.nonzero(~self.wall_mask)
+        return map(CellIndex, cols.tolist(), rows.tolist())
 
     @cached_property
     def wall_mask(self) -> np.ndarray:
@@ -213,14 +214,25 @@ class GridWorld:
         return mask
 
     @cached_property
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (height, width) arrays of the cell centers' x and y."""
-        xs = (np.arange(self.width) + 0.5) * self.cell_size
-        ys = (np.arange(self.height) + 0.5) * self.cell_size
-        centers_x, centers_y = np.meshgrid(xs, ys)
-        centers_x.setflags(write=False)
-        centers_y.setflags(write=False)
-        return centers_x, centers_y
+    def sight_grid(self) -> np.ndarray:
+        """Read-only flat codes of the wall mask padded by a ring of outside
+        cells, which line_of_sight walks: one lookup of a flat index tells a
+        free cell (0), a wall and a cell off the grid apart."""
+        grid = np.full((self.height + 2, self.width + 2), _OUTSIDE, dtype=np.int8)
+        grid[1:-1, 1:-1] = self.wall_mask
+        grid = grid.ravel()
+        grid.setflags(write=False)
+        return grid
+
+    def centre_span(self, lo: float, hi: float, axis: int) -> tuple[slice, np.ndarray]:
+        """The cells along axis 0 (columns, x) or 1 (rows, y) whose centres
+        may lie in [lo, hi], widened by one cell each way, and their centres.
+        A NaN or infinite bound reaches the grid's edge."""
+        cells = (self.width, self.height)[axis]
+        first, last = lo / self.cell_size - 1.5, hi / self.cell_size + 0.5
+        start = int(min(first, cells)) if first > 0 else 0
+        stop = int(max(last, -1.0)) + 1 if last < cells else cells
+        return slice(start, stop), (np.arange(start, max(start, stop)) + 0.5) * self.cell_size
 
 
 def cell_mask(width: int, height: int, cells: Iterable[CellIndex]) -> np.ndarray:
@@ -255,29 +267,43 @@ def covered_cells(cameras: CameraSpec | Sequence[CameraSpec], world: GridWorld) 
 
     ``cameras`` is one camera or a sequence of them: one camera gives its
     cells as a ``set[CellIndex]``, a sequence a ``(k, height, width)`` bool
-    array of their masks in camera order; cameras at one ground point share one walk.
+    array of their masks in camera order. The cameras at one ground point
+    are tested over the box of cells around their footprints only, and all
+    sight lines are walked in one lockstep call, so memory follows the
+    footprints, not the grid, but for that array.
     Occlusion is a 2D ray cast at ground level against the static walls;
     obstacles and robots are transient and do not occlude.
     """
     single = isinstance(cameras, CameraSpec)
     cameras = [cameras] if single else list(cameras)
-    masks = np.zeros((len(cameras), world.height, world.width), dtype=bool)
-    centers_x, centers_y = world.cell_centers
-    sites: dict[tuple[float, float], int] = {}
-    site_of = [sites.setdefault((cam.x, cam.y), len(sites)) for cam in cameras]
-    sight = np.zeros((len(sites), world.height, world.width), dtype=bool)
-    for mask, cam, site in zip(masks, cameras, site_of):
+    sites: dict[tuple[float, float], list[int]] = {}
+    for k, cam in enumerate(cameras):
         if not world.point_in_bounds(cam.x, cam.y):
             raise ValueError(f"camera {cam.id} ground point outside world bounds")
-        mask[...] = ground_footprint(cam).contains(centers_x, centers_y)
-        sight[site] |= mask
-    index, rows, cols = np.nonzero(sight)
-    origins = np.array([*sites], dtype=float).reshape(-1, 2)[index]
-    sight[index, rows, cols] = line_of_sight(world, origins, np.column_stack([centers_x[rows, cols], centers_y[rows, cols]]))
-    for site, mask in zip(site_of, masks):
-        mask &= sight[site]
+        sites.setdefault((cam.x, cam.y), []).append(k)
+    inside: dict[int, np.ndarray] = {}  # each camera's footprint over its point's box
+    boxes, origins, targets = [], [np.empty((0, 2))], [np.empty((0, 2))]
+    for (x, y), members in sites.items():
+        footprints = [ground_footprint(cameras[k]) for k in members]
+        corners = np.array([corner for fp in footprints for corner in fp.corners()]).T
+        (cols, xs), (rows, ys) = (world.centre_span(float(v.min()), float(v.max()), axis) for axis, v in enumerate(corners))
+        inside.update((k, fp.contains(xs[None, :], ys[:, None])) for k, fp in zip(members, footprints))
+        r, c = np.nonzero(np.logical_or.reduce([inside[k] for k in members]))  # the cells its sight lines reach
+        boxes.append((rows, cols, r, c))
+        targets.append(np.column_stack([xs[c], ys[r]]))
+        origins.append(np.broadcast_to((x, y), targets[-1].shape))
+    visible = line_of_sight(world, np.concatenate(origins), np.concatenate(targets))
+    for members, (_, _, r, c) in zip(sites.values(), boxes):
+        blocked, visible = ~visible[: len(r)], visible[len(r) :]
+        for k in members:
+            inside[k][r[blocked], c[blocked]] = False
     if single:
-        return {CellIndex(col, row) for row, col in np.argwhere(masks[0]).tolist()}
+        (rows, cols, *_), (r, c) = boxes[0], np.nonzero(inside[0])
+        return {CellIndex(col, row) for row, col in zip((r + rows.start).tolist(), (c + cols.start).tolist())}
+    masks = np.zeros((len(cameras), world.height, world.width), dtype=bool)
+    for members, (rows, cols, *_) in zip(sites.values(), boxes):
+        for k in members:
+            masks[k, rows, cols] = inside[k]
     return masks
 
 
@@ -311,20 +337,15 @@ def line_of_sight(
     limit = (world.width * world.cell_size, world.height * world.cell_size)
     if not ((a >= 0) & (a <= limit) & (b >= 0) & (b <= limit)).all():
         raise ValueError("line_of_sight endpoints must be inside world bounds")
-    # Cells are flat indices into the wall mask padded by a ring of outside
-    # cells, so one lookup tells wall, free and off the grid apart.
-    grid = np.full((world.height + 2, world.width + 2), _OUTSIDE, dtype=np.int8)
-    grid[1:-1, 1:-1] = world.wall_mask
-    grid = grid.ravel()
     visible = np.ones(len(a), dtype=bool)
     for lo in range(0, len(a), SEGMENT_BLOCK):
-        _walk(world, grid, a[lo : lo + SEGMENT_BLOCK], b[lo : lo + SEGMENT_BLOCK], visible[lo : lo + SEGMENT_BLOCK])
+        _walk(world, a[lo : lo + SEGMENT_BLOCK], b[lo : lo + SEGMENT_BLOCK], visible[lo : lo + SEGMENT_BLOCK])
     return bool(visible[0]) if single else visible
 
 
-def _walk(world: GridWorld, grid: np.ndarray, a: np.ndarray, b: np.ndarray, visible: np.ndarray) -> None:
-    """Clear ``visible`` for the blocked segments of one block, on line_of_sight's flat padded grid."""
-    cs, width, height = world.cell_size, world.width, world.height
+def _walk(world: GridWorld, a: np.ndarray, b: np.ndarray, visible: np.ndarray) -> None:
+    """Clear ``visible`` for the blocked segments of one block, walked on ``world.sight_grid``."""
+    cs, width, height, grid = world.cell_size, world.width, world.height, world.sight_grid
     stride = width + 2
     # Cells as in GridWorld.cell_of, and their flat indices in the padded grid.
     start, end = (np.minimum(p // cs, (width - 1, height - 1)).astype(np.int64) for p in (a, b))
@@ -388,7 +409,8 @@ _SECTION_KEYS = {
     "landmark": {"id", "x", "y", "z"},
     "sim": {"seed", "noise_sigma", "net_latency_ms", "net_loss"},
 }
-_REPEATABLE = {"camera", "robot", "obstacle", "landmark"}
+# A line of an ASCII document and its end, as str.splitlines splits them.
+_LINE = re.compile(r"([^\n\r\v\f\x1c-\x1e]*)(?:\r\n|[\n\r\v\f\x1c-\x1e]|\Z)")
 
 
 def parse_scenario(document: str) -> Scenario:
@@ -396,7 +418,12 @@ def parse_scenario(document: str) -> Scenario:
 
     Raises ScenarioSyntaxError (with line number) for grammar problems and
     ScenarioSemanticError for inconsistent content (robot on a wall, camera
-    outside bounds, duplicate ids, ...).
+    outside bounds, duplicate ids, ...). The document is read one line at a
+    time, and camera, robot and landmark sections are converted as each
+    one's ``end`` is read, so one section's text is held at a time; obstacle
+    sections, which need the world's grid, wait for the scan's end. Grammar
+    errors anywhere come first, then the first conversion error of each
+    kind: cameras, robots, obstacles, landmarks in turn.
     """
     try:
         document.encode("ascii")
@@ -405,24 +432,18 @@ def parse_scenario(document: str) -> Scenario:
 
     world_kv: dict[str, float] | None = None
     wall_rows: list[tuple[int, int, int, int]] = []  # (line_no, row, c0, c1)
-    blocks: dict[str, list[tuple[int, dict[str, str]]]] = {name: [] for name in _REPEATABLE}
+    converters = {"camera": _convert_camera, "robot": _convert_robot, "landmark": _convert_landmark}
+    converted: dict[str, list] = {name: [] for name in converters}
+    errors: dict[str, ScenarioError] = {}  # the first conversion error of each kind
+    obstacle_kvs: list[tuple[int, dict[str, str]]] = []
     sim_kv: tuple[int, dict[str, str]] | None = None  # (line_no, key-values)
 
     section: str | None = None
     section_line = 0
     current: dict[str, str] = {}
 
-    def close_section() -> None:
-        nonlocal world_kv, sim_kv
-        if section == "world":
-            world_kv = _convert_world(section_line, current)
-        elif section == "sim":
-            sim_kv = (section_line, dict(current))
-        elif section in _REPEATABLE:
-            blocks[section].append((section_line, dict(current)))
-        # walls lines are collected eagerly
-
-    for line_no, raw in enumerate(document.splitlines(), start=1):
+    lines = (m[1] for m in _LINE.finditer(document) if m.start() < len(document))
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -445,7 +466,17 @@ def parse_scenario(document: str) -> Scenario:
         elif line == "end":
             if section is None:
                 raise ScenarioSyntaxError(line_no, "'end' outside any section")
-            close_section()
+            if section == "world":
+                world_kv = _convert_world(section_line, current)
+            elif section == "sim":
+                sim_kv = (section_line, current)
+            elif section == "obstacle":  # converted once the world's grid is known
+                obstacle_kvs.append((section_line, current))
+            elif section in converters and section not in errors:
+                try:
+                    converted[section].append(converters[section](section_line, current))
+                except ScenarioError as exc:
+                    errors[section] = exc
             section = None
         elif section == "walls":
             parts = line.split()
@@ -475,7 +506,7 @@ def parse_scenario(document: str) -> Scenario:
             raise ScenarioSyntaxError(line_no, f"unexpected content outside a section: '{line}'")
 
     if section is not None:
-        raise ScenarioSyntaxError(len(document.splitlines()), f"section '{section}' not closed")
+        raise ScenarioSyntaxError(line_no, f"section '{section}' not closed")
     if world_kv is None:
         raise ScenarioSyntaxError(0, "missing required 'world' section")
 
@@ -486,13 +517,15 @@ def parse_scenario(document: str) -> Scenario:
     for line_no, row, c0, c1 in wall_rows:
         if not (0 <= row < height and 0 <= c0 and c1 < width):
             raise ScenarioSemanticError(f"line {line_no}: wall row {row} cols {c0}..{c1} out of bounds")
-        for col in range(c0, c1 + 1):
-            walls.add(CellIndex(col, row))
+        walls.update(CellIndex(col, row) for col in range(c0, c1 + 1))
 
-    cameras = tuple(_convert_camera(ln, kv) for ln, kv in blocks["camera"])
-    robots = tuple(_convert_robot(ln, kv) for ln, kv in blocks["robot"])
-    obstacles = tuple(_convert_obstacle(ln, kv, cell_size, width, height) for ln, kv in blocks["obstacle"])
-    landmarks = tuple(_convert_landmark(ln, kv) for ln, kv in blocks["landmark"])
+    for kind in ("camera", "robot"):
+        if kind in errors:
+            raise errors[kind]
+    obstacles = tuple(_convert_obstacle(ln, kv, cell_size, width, height) for ln, kv in obstacle_kvs)
+    if "landmark" in errors:
+        raise errors["landmark"]
+    cameras, robots, landmarks = (tuple(converted[kind]) for kind in ("camera", "robot", "landmark"))
 
     for kind, items in (("camera", cameras), ("robot", robots), ("obstacle", obstacles), ("landmark", landmarks)):
         ids = [item.id for item in items]
@@ -521,69 +554,29 @@ def parse_scenario(document: str) -> Scenario:
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a scenario back to document text; parse(serialize(s)) == s."""
-    w = scenario.world
-    lines = ["section world", f"  cell_size = {w.cell_size!r}", f"  width = {w.width}", f"  height = {w.height}", "end"]
+    w, p = scenario.world, scenario.params
+    lines = _section("world", cell_size=w.cell_size, width=w.width, height=w.height)
     if w.walls:
-        lines.append("section walls")
-        by_row: dict[int, list[int]] = {}
-        for cell in sorted(w.walls):
-            by_row.setdefault(cell.row, []).append(cell.col)
-        for row in sorted(by_row):
-            cols = sorted(by_row[row])
-            start = prev = cols[0]
-            for col in cols[1:] + [None]:
-                if col is not None and col == prev + 1:
-                    prev = col
-                    continue
-                lines.append(f"  row {row} {start}..{prev}")
-                if col is not None:
-                    start = prev = col
-        lines.append("end")
+        # Runs of wall cells, from the rising and falling edges of each row padded with free cells.
+        rows, edges = np.nonzero(np.diff(np.pad(w.wall_mask, ((0, 0), (1, 1))).astype(np.int8), axis=1))
+        runs = zip(rows[::2].tolist(), edges[::2].tolist(), edges[1::2].tolist())
+        lines += ["section walls", *(f"  row {row} {start}..{stop - 1}" for row, start, stop in runs), "end"]
     for cam in scenario.cameras:
-        lines += [
-            "section camera",
-            f"  id = {cam.id}",
-            f"  x = {cam.x!r}",
-            f"  y = {cam.y!r}",
-            f"  h = {cam.height!r}",
-            f"  yaw_deg = {math.degrees(cam.yaw)!r}",
-            f"  hfov_deg = {math.degrees(cam.hfov)!r}",
-            f"  vfov_deg = {math.degrees(cam.vfov)!r}",
-            f"  range = {cam.max_range!r}",
-            "end",
-        ]
+        degrees = dict(yaw_deg=math.degrees(cam.yaw), hfov_deg=math.degrees(cam.hfov), vfov_deg=math.degrees(cam.vfov))
+        lines += _section("camera", id=cam.id, x=cam.x, y=cam.y, h=cam.height, **degrees, range=cam.max_range)
     for robot in w.robots:
-        lines += [
-            "section robot",
-            f"  id = {robot.id}",
-            f"  x = {robot.x!r}",
-            f"  y = {robot.y!r}",
-            f"  tag = {robot.tag}",
-            "end",
-        ]
+        lines += _section("robot", id=robot.id, x=robot.x, y=robot.y, tag=robot.tag)
     for ob in w.obstacles:
-        ox = (ob.cell.col + 0.5) * w.cell_size
-        oy = (ob.cell.row + 0.5) * w.cell_size
-        lines += ["section obstacle", f"  id = {ob.id}", f"  x = {ox!r}", f"  y = {oy!r}", "end"]
+        lines += _section("obstacle", id=ob.id, x=(ob.cell.col + 0.5) * w.cell_size, y=(ob.cell.row + 0.5) * w.cell_size)
     for lm in w.landmarks:
-        lines += [
-            "section landmark",
-            f"  id = {lm.id}",
-            f"  x = {lm.position.x!r}",
-            f"  y = {lm.position.y!r}",
-            f"  z = {lm.position.z!r}",
-            "end",
-        ]
-    p = scenario.params
-    lines += [
-        "section sim",
-        f"  seed = {p.seed}",
-        f"  noise_sigma = {p.noise_sigma!r}",
-        f"  net_latency_ms = {p.net_latency_ms!r}",
-        f"  net_loss = {p.net_loss!r}",
-        "end",
-    ]
+        lines += _section("landmark", id=lm.id, x=lm.position.x, y=lm.position.y, z=lm.position.z)
+    lines += _section("sim", seed=p.seed, noise_sigma=p.noise_sigma, net_latency_ms=p.net_latency_ms, net_loss=p.net_loss)
     return "\n".join(lines) + "\n"
+
+
+def _section(name: str, **fields) -> list[str]:
+    """One section's lines; floats by repr, which reads back to the same bits."""
+    return [f"section {name}", *(f"  {k} = {repr(v) if isinstance(v, float) else v}" for k, v in fields.items()), "end"]
 
 
 def _parse_number(line_no: int, key: str, value: str) -> float:

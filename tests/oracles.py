@@ -184,6 +184,20 @@ def row_normal_equations(graph: calib.TransformGraph, pairs: calib.Correspondenc
     return band, jtr.reshape(free, 6)[placed].reshape(-1)
 
 
+def all_cells(grid: world.GridWorld) -> list[world.CellIndex]:
+    """Every cell of the grid, row by row, as the scalar references walk it."""
+    return [world.CellIndex(col, row) for row in range(grid.height) for col in range(grid.width)]
+
+
+def target_cells(problem: coverage.CoverageProblem) -> frozenset[world.CellIndex]:
+    """A problem's target cells as a set: the given ones, or, for a problem
+    that targets every free cell, the cells of its target mask."""
+    if problem.target_cells is not None:
+        return problem.target_cells
+    rows, cols = np.nonzero(problem.target_mask())
+    return frozenset(map(world.CellIndex, cols.tolist(), rows.tolist()))
+
+
 def build_plan(problem: coverage.CoverageProblem, selected_ids: tuple[int, ...]) -> coverage.PlacementPlan:
     """Assemble a PlacementPlan for an explicit selection of candidate ids."""
     by_id = {cam.id: cam for cam in problem.candidates}

@@ -16,7 +16,7 @@ from ubimap.geom import RigidTransform
 from ubimap.netsim import ClientState, MapServer, Message, MessageKind, NetworkParams, SimulatedNetwork
 from ubimap.world import CameraSpec, CellIndex, GridWorld
 
-from oracles import GridBelief, bayes_grid_step, cost_gradient, is_close, stack_pairs
+from oracles import GridBelief, bayes_grid_step, cost_gradient, is_close, stack_pairs, target_cells
 from test_cli import simulate_in_memory
 
 DEMO_ROOM = Path(__file__).resolve().parent.parent / "scenarios" / "demo_room.scenario"
@@ -138,7 +138,7 @@ def test_criterion_2_coverage_optimality():
         greedy = coverage.plan_greedy(problem)
 
         cover = oracle_cell_sets(cams, world)
-        expected_ids, expected_obj = oracle_enumerate(cover, problem.target_cells, budget, k)
+        expected_ids, expected_obj = oracle_enumerate(cover, target_cells(problem), budget, k)
         assert tuple(expected_ids) == exact.selected, trial
         assert expected_obj == coverage.objective(exact, problem), trial
         assert coverage.objective(greedy, problem) >= bound * expected_obj - 1e-9, trial

@@ -14,7 +14,7 @@ from ubimap.fusion import CellState
 from ubimap.geom import Point3
 from ubimap.world import CellIndex
 
-from oracles import graph_edges, stack_pairs
+from oracles import all_cells, graph_edges, stack_pairs
 from test_sensim import reference_observe_landmarks
 from test_world import reference_line_of_sight
 
@@ -397,7 +397,7 @@ def test_simulate_empty_world_explores_footprints(tmp_path):
     for cell in footprint:
         assert server_map.state(cell) == CellState.EXPLORED
     assert not any(
-        server_map.state(c) in (CellState.ROBOT, CellState.OBSTACLE) for c in scenario.world.all_cells()
+        server_map.state(c) in (CellState.ROBOT, CellState.OBSTACLE) for c in all_cells(scenario.world)
     )
 
 
@@ -482,6 +482,18 @@ def test_simulate_calibration_failure_leaves_no_outputs(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["simulate", path, "--dump-observations", "--out", str(out)]) == EXIT_CALIBRATION
     assert [name for name in SIMULATE_OUTPUTS if (out / name).exists()] == []
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_runtime_error_without_a_message_names_its_type(tmp_path, monkeypatch, capsys, command):
+    # A MemoryError carries no message; the line names the exception instead
+    # of ending after the colon.
+    def exhausted(scenario, args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, f"cmd_{command}", exhausted)
+    assert cli.main([command, str(DEMO_ROOM), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: MemoryError\n"
 
 
 def test_simulate_runtime_error_mid_run_leaves_no_outputs(tmp_path, monkeypatch, capsys):
@@ -648,7 +660,7 @@ def reference_robot_local_map(world, robot, sense_radius):
         return fragment
     occupied = {ob.cell for ob in world.obstacles}
     others = {world.cell_of(r.x, r.y) for r in world.robots if r.id != robot.id}
-    for cell in world.all_cells():
+    for cell in all_cells(world):
         center = world.cell_center(cell)
         if math.dist(center, (robot.x, robot.y)) > sense_radius:
             continue
@@ -670,9 +682,9 @@ def test_simulate_builds_each_robot_map_once(tmp_path, monkeypatch):
     built = []
     original = cli._robot_local_map
 
-    def counted(world, robot, sense_radius):
+    def counted(world, robot, sense_radius, truth):
         built.append(robot.id)
-        return original(world, robot, sense_radius)
+        return original(world, robot, sense_radius, truth)
 
     monkeypatch.setattr(cli, "_robot_local_map", counted)
     argv = ["simulate", str(DEMO_ROOM), "--duration", "1", "--upload-ms", "100", "--out", str(tmp_path / "out")]
@@ -692,7 +704,7 @@ def test_robot_local_map_matches_full_grid_reference(sense_radius):
         worldmod.Robot(id=9, x=world.width * world.cell_size, y=0.0, theta=0.0, tag=99),
     ]
     for robot in (*world.robots, *extra):
-        got = cli._robot_local_map(world, robot, sense_radius)
+        got = cli._robot_local_map(world, robot, sense_radius, cli._truth_cells(world))
         assert (got == reference_robot_local_map(world, robot, sense_radius)).all(), robot
 
 
@@ -880,7 +892,7 @@ def reference_ground_truth_state(world, cell):
 
 def reference_ground_truth_map(world):
     truth = np.zeros((world.height, world.width), dtype=np.uint8)
-    for cell in world.all_cells():
+    for cell in all_cells(world):
         truth[cell.row, cell.col] = int(reference_ground_truth_state(world, cell))
     return truth
 
@@ -935,7 +947,7 @@ def test_truth_render_and_local_maps_match_reference_on_random_worlds(seed):
     assert render_map(scrambled) == reference_render_map(scrambled)
     for robot in world.robots:
         for radius in (1.5, 3.0, math.inf):
-            got = cli._robot_local_map(world, robot, radius)
+            got = cli._robot_local_map(world, robot, radius, truth)
             assert (got == reference_robot_local_map(world, robot, radius)).all(), (robot, radius)
 
 

@@ -17,7 +17,7 @@ from ubimap.coverage import (
 )
 from ubimap.world import CameraSpec, CellIndex, GridWorld, covered_cells
 
-from oracles import build_plan
+from oracles import build_plan, target_cells
 
 
 def make_camera(x, y, *, width, depth, yaw=0.0, cid=1, height=2.0):
@@ -85,7 +85,7 @@ def test_objective_counts_overlap_once():
     plan = build_plan(problem, (1, 3))
     per_cam = [covered_cells(p, problem.world), covered_cells(r, problem.world)]
     oracle = sum(
-        min(1, sum(cell in cover for cover in per_cam)) for cell in problem.target_cells
+        min(1, sum(cell in cover for cover in per_cam)) for cell in target_cells(problem)
     )
     assert objective(plan, problem) == oracle
     assert oracle < sum(len(cover) for cover in per_cam)  # overlap existed
@@ -279,7 +279,7 @@ def test_greedy_never_exceeds_budget_or_cap_randomized():
         problem = random_problem(rng)
         plan = plan_greedy(problem)
         assert len(plan.selected) <= problem.budget
-        target_mult = [int(plan.counts[cell.row, cell.col]) for cell in problem.target_cells]
+        target_mult = [int(plan.counts[cell.row, cell.col]) for cell in target_cells(problem)]
         assert all(count <= problem.max_overlap for count in target_mult)
 
 
@@ -306,7 +306,7 @@ def plan_fields(plan: PlacementPlan):
 
 def reference_target_cover_sets(problem):
     return {
-        cam.id: frozenset(covered_cells(cam, problem.world) & problem.target_cells)
+        cam.id: frozenset(covered_cells(cam, problem.world) & target_cells(problem))
         for cam in problem.candidates
     }
 
@@ -317,6 +317,7 @@ def _reference_k_feasible(cover, multiplicity, k):
 
 def reference_plan_greedy(problem):
     cover = reference_target_cover_sets(problem)
+    targets = target_cells(problem)
     ordered_ids = sorted(cover)
     selected = []
     covered = set()
@@ -328,7 +329,7 @@ def reference_plan_greedy(problem):
         for cell in cover[cid]:
             multiplicity[cell] = multiplicity.get(cell, 0) + 1
 
-    while len(selected) < problem.budget and covered != problem.target_cells:
+    while len(selected) < problem.budget and covered != targets:
         best_id, best_gain = None, 0
         for cid in ordered_ids:
             if cid in selected:
@@ -346,7 +347,7 @@ def reference_plan_greedy(problem):
         while len(selected) < problem.budget:
             deficit = {
                 cell: problem.min_overlap - multiplicity.get(cell, 0)
-                for cell in problem.target_cells
+                for cell in targets
                 if multiplicity.get(cell, 0) < problem.min_overlap
             }
             if not deficit:

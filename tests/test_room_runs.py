@@ -145,3 +145,50 @@ def test_noisy_runs_never_import_numpy_random(gen, room, tmp_path):
     for name, argv in runs.items():
         done = run([*argv, "--out", str(tmp_path / name)], ubimap_env(), "-c", LOADED_MODULES)
         assert done.stdout.splitlines()[-1] == "[]", name
+
+
+# The demo room stretched to 4096x4095 cells, the largest grid a map
+# message carries whose sides are both near 2**12. Its four cameras each see
+# a few dozen cells. Before footprints were tested over their bounding boxes
+# and targets held as a mask, `plan` exited 4 with an empty message after
+# peaking at 1,220,284 kB under this cap, and `simulate --duration 0.2`
+# peaked at 2,219,300 kB with no cap.
+BIG_ROOM_CAP_BYTES = 1_500_000 * 1024  # CI's `ulimit -v 1500000`
+BIG_ROOM_PEAK_BOUNDS_KB = {"plan": 1_220_284 // 4, "simulate": 2_219_300 // 2}
+BIG_ROOM_SIMULATE_DIGESTS = {
+    "capture.hex": "72e25289144715f0719493d2bb457c81e1f59e4241ae26fc4e0da16d016a673e",
+    "final_map.ppm": "01345314fd55952de2b5de15271e226a2ccbb7f12102f9c4aa8db22303423c7e",
+    "localization.csv": "0f6aa0a762f84dff32a2c6a5fd3f9d9cadb3c6f85bbf2efa479b68e840523dc1",
+    "summary.csv": "f1612ec2cc4e9fbc418894e5744c35e758eaa68ed145824a8a25da0d05ea1a70",
+}
+
+
+def cap_address_space() -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (BIG_ROOM_CAP_BYTES, BIG_ROOM_CAP_BYTES))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_big_room_runs_in_memory_that_follows_the_cameras(tmp_path):
+    demo = (ROOT / "scenarios" / "demo_room.scenario").read_text(encoding="ascii")
+    big = tmp_path / "big.scenario"
+    big.write_text(demo.replace("  width = 12\n", "  width = 4096\n").replace("  height = 10\n", "  height = 4095\n"))
+    commands = {"plan": ["plan", str(big)], "simulate": ["simulate", str(big), "--duration", "0.2"]}
+    for name, argv in commands.items():
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, *argv, "--out", str(tmp_path / name)],
+            env=ubimap_env(), capture_output=True, text=True, timeout=300, check=False, preexec_fn=cap_address_space,
+        )
+        assert done.returncode == 0, (name, done.stderr)
+        peak_kb = int(done.stdout.splitlines()[-1])
+        assert peak_kb <= BIG_ROOM_PEAK_BOUNDS_KB[name], (name, peak_kb)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted((tmp_path / "simulate").iterdir())
+    }
+    assert digests == BIG_ROOM_SIMULATE_DIGESTS
+    assert (tmp_path / "plan" / "plan.csv").read_text().splitlines() == [
+        "key,value", "selected,2 3 1 4", "cameras_selected,4", "coverage_ratio,6.796590448667976e-06", "objective,114",
+        "violations,0", "multiplicity_0,16773002", "multiplicity_1,64", "multiplicity_2,43", "multiplicity_3,5",
+        "multiplicity_4,2",
+    ]

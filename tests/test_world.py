@@ -21,6 +21,8 @@ from ubimap.world import (
     serialize_scenario,
 )
 
+from oracles import all_cells
+
 MINIMAL = """
 section world
   cell_size = 1.0
@@ -113,6 +115,73 @@ def test_parse_rejects_duplicate_ids():
     )
     with pytest.raises(ScenarioSemanticError):
         parse_scenario(doc)
+
+
+BAD_CAMERA = "section camera\n  id = 1\n  x = 1.0\n  y = 0.0\n  h = -2.0\n  yaw_deg = 0\n  hfov_deg = 60\n  vfov_deg = 90\n  range = 10\nend\n"
+
+
+def test_parse_reports_a_later_syntax_error_before_a_converted_bad_camera():
+    # The camera section is converted, and fails, at its 'end' on line 16;
+    # the grammar error after it still comes first.
+    doc = MINIMAL + BAD_CAMERA + "section robot\n  id 1\nend\n"
+    with pytest.raises(ScenarioSyntaxError, match="^line 18: expected 'key = value'$"):
+        parse_scenario(doc)
+    with pytest.raises(ScenarioSyntaxError, match="^line 7: camera 1: height must be > 0$"):
+        parse_scenario(doc.replace("  id 1\n", "  id = 1\n  x = 0.5\n  y = 0.5\n  tag = 1\n"))
+
+
+def test_parse_reports_the_first_conversion_error_of_the_first_kind():
+    # Conversion errors wait for the scan's end, then come by kind (cameras,
+    # robots, obstacles, landmarks), each kind's first bad section first.
+    bad_landmark = "section landmark\n  id = 1\n  x = 0.5\n  y = 0.5\n  z = q\nend\n"
+    bad_obstacle = "section obstacle\n  id = 1\n  x = 9.5\n  y = 0.5\nend\n"
+    bad_robot = "section robot\n  id = 0\n  x = 0.5\n  y = 0.5\n  tag = 1\nend\n"
+    other_camera = BAD_CAMERA.replace("h = -2.0", "h = 2.0").replace("x = 1.0", "x = oops")
+    cases = [
+        (bad_landmark + bad_obstacle + bad_robot + BAD_CAMERA + other_camera, BAD_CAMERA, "height must be > 0"),
+        (bad_landmark + bad_robot + other_camera + BAD_CAMERA, other_camera, "'x' must be a number, got 'oops'"),
+        (bad_landmark + bad_obstacle + bad_robot, bad_robot, "robot 'id' must be in 1..65535, got 0"),
+        (bad_landmark + bad_obstacle, bad_obstacle, "obstacle at (9.5, 0.5) lies off the 4x4 grid"),
+        (bad_landmark + bad_landmark.replace("z = q", "z = 1.0"), bad_landmark, "'z' must be a number, got 'q'"),
+    ]
+    for body, failing, message in cases:
+        doc = MINIMAL + body
+        line = doc[: doc.index(failing)].count("\n") + 1
+        with pytest.raises(ScenarioSyntaxError) as err:
+            parse_scenario(doc)
+        assert str(err.value).startswith(f"line {line}: ") and message in str(err.value), (str(err.value), body)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"])
+def test_parse_counts_lines_as_splitlines_does(newline):
+    doc = (MINIMAL + "\n\nsection robot\n  id = 1\n  bogus = 2\nend\n").replace("\n", newline)
+    expected = next(k for k, line in enumerate(doc.splitlines(), start=1) if "bogus" in line)
+    with pytest.raises(ScenarioSyntaxError, match=f"^line {expected}: unknown key 'bogus'"):
+        parse_scenario(doc)
+    unclosed = (MINIMAL + "section robot\n  id = 1\n\n\n").replace("\n", newline)
+    with pytest.raises(ScenarioSyntaxError, match=f"^line {len(unclosed.splitlines())}: section 'robot' not closed$"):
+        parse_scenario(unclosed)
+
+
+def test_parse_peak_memory_follows_one_section():
+    # The benchmark's lattice document (perfbench/gen.py lattice 1): 720
+    # camera sections in 7,271 lines. Splitting it into lines up front and
+    # keeping every section's key-value text until the scan's end peaked at
+    # 1.23 MB; reading a line at a time and converting each section at its
+    # 'end' leaves about the parsed scenario itself.
+    spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).parent.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    document = serialize_scenario(gen.lattice(1))
+    parse_scenario(document)  # a first parse compiles the regular expressions and warms the caches
+    tracemalloc.start()
+    try:
+        scenario = parse_scenario(document)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scenario.cameras) == 720
+    assert peak < 600_000, peak
 
 
 @pytest.mark.parametrize(
@@ -265,7 +334,7 @@ def brute_force_rect_cells(world, cam):
     """Independent oracle: point-in-rotated-rectangle test over all centers."""
     fp = ground_footprint(cam)
     hits = set()
-    for cell in world.all_cells():
+    for cell in all_cells(world):
         cx, cy = world.cell_center(cell)
         dx, dy = cx - cam.x, cy - cam.y
         c, s = math.cos(cam.yaw), math.sin(cam.yaw)
@@ -572,6 +641,79 @@ def test_line_of_sight_peak_memory_is_bounded_by_its_block():
         tracemalloc.stop()
     assert visible.shape == (20_000,) and 0 < visible.sum() < 20_000
     assert peak < 2_000_000, peak
+
+
+def test_one_camera_covered_cells_memory_follows_its_footprint():
+    # The same camera and walls on a 40x30 grid and on a 400x300 one: the
+    # footprint's bounding box and its sight lines are all a call holds, so
+    # its peak stays put. Testing every cell centre of the grid peaked at
+    # 5.0 MB on the larger grid, 65 times the smaller grid's.
+    cam = CameraSpec(id=1, x=5.0, y=0.1, height=2.5, yaw=0.0, hfov=math.radians(90), vfov=math.radians(110), max_range=10.0)
+    walls = frozenset(CellIndex(col, 8) for col in range(18, 24))
+    peaks, cells = [], []
+    for scale in (1, 10):
+        grid = GridWorld(cell_size=0.25, width=40 * scale, height=30 * scale, walls=walls)
+        covered_cells(cam, grid)  # the grid's cached masks are built outside the measurement
+        tracemalloc.start()
+        try:
+            cells.append(covered_cells(cam, grid))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert cells[0] == cells[1] and 200 < len(cells[0]) < 300
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+@st.composite
+def footprints_inside_larger_grids(draw):
+    # Grids wide enough that most footprints' boxes stop short of the edges,
+    # so the widened box, not the grid, bounds the cells tested. Cameras
+    # sit on cell centres, edges or anywhere, with footprint sides that are
+    # whole or half multiples of the cell size, so cell centres fall exactly
+    # on footprint edges.
+    width, height = draw(st.integers(12, 30)), draw(st.integers(12, 30))
+    cell_size = draw(st.sampled_from([0.25, 0.5, 1.0, 1.7]))
+    cells = [CellIndex(c, r) for r in range(height) for c in range(width)]
+    walls = frozenset(draw(st.sets(st.sampled_from(cells), max_size=20)))
+    grid = GridWorld(cell_size=cell_size, width=width, height=height, walls=walls)
+    halves = st.integers(1, 12).map(lambda k: k * cell_size / 2)
+    side = st.one_of(halves, st.floats(0.3, 4.0))
+    position = st.one_of(
+        st.tuples(st.integers(0, 2 * width), st.integers(0, 2 * height)).map(lambda k: (k[0] * cell_size / 2, k[1] * cell_size / 2)),
+        st.tuples(st.floats(0.0, width * cell_size), st.floats(0.0, height * cell_size)),
+    )
+    yaw = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, math.pi / 4]), st.floats(-4.0, 4.0))
+    specs = draw(st.lists(st.tuples(position, side, side, yaw), min_size=1, max_size=3))
+    return grid, [make_camera(x, y, width=wide, depth=deep, yaw=turn, cid=k) for k, ((x, y), wide, deep, turn) in enumerate(specs)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(footprints_inside_larger_grids())
+def test_covered_cells_over_footprint_boxes_match_whole_grid_reference(case):
+    grid, cams = case
+    masks = covered_cells(cams, grid)
+    for cam, mask in zip(cams, masks):
+        expected = reference_covered_cells(cam, grid)
+        assert covered_cells(cam, grid) == expected
+        assert np.array_equal(mask, w.cell_mask(grid.width, grid.height, expected))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_centre_span_holds_every_centre_in_range(axis):
+    grid = GridWorld(cell_size=0.5, width=8, height=6)
+    cells = (grid.width, grid.height)[axis]
+    centres = (np.arange(cells) + 0.5) * grid.cell_size
+    bounds = [-math.inf, -1.0, 0.0, 0.25, 0.3, 1.25, 2.0, 2.9, 3.75, 4.0, 10.0, math.inf, math.nan]
+    for lo in bounds:
+        for hi in bounds:
+            span, xs = grid.centre_span(lo, hi, axis)
+            assert np.array_equal(xs, centres[span])
+            wanted = np.flatnonzero((centres >= lo) & (centres <= hi))
+            if math.isnan(lo):
+                assert span.start == 0
+            if math.isnan(hi):
+                assert span.stop == cells
+            assert set(wanted.tolist()) <= set(range(cells)[span]), (lo, hi, span)
 
 
 def test_covered_cells_degenerate_range_empty():
