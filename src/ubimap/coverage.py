@@ -8,8 +8,8 @@ The objective is the number of distinct target cells covered; the
 max-overlap bound is enforced as a hard constraint, while min_overlap is
 reported as violations (and greedily repaired when budget remains), since
 it exists to guarantee calibration overlap zones rather than coverage.
-Memory follows the grid's cells as masks and bitsets, never as sets of
-cell tuples, unless the caller gives such a set.
+Cells are held as grid masks and bitsets; only a target set the caller
+gives and the reported violations list cells one by one.
 """
 
 from __future__ import annotations

@@ -163,6 +163,15 @@ def test_parse_counts_lines_as_splitlines_does(newline):
         parse_scenario(unclosed)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="ab #=\n\r\v\f\x1c\x1d\x1e\x1f", max_size=40))
+def test_document_lines_read_one_at_a_time_match_splitlines(document):
+    # parse_scenario reads lines from w._LINE's matches, skipping the empty
+    # match at the document's end, in place of a list from splitlines.
+    lines = [match[1] for match in w._LINE.finditer(document) if match.start() < len(document)]
+    assert lines == document.splitlines()
+
+
 def test_parse_peak_memory_follows_one_section():
     # The benchmark's lattice document (perfbench/gen.py lattice 1): 720
     # camera sections in 7,271 lines. Splitting it into lines up front and
