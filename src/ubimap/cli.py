@@ -14,7 +14,7 @@ import csv
 import importlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, TextIO
 
@@ -46,34 +46,6 @@ def render_map(cells: np.ndarray) -> bytes:
     """Binary portable-pixmap of a (height, width) array of cell states,
     row 0 first, 3 bytes per cell."""
     return _ppm(PALETTE[cells])
-
-
-@dataclass
-class RunReport:
-    """Everything a simulation run reports; fractions live in [0, 1] and
-    every error is non-negative."""
-
-    map_accuracy: float = 1.0
-    coverage_ratio: float = 0.0
-    calibration_errors: dict[int, tuple[float, float]] = field(default_factory=dict)
-    cost_initial: float = 0.0
-    cost_final: float = 0.0
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    messages_dropped: int = 0
-    stale_updates: int = 0
-    uploads_merged: int = 0
-    client_revisions: dict[int, int] = field(default_factory=dict)
-    server_revision: int = 0
-
-    def validate(self) -> None:
-        if not 0.0 <= self.map_accuracy <= 1.0:
-            raise ValueError("map_accuracy must be in [0, 1]")
-        if not 0.0 <= self.coverage_ratio <= 1.0:
-            raise ValueError("coverage_ratio must be in [0, 1]")
-        for rot, tra in self.calibration_errors.values():
-            if rot < 0 or tra < 0:
-                raise ValueError("calibration errors must be >= 0")
 
 
 def _open_csv(path: Path) -> TextIO:
@@ -218,29 +190,37 @@ def cmd_plan(scenario: Scenario, args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Multiplicities over the target cells: those of every cell less those of the rest, with no copy of the counts.
+    # Multiplicities over the free cells: those of every cell less those of the walls, with no copy of the counts.
     every = np.bincount(plan.counts.ravel())
-    histogram = every - np.bincount(plan.counts[~problem.target_mask()], minlength=len(every))
+    histogram = every - np.bincount(plan.counts[scenario.world.wall_mask], minlength=len(every))
+    violations = int(np.count_nonzero(plan.violated))
     rows = [
         ["selected", " ".join(str(i) for i in plan.selected)],
         ["cameras_selected", len(plan.selected)],
         ["coverage_ratio", repr(plan.coverage_ratio)],
         ["objective", ubimap.coverage.objective(plan, problem)],
-        ["violations", len(plan.violations)],
+        ["violations", violations],
     ]
     rows += [[f"multiplicity_{count}", cells] for count, cells in enumerate(histogram.tolist()) if cells]
     _write_csv(out_dir / "plan.csv", ["key", "value"], rows)
-    _write_csv(
-        out_dir / "plan_violations.csv",
-        ["col", "row", "multiplicity"],
-        [[cell.col, cell.row, count] for cell, count in plan.violations],
-    )
+    _write_csv(out_dir / "plan_violations.csv", ["col", "row", "multiplicity"], _violation_rows(plan))
     if args.heatmap:
         (out_dir / "plan_coverage.ppm").write_bytes(_coverage_heatmap(problem, plan))
-    print(f"selected {len(plan.selected)} cameras, coverage {plan.coverage_ratio:.4f}, {len(plan.violations)} violations")
-    if args.strict and plan.violations:
+    print(f"selected {len(plan.selected)} cameras, coverage {plan.coverage_ratio:.4f}, {violations} violations")
+    if args.strict and violations:
         return EXIT_CONSTRAINT
     return EXIT_OK
+
+
+def _violation_rows(plan: ubimap.coverage.PlacementPlan):
+    """(col, row, count) of each violated cell in (col, row) order, read
+    from the violated mask in blocks of whole columns, about 65,536 cells each."""
+    height, width = plan.violated.shape
+    step = max(1, 2**16 // height)
+    for start in range(0, width, step):
+        cols, rows = np.nonzero(plan.violated[:, start : start + step].T)
+        cols += start
+        yield from zip(cols.tolist(), rows.tolist(), plan.counts[rows, cols].tolist())
 
 
 def _coverage_heatmap(problem: ubimap.coverage.CoverageProblem, plan: ubimap.coverage.PlacementPlan) -> bytes:
@@ -315,7 +295,8 @@ def _robot_local_map(world: GridWorld, robot, sense_radius: float, truth: np.nda
 def cmd_simulate(scenario: Scenario, args) -> int:
     """Streams capture.hex, localization.csv and, with --dump-observations,
     observations.csv while the run goes on, then writes final_map.ppm and
-    summary.csv. A run that raises leaves none of them, nor a directory it made."""
+    summary.csv, one ``key,repr(value)`` row per summary entry. A run that
+    raises leaves none of them, nor a directory it made."""
     out_dir = Path(args.out)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -328,27 +309,9 @@ def cmd_simulate(scenario: Scenario, args) -> int:
             _open_csv(out_dir / "localization.csv") as localization,
             _open_csv(out_dir / "observations.csv") if args.dump_observations else contextlib.nullcontext() as observations,
         ):
-            outputs = run_simulation(scenario, args, capture, localization, observations)
-        (out_dir / "final_map.ppm").write_bytes(render_map(outputs.server_map.cells))
-        report = outputs.report
-        rows = [
-            ["coverage_ratio", repr(report.coverage_ratio)],
-            ["map_accuracy", repr(report.map_accuracy)],
-            ["cost_initial", repr(report.cost_initial)],
-            ["cost_final", repr(report.cost_final)],
-            ["messages_sent", report.messages_sent],
-            ["messages_delivered", report.messages_delivered],
-            ["messages_dropped", report.messages_dropped],
-            ["stale_updates", report.stale_updates],
-            ["uploads_merged", report.uploads_merged],
-            ["server_revision", report.server_revision],
-        ]
-        for cam_id, (rot_err, tra_err) in sorted(report.calibration_errors.items()):
-            rows.append([f"calibration_rotation_error_{cam_id}", repr(rot_err)])
-            rows.append([f"calibration_translation_error_{cam_id}", repr(tra_err)])
-        for robot_id, revision in sorted(report.client_revisions.items()):
-            rows.append([f"client_revision_{robot_id}", revision])
-        _write_csv(out_dir / "summary.csv", ["key", "value"], rows)
+            summary, server_map = run_simulation(scenario, args, capture, localization, observations)
+        (out_dir / "final_map.ppm").write_bytes(render_map(server_map.cells))
+        _write_csv(out_dir / "summary.csv", ["key", "value"], ([key, repr(value)] for key, value in summary.items()))
     except BaseException:  # an interrupted run leaves no partial files either
         for name in written:
             (out_dir / name).unlink(missing_ok=True)
@@ -356,26 +319,23 @@ def cmd_simulate(scenario: Scenario, args) -> int:
             directory.rmdir()
         raise
     print(
-        f"simulated {args.duration}s: map accuracy {report.map_accuracy:.4f}, "
-        f"{report.messages_sent} msgs sent, server revision {report.server_revision}"
+        f"simulated {args.duration}s: map accuracy {summary['map_accuracy']:.4f}, "
+        f"{summary['messages_sent']} msgs sent, server revision {summary['server_revision']}"
     )
     return EXIT_OK
 
 
-@dataclass
-class SimulationOutputs:
-    report: RunReport
-    server_map: ubimap.fusion.GridMap
-
-
 def run_simulation(
     scenario: Scenario, args, capture: BinaryIO, localization: TextIO, observations: TextIO | None = None
-) -> SimulationOutputs:
+) -> tuple[dict[str, float | int], ubimap.fusion.GridMap]:
     """Run the pipeline, streaming as it goes: one hex line per frame sent
     to `capture`, localization.csv (each localized robot's error on each
     tick) to `localization` and, when given, observations.csv (every
     obstacle cell and tag each camera sees on each tick) to `observations`.
-    Nothing of these is kept, so memory does not grow with the run."""
+    Nothing of these is kept, so memory does not grow with the run.
+
+    Returns the summary, a dict from each summary.csv key to its value in
+    file order, and the server's fused map."""
     world = scenario.world
     params = scenario.params
     seed = args.seed if args.seed is not None else params.seed
@@ -431,12 +391,6 @@ def run_simulation(
     if observations is not None:
         observation_rows = csv.writer(observations, lineterminator="\n")
         observation_rows.writerow(["tick", "t", "kind", "camera_id", "a", "b", "c"])
-    report = RunReport(
-        coverage_ratio=coverage_ratio,
-        calibration_errors=dict(zip(calibration.graph.nodes, zip(*calibration.pose_errors()))),
-        cost_initial=calibration.cost_trace[0],
-        cost_final=calibration.cost_trace[-1],
-    )
 
     def send(msg: ubimap.netsim.Message, dest: int, now: float) -> None:
         capture.write(f"{ubimap.netsim.encode(msg).hex()}\n".encode("ascii"))
@@ -521,16 +475,23 @@ def run_simulation(
         handle_deliveries(net.drain())
 
     matches = int((covered & (server_map.cells == (_truth_cells(world) if truth is None else truth))).sum())
-    report.map_accuracy = matches / int(covered.sum()) if covered.any() else 1.0
-    report.messages_sent = net.sent
-    report.messages_delivered = net.delivered
-    report.messages_dropped = net.dropped
-    report.stale_updates = sum(c.stale_count for c in clients.values())
-    report.uploads_merged = server.uploads_merged
-    report.server_revision = server_map.revision
-    report.client_revisions = {rid: c.revision for rid, c in clients.items()}
-    report.validate()
-    return SimulationOutputs(report=report, server_map=server_map)
+    summary = {
+        "coverage_ratio": coverage_ratio,
+        "map_accuracy": matches / int(covered.sum()) if covered.any() else 1.0,
+        "cost_initial": calibration.cost_trace[0],
+        "cost_final": calibration.cost_trace[-1],
+        "messages_sent": net.sent,
+        "messages_delivered": net.delivered,
+        "messages_dropped": net.dropped,
+        "stale_updates": sum(c.stale_count for c in clients.values()),
+        "uploads_merged": server.uploads_merged,
+        "server_revision": server_map.revision,
+    }
+    for cam_id, rot_err, tra_err in sorted(zip(calibration.graph.nodes, *calibration.pose_errors())):
+        summary[f"calibration_rotation_error_{cam_id}"] = rot_err
+        summary[f"calibration_translation_error_{cam_id}"] = tra_err
+    summary.update((f"client_revision_{rid}", clients[rid].revision) for rid in sorted(clients))
+    return summary, server_map
 
 
 def cmd_render(scenario: Scenario, args) -> int:

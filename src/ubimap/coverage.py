@@ -1,26 +1,25 @@
 """Camera-placement optimization over the grid: greedy set cover + an
 exhaustive oracle.
 
-A placement problem fixes a candidate pool of cameras, the target cells
-(every free cell unless a set is given, held as a grid mask either way),
-per-cell overlap bounds [min_overlap, max_overlap] and a camera budget.
-The objective is the number of distinct target cells covered; the
-max-overlap bound is enforced as a hard constraint, while min_overlap is
-reported as violations (and greedily repaired when budget remains), since
-it exists to guarantee calibration overlap zones rather than coverage.
-Cells are held as grid masks and bitsets; only a target set the caller
-gives and the reported violations list cells one by one.
+A placement problem fixes a candidate pool of cameras, per-cell overlap
+bounds [min_overlap, max_overlap] and a camera budget; the target cells are
+the free cells, ``~world.wall_mask``. The objective is the number of
+distinct target cells covered; the max-overlap bound is enforced as a hard
+constraint, while min_overlap is reported as violations (and greedily
+repaired when budget remains), since it exists to guarantee calibration
+overlap zones rather than coverage. Cells are held as grid masks and
+bitsets, the violations included: no cell is listed one by one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .world import CameraSpec, CellIndex, GridWorld, cell_mask, covered_cells
+from .world import CameraSpec, CellIndex, GridWorld, covered_cells
 
 
 class ProblemTooLargeError(ValueError):
@@ -29,17 +28,14 @@ class ProblemTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class CoverageProblem:
-    """A placement instance. ``target_cells`` None targets every free cell:
-    the targets are then ``~world.wall_mask``, and no set of cells is built.
-    A given set may hold cells off the grid, which no camera covers."""
+    """A placement instance. Its target cells are the world's free cells,
+    ``~world.wall_mask``."""
 
     world: GridWorld
     candidates: tuple[CameraSpec, ...]
-    target_cells: frozenset[CellIndex] | None = None
     min_overlap: int = 0
     max_overlap: int = 1_000_000
     budget: int = 1_000_000
-    _target: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.min_overlap < 0:
@@ -52,30 +48,23 @@ class CoverageProblem:
         if len(ids) != len(set(ids)):
             raise ValueError("candidate camera ids must be unique")
 
-    def target_mask(self) -> np.ndarray:
-        """Read-only (height, width) bool mask of the target cells on the grid, made at the first call."""
-        if self._target is None:
-            cells = self.target_cells
-            target = ~self.world.wall_mask if cells is None else cell_mask(self.world.width, self.world.height, cells)
-            target.setflags(write=False)
-            object.__setattr__(self, "_target", target)
-        return self._target
-
 
 @dataclass(frozen=True, eq=False)
 class PlacementPlan:
     """A selection of candidates; counts is the (height, width) array of
-    how many selected cameras cover each cell."""
+    how many selected cameras cover each cell, and violated the read-only
+    (height, width) bool mask of the target cells whose count lies outside
+    [min_overlap, max_overlap]."""
 
     selected: tuple[int, ...]
     counts: np.ndarray
     coverage_ratio: float
-    violations: tuple[tuple[CellIndex, int], ...]
+    violated: np.ndarray
 
 
 def objective(plan: PlacementPlan, problem: CoverageProblem) -> int:
     """Distinct target cells covered: sum over cells of min(1, multiplicity)."""
-    return int(np.count_nonzero(problem.target_mask() & (plan.counts > 0)))
+    return int(np.count_nonzero(~problem.world.wall_mask & (plan.counts > 0)))
 
 
 def _plan(problem: CoverageProblem, selected_ids: tuple[int, ...], masks) -> PlacementPlan:
@@ -84,16 +73,12 @@ def _plan(problem: CoverageProblem, selected_ids: tuple[int, ...], masks) -> Pla
     counts = np.zeros((world.height, world.width), dtype=np.int64)
     for mask in masks:
         counts += mask
-    target = problem.target_mask()
-    targets = int(np.count_nonzero(target)) if problem.target_cells is None else len(problem.target_cells)
+    target = ~world.wall_mask
+    targets = int(np.count_nonzero(target))
     ratio = int(np.count_nonzero(target & (counts > 0))) / targets if targets else 1.0
     violated = target & ((counts < problem.min_overlap) | (counts > problem.max_overlap))
-    violations = [(CellIndex(col, row), int(counts[row, col])) for col, row in np.argwhere(violated.T).tolist()]
-    if problem.min_overlap > 0 and problem.target_cells:  # off-grid targets are never covered
-        violations += [(cell, 0) for cell in problem.target_cells if not world.in_bounds(cell)]
-    return PlacementPlan(
-        selected=tuple(selected_ids), counts=counts, coverage_ratio=ratio, violations=tuple(sorted(violations))
-    )
+    violated.setflags(write=False)
+    return PlacementPlan(selected=tuple(selected_ids), counts=counts, coverage_ratio=ratio, violated=violated)
 
 
 # A bitset holds a (height, width) mask's cell (col, row) at bit row * width + col.
@@ -115,7 +100,7 @@ def _cover_bits(problem: CoverageProblem) -> tuple[int, dict[int, int]]:
     at a time: the cameras at a point share their sight lines, and only one
     point's masks and line-of-sight segments are held at once."""
     world = problem.world
-    target = _mask_bits(problem.target_mask())
+    target = _mask_bits(~world.wall_mask)
     cover = dict.fromkeys(sorted(cam.id for cam in problem.candidates))
     by_site = sorted(problem.candidates, key=lambda c: (c.x, c.y))
     for _, site in itertools.groupby(by_site, key=lambda c: (c.x, c.y)):

@@ -7,7 +7,9 @@
 - ``cost_gradient``: the calibration cost's gradient from its normal
   equations; ``stack_pairs``: the calibration's correspondence table from
   per-pair lists; ``graph_edges``: a calibration graph's edge stacks one
-  edge at a time; ``build_plan``: the placement plan of a given selection.
+  edge at a time; ``build_plan``: the placement plan of a given selection;
+  ``target_cells`` and ``violations``: a problem's targets and a plan's
+  violated cells, listed cell by cell.
 - ``row_graph_cost`` and ``row_normal_equations``: the calibration cost and
   its normal equations from every landmark row of the pair table, one
   residual per row, the form the graph's per-edge moments replace.
@@ -190,12 +192,16 @@ def all_cells(grid: world.GridWorld) -> list[world.CellIndex]:
 
 
 def target_cells(problem: coverage.CoverageProblem) -> frozenset[world.CellIndex]:
-    """A problem's target cells as a set: the given ones, or, for a problem
-    that targets every free cell, the cells of its target mask."""
-    if problem.target_cells is not None:
-        return problem.target_cells
-    rows, cols = np.nonzero(problem.target_mask())
+    """A problem's target cells, its world's free cells, as a set."""
+    rows, cols = np.nonzero(~problem.world.wall_mask)
     return frozenset(map(world.CellIndex, cols.tolist(), rows.tolist()))
+
+
+def violations(plan: coverage.PlacementPlan) -> tuple[tuple[world.CellIndex, int], ...]:
+    """A plan's violated cells with their counts, listed from its violated
+    mask in (col, row) order."""
+    cols, rows = np.nonzero(plan.violated.T)
+    return tuple((world.CellIndex(col, row), int(plan.counts[row, col])) for col, row in zip(cols.tolist(), rows.tolist()))
 
 
 def build_plan(problem: coverage.CoverageProblem, selected_ids: tuple[int, ...]) -> coverage.PlacementPlan:

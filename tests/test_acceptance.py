@@ -430,22 +430,21 @@ def test_criterion_8_end_to_end_demo_room():
     args_no_upload = parser.parse_args(
         ["simulate", str(DEMO_ROOM), "--duration", "2.0", "--sense-radius", "0"]
     )
-    phase_a, _, _ = simulate_in_memory(scenario, args_no_upload)
-    assert phase_a.server_map.state(blind_cell) == CellState.UNEXPLORED
+    _, phase_a_map, _, _ = simulate_in_memory(scenario, args_no_upload)
+    assert phase_a_map.state(blind_cell) == CellState.UNEXPLORED
 
     # Phase B: the real run, timed.
     start = time.perf_counter()
     args = parser.parse_args(["simulate", str(DEMO_ROOM), "--duration", "2.0"])
-    outputs, capture, localization = simulate_in_memory(scenario, args)
-    report, server_map = outputs.report, outputs.server_map
+    summary, server_map, capture, localization = simulate_in_memory(scenario, args)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
 
     assert server_map.state(blind_cell) == CellState.OBSTACLE
     assert any(netsim.decode(frame).kind == MessageKind.SENSOR_UPLOAD for frame in capture)
-    assert report.uploads_merged > 0
+    assert summary["uploads_merged"] > 0
 
-    assert report.map_accuracy >= 0.99
+    assert summary["map_accuracy"] >= 0.99
     finals = {}
     for _, _, rid, err in localization:
         finals[rid] = err
@@ -453,7 +452,7 @@ def test_criterion_8_end_to_end_demo_room():
     assert all(err < world.cell_size for err in finals.values())
     ok(
         8,
-        f"{elapsed:.2f}s run: accuracy {report.map_accuracy:.3f}, all robots within "
+        f"{elapsed:.2f}s run: accuracy {summary['map_accuracy']:.3f}, all robots within "
         f"{max(finals.values()):.2e} m, blind-spot obstacle arrives only via upload",
     )
 

@@ -106,14 +106,15 @@ def write(tmp_path, text, name="scene.scenario"):
 
 
 def simulate_in_memory(scenario, args):
-    """`cli.run_simulation` streaming into memory -> (outputs, the frames
-    sent, localization.csv's rows as (tick, t, robot_id, error_m))."""
+    """`cli.run_simulation` streaming into memory -> (the summary dict, the
+    server map, the frames sent, localization.csv's rows as (tick, t,
+    robot_id, error_m))."""
     capture, localization = io.BytesIO(), io.StringIO()
-    outputs = cli.run_simulation(scenario, args, capture, localization)
+    summary, server_map = cli.run_simulation(scenario, args, capture, localization)
     frames = [bytes.fromhex(line) for line in capture.getvalue().decode("ascii").splitlines()]
     header, *rows = csv.reader(localization.getvalue().splitlines())
     assert header == ["tick", "t", "robot_id", "error_m"]
-    return outputs, frames, [(int(tick), float(t), int(rid), float(err)) for tick, t, rid, err in rows]
+    return summary, server_map, frames, [(int(tick), float(t), int(rid), float(err)) for tick, t, rid, err in rows]
 
 
 # -- renderer ------------------------------------------------------------------
@@ -389,8 +390,7 @@ def test_simulate_empty_world_explores_footprints(tmp_path):
     path = write(tmp_path, FULL_COVER)
     args = cli.build_parser().parse_args(["simulate", path, "--duration", "0.5"])
     scenario = worldmod.parse_scenario(Path(path).read_text())
-    outputs, _, _ = simulate_in_memory(scenario, args)
-    report, server_map = outputs.report, outputs.server_map
+    _, server_map, _, _ = simulate_in_memory(scenario, args)
     from ubimap.world import covered_cells
 
     footprint = covered_cells(scenario.cameras[0], scenario.world)
@@ -404,14 +404,13 @@ def test_simulate_empty_world_explores_footprints(tmp_path):
 def test_simulate_demo_room_localizes_all_robots(tmp_path):
     args = cli.build_parser().parse_args(["simulate", str(DEMO_ROOM), "--duration", "1.0"])
     scenario = worldmod.parse_scenario(DEMO_ROOM.read_text())
-    outputs, _, localization = simulate_in_memory(scenario, args)
-    report, server_map = outputs.report, outputs.server_map
+    summary, _, _, localization = simulate_in_memory(scenario, args)
     finals = {}
     for tick, t, rid, err in localization:
         finals[rid] = err
     assert set(finals) == {1, 2, 3}
     assert all(err < scenario.world.cell_size for err in finals.values())
-    assert report.map_accuracy >= 0.99
+    assert summary["map_accuracy"] >= 0.99
 
 
 def test_simulate_total_loss_isolates_clients(tmp_path):
@@ -456,7 +455,7 @@ def test_simulate_no_cameras_exits_1(tmp_path, capsys):
 def test_simulate_noise_free_localization_converges_to_zero(tmp_path):
     args = cli.build_parser().parse_args(["simulate", str(DEMO_ROOM), "--duration", "1.0"])
     scenario = worldmod.parse_scenario(DEMO_ROOM.read_text())
-    _, _, localization = simulate_in_memory(scenario, args)
+    _, _, _, localization = simulate_in_memory(scenario, args)
     finals = {}
     for tick, t, rid, err in localization:
         finals[rid] = err
@@ -1006,8 +1005,8 @@ def test_map_accuracy_matches_reference_scan(seed):
     world = worldmod.GridWorld(world.cell_size, world.width, world.height, world.walls, obstacles, robots, world.landmarks)
     scenario = worldmod.Scenario(world, scenario.cameras, scenario.params)
     args = cli.build_parser().parse_args(["simulate", str(DEMO_ROOM), "--duration", "0.5", "--seed", str(seed)])
-    outputs, _, _ = simulate_in_memory(scenario, args)
+    summary, server_map, _, _ = simulate_in_memory(scenario, args)
     covered = set().union(*(worldmod.covered_cells(cam, world) for cam in scenario.cameras))
-    expected = reference_map_accuracy(outputs.server_map, world, covered)
-    assert outputs.report.map_accuracy == expected
+    expected = reference_map_accuracy(server_map, world, covered)
+    assert summary["map_accuracy"] == expected
     assert expected < 1.0

@@ -17,7 +17,7 @@ from ubimap.coverage import (
 )
 from ubimap.world import CameraSpec, CellIndex, GridWorld, covered_cells
 
-from oracles import build_plan, target_cells
+from oracles import build_plan, target_cells, violations
 
 
 def make_camera(x, y, *, width, depth, yaw=0.0, cid=1, height=2.0):
@@ -94,7 +94,7 @@ def test_objective_counts_overlap_once():
 def test_check_overlap_no_min_violations_when_m_zero():
     problem = trap_problem()
     plan = build_plan(problem, (1,))
-    assert all(count > problem.max_overlap for _, count in plan.violations)
+    assert all(count > problem.max_overlap for _, count in violations(plan))
 
 
 def test_check_overlap_empty_plan_violates_everywhere_when_m_one():
@@ -102,9 +102,9 @@ def test_check_overlap_empty_plan_violates_everywhere_when_m_one():
     cam = make_camera(2.0, 0.0, width=4.0, depth=4.0, cid=1)
     problem = CoverageProblem(world=world, candidates=(cam,), min_overlap=1, max_overlap=2)
     plan = build_plan(problem, ())
-    violations = plan.violations
-    assert len(violations) == 16
-    assert all(count == 0 for _, count in violations)
+    violated = violations(plan)
+    assert len(violated) == 16
+    assert all(count == 0 for _, count in violated)
 
 
 def test_check_overlap_double_cover_with_k_one():
@@ -113,7 +113,7 @@ def test_check_overlap_double_cover_with_k_one():
     b = make_camera(2.0, 0.0, width=4.0, depth=2.0, cid=2)
     problem = CoverageProblem(world=world, candidates=(a, b), max_overlap=1)
     plan = build_plan(problem, (1, 2))
-    violated = {cell for cell, count in plan.violations}
+    violated = {cell for cell, count in violations(plan)}
     # Multiplicity histogram oracle: every cell covered twice is violated.
     histogram = {}
     for cam in (a, b):
@@ -160,7 +160,7 @@ def test_plan_greedy_repair_pass_fills_min_overlap():
     )
     plan = plan_greedy(problem)
     assert len(plan.selected) == 3
-    assert plan.violations == ()
+    assert violations(plan) == ()
 
 
 def test_plan_greedy_reports_unmeetable_min_overlap():
@@ -169,21 +169,8 @@ def test_plan_greedy_reports_unmeetable_min_overlap():
     problem = CoverageProblem(world=world, candidates=(top,), min_overlap=1, max_overlap=2, budget=2)
     plan = plan_greedy(problem)
     assert plan.selected == (1,)
-    under = [cell for cell, count in plan.violations if count == 0]
+    under = [cell for cell, count in violations(plan) if count == 0]
     assert set(under) == {CellIndex(c, 0) for c in range(4)}
-
-
-def test_off_grid_target_is_reported_uncovered():
-    world = GridWorld(cell_size=1.0, width=4, height=2)
-    cam = make_camera(2.0, 0.0, width=4.0, depth=2.0, cid=1)
-    off_grid = CellIndex(4, 0)
-    problem = CoverageProblem(
-        world=world, candidates=(cam,), target_cells=frozenset({CellIndex(0, 0), off_grid}), min_overlap=1, max_overlap=2
-    )
-    plan = build_plan(problem, (1,))
-    assert plan.violations == ((off_grid, 0),)
-    assert plan.coverage_ratio == 0.5
-    assert objective(plan, problem) == 1
 
 
 def test_plan_exhaustive_single_candidate():
@@ -301,7 +288,7 @@ def test_lattice_candidates_eight_yaws_per_site():
 
 def plan_fields(plan: PlacementPlan):
     """A plan's fields as values that compare with ==."""
-    return plan.selected, plan.counts.tolist(), plan.coverage_ratio, plan.violations
+    return plan.selected, plan.counts.tolist(), plan.coverage_ratio, violations(plan)
 
 
 def reference_target_cover_sets(problem):
@@ -396,9 +383,10 @@ def reference_plan_exhaustive(problem):
 
 @st.composite
 def placement_problems(draw):
-    """Random walled grids with a small pool in which some cameras appear
-    twice under different ids (equal cover sets, so ties), overlap bounds
-    that reach the repair pass, and budgets from 1 past the pool size."""
+    """Random walled grids, whose free cells are the targets, with a small
+    pool in which some cameras appear twice under different ids (equal cover
+    sets, so ties), overlap bounds that reach the repair pass, and budgets
+    from 1 past the pool size. Wall cells may be covered."""
     width, height = draw(st.integers(2, 7)), draw(st.integers(2, 7))
     cells = [CellIndex(col, row) for row in range(height) for col in range(width)]
     walls = frozenset(draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 3)))
@@ -423,15 +411,11 @@ def placement_problems(draw):
         make_camera(x, y, width=w, depth=d, yaw=yaw, cid=cid)
         for (x, y, w, d, yaw), cid in zip(layout, ids)
     )
-    # Off-grid targets are never covered; wall cells may be covered.
-    off_grid = [CellIndex(-1, 0), CellIndex(width, 0), CellIndex(0, height)]
-    target = draw(st.one_of(st.none(), st.frozensets(st.sampled_from(cells + off_grid), min_size=1)))
     max_overlap = draw(st.integers(1, 5))
     min_overlap = draw(st.integers(0, min(3, max_overlap)))
     return CoverageProblem(
         world=world,
         candidates=cams,
-        target_cells=target,
         min_overlap=min_overlap,
         max_overlap=max_overlap,
         budget=draw(st.integers(1, len(cams) + 2)),

@@ -169,19 +169,30 @@ def cap_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (BIG_ROOM_CAP_BYTES, BIG_ROOM_CAP_BYTES))
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
-def test_big_room_runs_in_memory_that_follows_the_cameras(tmp_path):
+@pytest.fixture
+def big_room(tmp_path) -> Path:
     demo = (ROOT / "scenarios" / "demo_room.scenario").read_text(encoding="ascii")
     big = tmp_path / "big.scenario"
     big.write_text(demo.replace("  width = 12\n", "  width = 4096\n").replace("  height = 10\n", "  height = 4095\n"))
-    commands = {"plan": ["plan", str(big)], "simulate": ["simulate", str(big), "--duration", "0.2"]}
+    return big
+
+
+def capped_peak_kb(argv) -> int:
+    """Runs `ubimap` under the big room's address-space cap; asserts exit 0
+    and returns the process's peak resident set in kB."""
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, *argv],
+        env=ubimap_env(), capture_output=True, text=True, timeout=300, check=False, preexec_fn=cap_address_space,
+    )
+    assert done.returncode == 0, (argv[0], done.stderr)
+    return int(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_big_room_runs_in_memory_that_follows_the_cameras(big_room, tmp_path):
+    commands = {"plan": ["plan", str(big_room)], "simulate": ["simulate", str(big_room), "--duration", "0.2"]}
     for name, argv in commands.items():
-        done = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS, *argv, "--out", str(tmp_path / name)],
-            env=ubimap_env(), capture_output=True, text=True, timeout=300, check=False, preexec_fn=cap_address_space,
-        )
-        assert done.returncode == 0, (name, done.stderr)
-        peak_kb = int(done.stdout.splitlines()[-1])
+        peak_kb = capped_peak_kb([*argv, "--out", str(tmp_path / name)])
         assert peak_kb <= BIG_ROOM_PEAK_BOUNDS_KB[name], (name, peak_kb)
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted((tmp_path / "simulate").iterdir())
@@ -192,3 +203,26 @@ def test_big_room_runs_in_memory_that_follows_the_cameras(tmp_path):
         "violations,0", "multiplicity_0,16773002", "multiplicity_1,64", "multiplicity_2,43", "multiplicity_3,5",
         "multiplicity_4,2",
     ]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_big_room_plan_lists_every_violation_under_the_cap(big_room, tmp_path):
+    # With --min-overlap 1 every free cell but the 114 the cameras see is
+    # violated, so the cap holds only if the 16,773,002 rows stream from the
+    # violated mask: a list of (cell, count) pairs does not fit under it.
+    out = tmp_path / "plan"
+    peak_kb = capped_peak_kb(["plan", str(big_room), "--min-overlap", "1", "--out", str(out)])
+    assert peak_kb <= 500 * 1024, peak_kb
+    digest = hashlib.sha256((out / "plan.csv").read_bytes()).hexdigest()
+    assert digest == "ce121dbe170e82848091ce59713ed2e37032720e486ba1df49378da8a48dfb64"
+    violations = out / "plan_violations.csv"
+    with open(violations, "rb") as fh:
+        lines = sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
+        fh.seek(0)
+        head = [fh.readline(), fh.readline()]
+        fh.seek(-32, os.SEEK_END)
+        last = fh.read().splitlines()[-1]
+    violations.unlink()  # 192 MB
+    assert lines == 16_773_003
+    assert head == [b"col,row,multiplicity\n", b"0,6,0\n"]
+    assert last == b"4095,4094,0"
