@@ -52,6 +52,11 @@ COLLINEAR_TOL = 1e-14
 # block of the cost and the normal equations: each bounds one pass's temporaries.
 WINDOW_ROWS = 448
 EDGE_BLOCK = 64
+# The stops of refine (see its docstring) and of icp (a change in RMS residual, meters).
+REFINE_ITERATIONS = 50
+GRADIENT_TOL = 1e-10
+RELATIVE_COST_TOL = 1e-12
+ICP_RMS_TOL = 1e-9
 
 
 class DegenerateGeometryError(ValueError):
@@ -101,13 +106,10 @@ class Correspondences:
 @dataclass(frozen=True)
 class IcpOptions:
     max_iterations: int = 50
-    convergence_threshold: float = 1e-9  # change in RMS residual, meters
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_threshold <= 0:
-            raise ValueError("convergence_threshold must be > 0")
 
 
 @dataclass(frozen=True)
@@ -300,7 +302,7 @@ def icp(
     Alternates correspondence matching (by landmark id when both id tuples
     are given, nearest neighbor otherwise, ties toward the lowest target
     index) with the closed-form alignment, until the RMS change drops below
-    the threshold or the iteration cap is hit. Hitting the cap is not an
+    ``ICP_RMS_TOL`` or the iteration cap is hit. Hitting the cap is not an
     error; the caller gets the last iterate. Pairs matched by id never
     change, so then the first alignment is final.
 
@@ -339,7 +341,7 @@ def icp(
     for _ in range(opts.max_iterations):
         iterations += 1
         transform, rms = best_rigid_transform(src[[s for s, _ in pairs]], dst[[d for _, d in pairs]])
-        if by_id is not None or abs(prev_rms - rms) < opts.convergence_threshold:
+        if by_id is not None or abs(prev_rms - rms) < ICP_RMS_TOL:
             break
         prev_rms = rms
         pairs = match(transform.transform_points(src))
@@ -482,31 +484,26 @@ def _normal_equations(graph: TransformGraph, rotations: np.ndarray, translations
     return band, jtr.reshape(free, 6)[np.argsort(table.order)].reshape(-1)
 
 
-def refine(
-    graph: TransformGraph,
-    initial: dict[int, RigidTransform],
-    max_iterations: int = 50,
-    gradient_tol: float = 1e-10,
-    relative_cost_tol: float = 1e-12,
-) -> tuple[dict[int, RigidTransform], list[float]]:
+def refine(graph: TransformGraph, initial: dict[int, RigidTransform]) -> tuple[dict[int, RigidTransform], list[float]]:
     """Levenberg-Marquardt refinement of the global poses.
 
     ``initial`` needs a pose for every graph node and none for any other
     camera (``ValueError`` otherwise). It is stacked once into (N, 3, 3)
-    rotations and (N, 3) translations in ``graph.nodes`` order; the returned
-    dict, in ``initial``'s key order, is the only other place poses are
-    ``RigidTransform``s. The reference pose is pinned to fix the gauge.
+    rotations and (N, 3) translations in ``graph.nodes`` order; only the
+    returned dict, in ``initial``'s key order, holds the poses as
+    ``RigidTransform``s again. The reference pose is pinned to fix the gauge.
     Accepted steps strictly decrease the cost; the damping factor shrinks
     tenfold on success and grows tenfold on rejection. Each step solves
     (J^T J + damping I) delta = -J^T r, with J^T J and J^T r accumulated
-    edge by edge, never the full Jacobian. Refinement stops when the
-    gradient is below ``gradient_tol``, when an accepted step lowers the
-    cost by less than ``relative_cost_tol`` of it, or, before a candidate
-    is evaluated, when the step's predicted decrease is at most that share
-    of the cost. J^T J is held in band storage (``_normal_equations``) and
-    factored in place, damped (``algebra.band_solve``), so one band is alive
-    and a retry rebuilds it. Returns the refined poses and the trace of
-    accepted costs (starting with the initial cost).
+    edge by edge, never the full Jacobian. Refinement stops after
+    ``REFINE_ITERATIONS`` steps, when the gradient is below
+    ``GRADIENT_TOL``, when an accepted step lowers the cost by less than
+    ``RELATIVE_COST_TOL`` of it, or, before a candidate is evaluated, when
+    the step's predicted decrease is at most that share of the cost. J^T J
+    is held in band storage (``_normal_equations``) and factored in place,
+    damped (``algebra.band_solve``), so one band is alive and a retry
+    rebuilds it. Returns the refined poses and the trace of accepted costs
+    (starting with the initial cost).
     """
     rotations, translations = stack_poses(graph, initial)
     cost = graph_cost(graph, rotations, translations)
@@ -519,9 +516,9 @@ def refine(
     order = graph.table.order
     position = np.argsort(order)
     damping = 1e-3
-    for _ in range(max_iterations):
+    for _ in range(REFINE_ITERATIONS):
         band, jtr = _normal_equations(graph, rotations, translations)
-        if float(np.max(np.abs(2.0 * jtr))) < gradient_tol:
+        if float(np.max(np.abs(2.0 * jtr))) < GRADIENT_TOL:
             break
         stepped = False
         rhs = -jtr.reshape(-1, 6)[order].reshape(-1)
@@ -537,7 +534,7 @@ def refine(
                 band = None  # factored in place
             # The damped model predicts the drop damping |delta|^2 - delta . J^T r;
             # once that is within the cost's rounding, no step can show a real one.
-            if float(np.sum(step * (damping * step + rhs))) <= relative_cost_tol * cost:
+            if float(np.sum(step * (damping * step + rhs))) <= RELATIVE_COST_TOL * cost:
                 break
             delta = step.reshape(-1, 6)[position].reshape(-1)
             candidate = _apply_step(graph, rotations, translations, delta)
@@ -551,7 +548,7 @@ def refine(
                 stepped = True
                 break
             damping *= 10.0
-        if not stepped or relative_drop < relative_cost_tol:
+        if not stepped or relative_drop < RELATIVE_COST_TOL:
             break
     refined = dict(zip(graph.nodes, geom.unstack(RigidTransform(rotations, translations))))
     return {node: refined[node] for node in initial}, trace

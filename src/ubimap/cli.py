@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import importlib
 import math
 import sys
 from dataclasses import dataclass
@@ -60,50 +59,27 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _truth_cells(world: GridWorld) -> np.ndarray:
-    """Ground-truth (height, width) cell states: a wall beats an obstacle,
-    which beats a robot; every other cell is explored."""
-    cells = np.full((world.height, world.width), worldmod.CellState.EXPLORED, dtype=np.uint8)
-    for robot in world.robots:
-        cell = world.cell_of(robot.x, robot.y)
-        cells[cell.row, cell.col] = worldmod.CellState.ROBOT
-    for ob in world.obstacles:
-        cells[ob.cell.row, ob.cell.col] = worldmod.CellState.OBSTACLE
-    cells[world.wall_mask] = worldmod.CellState.WALL
-    return cells
-
-
 # -- calibration pipeline ------------------------------------------------------
 
 
 @dataclass
 class CalibrationResult:
-    reference: int
-    graph: ubimap.calib.TransformGraph
-    initial: dict[int, ubimap.geom.RigidTransform]
-    refined: dict[int, ubimap.geom.RigidTransform]
-    cost_trace: list[float]
-    true_poses: ubimap.geom.RigidTransform  # one stack, in graph.nodes order
+    """The camera graph, the accepted LM costs and three pose stacks in
+    ``graph.nodes`` order, in the frame of the reference camera (the lowest
+    id, ``graph.nodes[0]``): as propagated, as refined, and the truth."""
 
-    def _refined_stack(self) -> ubimap.geom.RigidTransform:
-        return ubimap.geom.RigidTransform(*ubimap.calib.stack_poses(self.graph, self.refined))
+    graph: ubimap.calib.TransformGraph
+    initial: ubimap.geom.RigidTransform
+    refined: ubimap.geom.RigidTransform
+    cost_trace: list[float]
+    true_poses: ubimap.geom.RigidTransform
 
     def pose_errors(self) -> tuple[list[float], list[float]]:
         """Each camera's refined pose against the truth, cameras in
         ``graph.nodes`` order: the rotation angles and the translation
         distances."""
-        refined = self._refined_stack()
-        distances = [math.dist(p, q) for p, q in zip(refined.translation.tolist(), self.true_poses.translation.tolist())]
-        return ubimap.geom.rotation_distance(refined, self.true_poses), distances
-
-    def estimated_world_poses(
-        self, reference_world_pose: ubimap.geom.RigidTransform
-    ) -> dict[int, ubimap.geom.RigidTransform]:
-        """Anchor the calibrated rig to the world through the surveyed
-        reference camera, in ``refined``'s order."""
-        world = ubimap.geom.compose(reference_world_pose, self._refined_stack())
-        by_camera = dict(zip(self.graph.nodes, ubimap.geom.unstack(world)))
-        return {cam_id: by_camera[cam_id] for cam_id in self.refined}
+        pairs = zip(self.refined.translation.tolist(), self.true_poses.translation.tolist())
+        return ubimap.geom.rotation_distance(self.refined, self.true_poses), [math.dist(p, q) for p, q in pairs]
 
 
 def _shared_landmark_pairs(camera_ids: list[int], seen: np.ndarray, points: np.ndarray) -> ubimap.calib.Correspondences:
@@ -135,25 +111,18 @@ def calibrate_scenario(scenario: Scenario, sigma: float, seed: int) -> Calibrati
     cams = sorted(scenario.cameras, key=lambda c: c.id)
     if not cams:
         raise ValueError("scenario has no cameras to calibrate")
-    reference = cams[0].id
     # The landmark rows live only in this statement: the graph keeps each pair's moments.
     graph = ubimap.calib.build_graph(
         _shared_landmark_pairs([c.id for c in cams], *ubimap.sensim.observe_landmarks(cams, scenario.world, sigma, seed)[1:]),
-        reference, nodes=tuple(c.id for c in cams),
+        cams[0].id, nodes=tuple(c.id for c in cams),
     )
     initial = ubimap.calib.propagate(graph)  # raises DisconnectedGraphError
     refined, trace = ubimap.calib.refine(graph, initial)
+    initial, refined = (ubimap.geom.RigidTransform(*ubimap.calib.stack_poses(graph, poses)) for poses in (initial, refined))
 
     world_poses = ubimap.sensim.camera_world_poses(cams)  # graph.nodes order, the reference first
     ref_inverse = ubimap.geom.invert(ubimap.geom.RigidTransform(world_poses.rotation[0], world_poses.translation[0]))
-    return CalibrationResult(
-        reference=reference,
-        graph=graph,
-        initial=initial,
-        refined=refined,
-        cost_trace=trace,
-        true_poses=ubimap.geom.compose(ref_inverse, world_poses),
-    )
+    return CalibrationResult(graph, initial, refined, trace, ubimap.geom.compose(ref_inverse, world_poses))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -241,12 +210,11 @@ def cmd_calibrate(scenario: Scenario, args) -> int:
     result = calibrate_scenario(scenario, sigma, seed)
     graph = result.graph
     loop_initial, loop_refined = (
-        ubimap.calib.loop_closure_error(graph, *ubimap.calib.stack_poses(graph, poses)).tolist()
+        ubimap.calib.loop_closure_error(graph, poses.rotation, poses.translation).tolist()
         for poses in (result.initial, result.refined)
     )
     rotation_errors, translation_errors = result.pose_errors()
-    pairs = graph.cameras.tolist()
-    by_pair = sorted(range(len(pairs)), key=pairs.__getitem__)  # the loop errors' row order
+    pairs = graph.cameras.tolist()  # in camera order (``_shared_landmark_pairs``)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -257,26 +225,26 @@ def cmd_calibrate(scenario: Scenario, args) -> int:
         rows.writerow(["cost_final", "", repr(result.cost_trace[-1])])
         rows.writerows(["edge_residual", f"{i}-{j}", repr(err)] for (i, j), err in zip(pairs, graph.residuals.tolist()))
         for record, errors in (("loop_error_initial", loop_initial), ("loop_error_refined", loop_refined)):
-            rows.writerows([record, f"{pairs[k][0]}-{pairs[k][1]}", repr(errors[k])] for k in by_pair)
+            rows.writerows([record, f"{i}-{j}", repr(err)] for (i, j), err in zip(pairs, errors))
         for cam_id, rot_err, tra_err in zip(graph.nodes, rotation_errors, translation_errors):
             rows.writerow(["pose_rotation_error_rad", str(cam_id), repr(rot_err)])
             rows.writerow(["pose_translation_error_m", str(cam_id), repr(tra_err)])
         rows.writerows(["edge_failure", f"{i}-{j}", reason] for i, j, reason in graph.failures)
     worst = max(rotation_errors, default=0.0)
     print(
-        f"calibrated {len(result.refined)} cameras, cost {result.cost_trace[0]:.3e} -> "
+        f"calibrated {len(graph.nodes)} cameras, cost {result.cost_trace[0]:.3e} -> "
         f"{result.cost_trace[-1]:.3e}, worst rotation error {worst:.3e} rad"
     )
     return EXIT_OK
 
 
-def _robot_local_map(world: GridWorld, robot, sense_radius: float, truth: np.ndarray) -> np.ndarray:
+def _robot_local_map(world: GridWorld, robot, sense_radius: float) -> np.ndarray:
     """What the robot's own onboard sensing contributes, as (height, width)
     cell states: every cell within sensing range and line of sight, labeled
-    from the ground-truth cells ``truth`` (other robots read as obstacles to
-    an onboard detector); every other cell is unexplored. Range is tested
-    only over the box of cells within ``sense_radius``, the whole grid for
-    an infinite radius."""
+    from ``world.cell_states`` (other robots read as obstacles to an onboard
+    detector); every other cell is unexplored. Range is tested only over
+    the box of cells within ``sense_radius``, the whole grid for an
+    infinite radius."""
     fragment = np.zeros((world.height, world.width), dtype=np.uint8)
     if sense_radius <= 0:
         return fragment
@@ -285,7 +253,7 @@ def _robot_local_map(world: GridWorld, robot, sense_radius: float, truth: np.nda
     near = [not math.dist((x, y), at) > sense_radius for y in ys.tolist() for x in xs.tolist()]
     r, c = np.nonzero(np.reshape(near, (len(ys), len(xs))))
     seen = ((r + rows.start) * world.width + c + cols.start)[line_of_sight(world, at, np.column_stack([xs[c], ys[r]]))]
-    labels = truth.flat[seen]
+    labels = world.cell_states.flat[seen]
     labels[labels == worldmod.CellState.ROBOT] = worldmod.CellState.OBSTACLE
     fragment.flat[seen] = labels
     fragment[own.row, own.col] = worldmod.CellState.EXPLORED
@@ -353,8 +321,9 @@ def run_simulation(
         cameras = [cam for cam in cameras if cam.id in selected]
 
     calibration = calibrate_scenario(Scenario(world, tuple(cameras), params), sigma, seed)
-    reference_cam = next(cam for cam in cameras if cam.id == calibration.reference)
-    camera_poses = calibration.estimated_world_poses(ubimap.sensim.camera_world_pose(reference_cam))
+    # The rig anchored to the world through its surveyed reference camera, the lowest id.
+    anchored = ubimap.geom.compose(ubimap.sensim.camera_world_pose(cameras[0]), calibration.refined)
+    camera_poses = dict(zip(calibration.graph.nodes, ubimap.geom.unstack(anchored)))
 
     footprints = worldmod.covered_cells(cameras, world)
     covered = footprints.any(axis=0)
@@ -368,10 +337,10 @@ def run_simulation(
         known_walls=world.walls,
         tag_registry={r.tag: r.id for r in world.robots},
     )
-    # Address 0 is the map server; robots are addressed by their own id.
+    # Robots are addressed by their own id, the map server by SERVER_ID.
     if any(not 1 <= r.id < 2**16 for r in world.robots):
         raise ValueError("robot ids must be in 1..65535 to address them on the network")
-    server = ubimap.netsim.MapServer(server_map, sender_id=0)
+    server = ubimap.netsim.MapServer(server_map)
     net = ubimap.netsim.SimulatedNetwork(
         ubimap.netsim.NetworkParams(latency_ms=latency_ms, jitter_ms=args.jitter_ms, loss_probability=loss, seed=seed)
     )
@@ -384,7 +353,7 @@ def run_simulation(
     om = ubimap.fusion.position_observation_model(np.diag([meas_var, meas_var]))
 
     upload_seqs = {r.id: 0 for r in robots}
-    truth = None  # the ground-truth cells, made at the first upload with each robot's onboard map
+    local_maps = None  # each robot's onboard map, made at the first upload
     localization_rows = csv.writer(localization, lineterminator="\n")
     localization_rows.writerow(["tick", "t", "robot_id", "error_m"])
     observation_rows = None
@@ -399,7 +368,7 @@ def run_simulation(
     def handle_deliveries(deliveries) -> None:
         for delivery in deliveries:
             msg = delivery.message
-            if delivery.dest == 0:
+            if delivery.dest == ubimap.netsim.SERVER_ID:
                 ack = server.ingest(msg)
                 if ack is not None:
                     send(ack, msg.sender_id, delivery.time)
@@ -455,9 +424,8 @@ def run_simulation(
                     send(server.pose_message(robot.id, float(mean[0]), float(mean[1]), float(mean[2])), robot.id, t)
 
         if tick % upload_every == 0:
-            if truth is None:  # robots and walls never move: one onboard map per robot
-                truth = _truth_cells(world)
-                local_maps = {robot.id: _robot_local_map(world, robot, args.sense_radius, truth) for robot in robots}
+            if local_maps is None:  # robots and walls never move: one onboard map per robot
+                local_maps = {robot.id: _robot_local_map(world, robot, args.sense_radius) for robot in robots}
             for robot in robots:
                 msg = ubimap.netsim.Message(
                     kind=ubimap.netsim.MessageKind.SENSOR_UPLOAD,
@@ -466,7 +434,7 @@ def run_simulation(
                     payload=ubimap.netsim.encode_map_payload((upload_seqs[robot.id] + 1) % 2**32, local_maps[robot.id]),
                 )
                 upload_seqs[robot.id] = (upload_seqs[robot.id] + 1) % 2**32  # u32 seqs wrap, as MapServer.next_seq's do
-                send(msg, 0, t)
+                send(msg, ubimap.netsim.SERVER_ID, t)
 
         handle_deliveries(net.deliver_due(t))
 
@@ -474,7 +442,7 @@ def run_simulation(
     while net.pending():
         handle_deliveries(net.drain())
 
-    matches = int((covered & (server_map.cells == (_truth_cells(world) if truth is None else truth))).sum())
+    matches = int((covered & (server_map.cells == world.cell_states)).sum())
     summary = {
         "coverage_ratio": coverage_ratio,
         "map_accuracy": matches / int(covered.sum()) if covered.any() else 1.0,
@@ -497,7 +465,7 @@ def run_simulation(
 def cmd_render(scenario: Scenario, args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "map.ppm").write_bytes(render_map(_truth_cells(scenario.world)))
+    (out_dir / "map.ppm").write_bytes(render_map(scenario.world.cell_states))
     print(f"wrote {out_dir / 'map.ppm'}")
     return EXIT_OK
 
@@ -587,16 +555,7 @@ def main(argv=None) -> int:
     if error is not None:
         print(f"argument error: {error}", file=sys.stderr)
         return EXIT_PARSE
-    # Each subcommand's handler and the only layers it loads besides world, before the
-    # scenario is read. Of the simulate orders measured, this one raised peak RSS least.
-    handler, layers = {
-        "plan": (cmd_plan, ("coverage",)),
-        "calibrate": (cmd_calibrate, ("calib", "sensim")),
-        "simulate": (cmd_simulate, ("sensim", "fusion", "calib", "coverage", "netsim")),
-        "render": (cmd_render, ()),
-    }[args.command]
-    for layer in layers:
-        importlib.import_module(f"{__package__}.{layer}")
+    handler = {"plan": cmd_plan, "calibrate": cmd_calibrate, "simulate": cmd_simulate, "render": cmd_render}[args.command]
     # An unreadable or malformed scenario, or one without the cameras a
     # subcommand needs, exits 1, a disconnected camera graph 3, and anything
     # else the loader or a subcommand raises 4.

@@ -199,13 +199,12 @@ def lattice_candidates(
     hfov: float,
     vfov: float,
     max_range: float,
-    first_id: int = 1,
 ) -> tuple[CameraSpec, ...]:
-    """Candidate pool on a position lattice x 8 yaw angles (45 deg apart)."""
+    """Candidate pool on a position lattice x 8 yaw angles (45 deg apart), camera ids from 1."""
     rows, cols = range(0, world.height, spacing_cells), range(0, world.width, spacing_cells)
     sites = [world.cell_center(CellIndex(col, row)) for row in rows for col in cols]
     return tuple(
-        CameraSpec(id=first_id + k, x=x, y=y, height=height, yaw=(k % 8) * math.pi / 4.0, hfov=hfov, vfov=vfov,
+        CameraSpec(id=1 + k, x=x, y=y, height=height, yaw=(k % 8) * math.pi / 4.0, hfov=hfov, vfov=vfov,
                    max_range=max_range)
         for k, (x, y) in enumerate(site for site in sites for _ in range(8))
     )

@@ -37,6 +37,7 @@ MAGIC = b"UBSM"
 VERSION = 1
 HEADER = struct.Struct("<4sBBIHI")
 MAX_PAYLOAD = 2**24
+SERVER_ID = 0  # the map server's network address and sender id; robots use their own ids
 # Uploads the server remembers per sender, counting back from the highest
 # seq it merged from that sender; anything older counts as a duplicate.
 UPLOAD_WINDOW = 64
@@ -273,14 +274,13 @@ def _serial_distance(a: int, b: int) -> int:
 
 
 class MapServer:
-    """Server half of the protocol: broadcasts the fused map, ingests and
-    merges robot uploads, and acknowledges them. uploads_merged counts the
-    uploads merged, one per sender and seq. Duplicates are found in a
+    """Server half of the protocol, sending as SERVER_ID: broadcasts the
+    fused map, merges and acknowledges robot uploads, counting the merges
+    in uploads_merged, one per sender and seq. Duplicates are found in a
     window of UPLOAD_WINDOW seqs per sender, so memory stays bounded."""
 
-    def __init__(self, grid_map: GridMap, sender_id: int = 0) -> None:
+    def __init__(self, grid_map: GridMap) -> None:
         self.grid_map = grid_map
-        self.sender_id = sender_id
         self.faults: list[str] = []
         self.stale_uploads = 0
         self.uploads_merged = 0
@@ -300,7 +300,7 @@ class MapServer:
         return Message(
             kind=MessageKind.MAP_UPDATE,
             seq=self.next_seq(MessageKind.MAP_UPDATE),
-            sender_id=self.sender_id,
+            sender_id=SERVER_ID,
             payload=encode_map_payload(self.grid_map.revision, self.grid_map.cells),
         )
 
@@ -308,7 +308,7 @@ class MapServer:
         return Message(
             kind=MessageKind.ROBOT_POSE,
             seq=self.next_seq(MessageKind.ROBOT_POSE),
-            sender_id=self.sender_id,
+            sender_id=SERVER_ID,
             payload=encode_pose_payload(robot_id, x, y, theta),
         )
 
@@ -346,6 +346,6 @@ class MapServer:
         return Message(
             kind=MessageKind.ACK,
             seq=self.next_seq(MessageKind.ACK),
-            sender_id=self.sender_id,
+            sender_id=SERVER_ID,
             payload=_ACK_PAYLOAD.pack(msg.seq),
         )

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import algebra, geom
 from .geom import RigidTransform
-from .world import CameraSpec, GridWorld, cell_mask, covered_cells, ground_footprint, line_of_sight
+from .world import CameraSpec, CellState, GridWorld, covered_cells, ground_footprint, line_of_sight
 
 
 @dataclass(frozen=True)
@@ -237,14 +237,13 @@ def observe_obstacles(
 ) -> list[ObstacleEvidence]:
     """Each camera's occupancy evidence over its visible footprint, in camera order.
 
-    A cell is reported occupied when an obstacle or a robot currently sits
-    in it, free otherwise. The simulated detector is exact (ground truth);
-    uncertainty enters the system through the localization streams instead.
-    Pass footprints, one covered-cell mask per camera, to reuse them across
-    ticks; the evidence shares them as its ``observed`` masks.
+    A cell is reported occupied when an obstacle or a robot sits in it, as
+    ``world.cell_states`` tells, free otherwise. The simulated detector is
+    exact (ground truth); uncertainty enters through the localization
+    streams. Pass footprints, one covered-cell mask per camera, to reuse
+    them across ticks; the evidence shares them as its ``observed`` masks.
     """
     if footprints is None:
         footprints = covered_cells(cameras, world)
-    cells = [ob.cell for ob in world.obstacles] + [world.cell_of(r.x, r.y) for r in world.robots]
-    occupied = cell_mask(world.width, world.height, cells)
+    occupied = world.cell_states >= CellState.OBSTACLE
     return [ObstacleEvidence(cam.id, seen, seen & occupied, t) for cam, seen in zip(cameras, footprints)]

@@ -155,7 +155,8 @@ class SimParams:
 
 @dataclass(frozen=True)
 class GridWorld:
-    """Immutable ground truth: dimensions, walls, and the entities on the grid."""
+    """Immutable ground truth: dimensions, walls, the entities on the grid
+    and, built from them at first use, each cell's state (``cell_states``)."""
 
     cell_size: float
     width: int
@@ -212,6 +213,20 @@ class GridWorld:
         mask = cell_mask(self.width, self.height, self.walls)
         mask.setflags(write=False)
         return mask
+
+    @cached_property
+    def cell_states(self) -> np.ndarray:
+        """Read-only (height, width) uint8 ground-truth ``CellState``s: a wall
+        beats an obstacle, which beats a robot; every other cell is explored."""
+        cells = np.full((self.height, self.width), CellState.EXPLORED, dtype=np.uint8)
+        for robot in self.robots:
+            cell = self.cell_of(robot.x, robot.y)
+            cells[cell.row, cell.col] = CellState.ROBOT
+        for ob in self.obstacles:
+            cells[ob.cell.row, ob.cell.col] = CellState.OBSTACLE
+        cells[self.wall_mask] = CellState.WALL
+        cells.setflags(write=False)
+        return cells
 
     @cached_property
     def sight_grid(self) -> np.ndarray:

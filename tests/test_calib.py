@@ -1048,8 +1048,8 @@ def gen():
 def benchmark_ring(gen):
     """The calibrate workload's 100-camera ring, seed 1."""
     scenario = gen.ring(1)
-    result = cli.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed)
-    return result.graph, result.initial
+    graph = cli.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed).graph
+    return graph, calib.propagate(graph)
 
 
 def test_calibrate_peak_memory_on_the_benchmark_ring(gen, tmp_path):
@@ -1086,6 +1086,19 @@ def test_refine_peak_memory_on_the_benchmark_ring(benchmark_ring):
         tracemalloc.stop()
     assert trace[-1] < trace[0]
     assert peak < 0.86 * 2**20, peak
+
+
+@pytest.mark.parametrize("seed", [None, 1, 6])
+def test_calibration_edges_come_in_camera_pair_order(gen, seed):
+    # calibration.csv writes its per-edge rows in edge order, which is this order.
+    if seed is None:
+        scenario = cli._load_scenario(str(Path(__file__).resolve().parent.parent / "scenarios" / "demo_room.scenario"))
+    else:
+        scenario = gen.ring(seed)
+    pairs = cli.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed).graph.cameras.tolist()
+    assert len(pairs) > 1
+    assert all(i < j for i, j in pairs)
+    assert all(a < b for a, b in zip(pairs, pairs[1:]))
 
 
 # LM rejects steps on seed 6 only, of seeds 1 to 10.

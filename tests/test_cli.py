@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ubimap import calib, cli, coverage, fusion, world as worldmod
+from ubimap import calib, cli, coverage, fusion, sensim, world as worldmod
 from ubimap.cli import EXIT_CALIBRATION, EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, render_map
 from ubimap.fusion import CellState
 from ubimap.geom import Point3
@@ -681,9 +681,9 @@ def test_simulate_builds_each_robot_map_once(tmp_path, monkeypatch):
     built = []
     original = cli._robot_local_map
 
-    def counted(world, robot, sense_radius, truth):
+    def counted(world, robot, sense_radius):
         built.append(robot.id)
-        return original(world, robot, sense_radius, truth)
+        return original(world, robot, sense_radius)
 
     monkeypatch.setattr(cli, "_robot_local_map", counted)
     argv = ["simulate", str(DEMO_ROOM), "--duration", "1", "--upload-ms", "100", "--out", str(tmp_path / "out")]
@@ -703,7 +703,7 @@ def test_robot_local_map_matches_full_grid_reference(sense_radius):
         worldmod.Robot(id=9, x=world.width * world.cell_size, y=0.0, theta=0.0, tag=99),
     ]
     for robot in (*world.robots, *extra):
-        got = cli._robot_local_map(world, robot, sense_radius, cli._truth_cells(world))
+        got = cli._robot_local_map(world, robot, sense_radius)
         assert (got == reference_robot_local_map(world, robot, sense_radius)).all(), robot
 
 
@@ -938,7 +938,7 @@ def random_walled_world(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_truth_render_and_local_maps_match_reference_on_random_worlds(seed):
     world = random_walled_world(seed)
-    truth = cli._truth_cells(world)
+    truth = world.cell_states
     assert truth.tobytes() == reference_ground_truth_map(world).tobytes()
     assert render_map(truth) == reference_render_map(truth)
     rng = np.random.default_rng(seed)
@@ -946,8 +946,31 @@ def test_truth_render_and_local_maps_match_reference_on_random_worlds(seed):
     assert render_map(scrambled) == reference_render_map(scrambled)
     for robot in world.robots:
         for radius in (1.5, 3.0, math.inf):
-            got = cli._robot_local_map(world, robot, radius, truth)
+            got = cli._robot_local_map(world, robot, radius)
             assert (got == reference_robot_local_map(world, robot, radius)).all(), (robot, radius)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_obstacle_evidence_reads_the_read_only_truth_on_random_worlds(seed):
+    world = random_walled_world(seed)
+    with pytest.raises(ValueError):
+        world.cell_states[0, 0] = CellState.UNEXPLORED
+    occupied = worldmod.cell_mask(
+        world.width, world.height, [ob.cell for ob in world.obstacles] + [world.cell_of(r.x, r.y) for r in world.robots]
+    )
+    rng = np.random.default_rng(2000 + seed)
+    cameras = [
+        worldmod.CameraSpec(
+            id=i + 1, x=float(rng.uniform(0, world.width)), y=float(rng.uniform(0, world.height)),
+            height=2.0, yaw=float(rng.uniform(-math.pi, math.pi)), hfov=1.2, vfov=1.6, max_range=10.0,
+        )
+        for i in range(4)
+    ]
+    everything = np.ones((1, world.height, world.width), dtype=bool)
+    evidence = sensim.observe_obstacles(cameras, world, 0.0) + sensim.observe_obstacles(cameras[:1], world, 0.0, everything)
+    for ev in evidence:
+        assert np.array_equal(ev.occupied, ev.observed & occupied), ev.camera_id
+    assert np.array_equal(evidence[-1].occupied, occupied)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -977,7 +1000,7 @@ def test_truth_render_and_heatmap_match_reference_on_demo_room(tmp_path):
     assert cli.main(["render", str(DEMO_ROOM), "--out", str(tmp_path / "r")]) == EXIT_OK
     assert cli.main(["plan", str(DEMO_ROOM), "--heatmap", "--out", str(tmp_path / "p")]) == EXIT_OK
     scenario = cli._load_scenario(str(DEMO_ROOM))
-    truth = cli._truth_cells(scenario.world)
+    truth = scenario.world.cell_states
     assert truth.tobytes() == reference_ground_truth_map(scenario.world).tobytes()
     problem = coverage.CoverageProblem(
         world=scenario.world, candidates=scenario.cameras, max_overlap=len(scenario.cameras), budget=len(scenario.cameras),

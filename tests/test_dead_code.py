@@ -10,6 +10,7 @@ the functions it wraps. Dunder methods are called implicitly and exempt.
 """
 
 import ast
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -90,3 +91,74 @@ def test_every_definition_is_referenced():
                 dead.append(f"{path.name}: {qualified}")
     assert sorted(set(dead) - TESTED_API) == []
     assert sorted(TESTED_API - set(dead)) == []  # an entry the package itself now uses
+
+
+
+def defaulted_parameters(node: ast.FunctionDef):
+    """(position or None, name) of each parameter with a default; keyword-only
+    ones have no position."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    for k, arg in enumerate(positional[first:], first):
+        yield k, arg.arg
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def dict_keys(node: ast.AST) -> set[str] | None:
+    """The keys of ``dict(a=..., ...)`` or of a dict literal with string keys; None for any other value."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict" and not node.args:
+        keys = [kw.arg for kw in node.keywords]
+    elif isinstance(node, ast.Dict):
+        keys = [key.value if isinstance(key, ast.Constant) else None for key in node.keys]
+    else:
+        return None
+    return set(keys) if all(isinstance(key, str) for key in keys) else None
+
+
+def call_arguments(tree: ast.Module):
+    """(function name, positional count, keyword names) of each call ``f(...)``
+    or ``x.f(...)``. A ``*args`` makes the count unbounded; a ``**name`` adds
+    the keys of the dict that ``name`` is bound to in the module, and any
+    other ``**`` makes the names None, every name."""
+    bound: dict[str, set[str] | None] = {}
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Assign) and len(sub.targets) == 1 and isinstance(sub.targets[0], ast.Name):
+            name, keys = sub.targets[0].id, dict_keys(sub.value)
+            before = bound.get(name, set())
+            bound[name] = None if keys is None or before is None else before | keys
+    for sub in ast.walk(tree):
+        if not isinstance(sub, ast.Call) or not isinstance(sub.func, (ast.Name, ast.Attribute)):
+            continue
+        count = math.inf if any(isinstance(a, ast.Starred) for a in sub.args) else len(sub.args)
+        names: set[str] | None = set()
+        for kw in sub.keywords:
+            keys = {kw.arg} if kw.arg is not None else bound.get(kw.value.id) if isinstance(kw.value, ast.Name) else None
+            names = None if keys is None or names is None else names | keys
+        yield (sub.func.id if isinstance(sub.func, ast.Name) else sub.func.attr), count, names
+
+
+def test_every_default_is_overridden_somewhere():
+    """A defaulted parameter of a top-level ``src/ubimap`` function that no
+    call passes, by position or keyword, is a one-value knob: make it a
+    constant. Calls are matched by name, as ``f(...)`` or ``x.f(...)``, in
+    ``src/``, ``perfbench/`` and ``tests/`` (see ``call_arguments``).
+    Methods and dataclass fields are not checked."""
+    calls: dict[str, list] = {}
+    for directory in ("src", "perfbench", "tests"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for name, count, names in call_arguments(parse(path)):
+                calls.setdefault(name, []).append((count, names))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for position, name in defaulted_parameters(node):
+                if not any(
+                    names is None or name in names or (position is not None and count > position)
+                    for count, names in calls.get(node.name, [])
+                ):
+                    unused.append(f"{path.name}: {node.name}({name})")
+    assert unused == []

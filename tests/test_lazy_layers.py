@@ -1,8 +1,7 @@
 """Each command loads only the layers it runs.
 
-``import ubimap`` loads no submodule, ``ubimap.<layer>`` imports one on
-first access, and ``cli.main`` loads a subcommand's layers after parsing
-its arguments. Each run here starts a fresh interpreter, so that no other
+``import ubimap`` loads no submodule, and ``ubimap.<layer>`` imports one on
+first access, so a command loads a layer when its code first reads it. Each run here starts a fresh interpreter, so that no other
 test has loaded a layer before it.
 """
 
@@ -21,11 +20,14 @@ LAYERS = ("algebra", "calib", "cli", "coverage", "fusion", "geom", "netsim", "se
 # world (with geom and algebra, which it imports) and cli load for every
 # command; the rest is what each command runs. calib imports moments.
 BASE = {"ubimap", "ubimap.algebra", "ubimap.cli", "ubimap.geom", "ubimap.world"}
+# simulate runs the planner only with --plan-budget.
+SIMULATE = BASE | {"ubimap.calib", "ubimap.fusion", "ubimap.moments", "ubimap.netsim", "ubimap.sensim"}
 LOADED = {
-    "plan": BASE | {"ubimap.coverage"},
-    "calibrate": BASE | {"ubimap.calib", "ubimap.moments", "ubimap.sensim"},
-    "simulate": {"ubimap", "ubimap.moments", *(f"ubimap.{name}" for name in LAYERS)},
-    "render": BASE,
+    ("plan",): BASE | {"ubimap.coverage"},
+    ("calibrate",): BASE | {"ubimap.calib", "ubimap.moments", "ubimap.sensim"},
+    ("simulate",): SIMULATE,
+    ("simulate", "--plan-budget", "2"): SIMULATE | {"ubimap.coverage"},
+    ("render",): BASE,
 }
 
 # Runs `ubimap` with the arguments given and prints, as the last line, the
@@ -60,9 +62,9 @@ def python(*argv: str) -> subprocess.CompletedProcess:
     return done
 
 
-@pytest.mark.parametrize("command", sorted(LOADED))
+@pytest.mark.parametrize("command", sorted(LOADED), ids=" ".join)
 def test_command_loads_only_its_layers(tmp_path, command):
-    done = python("-c", RUN, command, str(DEMO_ROOM), "--out", str(tmp_path / "out"))
+    done = python("-c", RUN, command[0], str(DEMO_ROOM), *command[1:], "--out", str(tmp_path / "out"))
     code, loaded = json.loads(done.stdout.splitlines()[-1])
     assert code == 0
     assert set(loaded) == LOADED[command]
