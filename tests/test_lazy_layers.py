@@ -1,8 +1,9 @@
 """Each command loads only the layers it runs.
 
 ``import ubimap`` loads no submodule, and ``ubimap.<layer>`` imports one on
-first access, so a command loads a layer when its code first reads it. Each run here starts a fresh interpreter, so that no other
-test has loaded a layer before it.
+first access, so a command loads a layer when its code first reads it.
+Each run here starts a fresh interpreter, so that no other test has loaded
+a layer before it.
 """
 
 import json
