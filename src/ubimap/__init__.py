@@ -4,6 +4,8 @@ The pipeline: place depth-camera footprints over a gridded room, calibrate
 the cameras into one global frame from shared landmarks, fuse per-camera
 evidence into a live occupancy map, localize robots against it, and
 broadcast the map to robot clients over a simulated lossy network.
+``ubimap.pipeline`` calibrates a scenario whole and renders images;
+``ubimap.cli`` parses the arguments, runs the stages and writes the files.
 
 No output goes through BLAS or LAPACK (see ``ubimap.algebra``). Importing
 the package still pins BLAS to one thread, which keeps OpenBLAS from
@@ -23,6 +25,6 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in ("algebra", "calib", "cli", "coverage", "fusion", "geom", "netsim", "sensim", "world"):
+    if name in ("algebra", "calib", "cli", "coverage", "fusion", "geom", "netsim", "pipeline", "sensim", "world"):
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,14 +10,13 @@ degenerate or overflows becoming a failed edge, and the same pass reduces
 each pair's rows to moments about its fit (``TransformGraph``), of which
 the cost, J^T J and J^T r are closed forms (``moments``; Pulli 1999;
 Williams & Bennamoun 2001, CVIU 81(1)): no row outlives ``build_graph``.
-``propagate`` composes one breadth-first level at a time. Inside the cost,
-the loop-closure check and the refinement, poses are stacked arrays in
-``graph.nodes`` order, (N, 3, 3) rotations and (N, 3) translations; a
-``RigidTransform`` per camera appears only at the boundary (``stack_poses``
-on the way in, ``propagate``'s and ``refine``'s returned dicts on the way
-out). The refinement adds 6x6 blocks of J^T J, ``EDGE_BLOCK`` edges at a
-time, into band storage and solves by a banded Cholesky: memory is
-O(N b + E) for N cameras, a bandwidth of b cameras and E edges.
+``propagate`` composes one breadth-first level at a time. Poses are
+stacks in ``graph.nodes`` order, (N, 3, 3) rotations and (N, 3)
+translations, from ``propagate`` through the cost, the loop-closure check
+and the refinement to what ``refine`` returns. The refinement adds 6x6
+blocks of J^T J, ``EDGE_BLOCK`` edges at a time, into band storage and
+solves by a banded Cholesky: memory is O(N b + E) for N cameras, a
+bandwidth of b cameras and E edges.
 
 Frame conventions (used consistently everywhere in this module):
     - An edge (i, j) stores the pose of camera j expressed in camera i's
@@ -373,14 +372,14 @@ def build_graph(pairs: Correspondences, reference: int, nodes: tuple[int, ...] =
     return TransformGraph(tuple(sorted(nodes)), reference, *edges, failures)
 
 
-def propagate(graph: TransformGraph) -> dict[int, RigidTransform]:
+def propagate(graph: TransformGraph) -> RigidTransform:
     """Breadth-first spanning tree from the reference; each camera's global
     pose is its parent's composed with the edge between them, inverted when
     the tree walks the edge from camera j to camera i. The walk goes one
     level at a time, with one stacked ``geom.compose`` per level; a level's
     parents come in the order they were reached and each parent's new
     neighbours by id, as in a walk one camera at a time. Returns the poses
-    in the order reached."""
+    as one stack in ``graph.nodes`` order."""
     edges = RigidTransform(graph.rotations, graph.translations)
     inverse = geom.invert(edges)
     step_rotations = np.concatenate([edges.rotation, inverse.rotation])  # edge k, then edge k backward at E + k
@@ -390,39 +389,31 @@ def propagate(graph: TransformGraph) -> dict[int, RigidTransform]:
         adjacency[cam_i].append((cam_j, k))
         adjacency[cam_j].append((cam_i, len(graph.residuals) + k))
 
-    poses: dict[int, RigidTransform] = {graph.reference: geom.identity()}
+    slot = {node: k for k, node in enumerate(graph.nodes)}
+    rotations, translations = np.empty((len(slot), 3, 3)), np.empty((len(slot), 3))
+    origin = geom.identity()  # the reference's pose
+    rotations[slot[graph.reference]], translations[slot[graph.reference]] = origin.rotation, origin.translation
+    reached = {graph.reference}
     level = [graph.reference]
     while level:
-        tree: dict[int, tuple[int, int]] = {}  # each camera the level reaches: (parent, step)
+        tree: dict[int, tuple[int, int]] = {}  # each camera the level reaches: (parent's slot, step)
         for node in level:
             for neighbor, step in sorted(adjacency[node]):
-                if neighbor not in poses and neighbor not in tree:
-                    tree[neighbor] = (node, step)
+                if neighbor not in reached and neighbor not in tree:
+                    tree[neighbor] = (slot[node], step)
         if not tree:
             break
         parents, steps = (list(column) for column in zip(*tree.values()))
-        parent = RigidTransform([poses[p].rotation for p in parents], [poses[p].translation for p in parents])
-        step = RigidTransform(step_rotations[steps], step_translations[steps])
-        poses.update(zip(tree, geom.unstack(geom.compose(parent, step))))
+        parent = RigidTransform(rotations[parents], translations[parents])
+        composed = geom.compose(parent, RigidTransform(step_rotations[steps], step_translations[steps]))
+        children = [slot[node] for node in tree]
+        rotations[children], translations[children] = composed.rotation, composed.translation
+        reached.update(tree)
         level = list(tree)
-    missing = [node for node in graph.nodes if node not in poses]
+    missing = [node for node in graph.nodes if node not in reached]
     if missing:
         raise DisconnectedGraphError(missing)
-    return poses
-
-
-def stack_poses(graph: TransformGraph, poses: dict[int, RigidTransform]) -> tuple[np.ndarray, np.ndarray]:
-    """The poses as (N, 3, 3) rotations and (N, 3) translations in
-    ``graph.nodes`` order; every node needs a pose, and only nodes have one."""
-    for node in graph.nodes:
-        if node not in poses:
-            raise ValueError(f"poses missing camera {node}")
-    extra = sorted(set(poses) - set(graph.nodes))
-    if extra:
-        raise ValueError(f"poses hold cameras that are not graph nodes: {extra}")
-    rotations = np.stack([poses[node].rotation for node in graph.nodes])
-    translations = np.stack([poses[node].translation for node in graph.nodes])
-    return rotations, translations
+    return RigidTransform(rotations, translations)
 
 
 def graph_cost(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> float:
@@ -484,14 +475,12 @@ def _normal_equations(graph: TransformGraph, rotations: np.ndarray, translations
     return band, jtr.reshape(free, 6)[np.argsort(table.order)].reshape(-1)
 
 
-def refine(graph: TransformGraph, initial: dict[int, RigidTransform]) -> tuple[dict[int, RigidTransform], list[float]]:
+def refine(graph: TransformGraph, initial: RigidTransform) -> tuple[RigidTransform, list[float]]:
     """Levenberg-Marquardt refinement of the global poses.
 
-    ``initial`` needs a pose for every graph node and none for any other
-    camera (``ValueError`` otherwise). It is stacked once into (N, 3, 3)
-    rotations and (N, 3) translations in ``graph.nodes`` order; only the
-    returned dict, in ``initial``'s key order, holds the poses as
-    ``RigidTransform``s again. The reference pose is pinned to fix the gauge.
+    ``initial`` is a stack of one pose per graph node in ``graph.nodes``
+    order (``ValueError`` otherwise), as ``propagate`` returns it, and so
+    are the refined poses. The reference pose is pinned to fix the gauge.
     Accepted steps strictly decrease the cost; the damping factor shrinks
     tenfold on success and grows tenfold on rejection. Each step solves
     (J^T J + damping I) delta = -J^T r, with J^T J and J^T r accumulated
@@ -505,13 +494,15 @@ def refine(graph: TransformGraph, initial: dict[int, RigidTransform]) -> tuple[d
     rebuilds it. Returns the refined poses and the trace of accepted costs
     (starting with the initial cost).
     """
-    rotations, translations = stack_poses(graph, initial)
+    if initial.rotation.shape != (len(graph.nodes), 3, 3):
+        raise ValueError(f"initial poses must be a stack of {len(graph.nodes)}, one per graph node")
+    rotations, translations = initial.rotation, initial.translation
     cost = graph_cost(graph, rotations, translations)
     if not np.isfinite(cost):
         raise ValueError(f"the initial calibration cost is {cost!r}, not finite")
     trace = [cost]
     if len(graph.nodes) == 1 or not len(graph.residuals):
-        return dict(initial), trace
+        return initial, trace
 
     order = graph.table.order
     position = np.argsort(order)
@@ -550,8 +541,7 @@ def refine(graph: TransformGraph, initial: dict[int, RigidTransform]) -> tuple[d
             damping *= 10.0
         if not stepped or relative_drop < RELATIVE_COST_TOL:
             break
-    refined = dict(zip(graph.nodes, geom.unstack(RigidTransform(rotations, translations))))
-    return {node: refined[node] for node in initial}, trace
+    return RigidTransform(rotations, translations), trace
 
 
 def _apply_step(

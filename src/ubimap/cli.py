@@ -13,7 +13,6 @@ import contextlib
 import csv
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, TextIO
 
@@ -30,22 +29,6 @@ EXIT_CONSTRAINT = 2
 EXIT_CALIBRATION = 3
 EXIT_RUNTIME = 4
 
-# Map palette, one row per cell state: unexplored dark gray, explored light
-# gray, wall black, obstacles red, robots green.
-PALETTE = np.array([(96, 96, 96), (200, 200, 200), (0, 0, 0), (220, 0, 0), (0, 200, 0)], dtype=np.uint8)
-
-
-def _ppm(image: np.ndarray) -> bytes:
-    """Binary portable-pixmap of an (height, width, 3) uint8 image, row 0 first."""
-    height, width = image.shape[:2]
-    return f"P6\n{width} {height}\n255\n".encode("ascii") + image.tobytes()
-
-
-def render_map(cells: np.ndarray) -> bytes:
-    """Binary portable-pixmap of a (height, width) array of cell states,
-    row 0 first, 3 bytes per cell."""
-    return _ppm(PALETTE[cells])
-
 
 def _open_csv(path: Path) -> TextIO:
     return open(path, "w", encoding="ascii", newline="")
@@ -59,77 +42,20 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-# -- calibration pipeline ------------------------------------------------------
-
-
-@dataclass
-class CalibrationResult:
-    """The camera graph, the accepted LM costs and three pose stacks in
-    ``graph.nodes`` order, in the frame of the reference camera (the lowest
-    id, ``graph.nodes[0]``): as propagated, as refined, and the truth."""
-
-    graph: ubimap.calib.TransformGraph
-    initial: ubimap.geom.RigidTransform
-    refined: ubimap.geom.RigidTransform
-    cost_trace: list[float]
-    true_poses: ubimap.geom.RigidTransform
-
-    def pose_errors(self) -> tuple[list[float], list[float]]:
-        """Each camera's refined pose against the truth, cameras in
-        ``graph.nodes`` order: the rotation angles and the translation
-        distances."""
-        pairs = zip(self.refined.translation.tolist(), self.true_poses.translation.tolist())
-        return ubimap.geom.rotation_distance(self.refined, self.true_poses), [math.dist(p, q) for p, q in pairs]
-
-
-def _shared_landmark_pairs(camera_ids: list[int], seen: np.ndarray, points: np.ndarray) -> ubimap.calib.Correspondences:
-    """The camera pairs, in camera order, that see at least 3 landmarks in
-    common, with each pair's shared observations in landmark id order, from
-    ``observe_landmarks``' seen mask and points for cameras ``camera_ids``.
-    The shared landmarks come from ANDed bit-packed mask rows, and each
-    observation's row in ``points`` from a search among the mask's flat
-    indices: the int64 copy that counts the pairs is the only (cameras x
-    landmarks) integer temporary, and it is freed first."""
-    seen_counts = seen.astype(np.int64)
-    a, b = np.nonzero(np.triu(seen_counts @ seen_counts.T, 1) >= 3)
-    del seen_counts
-    packed = np.packbits(seen, axis=1)
-    pair, landmark = np.nonzero(np.unpackbits(packed[a] & packed[b], axis=1, count=seen.shape[1]))
-    observed = np.flatnonzero(seen)  # points' rows, as flat (camera, landmark) indices
-    ids = np.array(camera_ids, dtype=np.uint64)
-    return ubimap.calib.Correspondences(
-        np.stack([ids[a], ids[b]], axis=1),
-        np.bincount(pair, minlength=len(a)),
-        points[np.searchsorted(observed, a[pair] * seen.shape[1] + landmark)],
-        points[np.searchsorted(observed, b[pair] * seen.shape[1] + landmark)],
-    )
-
-
-def calibrate_scenario(scenario: Scenario, sigma: float, seed: int) -> CalibrationResult:
-    """Full calibration: simulated landmark captures, pairwise ICP edges,
-    propagation from the lowest camera id, then global refinement."""
-    cams = sorted(scenario.cameras, key=lambda c: c.id)
-    if not cams:
-        raise ValueError("scenario has no cameras to calibrate")
-    # The landmark rows live only in this statement: the graph keeps each pair's moments.
-    graph = ubimap.calib.build_graph(
-        _shared_landmark_pairs([c.id for c in cams], *ubimap.sensim.observe_landmarks(cams, scenario.world, sigma, seed)[1:]),
-        cams[0].id, nodes=tuple(c.id for c in cams),
-    )
-    initial = ubimap.calib.propagate(graph)  # raises DisconnectedGraphError
-    refined, trace = ubimap.calib.refine(graph, initial)
-    initial, refined = (ubimap.geom.RigidTransform(*ubimap.calib.stack_poses(graph, poses)) for poses in (initial, refined))
-
-    world_poses = ubimap.sensim.camera_world_poses(cams)  # graph.nodes order, the reference first
-    ref_inverse = ubimap.geom.invert(ubimap.geom.RigidTransform(world_poses.rotation[0], world_poses.translation[0]))
-    return CalibrationResult(graph, initial, refined, trace, ubimap.geom.compose(ref_inverse, world_poses))
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
 def _load_scenario(path: str) -> Scenario:
     return worldmod.parse_scenario(Path(path).read_text(encoding="ascii"))
+
+
+def with_scenario_defaults(args: argparse.Namespace, scenario: Scenario) -> argparse.Namespace:
+    """The arguments with each of --seed, --noise-sigma, --loss and
+    --latency-ms that the subcommand has but was not given set to the
+    scenario's sim parameter."""
+    params = {"seed": "seed", "noise_sigma": "noise_sigma", "loss": "net_loss", "latency_ms": "net_latency_ms"}
+    unset = {flag: getattr(scenario.params, name) for flag, name in params.items() if getattr(args, flag, 0) is None}
+    return argparse.Namespace(**{**vars(args), **unset})
 
 
 def cmd_plan(scenario: Scenario, args) -> int:
@@ -174,7 +100,7 @@ def cmd_plan(scenario: Scenario, args) -> int:
     _write_csv(out_dir / "plan.csv", ["key", "value"], rows)
     _write_csv(out_dir / "plan_violations.csv", ["col", "row", "multiplicity"], _violation_rows(plan))
     if args.heatmap:
-        (out_dir / "plan_coverage.ppm").write_bytes(_coverage_heatmap(problem, plan))
+        (out_dir / "plan_coverage.ppm").write_bytes(ubimap.pipeline.coverage_heatmap(problem, plan))
     print(f"selected {len(plan.selected)} cameras, coverage {plan.coverage_ratio:.4f}, {violations} violations")
     if args.strict and violations:
         return EXIT_CONSTRAINT
@@ -192,29 +118,15 @@ def _violation_rows(plan: ubimap.coverage.PlacementPlan):
         yield from zip(cols.tolist(), rows.tolist(), plan.counts[rows, cols].tolist())
 
 
-def _coverage_heatmap(problem: ubimap.coverage.CoverageProblem, plan: ubimap.coverage.PlacementPlan) -> bytes:
-    """Cells shaded by coverage multiplicity relative to the most covered one; walls black."""
-    world = problem.world
-    level = (255 * plan.counts // max(1, plan.counts.max())).astype(np.uint8)
-    image = np.stack([level, level, np.full_like(level, 64)], axis=-1)
-    image[world.wall_mask] = 0
-    return _ppm(image)
-
-
 def cmd_calibrate(scenario: Scenario, args) -> int:
     """Streams calibration.csv row by row from the loop and pose errors,
     computed before the file or --out is made: a failed calibration leaves
     neither."""
-    seed = args.seed if args.seed is not None else scenario.params.seed
-    sigma = args.noise_sigma if args.noise_sigma is not None else scenario.params.noise_sigma
-    result = calibrate_scenario(scenario, sigma, seed)
+    result = ubimap.pipeline.calibrate_scenario(scenario, args.noise_sigma, args.seed)
     graph = result.graph
-    loop_initial, loop_refined = (
-        ubimap.calib.loop_closure_error(graph, poses.rotation, poses.translation).tolist()
-        for poses in (result.initial, result.refined)
-    )
+    loop_initial, loop_refined = result.loop_errors()
     rotation_errors, translation_errors = result.pose_errors()
-    pairs = graph.cameras.tolist()  # in camera order (``_shared_landmark_pairs``)
+    pairs = graph.cameras.tolist()  # in camera order (``pipeline._shared_landmark_pairs``)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -278,7 +190,7 @@ def cmd_simulate(scenario: Scenario, args) -> int:
             _open_csv(out_dir / "observations.csv") if args.dump_observations else contextlib.nullcontext() as observations,
         ):
             summary, server_map = run_simulation(scenario, args, capture, localization, observations)
-        (out_dir / "final_map.ppm").write_bytes(render_map(server_map.cells))
+        (out_dir / "final_map.ppm").write_bytes(ubimap.pipeline.render_map(server_map.cells))
         _write_csv(out_dir / "summary.csv", ["key", "value"], ([key, repr(value)] for key, value in summary.items()))
     except BaseException:  # an interrupted run leaves no partial files either
         for name in written:
@@ -302,25 +214,19 @@ def run_simulation(
     obstacle cell and tag each camera sees on each tick) to `observations`.
     Nothing of these is kept, so memory does not grow with the run.
 
-    Returns the summary, a dict from each summary.csv key to its value in
-    file order, and the server's fused map."""
-    world = scenario.world
-    params = scenario.params
-    seed = args.seed if args.seed is not None else params.seed
-    sigma = args.noise_sigma if args.noise_sigma is not None else params.noise_sigma
-    loss = args.loss if args.loss is not None else params.net_loss
-    latency_ms = args.latency_ms if args.latency_ms is not None else params.net_latency_ms
-
+    ``args`` holds the flags with the scenario's defaults in place
+    (``with_scenario_defaults``). Returns the summary, a dict from each
+    summary.csv key to its value in file order, and the server's fused map."""
+    world, seed, sigma = scenario.world, args.seed, args.noise_sigma
     cameras = sorted(scenario.cameras, key=lambda c: c.id)
     if args.plan_budget is not None:
         problem = ubimap.coverage.CoverageProblem(
-            world=world, candidates=tuple(cameras), budget=args.plan_budget,
-            max_overlap=len(cameras),
+            world=world, candidates=tuple(cameras), budget=args.plan_budget, max_overlap=len(cameras)
         )
         selected = set(ubimap.coverage.plan_greedy(problem).selected)
         cameras = [cam for cam in cameras if cam.id in selected]
 
-    calibration = calibrate_scenario(Scenario(world, tuple(cameras), params), sigma, seed)
+    calibration = ubimap.pipeline.calibrate_scenario(Scenario(world, tuple(cameras), scenario.params), sigma, seed)
     # The rig anchored to the world through its surveyed reference camera, the lowest id.
     anchored = ubimap.geom.compose(ubimap.sensim.camera_world_pose(cameras[0]), calibration.refined)
     camera_poses = dict(zip(calibration.graph.nodes, ubimap.geom.unstack(anchored)))
@@ -331,18 +237,14 @@ def run_simulation(
     coverage_ratio = int((covered & ~world.wall_mask).sum()) / free_count if free_count else 1.0
 
     server_map = ubimap.fusion.GridMap(
-        world.width,
-        world.height,
-        world.cell_size,
-        known_walls=world.walls,
-        tag_registry={r.tag: r.id for r in world.robots},
+        world.width, world.height, world.cell_size, known_walls=world.walls, tag_registry={r.tag: r.id for r in world.robots}
     )
     # Robots are addressed by their own id, the map server by SERVER_ID.
     if any(not 1 <= r.id < 2**16 for r in world.robots):
         raise ValueError("robot ids must be in 1..65535 to address them on the network")
     server = ubimap.netsim.MapServer(server_map)
     net = ubimap.netsim.SimulatedNetwork(
-        ubimap.netsim.NetworkParams(latency_ms=latency_ms, jitter_ms=args.jitter_ms, loss_probability=loss, seed=seed)
+        ubimap.netsim.NetworkParams(latency_ms=args.latency_ms, jitter_ms=args.jitter_ms, loss_probability=args.loss, seed=seed)
     )
     clients = {r.id: ubimap.netsim.ClientState(r.id) for r in world.robots}
     robots = sorted(world.robots, key=lambda r: r.id)
@@ -406,9 +308,7 @@ def run_simulation(
             for det in detections_by_robot.get(robot.id, []):
                 z = np.array(ubimap.fusion.tag_world_position(det, camera_poses[det.camera_id]))
                 if robot.id not in beliefs:
-                    beliefs[robot.id] = ubimap.fusion.GaussianBelief(
-                        np.array([z[0], z[1], 0.0]), np.diag([0.25, 0.25, 1.0])
-                    )
+                    beliefs[robot.id] = ubimap.fusion.GaussianBelief(np.array([z[0], z[1], 0.0]), np.diag([0.25, 0.25, 1.0]))
                 beliefs[robot.id] = ubimap.fusion.ekf_update(beliefs[robot.id], z, om)
             if robot.id in beliefs:
                 err = math.dist(beliefs[robot.id].mean[:2].tolist(), (robot.x, robot.y))
@@ -465,7 +365,7 @@ def run_simulation(
 def cmd_render(scenario: Scenario, args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "map.ppm").write_bytes(render_map(scenario.world.cell_states))
+    (out_dir / "map.ppm").write_bytes(ubimap.pipeline.render_map(scenario.world.cell_states))
     print(f"wrote {out_dir / 'map.ppm'}")
     return EXIT_OK
 
@@ -568,7 +468,7 @@ def main(argv=None) -> int:
         if not scenario.cameras and args.command != "render":
             print(f"scenario error: {args.command} needs at least one camera", file=sys.stderr)
             return EXIT_PARSE
-        return handler(scenario, args)
+        return handler(scenario, with_scenario_defaults(args, scenario))
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps to exit codes
         if isinstance(exc, ubimap.calib.DisconnectedGraphError):  # loads calib on a failure only
             print(f"calibration failed: {exc}", file=sys.stderr)

@@ -200,7 +200,7 @@ def test_criterion_4_graph_propagation_and_refinement():
     true_poses, pairwise = cycle_rig(rng, noise=0.0)
     graph = calib.build_graph(pairwise, reference=0)
     poses = calib.propagate(graph)
-    for cam, pose in poses.items():
+    for cam, pose in zip(graph.nodes, geom.unstack(poses)):
         assert is_close(pose, true_poses[cam], 1e-9, 1e-9)
     refined, trace = calib.refine(graph, poses)
     assert trace[-1] < 1e-10
@@ -220,7 +220,8 @@ def test_criterion_4_graph_propagation_and_refinement():
         n = int(grad_rng.integers(3, 5))
         _, pw = cycle_rig(grad_rng, n_cameras=n, noise=0.02, landmarks=5)
         graph = calib.build_graph(pw, reference=0)
-        poses = calib.stack_poses(graph, calib.propagate(graph))
+        propagated = calib.propagate(graph)
+        poses = propagated.rotation, propagated.translation
         grad = cost_gradient(graph, *poses)
         free = [node for node in graph.nodes if node != 0]
         h = 1e-6

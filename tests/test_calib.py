@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ubimap import algebra, calib, cli, geom
+from ubimap import algebra, calib, cli, geom, pipeline
 from ubimap.calib import (
     DegenerateGeometryError,
     DisconnectedGraphError,
@@ -22,7 +22,6 @@ from ubimap.calib import (
     icp,
     propagate,
     refine,
-    stack_poses,
 )
 from ubimap.geom import RigidTransform
 
@@ -37,6 +36,18 @@ from oracles import (
     skew,
     stack_pairs,
 )
+
+
+def pose_dict(graph, poses):
+    """A pose stack in ``graph.nodes`` order as the per-camera oracles take
+    it: camera id -> pose."""
+    return dict(zip(graph.nodes, geom.unstack(poses)))
+
+
+def pose_arrays(graph, poses):
+    """Camera id -> pose as (N, 3, 3) rotations and (N, 3) translations in
+    ``graph.nodes`` order."""
+    return np.stack([poses[n].rotation for n in graph.nodes]), np.stack([poses[n].translation for n in graph.nodes])
 
 
 def random_transform(rng, max_angle=math.pi, max_shift=3.0):
@@ -381,8 +392,8 @@ def test_build_graph_reports_degenerate_pairs():
 def test_propagate_reference_only():
     graph = build_graph(stack_pairs([]), reference=7)
     poses = propagate(graph)
-    assert set(poses) == {7}
-    assert is_close(poses[7], geom.identity(), 1e-15, 1e-15)
+    assert graph.nodes == (7,) and poses.rotation.shape == (1, 3, 3)
+    assert is_close(geom.unstack(poses)[0], geom.identity(), 1e-15, 1e-15)
 
 
 def test_propagate_translation_chain():
@@ -394,8 +405,9 @@ def test_propagate_translation_chain():
     # estimator aligns j onto i, i.e. recovers T^-1 as the edge transform.
     graph = build_graph(stack_pairs(edges), reference=0)
     poses = propagate(graph)
-    assert np.allclose(poses[1].translation, [1, 0, 0], atol=1e-9)
-    assert np.allclose(poses[2].translation, [1, 1, 0], atol=1e-9)
+    assert graph.nodes == (0, 1, 2)
+    assert np.allclose(poses.translation[1], [1, 0, 0], atol=1e-9)
+    assert np.allclose(poses.translation[2], [1, 1, 0], atol=1e-9)
 
 
 def test_propagate_matches_truth_on_noise_free_chain():
@@ -403,7 +415,7 @@ def test_propagate_matches_truth_on_noise_free_chain():
     true_poses, pairwise = synthetic_rig(4, rng)
     graph = build_graph(pairwise, reference=0)
     poses = propagate(graph)
-    for cam, pose in poses.items():
+    for cam, pose in pose_dict(graph, poses).items():
         assert geom.rotation_distance(pose, true_poses[cam]) < 1e-9
         assert np.linalg.norm(pose.translation - true_poses[cam].translation) < 1e-9
 
@@ -422,7 +434,7 @@ def test_tree_edges_reproduced_exactly():
     rng = np.random.default_rng(24)
     _, pairwise = synthetic_rig(5, rng)
     graph = build_graph(pairwise, reference=0)
-    poses = propagate(graph)
+    poses = pose_dict(graph, propagate(graph))
     for edge in graph_edges(graph):  # a chain: every edge is a tree edge
         implied = geom.compose(geom.invert(poses[edge.camera_i]), poses[edge.camera_j])
         assert is_close(implied, edge.transform, 1e-9, 1e-9)
@@ -479,9 +491,8 @@ def test_propagate_walks_the_tree_of_a_walk_one_camera_at_a_time(case):
         assert list(err.value.unreachable) == missing
         return
     poses = propagate(graph)
-    assert list(poses) == list(expected)  # reached in the same order
-    for node, pose in poses.items():
-        assert pose.rotation.shape == (3, 3)
+    assert poses.rotation.shape == (n_cameras, 3, 3)  # one stack in graph.nodes order
+    for node, pose in pose_dict(graph, poses).items():
         assert np.array_equal(pose.rotation, expected[node].rotation)
         assert np.array_equal(pose.translation, expected[node].translation)
 
@@ -514,10 +525,10 @@ def test_refine_reduces_loop_closure_error():
     _, pairwise = synthetic_rig(4, rng, noise=0.01, cycle=True)
     graph = build_graph(pairwise, reference=0)
     initial = propagate(graph)
-    before = calib.loop_closure_error(graph, *stack_poses(graph, initial))
+    before = calib.loop_closure_error(graph, initial.rotation, initial.translation)
     closing = int(np.argmax(before))
     refined, _ = refine(graph, initial)
-    after = calib.loop_closure_error(graph, *stack_poses(graph, refined))
+    after = calib.loop_closure_error(graph, refined.rotation, refined.translation)
     assert after[closing] < before[closing]
 
 
@@ -528,8 +539,8 @@ def test_refine_fixed_point_on_optimal_input():
     first, trace1 = refine(graph, propagate(graph))
     second, trace2 = refine(graph, first)
     assert abs(trace2[-1] - trace1[-1]) < 1e-12 * max(1.0, trace1[-1])
-    for cam in first:
-        assert is_close(second[cam], first[cam], 1e-9, 1e-9)
+    for pose, first_pose in zip(geom.unstack(second), geom.unstack(first)):
+        assert is_close(pose, first_pose, 1e-9, 1e-9)
 
 
 def test_refine_keeps_reference_fixed():
@@ -537,7 +548,8 @@ def test_refine_keeps_reference_fixed():
     _, pairwise = synthetic_rig(3, rng, noise=0.01, cycle=True)
     graph = build_graph(pairwise, reference=0)
     refined, _ = refine(graph, propagate(graph))
-    assert is_close(refined[0], geom.identity(), 1e-15, 1e-15)
+    assert graph.nodes[0] == 0
+    assert is_close(geom.unstack(refined)[0], geom.identity(), 1e-15, 1e-15)
 
 
 def test_gauge_invariance_of_cost():
@@ -545,10 +557,9 @@ def test_gauge_invariance_of_cost():
     _, pairwise = synthetic_rig(4, rng, noise=0.01, cycle=True)
     graph = build_graph(pairwise, reference=0)
     poses = propagate(graph)
-    base = graph_cost(graph, *stack_poses(graph, poses))
-    common = random_transform(rng)
-    shifted = {cam: geom.compose(common, pose) for cam, pose in poses.items()}
-    assert graph_cost(graph, *stack_poses(graph, shifted)) == pytest.approx(base, rel=1e-9)
+    base = graph_cost(graph, poses.rotation, poses.translation)
+    shifted = geom.compose(random_transform(rng), poses)
+    assert graph_cost(graph, shifted.rotation, shifted.translation) == pytest.approx(base, rel=1e-9)
 
 
 def test_gradient_matches_central_differences():
@@ -556,7 +567,8 @@ def test_gradient_matches_central_differences():
     for _ in range(5):
         _, pairwise = synthetic_rig(3, rng, noise=0.02, cycle=True, landmarks_per_zone=5)
         graph = build_graph(pairwise, reference=0)
-        poses = stack_poses(graph, propagate(graph))
+        propagated = propagate(graph)
+        poses = propagated.rotation, propagated.translation
         grad = cost_gradient(graph, *poses)
         free = [n for n in graph.nodes if n != graph.reference]
         h = 1e-6
@@ -695,7 +707,7 @@ def stacked_case_poses(case):
     assert graph.failures == ()
     free = [node for node in graph.nodes if node != graph.reference]
     index = {node: i for i, node in enumerate(free)}
-    poses = oracle_apply_step(propagate(graph), index, rng.normal(0, 0.05, 6 * len(free)))
+    poses = oracle_apply_step(pose_dict(graph, propagate(graph)), index, rng.normal(0, 0.05, 6 * len(free)))
     if case["drift"]:
         # Rotations 1e-11 off orthonormal pass RigidTransform's check, but
         # their relative rotations drift past DRIFT_TOL, so the branch that
@@ -706,7 +718,7 @@ def stacked_case_poses(case):
         }
         relative = [poses[e.camera_i].rotation.T @ poses[e.camera_j].rotation for e in graph_edges(graph)]
         assert max(geom.orthonormality_error(np.stack(relative))) > geom.DRIFT_TOL
-    return pairwise, graph, index, poses, stack_poses(graph, poses), rng
+    return pairwise, graph, index, poses, pose_arrays(graph, poses), rng
 
 
 @settings(max_examples=150, deadline=None)
@@ -730,7 +742,7 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
     for moments, rows in zip((band, jtr), row_normal_equations(graph, pairwise, rotations, translations)):
         np.testing.assert_allclose(moments, rows, rtol=1e-12, atol=1e-12 * np.max(np.abs(rows)))
     stepped = calib._apply_step(graph, rotations, translations, delta)
-    expected = stack_poses(graph, oracle_apply_step(poses, index, delta))
+    expected = pose_arrays(graph, oracle_apply_step(poses, index, delta))
     assert np.array_equal(stepped[0], expected[0]) and np.array_equal(stepped[1], expected[1])
 
 
@@ -755,10 +767,11 @@ def test_refine_rejects_poses_outside_the_graph():
     graph = build_graph(pairwise, reference=0)
     initial = propagate(graph)
     # An extra camera would be a free parameter without Jacobian rows.
-    with pytest.raises(ValueError, match=r"not graph nodes: \[7\]"):
-        refine(graph, {**initial, 7: geom.identity()})
-    with pytest.raises(ValueError, match="missing camera 2"):
-        refine(graph, {node: pose for node, pose in initial.items() if node != 2})
+    extra = RigidTransform(np.concatenate([initial.rotation, np.eye(3)[None]]), np.concatenate([initial.translation, [[0.0] * 3]]))
+    short = RigidTransform(initial.rotation[:2], initial.translation[:2])
+    for poses in (extra, short, geom.identity()):
+        with pytest.raises(ValueError, match="initial poses must be a stack of 3, one per graph node"):
+            refine(graph, poses)
 
 
 def test_refine_rejects_an_initial_cost_that_is_not_finite():
@@ -767,7 +780,9 @@ def test_refine_rejects_an_initial_cost_that_is_not_finite():
     _, pairwise = synthetic_rig(3, rng, noise=0.01)
     graph = build_graph(pairwise, reference=0)
     initial = propagate(graph)
-    far = {**initial, 2: RigidTransform(initial[2].rotation, [1e200, 0.0, 0.0])}
+    translations = initial.translation.copy()
+    translations[graph.nodes.index(2)] = [1e200, 0.0, 0.0]
+    far = RigidTransform(initial.rotation, translations)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="the initial calibration cost is inf, not finite"):
         refine(graph, far)
 
@@ -833,10 +848,10 @@ def test_normal_equations_match_dense_jacobian(n_cameras, cycle):
     free = [n for n in graph.nodes if n != graph.reference]
     index = {node: i for i, node in enumerate(free)}
     # Step off the propagated poses so no gradient component is ~0.
-    poses = oracle_apply_step(propagate(graph), index, rng.normal(0, 0.05, 6 * len(free)))
-    band, jtr = calib._normal_equations(graph, *stack_poses(graph, poses))
+    poses = oracle_apply_step(pose_dict(graph, propagate(graph)), index, rng.normal(0, 0.05, 6 * len(free)))
+    band, jtr = calib._normal_equations(graph, *pose_arrays(graph, poses))
     assert_matches_dense_jacobian(graph, pairwise, poses, index, band, jtr)
-    assert np.array_equal(cost_gradient(graph, *stack_poses(graph, poses)), 2.0 * jtr)
+    assert np.array_equal(cost_gradient(graph, *pose_arrays(graph, poses)), 2.0 * jtr)
 
 
 def test_refine_memory_stays_below_one_dense_jacobian():
@@ -925,9 +940,9 @@ def test_graph_keeps_the_moments_of_the_pairs_it_aligned():
         kept, expected = getattr(mixed, name), getattr(graph, name)
         assert kept.dtype == expected.dtype and kept.tobytes() == expected.tobytes(), name
     poses = propagate(mixed)
-    cost = graph_cost(mixed, *stack_poses(mixed, poses))
-    assert cost == graph_cost(graph, *stack_poses(graph, poses))
-    assert cost == pytest.approx(oracle_graph_cost(graph, good, poses), rel=1e-12, abs=0.0)
+    cost = graph_cost(mixed, poses.rotation, poses.translation)
+    assert cost == graph_cost(graph, poses.rotation, poses.translation)
+    assert cost == pytest.approx(oracle_graph_cost(graph, good, pose_dict(graph, poses)), rel=1e-12, abs=0.0)
 
 
 def test_graph_holds_the_same_bytes_for_four_times_the_landmarks():
@@ -1048,7 +1063,7 @@ def gen():
 def benchmark_ring(gen):
     """The calibrate workload's 100-camera ring, seed 1."""
     scenario = gen.ring(1)
-    graph = cli.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed).graph
+    graph = pipeline.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed).graph
     return graph, calib.propagate(graph)
 
 
@@ -1095,7 +1110,7 @@ def test_calibration_edges_come_in_camera_pair_order(gen, seed):
         scenario = cli._load_scenario(str(Path(__file__).resolve().parent.parent / "scenarios" / "demo_room.scenario"))
     else:
         scenario = gen.ring(seed)
-    pairs = cli.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed).graph.cameras.tolist()
+    pairs = pipeline.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed).graph.cameras.tolist()
     assert len(pairs) > 1
     assert all(i < j for i, j in pairs)
     assert all(a < b for a, b in zip(pairs, pairs[1:]))
@@ -1109,5 +1124,5 @@ RING_COST_EVALUATIONS = {1: 6, 6: 16}
 def test_ring_cost_evaluations_pinned(gen, seed):
     scenario = gen.ring(seed)
     with mock.patch.object(calib, "graph_cost", wraps=calib.graph_cost) as cost:
-        cli.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed)
+        pipeline.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed)
     assert cost.call_count == RING_COST_EVALUATIONS[seed]

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ubimap import calib, cli, coverage, fusion, sensim, world as worldmod
-from ubimap.cli import EXIT_CALIBRATION, EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, render_map
+from ubimap import calib, cli, coverage, fusion, pipeline, sensim, world as worldmod
+from ubimap.cli import EXIT_CALIBRATION, EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME
 from ubimap.fusion import CellState
 from ubimap.geom import Point3
+from ubimap.pipeline import render_map
 from ubimap.world import CellIndex
 
 from oracles import all_cells, graph_edges, stack_pairs
@@ -106,11 +107,11 @@ def write(tmp_path, text, name="scene.scenario"):
 
 
 def simulate_in_memory(scenario, args):
-    """`cli.run_simulation` streaming into memory -> (the summary dict, the
-    server map, the frames sent, localization.csv's rows as (tick, t,
-    robot_id, error_m))."""
+    """`cli.run_simulation` streaming into memory, the scenario's defaults in
+    place of unset flags -> (the summary dict, the server map, the frames
+    sent, localization.csv's rows as (tick, t, robot_id, error_m))."""
     capture, localization = io.BytesIO(), io.StringIO()
-    summary, server_map = cli.run_simulation(scenario, args, capture, localization)
+    summary, server_map = cli.run_simulation(scenario, cli.with_scenario_defaults(args, scenario), capture, localization)
     frames = [bytes.fromhex(line) for line in capture.getvalue().decode("ascii").splitlines()]
     header, *rows = csv.reader(localization.getvalue().splitlines())
     assert header == ["tick", "t", "robot_id", "error_m"]
@@ -325,7 +326,7 @@ def test_calibration_pairs_match_per_pair_set_intersection(sigma):
     shared_counts = {len(observed[a] & observed[b]) for a in range(len(cams)) for b in range(a + 1, len(cams))}
     assert {0, 2, 3} <= shared_counts and max(shared_counts) > 3
 
-    graph = cli.calibrate_scenario(scenario, sigma, 5).graph
+    graph = pipeline.calibrate_scenario(scenario, sigma, 5).graph
     expected = calib.build_graph(pairwise, cams[0].id, nodes=tuple(c.id for c in cams))
     assert graph.nodes == expected.nodes
     assert [edge_bits(e) for e in graph_edges(graph)] == [edge_bits(e) for e in graph_edges(expected)]
@@ -370,7 +371,7 @@ def seen_masks(draw):
 def test_pairing_equals_per_pair_set_intersection_on_any_seen_mask(case):
     camera_ids, seen = case
     points = np.arange(3.0 * seen.sum()).reshape(-1, 3)  # distinct rows, so a misplaced row shows
-    table = cli._shared_landmark_pairs(camera_ids, seen, points)
+    table = pipeline._shared_landmark_pairs(camera_ids, seen, points)
     assert table_bits(table) == table_bits(per_pair_intersection(camera_ids, seen, points))
 
 
@@ -379,7 +380,7 @@ def test_calibration_camera_seeing_no_landmark_stays_unreachable():
     blind = next(cam for cam in scenario.cameras if cam.id == 5)
     assert reference_observe_landmarks(blind, scenario.world, 0.0, 5) == {}
     with pytest.raises(calib.DisconnectedGraphError) as exc:
-        cli.calibrate_scenario(scenario, 0.0, 5)
+        pipeline.calibrate_scenario(scenario, 0.0, 5)
     assert exc.value.unreachable == (5,)
 
 
@@ -989,11 +990,11 @@ def test_coverage_heatmap_matches_reference_on_random_plans(seed):
         max_overlap=int(rng.integers(1, 5)),
     )
     plan = coverage.plan_greedy(problem)
-    assert cli._coverage_heatmap(problem, plan) == reference_coverage_heatmap(problem, plan)
+    assert pipeline.coverage_heatmap(problem, plan) == reference_coverage_heatmap(problem, plan)
     # Multiplicities up to 20 against every cell, for every truncation of 255 * m / top.
     counts = rng.integers(0, 21, size=(world.height, world.width)) * (rng.random((world.height, world.width)) < 0.7)
     arbitrary = coverage.PlacementPlan((), counts, 0.0, ())
-    assert cli._coverage_heatmap(problem, arbitrary) == reference_coverage_heatmap(problem, arbitrary)
+    assert pipeline.coverage_heatmap(problem, arbitrary) == reference_coverage_heatmap(problem, arbitrary)
 
 
 def test_truth_render_and_heatmap_match_reference_on_demo_room(tmp_path):

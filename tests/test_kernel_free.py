@@ -36,7 +36,7 @@ TRANSCENDENTALS = {
 }
 # (module, expression) pairs allowed to use @: an int64 matmul runs numpy's
 # own integer loop and never reaches BLAS.
-ALLOWED = {("cli.py", "seen_counts @ seen_counts.T")}
+ALLOWED = {("pipeline.py", "seen_counts @ seen_counts.T")}
 X86_64 = platform.machine().lower() in ("x86_64", "amd64")
 
 
@@ -80,8 +80,8 @@ def f(a, b, seen_counts):
     def calls(module):
         return sorted(entry.split(": ", 1)[1] for entry in kernel_dependent_calls(ast.parse(source), module))
 
-    assert calls("cli.py") == ["a @ b", "a.dot", "np.einsum", "np.exp", "np.linalg.svd"]
-    assert calls("geom.py") == sorted(calls("cli.py") + ["seen_counts @ seen_counts.T"])  # allowed in cli.py only
+    assert calls("pipeline.py") == ["a @ b", "a.dot", "np.einsum", "np.exp", "np.linalg.svd"]
+    assert calls("geom.py") == sorted(calls("pipeline.py") + ["seen_counts @ seen_counts.T"])  # allowed in pipeline.py only
 
 
 def kernel_env(kernel: str) -> dict[str, str]:

@@ -16,19 +16,23 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_ROOM = ROOT / "scenarios" / "demo_room.scenario"
-LAYERS = ("algebra", "calib", "cli", "coverage", "fusion", "geom", "netsim", "sensim", "world")
+LAYERS = ("algebra", "calib", "cli", "coverage", "fusion", "geom", "netsim", "pipeline", "sensim", "world")
 
 # world (with geom and algebra, which it imports) and cli load for every
-# command; the rest is what each command runs. calib imports moments.
+# command; the rest is what each command runs. calib imports moments, and
+# pipeline, which calibrates and renders images, loads calib and sensim
+# only to calibrate.
 BASE = {"ubimap", "ubimap.algebra", "ubimap.cli", "ubimap.geom", "ubimap.world"}
+CALIBRATE = BASE | {"ubimap.calib", "ubimap.moments", "ubimap.pipeline", "ubimap.sensim"}
 # simulate runs the planner only with --plan-budget.
-SIMULATE = BASE | {"ubimap.calib", "ubimap.fusion", "ubimap.moments", "ubimap.netsim", "ubimap.sensim"}
+SIMULATE = CALIBRATE | {"ubimap.fusion", "ubimap.netsim"}
 LOADED = {
     ("plan",): BASE | {"ubimap.coverage"},
-    ("calibrate",): BASE | {"ubimap.calib", "ubimap.moments", "ubimap.sensim"},
+    ("plan", "--heatmap"): BASE | {"ubimap.coverage", "ubimap.pipeline"},
+    ("calibrate",): CALIBRATE,
     ("simulate",): SIMULATE,
     ("simulate", "--plan-budget", "2"): SIMULATE | {"ubimap.coverage"},
-    ("render",): BASE,
+    ("render",): BASE | {"ubimap.pipeline"},
 }
 
 # Runs `ubimap` with the arguments given and prints, as the last line, the
