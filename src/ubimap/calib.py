@@ -393,8 +393,7 @@ def propagate(graph: TransformGraph) -> RigidTransform:
     rotations, translations = np.empty((len(slot), 3, 3)), np.empty((len(slot), 3))
     origin = geom.identity()  # the reference's pose
     rotations[slot[graph.reference]], translations[slot[graph.reference]] = origin.rotation, origin.translation
-    reached = {graph.reference}
-    level = [graph.reference]
+    level, reached = [graph.reference], {graph.reference}
     while level:
         tree: dict[int, tuple[int, int]] = {}  # each camera the level reaches: (parent's slot, step)
         for node in level:

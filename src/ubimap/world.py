@@ -344,8 +344,8 @@ def line_of_sight(
     wall cell can still see out of it, and a target is visible from within
     its own cell). Traversal is a supercover DDA (Amanatides & Woo 1987)
     run in lockstep over blocks of at most ``SEGMENT_BLOCK`` segments: every
-    cell a segment passes through is visited, and an exact corner crossing
-    visits both side cells, so blocking is conservative.
+    cell a segment passes through up to its end is visited, and an exact
+    corner crossing visits both side cells, so blocking is conservative.
     """
     single = np.ndim(a) == 1 and np.ndim(b) == 1
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float).reshape(-1, 2), np.asarray(b, dtype=float).reshape(-1, 2))
@@ -388,6 +388,9 @@ def _walk(world: GridWorld, a: np.ndarray, b: np.ndarray, visible: np.ndarray) -
             break
         live, cell, last, step_x, step_y = ints
         t_max_x, t_max_y, t_delta_x, t_delta_y = floats
+        # A walk ends at its first crossing at or past the end: one ending on a corner may not enter its end cell.
+        ended = np.minimum(t_max_x, t_max_y) >= 1.0 - 1e-12
+        last[ended], step_x[ended], step_y[ended] = cell[ended], 0, 0
         corner = np.abs(t_max_x - t_max_y) < 1e-12
         along_x = corner | (t_max_x < t_max_y)
         along_y = corner | ~along_x

@@ -138,7 +138,7 @@ BIG_ROOM_SIMULATE_DIGESTS = {
     "capture.hex": "72e25289144715f0719493d2bb457c81e1f59e4241ae26fc4e0da16d016a673e",
     "final_map.ppm": "01345314fd55952de2b5de15271e226a2ccbb7f12102f9c4aa8db22303423c7e",
     "localization.csv": "0f6aa0a762f84dff32a2c6a5fd3f9d9cadb3c6f85bbf2efa479b68e840523dc1",
-    "summary.csv": "f1612ec2cc4e9fbc418894e5744c35e758eaa68ed145824a8a25da0d05ea1a70",
+    "summary.csv": "d00c39e05b9df0591c5179181024c39406ca767e22df40bc249a86f7288aba85",
 }
 
 

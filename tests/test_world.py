@@ -386,6 +386,8 @@ def reference_supercover_cells(world, a, b):
     guard = 2 * (world.width + world.height) + 4
     while (col, row) != (end_col, end_row) and guard > 0:
         guard -= 1
+        if min(t_max_x, t_max_y) >= 1.0 - 1e-12:  # the next crossing is at or past the end point
+            return
         if abs(t_max_x - t_max_y) < 1e-12:
             side_a = CellIndex(col + step_col, row)
             side_b = CellIndex(col, row + step_row)
@@ -790,6 +792,54 @@ def test_line_of_sight_matches_sampling_oracle_randomized():
         assert got == expected, (a, b)
         agreements += 1
     assert agreements == 300
+
+
+@st.composite
+def segments_between_cell_corners(draw):
+    """A walled grid and segments from one exact cell corner to another
+    whose offset in cells has no common factor, so that no grid corner lies
+    inside the segment and the sampling oracle sees every cell the walk
+    visits. A walk that leaves its start corner down and to the left checks
+    the two cells that touch the segment only there, as at a corner
+    crossing inside it; such a segment is walked from its other end."""
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cell_size = draw(st.sampled_from([0.25, 0.5, 1.0]))  # corners exact in binary
+    cells = [CellIndex(c, r) for r in range(height) for c in range(width)]
+    grid = GridWorld(cell_size, width, height, frozenset(draw(st.sets(st.sampled_from(cells)))))
+    corner = st.tuples(st.integers(0, width), st.integers(0, height))
+    segments = []
+    for start, end in draw(st.lists(st.tuples(corner, corner), min_size=1, max_size=12)):
+        if math.gcd(end[0] - start[0], end[1] - start[1]) != 1:
+            continue
+        if end[0] < start[0] and end[1] < start[1]:
+            start, end = end, start
+        segments.append(tuple((c * cell_size, r * cell_size) for c, r in (start, end)))
+    return grid, segments
+
+
+DEMO_ROOM_WALLS = GridWorld(0.5, 12, 10, frozenset(CellIndex(c, 7) for c in range(4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments_between_cell_corners())
+@example((DEMO_ROOM_WALLS, [((6.0, 0.0), (3.0, 2.5)), ((0.0, 2.5), (1.0, 3.0))]))
+def test_line_of_sight_between_cell_corners_matches_sampling_oracle(case):
+    # A walk ending on a corner reached from below and the right never enters
+    # its end cell: it stops there rather than walking on past the target.
+    grid, segments = case
+    for a, b in segments:
+        assert line_of_sight(grid, a, b) == sampled_line_of_sight(grid, a, b), (a, b)
+    if segments:
+        assert_matches_reference(grid, segments)
+
+
+def test_line_of_sight_ends_at_a_target_on_a_cell_corner():
+    # The demo room's camera 2 to the corner point (3.0, 2.5) crosses cells
+    # (8, 0), (8, 1), (7, 2), (7, 3), (6, 3) and (6, 4); its walls are in row 7.
+    demo = parse_scenario((Path(__file__).resolve().parent.parent / "scenarios" / "demo_room.scenario").read_text())
+    assert demo.world.walls == DEMO_ROOM_WALLS.walls
+    assert line_of_sight(demo.world, (4.5, 0.25), (3.0, 2.5))
+    assert sampled_line_of_sight(demo.world, (4.5, 0.25), (3.0, 2.5))
 
 
 def test_occlusion_only_removes_cells():
