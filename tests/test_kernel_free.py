@@ -6,9 +6,8 @@ SIMD exponentials, logarithms and trigonometric functions can round
 differently from one CPU to another. So no function of the package makes a
 BLAS or LAPACK call or calls a numpy transcendental (``ubimap.algebra`` writes
 the products out, and ``math`` gives the transcendentals): a lint checks the
-source, runs under other ``OPENBLAS_CORETYPE`` kernels and BLAS thread
-counts check the bytes, and a count of OpenBLAS's resident pages checks that
-no run touches its code.
+source, runs under other ``OPENBLAS_CORETYPE`` kernels check the bytes, and a
+count of OpenBLAS's resident pages checks that no run touches its code.
 """
 
 import ast
@@ -35,7 +34,6 @@ TRANSCENDENTALS = {
         "arctanh", "hypot", "cbrt",
     )
 }
-BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # (module, expression) pairs allowed to use @: an int64 matmul runs numpy's
 # own integer loop and never reaches BLAS.
 ALLOWED = {("pipeline.py", "seen_counts @ seen_counts.T")}
@@ -86,15 +84,10 @@ def f(a, b, seen_counts):
     assert calls("geom.py") == sorted(calls("pipeline.py") + ["seen_counts @ seen_counts.T"])  # allowed in pipeline.py only
 
 
-def kernel_env(kernel: str, threads: str | None = "1") -> dict[str, str]:
-    """The environment with ``OPENBLAS_CORETYPE`` set to ``kernel`` (unset
-    if empty) and the BLAS thread count to ``threads`` (every BLAS thread
-    variable unset if None)."""
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE" and key not in BLAS_THREADS}
+def kernel_env(kernel: str) -> dict[str, str]:
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
     if kernel:
         env["OPENBLAS_CORETYPE"] = kernel
-    if threads is not None:
-        env.update(dict.fromkeys(BLAS_THREADS, threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return env
 
@@ -157,27 +150,21 @@ print(json.dumps(digests))
 """
 
 
+@pytest.mark.skipif(not X86_64, reason="OPENBLAS_CORETYPE names x86-64 kernels")
 def test_cli_bytes_equal_across_openblas_kernels(scenes, tmp_path):
-    # Under the x86-64 kernels named, and under OpenBLAS's default kernel
-    # with 1 or 2 threads or the thread variables unset: more than one
-    # thread can round large products differently, and importing ubimap
-    # pins one thread, so every setting gives the same bytes.
     commands = {name: [command, str(DEMO_ROOM), *flags] for name, (command, *flags) in COMMANDS.items()}
     commands["ring_calibrate"] = ["calibrate", str(scenes["ring"])]
     commands["room_calibrate"] = ["calibrate", str(scenes["room"])]
     commands["room_simulate"] = ["simulate", str(scenes["room"]), "--duration", "1"]
-    settings = {"default": ("", "1"), "threads-2": ("", "2"), "threads-unset": ("", None)}
-    if X86_64:
-        settings.update({"Haswell": ("Haswell", "1"), "Nehalem": ("Nehalem", "1")})
     digests = {}
-    for name, (kernel, threads) in settings.items():
-        argv = [sys.executable, "-c", DIGESTS, json.dumps(commands), str(tmp_path / name)]
-        done = subprocess.run(argv, env=kernel_env(kernel, threads), capture_output=True, text=True, timeout=600)
+    for kernel in ("", "Haswell", "Nehalem"):
+        argv = [sys.executable, "-c", DIGESTS, json.dumps(commands), str(tmp_path / (kernel or "default"))]
+        done = subprocess.run(argv, env=kernel_env(kernel), capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr
-        digests[name] = json.loads(done.stdout.splitlines()[-1])
-    assert len(digests["default"]) > len(commands)
-    for name in settings:
-        assert digests[name] == digests["default"], name
+        digests[kernel] = json.loads(done.stdout.splitlines()[-1])
+    assert len(digests[""]) > len(commands)
+    assert digests["Haswell"] == digests[""]
+    assert digests["Nehalem"] == digests[""]
 
 
 # Prints the resident kB of OpenBLAS's mappings (Linux smaps) before and

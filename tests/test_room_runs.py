@@ -1,6 +1,7 @@
 """CLI runs, each in a fresh process, on the benchmark's generated scenes:
 on the 20-camera room (``perfbench/gen.py room 1``) peak memory of
-``simulate`` does not grow with the run length; on the 100-camera ring (``perfbench/gen.py ring`` seeds
+``simulate`` does not grow with the run length and no output depends on the
+BLAS thread count; on the 100-camera ring (``perfbench/gen.py ring`` seeds
 1 and 6) ``calibrate`` keeps its pinned bytes; noisy runs on both never
 import ``numpy.random`` or ``hashlib``.
 """
@@ -45,10 +46,9 @@ def room(gen, tmp_path_factory):
     return path
 
 
-def ubimap_env() -> dict[str, str]:
-    """The environment with the BLAS thread variables unset, as a shell
-    that never imported ubimap has it."""
+def ubimap_env(**blas) -> dict[str, str]:
     env = {key: value for key, value in os.environ.items() if key not in BLAS_VARS}
+    env.update(blas)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
 
@@ -82,6 +82,27 @@ def test_simulate_peak_memory_flat_in_run_length(room, tmp_path):
         done = run(argv, ubimap_env(), "-c", PEAK_RSS)
         peak_kb[duration] = int(done.stdout.splitlines()[-1])
     assert peak_kb["14"] - peak_kb["3.5"] <= 2 * 1024, peak_kb
+
+
+def test_outputs_independent_of_blas_threads(room, tmp_path):
+    # OpenBLAS can round large products differently with more than one
+    # thread. Importing ubimap pins one thread, so every setting gives the
+    # same bytes.
+    commands = {
+        "calibrate": ["calibrate", str(room)],
+        "simulate": ["simulate", str(room), "--duration", "1"],
+    }
+    outputs = {}
+    for threads in ("1", "2", None):
+        env = ubimap_env() if threads is None else ubimap_env(OPENBLAS_NUM_THREADS=threads)
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}-{threads}"
+            run([*argv, "--out", str(out)], env, "-m", "ubimap.cli")
+            outputs[name, threads] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    for name in commands:
+        assert outputs[name, "1"], name
+        assert outputs[name, "2"] == outputs[name, "1"], name
+        assert outputs[name, None] == outputs[name, "1"], name
 
 
 def ring_calibration_digest(gen, tmp_path, seed) -> str:
