@@ -87,7 +87,7 @@ def cmd_plan(scenario: Scenario, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     # Multiplicities over the free cells: those of every cell less those of the walls, with no copy of the counts.
     every = np.bincount(plan.counts.ravel())
-    histogram = every - np.bincount(plan.counts[scenario.world.wall_mask], minlength=len(every))
+    histogram = every - np.bincount(plan.counts[scenario.world.walls], minlength=len(every))
     violations = int(np.count_nonzero(plan.violated))
     rows = [
         ["selected", " ".join(str(i) for i in plan.selected)],
@@ -233,11 +233,11 @@ def run_simulation(
 
     footprints = worldmod.covered_cells(cameras, world)
     covered = footprints.any(axis=0)
-    free_count = int((~world.wall_mask).sum())
-    coverage_ratio = int((covered & ~world.wall_mask).sum()) / free_count if free_count else 1.0
+    free_count = int((~world.walls).sum())
+    coverage_ratio = int((covered & ~world.walls).sum()) / free_count if free_count else 1.0
 
     server_map = ubimap.fusion.GridMap(
-        world.width, world.height, world.cell_size, known_walls=world.walls, tag_registry={r.tag: r.id for r in world.robots}
+        world.width, world.height, world.cell_size, walls=world.walls, tag_registry={r.tag: r.id for r in world.robots}
     )
     # Robots are addressed by their own id, the map server by SERVER_ID.
     if any(not 1 <= r.id < 2**16 for r in world.robots):

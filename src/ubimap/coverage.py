@@ -3,7 +3,7 @@ exhaustive oracle.
 
 A placement problem fixes a candidate pool of cameras, per-cell overlap
 bounds [min_overlap, max_overlap] and a camera budget; the target cells are
-the free cells, ``~world.wall_mask``. The objective is the number of
+the free cells, ``~world.walls``. The objective is the number of
 distinct target cells covered; the max-overlap bound is enforced as a hard
 constraint, while min_overlap is reported as violations (and greedily
 repaired when budget remains), since it exists to guarantee calibration
@@ -29,7 +29,7 @@ class ProblemTooLargeError(ValueError):
 @dataclass(frozen=True)
 class CoverageProblem:
     """A placement instance. Its target cells are the world's free cells,
-    ``~world.wall_mask``."""
+    ``~world.walls``."""
 
     world: GridWorld
     candidates: tuple[CameraSpec, ...]
@@ -64,7 +64,7 @@ class PlacementPlan:
 
 def objective(plan: PlacementPlan, problem: CoverageProblem) -> int:
     """Distinct target cells covered: sum over cells of min(1, multiplicity)."""
-    return int(np.count_nonzero(~problem.world.wall_mask & (plan.counts > 0)))
+    return int(np.count_nonzero(~problem.world.walls & (plan.counts > 0)))
 
 
 def _plan(problem: CoverageProblem, selected_ids: tuple[int, ...], masks) -> PlacementPlan:
@@ -73,7 +73,7 @@ def _plan(problem: CoverageProblem, selected_ids: tuple[int, ...], masks) -> Pla
     counts = np.zeros((world.height, world.width), dtype=np.int64)
     for mask in masks:
         counts += mask
-    target = ~world.wall_mask
+    target = ~world.walls
     targets = int(np.count_nonzero(target))
     ratio = int(np.count_nonzero(target & (counts > 0))) / targets if targets else 1.0
     violated = target & ((counts < problem.min_overlap) | (counts > problem.max_overlap))
@@ -100,7 +100,7 @@ def _cover_bits(problem: CoverageProblem) -> tuple[int, dict[int, int]]:
     at a time: the cameras at a point share their sight lines, and only one
     point's masks and line-of-sight segments are held at once."""
     world = problem.world
-    target = _mask_bits(~world.wall_mask)
+    target = _mask_bits(~world.walls)
     cover = dict.fromkeys(sorted(cam.id for cam in problem.candidates))
     by_site = sorted(problem.candidates, key=lambda c: (c.x, c.y))
     for _, site in itertools.groupby(by_site, key=lambda c: (c.x, c.y)):

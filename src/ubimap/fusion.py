@@ -8,8 +8,8 @@ robot's fragment, a client's copy and a rendered ground truth are plain
 
 Fusion rules (per frame):
     - A cell leaves Unexplored only when some camera first observes it.
-    - Known structural walls become Wall on first observation and never
-      change afterwards.
+    - The known structural walls, one (height, width) bool mask, become
+      Wall on first observation and never change afterwards.
     - Within a frame: a tag-localized robot beats occupied evidence, which
       beats free evidence (occupied-wins on camera conflicts).
     - An Obstacle cell decays back to Explored once it has been seen free
@@ -30,7 +30,7 @@ import numpy as np
 from . import algebra
 from .geom import RigidTransform
 from .sensim import ObstacleEvidence, TagDetection
-from .world import CellIndex, CellState, cell_mask
+from .world import CellIndex, CellState
 
 OBSTACLE_CLEAR_SECONDS = 2.0
 # A covariance is accepted when its smallest eigenvalue is at least -PSD_TOL.
@@ -45,10 +45,10 @@ class GridMap:
     """The server's fused occupancy map. Single-writer: one fusion step at
     a time.
 
-    known_walls is the static structure the map server is configured with
-    (cells off the grid are ignored); tag_registry maps visual tag ids to
-    robot ids. cells holds the (height, width) state bytes; every fusion
-    rule reads and writes it as whole-grid arrays.
+    walls is the static structure the map server is configured with, a
+    (height, width) bool mask held as given (none by default); tag_registry
+    maps visual tag ids to robot ids. cells holds the (height, width) state
+    bytes; every fusion rule reads and writes it as whole-grid arrays.
     """
 
     def __init__(
@@ -56,21 +56,20 @@ class GridMap:
         width: int,
         height: int,
         cell_size: float,
-        known_walls: frozenset[CellIndex] = frozenset(),
+        walls: np.ndarray | None = None,
         tag_registry: dict[int, int] | None = None,
     ) -> None:
         if width <= 0 or height <= 0 or cell_size <= 0:
             raise ValueError("GridMap dimensions must be positive")
-        self.width = width
-        self.height = height
-        self.cell_size = cell_size
-        self.known_walls = known_walls
+        self.walls = np.zeros((height, width), dtype=bool) if walls is None else walls
+        if self.walls.shape != (height, width):
+            raise DimensionMismatchError(f"wall mask shape {self.walls.shape} vs map {(height, width)}")
+        self.width, self.height, self.cell_size = width, height, cell_size
         self.tag_registry = dict(tag_registry or {})
         self.cells = np.zeros((height, width), dtype=np.uint8)
         self.robot_poses: dict[int, tuple[float, float, float]] = {}
         self.revision = 0
         self.faults: list[str] = []
-        self._wall_mask = cell_mask(width, height, known_walls)
         self._last_occupied = np.full((height, width), -np.inf)
         self._robot_cells: dict[int, CellIndex] = {}
 
@@ -160,7 +159,7 @@ def fuse_frame(
     # Seen free: an obstacle decays only after the clear window elapses.
     decayed = t - grid_map._last_occupied > OBSTACLE_CLEAR_SECONDS
     new[observed & ~occupied & ((cells != CellState.OBSTACLE) | decayed)] = CellState.EXPLORED
-    new[observed & grid_map._wall_mask] = CellState.WALL
+    new[observed & grid_map.walls] = CellState.WALL
     new[cells == CellState.WALL] = CellState.WALL  # walls never change
 
     # Robots: clear stale cells for robots that moved, then place new ones.

@@ -34,7 +34,7 @@ def coverage_heatmap(problem: ubimap.coverage.CoverageProblem, plan: ubimap.cove
     """Cells shaded by coverage multiplicity relative to the most covered one; walls black."""
     level = (255 * plan.counts // max(1, plan.counts.max())).astype(np.uint8)
     image = np.stack([level, level, np.full_like(level, 64)], axis=-1)
-    image[problem.world.wall_mask] = 0
+    image[problem.world.walls] = 0
     return _ppm(image)
 
 

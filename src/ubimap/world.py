@@ -11,7 +11,9 @@ Frame conventions:
 
 Scenario documents are line-oriented ASCII: ``section <name>`` opens a block,
 ``end`` closes it, ``key = value`` pairs inside, ``#`` starts a comment.
-Sections: world, walls, camera, robot, obstacle, landmark, sim.
+Sections: world, walls, camera, robot, obstacle, landmark, sim. Each
+``row <r> <c0>..<c1>`` line of the walls section sets one run of the grid's
+wall mask, the one form in which walls are held from the parser on.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,12 +158,14 @@ class SimParams:
 @dataclass(frozen=True)
 class GridWorld:
     """Immutable ground truth: dimensions, walls, the entities on the grid
-    and, built from them at first use, each cell's state (``cell_states``)."""
+    and, built from them at first use, each cell's state (``cell_states``).
+    Walls, given as cells or a mask, are held as one read-only (height,
+    width) bool mask, True on wall cells, and compared by value."""
 
     cell_size: float
     width: int
     height: int
-    walls: frozenset[CellIndex] = frozenset()
+    walls: np.ndarray = frozenset()
     obstacles: tuple[Obstacle, ...] = ()
     robots: tuple[Robot, ...] = ()
     landmarks: tuple[Landmark, ...] = ()
@@ -169,22 +173,37 @@ class GridWorld:
     def __post_init__(self) -> None:
         if self.cell_size <= 0 or self.width <= 0 or self.height <= 0:
             raise ValueError("cell_size, width and height must be positive")
-        for cell in self.walls:
-            if not self.in_bounds(cell):
-                raise ValueError(f"wall cell {cell} out of bounds")
+        walls = self.walls
+        if not isinstance(walls, np.ndarray):  # wall cells
+            cells = [*walls]
+            if not all(map(self.in_bounds, cells)):
+                raise ValueError("wall cells must lie on the grid")
+            walls = np.zeros((self.height, self.width), dtype=bool)
+            walls[[cell.row for cell in cells], [cell.col for cell in cells]] = True
+        elif walls.shape != (self.height, self.width) or walls.dtype != bool:
+            raise ValueError("walls must be a (height, width) bool mask")
+        elif walls.flags.writeable:
+            walls = walls.copy()
+        walls.setflags(write=False)
+        object.__setattr__(self, "walls", walls)
         for ob in self.obstacles:
             if not self.in_bounds(ob.cell):
                 raise ScenarioSemanticError(f"obstacle {ob.id} out of bounds")
-            if ob.cell in self.walls:
+            if walls[ob.cell.row, ob.cell.col]:
                 raise ScenarioSemanticError(f"obstacle {ob.id} placed on a wall cell")
         for robot in self.robots:
             if not self.point_in_bounds(robot.x, robot.y):
                 raise ScenarioSemanticError(f"robot {robot.id} out of bounds")
-            if self.cell_of(robot.x, robot.y) in self.walls:
+            cell = self.cell_of(robot.x, robot.y)
+            if walls[cell.row, cell.col]:
                 raise ScenarioSemanticError(f"robot {robot.id} placed on a wall cell")
         for lm in self.landmarks:
             if not self.point_in_bounds(lm.position.x, lm.position.y) or lm.position.z < 0:
                 raise ScenarioSemanticError(f"landmark {lm.id} outside world bounds")
+
+    def __eq__(self, other: object) -> bool:
+        key = lambda w: (w.cell_size, w.width, w.height, w.obstacles, w.robots, w.landmarks)
+        return isinstance(other, GridWorld) and key(self) == key(other) and np.array_equal(self.walls, other.walls)
 
     # -- queries ----------------------------------------------------------
 
@@ -204,15 +223,8 @@ class GridWorld:
 
     def free_cells(self) -> Iterator[CellIndex]:
         """The cells that are not walls, row by row."""
-        rows, cols = np.nonzero(~self.wall_mask)
+        rows, cols = np.nonzero(~self.walls)
         return map(CellIndex, cols.tolist(), rows.tolist())
-
-    @cached_property
-    def wall_mask(self) -> np.ndarray:
-        """Read-only (height, width) bool array, True on wall cells."""
-        mask = cell_mask(self.width, self.height, self.walls)
-        mask.setflags(write=False)
-        return mask
 
     @cached_property
     def cell_states(self) -> np.ndarray:
@@ -224,7 +236,7 @@ class GridWorld:
             cells[cell.row, cell.col] = CellState.ROBOT
         for ob in self.obstacles:
             cells[ob.cell.row, ob.cell.col] = CellState.OBSTACLE
-        cells[self.wall_mask] = CellState.WALL
+        cells[self.walls] = CellState.WALL
         cells.setflags(write=False)
         return cells
 
@@ -234,7 +246,7 @@ class GridWorld:
         cells, which line_of_sight walks: one lookup of a flat index tells a
         free cell (0), a wall and a cell off the grid apart."""
         grid = np.full((self.height + 2, self.width + 2), _OUTSIDE, dtype=np.int8)
-        grid[1:-1, 1:-1] = self.wall_mask
+        grid[1:-1, 1:-1] = self.walls
         grid = grid.ravel()
         grid.setflags(write=False)
         return grid
@@ -248,15 +260,6 @@ class GridWorld:
         start = int(min(first, cells)) if first > 0 else 0
         stop = int(max(last, -1.0)) + 1 if last < cells else cells
         return slice(start, stop), (np.arange(start, max(start, stop)) + 0.5) * self.cell_size
-
-
-def cell_mask(width: int, height: int, cells: Iterable[CellIndex]) -> np.ndarray:
-    """(height, width) bool array, True on those of the cells that lie on the grid."""
-    mask = np.zeros((height, width), dtype=bool)
-    cols, rows = np.array([*cells], dtype=np.int64).reshape(-1, 2).T
-    on_grid = (0 <= cols) & (cols < width) & (0 <= rows) & (rows < height)
-    mask[rows[on_grid], cols[on_grid]] = True
-    return mask
 
 
 @dataclass(frozen=True)
@@ -345,7 +348,8 @@ def line_of_sight(
     its own cell). Traversal is a supercover DDA (Amanatides & Woo 1987)
     run in lockstep over blocks of at most ``SEGMENT_BLOCK`` segments: every
     cell a segment passes through up to its end is visited, and an exact
-    corner crossing visits both side cells, so blocking is conservative.
+    corner crossing past the start visits both side cells, so blocking is
+    conservative.
     """
     single = np.ndim(a) == 1 and np.ndim(b) == 1
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float).reshape(-1, 2), np.asarray(b, dtype=float).reshape(-1, 2))
@@ -396,8 +400,9 @@ def _walk(world: GridWorld, a: np.ndarray, b: np.ndarray, visible: np.ndarray) -
         along_y = corner | ~along_x
         blocked = np.zeros(len(cell), dtype=bool)
         if corner.any():
-            # Exact corner crossing: both side cells, then the diagonal.
-            at = np.flatnonzero(corner)
+            # Exact corner crossing: both side cells, then the diagonal. At the start (t = 0)
+            # the side cells touch the segment only at its start point, so they never block.
+            at = np.flatnonzero(corner & (t_max_x > 1e-12))
             for side in (cell[at] + step_x[at], cell[at] + step_y[at]):
                 blocked[at] |= (grid[side] == _WALL) & (side != last[at])
         cell += step_x * along_x + step_y * along_y
@@ -531,11 +536,12 @@ def parse_scenario(document: str) -> Scenario:
     cell_size = world_kv["cell_size"]
     width, height = int(world_kv["width"]), int(world_kv["height"])
 
-    walls: set[CellIndex] = set()
+    walls = np.zeros((height, width), dtype=bool)
     for line_no, row, c0, c1 in wall_rows:
         if not (0 <= row < height and 0 <= c0 and c1 < width):
             raise ScenarioSemanticError(f"line {line_no}: wall row {row} cols {c0}..{c1} out of bounds")
-        walls.update(CellIndex(col, row) for col in range(c0, c1 + 1))
+        walls[row, c0 : c1 + 1] = True
+    walls.setflags(write=False)
 
     for kind in ("camera", "robot"):
         if kind in errors:
@@ -553,15 +559,7 @@ def parse_scenario(document: str) -> Scenario:
     if len(tags) != len(set(tags)):
         raise ScenarioSemanticError("duplicate robot tags")
 
-    world = GridWorld(
-        cell_size=cell_size,
-        width=width,
-        height=height,
-        walls=frozenset(walls),
-        obstacles=obstacles,
-        robots=robots,
-        landmarks=landmarks,
-    )
+    world = GridWorld(cell_size, width, height, walls, obstacles=obstacles, robots=robots, landmarks=landmarks)
     for cam in cameras:
         if not world.point_in_bounds(cam.x, cam.y):
             raise ScenarioSemanticError(f"camera {cam.id} outside world bounds")
@@ -574,9 +572,9 @@ def serialize_scenario(scenario: Scenario) -> str:
     """Render a scenario back to document text; parse(serialize(s)) == s."""
     w, p = scenario.world, scenario.params
     lines = _section("world", cell_size=w.cell_size, width=w.width, height=w.height)
-    if w.walls:
+    if w.walls.any():
         # Runs of wall cells, from the rising and falling edges of each row padded with free cells.
-        rows, edges = np.nonzero(np.diff(np.pad(w.wall_mask, ((0, 0), (1, 1))).astype(np.int8), axis=1))
+        rows, edges = np.nonzero(np.diff(np.pad(w.walls, ((0, 0), (1, 1))).astype(np.int8), axis=1))
         runs = zip(rows[::2].tolist(), edges[::2].tolist(), edges[1::2].tolist())
         lines += ["section walls", *(f"  row {row} {start}..{stop - 1}" for row, start, stop in runs), "end"]
     for cam in scenario.cameras:

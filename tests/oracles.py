@@ -3,7 +3,8 @@
 - ``is_close``: two rigid transforms equal within Frobenius tolerances;
   ``skew``, the cross-product matrix of a 3-vector; ``rot_x``, ``rot_z``,
   ``point_from_array`` and ``footprint_to_world``, small constructors and
-  the inverse of ``GroundFootprint.to_local``.
+  the inverse of ``GroundFootprint.to_local``; ``cell_mask``, a grid mask
+  from a list of cells.
 - ``cost_gradient``: the calibration cost's gradient from its normal
   equations; ``stack_pairs``: the calibration's correspondence table from
   per-pair lists; ``graph_edges``: a calibration graph's edge stacks one
@@ -191,9 +192,18 @@ def all_cells(grid: world.GridWorld) -> list[world.CellIndex]:
     return [world.CellIndex(col, row) for row in range(grid.height) for col in range(grid.width)]
 
 
+def cell_mask(width: int, height: int, cells) -> np.ndarray:
+    """(height, width) bool array, True on those of the cells that lie on the grid."""
+    mask = np.zeros((height, width), dtype=bool)
+    cols, rows = np.array([*cells], dtype=np.int64).reshape(-1, 2).T
+    on_grid = (0 <= cols) & (cols < width) & (0 <= rows) & (rows < height)
+    mask[rows[on_grid], cols[on_grid]] = True
+    return mask
+
+
 def target_cells(problem: coverage.CoverageProblem) -> frozenset[world.CellIndex]:
     """A problem's target cells, its world's free cells, as a set."""
-    rows, cols = np.nonzero(~problem.world.wall_mask)
+    rows, cols = np.nonzero(~problem.world.walls)
     return frozenset(map(world.CellIndex, cols.tolist(), rows.tolist()))
 
 

@@ -16,7 +16,7 @@ from ubimap.geom import RigidTransform
 from ubimap.netsim import ClientState, MapServer, Message, MessageKind, NetworkParams, SimulatedNetwork
 from ubimap.world import CameraSpec, CellIndex, GridWorld
 
-from oracles import GridBelief, bayes_grid_step, cost_gradient, is_close, stack_pairs, target_cells
+from oracles import GridBelief, bayes_grid_step, cell_mask, cost_gradient, is_close, stack_pairs, target_cells
 from test_cli import simulate_in_memory
 
 DEMO_ROOM = Path(__file__).resolve().parent.parent / "scenarios" / "demo_room.scenario"
@@ -299,7 +299,7 @@ def test_criterion_5_filter_correctness():
 def test_criterion_6_map_semantics():
     rng = np.random.default_rng(606)
     walls = frozenset({CellIndex(2, 2), CellIndex(3, 4), CellIndex(0, 1)})
-    grid_map = GridMap(6, 6, 1.0, known_walls=walls)
+    grid_map = GridMap(6, 6, 1.0, walls=cell_mask(6, 6, walls))
     cam = CameraSpec(id=1, x=3.0, y=0.0, height=2.0, yaw=0.0, hfov=1.2, vfov=1.2, max_range=50.0)
     poses = {1: sensim.camera_world_pose(cam)}
     ever_observed: set[CellIndex] = set()
@@ -309,11 +309,11 @@ def test_criterion_6_map_semantics():
         occupied = {c for c in cells if rng.random() < 0.35}
         ev = [
             sensim.ObstacleEvidence(
-                camera_id=1, observed=worldmod.cell_mask(6, 6, cells), occupied=worldmod.cell_mask(6, 6, occupied),
+                camera_id=1, observed=cell_mask(6, 6, cells), occupied=cell_mask(6, 6, occupied),
                 timestamp=t,
             )
         ]
-        before = {c: grid_map.state(c) for c in grid_map.known_walls}
+        before = {c: grid_map.state(c) for c in walls}
         fusion.fuse_frame(grid_map, ev, [], poses, t)
         ever_observed |= set(cells)
         for row in range(6):

@@ -15,7 +15,7 @@ from ubimap.geom import Point3
 from ubimap.pipeline import render_map
 from ubimap.world import CellIndex
 
-from oracles import all_cells, graph_edges, stack_pairs
+from oracles import all_cells, cell_mask, graph_edges, stack_pairs
 from test_sensim import reference_observe_landmarks
 from test_world import reference_line_of_sight
 
@@ -666,7 +666,7 @@ def reference_robot_local_map(world, robot, sense_radius):
             continue
         if not reference_line_of_sight(world, (robot.x, robot.y), center):
             continue
-        if cell in world.walls:
+        if world.walls[cell.row, cell.col]:
             state = CellState.WALL
         elif cell in occupied or cell in others:
             state = CellState.OBSTACLE
@@ -881,7 +881,7 @@ def reference_render_map(cells):
 
 
 def reference_ground_truth_state(world, cell):
-    if cell in world.walls:
+    if world.walls[cell.row, cell.col]:
         return CellState.WALL
     if any(ob.cell == cell for ob in world.obstacles):
         return CellState.OBSTACLE
@@ -905,7 +905,7 @@ def reference_coverage_heatmap(problem, plan):
     for row in range(h):
         for col in range(w):
             cell = CellIndex(col, row)
-            if cell in problem.world.walls:
+            if problem.world.walls[row, col]:
                 body.extend((0, 0, 0))
             else:
                 level = int(255 * int(plan.counts[row, col]) / top)
@@ -956,7 +956,7 @@ def test_obstacle_evidence_reads_the_read_only_truth_on_random_worlds(seed):
     world = random_walled_world(seed)
     with pytest.raises(ValueError):
         world.cell_states[0, 0] = CellState.UNEXPLORED
-    occupied = worldmod.cell_mask(
+    occupied = cell_mask(
         world.width, world.height, [ob.cell for ob in world.obstacles] + [world.cell_of(r.x, r.y) for r in world.robots]
     )
     rng = np.random.default_rng(2000 + seed)

@@ -19,9 +19,9 @@ from ubimap.fusion import (
     tag_world_position,
 )
 from ubimap.sensim import ObstacleEvidence, TagDetection
-from ubimap.world import CameraSpec, CellIndex, cell_mask
+from ubimap.world import CameraSpec, CellIndex
 
-from oracles import DegenerateLikelihoodError, GridBelief, bayes_grid_step
+from oracles import DegenerateLikelihoodError, GridBelief, bayes_grid_step, cell_mask
 
 
 def make_camera(x, y, *, width=4.0, depth=4.0, yaw=0.0, cid=1, height=2.0):
@@ -87,13 +87,18 @@ def test_fuse_occupied_wins_between_cameras():
 
 def test_fuse_known_wall_becomes_wall_on_observation():
     wall = CellIndex(1, 2)
-    m = GridMap(4, 4, 1.0, known_walls=frozenset({wall}))
+    m = GridMap(4, 4, 1.0, walls=cell_mask(4, 4, [wall]))
     cam = make_camera(2.0, 0.0)
     fuse_frame(m, evidence(m, cam.id, [wall]), [], poses_for(cam), 0.0)
     assert m.state(wall) == CellState.WALL
     # Occupied evidence later cannot change a wall.
     fuse_frame(m, evidence(m, cam.id, [wall], occupied=[wall], t=1.0), [], poses_for(cam), 1.0)
     assert m.state(wall) == CellState.WALL
+
+
+def test_grid_map_rejects_a_wall_mask_of_another_shape():
+    with pytest.raises(DimensionMismatchError):
+        GridMap(4, 3, 1.0, walls=np.zeros((4, 3), dtype=bool))
 
 
 def test_fuse_unknown_camera_rejected_with_fault():
@@ -190,7 +195,7 @@ def test_tag_world_position_round_trip():
 def test_unexplored_monotonicity_and_wall_permanence_fuzzed():
     rng = np.random.default_rng(404)
     walls = frozenset({CellIndex(1, 1), CellIndex(2, 3)})
-    m = GridMap(5, 5, 1.0, known_walls=walls)
+    m = GridMap(5, 5, 1.0, walls=cell_mask(5, 5, walls))
     cam = make_camera(2.5, 0.0, cid=1)
     poses = poses_for(cam)
     left_unexplored: set[CellIndex] = set()
@@ -266,7 +271,7 @@ def reference_fuse_frame(grid_map, evidence, tags, camera_poses, t, last_occupie
             grid_map.cells[cell.row, cell.col] = int(new_state)
 
     for cell in sorted(observed):
-        if cell in grid_map.known_walls:
+        if grid_map.walls[cell.row, cell.col]:
             put(cell, CellState.WALL)
         elif cell in occupied:
             put(cell, CellState.OBSTACLE)
@@ -316,8 +321,8 @@ def test_fuse_frame_matches_cell_by_cell_reference(run):
     cam_a = make_camera(0.0, 0.0, cid=1)
     cam_b = make_camera(0.0, 0.0, cid=2)
     poses = poses_for(cam_a, cam_b)
-    got = GridMap(width, height, 1.0, known_walls=walls, tag_registry={5: 1, 6: 2})
-    ref = GridMap(width, height, 1.0, known_walls=walls, tag_registry={5: 1, 6: 2})
+    got = GridMap(width, height, 1.0, walls=cell_mask(width, height, walls), tag_registry={5: 1, 6: 2})
+    ref = GridMap(width, height, 1.0, walls=cell_mask(width, height, walls), tag_registry={5: 1, 6: 2})
     got.cells[:] = ref.cells[:] = np.array(start, dtype=np.uint8).reshape(height, width)
     last_occupied = {}
     for ev, tags, t in frames:

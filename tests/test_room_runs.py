@@ -206,6 +206,18 @@ def test_big_room_runs_in_memory_that_follows_the_cameras(big_room, tmp_path):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
+def test_walled_big_room_renders_under_the_cap(big_room, tmp_path):
+    # Full wall rows 11 to 4094, a 79 KB document of 16.7 M wall cells. While
+    # the parser expanded each row into one cell tuple per wall cell, render
+    # exited 4 with MemoryError under this cap.
+    walled = tmp_path / "walled.scenario"
+    rows = "".join(f"  row {row} 0..4095\n" for row in range(11, 4095))
+    walled.write_text(big_room.read_text() + f"section walls\n{rows}end\n")
+    capped_peak_kb(["render", str(walled), "--out", str(tmp_path / "render")])
+    assert (tmp_path / "render" / "map.ppm").stat().st_size == len(b"P6\n4096 4095\n255\n") + 4096 * 4095 * 3
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM from /proc")
 def test_big_room_plan_lists_every_violation_under_the_cap(big_room, tmp_path):
     # With --min-overlap 1 every free cell but the 114 the cameras see is
     # violated, so the cap holds only if the 16,773,002 rows stream from the

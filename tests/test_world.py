@@ -21,7 +21,7 @@ from ubimap.world import (
     serialize_scenario,
 )
 
-from oracles import all_cells
+from oracles import all_cells, cell_mask
 
 MINIMAL = """
 section world
@@ -49,14 +49,14 @@ def empty_world(width=6, height=6, cell_size=1.0):
 def test_parse_minimal_room():
     scenario = parse_scenario(MINIMAL)
     assert scenario.world.width == 4 and scenario.world.height == 4
-    assert scenario.world.walls == frozenset()
+    assert not scenario.world.walls.any()
     assert scenario.cameras == ()
 
 
 def test_parse_wall_row():
     doc = MINIMAL + "section walls\n  row 2 1..2\nend\n"
     scenario = parse_scenario(doc)
-    assert scenario.world.walls == frozenset({CellIndex(1, 2), CellIndex(2, 2)})
+    assert np.array_equal(scenario.world.walls, cell_mask(4, 4, {CellIndex(1, 2), CellIndex(2, 2)}))
 
 
 def test_parse_robot_on_wall_rejected():
@@ -106,6 +106,57 @@ def test_parse_serialize_round_trip():
     first = parse_scenario(doc)
     second = parse_scenario(serialize_scenario(first))
     assert first == second
+
+
+def test_parse_of_a_fully_walled_grid_holds_about_a_byte_per_cell():
+    # Each wall row is written straight into the grid's mask. Expanding the
+    # rows into one cell tuple per wall cell peaked at 193 MB here.
+    doc = "section world\n  cell_size = 1.0\n  width = 1024\n  height = 1024\nend\nsection walls\n"
+    doc += "".join(f"  row {row} 0..1023\n" for row in range(1024)) + "end\n"
+    parse_scenario(MINIMAL)  # a first parse compiles the regular expressions and warms the caches
+    tracemalloc.start()
+    try:
+        scenario = parse_scenario(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024, peak
+    assert scenario.world.walls.all()
+
+
+@st.composite
+def walled_scenarios(draw):
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = [CellIndex(c, r) for r in range(height) for c in range(width)]
+    walls = frozenset(draw(st.sets(st.sampled_from(cells), max_size=len(cells))))
+    return width, height, walls
+
+
+@settings(max_examples=100, deadline=None)
+@given(walled_scenarios())
+def test_walls_given_as_cells_or_as_a_mask_make_the_same_world(case):
+    width, height, walls = case
+    worlds = [GridWorld(0.5, width, height, given) for given in (walls, cell_mask(width, height, walls))]
+    assert worlds[0] == worlds[1]
+    documents = [serialize_scenario(w.Scenario(world, ())) for world in worlds]
+    assert documents[0] == documents[1]
+    assert parse_scenario(documents[0]).world == worlds[0]
+    assert worlds[0].walls.sum() == len(walls)
+    assert worlds[0] != GridWorld(0.5, width, height, walls - {min(walls)} if walls else {CellIndex(0, 0)})
+
+
+def test_world_wall_mask_is_checked_and_read_only():
+    mask = cell_mask(4, 3, [CellIndex(1, 2)])
+    world = GridWorld(1.0, 4, 3, mask)
+    mask[0, 0] = True  # a writable mask is copied
+    assert world.walls.sum() == 1
+    with pytest.raises(ValueError):
+        world.walls[0, 0] = True
+    for bad in (np.zeros((4, 3), dtype=bool), np.zeros((3, 4), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="bool mask"):
+            GridWorld(1.0, 4, 3, bad)
+    with pytest.raises(ValueError, match="on the grid"):
+        GridWorld(1.0, 4, 3, frozenset({CellIndex(4, 0)}))
 
 
 def test_parse_rejects_duplicate_ids():
@@ -362,7 +413,7 @@ def sampled_line_of_sight(world, a, b, samples=4001):
         x = a[0] + t * (b[0] - a[0])
         y = a[1] + t * (b[1] - a[1])
         cell = world.cell_of(x, y)
-        if cell not in exclude and cell in world.walls:
+        if cell not in exclude and world.walls[cell.row, cell.col]:
             return False
     return True
 
@@ -391,10 +442,10 @@ def reference_supercover_cells(world, a, b):
         if abs(t_max_x - t_max_y) < 1e-12:
             side_a = CellIndex(col + step_col, row)
             side_b = CellIndex(col, row + step_row)
-            if world.in_bounds(side_a):
-                yield side_a
-            if world.in_bounds(side_b):
-                yield side_b
+            # The side cells of a corner at the start touch the segment only there.
+            for side in (side_a, side_b) if t_max_x > 1e-12 else ():
+                if world.in_bounds(side):
+                    yield side
             col += step_col
             row += step_row
             t_max_x += t_delta_x
@@ -418,7 +469,7 @@ def reference_line_of_sight(world, a, b):
         return True
     exclude = {world.cell_of(*a), world.cell_of(*b)}
     for cell in reference_supercover_cells(world, a, b):
-        if cell not in exclude and cell in world.walls:
+        if cell not in exclude and world.walls[cell.row, cell.col]:
             return False
     return True
 
@@ -591,7 +642,7 @@ def test_covered_masks_match_single_camera_cells(case):
     assert masks.shape == (len(cams), grid.height, grid.width) and masks.dtype == bool
     for cam, mask in zip(cams, masks):
         cells = covered_cells(cam, grid)
-        assert np.array_equal(mask, w.cell_mask(grid.width, grid.height, cells))
+        assert np.array_equal(mask, cell_mask(grid.width, grid.height, cells))
         assert cells == reference_covered_cells(cam, grid)
 
 
@@ -630,7 +681,7 @@ def test_covered_masks_of_cameras_sharing_sites_match_single_camera_walks(case):
     assert masks.shape == (len(cams), grid.height, grid.width) and masks.dtype == bool
     for cam, mask in zip(cams, masks):
         assert np.array_equal(mask, covered_cells([cam], grid)[0])
-        assert np.array_equal(mask, w.cell_mask(grid.width, grid.height, reference_covered_cells(cam, grid)))
+        assert np.array_equal(mask, cell_mask(grid.width, grid.height, reference_covered_cells(cam, grid)))
 
 
 def test_line_of_sight_peak_memory_is_bounded_by_its_block():
@@ -706,7 +757,7 @@ def test_covered_cells_over_footprint_boxes_match_whole_grid_reference(case):
     for cam, mask in zip(cams, masks):
         expected = reference_covered_cells(cam, grid)
         assert covered_cells(cam, grid) == expected
-        assert np.array_equal(mask, w.cell_mask(grid.width, grid.height, expected))
+        assert np.array_equal(mask, cell_mask(grid.width, grid.height, expected))
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -799,9 +850,7 @@ def segments_between_cell_corners(draw):
     """A walled grid and segments from one exact cell corner to another
     whose offset in cells has no common factor, so that no grid corner lies
     inside the segment and the sampling oracle sees every cell the walk
-    visits. A walk that leaves its start corner down and to the left checks
-    the two cells that touch the segment only there, as at a corner
-    crossing inside it; such a segment is walked from its other end."""
+    visits, in either direction."""
     width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     cell_size = draw(st.sampled_from([0.25, 0.5, 1.0]))  # corners exact in binary
     cells = [CellIndex(c, r) for r in range(height) for c in range(width)]
@@ -811,8 +860,6 @@ def segments_between_cell_corners(draw):
     for start, end in draw(st.lists(st.tuples(corner, corner), min_size=1, max_size=12)):
         if math.gcd(end[0] - start[0], end[1] - start[1]) != 1:
             continue
-        if end[0] < start[0] and end[1] < start[1]:
-            start, end = end, start
         segments.append(tuple((c * cell_size, r * cell_size) for c, r in (start, end)))
     return grid, segments
 
@@ -823,9 +870,12 @@ DEMO_ROOM_WALLS = GridWorld(0.5, 12, 10, frozenset(CellIndex(c, 7) for c in rang
 @settings(max_examples=300, deadline=None)
 @given(segments_between_cell_corners())
 @example((DEMO_ROOM_WALLS, [((6.0, 0.0), (3.0, 2.5)), ((0.0, 2.5), (1.0, 3.0))]))
+@example((GridWorld(1.0, 3, 3, frozenset({CellIndex(0, 1)})), [((1.0, 1.0), (0.25, 0.25)), ((0.25, 0.25), (1.0, 1.0))]))
 def test_line_of_sight_between_cell_corners_matches_sampling_oracle(case):
     # A walk ending on a corner reached from below and the right never enters
-    # its end cell: it stops there rather than walking on past the target.
+    # its end cell: it stops there rather than walking on past the target. A
+    # walk starting on a corner down and to the left does not check the two
+    # cells that touch the segment only at that corner.
     grid, segments = case
     for a, b in segments:
         assert line_of_sight(grid, a, b) == sampled_line_of_sight(grid, a, b), (a, b)
@@ -837,7 +887,7 @@ def test_line_of_sight_ends_at_a_target_on_a_cell_corner():
     # The demo room's camera 2 to the corner point (3.0, 2.5) crosses cells
     # (8, 0), (8, 1), (7, 2), (7, 3), (6, 3) and (6, 4); its walls are in row 7.
     demo = parse_scenario((Path(__file__).resolve().parent.parent / "scenarios" / "demo_room.scenario").read_text())
-    assert demo.world.walls == DEMO_ROOM_WALLS.walls
+    assert np.array_equal(demo.world.walls, DEMO_ROOM_WALLS.walls)
     assert line_of_sight(demo.world, (4.5, 0.25), (3.0, 2.5))
     assert sampled_line_of_sight(demo.world, (4.5, 0.25), (3.0, 2.5))
 
