@@ -201,8 +201,15 @@ def band_order(free: int, pairs: np.ndarray) -> tuple[np.ndarray, int]:
             visits.extend(fresh)
             head += 1
     orders = (np.array(visits[::-1], dtype=np.intp), np.arange(free))
-    widths = [int(np.max(np.abs(np.diff(np.argsort(order)[pairs], axis=1)), initial=0)) for order in orders]
+    widths = [int(np.max(np.abs(np.diff(_positions(order)[pairs], axis=1)), initial=0)) for order in orders]
     return min(zip(orders, widths), key=lambda pair: pair[1])
+
+
+def _positions(order: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation ``order``, by a scatter: ``np.argsort`` maps numpy's sort code."""
+    positions = np.empty_like(order)
+    positions[order] = np.arange(len(order))
+    return positions
 
 
 def inverse_cholesky(a: list[list[float]]) -> list[list[float]]:
@@ -247,7 +254,7 @@ def band_solve(band: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
     dense = as_strided(band, shape=(size, size), strides=(item, item * (width - 1)))  # in-band (r, c) only
     padded = np.zeros((6, 2 * width))
     shifted = as_strided(padded, shape=(6, width, width), strides=(2 * width * item, item, item))  # padded[k, c + d]
-    inverses, x = [], rhs.copy()
+    inverses, x, update = [], rhs.copy(), np.empty((2, UPDATE_ROWS, width))
     for s in range(0, size, 6):
         n = min(width, size - s) - 6
         inverse = np.array(inverse_cholesky(dense[s : s + 6, s : s + 6].tolist()), dtype=float)
@@ -257,11 +264,15 @@ def band_solve(band: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
         panel[...] = padded[:, :n] = (inverse[:, :, None] * panel).sum(axis=1)
         padded[:, n:] = 0.0
         x[s + 6 : s + 6 + n] -= (panel * x[s : s + 6, None]).sum(axis=0)
-        # Band entry (s + 6 + c, d) of the trailing window loses sum_k panel[k, c + d] panel[k, c]
-        # where c + d < n: slices of rows c, each as wide as its first row's entries.
+        # Band entry (s + 6 + c, d) of the trailing window loses sum_k panel[k, c + d] panel[k, c] where
+        # c + d < n: slices of rows c, each as wide as its first row's entries, summed k after k in a buffer.
         for c in range(0, n, UPDATE_ROWS):
             e = min(c + UPDATE_ROWS, n)
-            band[s + 6 + c : s + 6 + e, : n - c] -= (shifted[:, c:e, : n - c] * panel[:, c:e, None]).sum(axis=0)
+            total, term = update[:, : e - c, : n - c]
+            np.multiply(shifted[0, c:e, : n - c], panel[0, c:e, None], out=total)
+            for k in range(1, 6):
+                total += np.multiply(shifted[k, c:e, : n - c], panel[k, c:e, None], out=term)
+            band[s + 6 + c : s + 6 + e, : n - c] -= total
     for s in range(size - 6, -1, -6):
         n = min(width, size - s) - 6
         rest = x[s : s + 6] - (dense[s + 6 : s + 6 + n, s : s + 6].T * x[s + 6 : s + 6 + n]).sum(axis=1)

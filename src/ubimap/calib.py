@@ -1,32 +1,28 @@
-"""Multi-camera extrinsic calibration from shared landmarks.
+"""Multi-camera extrinsic calibration from shared landmarks, with no BLAS or
+LAPACK call (see ``algebra``).
 
-Pipeline: pairwise rigid alignment (closed-form least squares inside an ICP
-loop), a transformation graph over the cameras, propagation of poses from a
-reference camera, and a damped least-squares refinement of the total
-matching cost, with no BLAS or LAPACK call (see ``algebra``). The landmarks
-the camera pairs share come as one flat table (``Correspondences``):
-``build_graph`` aligns every pair in one batched call, a pair whose fit is
-degenerate or overflows becoming a failed edge, and the same pass reduces
+``build_graph`` aligns every camera pair of one flat table of shared
+landmarks (``Correspondences``) in one batched ICP call, a pair whose fit
+is degenerate or overflows becoming a failed edge; the same pass reduces
 each pair's rows to moments about its fit (``TransformGraph``), of which
 the cost, J^T J and J^T r are closed forms (``moments``; Pulli 1999;
 Williams & Bennamoun 2001, CVIU 81(1)): no row outlives ``build_graph``.
-``propagate`` composes one breadth-first level at a time. Poses are
-stacks in ``graph.nodes`` order, (N, 3, 3) rotations and (N, 3)
-translations, from ``propagate`` through the cost, the loop-closure check
-and the refinement to what ``refine`` returns. The refinement adds 6x6
-blocks of J^T J, ``EDGE_BLOCK`` edges at a time, into band storage and
-solves by a banded Cholesky: memory is O(N b + E) for N cameras, a
-bandwidth of b cameras and E edges.
+``propagate`` gives the poses from a reference camera as stacks in
+``graph.nodes`` order, (N, 3, 3) rotations and (N, 3) translations, as the
+cost, the loop-closure check and ``refine``, a damped least-squares
+refinement, take them. ``refine`` adds 6x6 blocks of J^T J, ``EDGE_BLOCK``
+edges at a time, into band storage and solves by a banded Cholesky: memory
+is O(N b + E) for N cameras, a bandwidth of b cameras and E edges.
 
 Frame conventions (used consistently everywhere in this module):
-    - An edge (i, j) stores the pose of camera j expressed in camera i's
-      frame: it maps j-local points into i-local coordinates. Propagating
-      from the reference is then a plain composition along graph paths.
+    - An edge (i, j) stores the pose of camera j in camera i's frame: it
+      maps j-local points into i-local coordinates, so propagating from the
+      reference is a plain composition along graph paths.
     - A "global pose" G_k maps camera-k-local points into the reference
       camera's frame; the reference camera's pose is the identity.
-    - The matching cost for an edge is sum_k || E_ij q_j^k - q_i^k ||^2
-      where q_i^k, q_j^k are the two cameras' observations of landmark k,
-      and E_ij = inverse(G_i) composed with G_j during refinement.
+    - An edge's matching cost is sum_k || E_ij q_j^k - q_i^k ||^2, q_i^k and
+      q_j^k the two cameras' observations of landmark k, and E_ij =
+      inverse(G_i) composed with G_j during refinement.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import algebra, geom
-from .algebra import inner
+from .algebra import _positions, inner
 from .geom import RigidTransform
 from .moments import _edge_products, _edge_terms, _relative_poses
 
@@ -177,8 +173,7 @@ class TransformGraph:
         free = np.flatnonzero(np.arange(len(self.nodes)) != ref)
         tied = pairs[(pairs != ref).all(axis=1)]
         order, bandwidth = algebra.band_order(len(free), tied - (tied > ref))  # indices among free slots
-        position = np.full(len(self.nodes), -1)
-        position[free] = np.argsort(order)
+        position = np.insert(_positions(order), ref, -1)  # of each slot; -1 for the reference
         return CorrespondenceTable(*pairs.T.copy(), free, order, bandwidth, position[pairs[:, ::-1]])
 
 
@@ -249,8 +244,9 @@ def _rigid_fits(src: np.ndarray, dst: np.ndarray, sizes) -> tuple:
         if len(unsure):
             upper = iter(sums[6:12, unsure])
             scatter = [[next(upper) if j >= i else None for j in range(3)] for i in range(3)]
-            spread = np.sort(np.stack(algebra.jacobi_eigen(scatter)[0]), axis=0)
-            collinear[unsure] = spread[1] <= COLLINEAR_TOL * spread[2]
+            a, b, c = algebra.jacobi_eigen(scatter)[0]  # the middle and top by compare-exchange
+            high = np.maximum(a, b)
+            collinear[unsure] = np.maximum(np.minimum(a, b), np.minimum(high, c)) <= COLLINEAR_TOL * np.maximum(high, c)
         rotation = algebra.horn_rotation([list(sums[12:15]), list(sums[15:18]), list(sums[18:21])])
         translation = [c - d for c, d in zip(sums[3:6], algebra.transform(rotation, list(sums[0:3])))]
         rms = np.empty(len(counts))
@@ -334,23 +330,15 @@ def icp(
         return list(enumerate(nearest.tolist()))
 
     pairs = by_id if by_id is not None else match(src)
-    # Only nearest-neighbour matching iterates, so only it needs the start RMS.
-    prev_rms = _pair_rms(src, dst, pairs) if by_id is None else None
-    iterations = 0
-    for _ in range(opts.max_iterations):
-        iterations += 1
+    if by_id is None:  # only nearest-neighbour matching iterates, so only it needs the start RMS
+        prev_rms = float(np.sqrt(np.mean(np.sum((src - dst[[d for _, d in pairs]]) ** 2, axis=1))))
+    for iterations in range(1, opts.max_iterations + 1):
         transform, rms = best_rigid_transform(src[[s for s, _ in pairs]], dst[[d for _, d in pairs]])
         if by_id is not None or abs(prev_rms - rms) < ICP_RMS_TOL:
             break
         prev_rms = rms
         pairs = match(transform.transform_points(src))
     return IcpResult(transform=transform, rms_residual=rms, iterations=iterations)
-
-
-def _pair_rms(src, dst, pairs) -> float:
-    """RMS distance between the paired points before any alignment."""
-    diff = src[[s for s, _ in pairs]] - dst[[d for _, d in pairs]]
-    return float(np.sqrt(np.mean(np.sum(diff**2, axis=1))))
 
 
 def build_graph(pairs: Correspondences, reference: int, nodes: tuple[int, ...] = ()) -> TransformGraph:
@@ -415,15 +403,16 @@ def propagate(graph: TransformGraph) -> RigidTransform:
     return RigidTransform(rotations, translations)
 
 
-def graph_cost(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> float:
-    """Total matching cost: sum over edges and landmarks of the squared
-    distance between the two observations brought into camera i's frame,
-    summed edge after edge in edge order, each edge's sum n |c|^2 +
-    tr(D S_pp D^T) + 2 tr(D S_ps) + tr(S_ss) of its moments (``moments._edge_terms``)."""
+def graph_cost(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray, relative=None) -> float:
+    """Total matching cost at the poses (``relative``: their ``_relative_poses``
+    if the caller has them): sum over edges and landmarks of the squared
+    distance between the two observations brought into camera i's frame, edge
+    after edge in edge order, each edge's sum n |c|^2 + tr(D S_pp D^T) + 2 tr(D S_ps) + tr(S_ss) of its moments."""
+    relative = _relative_poses(graph, rotations, translations) if relative is None else relative
     per_edge = np.zeros(len(graph.residuals))
     for start in range(0, len(per_edge), EDGE_BLOCK):
         edges = slice(start, start + EDGE_BLOCK)
-        _, _, d, n, _, c, s_pp, s_ps, s_ss = _edge_terms(graph, rotations, translations, edges)
+        _, _, d, n, _, c, s_pp, s_ps, s_ss = _edge_terms(graph, relative, edges)
         axes = zip(algebra.product(d, s_pp), d, algebra.transpose(s_ps), s_ss)
         spread = [inner(x, y) + 2.0 * inner(y, z) + w[a] for a, (x, y, z, w) in enumerate(axes)]
         per_edge[edges] = n * inner(c, c) + (spread[0] + spread[1] + spread[2])
@@ -441,12 +430,12 @@ def loop_closure_error(graph: TransformGraph, rotations: np.ndarray, translation
     return np.array(angles) + np.sqrt(inner(offset, offset))
 
 
-def _normal_equations(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J^T J and J^T r of the stacked residuals w.r.t. the free pose
-    parameters (per free camera: axis-angle rotation increment, then
-    translation, both applied as R <- R Exp(delta), t <- t + delta). J^T r is
-    in ``graph.nodes`` order; J^T J comes as the lower band ``band[c, d]`` =
-    entry (c + d, c), cameras in ``graph.table.order``.
+def _normal_equations(graph: TransformGraph, rotations: np.ndarray, relative: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """J^T J and J^T r, at poses of ``rotations`` and ``relative`` poses, of
+    the stacked residuals w.r.t. the free pose parameters (per free camera:
+    axis-angle rotation increment, then translation, both applied as R <- R
+    Exp(delta), t <- t + delta), cameras in ``graph.table.order``: J^T J as
+    the lower band ``band[c, d]`` = entry (c + d, c), J^T r as a vector.
 
     Each edge's 6x6 block products (``moments._edge_products``) are added
     into its cameras' slots in edge order, in which a slot shared by several
@@ -461,7 +450,7 @@ def _normal_equations(graph: TransformGraph, rotations: np.ndarray, translations
     blocks = as_strided(band, (free, table.bandwidth + 1, 6, 6), [band.itemsize * x for x in (6 * width, 6, 1, width - 1)])
     for start in range(0, len(graph.residuals), EDGE_BLOCK):
         edges = slice(start, start + EDGE_BLOCK)
-        products, gradients = _edge_products(graph, rotations, translations, edges)
+        products, gradients = _edge_products(graph, rotations, relative, edges)
         pairs = table.sides[edges]
         rows, cols = np.repeat(pairs, 2, axis=1).reshape(-1), np.tile(pairs, 2).reshape(-1)
         kept = (cols >= 0) & (rows >= cols)
@@ -471,7 +460,7 @@ def _normal_equations(graph: TransformGraph, rotations: np.ndarray, translations
         kept = pairs.reshape(-1) >= 0
         np.add.at(jtr.reshape(free, 6), pairs.reshape(-1)[kept], gradients.reshape(-1, 6)[kept])
         del products, gradients  # before the next block's
-    return band, jtr.reshape(free, 6)[np.argsort(table.order)].reshape(-1)
+    return band, jtr
 
 
 def refine(graph: TransformGraph, initial: RigidTransform) -> tuple[RigidTransform, list[float]]:
@@ -480,41 +469,41 @@ def refine(graph: TransformGraph, initial: RigidTransform) -> tuple[RigidTransfo
     ``initial`` is a stack of one pose per graph node in ``graph.nodes``
     order (``ValueError`` otherwise), as ``propagate`` returns it, and so
     are the refined poses. The reference pose is pinned to fix the gauge.
-    Accepted steps strictly decrease the cost; the damping factor shrinks
-    tenfold on success and grows tenfold on rejection. Each step solves
-    (J^T J + damping I) delta = -J^T r, with J^T J and J^T r accumulated
-    edge by edge, never the full Jacobian. Refinement stops after
-    ``REFINE_ITERATIONS`` steps, when the gradient is below
-    ``GRADIENT_TOL``, when an accepted step lowers the cost by less than
-    ``RELATIVE_COST_TOL`` of it, or, before a candidate is evaluated, when
-    the step's predicted decrease is at most that share of the cost. J^T J
-    is held in band storage (``_normal_equations``) and factored in place,
-    damped (``algebra.band_solve``), so one band is alive and a retry
-    rebuilds it. Returns the refined poses and the trace of accepted costs
-    (starting with the initial cost).
+    Each step solves (J^T J + damping I) delta = -J^T r, J^T J held as a
+    band (``_normal_equations``) and factored in place, damped
+    (``algebra.band_solve``), so one band is alive and a retry rebuilds it.
+    An accepted step strictly lowers the cost; the damping shrinks tenfold
+    on one and grows tenfold on a rejection. A pose set's relative poses
+    (``_relative_poses``) are formed once, for its cost and, if accepted,
+    its normal equations. Refinement stops after ``REFINE_ITERATIONS``
+    steps, when the gradient is below ``GRADIENT_TOL``, when an accepted
+    step lowers the cost by less than ``RELATIVE_COST_TOL`` of it, or,
+    before a candidate is evaluated, when the step's predicted decrease is
+    at most that share of the cost. Returns the refined poses and the trace
+    of accepted costs, the initial cost first.
     """
     if initial.rotation.shape != (len(graph.nodes), 3, 3):
         raise ValueError(f"initial poses must be a stack of {len(graph.nodes)}, one per graph node")
     rotations, translations = initial.rotation, initial.translation
-    cost = graph_cost(graph, rotations, translations)
+    relative = _relative_poses(graph, rotations, translations)
+    cost = graph_cost(graph, rotations, translations, relative)
     if not np.isfinite(cost):
         raise ValueError(f"the initial calibration cost is {cost!r}, not finite")
     trace = [cost]
     if len(graph.nodes) == 1 or not len(graph.residuals):
         return initial, trace
 
-    order = graph.table.order
-    position = np.argsort(order)
+    position = _positions(graph.table.order)
     damping = 1e-3
     for _ in range(REFINE_ITERATIONS):
-        band, jtr = _normal_equations(graph, rotations, translations)
+        band, jtr = _normal_equations(graph, rotations, relative)
         if float(np.max(np.abs(2.0 * jtr))) < GRADIENT_TOL:
             break
-        stepped = False
-        rhs = -jtr.reshape(-1, 6)[order].reshape(-1)
+        relative_drop = 0.0  # until a step is accepted
+        rhs = -jtr
         while damping < 1e12:
             if band is None:
-                band = _normal_equations(graph, rotations, translations)[0]
+                band = _normal_equations(graph, rotations, relative)[0]
             try:
                 step = algebra.band_solve(band, damping, rhs)
             except np.linalg.LinAlgError:
@@ -526,19 +515,18 @@ def refine(graph: TransformGraph, initial: RigidTransform) -> tuple[RigidTransfo
             # once that is within the cost's rounding, no step can show a real one.
             if float(np.sum(step * (damping * step + rhs))) <= RELATIVE_COST_TOL * cost:
                 break
-            delta = step.reshape(-1, 6)[position].reshape(-1)
-            candidate = _apply_step(graph, rotations, translations, delta)
-            new_cost = graph_cost(graph, *candidate)
+            candidate = _apply_step(graph, rotations, translations, step.reshape(-1, 6)[position].reshape(-1))
+            moved = _relative_poses(graph, *candidate)
+            new_cost = graph_cost(graph, *candidate, moved)
             if new_cost < cost:
-                rotations, translations = candidate
+                (rotations, translations), relative = candidate, moved
                 relative_drop = (cost - new_cost) / max(cost, 1e-300)
                 cost = new_cost
                 trace.append(cost)
                 damping = max(damping / 10.0, 1e-12)
-                stepped = True
                 break
             damping *= 10.0
-        if not stepped or relative_drop < RELATIVE_COST_TOL:
+        if relative_drop < RELATIVE_COST_TOL:
             break
     return RigidTransform(rotations, translations), trace
 
@@ -552,8 +540,7 @@ def _apply_step(
     ``geom.DRIFT_TOL``."""
     free = graph.table.free
     step = delta.reshape(-1, 6)
-    rotations = rotations.copy()
-    translations = translations.copy()
+    rotations, translations = rotations.copy(), translations.copy()
     turned = algebra.product(algebra.entries(rotations[free]), algebra.entries(geom.rotation_from_axis_angle(step[:, :3])))
     rotations[free] = geom.reorthonormalized(algebra.to_array(turned))
     translations[free] += step[:, 3:]

@@ -450,7 +450,10 @@ def _numeric_flag_error(args) -> str | None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_PARSE if exc.code else EXIT_OK
     error = _numeric_flag_error(args)
     if error is not None:
         print(f"argument error: {error}", file=sys.stderr)

@@ -16,11 +16,11 @@ if TYPE_CHECKING:
     from .calib import TransformGraph
 
 
-def _relative_poses(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray, edges=slice(None)):
-    """The ``edges``' E_ij = inverse(G_i) composed with G_j, as stacked
+def _relative_poses(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> tuple:
+    """Each edge's E_ij = inverse(G_i) composed with G_j, as stacked
     rotations and translations, rounded as ``geom.compose`` and
     ``geom.invert`` round one edge (drifted rotations re-orthonormalized)."""
-    slot_i, slot_j = graph.table.slot_i[edges], graph.table.slot_j[edges]
+    slot_i, slot_j = graph.table.slot_i, graph.table.slot_j
     r_i_t = algebra.transpose(algebra.entries(rotations[slot_i]))
     rotation = algebra.to_array(algebra.product(r_i_t, algebra.entries(rotations[slot_j])))
     to_j = algebra.transform(r_i_t, list(translations[slot_j].T))
@@ -29,12 +29,11 @@ def _relative_poses(graph: TransformGraph, rotations: np.ndarray, translations: 
     return geom.reorthonormalized(rotation), translation
 
 
-def _edge_terms(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray, edges: slice):
-    """For ``edges``, as entries over them: E and t, D = E - E*, the count n,
-    mean p, the mean residual c and the scatter blocks S_pp, S_ps, S_ss (see
-    ``TransformGraph``): a residual r = D p + t - t* + s is c + D u + v."""
-    rotation, translation = _relative_poses(graph, rotations, translations, edges)
-    e, t, means = algebra.entries(rotation), list(translation.T), list(graph.means[edges].T)
+def _edge_terms(graph: TransformGraph, relative: tuple, edges: slice):
+    """For ``edges``, as entries over them: E and t (of ``relative``), D = E -
+    E*, the count n, mean p, the mean residual c and the scatter blocks S_pp,
+    S_ps, S_ss (see ``TransformGraph``): a residual r = D p + t - t* + s is c + D u + v."""
+    e, t, means = algebra.entries(relative[0][edges]), list(relative[1][edges].T), list(graph.means[edges].T)
     d = [[x - y for x, y in zip(a, b)] for a, b in zip(e, algebra.entries(graph.rotations[edges]))]
     c = algebra.affine(d, [x - y for x, y in zip(t, graph.translations[edges].T)], means[:3])
     scatter = algebra.entries(graph.scatters[edges])
@@ -42,7 +41,7 @@ def _edge_terms(graph: TransformGraph, rotations: np.ndarray, translations: np.n
     return e, t, d, graph.counts[edges].astype(float), means[:3], [x + y for x, y in zip(c, means[3:])], *blocks
 
 
-def _edge_products(graph: TransformGraph, rotations: np.ndarray, translations: np.ndarray, edges: slice) -> tuple:
+def _edge_products(graph: TransformGraph, rotations: np.ndarray, relative: tuple, edges: slice) -> tuple:
     """J_a^T J_b, (edges, 2, 2, 6, 6), and J_a^T r, (edges, 2, 6), of
     ``edges`` over sides a, b = camera j, camera i. A landmark p of camera j
     lands at q = E p + t with residual r = q - p_i; its rows of J are
@@ -53,7 +52,7 @@ def _edge_products(graph: TransformGraph, rotations: np.ndarray, translations: n
     skew(q)^T skew(q) = tr(Q) I - Q, -F^T skew(q) with column k e_(k+2) x
     X_(k+1) - e_(k+1) x X_(k+2), F^T r = n (E^T c) x mean p + axial(E^T W)
     and r x q = n c x mean q + axial(W E^T), axial(x y^T) being x x y."""
-    e, t, d, n, mean_p, c, s_pp, s_ps, _ = _edge_terms(graph, rotations, translations, edges)
+    e, t, d, n, mean_p, c, s_pp, s_ps, _ = _edge_terms(graph, relative, edges)
     mean_q, e_t, spread = algebra.affine(e, t, mean_p), algebra.transpose(e), algebra.product(e, s_pp)  # E S_pp
     w = [[x + y for x, y in zip(a, b)] for a, b in zip(algebra.product(d, s_pp), algebra.transpose(s_ps))]
 

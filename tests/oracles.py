@@ -5,12 +5,17 @@
   ``point_from_array`` and ``footprint_to_world``, small constructors and
   the inverse of ``GroundFootprint.to_local``; ``cell_mask``, a grid mask
   from a list of cells.
-- ``cost_gradient``: the calibration cost's gradient from its normal
-  equations; ``stack_pairs``: the calibration's correspondence table from
+- ``normal_equations``: the calibration's normal equations at a pose set;
+  ``cost_gradient``: the cost's gradient from them; ``refine_per_call``:
+  the refinement loop forming the relative poses in every cost and
+  normal-equation call; ``stack_pairs``: the calibration's correspondence table from
   per-pair lists; ``graph_edges``: a calibration graph's edge stacks one
   edge at a time; ``build_plan``: the placement plan of a given selection;
   ``target_cells`` and ``violations``: a problem's targets and a plan's
   violated cells, listed cell by cell.
+- ``band_solve_summed``: the banded Cholesky solve with its trailing update
+  summed from a (6, rows, width) product, the form ``algebra.band_solve``'s
+  one buffer replaces.
 - ``row_graph_cost`` and ``row_normal_equations``: the calibration cost and
   its normal equations from every landmark row of the pair table, one
   residual per row, the form the graph's per-edge moments replace.
@@ -26,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ubimap import algebra, calib, coverage, world
 from ubimap.algebra import cross, inner
@@ -69,10 +75,93 @@ def footprint_to_world(fp: world.GroundFootprint, lx: float, ly: float) -> tuple
     return fp.x + c * lx - s * ly, fp.y + s * lx + c * ly
 
 
+def normal_equations(graph: calib.TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> tuple:
+    """``calib._normal_equations`` at the poses, their relative poses formed
+    for this call, with J^T r put in ``graph.nodes`` order."""
+    band, jtr = calib._normal_equations(graph, rotations, calib._relative_poses(graph, rotations, translations))
+    return band, jtr.reshape(-1, 6)[np.argsort(graph.table.order)].reshape(-1)
+
+
 def cost_gradient(graph: calib.TransformGraph, rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
     """Analytic gradient of the total cost w.r.t. the free pose parameters
     (all cameras except the reference, in ``graph.nodes`` order)."""
-    return 2.0 * calib._normal_equations(graph, rotations, translations)[1]
+    return 2.0 * normal_equations(graph, rotations, translations)[1]
+
+
+def refine_per_call(graph: calib.TransformGraph, initial: RigidTransform) -> tuple[RigidTransform, list[float]]:
+    """``calib.refine``'s Levenberg-Marquardt loop with every cost
+    evaluation and every normal-equation build forming the poses' relative
+    poses afresh: twice per accepted pose set, and again for a band rebuilt
+    after a rejected step."""
+    rotations, translations = initial.rotation, initial.translation
+    cost = calib.graph_cost(graph, rotations, translations)
+    trace = [cost]
+    if len(graph.nodes) == 1 or not len(graph.residuals):
+        return initial, trace
+    order = graph.table.order
+    position = np.argsort(order)
+    damping = 1e-3
+    for _ in range(calib.REFINE_ITERATIONS):
+        band, jtr = normal_equations(graph, rotations, translations)
+        if float(np.max(np.abs(2.0 * jtr))) < calib.GRADIENT_TOL:
+            break
+        stepped = False
+        rhs = -jtr.reshape(-1, 6)[order].reshape(-1)
+        while damping < 1e12:
+            if band is None:
+                band = normal_equations(graph, rotations, translations)[0]
+            try:
+                step = algebra.band_solve(band, damping, rhs)
+            except np.linalg.LinAlgError:
+                damping *= 10.0
+                continue
+            finally:
+                band = None
+            if float(np.sum(step * (damping * step + rhs))) <= calib.RELATIVE_COST_TOL * cost:
+                break
+            candidate = calib._apply_step(graph, rotations, translations, step.reshape(-1, 6)[position].reshape(-1))
+            new_cost = calib.graph_cost(graph, *candidate)
+            if new_cost < cost:
+                rotations, translations = candidate
+                relative_drop = (cost - new_cost) / max(cost, 1e-300)
+                cost = new_cost
+                trace.append(cost)
+                damping = max(damping / 10.0, 1e-12)
+                stepped = True
+                break
+            damping *= 10.0
+        if not stepped or relative_drop < calib.RELATIVE_COST_TOL:
+            break
+    return RigidTransform(rotations, translations), trace
+
+
+def band_solve_summed(band: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
+    """``algebra.band_solve`` with each slice of the trailing update summed
+    from its (6, rows, width) product by ``.sum(axis=0)``."""
+    size, width = band.shape
+    band[:, 0] += damping
+    item = band.itemsize
+    dense = as_strided(band, shape=(size, size), strides=(item, item * (width - 1)))
+    padded = np.zeros((6, 2 * width))
+    shifted = as_strided(padded, shape=(6, width, width), strides=(2 * width * item, item, item))
+    inverses, x = [], rhs.copy()
+    for s in range(0, size, 6):
+        n = min(width, size - s) - 6
+        inverse = np.array(algebra.inverse_cholesky(dense[s : s + 6, s : s + 6].tolist()), dtype=float)
+        inverses.append(inverse)
+        x[s : s + 6] = (inverse * x[s : s + 6]).sum(axis=1)
+        panel = dense[s + 6 : s + 6 + n, s : s + 6].T
+        panel[...] = padded[:, :n] = (inverse[:, :, None] * panel).sum(axis=1)
+        padded[:, n:] = 0.0
+        x[s + 6 : s + 6 + n] -= (panel * x[s : s + 6, None]).sum(axis=0)
+        for c in range(0, n, algebra.UPDATE_ROWS):
+            e = min(c + algebra.UPDATE_ROWS, n)
+            band[s + 6 + c : s + 6 + e, : n - c] -= (shifted[:, c:e, : n - c] * panel[:, c:e, None]).sum(axis=0)
+    for s in range(size - 6, -1, -6):
+        n = min(width, size - s) - 6
+        rest = x[s : s + 6] - (dense[s + 6 : s + 6 + n, s : s + 6].T * x[s + 6 : s + 6 + n]).sum(axis=1)
+        x[s : s + 6] = (inverses.pop() * rest[:, None]).sum(axis=0)
+    return x
 
 
 @dataclass(frozen=True)

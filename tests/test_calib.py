@@ -26,10 +26,13 @@ from ubimap.calib import (
 from ubimap.geom import RigidTransform
 
 from oracles import (
+    band_solve_summed,
     cost_gradient,
     graph_edges,
     is_close,
     kabsch,
+    normal_equations,
+    refine_per_call,
     rot_z,
     row_graph_cost,
     row_normal_equations,
@@ -737,7 +740,7 @@ def test_stacked_calibration_equals_per_edge_oracles(case):
     assert row_graph_cost(graph, pairwise, rotations, translations) == cost
     assert graph_cost(graph, rotations, translations) == pytest.approx(cost, rel=1e-12, abs=0.0)
     assert calib.loop_closure_error(graph, rotations, translations).tolist() == oracle_loop_closure_error(graph, poses)
-    band, jtr = calib._normal_equations(graph, rotations, translations)
+    band, jtr = normal_equations(graph, rotations, translations)
     assert_matches_dense_jacobian(graph, pairwise, poses, index, band, jtr)
     for moments, rows in zip((band, jtr), row_normal_equations(graph, pairwise, rotations, translations)):
         np.testing.assert_allclose(moments, rows, rtol=1e-12, atol=1e-12 * np.max(np.abs(rows)))
@@ -756,7 +759,7 @@ def test_a_stack_of_edges_gives_each_edge_its_own_bits(case):
     results = []
     for edge_block in (case["edge_block"], 1, calib.EDGE_BLOCK):
         with mock.patch.object(calib, "EDGE_BLOCK", edge_block):
-            results.append((graph_cost(graph, *poses), *calib._normal_equations(graph, *poses)))
+            results.append((graph_cost(graph, *poses), *normal_equations(graph, *poses)))
     for cost, band, jtr in results[1:]:
         assert cost == results[0][0] and np.array_equal(band, results[0][1]) and np.array_equal(jtr, results[0][2])
 
@@ -849,7 +852,7 @@ def test_normal_equations_match_dense_jacobian(n_cameras, cycle):
     index = {node: i for i, node in enumerate(free)}
     # Step off the propagated poses so no gradient component is ~0.
     poses = oracle_apply_step(pose_dict(graph, propagate(graph)), index, rng.normal(0, 0.05, 6 * len(free)))
-    band, jtr = calib._normal_equations(graph, *pose_arrays(graph, poses))
+    band, jtr = normal_equations(graph, *pose_arrays(graph, poses))
     assert_matches_dense_jacobian(graph, pairwise, poses, index, band, jtr)
     assert np.array_equal(cost_gradient(graph, *pose_arrays(graph, poses)), 2.0 * jtr)
 
@@ -1010,6 +1013,33 @@ def test_band_solve_raises_on_a_matrix_that_is_not_positive_definite():
     np.testing.assert_allclose(algebra.band_solve(band, 4.0, np.ones(12)), np.full(12, 1 / 7), rtol=1e-15)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+@example(16, 8, 5, True)  # trailing windows of up to 96 rows: four UPDATE_ROWS slices, then a retry
+def test_band_solve_bit_equal_to_summed_product_update(bandwidth, extra, seed, indefinite):
+    # With its last diagonal block negated the matrix is not positive
+    # definite until damped past it: as refine does, each LinAlgError is
+    # retried on a fresh band with ten times the damping.
+    rng = np.random.default_rng(seed)
+    band = random_band(rng, bandwidth + extra, bandwidth)
+    if indefinite:
+        band[-6:, 0] *= -1.0
+    rhs = rng.normal(size=len(band))
+    damping, retries = 1e-3, 0
+    while True:
+        ours, theirs = band.copy(), band.copy()
+        try:
+            x = algebra.band_solve(ours, damping, rhs)
+            break
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                band_solve_summed(theirs, damping, rhs)
+            damping, retries = 10.0 * damping, retries + 1
+    assert x.tobytes() == band_solve_summed(theirs, damping, rhs).tobytes()
+    assert ours.tobytes() == theirs.tobytes()  # the factors too
+    assert (retries > 0) == indefinite
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 14).flatmap(
@@ -1126,3 +1156,27 @@ def test_ring_cost_evaluations_pinned(gen, seed):
     with mock.patch.object(calib, "graph_cost", wraps=calib.graph_cost) as cost:
         pipeline.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed)
     assert cost.call_count == RING_COST_EVALUATIONS[seed]
+
+
+@pytest.mark.parametrize("name, seed", [("ring", 1), ("ring", 6), ("room", 1)])
+def test_refine_forms_relative_poses_once_per_pose_set(gen, name, seed):
+    # The loop that forms the relative poses in every cost and every
+    # normal-equation call gives the same bits and the same cost
+    # evaluations; on ring seed 6, rejected steps rebuild the band from the
+    # accepted poses' kept relative poses.
+    scenario = getattr(gen, name)(seed)
+    graph = pipeline.calibrate_scenario(scenario, scenario.params.noise_sigma, scenario.params.seed).graph
+    initial = propagate(graph)
+    runs = []
+    for loop in (refine, refine_per_call):
+        with mock.patch.object(calib, "graph_cost", wraps=calib.graph_cost) as cost, mock.patch.object(
+            calib, "_relative_poses", wraps=calib._relative_poses
+        ) as relative:
+            poses, trace = loop(graph, initial)
+        runs.append((poses.rotation.tobytes() + poses.translation.tobytes(), trace, cost.call_count, relative.call_count))
+    (ours, trace, costs, formed), (expected, expected_trace, expected_costs, expected_formed) = runs
+    assert ours == expected and trace == expected_trace and costs == expected_costs
+    assert formed == costs < expected_formed  # once per pose set
+    if name == "ring":
+        assert costs == RING_COST_EVALUATIONS[seed]
+        assert (costs > len(trace)) == (seed == 6)  # rejected candidates

@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -170,6 +173,41 @@ def test_plan_strict_overlap_violation_exits_2(tmp_path):
 def test_plan_parse_error_exits_1(tmp_path):
     path = write(tmp_path, "section world\n  width = 4\nend\n")
     assert cli.main(["plan", path, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["plan", str(DEMO_ROOM), "--budget", "abc"], "ubimap plan: error: argument --budget: invalid int value: 'abc'"),
+        (["plan", str(DEMO_ROOM), "--no-such-flag"], "ubimap: error: unrecognized arguments: --no-such-flag"),
+        ([], "ubimap: error: the following arguments are required: command"),
+    ],
+    ids=["bad-int", "unknown-flag", "no-subcommand"],
+)
+def test_malformed_command_line_exits_1_with_argparse_message(tmp_path, capsys, argv, message):
+    # Exit 2 means overlap violations under --strict; argparse's own usage
+    # errors exit 2 too, so the CLI maps them to the argument-error code.
+    with_out = [*argv, "--out", str(tmp_path / "out")] if argv else argv
+    assert cli.main(with_out) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ubimap") and err.rstrip().endswith(message), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["plan", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert cli.main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"usage: ubimap{' plan' if len(argv) > 1 else ''} ")
+
+
+def test_malformed_command_line_process_exits_1(tmp_path):
+    # The process status itself, through `python -m ubimap.cli`.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "ubimap.cli", "plan", str(DEMO_ROOM), "--budget", "abc", "--out", str(tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_PARSE, done.stderr
+    assert "invalid int value: 'abc'" in done.stderr
 
 
 def test_plan_no_cameras_exits_1(tmp_path, capsys):

@@ -7,7 +7,9 @@ differently from one CPU to another. So no function of the package makes a
 BLAS or LAPACK call or calls a numpy transcendental (``ubimap.algebra`` writes
 the products out, and ``math`` gives the transcendentals): a lint checks the
 source, runs under other ``OPENBLAS_CORETYPE`` kernels check the bytes, and a
-count of OpenBLAS's resident pages checks that no run touches its code.
+count of OpenBLAS's resident pages checks that no run touches its code. A
+second lint keeps numpy's sorting functions, whose first call maps numpy's
+SIMD sort code, out of the package.
 """
 
 import ast
@@ -82,6 +84,53 @@ def f(a, b, seen_counts):
 
     assert calls("pipeline.py") == ["a @ b", "a.dot", "np.einsum", "np.exp", "np.linalg.svd"]
     assert calls("geom.py") == sorted(calls("pipeline.py") + ["seen_counts @ seen_counts.T"])  # allowed in pipeline.py only
+
+
+# numpy's sorting functions. Their first call in a process maps numpy's SIMD
+# sort code, which nothing else the package calls uses: in a fresh process
+# the first ``np.argsort`` of a 100-entry int64 permutation raised VmRSS by
+# 320 kB, all of it file-backed, and a first ``np.sort`` of a (3, 50) float
+# array by 192 kB, while the scatter ``inverse[order] = np.arange(n)`` raised
+# it by 4 kB, none of it file-backed (read from /proc/self/status around each
+# call, x86-64 Linux). Those pages count in every calibrating run's peak RSS,
+# so the package inverts permutations by scatter (``algebra._positions``)
+# and orders three eigenvalues by compare-exchange.
+SORTS = {f"np.{name}" for name in ("sort", "argsort", "lexsort", "partition", "argpartition", "unique")}
+
+
+def sort_calls(tree: ast.AST, module: str) -> list[str]:
+    """numpy's sorting functions in a module's source, by line."""
+    return [
+        f"{module} line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) in SORTS
+    ]
+
+
+def test_src_makes_no_numpy_sort_call():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += sort_calls(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert found == []
+
+
+def test_sort_lint_finds_each_sorting_function():
+    source = """
+def f(a, order, line, cells):
+    np.sort(a, axis=0)
+    np.argsort(order)
+    np.lexsort((a, order))
+    np.partition(a, 1)
+    np.argpartition(a, 1)
+    np.unique(a)
+    key, _, value = line.partition("=")
+    cells.sort()
+    sorted(order)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(len(order))
+"""
+    found = sorted(entry.split(": ", 1)[1] for entry in sort_calls(ast.parse(source), "calib.py"))
+    assert found == sorted(SORTS)
 
 
 def kernel_env(kernel: str) -> dict[str, str]:
