@@ -47,11 +47,10 @@ COLLINEAR_TOL = 1e-14
 # block of the cost and the normal equations: each bounds one pass's temporaries.
 WINDOW_ROWS = 448
 EDGE_BLOCK = 64
-# The stops of refine (see its docstring) and of icp (a change in RMS residual, meters).
+# The stops of refine (see its docstring).
 REFINE_ITERATIONS = 50
 GRADIENT_TOL = 1e-10
 RELATIVE_COST_TOL = 1e-12
-ICP_RMS_TOL = 1e-9
 
 
 class DegenerateGeometryError(ValueError):
@@ -100,11 +99,7 @@ class Correspondences:
 
 @dataclass(frozen=True)
 class IcpOptions:
-    max_iterations: int = 50
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+    """The options of ``icp``: none, as a closed-form fit takes none."""
 
 
 @dataclass(frozen=True)
@@ -281,7 +276,6 @@ def _rigid_fits(src: np.ndarray, dst: np.ndarray, sizes) -> tuple:
 class IcpResult:
     transform: RigidTransform
     rms_residual: float
-    iterations: int
 
 
 def icp(
@@ -292,53 +286,30 @@ def icp(
     target_ids: tuple[int, ...] | None = None,
     sizes=None,
 ) -> IcpResult | tuple:
-    """Iterative closest point: align the source set onto the target set.
-
-    Alternates correspondence matching (by landmark id when both id tuples
-    are given, nearest neighbor otherwise, ties toward the lowest target
-    index) with the closed-form alignment, until the RMS change drops below
-    ``ICP_RMS_TOL`` or the iteration cap is hit. Hitting the cap is not an
-    error; the caller gets the last iterate. Pairs matched by id never
-    change, so then the first alignment is final.
-
-    With ``sizes``, source and target hold many sets one after another,
-    ``sizes[k]`` rows each, paired row by row (ids are not read), aligned in
-    one pass; the result is ``_rigid_fits``' stacks, per-set errors and
-    moments.
-    """
+    """Closed-form fit of the source points onto the target points, rows
+    paired by landmark id or by row; no nearest-neighbour matching. With both
+    id tuples, the rows of the ids both sides have are fitted by
+    ``best_rigid_transform``: fewer than 3 raise ``DegenerateGeometryError``,
+    non-finite points ``ValueError``. With ``sizes``, source and target hold
+    sets of ``sizes[k]`` rows one after another, paired row by row and fitted
+    in one pass, and the result is ``_rigid_fits``' stacks, per-set errors and
+    moments. A call with neither raises ``ValueError``."""
     src = np.asarray(source, dtype=float).reshape(-1, 3)
     dst = np.asarray(target, dtype=float).reshape(-1, 3)
     if sizes is not None:
         if len(src) != len(dst) or np.sum(sizes) != len(src):
             raise ValueError("source and target need sum(sizes) rows each")
         return _rigid_fits(src, dst, sizes)
-    if len(src) < 3 or len(dst) < 3:
-        raise DegenerateGeometryError("both point sets need >= 3 points")
+    if source_ids is None or target_ids is None:
+        raise ValueError("icp pairs rows by landmark id or by row: give both id tuples or sizes")
     if not (np.isfinite(src).all() and np.isfinite(dst).all()):
         raise ValueError("icp points must be finite")
-
-    by_id = None
-    if source_ids is not None and target_ids is not None:
-        dst_index = {lid: k for k, lid in enumerate(target_ids)}
-        by_id = [(s, dst_index[lid]) for s, lid in enumerate(source_ids) if lid in dst_index]
-        if len(by_id) < 3:
-            raise DegenerateGeometryError("fewer than 3 landmark ids are shared")
-
-    def match(transformed: np.ndarray) -> list[tuple[int, int]]:
-        offsets = [transformed[:, None, a] - dst[None, :, a] for a in range(3)]
-        nearest = np.argmin(inner(offsets, offsets), axis=1)
-        return list(enumerate(nearest.tolist()))
-
-    pairs = by_id if by_id is not None else match(src)
-    if by_id is None:  # only nearest-neighbour matching iterates, so only it needs the start RMS
-        prev_rms = float(np.sqrt(np.mean(np.sum((src - dst[[d for _, d in pairs]]) ** 2, axis=1))))
-    for iterations in range(1, opts.max_iterations + 1):
-        transform, rms = best_rigid_transform(src[[s for s, _ in pairs]], dst[[d for _, d in pairs]])
-        if by_id is not None or abs(prev_rms - rms) < ICP_RMS_TOL:
-            break
-        prev_rms = rms
-        pairs = match(transform.transform_points(src))
-    return IcpResult(transform=transform, rms_residual=rms, iterations=iterations)
+    dst_index = {lid: k for k, lid in enumerate(target_ids)}
+    pairs = [(s, dst_index[lid]) for s, lid in enumerate(source_ids) if lid in dst_index]
+    if len(pairs) < 3:
+        raise DegenerateGeometryError("fewer than 3 landmark ids are shared")
+    transform, rms = best_rigid_transform(src[[s for s, _ in pairs]], dst[[d for _, d in pairs]])
+    return IcpResult(transform, rms)
 
 
 def build_graph(pairs: Correspondences, reference: int, nodes: tuple[int, ...] = ()) -> TransformGraph:

@@ -62,8 +62,8 @@ class GridMap:
         if width <= 0 or height <= 0 or cell_size <= 0:
             raise ValueError("GridMap dimensions must be positive")
         self.walls = np.zeros((height, width), dtype=bool) if walls is None else walls
-        if self.walls.shape != (height, width):
-            raise DimensionMismatchError(f"wall mask shape {self.walls.shape} vs map {(height, width)}")
+        if self.walls.shape != (height, width) or self.walls.dtype != bool:
+            raise DimensionMismatchError(f"wall mask {self.walls.dtype} {self.walls.shape} vs map bool {(height, width)}")
         self.width, self.height, self.cell_size = width, height, cell_size
         self.tag_registry = dict(tag_registry or {})
         self.cells = np.zeros((height, width), dtype=np.uint8)

@@ -89,7 +89,8 @@ def _in_frustum(cam: CameraSpec, p_cam: np.ndarray) -> np.ndarray:
     ``math.atan2``, so every decision matches a per-point evaluation exactly.
     """
     x, y, z = p_cam.T
-    dist = np.sqrt(x * x + y * y + z * z)
+    with np.errstate(over="ignore"):  # an infinite range fails max_range
+        dist = np.sqrt(x * x + y * y + z * z)
     near = np.flatnonzero((p_cam[:, 2] > 0) & ~(dist > cam.max_range))
     out = np.zeros(len(p_cam), dtype=bool)
     out[near] = [

@@ -99,6 +99,12 @@ def test_fuse_known_wall_becomes_wall_on_observation():
 def test_grid_map_rejects_a_wall_mask_of_another_shape():
     with pytest.raises(DimensionMismatchError):
         GridMap(4, 3, 1.0, walls=np.zeros((4, 3), dtype=bool))
+    # A mask of another dtype would index by integers: with a uint8 mask whose
+    # one wall is (col 4, row 3), fusion turned rows 0 and 1 into walls.
+    walls = np.zeros((4, 5), dtype=np.uint8)
+    walls[3, 4] = 1
+    with pytest.raises(DimensionMismatchError):
+        GridMap(5, 4, 1.0, walls=walls)
 
 
 def test_fuse_unknown_camera_rejected_with_fault():

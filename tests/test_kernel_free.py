@@ -138,6 +138,7 @@ def kernel_env(kernel: str) -> dict[str, str]:
     if kernel:
         env["OPENBLAS_CORETYPE"] = kernel
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"  # as pyproject's filterwarnings does in process
     return env
 
 

@@ -50,6 +50,7 @@ def ubimap_env(**blas) -> dict[str, str]:
     env = {key: value for key, value in os.environ.items() if key not in BLAS_VARS}
     env.update(blas)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"  # as pyproject's filterwarnings does in process
     return env
 
 

@@ -101,6 +101,16 @@ def test_landmark_outside_frustum_excluded():
     assert ids.tolist() == [1] and seen.tolist() == [[False]] and points.shape == (0, 3)
 
 
+def test_landmark_out_of_float_range_is_unseen_without_a_warning():
+    # Its squared range overflows to inf, which fails max_range: tier-1 turns
+    # the overflow warning into an error, and so does ``python -W error``.
+    far = Landmark(id=1, position=Point3(4.0, 3.5, 1e300))
+    near = Landmark(id=2, position=Point3(4.0, 3.5, 0.4))
+    cam = make_camera(4.0, 2.0, width=4.0, depth=4.0)
+    ids, seen, points = sensim.observe_landmarks([cam], room_with_landmarks([far, near]), sigma=0.0, seed=0)
+    assert ids.tolist() == [1, 2] and seen.tolist() == [[False, True]] and points.shape == (1, 3)
+
+
 def test_tags_empty_when_robot_outside_every_footprint():
     robot = Robot(id=1, x=7.5, y=7.5, theta=0.0, tag=3)
     cam = make_camera(2.0, 1.0, width=2.0, depth=2.0)
