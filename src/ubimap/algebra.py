@@ -1,11 +1,12 @@
 """Linear algebra in elementwise arithmetic, with no BLAS or LAPACK call:
 OpenBLAS picks its kernels by CPU, and they round differently.
 
-Small matrices are lists of rows of entries, each a Python float (one
-matrix) or an array (a stack, computed elementwise). Every product sums its
-terms in one fixed order, so a stack and each of its matrices give the same
-bits. ``horn_rotation`` solves Horn's quaternion problem (Horn 1987, JOSA A
-4(4)) by cyclic Jacobi (Golub & Van Loan, Matrix Computations, 8.5);
+Small matrices are lists of rows of entries, each an array over a stack's
+leading axes (``entries`` gives 0-d arrays for one matrix) or a Python float
+where a caller passes floats (the EKF, ``geom.apply``). Every product sums
+its terms in one fixed order, so a stack and each of its matrices give the
+same bits. ``horn_rotation`` solves Horn's quaternion problem (Horn 1987,
+JOSA A 4(4)) by cyclic Jacobi (Golub & Van Loan, Matrix Computations, 8.5);
 ``band_order`` and ``band_solve`` serve the calibration's normal equations.
 """
 
@@ -28,11 +29,9 @@ UPDATE_ROWS = 30
 
 
 def entries(a) -> list[list]:
-    """The entries of an (..., r, c) array as r rows of c entries: Python
-    floats for one (r, c) matrix, arrays over the leading axes for a stack."""
+    """The entries of an (..., r, c) array as r rows of c entries, arrays
+    over the leading axes (0-d for one matrix)."""
     a = np.asarray(a, dtype=float)
-    if a.ndim == 2:
-        return a.tolist()
     return [[a[..., i, j] for j in range(a.shape[-1])] for i in range(a.shape[-2])]
 
 
@@ -105,56 +104,50 @@ def inverse2(m: list[list[float]]) -> list[list[float]]:
 
 def jacobi_eigen(a: list[list]) -> tuple[list, list[list]]:
     """Eigenvalues (unsorted) and the matrix of unit eigenvectors (column k
-    for value k) of symmetric matrices, upper triangle read: Python floats
-    for one matrix, elementwise arrays for a stack. Both run the same loop,
-    and a rotation one matrix of a stack does not need leaves it untouched,
-    so each matrix gets the bits it gets alone."""
+    for value k) of symmetric matrices, upper triangle read, elementwise
+    over a stack. A rotation one matrix of a stack does not need leaves it
+    untouched, so each matrix gets the bits it gets alone."""
     n = len(a)
     a = symmetric(a)
-    if all(isinstance(x, float) for row in a for x in row):
-        pick, absolute, root, anything, one = (lambda c, x, y: x if c else y), abs, math.sqrt, bool, 1.0
-    else:
-        pick, absolute, root, anything = np.where, np.abs, np.sqrt, np.any
-        shape = np.broadcast_shapes(*(np.shape(x) for row in a for x in row))
-        a = [[np.broadcast_to(np.asarray(x, dtype=float), shape).copy() for x in row] for row in a]
-        one = np.ones(shape)
+    shape = np.broadcast_shapes(*(np.shape(x) for row in a for x in row))
+    a = [[np.broadcast_to(np.asarray(x, dtype=float), shape).copy() for x in row] for row in a]
+    one = np.ones(shape)
     v = [[one * float(p == q) for q in range(n)] for p in range(n)]
-    tiny = JACOBI_SKIP * root(inner([x for row in a for x in row], [x for row in a for x in row]))
+    tiny = JACOBI_SKIP * np.sqrt(inner([x for row in a for x in row], [x for row in a for x in row]))
     for _ in range(JACOBI_SWEEPS):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
-                rotate = absolute(apq) > tiny
-                if not anything(rotate):
+                rotate = np.abs(apq) > tiny
+                if not np.any(rotate):
                     continue
                 rotated = True
-                theta = (a[q][q] - a[p][p]) / (2.0 * pick(rotate, apq, 1.0))
-                t = pick(theta < 0.0, -1.0, 1.0) / (absolute(theta) + root(theta * theta + 1.0))
-                c = 1.0 / root(t * t + 1.0)
+                theta = (a[q][q] - a[p][p]) / (2.0 * np.where(rotate, apq, 1.0))
+                t = np.where(theta < 0.0, -1.0, 1.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
                 s = t * c
-                a[p][p] = pick(rotate, a[p][p] - t * apq, a[p][p])
-                a[q][q] = pick(rotate, a[q][q] + t * apq, a[q][q])
-                a[p][q] = a[q][p] = pick(rotate, 0.0, apq)
+                a[p][p] = np.where(rotate, a[p][p] - t * apq, a[p][p])
+                a[q][q] = np.where(rotate, a[q][q] + t * apq, a[q][q])
+                a[p][q] = a[q][p] = np.where(rotate, 0.0, apq)
                 for r in range(n):
                     if r != p and r != q:
                         arp, arq = a[r][p], a[r][q]
-                        a[r][p] = a[p][r] = pick(rotate, c * arp - s * arq, arp)
-                        a[r][q] = a[q][r] = pick(rotate, s * arp + c * arq, arq)
+                        a[r][p] = a[p][r] = np.where(rotate, c * arp - s * arq, arp)
+                        a[r][q] = a[q][r] = np.where(rotate, s * arp + c * arq, arq)
                 for row in v:
                     vp, vq = row[p], row[q]
-                    row[p] = pick(rotate, c * vp - s * vq, vp)
-                    row[q] = pick(rotate, s * vp + c * vq, vq)
+                    row[p] = np.where(rotate, c * vp - s * vq, vp)
+                    row[q] = np.where(rotate, s * vp + c * vq, vq)
         if not rotated:
             break
     return [a[k][k] for k in range(n)], v
 
 
 def horn_rotation(b: list[list]) -> list[list]:
-    """The proper rotations R maximizing tr(R^T B) for a stack of 3x3 B, or
-    one B in Python floats (the best alignment when B sums centred target x
-    source^T; the nearest rotation to B), from the top eigenvector of
-    Horn's 4x4 matrix."""
+    """The proper rotations R maximizing tr(R^T B) for a stack of 3x3 B (the
+    best alignment when B sums centred target x source^T; the nearest
+    rotation to B), from the top eigenvector of Horn's 4x4 matrix."""
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
     horn = [
         [b00 + b11 + b22, b21 - b12, b02 - b20, b10 - b01],
@@ -163,12 +156,8 @@ def horn_rotation(b: list[list]) -> list[list]:
         [None, None, None, -b00 - b11 + b22],
     ]
     values, vectors = jacobi_eigen(horn)
-    if isinstance(values[0], float):
-        top = max(range(4), key=values.__getitem__)  # the first largest, as argmax
-        w, x, y, z = (row[top] for row in vectors)
-    else:
-        top = np.argmax(np.stack(values), axis=0)
-        w, x, y, z = (np.choose(top, row) for row in vectors)
+    top = np.argmax(np.stack(values), axis=0)
+    w, x, y, z = (np.choose(top, row) for row in vectors)
     norm = np.sqrt(w * w + x * x + y * y + z * z)
     w, x, y, z = w / norm, x / norm, y / norm, z / norm
     return [
@@ -254,7 +243,7 @@ def band_solve(band: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
     dense = as_strided(band, shape=(size, size), strides=(item, item * (width - 1)))  # in-band (r, c) only
     padded = np.zeros((6, 2 * width))
     shifted = as_strided(padded, shape=(6, width, width), strides=(2 * width * item, item, item))  # padded[k, c + d]
-    inverses, x, update = [], rhs.copy(), np.empty((2, UPDATE_ROWS, width))
+    inverses, x, update = [], rhs.copy(), np.empty((2, UPDATE_ROWS * width))
     for s in range(0, size, 6):
         n = min(width, size - s) - 6
         inverse = np.array(inverse_cholesky(dense[s : s + 6, s : s + 6].tolist()), dtype=float)
@@ -265,10 +254,11 @@ def band_solve(band: np.ndarray, damping: float, rhs: np.ndarray) -> np.ndarray:
         padded[:, n:] = 0.0
         x[s + 6 : s + 6 + n] -= (panel * x[s : s + 6, None]).sum(axis=0)
         # Band entry (s + 6 + c, d) of the trailing window loses sum_k panel[k, c + d] panel[k, c] where
-        # c + d < n: slices of rows c, each as wide as its first row's entries, summed k after k in a buffer.
+        # c + d < n: slices of rows c, each as wide as its first row's entries, summed k after k in a
+        # contiguous buffer, so each sum runs over one flat run, not row by row.
         for c in range(0, n, UPDATE_ROWS):
             e = min(c + UPDATE_ROWS, n)
-            total, term = update[:, : e - c, : n - c]
+            total, term = (buffer[: (e - c) * (n - c)].reshape(e - c, n - c) for buffer in update)
             np.multiply(shifted[0, c:e, : n - c], panel[0, c:e, None], out=total)
             for k in range(1, 6):
                 total += np.multiply(shifted[k, c:e, : n - c], panel[k, c:e, None], out=term)

@@ -290,7 +290,7 @@ def icp(
     paired by landmark id or by row; no nearest-neighbour matching. With both
     id tuples, the rows of the ids both sides have are fitted by
     ``best_rigid_transform``: fewer than 3 raise ``DegenerateGeometryError``,
-    non-finite points ``ValueError``. With ``sizes``, source and target hold
+    non-finite points or an id tuple not one id per point ``ValueError``. With ``sizes``, source and target hold
     sets of ``sizes[k]`` rows one after another, paired row by row and fitted
     in one pass, and the result is ``_rigid_fits``' stacks, per-set errors and
     moments. A call with neither raises ``ValueError``."""
@@ -302,6 +302,8 @@ def icp(
         return _rigid_fits(src, dst, sizes)
     if source_ids is None or target_ids is None:
         raise ValueError("icp pairs rows by landmark id or by row: give both id tuples or sizes")
+    if len(source_ids) != len(src) or len(target_ids) != len(dst):
+        raise ValueError("icp needs one landmark id per point on each side")
     if not (np.isfinite(src).all() and np.isfinite(dst).all()):
         raise ValueError("icp points must be finite")
     dst_index = {lid: k for k, lid in enumerate(target_ids)}

@@ -135,9 +135,7 @@ def reorthonormalized(rotation: np.ndarray) -> np.ndarray:
     """The (..., 3, 3) float array with each rotation whose orthonormality
     error exceeds ``DRIFT_TOL`` replaced, in place, by its nearest rotation."""
     drifted = orthonormality_error(rotation) > DRIFT_TOL
-    if rotation.ndim == 2 and drifted:  # one matrix, projected in Python floats
-        rotation[...] = nearest_rotation(rotation)
-    elif np.any(drifted):
+    if np.any(drifted):
         rotation[drifted] = nearest_rotation(rotation[drifted])
     return rotation
 
@@ -165,9 +163,8 @@ def rotation_from_axis_angle(vec) -> np.ndarray:
 
 
 def _components(v: np.ndarray) -> list:
-    """The entries of an (..., 3) array: Python floats for one vector,
-    arrays over the leading axes for a stack."""
-    return v.tolist() if v.ndim == 1 else [v[..., i] for i in range(3)]
+    """The entries of an (..., 3) array, arrays over the leading axes."""
+    return [v[..., i] for i in range(3)]
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:

@@ -424,14 +424,18 @@ def _walk(world: GridWorld, a: np.ndarray, b: np.ndarray, visible: np.ndarray) -
 
 # -- scenario document ----------------------------------------------------
 
-_SECTION_KEYS = {
-    "world": {"cell_size", "width", "height"},
-    "camera": {"id", "x", "y", "h", "yaw_deg", "hfov_deg", "vfov_deg", "range"},
-    "robot": {"id", "x", "y", "tag"},
-    "obstacle": {"id", "x", "y"},
-    "landmark": {"id", "x", "y", "z"},
-    "sim": {"seed", "noise_sigma", "net_latency_ms", "net_loss"},
+# Each section's keys, in the order their values are read, and each value's
+# kind: a finite real, an integer, or a word (an integer in 0..MAX_WORD).
+_REAL, _INT, _WORD = "real", "integer", "word"
+_FIELDS = {
+    "world": {"cell_size": _REAL, "width": _INT, "height": _INT},
+    "camera": {"id": _WORD, **dict.fromkeys(("x", "y", "h", "yaw_deg", "hfov_deg", "vfov_deg", "range"), _REAL)},
+    "robot": {"id": _WORD, "x": _REAL, "y": _REAL, "tag": _WORD},
+    "obstacle": {"x": _REAL, "y": _REAL, "id": _WORD},
+    "landmark": {"id": _WORD, "x": _REAL, "y": _REAL, "z": _REAL},
+    "sim": {"seed": _INT, "noise_sigma": _REAL, "net_latency_ms": _REAL, "net_loss": _REAL},
 }
+_SECTION_KEYS = {section: set(fields) for section, fields in _FIELDS.items()}
 # A line of an ASCII document and its end, as str.splitlines splits them.
 _LINE = re.compile(r"([^\n\r\v\f\x1c-\x1e]*)(?:\r\n|[\n\r\v\f\x1c-\x1e]|\Z)")
 
@@ -595,53 +599,39 @@ def _section(name: str, **fields) -> list[str]:
     return [f"section {name}", *(f"  {k} = {repr(v) if isinstance(v, float) else v}" for k, v in fields.items()), "end"]
 
 
-def _parse_number(line_no: int, key: str, value: str) -> float:
+def _checked(line_no: int, build, *values):
+    """build(*values), its own range checks failing at the section's line."""
     try:
-        number = float(value)
-    except ValueError:
-        raise ScenarioSyntaxError(line_no, f"'{key}' must be a number, got '{value}'") from None
-    if not math.isfinite(number):
-        raise ScenarioSyntaxError(line_no, f"'{key}' must be finite, got '{value}'")
-    return number
-
-
-def _parse_int(line_no: int, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ScenarioSyntaxError(line_no, f"'{key}' must be an integer, got '{value}'") from None
-
-
-def _parse_id(line_no: int, key: str, value: str) -> int:
-    number = _parse_int(line_no, key, value)
-    if number < 0:
-        raise ScenarioSyntaxError(line_no, f"'{key}' must be >= 0, got {number}")
-    if number > MAX_WORD:
-        raise ScenarioSyntaxError(line_no, f"'{key}' must be <= 2**64 - 1, got {number}")
-    return number
-
-
-def _require(line_no: int, section: str, kv: dict[str, str], keys: set[str]) -> None:
-    missing = keys - kv.keys()
-    if missing:
-        raise ScenarioSyntaxError(line_no, f"section '{section}' missing keys: {', '.join(sorted(missing))}")
-
-
-def _checked(line_no: int, build, **fields):
-    """build(**fields), its own range checks failing at the section's line."""
-    try:
-        return build(**fields)
+        return build(*values)
     except ValueError as exc:
         raise ScenarioSyntaxError(line_no, str(exc)) from None
 
 
+def _values(line_no: int, section: str, kv: dict[str, str], default: str | None = None) -> Iterator:
+    """The section's values in its ``_FIELDS`` order, each read as its kind;
+    a key left out fails first, unless it takes ``default``."""
+    fields = _FIELDS[section]
+    if default is None and len(kv) < len(fields):  # the scan let in only the section's keys
+        missing = ", ".join(sorted(fields.keys() - kv.keys()))
+        raise ScenarioSyntaxError(line_no, f"section '{section}' missing keys: {missing}")
+    for key, kind in fields.items():
+        value = kv.get(key, default)
+        try:
+            number = float(value) if kind is _REAL else int(value)
+        except ValueError:
+            noun = "a number" if kind is _REAL else "an integer"
+            raise ScenarioSyntaxError(line_no, f"'{key}' must be {noun}, got '{value}'") from None
+        if kind is _REAL:
+            if not math.isfinite(number):
+                raise ScenarioSyntaxError(line_no, f"'{key}' must be finite, got '{value}'")
+        elif kind is _WORD and not 0 <= number <= MAX_WORD:
+            bound = ">= 0" if number < 0 else "<= 2**64 - 1"
+            raise ScenarioSyntaxError(line_no, f"'{key}' must be {bound}, got {number}")
+        yield number
+
+
 def _convert_world(line_no: int, kv: dict[str, str]) -> dict[str, float]:
-    _require(line_no, "world", kv, {"cell_size", "width", "height"})
-    sizes = {
-        "cell_size": _parse_number(line_no, "cell_size", kv["cell_size"]),
-        "width": _parse_int(line_no, "width", kv["width"]),
-        "height": _parse_int(line_no, "height", kv["height"]),
-    }
+    sizes = dict(zip(_FIELDS["world"], _values(line_no, "world", kv)))
     for key, size in sizes.items():
         if size <= 0:
             raise ScenarioSyntaxError(line_no, f"'{key}' must be > 0, got '{kv[key]}'")
@@ -653,64 +643,33 @@ def _convert_world(line_no: int, kv: dict[str, str]) -> dict[str, float]:
 
 
 def _convert_camera(line_no: int, kv: dict[str, str]) -> CameraSpec:
-    _require(line_no, "camera", kv, _SECTION_KEYS["camera"])
-    return _checked(
-        line_no,
-        CameraSpec,
-        id=_parse_id(line_no, "id", kv["id"]),
-        x=_parse_number(line_no, "x", kv["x"]),
-        y=_parse_number(line_no, "y", kv["y"]),
-        height=_parse_number(line_no, "h", kv["h"]),
-        yaw=math.radians(_parse_number(line_no, "yaw_deg", kv["yaw_deg"])),
-        hfov=math.radians(_parse_number(line_no, "hfov_deg", kv["hfov_deg"])),
-        vfov=math.radians(_parse_number(line_no, "vfov_deg", kv["vfov_deg"])),
-        max_range=_parse_number(line_no, "range", kv["range"]),
-    )
+    cam_id, x, y, h, *degrees, max_range = _values(line_no, "camera", kv)
+    return _checked(line_no, CameraSpec, cam_id, x, y, h, *map(math.radians, degrees), max_range)
 
 
 def _convert_robot(line_no: int, kv: dict[str, str]) -> Robot:
-    _require(line_no, "robot", kv, _SECTION_KEYS["robot"])
-    robot_id = _parse_id(line_no, "id", kv["id"])
+    values = _values(line_no, "robot", kv)
+    robot_id = next(values)
     if not 1 <= robot_id < 2**16:
         # Robots are addressed on the network by id; address 0 is the map server.
         raise ScenarioSyntaxError(line_no, f"robot 'id' must be in 1..65535, got {robot_id}")
-    return Robot(
-        id=robot_id,
-        x=_parse_number(line_no, "x", kv["x"]),
-        y=_parse_number(line_no, "y", kv["y"]),
-        theta=0.0,
-        tag=_parse_id(line_no, "tag", kv["tag"]),
-    )
+    x, y, tag = values
+    return Robot(id=robot_id, x=x, y=y, theta=0.0, tag=tag)
 
 
 def _convert_obstacle(line_no: int, kv: dict[str, str], cell_size: float, width: int, height: int) -> Obstacle:
-    _require(line_no, "obstacle", kv, _SECTION_KEYS["obstacle"])
-    x = _parse_number(line_no, "x", kv["x"])
-    y = _parse_number(line_no, "y", kv["y"])
+    values = _values(line_no, "obstacle", kv)
+    x, y = next(values), next(values)
     col, row = x // cell_size, y // cell_size
     if not (0 <= col < width and 0 <= row < height):
         raise ScenarioSyntaxError(line_no, f"obstacle at ({x!r}, {y!r}) lies off the {width}x{height} grid")
-    return Obstacle(id=_parse_id(line_no, "id", kv["id"]), cell=CellIndex(int(col), int(row)))
+    return Obstacle(id=next(values), cell=CellIndex(int(col), int(row)))
 
 
 def _convert_landmark(line_no: int, kv: dict[str, str]) -> Landmark:
-    _require(line_no, "landmark", kv, _SECTION_KEYS["landmark"])
-    return Landmark(
-        id=_parse_id(line_no, "id", kv["id"]),
-        position=Point3(
-            _parse_number(line_no, "x", kv["x"]),
-            _parse_number(line_no, "y", kv["y"]),
-            _parse_number(line_no, "z", kv["z"]),
-        ),
-    )
+    lm_id, x, y, z = _values(line_no, "landmark", kv)
+    return Landmark(id=lm_id, position=Point3(x, y, z))
 
 
 def _convert_sim(line_no: int, kv: dict[str, str]) -> SimParams:
-    return _checked(
-        line_no,
-        SimParams,
-        seed=_parse_int(line_no, "seed", kv.get("seed", "0")),
-        noise_sigma=_parse_number(line_no, "noise_sigma", kv.get("noise_sigma", "0")),
-        net_latency_ms=_parse_number(line_no, "net_latency_ms", kv.get("net_latency_ms", "0")),
-        net_loss=_parse_number(line_no, "net_loss", kv.get("net_loss", "0")),
-    )
+    return _checked(line_no, SimParams, *_values(line_no, "sim", kv, default="0"))

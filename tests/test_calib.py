@@ -301,6 +301,21 @@ def test_icp_without_ids_or_sizes_is_an_error(ids):
         icp(src, src + 1.0, IcpOptions(), *ids)
 
 
+@pytest.mark.parametrize(
+    "source_rows, target_rows, source_ids, target_ids",
+    [
+        (3, 4, (0, 1, 2, 3), (0, 1, 2, 3)),  # a source id past the source points
+        (4, 4, (0, 1, 2), (0, 1, 2, 3)),  # a source point with no id
+        (4, 3, (0, 1, 2, 3), (0, 1, 2, 3)),  # a target id past the target points
+        (4, 4, (0, 1, 2, 3), (0, 1, 2)),  # a target point with no id
+    ],
+)
+def test_icp_by_id_needs_one_id_per_point(source_rows, target_rows, source_ids, target_ids):
+    p = np.random.default_rng(18).uniform(-2, 2, size=(4, 3))
+    with pytest.raises(ValueError, match="one landmark id per point"):
+        icp(p[:source_rows], p[:target_rows] + 1.0, IcpOptions(), source_ids, target_ids)
+
+
 def test_icp_by_id_fits_only_the_shared_ids():
     # Source ids 0..9, target ids 4..15 shuffled: ids 4..9 are shared, the rest
     # of either side is skipped, and the fit is the shared rows' fit, bit for bit.

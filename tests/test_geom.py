@@ -203,8 +203,9 @@ def test_stacked_compose_and_invert_equal_per_transform_calls_bit_for_bit(seed, 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([1e-11, 1e-6, 0.1, 3.0]))
 def test_nearest_rotation_of_one_matrix_runs_on_floats_with_its_stack_bits(seed, count, scale):
-    # One matrix's Jacobi runs on Python floats, a stack's on arrays, in one
-    # loop: each matrix of a stack gets the bits it gets alone.
+    # One matrix's Jacobi runs on 0-d float64 arrays, a stack's on arrays
+    # over its leading axes, in one loop: each matrix of a stack gets the
+    # bits it gets alone.
     rng = np.random.default_rng(seed)
     near = geom.rotation_from_axis_angle(rng.uniform(-3.0, 3.0, (count, 3))) + scale * rng.normal(size=(count, 3, 3))
     stacked = geom.nearest_rotation(near)
@@ -212,4 +213,4 @@ def test_nearest_rotation_of_one_matrix_runs_on_floats_with_its_stack_bits(seed,
         single = geom.nearest_rotation(near[k])
         assert single.shape == (3, 3) and np.array_equal(stacked[k], single)
         values, vectors = algebra.jacobi_eigen(algebra.entries(near[k] + near[k].T))
-        assert all(type(x) is float for x in values + [x for row in vectors for x in row])
+        assert all(np.asarray(x).dtype == np.float64 and np.ndim(x) == 0 for x in values + [x for row in vectors for x in row])

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -201,6 +202,38 @@ def test_parse_reports_the_first_conversion_error_of_the_first_kind():
         with pytest.raises(ScenarioSyntaxError) as err:
             parse_scenario(doc)
         assert str(err.value).startswith(f"line {line}: ") and message in str(err.value), (str(err.value), body)
+
+
+@pytest.mark.parametrize(
+    "doc, line, message",
+    [
+        (MINIMAL + "section robot\n  id = 0\n  x = nan\n  y = 0.5\n  tag = 1\nend\n", 7, "robot 'id' must be in 1..65535, got 0"),
+        (MINIMAL + "section obstacle\n  id = -1\n  x = 9.5\n  y = 0.5\nend\n", 7, "obstacle at (9.5, 0.5) lies off the 4x4 grid"),
+        (MINIMAL + BAD_CAMERA.replace("x = 1.0", "x = oops"), 7, "'x' must be a number, got 'oops'"),
+        (MINIMAL.replace("width = 4", "width = 0").replace("height = 4", "height = abc"), 2, "'height' must be an integer, got 'abc'"),
+    ],
+)
+def test_parse_reports_the_first_error_of_a_block_in_read_order(doc, line, message):
+    # A block with two bad values reports the one read first; a section's own
+    # checks come at their place in that order (a robot's address before its
+    # position, an obstacle's grid check before its id, the world's sizes
+    # after all three are read).
+    with pytest.raises(ScenarioSyntaxError, match=f"^line {line}: {re.escape(message)}$"):
+        parse_scenario(doc)
+
+
+def test_readme_scenario_format_lists_each_sections_keys():
+    # The README's "Scenario format" block names each section's keys after
+    # '#', units and notes in parentheses; they must be the parser's keys.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Scenario format", 1)[1].split("```", 2)[1]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("section "):
+            name, _, keys = line.removeprefix("section ").partition("#")
+            documented[name.strip()] = {key.strip() for key in re.sub(r"\([^)]*\)", "", keys).split(",")}
+    assert documented.pop("walls") == {"lines: row <r> <colstart>..<colend>"}
+    assert documented == {section: set(fields) for section, fields in w._FIELDS.items()}
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"])
