@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -97,13 +98,11 @@ class Correspondences:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class IcpOptions:
+class IcpOptions(NamedTuple):
     """The options of ``icp``: none, as a closed-form fit takes none."""
 
 
-@dataclass(frozen=True)
-class CorrespondenceTable:
+class CorrespondenceTable(NamedTuple):
     """Where the graph's edges meet the pose stacks, built once per graph
     (``TransformGraph.table``). Slots index ``graph.nodes``, the order of
     every pose stack. The cost and the normal equations read each edge's
@@ -272,8 +271,7 @@ def _rigid_fits(src: np.ndarray, dst: np.ndarray, sizes) -> tuple:
     return rotations, translations, residuals, errors, means, scatters
 
 
-@dataclass(frozen=True)
-class IcpResult:
+class IcpResult(NamedTuple):
     transform: RigidTransform
     rms_residual: float
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +50,7 @@ class CoverageProblem:
             raise ValueError("candidate camera ids must be unique")
 
 
-@dataclass(frozen=True, eq=False)
-class PlacementPlan:
+class PlacementPlan(NamedTuple):
     """A selection of candidates; counts is the (height, width) array of
     how many selected cameras cover each cell, and violated the read-only
     (height, width) bool mask of the target cells whose count lies outside
@@ -60,6 +60,9 @@ class PlacementPlan:
     counts: np.ndarray
     coverage_ratio: float
     violated: np.ndarray
+
+    # Plans compare by identity: a tuple comparison would ask their arrays for one truth value.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def objective(plan: PlacementPlan, problem: CoverageProblem) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -237,8 +237,7 @@ class GaussianBelief:
         object.__setattr__(self, "covariance", cov)
 
 
-@dataclass(frozen=True)
-class MotionModel:
+class MotionModel(NamedTuple):
     """State transition x' = f(x, u) with additive Gaussian noise Q; the
     Jacobian is df/dx at (x, u)."""
 
@@ -247,8 +246,7 @@ class MotionModel:
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class ObservationModel:
+class ObservationModel(NamedTuple):
     """Measurement z = h(x) with additive Gaussian noise R; the Jacobian is
     dh/dx at x."""
 

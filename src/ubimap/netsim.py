@@ -28,6 +28,7 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,14 +170,13 @@ class NetworkParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.latency_ms < 0 or self.jitter_ms < 0:
+        if not (self.latency_ms >= 0 and self.jitter_ms >= 0):  # so that NaN fails
             raise ValueError("latency and jitter must be >= 0")
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ValueError("loss_probability must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     time: float
     dest: int
     message: Message

@@ -5,7 +5,7 @@ the images it writes. Rendering loads neither ``calib`` nor ``sensim``."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ def coverage_heatmap(problem: ubimap.coverage.CoverageProblem, plan: ubimap.cove
     return _ppm(image)
 
 
-@dataclass
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     """The camera graph, the accepted LM costs and three pose stacks in
     ``graph.nodes`` order, in the frame of the reference camera (the lowest
     id, ``graph.nodes[0]``): as propagated, as refined, and the truth."""
@@ -67,14 +66,16 @@ def _shared_landmark_pairs(camera_ids: list[int], seen: np.ndarray, points: np.n
     """The camera pairs, in camera order, that see at least 3 landmarks in
     common, with each pair's shared observations in landmark id order, from
     ``observe_landmarks``' seen mask and points for cameras ``camera_ids``.
-    The shared landmarks come from ANDed bit-packed mask rows, and each
+    The shared landmarks come from ANDed bit-packed mask rows, each
+    camera's row against every later one's counted by popcount, and each
     observation's row in ``points`` from a search among the mask's flat
-    indices: the int64 copy that counts the pairs is the only (cameras x
-    landmarks) integer temporary, and it is freed first."""
-    seen_counts = seen.astype(np.int64)
-    a, b = np.nonzero(np.triu(seen_counts @ seen_counts.T, 1) >= 3)
-    del seen_counts
+    indices: the packed rows, an eighth of the mask, are the only (cameras x
+    landmarks) temporary."""
     packed = np.packbits(seen, axis=1)
+    shared = np.zeros((len(seen), len(seen)), dtype=np.intp)
+    for i in range(len(seen) - 1):
+        shared[i, i + 1 :] = np.bitwise_count(packed[i] & packed[i + 1 :]).sum(axis=1)
+    a, b = np.nonzero(shared >= 3)
     pair, landmark = np.nonzero(np.unpackbits(packed[a] & packed[b], axis=1, count=seen.shape[1]))
     observed = np.flatnonzero(seen)  # points' rows, as flat (camera, landmark) indices
     ids = np.array(camera_ids, dtype=np.uint64)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,16 +43,14 @@ from .geom import RigidTransform
 from .world import CameraSpec, CellState, GridWorld, covered_cells, ground_footprint, line_of_sight
 
 
-@dataclass(frozen=True)
-class TagDetection:
+class TagDetection(NamedTuple):
     camera_id: int
     tag_id: int
     ground_position: tuple[float, float]  # camera ground frame: x lateral, y forward
     timestamp: float
 
 
-@dataclass(frozen=True)
-class ObstacleEvidence:
+class ObstacleEvidence(NamedTuple):
     """One camera's occupancy evidence over the whole grid: ``observed`` marks
     the cells it sees and ``occupied`` those of them it sees occupied, both
     (height, width) bool masks."""

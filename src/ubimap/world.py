@@ -79,18 +79,20 @@ class CameraSpec:
     max_range: float
 
     def __post_init__(self) -> None:
-        if self.height <= 0:
+        # Each check is written so that NaN fails it; an infinite max_range passes.
+        if not self.height > 0:
             raise ValueError(f"camera {self.id}: height must be > 0")
         if not 0 < self.hfov < math.pi:
             raise ValueError(f"camera {self.id}: hfov must be in (0, pi)")
         if not 0 < self.vfov < math.pi:
             raise ValueError(f"camera {self.id}: vfov must be in (0, pi)")
-        if self.max_range <= 0:
+        if not self.max_range > 0:
             raise ValueError(f"camera {self.id}: max_range must be > 0")
+        if not all(map(math.isfinite, (self.x, self.y, self.yaw))):
+            raise ValueError(f"camera {self.id}: x, y and yaw must be finite")
 
 
-@dataclass(frozen=True)
-class GroundFootprint:
+class GroundFootprint(NamedTuple):
     """The ground rectangle a camera covers: width across, depth forward."""
 
     x: float
@@ -116,8 +118,7 @@ class GroundFootprint:
         return c * dx + s * dy, -s * dx + c * dy
 
 
-@dataclass(frozen=True)
-class Robot:
+class Robot(NamedTuple):
     id: int
     x: float
     y: float
@@ -125,14 +126,12 @@ class Robot:
     tag: int
 
 
-@dataclass(frozen=True)
-class Obstacle:
+class Obstacle(NamedTuple):
     id: int
     cell: CellIndex
 
 
-@dataclass(frozen=True)
-class Landmark:
+class Landmark(NamedTuple):
     id: int
     position: Point3
 
@@ -147,9 +146,9 @@ class SimParams:
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= MAX_WORD:
             raise ValueError("seed must be in 0..2**64 - 1")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # so that NaN fails
             raise ValueError("noise_sigma must be >= 0")
-        if self.net_latency_ms < 0:
+        if not self.net_latency_ms >= 0:
             raise ValueError("net_latency_ms must be >= 0")
         if not 0.0 <= self.net_loss <= 1.0:
             raise ValueError("net_loss must be in [0, 1]")
@@ -251,6 +250,20 @@ class GridWorld:
         grid.setflags(write=False)
         return grid
 
+    @cached_property
+    def wall_tiles(self) -> np.ndarray:
+        """Read-only int32 summed-area table (Crow 1984) of the wall tiles,
+        the ``WALL_TILE`` x ``WALL_TILE``-cell squares holding a wall cell:
+        entry (i, j) counts them among the first i rows and j columns of
+        tiles, so four lookups count a box's. One entry per tile, not per
+        cell, keeps it a sixteenth of a whole-cell table."""
+        rows = np.logical_or.reduceat(self.walls, np.arange(0, self.height, WALL_TILE), axis=0)
+        walled = np.logical_or.reduceat(rows, np.arange(0, self.width, WALL_TILE), axis=1)
+        tiles = np.zeros((walled.shape[0] + 1, walled.shape[1] + 1), dtype=np.int32)
+        tiles[1:, 1:] = walled.cumsum(axis=0).cumsum(axis=1)
+        tiles.setflags(write=False)
+        return tiles
+
     def centre_span(self, lo: float, hi: float, axis: int) -> tuple[slice, np.ndarray]:
         """The cells along axis 0 (columns, x) or 1 (rows, y) whose centres
         may lie in [lo, hi], widened by one cell each way, and their centres.
@@ -329,6 +342,10 @@ def covered_cells(cameras: CameraSpec | Sequence[CameraSpec], world: GridWorld) 
 _WALL, _OUTSIDE = 1, 2
 # The most segments line_of_sight walks at once, so a call's walk state stays bounded.
 SEGMENT_BLOCK = 4096
+# The side, in cells, of the square tiles GridWorld.wall_tiles counts walls
+# by: a power of two, so a shift finds a cell's tile.
+WALL_TILE_BITS = 2
+WALL_TILE = 1 << WALL_TILE_BITS
 
 
 # Infinities and NaNs (no crossing along an axis) follow IEEE rules, as the
@@ -345,11 +362,13 @@ def line_of_sight(
 
     The cells containing the endpoints never block (a camera mounted over a
     wall cell can still see out of it, and a target is visible from within
-    its own cell). Traversal is a supercover DDA (Amanatides & Woo 1987)
-    run in lockstep over blocks of at most ``SEGMENT_BLOCK`` segments: every
-    cell a segment passes through up to its end is visited, and an exact
-    corner crossing past the start visits both side cells, so blocking is
-    conservative.
+    its own cell). A segment is settled first by counting the wall tiles of
+    the tile-aligned box its two end cells span, four lookups in
+    ``GridWorld.wall_tiles``: with none, it is visible. The others are
+    traversed by a supercover DDA (Amanatides & Woo 1987) run in lockstep
+    over blocks of at most ``SEGMENT_BLOCK`` segments: every cell a segment
+    passes through up to its end is visited, and an exact corner crossing
+    past the start visits both side cells, so blocking is conservative.
     """
     single = np.ndim(a) == 1 and np.ndim(b) == 1
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float).reshape(-1, 2), np.asarray(b, dtype=float).reshape(-1, 2))
@@ -363,13 +382,20 @@ def line_of_sight(
 
 
 def _walk(world: GridWorld, a: np.ndarray, b: np.ndarray, visible: np.ndarray) -> None:
-    """Clear ``visible`` for the blocked segments of one block, walked on ``world.sight_grid``."""
+    """Clear ``visible`` for the blocked segments of one block, walked on ``world.sight_grid``
+    where ``world.wall_tiles`` counts a wall tile in their box."""
     cs, width, height, grid = world.cell_size, world.width, world.height, world.sight_grid
     stride = width + 2
     # Cells as in GridWorld.cell_of, and their flat indices in the padded grid.
     start, end = (np.minimum(p // cs, (width - 1, height - 1)).astype(np.int64) for p in (a, b))
+    # A walk visits only cells of the box its end cells span, so a segment
+    # within one cell, or whose box's tiles hold no wall, is visible.
+    (c0, r0), (c1, r1) = np.minimum(start, end).T >> WALL_TILE_BITS, (np.maximum(start, end).T >> WALL_TILE_BITS) + 1
+    tiles = world.wall_tiles
+    walled = tiles[r1, c1] - tiles[r0, c1] - tiles[r1, c0] + tiles[r0, c0] > 0
+    del c0, r0, c1, r1  # freed before the walk state is allocated
     first, last = ((cells[:, 1] + 1) * stride + cells[:, 0] + 1 for cells in (start, end))
-    live = np.flatnonzero(first != last)  # a segment within one cell is visible
+    live = np.flatnonzero((first != last) & walled)
     # One row per state variable, so dropping finished segments is one
     # indexing per dtype. The walk moves monotonically away from its start
     # cell, so only the end cell needs excluding. Columns come in multiples
@@ -385,7 +411,7 @@ def _walk(world: GridWorld, a: np.ndarray, b: np.ndarray, visible: np.ndarray) -
         ints[3 + axis, : len(live)] = np.where(delta > 0, scale, -scale)
         floats[axis, : len(live)] = np.where(delta != 0, (start[live, axis] + (delta > 0) - origin) / delta, np.inf)
         floats[2 + axis, : len(live)] = np.abs(1.0 / delta)
-    del start, end, first, last, origin, delta  # the walk needs only ints and floats
+    del start, end, first, last, walled, origin, delta  # the walk needs only ints and floats
 
     for _ in range(2 * (width + height) + 4):
         if not ints.shape[1]:

@@ -165,3 +165,22 @@ def test_every_default_is_overridden_somewhere():
                 ):
                     unused.append(f"{path.name}: {node.name}({name})")
     assert unused == []
+
+
+def test_every_dataclass_checks_or_derives_its_fields():
+    """A record that only holds values is a ``typing.NamedTuple``: a
+    ``@dataclass`` decoration generates and compiles its methods when its
+    module is imported, which every command pays before it runs. So every
+    dataclass under ``src/`` defines ``__post_init__`` to check or derive
+    its fields, but for ``Scenario``, which ``perfbench/gen.py`` rebuilds
+    with ``dataclasses.replace``."""
+    plain = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list]
+            methods = {item.name for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            if any(d.split(".")[-1] == "dataclass" for d in decorators) and "__post_init__" not in methods:
+                plain.append(f"{path.name}: {node.name}")
+    assert plain == ["world.py: Scenario"]

@@ -36,9 +36,6 @@ TRANSCENDENTALS = {
         "arctanh", "hypot", "cbrt",
     )
 }
-# (module, expression) pairs allowed to use @: an int64 matmul runs numpy's
-# own integer loop and never reaches BLAS.
-ALLOWED = {("pipeline.py", "seen_counts @ seen_counts.T")}
 X86_64 = platform.machine().lower() in ("x86_64", "amd64")
 
 
@@ -48,8 +45,7 @@ def kernel_dependent_calls(tree: ast.AST, module: str) -> list[str]:
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            if (module, ast.unparse(node)) not in ALLOWED:
-                found.append(f"{module} line {node.lineno}: {ast.unparse(node)}")
+            found.append(f"{module} line {node.lineno}: {ast.unparse(node)}")
         elif isinstance(node, ast.Attribute):
             name = ast.unparse(node)
             linalg = name.startswith("np.linalg.") and name != "np.linalg.LinAlgError"
@@ -79,11 +75,9 @@ def f(a, b, seen_counts):
     except np.linalg.LinAlgError:
         np.sqrt(a)
 """
-    def calls(module):
-        return sorted(entry.split(": ", 1)[1] for entry in kernel_dependent_calls(ast.parse(source), module))
-
-    assert calls("pipeline.py") == ["a @ b", "a.dot", "np.einsum", "np.exp", "np.linalg.svd"]
-    assert calls("geom.py") == sorted(calls("pipeline.py") + ["seen_counts @ seen_counts.T"])  # allowed in pipeline.py only
+    found = sorted(entry.split(": ", 1)[1] for entry in kernel_dependent_calls(ast.parse(source), "pipeline.py"))
+    # No module may use @, not even on integers.
+    assert found == ["a @ b", "a.dot", "np.einsum", "np.exp", "np.linalg.svd", "seen_counts @ seen_counts.T"]
 
 
 # numpy's sorting functions. Their first call in a process maps numpy's SIMD

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ubimap import world as w
+from ubimap.netsim import NetworkParams
 from ubimap.world import (
     CameraSpec,
     CellIndex,
@@ -333,6 +334,31 @@ def test_sim_params_seed_outside_64_bit_words_rejected(seed):
         w.SimParams(seed=seed)
 
 
+CAMERA_AT = dict(id=1, x=0.5, y=0.5, height=2.0, yaw=0.0, hfov=1.0, vfov=1.0, max_range=5.0)
+
+
+@pytest.mark.parametrize(
+    "record, fields, message",
+    [
+        (CameraSpec, {"height": math.nan}, "camera 1: height must be > 0"),
+        (CameraSpec, {"yaw": math.nan, "max_range": math.nan}, "camera 1: max_range must be > 0"),
+        (CameraSpec, {"yaw": math.nan}, "camera 1: x, y and yaw must be finite"),
+        (CameraSpec, {"x": math.nan, "max_range": math.inf}, "camera 1: x, y and yaw must be finite"),
+        (CameraSpec, {"y": -math.inf}, "camera 1: x, y and yaw must be finite"),
+        (NetworkParams, {"latency_ms": math.nan, "jitter_ms": math.nan}, "latency and jitter must be >= 0"),
+        (NetworkParams, {"jitter_ms": math.nan}, "latency and jitter must be >= 0"),
+        (w.SimParams, {"noise_sigma": math.nan, "net_latency_ms": math.nan}, "noise_sigma must be >= 0"),
+        (w.SimParams, {"net_latency_ms": math.nan}, "net_latency_ms must be >= 0"),
+    ],
+    ids=lambda value: "-".join(value) if isinstance(value, dict) else None,
+)
+def test_records_reject_nan_where_they_promise_a_range(record, fields, message):
+    # Each check is written so that NaN fails it; an infinite range still passes.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        record(**{**(CAMERA_AT if record is CameraSpec else {}), **fields})
+    assert CameraSpec(**{**CAMERA_AT, "max_range": math.inf}).max_range == math.inf
+
+
 @pytest.mark.parametrize("robot_id", [0, 65536, 70000])
 def test_parse_rejects_robot_ids_outside_network_addresses(robot_id):
     block = f"section robot\n  id = {robot_id}\n  x = 0.5\n  y = 0.5\n  tag = 1\nend\n"
@@ -566,6 +592,42 @@ def many_segments():
 @example(many_segments())
 def test_line_of_sight_batched_matches_reference_walk(case):
     grid, segments = case
+    assert_matches_reference(grid, segments)
+
+
+@st.composite
+def tiled_grids_with_segments(draw):
+    """A grid of a few wall tiles each way with a few wall cells, so that
+    many boxes hold no wall tile, and segments between cell corners, edge
+    midpoints and the far bounds."""
+    width, height = draw(st.integers(1, 21)), draw(st.integers(1, 21))
+    cell_size = draw(st.sampled_from([0.25, 0.3, 0.5, 1.0, 1.7]))
+    cells = st.builds(CellIndex, st.integers(0, width - 1), st.integers(0, height - 1))
+    grid = GridWorld(cell_size, width, height, frozenset(draw(st.sets(cells, max_size=6))))
+    point = st.tuples(*(st.integers(0, 2 * extent).map(lambda k: k * cell_size / 2) for extent in (width, height)))
+    return grid, draw(st.lists(st.tuples(point, point), min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiled_grids_with_segments())
+def test_tiled_wall_count_and_walk_agree_on_every_segment(case):
+    # The walk visits only cells of the box its end cells span, and the
+    # summed-area table counts the wall tiles of that box widened to whole
+    # tiles: a segment whose count is 0 is one the walk finds visible.
+    grid, segments = case
+    tiles, t = grid.wall_tiles, w.WALL_TILE
+    assert tiles.dtype == np.int32 and tiles.shape == (-(-grid.height // t) + 1, -(-grid.width // t) + 1)
+    assert not tiles.flags.writeable
+    wall_tiles = {(cell.row // t, cell.col // t) for cell in all_cells(grid) if grid.walls[cell.row, cell.col]}
+    for a, b in segments:
+        ends = (grid.cell_of(*a), grid.cell_of(*b))
+        (c0, c1), (r0, r1) = (sorted(pair) for pair in zip(*ends))
+        assert all(c0 <= cell.col <= c1 and r0 <= cell.row <= r1 for cell in reference_supercover_cells(grid, a, b))
+        (c0, r0), (c1, r1) = (c0 // t, r0 // t), (c1 // t + 1, r1 // t + 1)
+        count = tiles[r1, c1] - tiles[r0, c1] - tiles[r1, c0] + tiles[r0, c0]
+        assert count == sum(r0 <= row < r1 and c0 <= col < c1 for row, col in wall_tiles)
+        if count == 0:
+            assert line_of_sight(grid, a, b) and reference_line_of_sight(grid, a, b), (a, b)
     assert_matches_reference(grid, segments)
 
 
